@@ -1,10 +1,13 @@
-"""``sharded`` suite: multi-process sharded tiling vs. single-process tiled.
+"""``sharded`` suite: the block core across processes vs. in one process.
 
-Measures what :mod:`repro.core.sharded` buys (see DESIGN.md §17): under
-a fixed *per-process* memory budget, one tiled process must carve a
-fine grid and spill staged tiles, while N shard processes each fit
-coarse tiles inside their own copy of the budget — the aggregate grant
-is N x budget, and the win is wall-clock, not just peak.
+Measures what :mod:`repro.core.sharded` buys over :mod:`repro.core.tiled`
+— the same block core (DESIGN.md §16), run with one worker process per
+row panel instead of in process: under a fixed *per-process* memory
+budget, one tiled process must carve a fine grid and spill staged
+tiles, while N shard processes each fit coarse tiles inside their own
+copy of the budget and stream them to the parent for merge — the
+aggregate grant is N x budget, and the win is wall-clock, not just
+peak.
 
 * **speedup** — wall time of the 4-shard sharded multiply vs. the
   single-process tiled engine, both under the same per-process budget
@@ -17,7 +20,7 @@ is N x budget, and the win is wall-clock, not just peak.
 * **identity** — sharded bit-identical to the monolithic serial path
   for every built-in semiring, on a real multi-shard topology;
 * **recovery** — a shard SIGKILLed at startup is recomputed in the
-  parent and the product stays bit-identical.
+  parent with a ``RuntimeWarning``, and the product stays bit-identical.
 
 Committed baseline: repo-root ``BENCH_sharded.json``.
 """
@@ -27,6 +30,7 @@ from __future__ import annotations
 import os
 import tempfile
 import time
+import warnings
 
 import numpy as np
 
@@ -128,7 +132,6 @@ def _bench_head_to_head(wname: str, shards: int, budget: int, reps: int) -> dict
         "speedup": tiled_s / sharded_s,
         "fallback": detail.fallback,
         "plan": detail.plan.describe() if detail.plan is not None else None,
-        "merge": detail.plan.merge if detail.plan is not None else None,
         "broadcast_bytes": int(detail.broadcast_bytes),
         "returned_bytes": int(detail.returned_bytes),
         "shard_peak_rss_bytes": shard_rss,
@@ -159,7 +162,10 @@ def _check_recovery(wname: str, shards: int) -> dict:
     expect = repro.pb_spgemm(a_csc, b_csr)
     os.environ[FAULT_ENV] = f"start:{shards - 1}"
     try:
-        with tempfile.TemporaryDirectory(prefix="repro-bench-sharded-") as tmp:
+        with tempfile.TemporaryDirectory(
+            prefix="repro-bench-sharded-"
+        ) as tmp, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             res = sharded_spgemm_detailed(
                 a_csc, b_csr, config=PBConfig(shards=shards, spill_dir=tmp)
             )
@@ -169,6 +175,7 @@ def _check_recovery(wname: str, shards: int) -> dict:
     return {
         "workload": wname,
         "recovered_shards": res.recovered_shards,
+        "warned": any(issubclass(w.category, RuntimeWarning) for w in caught),
         "orphaned_stage_files": len(orphans),
         "identical": _bit_identical(res.c, expect),
     }
@@ -227,6 +234,7 @@ def run(quick: bool = False, reps: int = 3) -> BenchResult:
         "no_fallback": head["fallback"] is None,
         "recovery": recovery["identical"]
         and recovery["recovered_shards"] == 1
+        and recovery["warned"]
         and recovery["orphaned_stage_files"] == 0,
         "shard_rss_under_budget": quick
         or head["max_shard_peak_rss_bytes"] <= budget * RSS_HEADROOM,

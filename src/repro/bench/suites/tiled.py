@@ -1,6 +1,8 @@
 """``tiled`` suite: out-of-core 2D tiling vs. the monolithic PB path.
 
-Measures what :mod:`repro.core.tiled` buys (see DESIGN.md §16):
+Measures what :mod:`repro.core.tiled` — the block core of
+:mod:`repro.core.blocks` run in process with spill staging (DESIGN.md
+§16) — buys over one monolithic multiply:
 
 * **peak memory** — peak-RSS working-set delta of one multiply,
   monolithic ``pb`` vs. ``tiled`` under a fixed ``memory_budget``.

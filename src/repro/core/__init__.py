@@ -8,30 +8,32 @@
 * :func:`pb_spgemm` — Alg. 2: expand → bin → sort → compress → CSR.
 * :func:`partitioned_pb_spgemm` — the NUMA-partitioned variant
   discussed in Sec. V-D.
-* :func:`tiled_spgemm` — the 2D tiled out-of-core engine
-  (DESIGN.md §16): bounded peak memory, spill-to-disk staging.
-* :func:`sharded_spgemm` — the multi-process sharded variant of the
-  tiled engine (DESIGN.md §17): tile-row shards, shared-memory panel
-  broadcast, streamed assembly.
+* :mod:`repro.core.blocks` — the block-decomposition core (DESIGN.md
+  §16): :class:`BlockGrid`, the tile loop, the B column-panel split
+  and the preallocated-CSR row assembler, shared by the three
+  block drivers (partitioned, tiled, sharded).
+* :func:`tiled_spgemm` — the block core in process: bounded peak
+  memory, spill-to-disk staging.
+* :func:`sharded_spgemm` — the block core with one worker process per
+  row panel: shared-memory panel broadcast, tiles streamed to the
+  parent for merge and assembly.
 """
 
 from .config import PBConfig
 from .symbolic import SymbolicResult, symbolic_phase
 from .binning import BinLayout, pack_keys, unpack_keys, plan_bins
 from .pb_spgemm import PBResult, pb_spgemm, pb_spgemm_detailed
+from .blocks import BlockGrid
 from .partitioned import partitioned_pb_spgemm
 from .tiled import (
     SpillStore,
-    TileGrid,
     TiledResult,
-    cleanup_stage_files,
     plan_tile_grid,
     tiled_spgemm,
     tiled_spgemm_detailed,
 )
 from .sharded import (
     ShardedResult,
-    ShardPlan,
     plan_shards,
     resolve_shards,
     sharded_spgemm,
@@ -49,16 +51,14 @@ __all__ = [
     "PBResult",
     "pb_spgemm",
     "pb_spgemm_detailed",
+    "BlockGrid",
     "partitioned_pb_spgemm",
     "SpillStore",
-    "TileGrid",
     "TiledResult",
-    "cleanup_stage_files",
     "plan_tile_grid",
     "tiled_spgemm",
     "tiled_spgemm_detailed",
     "ShardedResult",
-    "ShardPlan",
     "plan_shards",
     "resolve_shards",
     "sharded_spgemm",

@@ -6,10 +6,11 @@ rows into one block per socket and runs an independent PB-SpGEMM per
 block against the whole of B, so each socket's bins stay local; the
 price is reading B once per partition.
 
-Functionally the row blocks produce disjoint row ranges of C, so the
-results concatenate directly.  The simulator models the bandwidth
-side; this module provides the executable algorithm (and is also a
-useful out-of-core pattern: peak memory drops by the partition count).
+Functionally the row blocks produce disjoint row ranges of C: this is
+the block core of :mod:`repro.core.blocks` on a row-only grid (one
+column panel, B itself).  The simulator models the bandwidth side;
+this module provides the executable algorithm (and is also a useful
+out-of-core pattern: peak memory drops by the partition count).
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from ..matrix.csc import CSCMatrix
 from ..matrix.csr import CSRMatrix
 from ..matrix.ops import row_slice
 from ..semiring import PLUS_TIMES, Semiring
+from .blocks import BlockGrid, assemble_rows, row_panel_tiles
 from .config import PBConfig
-from .pb_spgemm import pb_spgemm
 
 
 def partitioned_pb_spgemm(
@@ -49,7 +50,7 @@ def partitioned_pb_spgemm(
         raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
     if npartitions < 1:
         raise ValueError(f"npartitions must be >= 1, got {npartitions}")
-    m = a_csc.shape[0]
+    m, n = a_csc.shape[0], b_csr.shape[1]
     npartitions = min(npartitions, max(m, 1))
 
     engine = None
@@ -60,32 +61,12 @@ def partitioned_pb_spgemm(
 
     a_csr = a_csc.to_csr()
     bounds = np.linspace(0, m, npartitions + 1).astype(int)
-
-    indptr_parts: list[np.ndarray] = []
-    indices_parts: list[np.ndarray] = []
-    data_parts: list[np.ndarray] = []
-    offset = 0
-    for p in range(npartitions):
-        lo, hi = int(bounds[p]), int(bounds[p + 1])
-        if lo == hi:
-            continue
+    grid = BlockGrid(tuple(int(x) for x in bounds), (0, n))
+    panels: list[CSRMatrix] = []
+    for _, lo, hi in grid.row_panels():
         block = row_slice(a_csr, lo, hi).to_csc()
-        c_block = pb_spgemm(block, b_csr, semiring, config, engine=engine)
-        if indptr_parts:
-            indptr_parts.append(c_block.indptr[1:] + offset)
-        else:
-            indptr_parts.append(c_block.indptr)
-        indices_parts.append(c_block.indices)
-        data_parts.append(c_block.data)
-        offset += c_block.nnz
-
-    if not indices_parts:
-        return CSRMatrix.empty((m, b_csr.shape[1]))
-    indptr = np.concatenate(indptr_parts)
-    return CSRMatrix(
-        (m, b_csr.shape[1]),
-        indptr,
-        np.concatenate(indices_parts),
-        np.concatenate(data_parts),
-        validate=False,
+        _, c_block = next(row_panel_tiles(block, [b_csr], semiring, config, engine))
+        panels.append(CSRMatrix.empty((hi - lo, n)) if c_block is None else c_block)
+    return assemble_rows(
+        (m, n), grid.row_edges, [p.nnz for p in panels], panels.__getitem__
     )

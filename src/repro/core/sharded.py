@@ -1,49 +1,38 @@
-"""Multi-process sharded tiled SpGEMM: tile-row shards, panel broadcast.
+"""Multi-process sharded SpGEMM: the block core with one process per row panel.
 
-The tiled engine (:mod:`repro.core.tiled`, DESIGN.md §16) bounds one
-process's peak memory but runs every tile of the grid in that one
-process.  This module adds the spatial dimension (DESIGN.md §17): the
-tile *rows* of the same 2D grid are dealt to worker processes
-("shards"), the operands travel once through shared memory, and each
-shard runs its tiles as small serial PB multiplies — the owner-computes
-2D decomposition of Buluč & Gilbert, with B column panels broadcast
-instead of cyclically shifted because every shard shares the same
-physical memory.
+The tiled engine (:mod:`repro.core.tiled`) bounds one process's peak
+memory but runs every tile of the grid in that one process.  This
+driver runs the same block core (:mod:`repro.core.blocks`, DESIGN.md
+§16) across worker processes ("shards"): each shard owns one
+flop-balanced row panel of the grid, the operands travel once through
+shared memory, and each shard runs its tiles as small serial PB
+multiplies — the owner-computes 2D decomposition of Buluç & Gilbert,
+with B column panels broadcast instead of cyclically shifted because
+every shard shares the same physical memory.
 
 Topology and protocol
 ---------------------
 * The parent splits A's rows into ``shards`` contiguous ranges of
   roughly equal flop (the same prefix-sum rule the balanced bin
-  mapping uses) and picks ONE column-panel split for everybody from
-  the per-shard ``memory_budget``.
+  mapping uses) and picks ONE column-panel split for everybody
+  (:func:`repro.core.blocks.col_panels_for`).
 * A (CSR) and every column panel of B (CSR, converted once in the
   parent) are published as shared-memory segments leased from an
   :class:`~repro.parallel.shm.ArenaPool` — a session's recycling pool
-  when one is passed, a private pool otherwise.  Workers attach
-  zero-copy views; nothing large is ever pickled.
+  when one is passed, a private pool otherwise.  Each segment set
+  carries its matrix's shape, so workers rebuild exactly the parent's
+  ``(m, k)`` and ``(k, width)`` operands, zero-copy; nothing large is
+  ever pickled.
 * Each shard computes its tiles in ascending column order and streams
-  every finished block back through a size handshake: the worker
-  reports the block's nnz, the parent leases a pool segment and
-  replies with its spec, the worker copies the block in.  Blocks are
-  raw tiles (``merge="parent"``) or a fully merged row panel
-  (``merge="shard"``) — see below.
-* The parent performs the same semiring-aware column merge
-  (:func:`repro.kernels.tile_merge.hstack_tiles`) and the same
-  preallocated-CSR assembly as ``tiled_spgemm``, in deterministic
-  (row panel, column panel) order no matter when shards finish.
-
-Bit-identity
-------------
-The k dimension is never split: a tile ``C[i,j] = A[i,:] · B[:,j]``
-folds, for every output position, exactly the value sequence the
-monolithic multiply folds, in k order — so each tile is a bit-exact
-sub-block for **all** semirings, including float ``plus_times`` whose
-⊕ is not associative.  Column panels are disjoint and merged in
-ascending column order, row panels are disjoint and assembled in
-ascending row order, so arrival order cannot perturb a single bit.
-(A 3D k-split would forfeit this for plus-like semirings; that is the
-ROADMAP follow-up, for which
-:func:`repro.kernels.tile_merge.accumulate_partials` already exists.)
+  every non-empty tile back through a size handshake: the worker
+  reports the tile's nnz, the parent leases a pool segment and replies
+  with its spec, the worker copies the tile in.
+* The parent is the only merge side: when a shard reports done, the
+  parent runs the semiring-aware column merge
+  (:func:`repro.kernels.tile_merge.hstack_tiles`) over its tiles and
+  stages the row panel; assembly is the core's preallocated-CSR copy
+  in ascending row order no matter when shards finish.  Output is
+  therefore bit-identical to ``pb_spgemm`` on every semiring.
 
 Memory contract
 ---------------
@@ -59,26 +48,35 @@ shard group, and the handoff must not force panels through disk just
 because the parent is one process.  The assembled product itself
 remains the irreducible in-memory floor, exactly as for tiled.
 
-Degradation
------------
+Degradation and recovery
+------------------------
 The sharded driver falls back to the in-process tiled path (and says
 so in ``ShardedResult.fallback``) when shards resolve to 1, when the
-platform lacks POSIX shared memory, or when the semiring is an
-unregistered object that cannot travel to a worker.  A shard that
-*dies* mid-multiply is recovered, not failed: the parent scrubs the
-dead shard's suffixed spill files (:func:`repro.core.tiled
-.cleanup_stage_files`) and recomputes its row panel in-process, so the
-product is still returned and still bit-identical.
+platform lacks POSIX shared memory, when the semiring is an
+unregistered object that cannot travel to a worker, when the product
+is empty, or when the flop-balanced row split yields a single range.
+Recovery depends on the cause of a shard's death.  A shard that
+raises a Python exception has hit a bug: its exception and traceback
+travel to the parent, which re-raises it after reaping the other
+shards and releasing every shared segment.  A shard killed by a
+signal (SIGKILL, the OOM killer) met an environmental fault: the
+parent warns (``RuntimeWarning`` naming the shard and the signal),
+recomputes the shard's row panel in process with the same tile loop,
+and counts it in ``ShardedResult.recovered_shards``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import pickle
 import queue as queue_mod
 import signal
-import tempfile
+import sys
 import time
+import traceback
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,27 +86,20 @@ from ..kernels.tile_merge import hstack_tiles
 from ..matrix.base import INDEX_DTYPE, VALUE_DTYPE
 from ..matrix.csc import CSCMatrix
 from ..matrix.csr import CSRMatrix
-from ..matrix.ops import col_slice, row_slice
+from ..matrix.ops import row_slice
 from ..semiring import PLUS_TIMES, Semiring, get_semiring
-from .config import PBConfig
-from .pb_spgemm import pb_spgemm
-from .tiled import (
+from .blocks import (
     CSR_ENTRY_BYTES,
-    MAX_GRID_DIM,
     TILE_WORKING_BYTES_PER_FLOP,
-    SpillStore,
-    cleanup_stage_files,
-    tiled_spgemm_detailed,
+    BlockGrid,
+    assemble_rows,
+    col_panels_for,
+    row_panel_tiles,
+    split_col_panels,
+    uniform_edges,
 )
-
-#: Fraction of a shard's ``memory_budget`` granted to one tile's
-#: modeled working set.  Much looser than the single-process
-#: ``WORKING_BUDGET_DENOM`` (6) because a shard holds almost nothing
-#: else: the inputs are shared pages, the finished blocks leave
-#: immediately through the handshake, and the final CSR lives in the
-#: parent — so half the budget can go to actual work, which is what
-#: lets shards run far coarser grids than a budgeted single process.
-SHARD_WORKING_BUDGET_DENOM = 2
+from .config import PBConfig
+from .tiled import SpillStore, tiled_spgemm_detailed
 
 #: ``shards="auto"`` never derives more than this many workers.
 MAX_AUTO_SHARDS = 8
@@ -117,11 +108,13 @@ MAX_AUTO_SHARDS = 8
 #: ``"auto"`` resolves to 1 (the in-process tiled fallback).
 MIN_SHARD_FLOP = 1 << 18
 
-#: Environment hook for lifecycle tests ONLY: ``"spill:<sid>"`` makes
-#: shard ``sid`` SIGKILL itself right after its first spill,
-#: ``"start:<sid>"`` right after attaching the operands.  Exercises
-#: the crash-recovery path deterministically; never set in production.
+#: Environment hook for lifecycle tests ONLY: ``"start:<sid>"`` makes
+#: shard ``sid`` SIGKILL itself right after attaching the operands.
+#: Exercises the signal-death recovery path deterministically; never
+#: set in production.
 FAULT_ENV = "REPRO_SHARDED_TEST_FAULT"
+
+_CSR_PARTS = ("indptr", "indices", "data")
 
 
 def resolve_shards(
@@ -198,29 +191,6 @@ def sharded_peak_bytes(
     return inputs + TILE_WORKING_BYTES_PER_FLOP * tile_flop
 
 
-@dataclass(frozen=True)
-class ShardPlan:
-    """The resolved shard topology for one multiply."""
-
-    row_ranges: tuple[tuple[int, int], ...]  # one contiguous range per shard
-    col_edges: tuple[int, ...]  # shared column-panel split
-    merge: str  # "shard" | "parent"
-
-    @property
-    def shards(self) -> int:
-        return len(self.row_ranges)
-
-    @property
-    def grid_cols(self) -> int:
-        return len(self.col_edges) - 1
-
-    def describe(self) -> str:
-        return (
-            f"{self.shards} shards x {self.grid_cols} col panels, "
-            f"merge={self.merge}"
-        )
-
-
 @dataclass
 class ShardStats:
     """What one shard reports back with its final message."""
@@ -230,9 +200,8 @@ class ShardStats:
     peak_rss_bytes: int = 0
     tiles_computed: int = 0
     tiles_empty: int = 0
-    spilled_tiles: int = 0
-    spilled_bytes: int = 0
-    recovered: bool = False  # panel recomputed in-parent after a crash
+    spilled_tiles: int = 0  # always 0: shards stream tiles, never stage them
+    recovered: bool = False  # panel recomputed in-parent after a signal death
 
 
 @dataclass
@@ -240,9 +209,8 @@ class ShardedResult:
     """The product plus everything observable about the sharded run."""
 
     c: CSRMatrix
-    plan: ShardPlan | None = None
+    plan: BlockGrid | None = None  # one row panel per shard
     shard_stats: list = field(default_factory=list)
-    arrival_order: list = field(default_factory=list)  # panel sids, completion order
     broadcast_bytes: int = 0
     returned_bytes: int = 0
     total_flop: int = 0
@@ -251,10 +219,6 @@ class ShardedResult:
     tiled: object | None = None  # TiledResult when fallback is not None
     seconds: float = 0.0
     merge_seconds: float = 0.0
-
-    @property
-    def max_shard_peak_rss(self) -> int:
-        return max((s.peak_rss_bytes for s in self.shard_stats), default=0)
 
 
 def _row_flops(a_csr: CSRMatrix, b_rownnz: np.ndarray) -> np.ndarray:
@@ -268,222 +232,130 @@ def _row_flops(a_csr: CSRMatrix, b_rownnz: np.ndarray) -> np.ndarray:
 
 
 def plan_shards(
-    m: int,
     n: int,
-    flop: int,
     row_flops: np.ndarray,
     shards: int,
     config: PBConfig,
-) -> ShardPlan:
-    """Resolve the shard topology (the sharded policy point).
+) -> BlockGrid:
+    """Resolve the shard grid (the sharded policy point).
 
-    Rows: ``shards`` contiguous ranges balanced by per-row flop.
-    Columns: ``config.tile_cols`` pins the panel width; otherwise the
-    busiest shard's flop is split into enough panels that one tile's
-    modeled working set fits ``memory_budget //
-    SHARD_WORKING_BUDGET_DENOM`` (no budget → one panel: each shard
-    runs its whole row range as a single PB multiply).  Merge side:
-    shards merge their own panels (``"shard"``) when a merged panel
-    plus one tile's working set fits the budget, else raw tiles stream
-    to the parent (``"parent"``) so the panel never materializes in
-    shard memory.
+    Rows: ``shards`` contiguous ranges balanced by per-row flop, one
+    row panel per shard.  Columns: the core's column-split policy
+    (:func:`repro.core.blocks.col_panels_for`) applied to the busiest
+    shard's flop, shared by every shard.
     """
     from ..parallel.executor import _balanced_groups
 
-    ranges = _balanced_groups(np.asarray(row_flops, dtype=np.float64), shards)
-    if not ranges:
-        ranges = [(0, m)] if m else [(0, 0)]
+    row_flops = np.asarray(row_flops, dtype=np.float64)
+    ranges = _balanced_groups(row_flops, shards)
+    row_edges = (0,) + tuple(hi for _, hi in ranges) if ranges else (0, 0)
     max_shard_flop = max(
         (float(np.sum(row_flops[lo:hi])) for lo, hi in ranges), default=0.0
     )
+    gc = col_panels_for(n, max_shard_flop, config)
+    return BlockGrid(row_edges, uniform_edges(n, math.ceil(n / gc)))
 
-    if config.tile_cols is not None:
-        tc = max(1, min(config.tile_cols, max(n, 1)))
-        gc = max(1, math.ceil(max(n, 1) / tc))
-    elif config.memory_budget is not None:
-        usable = max(config.memory_budget // SHARD_WORKING_BUDGET_DENOM, 1)
-        gc = max(
-            1, math.ceil(max_shard_flop * TILE_WORKING_BYTES_PER_FLOP / usable)
-        )
-        gc = min(gc, MAX_GRID_DIM, max(n, 1))
-    else:
-        gc = 1
 
-    if gc <= 1:
-        merge = "shard"  # single panel: nothing to merge either way
-    elif config.memory_budget is None:
-        merge = "shard"
-    else:
-        usable = max(config.memory_budget // SHARD_WORKING_BUDGET_DENOM, 1)
-        panel_bytes = CSR_ENTRY_BYTES * max_shard_flop  # nnz <= flop
-        merge = "shard" if panel_bytes + usable <= config.memory_budget else "parent"
-
-    tc = max(1, math.ceil(max(n, 1) / gc)) if n else 1
-    edges = list(range(0, n, tc)) if n else [0]
-    edges.append(n)
-    return ShardPlan(
-        row_ranges=tuple((int(lo), int(hi)) for lo, hi in ranges),
-        col_edges=tuple(edges),
-        merge=merge,
-    )
+def _share_csr(arena, name: str, mat: CSRMatrix) -> tuple:
+    """Publish one CSR in ``arena``; returns its pickle-cheap handle."""
+    for part in _CSR_PARTS:
+        arena.share(f"{name}_{part}", getattr(mat, part))
+    return mat.shape, {part: arena.spec(f"{name}_{part}") for part in _CSR_PARTS}
 
 
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
 
-def _maybe_fault(stage: str, sid: int) -> None:
-    hook = os.environ.get(FAULT_ENV, "")
-    if hook == f"{stage}:{sid}":
-        os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover - dies here
+def _attach_csr(stack: contextlib.ExitStack, handle: tuple) -> CSRMatrix:
+    """Map a :func:`_share_csr` handle for the lifetime of ``stack``."""
+    from ..parallel.shm import AttachedArrays
+
+    shape, specs = handle
+    arrays = stack.enter_context(AttachedArrays(specs))
+    return CSRMatrix(
+        shape, arrays["indptr"], arrays["indices"], arrays["data"], validate=False
+    )
 
 
 def _send_block(queue, ctrl, tag, mat: CSRMatrix) -> None:
     """Stream one CSR block to the parent via the size handshake."""
-    from ..parallel.shm import attach
+    from ..parallel.shm import AttachedArrays
 
     queue.put(("blk", tag, mat.shape, int(mat.nnz)))
-    specs = ctrl.recv()
-    segs = []
-    try:
-        for key, arr in (
-            ("indptr", mat.indptr), ("indices", mat.indices), ("data", mat.data)
-        ):
-            view, seg = attach(specs[key])
-            segs.append(seg)
-            view[: len(arr)] = arr
-    finally:
-        for seg in segs:
-            try:
-                seg.close()
-            except Exception:  # pragma: no cover - defensive
-                pass
-    queue.put(("blkdone", tag))
+    with AttachedArrays(ctrl.recv()) as views:
+        for part in _CSR_PARTS:
+            arr = getattr(mat, part)
+            views[part][: len(arr)] = arr
 
 
 def _shard_main(
     sid: int,
-    row_range: tuple[int, int],
-    plan: ShardPlan,
-    a_specs: dict,
-    b_panel_specs: list,
-    shapes: tuple,
+    rows: tuple[int, int],
+    a_handle: tuple,
+    b_handles: list,
     sr_token,
     config: PBConfig,
-    spill_dir: str | None,
     queue,
     ctrl,
 ) -> None:
-    """One shard: attach, slice, multiply tiles, stream blocks back."""
+    """One shard: attach, multiply its row panel's tiles, stream them back.
+
+    A Python exception is a bug, not an environmental fault: it is sent
+    to the parent with its traceback and the shard exits with code 1.
+    """
     import resource
 
     from ..parallel.executor import _worker_init
-    from ..parallel.shm import attach
-    from .tiled import STAGING_BUDGET_DENOM
 
-    _worker_init()  # resource-tracker inheritance probe (fork vs spawn)
-    t0 = time.perf_counter()
-    m, n = shapes
-    lo, hi = row_range
-    sr = get_semiring(sr_token)
-    stats = ShardStats(sid=sid)
-
-    att = {k: attach(v) for k, v in a_specs.items()}
     try:
-        a = CSRMatrix(
-            (m, n),
-            att["a_indptr"][0],
-            att["a_indices"][0],
-            att["a_data"][0],
-            validate=False,
-        )
-        _maybe_fault("start", sid)
-        a_i = row_slice(a, lo, hi).to_csc()
-        ai_colnnz = a_i.col_nnz()
-
-        store = None
-        suffix = f"-s{sid}-{os.getpid()}"
-        if plan.merge == "shard" and plan.grid_cols > 1:
-            staging = (
-                None
-                if config.memory_budget is None
-                else max(config.memory_budget // STAGING_BUDGET_DENOM, 1)
-            )
-            store = SpillStore(spill_dir, staging, stage_suffix=suffix)
-        panel_atts = []
-        tiles: list[CSRMatrix | None] = [None] * plan.grid_cols
-        try:
+        _worker_init()  # resource-tracker inheritance probe (fork vs spawn)
+        t0 = time.perf_counter()
+        stats = ShardStats(sid=sid)
+        sr = get_semiring(sr_token)
+        with contextlib.ExitStack() as stack:
+            a = _attach_csr(stack, a_handle)
+            if os.environ.get(FAULT_ENV) == f"start:{sid}":
+                os.kill(os.getpid(), signal.SIGKILL)  # pragma: no cover
+            a_i = row_slice(a, *rows).to_csc()
             # Attach and fault every B panel before the RSS baseline:
             # the budget bounds the multiply's working set *beyond* the
             # operand-resident footprint (the same semantics as the
             # tiled bench's child measurement), so shared operand pages
             # must be resident before the high-water mark is read.
-            b_panels = []
-            for j, specs in enumerate(b_panel_specs):
-                clo, chi = plan.col_edges[j], plan.col_edges[j + 1]
-                patt = {k: attach(v) for k, v in specs.items()}
-                panel_atts.append(patt)
-                b_j = CSRMatrix(
-                    (n, chi - clo),
-                    patt["indptr"][0],
-                    patt["indices"][0],
-                    patt["data"][0],
-                    validate=False,
-                )
-                b_panels.append((b_j, np.diff(b_j.indptr)))
+            b_panels = [_attach_csr(stack, h) for h in b_handles]
+            for b_j in b_panels:
                 for arr in (b_j.indices, b_j.data):
                     if arr.size:
-                        step = max(1, 4096 // max(arr.itemsize, 1))
-                        arr[::step].sum()  # one touch per page
+                        arr[:: max(1, 4096 // arr.itemsize)].sum()
             rss0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            for j, (b_j, bj_rownnz) in enumerate(b_panels):
-                tile_flop = int(ai_colnnz @ bj_rownnz) if b_j.nnz else 0
-                if tile_flop == 0 or a_i.nnz == 0:
+            tiles = row_panel_tiles(a_i, b_panels, sr, config)
+            for j, (_, c_ij) in enumerate(tiles):
+                if c_ij is None:
                     stats.tiles_empty += 1
-                    queue.put(("empty", sid, j))
                     continue
-                c_ij = pb_spgemm(a_i, b_j, sr, config)
                 stats.tiles_computed += 1
-                if plan.merge == "parent":
-                    _send_block(queue, ctrl, (sid, j), c_ij)
-                elif store is not None:
-                    store.put(f"tile-{j}", c_ij)
-                    if store.spilled_entries:  # fault only once on disk
-                        _maybe_fault("spill", sid)
-                else:
-                    tiles[j] = c_ij
-            if plan.merge == "shard":
-                if store is not None:
-                    tiles = [store.pop(f"tile-{j}") for j in range(plan.grid_cols)]
-                col_starts = list(plan.col_edges[:-1])
-                merged = hstack_tiles(tiles, col_starts, hi - lo, n, sr)
-                _send_block(queue, ctrl, (sid, -1), merged)
-        finally:
-            if store is not None:
-                stats.spilled_tiles = store.spilled_entries
-                stats.spilled_bytes = store.spilled_bytes
-                store.close()
-            for patt in panel_atts:
-                for _, seg in patt.values():
-                    try:
-                        seg.close()
-                    except Exception:  # pragma: no cover - defensive
-                        pass
-    finally:
-        for _, seg in att.values():
-            try:
-                seg.close()
-            except Exception:  # pragma: no cover - defensive
-                pass
-    rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    stats.peak_rss_bytes = max(0, rss1 - rss0) * 1024
-    stats.seconds = time.perf_counter() - t0
-    queue.put(("done", sid, stats.__dict__))
+                _send_block(queue, ctrl, (sid, j), c_ij)
+        rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        stats.peak_rss_bytes = max(0, rss1 - rss0) * 1024
+        stats.seconds = time.perf_counter() - t0
+        queue.put(("done", sid, stats.__dict__))
+    except Exception as exc:
+        try:
+            pickle.dumps(exc)
+        except Exception:
+            exc = RuntimeError(repr(exc))
+        queue.put(("error", sid, exc, traceback.format_exc()))
+        sys.exit(1)
 
 
 # ---------------------------------------------------------------------------
 # Parent side
 # ---------------------------------------------------------------------------
+
+class _RemoteTraceback(Exception):
+    """A shard's formatted traceback, chained as the re-raised cause."""
+
 
 class _BlockSink:
     """Parent-side landing zone for one streamed CSR block."""
@@ -499,7 +371,7 @@ class _BlockSink:
         self.arena.allocate("data", (max(self.nnz, 1),), VALUE_DTYPE)
 
     def specs(self) -> dict:
-        return {k: self.arena.spec(k) for k in ("indptr", "indices", "data")}
+        return {k: self.arena.spec(k) for k in _CSR_PARTS}
 
     def matrix(self) -> CSRMatrix:
         """Zero-copy view of the landed block (valid until release)."""
@@ -519,49 +391,19 @@ class _BlockSink:
         return 8 * (self.shape[0] + 1) + CSR_ENTRY_BYTES * self.nnz
 
 
-def _compute_panel_inline(
-    a_csr: CSRMatrix,
-    b_panels: list[CSRMatrix],
-    row_range: tuple[int, int],
-    plan: ShardPlan,
-    sr: Semiring,
-    config: PBConfig,
-) -> CSRMatrix:
-    """Recompute one shard's merged row panel in the parent process.
-
-    The crash-recovery path: runs the dead shard's tiles on the exact
-    same (row range x column panels) grid, so the recovered panel is
-    bit-identical to what the shard would have streamed back.
-    """
-    lo, hi = row_range
-    n = plan.col_edges[-1]
-    a_i = row_slice(a_csr, lo, hi).to_csc()
-    ai_colnnz = a_i.col_nnz()
-    tiles: list[CSRMatrix | None] = []
-    for j, b_j in enumerate(b_panels):
-        tile_flop = int(ai_colnnz @ b_j.row_nnz()) if b_j.nnz else 0
-        if tile_flop == 0 or a_i.nnz == 0:
-            tiles.append(None)
-            continue
-        tiles.append(pb_spgemm(a_i, b_j, sr, config))
-    return hstack_tiles(tiles, list(plan.col_edges[:-1]), hi - lo, n, sr)
-
-
 def sharded_spgemm_detailed(
     a_csc: CSCMatrix,
     b_csr: CSRMatrix,
     semiring: Semiring | str = PLUS_TIMES,
     config: PBConfig | None = None,
     session=None,
-    start_method: str | None = None,
 ) -> ShardedResult:
     """C = A · B across shard processes; see the module docstring.
 
     ``session`` — a :class:`repro.session.Session` whose
     :class:`~repro.parallel.shm.ArenaPool` the broadcast and return
     segments are leased from (they recycle across multiplies); without
-    one, a private pool lives for this call.  ``start_method`` pins
-    the multiprocessing start method (default: fork where available).
+    one, a private pool lives for this call.
     """
     if a_csc.shape[1] != b_csr.shape[0]:
         raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
@@ -570,9 +412,8 @@ def sharded_spgemm_detailed(
     m, n = a_csc.shape[0], b_csr.shape[1]
 
     t_start = time.perf_counter()
-    a_colnnz = a_csc.col_nnz()
     b_rownnz = b_csr.row_nnz()
-    total_flop = int(a_colnnz @ b_rownnz)
+    total_flop = int(a_csc.col_nnz() @ b_rownnz)
 
     nshards = resolve_shards(
         cfg.shards, m=m, flop=total_flop, memory_budget=cfg.memory_budget
@@ -604,58 +445,52 @@ def sharded_spgemm_detailed(
     from ..parallel.shm import ArenaPool, SharedArena
 
     a_csr = a_csc.to_csr()
-    row_flops = _row_flops(a_csr, b_rownnz)
-    plan = plan_shards(m, n, total_flop, row_flops, nshards, cfg)
-    if plan.shards <= 1:
+    grid = plan_shards(n, _row_flops(a_csr, b_rownnz), nshards, cfg)
+    if grid.grid_rows <= 1:
         return _fallback("row split degenerates to one shard")
-    worker_cfg = sharded_config(cfg, None).with_(
-        tile_rows=None, tile_cols=None, memory_budget=cfg.memory_budget
-    )
+    worker_cfg = sharded_config(cfg, None).with_(tile_rows=None, tile_cols=None)
 
     pool = session.arena_pool if session is not None else ArenaPool()
     own_pool = session is None
-
-    # Shared staging dir for shard-side spill: created up front so the
-    # parent can scrub a crashed shard's files, removed in ``finally``.
-    spill_dir = cfg.spill_dir
-    own_spill = False
-    if plan.merge == "shard" and plan.grid_cols > 1 and spill_dir is None:
-        spill_dir = tempfile.mkdtemp(prefix="repro-sharded-")
-        own_spill = True
-
-    result = ShardedResult(c=CSRMatrix.empty((m, n)), plan=plan,
+    result = ShardedResult(c=CSRMatrix.empty((m, n)), plan=grid,
                            total_flop=total_flop)
     bcast = SharedArena(pool=pool)
-    ctx = _mp_context(start_method)
+    # Merged row panels wait here (parent memory, spill-backed past the
+    # aggregate grant of the shard group).
+    store = SpillStore(
+        cfg.spill_dir,
+        None if cfg.memory_budget is None else grid.grid_rows * cfg.memory_budget,
+    )
+    ctx = _mp_context()
     procs: list = []
     pipes: list = []
+    sinks: dict[tuple[int, int], _BlockSink] = {}  # (sid, j) -> landed tile
+    panel_nnz: dict[int, int] = {}
     merge_seconds = 0.0
+
+    def _stage_panel(sid: int, tiles: list) -> None:
+        """Column-merge one shard's tiles and stage the row panel."""
+        nonlocal merge_seconds
+        t0 = time.perf_counter()
+        lo, hi = grid.row_edges[sid], grid.row_edges[sid + 1]
+        merged = hstack_tiles(tiles, grid.col_starts, hi - lo, n, sr)
+        if any(merged is tile for tile in tiles):
+            # One-panel shortcut: hstack_tiles returned a tile itself,
+            # and a streamed tile is a view that dies with its sink.
+            merged = merged.copy()
+        merge_seconds += time.perf_counter() - t0
+        panel_nnz[sid] = merged.nnz
+        store.put(f"panel-{sid}", merged)
+
     try:
         # --- broadcast -----------------------------------------------------
-        bcast.share("a_indptr", a_csr.indptr)
-        bcast.share("a_indices", a_csr.indices)
-        bcast.share("a_data", a_csr.data)
-        a_specs = {k: bcast.spec(k) for k in ("a_indptr", "a_indices", "a_data")}
-        b_csc = b_csr.to_csc() if plan.grid_cols > 1 else None
-        b_panels: list[CSRMatrix] = []
-        b_panel_specs: list[dict] = []
-        for j in range(plan.grid_cols):
-            clo, chi = plan.col_edges[j], plan.col_edges[j + 1]
-            panel = b_csr if b_csc is None else col_slice(b_csc, clo, chi).to_csr()
-            b_panels.append(panel)
-            for key, arr in (
-                ("indptr", panel.indptr),
-                ("indices", panel.indices),
-                ("data", panel.data),
-            ):
-                bcast.share(f"b{j}_{key}", arr)
-            b_panel_specs.append(
-                {k: bcast.spec(f"b{j}_{k}") for k in ("indptr", "indices", "data")}
-            )
+        b_panels = split_col_panels(b_csr, grid.col_edges)
+        a_handle = _share_csr(bcast, "a", a_csr)
+        b_handles = [_share_csr(bcast, f"b{j}", p) for j, p in enumerate(b_panels)]
         result.broadcast_bytes = sum(
-            arr.nbytes
-            for mat in ([a_csr] + b_panels)
-            for arr in (mat.indptr, mat.indices, mat.data)
+            getattr(mat, part).nbytes
+            for mat in [a_csr, *b_panels]
+            for part in _CSR_PARTS
         )
 
         # --- launch --------------------------------------------------------
@@ -665,165 +500,111 @@ def sharded_spgemm_detailed(
         # win there is the per-process memory headroom, which staggering
         # keeps while avoiding the oversubscription tax.
         queue = ctx.Queue()
-        inflight = min(plan.shards, max(1, os.cpu_count() or 1))
-        for sid, rng in enumerate(plan.row_ranges):
+        inflight = min(grid.grid_rows, max(1, os.cpu_count() or 1))
+        for sid, lo, hi in grid.row_panels():
             recv_end, send_end = ctx.Pipe(duplex=False)
-            p = ctx.Process(
+            procs.append(ctx.Process(
                 target=_shard_main,
-                args=(
-                    sid, rng, plan, a_specs, b_panel_specs, (m, n),
-                    sr_token, worker_cfg, spill_dir, queue, recv_end,
-                ),
+                args=(sid, (lo, hi), a_handle, b_handles, sr_token,
+                      worker_cfg, queue, recv_end),
                 daemon=True,
-            )
-            procs.append(p)
+            ))
             pipes.append(send_end)
-        next_launch = 0
+        launched = 0
 
         def _launch_upto(limit: int) -> None:
-            nonlocal next_launch
-            while next_launch < plan.shards and sum(
-                1 for sp in procs[:next_launch] if sp.is_alive()
+            nonlocal launched
+            while launched < grid.grid_rows and sum(
+                1 for sp in procs[:launched] if sp.is_alive()
             ) < limit:
-                procs[next_launch].start()
-                next_launch += 1
+                procs[launched].start()
+                launched += 1
 
         _launch_upto(inflight)
 
         # --- stream + merge ------------------------------------------------
-        # tiles[sid][j] holds parent-merge sinks until the shard's panel
-        # completes; panels[sid] holds the merged panel (parent memory,
-        # spill-backed past the aggregate staging budget).
-        staging_budget = (
-            None if cfg.memory_budget is None
-            else plan.shards * cfg.memory_budget
-        )
-        store = SpillStore(cfg.spill_dir, staging_budget, stage_suffix="-parent")
-        tile_sinks: dict[int, dict[int, _BlockSink | None]] = {
-            sid: {} for sid in range(plan.shards)
-        }
-        panel_nnz: dict[int, int] = {}
-        pending: dict[tuple, _BlockSink] = {}
         done: set[int] = set()
-        dead: set[int] = set()
+        killed: dict[int, int] = {}  # sid -> signal number
+        failure: BaseException | None = None
 
-        def _finish_parent_merge(sid: int) -> None:
-            nonlocal merge_seconds
-            sinks = tile_sinks[sid]
-            t0 = time.perf_counter()
-            tiles = []
-            for j in range(plan.grid_cols):
-                sink = sinks.get(j)
-                tiles.append(None if sink is None else sink.matrix())
-            lo, hi = plan.row_ranges[sid]
-            merged = hstack_tiles(
-                tiles, list(plan.col_edges[:-1]), hi - lo, n, sr
-            )
-            for sink in sinks.values():
-                if sink is not None:
-                    sink.release()
-            sinks.clear()
-            merge_seconds += time.perf_counter() - t0
-            panel_nnz[sid] = merged.nnz
-            store.put(f"panel-{sid}", merged)
-            result.arrival_order.append(sid)
-
-        expected = set(range(plan.shards))
-        while done | dead != expected:
-            # Reap crashed shards: a SIGKILLed worker never sends "done",
-            # so the wait must poll liveness instead of blocking forever.
-            for sid, p in enumerate(procs[:next_launch]):
-                if sid in done or sid in dead:
-                    continue
-                if not p.is_alive() and p.exitcode not in (0, None):
-                    dead.add(sid)
+        while len(done) + len(killed) < grid.grid_rows:
+            exited = [
+                sid for sid, p in enumerate(procs[:launched])
+                if sid not in done and sid not in killed
+                and p.exitcode is not None
+            ]
+            # Reap signal deaths: a SIGKILLed worker never reports, so
+            # the wait must poll liveness instead of blocking forever.
+            for sid in exited:
+                if procs[sid].exitcode < 0:
+                    killed[sid] = -procs[sid].exitcode
             # Top-up launches every pass: a finished shard's "done" can
             # arrive while its process is still exiting, so the launch
             # must be retried once liveness actually drops.
             _launch_upto(inflight)
-            if (done | dead) == expected:
+            if len(done) + len(killed) == grid.grid_rows:
                 break
             try:
                 msg = queue.get(timeout=0.2)
             except queue_mod.Empty:
+                # A shard's messages are flushed before it exits, so a
+                # shard that had exited before this wait and left the
+                # queue empty died outside its error handler.
+                silent = [sid for sid in exited if sid not in killed]
+                if silent:
+                    failure = RuntimeError(
+                        f"shard {silent[0]} exited with code "
+                        f"{procs[silent[0]].exitcode} without reporting"
+                    )
+                    break
                 continue
-            except (EOFError, OSError):  # pragma: no cover - queue torn down
-                break
             kind = msg[0]
-            if kind == "empty":
-                _, sid, j = msg
-                if plan.merge == "parent":
-                    tile_sinks[sid][j] = None
-            elif kind == "blk":
+            if kind == "blk":
                 _, tag, shape, nnz = msg
-                sid = tag[0]
-                sink = _BlockSink(pool, shape, nnz)
-                pending[tag] = sink
+                sink = sinks[tag] = _BlockSink(pool, shape, nnz)
                 result.returned_bytes += sink.nbytes
                 try:
-                    pipes[sid].send(sink.specs())
+                    pipes[tag[0]].send(sink.specs())
                 except (BrokenPipeError, OSError):  # pragma: no cover
-                    sink.release()
-                    pending.pop(tag, None)
-            elif kind == "blkdone":
-                _, tag = msg
-                sid, j = tag
-                sink = pending.pop(tag, None)
-                if sink is None:  # pragma: no cover - defensive
-                    continue
-                if j < 0:  # a shard-merged row panel
-                    merged = sink.matrix()
-                    panel_nnz[sid] = merged.nnz
-                    store.put(
-                        f"panel-{sid}",
-                        CSRMatrix(
-                            merged.shape,
-                            merged.indptr.copy(),
-                            merged.indices.copy(),
-                            merged.data.copy(),
-                            validate=False,
-                        ),
-                    )
-                    sink.release()
-                    result.arrival_order.append(sid)
-                else:
-                    tile_sinks[sid][j] = sink
+                    pass  # the shard died; the liveness poll reaps it
             elif kind == "done":
-                _, sid, stats_dict = msg
-                stats = ShardStats(**stats_dict)
-                result.shard_stats.append(stats)
-                if plan.merge == "parent" and sid not in panel_nnz:
-                    _finish_parent_merge(sid)
+                _, sid, stats = msg
+                result.shard_stats.append(ShardStats(**stats))
+                landed = [sinks.pop((sid, j), None) for j in range(grid.grid_cols)]
+                _stage_panel(sid, [None if s is None else s.matrix() for s in landed])
+                for s in landed:
+                    if s is not None:
+                        s.release()
                 done.add(sid)
                 # "done" is the shard's last message: join it now so the
                 # next staggered launch sees the slot free immediately.
                 procs[sid].join(timeout=2.0)
                 _launch_upto(inflight)
+            elif kind == "error":
+                _, sid, failure, tb = msg
+                failure.__cause__ = _RemoteTraceback(f"in shard {sid}:\n{tb}")
+                break
+        if failure is not None:
+            raise failure  # after ``finally`` reaps shards and frees shm
 
         for p in procs:
             if p.pid is not None:
                 p.join(timeout=5.0)
 
-        # --- crash recovery ------------------------------------------------
-        for sid in sorted(dead):
-            # Scrub the dead incarnation's stage files and whatever
-            # blocks it had already streamed, then recompute its panel
-            # on the exact same grid.
-            if spill_dir is not None and procs[sid].pid is not None:
-                cleanup_stage_files(spill_dir, f"-s{sid}-{procs[sid].pid}")
-            for tag in [t for t in pending if t[0] == sid]:
-                pending.pop(tag).release()
-            for sink in tile_sinks[sid].values():
-                if sink is not None:
-                    sink.release()
-            tile_sinks[sid].clear()
-            t0 = time.perf_counter()
-            merged = _compute_panel_inline(
-                a_csr, b_panels, plan.row_ranges[sid], plan, sr, worker_cfg
+        # --- recovery of signal deaths ------------------------------------
+        for sid, signum in sorted(killed.items()):
+            warnings.warn(
+                f"shard {sid} died by {signal.Signals(signum).name}; "
+                "recomputing its row panel in the parent",
+                RuntimeWarning,
+                stacklevel=2,
             )
-            panel_nnz[sid] = merged.nnz
-            store.put(f"panel-{sid}", merged)
-            result.arrival_order.append(sid)
+            for tag in [t for t in sinks if t[0] == sid]:
+                sinks.pop(tag).release()
+            t0 = time.perf_counter()
+            a_i = row_slice(a_csr, grid.row_edges[sid], grid.row_edges[sid + 1])
+            tiles = row_panel_tiles(a_i.to_csc(), b_panels, sr, worker_cfg)
+            _stage_panel(sid, [tile for _, tile in tiles])
             result.shard_stats.append(
                 ShardStats(
                     sid=sid, seconds=time.perf_counter() - t0, recovered=True
@@ -831,57 +612,27 @@ def sharded_spgemm_detailed(
             )
             result.recovered_shards += 1
 
-        # --- assembly (identical to tiled's preallocated-CSR copy) ---------
-        total_nnz = sum(panel_nnz.values())
-        indptr = np.zeros(m + 1, dtype=INDEX_DTYPE)
-        indices = np.empty(total_nnz, dtype=INDEX_DTYPE)
-        data = np.empty(total_nnz, dtype=VALUE_DTYPE)
-        nnz_off = 0
-        prev_hi = 0
-        for sid in range(plan.shards):
-            lo, hi = plan.row_ranges[sid]
-            if lo > prev_hi:  # rows no shard owned (all-empty): stay 0-run
-                indptr[prev_hi + 1 : lo + 1] = nnz_off
-            block = store.pop(f"panel-{sid}")
-            nnz = panel_nnz.get(sid, 0)
-            if block is not None and nnz:
-                indptr[lo + 1 : hi + 1] = block.indptr[1:] + nnz_off
-                indices[nnz_off : nnz_off + nnz] = block.indices
-                data[nnz_off : nnz_off + nnz] = block.data
-                nnz_off += nnz
-            else:
-                indptr[lo + 1 : hi + 1] = nnz_off
-            prev_hi = hi
-            del block
-        if prev_hi < m:
-            indptr[prev_hi + 1 :] = nnz_off
-        result.c = CSRMatrix((m, n), indptr, indices, data, validate=False)
-        store.close()
+        # --- assembly ------------------------------------------------------
+        result.c = assemble_rows(
+            (m, n),
+            grid.row_edges,
+            [panel_nnz[sid] for sid in range(grid.grid_rows)],
+            lambda sid: store.pop(f"panel-{sid}"),
+        )
         result.shard_stats.sort(key=lambda s: s.sid)
     finally:
         for p in procs:
-            if p.pid is not None and p.is_alive():  # pragma: no cover
+            if p.pid is not None and p.is_alive():
                 p.terminate()
                 p.join(timeout=2.0)
         for pipe in pipes:
-            try:
-                pipe.close()
-            except Exception:  # pragma: no cover - defensive
-                pass
+            pipe.close()
+        for sink in sinks.values():
+            sink.release()
+        store.close()
         bcast.close()
         if own_pool:
             pool.close()
-        if own_spill:
-            import shutil
-
-            shutil.rmtree(spill_dir, ignore_errors=True)
-        elif spill_dir is not None:
-            # Caller-owned dir: scrub exactly this run's shard files (the
-            # shard-id + pid suffix is unique to our workers), never the
-            # stage files of a concurrent multiply sharing the dir.
-            for sid, p in enumerate(procs):
-                if p.pid is not None:
-                    cleanup_stage_files(spill_dir, f"-s{sid}-{p.pid}")
 
     if session is not None:
         session._note_sharded_multiply()
@@ -896,10 +647,8 @@ def sharded_spgemm(
     semiring: Semiring | str = PLUS_TIMES,
     config: PBConfig | None = None,
     session=None,
-    start_method: str | None = None,
 ) -> CSRMatrix:
     """C = A · B across shards; see :func:`sharded_spgemm_detailed`."""
     return sharded_spgemm_detailed(
-        a_csc, b_csr, semiring, config, session=session,
-        start_method=start_method,
+        a_csc, b_csr, semiring, config, session=session
     ).c

@@ -1,25 +1,14 @@
-"""Tiled out-of-core PB-SpGEMM: a 2D tile grid over one warm engine.
+"""Tiled out-of-core PB-SpGEMM: the block core run in process with spill.
 
 The monolithic pipeline's peak memory scales with *flop* — the expand
 arena plus the binned key/value copies hold every generated tuple at
 once — which caps problem size far below what the streaming substrate
-(Session / ArenaPool) could serve.  This module bounds the peak by
-*tile size* instead (DESIGN.md §16): A is split into row panels, B
-into column panels, and each ``(row panel i, col panel j)`` tile of C
-is one small PB-SpGEMM whose working set is its own tile flop.
-
-Decomposition and bit-identity
-------------------------------
-The grid is strictly 2D — the inner (k) dimension is never split.  A
-tile product ``C[i,j] = A[i,:] · B[:,j]`` therefore folds, for every
-output position, *exactly* the value sequence the monolithic multiply
-folds (all k contributions, in k order): tiles are bit-identical
-sub-blocks of the monolithic product for **all** semirings, including
-the float ``plus_times`` whose ⊕ is not associative.  A k-split would
-forfeit that for plus-like semirings; the semiring-aware accumulate
-stage (:func:`repro.kernels.tile_merge.accumulate_partials`) exists
-for that future 3D extension and for callers with overlapping
-partials, but the driver never needs it for correctness.
+(Session / ArenaPool) could serve.  This driver bounds the peak by
+*tile size* instead (DESIGN.md §16): it runs the block core of
+:mod:`repro.core.blocks` — row panels of A against pre-split column
+panels of B, each tile one small PB-SpGEMM — in this process, so the
+working set is one tile's flop.  Tiles are bit-identical sub-blocks of
+the monolithic product for every semiring (k is never split).
 
 Streaming and spill
 -------------------
@@ -41,30 +30,27 @@ import os
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ShapeError
 from ..kernels.tile_merge import hstack_tiles
-from ..matrix.base import INDEX_DTYPE, VALUE_DTYPE
 from ..matrix.csc import CSCMatrix
 from ..matrix.csr import CSRMatrix
-from ..matrix.ops import col_slice, row_slice
+from ..matrix.ops import row_slice
 from ..semiring import PLUS_TIMES, Semiring, get_semiring
+from .blocks import (
+    CSR_ENTRY_BYTES,
+    MAX_GRID_DIM,
+    TILE_WORKING_BYTES_PER_FLOP,
+    BlockGrid,
+    assemble_rows,
+    row_panel_tiles,
+    split_col_panels,
+    uniform_edges,
+)
 from .config import PBConfig
-from .pb_spgemm import pb_spgemm
-
-#: Modeled peak working bytes per expanded tuple in one PB tile: the
-#: expand arena (8B row + 8B col + 8B value) plus the distribute-phase
-#: binned key/value copies and the radix scatter's double buffer
-#: (~24B amortized).  Shared with the planner's feasibility gate so the
-#: driver's grid sizing and the cost model can never disagree.
-TILE_WORKING_BYTES_PER_FLOP = 48
-
-#: Bytes per stored entry of a canonical CSR/CSC (int64 index +
-#: float64 value); indptr is negligible at the sizes that matter here.
-CSR_ENTRY_BYTES = 16
 
 #: How ``memory_budget`` is apportioned: one tile's modeled working
 #: set gets ``budget // WORKING_BUDGET_DENOM`` and the in-memory
@@ -77,56 +63,6 @@ CSR_ENTRY_BYTES = 16
 #: land under the budget.
 WORKING_BUDGET_DENOM = 6
 STAGING_BUDGET_DENOM = 8
-
-#: Budget-derived grids are clamped to this many panels per dimension:
-#: past it, per-tile fixed costs dominate and the planner would never
-#: pick the grid anyway, but a pathological budget (1 byte) must not
-#: explode into an m×n grid of empty multiplies.
-MAX_GRID_DIM = 64
-
-
-@dataclass(frozen=True)
-class TileGrid:
-    """The 2D panel decomposition: row edges over A, column edges over B."""
-
-    row_edges: tuple[int, ...]
-    col_edges: tuple[int, ...]
-
-    @property
-    def grid_rows(self) -> int:
-        return len(self.row_edges) - 1
-
-    @property
-    def grid_cols(self) -> int:
-        return len(self.col_edges) - 1
-
-    @property
-    def ntiles(self) -> int:
-        return self.grid_rows * self.grid_cols
-
-    def row_panels(self):
-        """Yield ``(i, lo, hi)`` for each row panel."""
-        for i in range(self.grid_rows):
-            yield i, self.row_edges[i], self.row_edges[i + 1]
-
-    def col_panels(self):
-        """Yield ``(j, lo, hi)`` for each column panel."""
-        for j in range(self.grid_cols):
-            yield j, self.col_edges[j], self.col_edges[j + 1]
-
-    def describe(self) -> str:
-        tr = max(hi - lo for _, lo, hi in self.row_panels())
-        tc = max(hi - lo for _, lo, hi in self.col_panels())
-        return f"{self.grid_rows}x{self.grid_cols} grid (tiles up to {tr}x{tc})"
-
-
-def _uniform_edges(extent: int, tile: int) -> tuple[int, ...]:
-    if extent <= 0:
-        return (0, 0) if extent == 0 else (0,)
-    tile = max(1, min(int(tile), extent))
-    edges = list(range(0, extent, tile))
-    edges.append(extent)
-    return tuple(edges)
 
 
 def grid_for_budget(
@@ -151,7 +87,7 @@ def grid_for_budget(
 
 def plan_tile_grid(
     m: int, n: int, flop: int, config: PBConfig | None = None
-) -> TileGrid:
+) -> BlockGrid:
     """Resolve THE tile grid for one multiply (the single policy point).
 
     Explicit ``config.tile_rows`` / ``tile_cols`` pin their dimension
@@ -172,7 +108,7 @@ def plan_tile_grid(
         tr = max(m, 1)
     if tc is None:
         tc = max(n, 1)
-    return TileGrid(_uniform_edges(m, tr), _uniform_edges(n, tc))
+    return BlockGrid(uniform_edges(m, tr), uniform_edges(n, tc))
 
 
 def monolithic_peak_bytes(
@@ -220,28 +156,19 @@ class SpillStore:
 
     The staging directory is created lazily on first spill —
     ``tempfile.mkdtemp`` when the caller gave none — and removed by
-    :meth:`close` only if this store created it.
-
-    Multi-process use (:mod:`repro.core.sharded`): several shard
-    processes may stage into one shared directory, so every store
-    carries a ``stage_suffix`` appended to each file name (the sharded
-    driver passes ``-s<shard>-<pid>``, making names unique per shard
-    *and* per incarnation).  A worker killed mid-spill cannot clean up
-    after itself; the parent calls :func:`cleanup_stage_files` with the
-    dead shard's suffix (or ``""`` to scrub every stage file) so no
-    orphaned ``.npz`` survives a crash.
+    :meth:`close` only if this store created it.  Only the process that
+    owns the store ever writes to it: shards stream their tiles to the
+    parent and never stage, so a killed worker cannot orphan a file.
     """
 
     def __init__(
         self,
         spill_dir: str | None = None,
         mem_budget: int | None = None,
-        stage_suffix: str = "",
     ) -> None:
         self._requested_dir = spill_dir
         self._dir: str | None = None
         self._own_dir = False
-        self._suffix = str(stage_suffix)
         self._budget = None if mem_budget is None else max(int(mem_budget), 0)
         self._mem: dict[str, CSRMatrix] = {}
         self._bytes = 0
@@ -287,7 +214,7 @@ class SpillStore:
             del self._mem[key]
             size = self._size(mat)
             self._bytes -= size
-            path = os.path.join(self._ensure_dir(), f"{key}{self._suffix}.npz")
+            path = os.path.join(self._ensure_dir(), f"{key}.npz")
             np.savez(
                 path,
                 shape=np.asarray(mat.shape, dtype=np.int64),
@@ -340,54 +267,12 @@ class SpillStore:
         self.close()
 
 
-def cleanup_stage_files(spill_dir: str | None, stage_suffix: str = "") -> int:
-    """Remove staged ``.npz`` files another process left behind.
-
-    Unlinks every ``*{stage_suffix}.npz`` under ``spill_dir`` and
-    returns the count.  With ``stage_suffix=""`` every stage file goes.
-    This is the parent side of the :class:`SpillStore` crash contract:
-    a shard killed mid-spill leaves its suffixed files on disk, and the
-    sharded driver scrubs them before recomputing the shard's panels.
-    Missing directories and concurrent unlinks are silently tolerated.
-    """
-    if not spill_dir:
-        return 0
-    tail = f"{stage_suffix}.npz"
-    removed = 0
-    try:
-        names = os.listdir(spill_dir)
-    except OSError:
-        return 0
-    for name in names:
-        if not name.endswith(tail):
-            continue
-        try:
-            os.unlink(os.path.join(spill_dir, name))
-            removed += 1
-        except OSError:  # pragma: no cover - racing cleanup
-            pass
-    return removed
-
-
-@dataclass
-class TileStat:
-    """Per-tile instrumentation (``collect_tile_stats=True``)."""
-
-    i: int
-    j: int
-    rows: int
-    cols: int
-    flop: int
-    nnz: int
-    seconds: float
-
-
 @dataclass
 class TiledResult:
     """The product plus everything observable about the tiled run."""
 
     c: CSRMatrix
-    grid: TileGrid
+    grid: BlockGrid
     tiles_computed: int = 0
     tiles_empty: int = 0
     spilled_tiles: int = 0
@@ -399,7 +284,6 @@ class TiledResult:
     seconds: float = 0.0
     merge_seconds: float = 0.0
     executor_used: str = "serial"
-    tile_stats: list = field(default_factory=list)
 
 
 def tiled_spgemm_detailed(
@@ -409,7 +293,6 @@ def tiled_spgemm_detailed(
     config: PBConfig | None = None,
     engine=None,
     session=None,
-    collect_tile_stats: bool = False,
 ) -> TiledResult:
     """C = A · B over a 2D tile grid of small PB-SpGEMMs.
 
@@ -420,7 +303,7 @@ def tiled_spgemm_detailed(
     private engine for the whole grid (never per tile) and closes it
     at the end; serial configs run serially.  Output is bit-identical
     to the monolithic :func:`repro.core.pb_spgemm` for every semiring
-    and every grid — see the module docstring for why.
+    and every grid (see :mod:`repro.core.blocks`).
     """
     if a_csc.shape[1] != b_csr.shape[0]:
         raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
@@ -429,9 +312,7 @@ def tiled_spgemm_detailed(
     m, n = a_csc.shape[0], b_csr.shape[1]
 
     t_start = time.perf_counter()
-    a_colnnz = a_csc.col_nnz()
-    b_rownnz = b_csr.row_nnz()
-    total_flop = int(a_colnnz @ b_rownnz)
+    total_flop = int(a_csc.col_nnz() @ b_csr.row_nnz())
     grid = plan_tile_grid(m, n, total_flop, cfg)
 
     own_engine = False
@@ -464,91 +345,37 @@ def tiled_spgemm_detailed(
     merge_seconds = 0.0
     try:
         a_csr = a_csc.to_csr() if grid.grid_rows > 1 else None
-        b_csc = b_csr.to_csc() if grid.grid_cols > 1 else None
-        # Column panels of B, each converted to the CSR the PB kernel
-        # wants exactly once (total conversion work = nnz(B), paid once
-        # regardless of how many row panels stream over the panels).
-        b_panels: list[CSRMatrix] = []
-        b_panel_flops: list[np.ndarray] = []
-        for j, clo, chi in grid.col_panels():
-            if b_csc is None:
-                b_panels.append(b_csr)
-                b_panel_flops.append(b_rownnz)
-            else:
-                panel = col_slice(b_csc, clo, chi).to_csr()
-                b_panels.append(panel)
-                b_panel_flops.append(panel.row_nnz())
-
-        col_starts = [lo for _, lo, _ in grid.col_panels()]
-        panels: list[tuple[str, int, int, int]] = []  # key, rlo, rhi, nnz
+        b_panels = split_col_panels(b_csr, grid.col_edges)
+        panel_nnz: list[int] = []
         for i, rlo, rhi in grid.row_panels():
-            if a_csr is None:  # single row panel: A already panel-shaped
-                a_i, panel_nnz = a_csc, a_csc.nnz
-            else:
-                a_panel = row_slice(a_csr, rlo, rhi)
-                a_i, panel_nnz = None, a_panel.nnz
-            if panel_nnz == 0:
-                result.tiles_empty += grid.grid_cols
-            else:
-                if a_i is None:
-                    a_i = a_panel.to_csc()
-                ai_colnnz = a_i.col_nnz()
-                for j in range(grid.grid_cols):
-                    b_j = b_panels[j]
-                    tile_flop = (
-                        int(ai_colnnz @ b_panel_flops[j]) if b_j.nnz else 0
-                    )
-                    if tile_flop == 0:
-                        result.tiles_empty += 1
-                        continue
-                    t0 = time.perf_counter()
-                    c_ij = pb_spgemm(a_i, b_j, sr, cfg, engine=engine)
-                    dt = time.perf_counter() - t0
-                    result.tiles_computed += 1
-                    result.peak_tile_flop = max(result.peak_tile_flop, tile_flop)
-                    if collect_tile_stats:
-                        result.tile_stats.append(
-                            TileStat(
-                                i, j, rhi - rlo, c_ij.shape[1],
-                                tile_flop, c_ij.nnz, dt,
-                            )
-                        )
-                    store.put(f"tile-{i}-{j}", c_ij)
-                    result.peak_staged_bytes = max(
-                        result.peak_staged_bytes, store.staged_bytes
-                    )
+            # single row panel: A is already panel-shaped
+            a_i = a_csc if a_csr is None else row_slice(a_csr, rlo, rhi).to_csc()
+            tiles = row_panel_tiles(a_i, b_panels, sr, cfg, engine=engine)
+            for j, (tile_flop, c_ij) in enumerate(tiles):
+                if c_ij is None:
+                    result.tiles_empty += 1
+                    continue
+                result.tiles_computed += 1
+                result.peak_tile_flop = max(result.peak_tile_flop, tile_flop)
+                store.put(f"tile-{i}-{j}", c_ij)
+                result.peak_staged_bytes = max(
+                    result.peak_staged_bytes, store.staged_bytes
+                )
             t0 = time.perf_counter()
             staged = [
                 store.pop(f"tile-{i}-{j}") for j in range(grid.grid_cols)
             ]
-            merged = hstack_tiles(staged, col_starts, rhi - rlo, n, sr)
+            merged = hstack_tiles(staged, grid.col_starts, rhi - rlo, n, sr)
             merge_seconds += time.perf_counter() - t0
-            key = f"panel-{i}"
-            panels.append((key, rlo, rhi, merged.nnz))
-            store.put(key, merged)
+            panel_nnz.append(merged.nnz)
+            store.put(f"panel-{i}", merged)
             del merged, staged
             result.peak_staged_bytes = max(
                 result.peak_staged_bytes, store.staged_bytes
             )
-
-        # Final assembly: row panels stack vertically (disjoint row
-        # ranges).  The output arrays are preallocated and each panel is
-        # copied into its slice then freed, so assembly peaks at the
-        # product plus ONE panel — not the 2x of concatenating a list of
-        # all panels (which would dominate the budget for large C).
-        total_nnz = sum(nnz for _, _, _, nnz in panels)
-        indptr = np.zeros(m + 1, dtype=INDEX_DTYPE)
-        indices = np.empty(total_nnz, dtype=INDEX_DTYPE)
-        data = np.empty(total_nnz, dtype=VALUE_DTYPE)
-        nnz_off = 0
-        for key, rlo, rhi, nnz in panels:
-            block = store.pop(key)
-            indptr[rlo + 1 : rhi + 1] = block.indptr[1:] + nnz_off
-            indices[nnz_off : nnz_off + nnz] = block.indices
-            data[nnz_off : nnz_off + nnz] = block.data
-            nnz_off += nnz
-            del block
-        result.c = CSRMatrix((m, n), indptr, indices, data, validate=False)
+        result.c = assemble_rows(
+            (m, n), grid.row_edges, panel_nnz, lambda i: store.pop(f"panel-{i}")
+        )
         result.spilled_tiles = store.spilled_entries
         result.spilled_bytes = store.spilled_bytes
     finally:

@@ -201,7 +201,7 @@ def _panel_peak_bytes(stats: WorkloadStats) -> float:
     """
     from ..kernels.column_panel import DEFAULT_PANEL_TUPLES
 
-    from ..core.tiled import CSR_ENTRY_BYTES, TILE_WORKING_BYTES_PER_FLOP
+    from ..core.blocks import CSR_ENTRY_BYTES, TILE_WORKING_BYTES_PER_FLOP
 
     inputs = CSR_ENTRY_BYTES * 2.0 * (stats.nnz_a + stats.nnz_b)
     panel = TILE_WORKING_BYTES_PER_FLOP * float(
@@ -359,12 +359,8 @@ def _tune_sharded(
     how ``algorithm="auto"`` picks sharded exactly when fan-out is
     what makes the budget satisfiable.
     """
-    from ..core.sharded import (
-        SHARD_WORKING_BUDGET_DENOM,
-        resolve_shards,
-        sharded_peak_bytes,
-    )
-    from ..core.tiled import MAX_GRID_DIM, TILE_WORKING_BYTES_PER_FLOP
+    from ..core.blocks import col_panels_for
+    from ..core.sharded import resolve_shards, sharded_peak_bytes
 
     pb_total, pb_dram, pb_phases, pb_overrides = _tune_pb(
         stats, machine, config, 1, jit_sort_scale=jit_sort_scale
@@ -386,19 +382,8 @@ def _tune_sharded(
         shard_cands = [s for s in SHARD_SWEEP if s <= max(stats.n_rows, 1)] or [1]
     best = None
     for s in shard_cands:
-        # Mirror plan_shards' column split for this shard count.
-        shard_flop = float(stats.flop) / max(s, 1)
-        if config.tile_cols is not None:
-            gc = max(1, -(-max(stats.n_cols, 1) // max(1, config.tile_cols)))
-        elif budget is not None:
-            usable = max(budget // SHARD_WORKING_BUDGET_DENOM, 1)
-            gc = max(
-                1,
-                -(-int(shard_flop * TILE_WORKING_BYTES_PER_FLOP) // usable),
-            )
-            gc = min(gc, MAX_GRID_DIM, max(stats.n_cols, 1))
-        else:
-            gc = 1
+        # The driver's column split, for an even flop split over s shards.
+        gc = col_panels_for(stats.n_cols, float(stats.flop) / max(s, 1), config)
         transport = PhaseCost(
             name="shard_transport",
             dram_read_bytes=float(

@@ -1,20 +1,23 @@
-"""Tests for the multi-process sharded tiled engine (``repro.core.sharded``).
+"""Tests for the multi-process sharded engine (``repro.core.sharded``).
 
-The load-bearing contract is ISSUE 10's bit-identity claim: the sharded
-multiply must equal the monolithic ``pb_spgemm`` bit-for-bit on every
-semiring, for every shard count and panel grid, no matter in which
-order the shards finish — because the k dimension is never split and
-the parent merges panels in deterministic (row, column) order, not
-arrival order.  Around that: shard planning, the spill-file lifecycle
-under worker crashes (stage files suffixed per shard+pid, scrubbed on
-death), the ``--shards auto`` heuristic, planner pricing, serve
-routing, and the CLI conflict checks.
+The load-bearing contract is bit-identity: the sharded multiply must
+equal the monolithic ``pb_spgemm`` bit-for-bit on every semiring, for
+every shard count, panel grid and shape (k > n included), no matter in
+which order the shards finish — because the k dimension is never split
+and the parent merges tiles in deterministic (row, column) order, not
+arrival order — and without any shard being recovered.  Around that:
+shard planning, recovery by cause (a Python exception re-raised in the
+parent, a signal death recomputed with a warning), the ``--shards
+auto`` heuristic, planner pricing, serve routing, and the CLI conflict
+checks.
 """
 
 import contextlib
 import glob
 import io
+import multiprocessing as mp
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +27,6 @@ from repro.core import pb_spgemm
 from repro.core.sharded import (
     FAULT_ENV,
     MAX_AUTO_SHARDS,
-    ShardPlan,
     plan_shards,
     resolve_shards,
     sharded_config,
@@ -32,7 +34,7 @@ from repro.core.sharded import (
     sharded_spgemm,
     sharded_spgemm_detailed,
 )
-from repro.core.tiled import SpillStore, cleanup_stage_files
+from repro.core import sharded as sharded_mod
 from repro.errors import ConfigError, ShapeError
 from repro.generators import erdos_renyi
 from repro.kernels.tile_merge import accumulate_partials, hstack_tiles
@@ -78,6 +80,7 @@ def test_bit_identical_all_semirings(operands, semiring):
     ref = pb_spgemm(a, b, semiring)
     res = sharded_spgemm_detailed(a, b, semiring, PBConfig(shards=2))
     assert res.fallback is None
+    assert res.recovered_shards == 0
     _bit_equal(res.c, ref)
 
 
@@ -86,8 +89,8 @@ def test_bit_identical_all_semirings(operands, semiring):
     "config",
     [
         PBConfig(shards=3),  # uneven row split
-        PBConfig(shards=2, tile_cols=150),  # multi-panel, shard merge
-        PBConfig(shards=2, tile_cols=150, memory_budget=150_000),  # parent merge
+        PBConfig(shards=2, tile_cols=150),  # multi-panel
+        PBConfig(shards=2, tile_cols=150, memory_budget=150_000),  # + budget
     ],
     ids=["three-shards", "panels", "parent-merge"],
 )
@@ -96,9 +99,10 @@ def test_bit_identical_topologies(operands, config):
     ref = pb_spgemm(a, b, "plus_times")
     res = sharded_spgemm_detailed(a, b, "plus_times", config)
     assert res.fallback is None
+    assert res.recovered_shards == 0
     _bit_equal(res.c, ref)
     assert sorted(s.sid for s in res.shard_stats) == list(
-        range(res.plan.shards)
+        range(res.plan.grid_rows)
     )
 
 
@@ -109,8 +113,39 @@ def test_ragged_rectangular(operands):
     a, b = coo_a.to_csc(), coo_b.to_csr()
     ref = pb_spgemm(a, b, "min_plus")
     res = sharded_spgemm_detailed(a, b, "min_plus", PBConfig(shards=3))
-    # tiny inputs may legitimately degrade to the tiled fallback; the
-    # product must be bit-identical either way
+    assert res.recovered_shards == 0
+    _bit_equal(res.c, ref)
+
+
+@needs_pool
+def test_k_greater_than_n_no_recovery():
+    """600x900 @ 900x300: workers must see A as (m, k), panels as (k, w).
+
+    With the wrong operand shapes every shard crashed and the parent
+    silently recomputed all of them; the product was still right, so
+    only ``recovered_shards`` shows the difference.
+    """
+    a = random_coo(np.random.default_rng(51), 600, 900, 6000).to_csc()
+    b = random_coo(np.random.default_rng(52), 900, 300, 3000).to_csr()
+    ref = pb_spgemm(a, b, "plus_times")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a recovery would warn
+        res = sharded_spgemm_detailed(a, b, "plus_times", PBConfig(shards=2))
+    assert res.fallback is None
+    assert res.recovered_shards == 0
+    _bit_equal(res.c, ref)
+
+
+@needs_pool
+def test_single_panel_parent_merge_copies_out_of_sink(operands):
+    """One column panel: ``hstack_tiles`` returns the streamed tile
+    itself, a view into a shared-memory sink that is released (and
+    recycled for the next shard's tile) right after the merge."""
+    a, b = operands
+    ref = pb_spgemm(a, b, "plus_times")
+    res = sharded_spgemm_detailed(a, b, "plus_times", PBConfig(shards=2))
+    assert res.plan.grid_cols == 1
+    assert res.recovered_shards == 0
     _bit_equal(res.c, ref)
 
 
@@ -262,22 +297,19 @@ def test_resolve_shards_auto(monkeypatch):
 def test_plan_shards_balances_rows():
     m, n = 100, 80
     row_flops = np.ones(m, dtype=np.int64)
-    plan = plan_shards(m, n, int(row_flops.sum()), row_flops, 4, PBConfig())
-    assert plan.shards == 4
-    assert plan.row_ranges[0][0] == 0 and plan.row_ranges[-1][1] == m
-    for (a0, a1), (b0, b1) in zip(plan.row_ranges, plan.row_ranges[1:]):
-        assert a1 == b0  # contiguous
-    sizes = [hi - lo for lo, hi in plan.row_ranges]
+    plan = plan_shards(n, row_flops, 4, PBConfig())
+    assert plan.grid_rows == 4
+    assert plan.row_edges[0] == 0 and plan.row_edges[-1] == m
+    sizes = np.diff(plan.row_edges)
     assert max(sizes) - min(sizes) <= 1  # uniform flop -> even rows
-    assert plan.grid_cols == 1 and plan.merge == "shard"
+    assert plan.grid_cols == 1
 
 
 def test_plan_shards_budget_drives_columns():
     m = n = 1000
     row_flops = np.full(m, 1000, dtype=np.int64)
-    flop = int(row_flops.sum())
     cfg = PBConfig(shards=4, memory_budget=2_000_000)
-    plan = plan_shards(m, n, flop, row_flops, 4, cfg)
+    plan = plan_shards(n, row_flops, 4, cfg)
     # per-shard flop 250k -> working 12 MB vs usable 1 MB -> 12 panels
     assert plan.grid_cols == 12
     assert plan.col_edges[0] == 0 and plan.col_edges[-1] == n
@@ -305,25 +337,36 @@ def test_sharded_peak_bytes_shrinks_with_shards():
 
 
 # ---------------------------------------------------------------------------
-# spill-file lifecycle (satellite: crash hygiene)
+# recovery by cause (satellite: crash hygiene)
 # ---------------------------------------------------------------------------
 
 
-def test_spillstore_stage_suffix(tmp_path):
-    coo = random_coo(np.random.default_rng(41), 20, 20, 60)
-    store = SpillStore(str(tmp_path), 1, stage_suffix="-s1-123")
-    store.put("tile-0", coo.to_csr())
-    store.put("tile-1", coo.to_csr())  # evicts tile-0 to disk
-    files = [os.path.basename(p) for p in glob.glob(str(tmp_path / "*.npz"))]
-    assert files and all(f.endswith("-s1-123.npz") for f in files)
-    # another shard's files are untouched by a targeted scrub
-    (tmp_path / "tile-0-s2-456.npz").write_bytes(b"x")
-    assert cleanup_stage_files(str(tmp_path), "-s1-123") == len(files)
-    left = [os.path.basename(p) for p in glob.glob(str(tmp_path / "*.npz"))]
-    assert left == ["tile-0-s2-456.npz"]
-    assert cleanup_stage_files(str(tmp_path), "") == 1  # empty suffix: all
-    assert cleanup_stage_files(str(tmp_path) + "-missing") == 0
-    store.close()
+def _shm_names():
+    return set(glob.glob("/dev/shm/psm_*")) | set(glob.glob("/dev/shm/wnsm_*"))
+
+
+@needs_pool
+@pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(), reason="needs the fork start method"
+)
+def test_shard_exception_reraised_in_parent(operands, monkeypatch):
+    """A Python exception in a shard is a bug: the parent re-raises it
+    with the worker traceback, never recomputes it, and leaves no
+    shared-memory segment or live worker behind."""
+    from repro.core import blocks
+
+    def bomb(*args, **kwargs):
+        raise ValueError("kernel bomb")
+
+    a, b = operands
+    before = _shm_names()
+    monkeypatch.setattr(blocks, "pb_spgemm", bomb)  # forked shards inherit it
+    with pytest.raises(ValueError, match="kernel bomb") as info:
+        sharded_spgemm_detailed(a, b, "plus_times", PBConfig(shards=2))
+    assert "kernel bomb" in str(info.value.__cause__)
+    assert "in shard" in str(info.value.__cause__)
+    assert not mp.active_children()
+    assert _shm_names() - before == set()
 
 
 @needs_pool
@@ -332,38 +375,41 @@ def test_shard_killed_at_start_recovers(operands):
     ref = pb_spgemm(a, b, "plus_times")
     os.environ[FAULT_ENV] = "start:1"
     try:
-        res = sharded_spgemm_detailed(a, b, "plus_times", PBConfig(shards=3))
+        with pytest.warns(RuntimeWarning, match="shard 1 died by SIGKILL"):
+            res = sharded_spgemm_detailed(a, b, "plus_times", PBConfig(shards=3))
     finally:
         del os.environ[FAULT_ENV]
     assert res.recovered_shards == 1
-    assert any(s.recovered for s in res.shard_stats)
+    assert [s.sid for s in res.shard_stats if s.recovered] == [1]
     _bit_equal(res.c, ref)
 
 
 @needs_pool
-def test_shard_killed_mid_spill_no_orphans(tmp_path, operands):
-    """ISSUE 10 satellite: SIGKILL a shard after it staged a spill file;
-    the parent must scrub the dead shard's ``.npz`` files and still
-    return the correct product (panel recomputed in-process)."""
+def test_shard_killed_with_parent_spill_no_orphans(tmp_path, operands, monkeypatch):
+    """SIGKILL a shard while the parent stages merged row panels
+    through its spill store: the product is still right (panel
+    recomputed in process) and no ``.npz`` outlives the multiply."""
     a, b = operands
     ref = pb_spgemm(a, b, "plus_times")
+    stores = []
+
+    class RecordingStore(sharded_mod.SpillStore):
+        def close(self):
+            stores.append(self.spilled_entries)
+            super().close()
+
+    monkeypatch.setattr(sharded_mod, "SpillStore", RecordingStore)
     cfg = PBConfig(
-        shards=2,
-        tile_cols=128,
-        memory_budget=1_200_000,
-        spill_dir=str(tmp_path),
+        shards=3, tile_cols=128, memory_budget=20_000, spill_dir=str(tmp_path)
     )
-    # sanity: this topology really spills in shard-merge mode
-    probe = sharded_spgemm_detailed(a, b, "plus_times", cfg)
-    assert probe.plan.merge == "shard"
-    assert any(s.spilled_tiles for s in probe.shard_stats)
-    assert not glob.glob(str(tmp_path / "*.npz"))
-    os.environ[FAULT_ENV] = "spill:0"
+    os.environ[FAULT_ENV] = "start:0"
     try:
-        res = sharded_spgemm_detailed(a, b, "plus_times", cfg)
+        with pytest.warns(RuntimeWarning, match="shard 0"):
+            res = sharded_spgemm_detailed(a, b, "plus_times", cfg)
     finally:
         del os.environ[FAULT_ENV]
     assert res.recovered_shards == 1
+    assert stores and stores[-1] > 0, "parent never spilled a panel"
     assert not glob.glob(str(tmp_path / "*.npz")), "orphaned stage files"
     _bit_equal(res.c, ref)
 
