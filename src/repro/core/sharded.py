@@ -342,7 +342,9 @@ def _shard_main(
         queue.put(("done", sid, stats.__dict__))
     except Exception as exc:
         try:
-            pickle.dumps(exc)
+            # Full round trip: some exceptions pickle but fail to
+            # unpickle, which would raise in the parent's queue.get.
+            pickle.loads(pickle.dumps(exc))
         except Exception:
             exc = RuntimeError(repr(exc))
         queue.put(("error", sid, exc, traceback.format_exc()))
@@ -569,6 +571,10 @@ def sharded_spgemm_detailed(
                     pass  # the shard died; the liveness poll reaps it
             elif kind == "done":
                 _, sid, stats = msg
+                if sid in killed:
+                    # Signalled after its last put: already counted as
+                    # killed, and recovery recomputes (and frees) it.
+                    continue
                 result.shard_stats.append(ShardStats(**stats))
                 landed = [sinks.pop((sid, j), None) for j in range(grid.grid_cols)]
                 _stage_panel(sid, [None if s is None else s.matrix() for s in landed])

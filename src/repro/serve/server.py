@@ -433,7 +433,7 @@ class MultiplyServer:
             plan = {
                 "algorithm": "sharded",
                 "source": "shard-routed",
-                "shards": detail.plan.shards if detail.plan else 1,
+                "shards": detail.plan.grid_rows if detail.plan else 1,
                 "fallback": detail.fallback,
             }
             phase = {"merge": detail.merge_seconds}

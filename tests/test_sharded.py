@@ -369,6 +369,35 @@ def test_shard_exception_reraised_in_parent(operands, monkeypatch):
     assert _shm_names() - before == set()
 
 
+class _NoUnpickle(Exception):
+    """Pickles fine, but unpickling calls ``__init__`` with one argument."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+@needs_pool
+@pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(), reason="needs the fork start method"
+)
+def test_shard_unpicklable_exception_still_surfaces(operands, monkeypatch):
+    """An exception that pickles but cannot unpickle reaches the parent
+    as a RuntimeError carrying its repr, not as an unpickling error."""
+    from repro.core import blocks
+
+    def bomb(*args, **kwargs):
+        raise _NoUnpickle("kernel bomb", "tile")
+
+    a, b = operands
+    before = _shm_names()
+    monkeypatch.setattr(blocks, "pb_spgemm", bomb)
+    with pytest.raises(RuntimeError, match="_NoUnpickle.*kernel bomb") as info:
+        sharded_spgemm_detailed(a, b, "plus_times", PBConfig(shards=2))
+    assert "in shard" in str(info.value.__cause__)
+    assert not mp.active_children()
+    assert _shm_names() - before == set()
+
+
 @needs_pool
 def test_shard_killed_at_start_recovers(operands):
     a, b = operands
@@ -489,6 +518,37 @@ def test_scheduler_solo_tuples():
     w2 = sched._next_wave()
     assert [r.id for r in w2.requests] == [2]  # the giant rides alone
     assert sched.gauges()["solo_tuples"] == 1000
+
+
+@needs_pool
+def test_serve_routes_large_requests_to_shards(operands):
+    """``serve --shards 2 --shard-tuples 0`` really shards a request:
+    the reply is ok, reports two shards and no fallback, and its
+    product is bit-identical to ``pb_spgemm``."""
+    import asyncio
+
+    from repro.serve import MultiplyServer, ServeClient, ServeConfig
+
+    a, b = operands
+    ref = pb_spgemm(a, b, "plus_times")
+    before = _shm_names()
+
+    async def scenario():
+        server = await MultiplyServer(
+            PBConfig(), ServeConfig(port=0, shards=2, shard_tuples=0)
+        ).start()
+        try:
+            async with await ServeClient.connect(*server.address) as client:
+                return await client.multiply(a, b)
+        finally:
+            await server.close()
+
+    reply = asyncio.run(scenario())
+    assert reply.plan["algorithm"] == "sharded"
+    assert reply.plan["shards"] == 2
+    assert reply.plan["fallback"] is None
+    _bit_equal(reply.c, ref)
+    assert _shm_names() - before == set()
 
 
 def test_cli_shards_conflicts(tmp_path, operands):
