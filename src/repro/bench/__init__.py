@@ -3,9 +3,7 @@
 Public API (see DESIGN.md §13):
 
 * :class:`BenchResult` / :func:`load_result` / :func:`validate_result`
-  — the versioned result schema every suite produces, with one-shot
-  migration for the legacy ``BENCH_*.json`` artifacts
-  (:func:`migrate_legacy`);
+  — the versioned result schema every suite produces;
 * :class:`ResultStore` — the on-disk trend store keyed by commit +
   suite (``benchmarks/results/bench/`` or ``$REPRO_BENCH_STORE``);
 * :func:`compare_results` — the regression gate: per-metric tolerance,
@@ -40,7 +38,6 @@ from .schema import (
     BenchResult,
     load_result,
     machine_info,
-    migrate_legacy,
     new_result,
     validate_result,
 )
@@ -66,7 +63,6 @@ __all__ = [
     "get_suite",
     "load_result",
     "machine_info",
-    "migrate_legacy",
     "new_result",
     "register_suite",
     "run_suite",

@@ -2,9 +2,7 @@
 
 A :class:`Suite` bundles what the 25 pre-unification harnesses each
 hand-rolled: the workloads it runs, the acceptance checks it must
-clear, the per-metric tolerances the regression gate should apply, and
-(for the four suites with committed ``BENCH_*.json`` baselines) how to
-migrate those legacy artifacts onto the shared schema.
+clear, and the per-metric tolerances the regression gate should apply.
 
 Built-in suites are registered lazily — the registry knows the module
 that owns each name and imports it on first :func:`get_suite`, so
@@ -126,7 +124,6 @@ class Suite:
     checks: tuple[AcceptanceCheck, ...] = ()
     tolerances: dict[str, float] = field(default_factory=dict)
     payload_sections: tuple[str, ...] = ()
-    migrate: Callable[[dict], BenchResult] | None = None
 
     def run(self, quick: bool = False, reps: int | None = None) -> BenchResult:
         """Execute the suite and return its :class:`BenchResult`."""

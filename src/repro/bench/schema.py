@@ -19,10 +19,9 @@ and flat where it matters for regression gating:
   forensics; the gate never reads it.
 
 The four ``BENCH_*.json`` artifacts committed before this schema
-existed (``schema_version = 1``, four mutually incompatible shapes)
-load through :func:`load_result`, which detects the owning suite and
-migrates them — the numbers land under the same metric names a fresh
-run produces, so old and new results are directly comparable.
+existed were rewritten onto it once; their ``meta`` still records
+``migrated_from_schema_version = 1`` and their machine fingerprints
+carry a ``legacy-`` prefix.  Only schema v2 loads.
 """
 
 from __future__ import annotations
@@ -39,12 +38,9 @@ from typing import Any, Mapping
 
 from ..errors import BenchError
 
-#: Version written by every suite runner.  Bump on incompatible change
-#: and add a migration arm to :func:`load_result`.
+#: Version written by every suite runner and the only one
+#: :func:`load_result` reads.
 SCHEMA_VERSION = 2
-
-#: Versions :func:`load_result` can read (2 natively, 1 via migration).
-SUPPORTED_VERSIONS = (1, SCHEMA_VERSION)
 
 
 def _fingerprint(mapping: Mapping[str, Any], nchars: int = 12) -> str:
@@ -208,8 +204,7 @@ def validate_result(data: dict) -> dict:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise BenchError(
             f"schema_version must be {SCHEMA_VERSION}, "
-            f"got {data.get('schema_version')!r} (legacy v1 payloads load "
-            f"via repro.bench.load_result, which migrates)"
+            f"got {data.get('schema_version')!r}"
         )
     if not isinstance(data.get("suite"), str) or not data["suite"]:
         raise BenchError("suite must be a non-empty string")
@@ -260,129 +255,8 @@ def validate_result(data: dict) -> dict:
     return data
 
 
-# ---------------------------------------------------------------------------
-# Legacy (schema_version 1) migration
-# ---------------------------------------------------------------------------
-
-def detect_legacy_suite(data: dict) -> str:
-    """Identify which harness wrote a v1 ``BENCH_*.json`` payload.
-
-    The four legacy shapes are mutually distinguishable by their
-    top-level sections; order matters only for ``kernels`` (shared by
-    hotpath and column).
-    """
-    if not isinstance(data, dict):
-        raise BenchError("legacy report must be a dict")
-    if "amortization" in data and "pipeline" in data:
-        return "session"
-    if "end_to_end" in data and "kernels" in data:
-        return "hotpath"
-    if "planner" in data and "kernels" in data:
-        return "column"
-    if "results" in data and "workloads" in data:
-        return "planner"
-    raise BenchError(
-        "cannot identify the suite of this legacy report; expected one of "
-        "the four BENCH_{hotpath,planner,column,session}.json shapes"
-    )
-
-
-def legacy_meta(data: dict) -> dict:
-    """Normalized ``meta`` for a migrated v1 payload."""
-    meta = dict(data.get("meta", {}))
-    meta.setdefault("quick", False)
-    meta["quick"] = bool(meta["quick"])
-    meta["migrated_from_schema_version"] = 1
-    return meta
-
-
-def legacy_machine(meta: dict) -> dict:
-    """Best-effort machine identity for a v1 payload.
-
-    v1 reports recorded only numpy/python versions; the fingerprint is
-    derived from those so two legacy artifacts from the same toolchain
-    compare as same-machine, while never colliding with a live
-    :func:`machine_info` fingerprint (distinct ``legacy-`` prefix).
-    """
-    info = {"python": meta.get("python"), "numpy": meta.get("numpy")}
-    fp = meta.get("profile_fingerprint") or _fingerprint(info)
-    return {"fingerprint": f"legacy-{fp}", **info}
-
-
-def legacy_result(
-    suite: str,
-    data: dict,
-    *,
-    workloads: list[str],
-    metrics: Mapping[str, float],
-    acceptance: Mapping[str, bool],
-    phases: Mapping[str, Mapping[str, float]] | None = None,
-    payload: Mapping[str, Any] | None = None,
-) -> BenchResult:
-    """Shared assembly for per-suite ``migrate`` hooks.
-
-    Carries the legacy meta through, synthesizes the fingerprints v1
-    never recorded, and keeps the original sections verbatim in
-    ``payload``.
-    """
-    meta = legacy_meta(data)
-    created = meta.get("created_unix")
-    cfg = {
-        "suite": suite,
-        "quick": meta["quick"],
-        "reps": int(meta.get("reps", 1)),
-        "migrated": True,
-    }
-    return BenchResult(
-        suite=suite,
-        created_unix=(
-            float(created) if isinstance(created, (int, float)) and created > 0 else 1.0
-        ),
-        meta=meta,
-        machine=legacy_machine(meta),
-        config={"fingerprint": config_fingerprint(cfg), **cfg},
-        workloads=list(workloads),
-        metrics={k: float(v) for k, v in dict(metrics).items()},
-        acceptance={k: bool(v) for k, v in dict(acceptance).items()},
-        phases={
-            w: {k: float(v) for k, v in p.items()}
-            for w, p in dict(phases or {}).items()
-        },
-        payload=dict(payload or {}),
-    )
-
-
-def migrate_legacy(data: dict, suite: str | None = None) -> BenchResult:
-    """One-shot migration of a v1 harness report onto :class:`BenchResult`.
-
-    The owning suite's ``migrate`` hook does the field mapping so the
-    migrated metrics carry exactly the names a fresh run of that suite
-    produces — which is what makes ``repro bench compare`` able to gate
-    a new run against a committed legacy baseline.
-    """
-    if data.get("schema_version") != 1:
-        raise BenchError(
-            f"migrate_legacy handles schema_version 1, got "
-            f"{data.get('schema_version')!r}"
-        )
-    from .registry import get_suite  # lazy: registry imports this module
-
-    name = suite or detect_legacy_suite(data)
-    owner = get_suite(name)
-    if owner.migrate is None:
-        raise BenchError(f"suite {name!r} has no legacy migration")
-    result = owner.migrate(data)
-    validate_result(result.to_dict())
-    return result
-
-
-def load_result(path, suite: str | None = None) -> BenchResult:
-    """Load a result JSON — current schema or a legacy v1 artifact.
-
-    Public API (:func:`repro.bench.load_result`).  v1 payloads are
-    migrated in memory; the file on disk is left untouched (use
-    ``repro bench migrate`` to rewrite them).
-    """
+def load_result(path) -> BenchResult:
+    """Load a schema-v2 result JSON (public API, :func:`repro.bench.load_result`)."""
     path = Path(path)
     try:
         data = json.loads(path.read_text())
@@ -393,9 +267,7 @@ def load_result(path, suite: str | None = None) -> BenchResult:
     version = data.get("schema_version") if isinstance(data, dict) else None
     if version == SCHEMA_VERSION:
         return BenchResult.from_dict(data)
-    if version == 1:
-        return migrate_legacy(data, suite=suite)
     raise BenchError(
         f"{path}: unsupported schema_version {version!r} "
-        f"(supported: {SUPPORTED_VERSIONS})"
+        f"(supported: {SCHEMA_VERSION})"
     )

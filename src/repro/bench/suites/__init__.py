@@ -3,7 +3,7 @@
 Each module here owns one registered :class:`~repro.bench.registry.
 Suite`: the measurement code that used to live in a standalone
 ``benchmarks/bench_*.py`` harness, plus the declarative acceptance
-checks and the v1-artifact migration for that suite.  Modules register
+checks for that suite.  Modules register
 themselves at import time; the registry imports them lazily by name.
 """
 

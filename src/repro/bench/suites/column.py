@@ -33,7 +33,7 @@ from ...planner.cost import rank
 from ...planner.sketch import deepen, sketch
 from ...semiring import available_semirings
 from ..registry import AcceptanceCheck, Suite, register_suite
-from ..schema import BenchResult, legacy_result, new_result
+from ..schema import BenchResult, new_result
 from . import best_of, timed
 
 #: The four accumulator column algorithms with a backend switch.
@@ -164,7 +164,7 @@ def _bench_planner(b_csr, profile, measured: dict) -> dict:
 
 
 def _extract(workloads, kernels, identity, planner, quick=False):
-    """Shared metric mapping for fresh runs and v1 migration."""
+    """Metric mapping from the suite's raw sections."""
     metrics: dict = {}
     for w in workloads:
         for alg, k in kernels[w].items():
@@ -235,26 +235,6 @@ def run(quick: bool = False, reps: int = 5) -> BenchResult:
     )
 
 
-def migrate(data: dict) -> BenchResult:
-    workloads = list(data["workloads"])
-    metrics, acceptance = _extract(
-        workloads, data["kernels"], data["identity"], data["planner"]
-    )
-    return legacy_result(
-        "column",
-        data,
-        workloads=workloads,
-        metrics=metrics,
-        acceptance=acceptance,
-        payload={
-            "stats": data["stats"],
-            "kernels": data["kernels"],
-            "identity": data["identity"],
-            "planner": data["planner"],
-        },
-    )
-
-
 register_suite(
     Suite(
         name="column",
@@ -280,6 +260,5 @@ register_suite(
             ),
         ),
         payload_sections=("stats", "kernels", "identity", "planner"),
-        migrate=migrate,
     )
 )

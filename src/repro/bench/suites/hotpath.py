@@ -38,7 +38,7 @@ from ...kernels.outer_expand import expand_arena, expand_chunks
 from ...kernels.radix import sort_tuples
 from ...semiring import available_semirings
 from ..registry import AcceptanceCheck, Suite, register_suite
-from ..schema import BenchResult, legacy_result, new_result
+from ..schema import BenchResult, new_result
 from . import best_of
 
 #: Config snapshot of the pre-optimization pipeline (every flag legacy).
@@ -190,7 +190,7 @@ def _check_identity(b_csr) -> dict:
 
 
 def _extract(workloads, kernels, end_to_end, identity):
-    """Shared metric mapping for fresh runs and v1 migration."""
+    """Metric mapping from the suite's raw sections."""
     metrics: dict = {}
     phases: dict = {}
     for w in workloads:
@@ -249,26 +249,6 @@ def run(quick: bool = False, reps: int = 3) -> BenchResult:
     )
 
 
-def migrate(data: dict) -> BenchResult:
-    workloads = list(data["workloads"])
-    metrics, acceptance, phases = _extract(
-        workloads, data["kernels"], data["end_to_end"], data["identity"]
-    )
-    return legacy_result(
-        "hotpath",
-        data,
-        workloads=workloads,
-        metrics=metrics,
-        acceptance=acceptance,
-        phases=phases,
-        payload={
-            "kernels": data["kernels"],
-            "end_to_end": data["end_to_end"],
-            "identity": data["identity"],
-        },
-    )
-
-
 register_suite(
     Suite(
         name="hotpath",
@@ -291,6 +271,5 @@ register_suite(
             AcceptanceCheck("bit_identity", "identity_all", "true"),
         ),
         payload_sections=("kernels", "end_to_end", "identity"),
-        migrate=migrate,
     )
 )

@@ -8,8 +8,6 @@ against the numpy kernel it swaps out, on ER and R-MAT inputs:
   identical packed keys;
 * **distribute** — fused compiled placement (``counting_jit``) vs. the
   numpy counting scatter;
-* **compress** — single compiled scan (``compress_backend="jit"``) vs.
-  the numpy flatnonzero + reduceat path, per bin;
 * **panel** — end-to-end column multiply, ``panel_jit`` vs. ``panel``;
 * **pb end-to-end** — the full PB pipeline with every JIT backend on
   vs. the all-numpy default;
@@ -17,10 +15,10 @@ against the numpy kernel it swaps out, on ER and R-MAT inputs:
   (both the PB pipeline and the panel column kernel).
 
 The suite records ``jit_engine`` / ``jit_available`` in its metadata so
-stored trends from machines with different engines (numba vs. runtime
-C) remain interpretable.  When no engine is available the suite still
-runs — every jit path falls back — and reports ~1.0x speedups; the
-full-run floors then fail, which is the honest verdict.
+stored trends from machines without a C compiler remain interpretable.
+When no engine is available the suite still runs — every jit path
+falls back — and reports ~1.0x speedups; the full-run floors then
+fail, which is the honest verdict.
 
 Committed baseline: repo-root ``BENCH_jit.json``.
 """
@@ -37,7 +35,6 @@ from ...core.pb_spgemm import pb_spgemm_detailed
 from ...core.symbolic import symbolic_phase
 from ...generators import erdos_renyi, rmat
 from ...kernels import jit as jit_tier
-from ...kernels.compress import compress_keyed
 from ...kernels.hash_spgemm import hash_spgemm
 from ...kernels.outer_expand import expand_arena
 from ...kernels.radix import sort_tuples
@@ -50,7 +47,6 @@ from . import best_of
 JIT_PB = dict(
     sort_backend="radix_jit",
     distribute_backend="counting_jit",
-    compress_backend="jit",
 )
 
 QUICK_WORKLOADS = ("er_s10_ef8", "rmat_s9_ef8")
@@ -112,23 +108,6 @@ def _bench_kernels(b_csr, reps: int) -> dict:
     }
     sort["phase_speedup"] = sort["radix_s"] / sort["radix_jit_s"]
 
-    sorted_bins = [
-        sort_tuples(
-            keys[lo:hi], bvals[lo:hi], key_bits=layout.key_bits, backend="radix"
-        )[:2]
-        for lo, hi in spans
-    ]
-
-    def compress_phase(backend: str):
-        for sk, sv in sorted_bins:
-            compress_keyed(sk, sv, backend=backend)
-
-    compress = {
-        "numpy_s": best_of(lambda: compress_phase("numpy"), reps),
-        "jit_s": best_of(lambda: compress_phase("jit"), reps),
-    }
-    compress["speedup"] = compress["numpy_s"] / compress["jit_s"]
-
     return {
         "stats": {
             "flop": int(sym.flop),
@@ -138,7 +117,6 @@ def _bench_kernels(b_csr, reps: int) -> dict:
         },
         "distribute": distribute,
         "sort": sort,
-        "compress": compress,
     }
 
 
@@ -204,7 +182,6 @@ def _extract(workloads, kernels, end_to_end, identity):
         k = kernels[w]
         metrics[f"{w}.sort.phase_speedup"] = k["sort"]["phase_speedup"]
         metrics[f"{w}.distribute.speedup"] = k["distribute"]["speedup"]
-        metrics[f"{w}.compress.speedup"] = k["compress"]["speedup"]
         e = end_to_end[w]
         metrics[f"{w}.pb.speedup"] = e["pb_speedup"]
         metrics[f"{w}.pb.jit_s"] = e["pb_jit_s"]
@@ -222,8 +199,8 @@ def _extract(workloads, kernels, end_to_end, identity):
 
 
 def run(quick: bool = False, reps: int = 3) -> BenchResult:
-    status = jit_tier.jit_status()
     warmup_s = jit_tier.warmup()  # compile/load off every timed section
+    status = jit_tier.jit_status()
     print(
         f"== jit engine: {status['engine'] or 'none'} "
         f"(warmup {warmup_s * 1e3:.1f} ms)",
@@ -241,7 +218,6 @@ def run(quick: bool = False, reps: int = 3) -> BenchResult:
         print(
             f"   sort {k['sort']['phase_speedup']:.2f}x, "
             f"distribute {k['distribute']['speedup']:.2f}x, "
-            f"compress {k['compress']['speedup']:.2f}x, "
             f"panel {e['panel_speedup']:.2f}x, "
             f"pb {e['pb_speedup']:.2f}x, "
             f"identity {'ok' if all(identity[name].values()) else 'FAIL'}",
@@ -273,8 +249,8 @@ register_suite(
     Suite(
         name="jit",
         description=(
-            "compiled hot-kernel tier (radix_jit/counting_jit/panel_jit/jit "
-            "compress) vs. the numpy backends it swaps out"
+            "compiled hot-kernel tier (radix_jit/counting_jit/panel_jit) "
+            "vs. the numpy backends it swaps out"
         ),
         runner=run,
         figures=("Table III (phase costs)",),

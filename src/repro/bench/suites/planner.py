@@ -26,7 +26,7 @@ from ...kernels.dispatch import ALGORITHMS
 from ...planner import PlanCache, calibrate, plan
 from ...semiring import PLUS_TIMES
 from ..registry import AcceptanceCheck, Suite, register_suite
-from ..schema import BenchResult, legacy_result, new_result
+from ..schema import BenchResult, new_result
 from . import best_of
 
 QUICK_WORKLOADS = ("er_s10_ef8", "rmat_s9_ef8", "cage12_x002")
@@ -97,7 +97,7 @@ def _bench_workload(b_csr, profile, reps: int) -> dict:
 
 
 def _extract(workloads, results):
-    """Shared metric mapping for fresh runs and v1 migration."""
+    """Metric mapping from the suite's raw sections."""
     metrics: dict = {}
     for w in workloads:
         r = results[w]
@@ -159,19 +159,6 @@ def run(quick: bool = False, reps: int = 3) -> BenchResult:
     )
 
 
-def migrate(data: dict) -> BenchResult:
-    workloads = list(data["workloads"])
-    metrics, acceptance = _extract(workloads, data["results"])
-    return legacy_result(
-        "planner",
-        data,
-        workloads=workloads,
-        metrics=metrics,
-        acceptance=acceptance,
-        payload={"results": data["results"]},
-    )
-
-
 register_suite(
     Suite(
         name="planner",
@@ -202,6 +189,5 @@ register_suite(
             AcceptanceCheck("feedback_converged", "feedback_converged", "true"),
         ),
         payload_sections=("results",),
-        migrate=migrate,
     )
 )

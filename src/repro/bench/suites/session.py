@@ -31,7 +31,7 @@ from ...generators import erdos_renyi, rmat
 from ...semiring import available_semirings
 from ...session import Session
 from ..registry import AcceptanceCheck, Suite, register_suite
-from ..schema import BenchResult, legacy_result, new_result
+from ..schema import BenchResult, new_result
 from . import timed
 
 #: Noise-tolerant amortization floor enforced on every run; the
@@ -138,7 +138,7 @@ def _check_identity(b_csr) -> dict:
 
 
 def _extract(amortization, pipeline, identity):
-    """Shared metric mapping for fresh runs and v1 migration."""
+    """Metric mapping from the suite's raw sections."""
     am = amortization
     metrics = {
         "warm_speedup": am["warm_speedup"],
@@ -210,25 +210,6 @@ def run(quick: bool = False, reps: int = 3) -> BenchResult:
     )
 
 
-def migrate(data: dict) -> BenchResult:
-    amortization = data["amortization"]
-    metrics, acceptance = _extract(amortization, data["pipeline"], data["identity"])
-    workloads = [amortization.get("workload", AMORT_WORKLOAD)]
-    workloads += list(data["pipeline"])
-    return legacy_result(
-        "session",
-        data,
-        workloads=workloads,
-        metrics=metrics,
-        acceptance=acceptance,
-        payload={
-            "amortization": amortization,
-            "pipeline": data["pipeline"],
-            "identity": data["identity"],
-        },
-    )
-
-
 register_suite(
     Suite(
         name="session",
@@ -255,6 +236,5 @@ register_suite(
             AcceptanceCheck("arena_recycling", "arena_recycling", "true"),
         ),
         payload_sections=("amortization", "pipeline", "identity"),
-        migrate=migrate,
     )
 )

@@ -6,7 +6,7 @@ Commands form a subcommand tree grouped by what they operate on:
   inspect, and multiply MatrixMarket matrices;
 * ``plan``       — explain what ``algorithm="auto"`` would choose and why;
 * ``calibrate``  — micro-benchmark this machine into a planner profile;
-* ``bench``      — ``run`` / ``compare`` / ``list`` / ``migrate``: the
+* ``bench``      — ``run`` / ``compare`` / ``list``: the
   unified benchmark suites, the on-disk trend store, and the regression
   gate (:mod:`repro.bench`);
 * ``experiment`` — regenerate any paper figure/table by id;
@@ -15,11 +15,6 @@ Commands form a subcommand tree grouped by what they operate on:
 * ``serve``      — run the long-lived async multiply service
   (:mod:`repro.serve`): batching, admission control, per-request
   phase timings over one shared warm session.
-
-The pre-tree spellings (``repro generate``, ``repro stats``,
-``repro multiply``, ``repro simulate``, ``repro roofline``,
-``repro stream``) keep working as deprecated aliases that emit a
-``DeprecationWarning`` naming the canonical command.
 
 Execution flags shared by ``matrix multiply`` and ``plan``
 (``--executor/--nthreads/--nbins/--sort-backend/--column-backend``)
@@ -30,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 
 from . import __version__
 
@@ -72,13 +66,6 @@ def _exec_parent() -> argparse.ArgumentParser:
         choices=("counting", "argsort", "counting_jit"),
         help="PB distribute placement: counting scatter (default), the "
         "argsort ablation, or the compiled fused placement",
-    )
-    p.add_argument(
-        "--compress-backend",
-        default="numpy",
-        choices=("numpy", "jit"),
-        help="PB compress kernel: vectorized numpy scan (default) or "
-        "the compiled single-pass scan",
     )
     p.add_argument(
         "--column-backend",
@@ -190,7 +177,6 @@ def _cmd_multiply(args) -> int:
         or args.nbins is not None
         or args.sort_backend != "radix"
         or args.distribute_backend != "counting"
-        or args.compress_backend != "numpy"
     )
     column_flags = (
         args.column_backend != "panel" or args.panel_tuples is not None
@@ -216,8 +202,8 @@ def _cmd_multiply(args) -> int:
     if pb_flags and args.algorithm not in ("pb", "auto", "tiled"):
         print(
             "--executor/--nthreads/--nbins/--sort-backend/"
-            "--distribute-backend/--compress-backend configure the "
-            f"PB pipeline; use --algorithm pb (got {args.algorithm!r})",
+            "--distribute-backend configure the PB pipeline; "
+            f"use --algorithm pb (got {args.algorithm!r})",
             file=sys.stderr,
         )
         return 2
@@ -253,7 +239,6 @@ def _cmd_multiply(args) -> int:
                 nbins=args.nbins,
                 sort_backend=args.sort_backend,
                 distribute_backend=args.distribute_backend,
-                compress_backend=args.compress_backend,
                 column_backend=args.column_backend,
                 panel_tuples=args.panel_tuples,
                 tile_rows=args.tile_rows,
@@ -299,7 +284,6 @@ def _cmd_serve(args) -> int:
             nbins=args.nbins,
             sort_backend=args.sort_backend,
             distribute_backend=args.distribute_backend,
-            compress_backend=args.compress_backend,
             column_backend=args.column_backend,
         )
     except ConfigError as exc:
@@ -385,7 +369,6 @@ def _cmd_plan(args) -> int:
         nbins=args.nbins,
         sort_backend=args.sort_backend,
         distribute_backend=args.distribute_backend,
-        compress_backend=args.compress_backend,
         column_backend=args.column_backend,
         plan_cache_dir=args.cache_dir,
         calibration="off" if args.no_calibration else "auto",
@@ -444,7 +427,7 @@ def _cmd_calibrate(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench run / compare / list / migrate
+# bench run / compare / list
 # ---------------------------------------------------------------------------
 
 def _cmd_bench_run(args) -> int:
@@ -499,7 +482,7 @@ def _resolve_baseline(suite, ref, store, current):
         ref = "committed"
     if ref == "committed":
         if suite.artifact and Path(suite.artifact).exists():
-            return load_result(suite.artifact, suite=suite.name), None
+            return load_result(suite.artifact), None
         return None, f"no committed artifact for suite {suite.name!r}"
     if Path(ref).exists():
         return load_result(ref), None
@@ -561,31 +544,6 @@ def _cmd_bench_list(args) -> int:
             for check in suite.checks:
                 print(f"    check    : {check.name} — {check.describe()}")
     return 0
-
-
-def _cmd_bench_migrate(args) -> int:
-    from pathlib import Path
-
-    from .bench import BenchError, load_result
-
-    status = 0
-    for path in args.paths:
-        try:
-            result = load_result(path)
-        except BenchError as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            status = 2
-            continue
-        if args.in_place:
-            result.write(path)
-            print(f"migrated {path} (suite {result.suite}, schema v{result.schema_version})")
-        elif args.output_dir:
-            out = Path(args.output_dir) / Path(path).name
-            result.write(out)
-            print(f"migrated {path} -> {out}")
-        else:
-            print(result.to_json(), end="")
-    return status
 
 
 # ---------------------------------------------------------------------------
@@ -674,15 +632,8 @@ def _cmd_machine_info(args) -> int:
     print(f"platform : {info['platform']}")
     print(f"python   : {info['python']}  numpy {info['numpy']}")
     print(f"process  : {'available' if info['process_backend'] else 'unavailable'}")
-    engine = jit["engine"] or "none"
-    detail = ""
-    if jit["engine"] == "numba":
-        detail = f" (numba {jit['numba_version']})"
-    elif jit["engine"] == "cc":
-        detail = f" ({jit['cc_compiler']})"
-    elif jit["numba_reason"] or jit["cc_reason"]:
-        detail = f" ({jit['numba_reason'] or jit['cc_reason']})"
-    print(f"jit      : {engine}{detail}")
+    detail = jit["cc_compiler"] if jit["available"] else jit["cc_reason"]
+    print(f"jit      : {jit['engine']} ({detail})")
     return 0
 
 
@@ -690,8 +641,8 @@ def _cmd_machine_info(args) -> int:
 # parser assembly
 # ---------------------------------------------------------------------------
 
-def _build_generate(sub, name: str, deprecated: str | None = None):
-    g = sub.add_parser(name, help="generate a test matrix (MatrixMarket)")
+def _build_generate(sub):
+    g = sub.add_parser("generate", help="generate a test matrix (MatrixMarket)")
     g.add_argument("kind", choices=("er", "rmat", "surrogate"))
     g.add_argument("output", help="output .mtx path")
     g.add_argument("--scale", type=int, default=10, help="log2 dimension (er/rmat)")
@@ -699,19 +650,19 @@ def _build_generate(sub, name: str, deprecated: str | None = None):
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--name", default="cage12", help="Table VI name (surrogate)")
     g.add_argument("--scale-factor", type=float, default=1 / 16, help="surrogate size factor")
-    g.set_defaults(func=_cmd_generate, _deprecated=deprecated)
+    g.set_defaults(func=_cmd_generate)
 
 
-def _build_stats(sub, name: str, deprecated: str | None = None):
-    s = sub.add_parser(name, help="matrix statistics (Table VI row)")
+def _build_stats(sub):
+    s = sub.add_parser("stats", help="matrix statistics (Table VI row)")
     s.add_argument("matrix", help=".mtx path")
     s.add_argument("--square", action="store_true", help="also analyze A*A")
-    s.set_defaults(func=_cmd_stats, _deprecated=deprecated)
+    s.set_defaults(func=_cmd_stats)
 
 
-def _build_multiply(sub, name: str, exec_parent, deprecated: str | None = None):
+def _build_multiply(sub, exec_parent):
     m = sub.add_parser(
-        name, help="sparse matrix multiplication", parents=[exec_parent]
+        "multiply", help="sparse matrix multiplication", parents=[exec_parent]
     )
     m.add_argument("a", help="first operand (.mtx)")
     m.add_argument("b", nargs="?", help="second operand (.mtx); default: A*A")
@@ -773,31 +724,31 @@ def _build_multiply(sub, name: str, exec_parent, deprecated: str | None = None):
         "(sharding forks its own workers).  Output is bit-identical "
         "to the single-process multiply on every semiring.",
     )
-    m.set_defaults(func=_cmd_multiply, _deprecated=deprecated)
+    m.set_defaults(func=_cmd_multiply)
 
 
-def _build_simulate(sub, name: str, deprecated: str | None = None):
-    si = sub.add_parser(name, help="predicted performance on a machine model")
+def _build_simulate(sub):
+    si = sub.add_parser("simulate", help="predicted performance on a machine model")
     si.add_argument("a", help="first operand (.mtx)")
     si.add_argument("b", nargs="?", help="second operand; default: A*A")
     si.add_argument("--algorithms", default="pb,heap,hash,hashvec")
     si.add_argument("--threads", type=int, default=None)
     si.add_argument("--sockets", type=int, default=1)
     _add_machine_arg(si)
-    si.set_defaults(func=_cmd_simulate, _deprecated=deprecated)
+    si.set_defaults(func=_cmd_simulate)
 
 
-def _build_roofline(sub, name: str, deprecated: str | None = None):
-    r = sub.add_parser(name, help="AI bounds / attainable FLOPS (Fig. 3)")
+def _build_roofline(sub):
+    r = sub.add_parser("roofline", help="AI bounds / attainable FLOPS (Fig. 3)")
     r.add_argument("--cf", default="1,2,4,8", help="comma-separated compression factors")
     _add_machine_arg(r)
-    r.set_defaults(func=_cmd_roofline, _deprecated=deprecated)
+    r.set_defaults(func=_cmd_roofline)
 
 
-def _build_stream(sub, name: str, deprecated: str | None = None):
-    st = sub.add_parser(name, help="STREAM bandwidth table (Table V)")
+def _build_stream(sub):
+    st = sub.add_parser("stream", help="STREAM bandwidth table (Table V)")
     _add_machine_arg(st)
-    st.set_defaults(func=_cmd_stream, _deprecated=deprecated)
+    st.set_defaults(func=_cmd_stream)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -812,9 +763,9 @@ def build_parser() -> argparse.ArgumentParser:
     # -- matrix group -------------------------------------------------------
     mat = sub.add_parser("matrix", help="generate / inspect / multiply matrices")
     mat_sub = mat.add_subparsers(dest="subcommand", required=True)
-    _build_generate(mat_sub, "generate")
-    _build_stats(mat_sub, "stats")
-    _build_multiply(mat_sub, "multiply", exec_parent)
+    _build_generate(mat_sub)
+    _build_stats(mat_sub)
+    _build_multiply(mat_sub, exec_parent)
 
     # -- planner ------------------------------------------------------------
     p = sub.add_parser(
@@ -929,18 +880,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bl.set_defaults(func=_cmd_bench_list)
 
-    bm = bench_sub.add_parser(
-        "migrate", help="rewrite legacy v1 BENCH_*.json onto the shared schema"
-    )
-    bm.add_argument("paths", nargs="+", help="result files to migrate")
-    bm.add_argument(
-        "--in-place", action="store_true", help="rewrite each file where it is"
-    )
-    bm.add_argument(
-        "--output-dir", help="write migrated copies here instead of stdout"
-    )
-    bm.set_defaults(func=_cmd_bench_migrate)
-
     # -- serve --------------------------------------------------------------
     srv = sub.add_parser(
         "serve",
@@ -1015,17 +954,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mach.set_defaults(func=_cmd_machine_info)
     mach_sub = mach.add_subparsers(dest="subcommand", required=False)
-    _build_simulate(mach_sub, "simulate")
-    _build_roofline(mach_sub, "roofline")
-    _build_stream(mach_sub, "stream")
-
-    # -- deprecated top-level aliases --------------------------------------
-    _build_generate(sub, "generate", deprecated="repro matrix generate")
-    _build_stats(sub, "stats", deprecated="repro matrix stats")
-    _build_multiply(sub, "multiply", exec_parent, deprecated="repro matrix multiply")
-    _build_simulate(sub, "simulate", deprecated="repro machine simulate")
-    _build_roofline(sub, "roofline", deprecated="repro machine roofline")
-    _build_stream(sub, "stream", deprecated="repro machine stream")
+    _build_simulate(mach_sub)
+    _build_roofline(mach_sub)
+    _build_stream(mach_sub)
 
     return parser
 
@@ -1033,11 +964,4 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    replacement = getattr(args, "_deprecated", None)
-    if replacement:
-        warnings.warn(
-            f"`repro {args.command}` is deprecated; use `{replacement}`",
-            DeprecationWarning,
-            stacklevel=2,
-        )
     return args.func(args)

@@ -61,12 +61,6 @@ class PBConfig:
         tier's fused counting placement (scatters keys and values
         without materializing the permutation; falls back to
         ``"counting"``).  Identical stable result.
-    compress_backend:
-        ``"numpy"`` (default) — the vectorized run-boundary scan +
-        segmented ``reduceat`` (:func:`repro.kernels.compress
-        .compress_keyed`); ``"jit"`` — the JIT tier's single compiled
-        compress scan (plus-semiring value reduction still delegated
-        to the identical ``np.add.reduceat``).  Bit-identical.
     expand_backend:
         ``"arena"`` (default) — serial expand writes chunks straight
         into one flop-sized arena at flop-prefix offsets;
@@ -172,7 +166,6 @@ class PBConfig:
     pack_keys: bool = True
     sort_backend: str = "radix"
     distribute_backend: str = "counting"
-    compress_backend: str = "numpy"
     expand_backend: str = "arena"
     column_backend: str = "panel"
     panel_tuples: int | None = None
@@ -213,11 +206,6 @@ class PBConfig:
             raise ConfigError(
                 "distribute_backend must be 'counting', 'argsort' or "
                 f"'counting_jit', got {self.distribute_backend!r}"
-            )
-        if self.compress_backend not in ("numpy", "jit"):
-            raise ConfigError(
-                "compress_backend must be 'numpy' or 'jit', "
-                f"got {self.compress_backend!r}"
             )
         if self.expand_backend not in ("arena", "concat"):
             raise ConfigError(
@@ -345,7 +333,6 @@ class PBConfig:
         return (
             self.sort_backend == "radix_jit"
             or self.distribute_backend == "counting_jit"
-            or self.compress_backend == "jit"
             or self.column_backend == "panel_jit"
         )
 

@@ -99,9 +99,7 @@ def _sort_and_compress_bin(
     skeys, svals, passes = sort_tuples(
         keys, vals, key_bits=layout.key_bits, backend=config.sort_backend
     )
-    ckeys, cvals = compress_keyed(
-        skeys, svals, semiring, backend=config.compress_backend
-    )
+    ckeys, cvals = compress_keyed(skeys, svals, semiring)
     crows, ccols = unpack_keys(layout, ckeys, binid)
     return crows, ccols, cvals, passes
 

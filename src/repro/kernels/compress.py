@@ -21,33 +21,16 @@ def compress_keyed(
     keys: np.ndarray,
     values: np.ndarray,
     semiring: Semiring | str = PLUS_TIMES,
-    backend: str = "numpy",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Merge adjacent duplicate keys of a *sorted* key array.
 
     Returns the distinct keys and their ⊕-merged values.  Raises if the
     key array is not non-decreasing (the sort phase's postcondition).
-
-    ``backend="jit"`` runs the JIT tier's single compiled scan
-    (:func:`repro.kernels.jit.compress_keyed_jit`) — sortedness check,
-    run boundaries and key compaction fused, order-exact ⊕ folded
-    in-scan, plus-semiring values still reduced by the identical
-    ``reduceat`` call — and falls back here when no engine is
-    available or the semiring/dtype is outside the compiled envelope.
-    Bit-identical either way.
     """
     keys = np.asarray(keys)
     values = np.asarray(values)
     if len(keys) != len(values):
         raise ValueError(f"keys/values length mismatch: {len(keys)} vs {len(values)}")
-    if backend not in ("numpy", "jit"):
-        raise ValueError(f"unknown compress backend {backend!r}")
-    if backend == "jit":
-        from .jit import compress_keyed_jit
-
-        out = compress_keyed_jit(keys, values, get_semiring(semiring))
-        if out is not None:
-            return out
     if len(keys) == 0:
         return keys[:0], values[:0]
     if np.any(keys[1:] < keys[:-1]):  # unsigned-safe sortedness check

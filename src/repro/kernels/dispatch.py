@@ -43,8 +43,8 @@ class AlgorithmInfo:
 
     ``supports_jit`` marks algorithms with at least one ``*_jit``
     backend from the compiled kernel tier (:mod:`repro.kernels.jit`):
-    the PB pipeline (``radix_jit`` sort, ``counting_jit`` distribute,
-    ``jit`` compress) and the four panel column kernels
+    the PB pipeline (``radix_jit`` sort, ``counting_jit`` distribute)
+    and the four panel column kernels
     (``panel_jit``).  The planner only prices JIT-tier candidates for
     algorithms carrying this flag.
 

@@ -1,21 +1,19 @@
 """Compiled hot-kernel tier (DESIGN.md §14).
 
-Optional JIT implementations of the four hottest loops of the
+Optional compiled implementations of the three hottest loops of the
 pipeline — the per-bin LSD counting-radix sort, the counting
-distribute placement, the panel sort + segmented semiring fold, and
-the bin compress — selected by the ``*_jit`` backend names
-(``sort_backend="radix_jit"``, ``distribute_backend="counting_jit"``,
-``column_backend="panel_jit"``, ``compress_backend="jit"``).
+distribute placement, and the panel sort + segmented semiring fold —
+selected by the ``*_jit`` backend names (``sort_backend="radix_jit"``,
+``distribute_backend="counting_jit"``, ``column_backend="panel_jit"``).
 
-Two interchangeable engines sit behind one probe (``_avail``):
-numba when an acceptable version is installed, else a runtime-compiled
-C library (``_cc``).  Every wrapper in this module returns ``None``
-when no engine can serve the call — after emitting the tier's single
-:class:`JITFallbackWarning` if the cause is engine unavailability —
-and the caller falls back to its numpy path, which is bit-identical
-by construction (stable sorts share their unique permutation;
-compiled folds replay the numpy ufunc's sequential order; float
-``reduceat`` reductions are delegated to numpy itself).
+One engine serves them: a runtime-compiled C library (``_cc``) behind
+a cached probe (``_avail``).  Every wrapper in this module returns
+``None`` when the engine cannot serve the call — after emitting the
+tier's single :class:`JITFallbackWarning` if the cause is engine
+unavailability — and the caller falls back to its numpy path, which
+is bit-identical by construction (stable sorts share their unique
+permutation; compiled folds replay the numpy ufunc's sequential
+order).
 
 :func:`warmup` compiles/loads everything once, idempotently, and
 returns the seconds spent — :class:`repro.session.Session` calls it at
@@ -34,17 +32,15 @@ import numpy as np
 from ...matrix.base import INDEX_DTYPE
 from ..radix import _normalize_keys, counting_passes, passes_for_bits
 from ._avail import (
-    NUMBA_MIN_VERSION,
     JITFallbackWarning,
     JITStatus,
-    jit_available,
     probe,
+    record_engine_failure,
     reset_probe_cache,
     warn_fallback_once,
 )
 
 __all__ = [
-    "NUMBA_MIN_VERSION",
     "JITFallbackWarning",
     "JITStatus",
     "jit_available",
@@ -58,7 +54,6 @@ __all__ = [
     "counting_argsort_jit",
     "place_pairs_jit",
     "panel_jit_context",
-    "compress_keyed_jit",
     "OP_ADD",
     "OP_MIN",
     "OP_MAX",
@@ -69,7 +64,7 @@ __all__ = [
     "MUL_PAIR",
 ]
 
-#: ⊕ op codes shared with both engines' kernels.
+#: ⊕ op codes shared with the engine's kernels.
 OP_ADD, OP_MIN, OP_MAX, OP_OR = 0, 1, 2, 3
 
 #: ⊗ op codes for the fused panel kernel.
@@ -93,18 +88,15 @@ def _engine():
         _ENGINE_FAILED = True
         return None
     try:
-        if st.engine == "numba":
-            from ._numba_impl import NumbaEngine
+        from ._cc import CCEngine
 
-            _ENGINE = NumbaEngine()
-        else:
-            from ._cc import CCEngine
-
-            _ENGINE = CCEngine(st.cc_compiler)
-    except Exception:
-        # Probe said available but the engine could not come up (broken
-        # numba install, compiler error).  Degrade exactly like absence.
+        _ENGINE = CCEngine(st.cc_compiler)
+    except Exception as exc:
+        # Probe found a compiler but the library could not be built or
+        # loaded.  Degrade exactly like absence, with the real cause on
+        # the cached status so every report and the warning name it.
         _ENGINE_FAILED = True
+        record_engine_failure(exc)
         return None
     return _ENGINE
 
@@ -148,8 +140,21 @@ def _sort_scratch(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pair
 
 
+def jit_available() -> bool:
+    """Whether the compiled engine is usable in this process.
+
+    Builds (or loads) the engine on first call, so a compiler that is
+    present but cannot produce the library reports False.
+    """
+    return _engine() is not None
+
+
 def jit_status() -> dict:
-    """Probe result + process warm state for ``repro machine --json``."""
+    """Engine status + process warm state for ``repro machine --json``.
+
+    Resolves the engine first, so a failed build reports as unavailable.
+    """
+    _engine()
     st = probe().to_dict()
     st["warmed"] = _WARMED
     return st
@@ -161,9 +166,9 @@ def warmup() -> float:
     Returns the wall seconds this call spent (0.0 when already warm or
     when no engine is available — unavailability is *not* warned here;
     the warning belongs to an actual ``*_jit`` backend request).
-    Exercises each kernel on every key width so numba specializations
-    (and the cc build + dlopen) all happen now; ``cache=True`` /
-    the on-disk ``.so`` make later processes' warmup near-free.
+    Exercises each kernel on every key width so the cc build + dlopen
+    and each kernel's first touch all happen now; the on-disk ``.so``
+    makes later processes' warmup near-free.
     """
     global _WARMED
     if _WARMED:
@@ -180,7 +185,6 @@ def warmup() -> float:
     counts = np.empty(2, dtype=np.int64)
     order = np.empty(4, dtype=np.int64)
     eng.counting_argsort(binid, counts, order)
-    starts = np.empty(4, dtype=np.int64)
     ra, rb = np.empty(8, np.uint64), np.empty(8, np.uint64)
     for kdt in (np.uint16, np.uint32, np.uint64):
         keys = np.array([3, 1, 3, 2], dtype=kdt)
@@ -188,12 +192,8 @@ def warmup() -> float:
         va = np.empty(4, np.uint64)
         for npasses in (1, 2):  # direct and record-buffer pass shapes
             eng.radix_passes(keys, vals_u64, ka, va, ra, rb, npasses, 2, hist)
-        out_k = np.empty_like(keys)
-        out_v = np.empty(4, dtype=np.float64)
-        for op in (OP_ADD, OP_MIN, OP_MAX, OP_OR):
-            eng.compress_scan(np.sort(keys), vals, op, out_k, out_v, starts)
         if kdt is not np.uint16:
-            eng.place_pairs(keys, vals_u64, binid, counts, out_k, va)
+            eng.place_pairs(keys, vals_u64, binid, counts, ka, va)
     for idt in (np.uint16, np.uint32):
         rows = np.array([1, 0, 1, 1], dtype=idt)
         cols = np.array([0, 1, 0, 2], dtype=idt)
@@ -206,25 +206,24 @@ def warmup() -> float:
             eng.panel_process(
                 rows, cols, vals, 2, op, hist, tr, tc, tv, our, ouc, ouv, rc
             )
-    if hasattr(eng, "panel_fused"):
-        # 2x2 A (CSC) times 2x2 B panel: exercises every (⊕, ⊗) pair.
-        a_ptr = np.array([0, 2, 4], dtype=np.int64)
-        a_rows = np.array([0, 1, 0, 1], dtype=np.uint16)
-        a_vals = np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float64)
-        bk = np.array([0, 1, 1], dtype=np.int64)
-        bv = np.array([1.5, -2.0, 0.5], dtype=np.float64)
-        col_ptr = np.array([0, 2, 3], dtype=np.int64)
-        wk2 = np.empty(2, np.int64)
-        tvc12 = np.empty(12, np.float64)
-        our6, ouc6 = np.empty(6, np.uint16), np.empty(6, np.uint16)
-        ouv6 = np.empty(6, np.float64)
-        rc2 = np.empty(2, np.int64)
-        for op in (OP_ADD, OP_MIN, OP_MAX, OP_OR):
-            for mop in (MUL_TIMES, MUL_PLUS, MUL_AND, MUL_PAIR):
-                eng.panel_fused(
-                    a_ptr, a_rows, a_vals, bk, bv, col_ptr, 0, 2, op, mop,
-                    hist, wk2, tvc12, our6, ouc6, ouv6, rc2,
-                )
+    # 2x2 A (CSC) times 2x2 B panel: exercises every (⊕, ⊗) pair.
+    a_ptr = np.array([0, 2, 4], dtype=np.int64)
+    a_rows = np.array([0, 1, 0, 1], dtype=np.uint16)
+    a_vals = np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float64)
+    bk = np.array([0, 1, 1], dtype=np.int64)
+    bv = np.array([1.5, -2.0, 0.5], dtype=np.float64)
+    col_ptr = np.array([0, 2, 3], dtype=np.int64)
+    wk2 = np.empty(2, np.int64)
+    tvc12 = np.empty(12, np.float64)
+    our6, ouc6 = np.empty(6, np.uint16), np.empty(6, np.uint16)
+    ouv6 = np.empty(6, np.float64)
+    rc2 = np.empty(2, np.int64)
+    for op in (OP_ADD, OP_MIN, OP_MAX, OP_OR):
+        for mop in (MUL_TIMES, MUL_PLUS, MUL_AND, MUL_PAIR):
+            eng.panel_fused(
+                a_ptr, a_rows, a_vals, bk, bv, col_ptr, 0, 2, op, mop,
+                hist, wk2, tvc12, our6, ouc6, ouv6, rc2,
+            )
     return time.perf_counter() - t0
 
 
@@ -412,13 +411,9 @@ class PanelJitContext:
         self._fused_scratch = None  # (tvc, out_r, out_c, out_v), grown
         #: Whether :meth:`process_fused` can serve this multiply — the
         #: fused kernel walks the CSC structure itself, so it needs a
-        #: compiled ⊗ (registry semirings only), a uint16 index
-        #: envelope, and an engine that ships the kernel.
-        self.supports_fused = (
-            mop is not None
-            and self.index_dtype == np.uint16
-            and hasattr(eng, "panel_fused")
-        )
+        #: compiled ⊗ (registry semirings only) and a uint16 index
+        #: envelope.
+        self.supports_fused = mop is not None and self.index_dtype == np.uint16
 
     def process_fused(
         self, a_ptr, a_rows_idx, a_vals, b_ptr, b_ks, b_data, j_lo, j_hi,
@@ -526,58 +521,3 @@ def panel_jit_context(m: int, n: int, semiring, col_dtype):
         return _fallback("column_backend='panel_jit'")
     idx = np.uint16 if (m <= 1 << 16 and n <= 1 << 16) else np.uint32
     return PanelJitContext(eng, m, op, col_dtype, idx, multiply_opcode(semiring))
-
-
-# ----------------------------------------------------------------------
-# compress_backend="jit"
-# ----------------------------------------------------------------------
-
-_DUMMY_VALS = np.zeros(1, dtype=np.float64)
-
-
-def compress_keyed_jit(keys: np.ndarray, values: np.ndarray, semiring):
-    """Compiled bin compress, or None to run the numpy path.
-
-    One compiled scan validates sortedness and emits run starts plus
-    deduplicated keys.  Order-exact ⊕ (min/max/or) folds values in the
-    same scan with ``ufunc.reduceat`` segment semantics; plus-semirings
-    delegate the value reduction to the *identical*
-    ``Semiring.reduceat`` call the numpy path makes, so float addition
-    order (numpy's pairwise ``np.add.reduceat``) is reproduced rather
-    than re-derived.  Raises the numpy path's ValueError on unsorted
-    keys.
-    """
-    keys = np.asarray(keys)
-    values = np.asarray(values)
-    op = semiring_opcode(semiring)
-    if (
-        op is None
-        or keys.dtype.kind != "u"
-        or keys.dtype.itemsize not in (2, 4, 8)
-        or values.dtype != np.float64
-    ):
-        return None
-    eng = _engine()
-    if eng is None:
-        return _fallback("compress_backend='jit'")
-    if len(keys) == 0:
-        return keys[:0], values[:0]
-    n = len(keys)
-    keys_c = np.ascontiguousarray(keys)
-    vals_c = np.ascontiguousarray(values)
-    out_keys = np.empty_like(keys_c)
-    starts = np.empty(n, dtype=np.int64)
-    if op == OP_ADD:
-        nout = eng.compress_scan(keys_c, vals_c, op, out_keys, _DUMMY_VALS, starts)
-        if nout < 0:
-            raise ValueError(
-                "compress requires sorted keys (run the sort phase first)"
-            )
-        return out_keys[:nout].copy(), semiring.reduceat(vals_c, starts[:nout])
-    out_vals = np.empty(n, dtype=np.float64)
-    nout = eng.compress_scan(keys_c, vals_c, op, out_keys, out_vals, starts)
-    if nout < 0:
-        raise ValueError(
-            "compress requires sorted keys (run the sort phase first)"
-        )
-    return out_keys[:nout].copy(), out_vals[:nout].copy()

@@ -1,68 +1,50 @@
 """Cached availability probe for the compiled hot-kernel tier.
 
-THE place the JIT tier decides whether it can run, and through which
-engine.  Probing is done exactly once per process (satellite: "cache
-the numba availability probe in one place") and the result is exposed
-three ways:
+THE place the JIT tier decides whether it can run.  The tier has one
+engine, a runtime-compiled C library (``_cc.py``): every compiled
+kernel is one translation unit built with the system C compiler and
+loaded through :mod:`ctypes`.  Probing is done exactly once per process
+and the result is exposed three ways:
 
-* :func:`probe` / :func:`jit_available` — consumed by every ``*_jit``
-  backend entry point before dispatching to a compiled kernel;
-* :func:`jit_status` — a JSON-friendly dict surfaced by
+* :func:`probe` — consumed by the engine loader in ``__init__`` before
+  it builds the library;
+* :meth:`JITStatus.to_dict` — the JSON-friendly status surfaced by
   ``repro machine --json`` so users can see whether the tier is active
   and, if not, why;
 * :class:`JITFallbackWarning` + :func:`warn_fallback_once` — the single
-  structured warning the tentpole requires when a ``*_jit`` backend is
-  requested but no engine is available (warned once per process, never
-  per call).
+  structured warning emitted when a ``*_jit`` backend is requested but
+  no engine is available (warned once per process, never per call).
 
-Engines, in preference order:
-
-``numba``
-    The issue's engine of choice.  The probe *imports* numba (cheap
-    when absent — one failed import — and cached when present) and
-    rejects versions older than :data:`NUMBA_MIN_VERSION` with a
-    recorded reason instead of crashing at first compile (satellite
-    fix: old numbas raised ``TypingError`` mid-multiply).
-``cc``
-    A runtime-compiled C fallback engine (``_cc.py``): the same kernels
-    as one translation unit built with the system C compiler and loaded
-    through :mod:`ctypes`.  This keeps the tier *measurable* on boxes
-    (CI bench runners included) that have a toolchain but no numba, and
-    exercises the exact same dispatch/fallback surface.
+When the compiler is found but the library cannot be built or loaded
+(compiler error, unwritable cache directory), the loader calls
+:func:`record_engine_failure`, which replaces the cached status with an
+unavailable one carrying the real cause — so availability checks, the
+machine report and the fallback warning never claim a working engine.
 
 Environment overrides (read at probe time, re-read on ``refresh``):
 
 ``REPRO_JIT_DISABLE``
     Any value other than ``""``/``"0"`` disables the tier outright.
-``REPRO_JIT_ENGINE``
-    Pin the engine: ``"numba"``, ``"cc"``, or ``"none"``.  A pinned
-    engine that is unavailable leaves the tier unavailable (no silent
-    substitution) — this is what the absent-degradation tests use to
-    force the numba path and then hide numba.
+``CC``
+    Preferred C compiler, tried before ``cc``, ``gcc`` and ``clang``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import shutil
 import warnings
 from dataclasses import asdict, dataclass
 
 __all__ = [
-    "NUMBA_MIN_VERSION",
     "JITFallbackWarning",
     "JITStatus",
     "probe",
-    "jit_available",
-    "jit_status",
+    "record_engine_failure",
     "warn_fallback_once",
     "reset_probe_cache",
 ]
-
-#: Oldest numba the tier accepts.  0.57 is the first release supporting
-#: numpy 1.24's promotion rules; older numbas import fine but fail at
-#: first compile, which is exactly the crash the probe must absorb.
-NUMBA_MIN_VERSION = (0, 57)
 
 
 class JITFallbackWarning(UserWarning):
@@ -77,17 +59,14 @@ class JITFallbackWarning(UserWarning):
 class JITStatus:
     """Cached result of the one-time engine probe."""
 
-    #: Active engine: ``"numba"``, ``"cc"``, or ``"none"``.
+    #: Active engine: ``"cc"`` or ``"none"``.
     engine: str
-    #: Whether any compiled engine is usable.
+    #: Whether the compiled engine is usable.
     available: bool
-    #: ``numba.__version__`` when importable, else None.
-    numba_version: str | None
-    #: Why numba was not selected (absent / too old / pinned away).
-    numba_reason: str | None
-    #: Resolved C compiler executable for the ``cc`` engine, else None.
+    #: Resolved C compiler executable, else None.
     cc_compiler: str | None
-    #: Why the cc engine was not selected.
+    #: Why the engine is unavailable (no compiler, disabled, or the
+    #: build/load error), else None.
     cc_reason: str | None
     #: Whether REPRO_JIT_DISABLE was set.
     disabled: bool
@@ -98,37 +77,6 @@ class JITStatus:
 
 _STATUS: JITStatus | None = None
 _FALLBACK_WARNED = False
-
-
-def _parse_version(text: str) -> tuple[int, ...]:
-    parts: list[int] = []
-    for piece in str(text).split(".")[:3]:
-        digits = ""
-        for ch in piece:
-            if not ch.isdigit():
-                break
-            digits += ch
-        if not digits:
-            break
-        parts.append(int(digits))
-    return tuple(parts) if parts else (0,)
-
-
-def _probe_numba() -> tuple[bool, str | None, str | None]:
-    """(usable, version, reason) for the numba engine."""
-    try:
-        import numba  # noqa: F401
-    except Exception as exc:  # ImportError or a broken install
-        return False, None, f"numba not importable ({type(exc).__name__})"
-    version = getattr(numba, "__version__", "0")
-    if _parse_version(version) < NUMBA_MIN_VERSION:
-        floor = ".".join(str(v) for v in NUMBA_MIN_VERSION)
-        return (
-            False,
-            version,
-            f"numba {version} older than the pinned minimum {floor}",
-        )
-    return True, version, None
 
 
 def _probe_cc() -> tuple[str | None, str | None]:
@@ -152,53 +100,31 @@ def probe(refresh: bool = False) -> JITStatus:
         return _STATUS
 
     disabled = os.environ.get("REPRO_JIT_DISABLE", "") not in ("", "0")
-    pin = os.environ.get("REPRO_JIT_ENGINE", "").strip().lower() or None
-
-    numba_ok, numba_version, numba_reason = (False, None, "tier disabled")
-    cc_compiler: str | None = None
-    cc_reason: str | None = "tier disabled"
-    engine = "none"
-
-    if not disabled:
-        numba_ok, numba_version, numba_reason = _probe_numba()
+    if disabled:
+        cc_compiler, cc_reason = None, "tier disabled"
+    else:
         cc_compiler, cc_reason = _probe_cc()
-        if pin == "none":
-            numba_reason = numba_reason or "pinned off via REPRO_JIT_ENGINE"
-            cc_reason = cc_reason or "pinned off via REPRO_JIT_ENGINE"
-        elif pin == "numba":
-            cc_reason = cc_reason or "engine pinned to numba via REPRO_JIT_ENGINE"
-            if numba_ok:
-                engine = "numba"
-        elif pin == "cc":
-            numba_reason = numba_reason or "engine pinned to cc via REPRO_JIT_ENGINE"
-            if cc_compiler is not None:
-                engine = "cc"
-        else:
-            if numba_ok:
-                engine = "numba"
-            elif cc_compiler is not None:
-                engine = "cc"
-
+    available = cc_compiler is not None
     _STATUS = JITStatus(
-        engine=engine,
-        available=engine != "none",
-        numba_version=numba_version,
-        numba_reason=numba_reason if engine != "numba" else None,
-        cc_compiler=cc_compiler if engine == "cc" else cc_compiler,
-        cc_reason=cc_reason if engine != "cc" else None,
+        engine="cc" if available else "none",
+        available=available,
+        cc_compiler=cc_compiler,
+        cc_reason=cc_reason,
         disabled=disabled,
     )
     return _STATUS
 
 
-def jit_available() -> bool:
-    """Whether any compiled engine is usable (cached probe)."""
-    return probe().available
-
-
-def jit_status() -> dict:
-    """JSON-friendly probe result for ``repro machine --json``."""
-    return probe().to_dict()
+def record_engine_failure(exc: BaseException) -> JITStatus:
+    """Mark the cached status unavailable because the engine build failed."""
+    global _STATUS
+    _STATUS = dataclasses.replace(
+        probe(),
+        engine="none",
+        available=False,
+        cc_reason=f"cc engine build failed ({type(exc).__name__}: {exc})",
+    )
+    return _STATUS
 
 
 def warn_fallback_once(context: str) -> None:
@@ -208,15 +134,10 @@ def warn_fallback_once(context: str) -> None:
         return
     _FALLBACK_WARNED = True
     st = probe()
-    reasons = []
     if st.disabled:
-        reasons.append("REPRO_JIT_DISABLE is set")
+        detail = "REPRO_JIT_DISABLE is set"
     else:
-        if st.numba_reason:
-            reasons.append(st.numba_reason)
-        if st.cc_reason:
-            reasons.append(st.cc_reason)
-    detail = "; ".join(reasons) or "no JIT engine available"
+        detail = st.cc_reason or "no JIT engine available"
     warnings.warn(
         f"JIT kernel tier unavailable for {context} ({detail}); "
         "falling back to the bit-identical numpy backends",

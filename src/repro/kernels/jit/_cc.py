@@ -1,7 +1,7 @@
 r"""Runtime-compiled C engine for the JIT kernel tier.
 
 One translation unit containing every compiled hot kernel (radix sort
-passes, counting placement, panel sort+fold, bin compress), built with
+passes, counting placement, panel sort+fold), built with
 the system C compiler the probe found and loaded through
 :mod:`ctypes`.  The build is cached on disk keyed by a hash of the
 source (plus platform), so:
@@ -20,8 +20,7 @@ race-safe: the object is compiled to a uniquely named temp file and
 ``os.replace``\ d into place, so concurrent first-calls at worst build
 twice and atomically agree on the result.
 
-Bit-identity contracts (mirrored by ``_numba_impl`` and asserted by
-``tests/test_jit_backends.py``):
+Bit-identity contracts (asserted by ``tests/test_jit_backends.py``):
 
 * ``radix_passes_*`` is a stable LSD counting sort — the stable sort
   permutation is unique, so sorted (key, payload) streams match the
@@ -32,10 +31,6 @@ Bit-identity contracts (mirrored by ``_numba_impl`` and asserted by
   starting from the run head's raw value* — exactly
   ``Semiring.fold_runs_masked``'s ``add_ufunc.at`` order (``np.add.at``
   / ``np.minimum.at`` / … are unbuffered sequential applications).
-* ``compress_scan`` implements ``ufunc.reduceat`` segment semantics
-  for min/max/or; plus-semirings only get run boundaries from C and
-  the values go through the *identical* ``np.add.reduceat`` call
-  (pairwise float addition is reproduced, not re-derived).
 """
 
 from __future__ import annotations
@@ -201,7 +196,7 @@ API void place_pairs_##SUF(                                           \
 PLACE_IMPL(u32, uint32_t)
 PLACE_IMPL(u64, uint64_t)
 
-/* Semiring ⊕ op codes shared by panel_process and compress_scan. */
+/* Semiring ⊕ op codes of panel_process and panel_fused. */
 #define OP_ADD 0
 #define OP_MIN 1
 #define OP_MAX 2
@@ -465,64 +460,6 @@ API int64_t panel_fused_u16(
     }
     return nout;
 }
-
-/* ---------------------------------------------------------------- */
-/* Bin compress: one scan validating sortedness, emitting run       */
-/* starts + deduplicated keys, and — for order-exact ⊕ (min, max,   */
-/* or) — folding values with ufunc.reduceat segment semantics       */
-/* (single-element OR segments also pass the boolean cast).  For    */
-/* OP_ADD the caller reduces values itself via np.add.reduceat on   */
-/* the starts array, so float addition order is numpy's own.        */
-/* Returns the output length, or -1 when keys are not sorted.       */
-/* ---------------------------------------------------------------- */
-#define COMPRESS_IMPL(SUF, KT)                                        \
-API int64_t compress_scan_##SUF(                                      \
-    const KT *keys, const double *vals, int64_t n, int op,            \
-    KT *out_keys, double *out_vals, int64_t *starts)                  \
-{                                                                     \
-    int64_t nout = 0;                                                 \
-    for (int64_t i = 0; i < n; ++i) {                                 \
-        if (i > 0 && keys[i] < keys[i - 1])                           \
-            return -1;                                                \
-        if (i == 0 || keys[i] != keys[i - 1]) {                       \
-            starts[nout] = i;                                         \
-            out_keys[nout] = keys[i];                                 \
-            switch (op) {                                             \
-            case OP_MIN:                                              \
-            case OP_MAX:                                              \
-                out_vals[nout] = vals[i];                             \
-                break;                                                \
-            case OP_OR:                                               \
-                out_vals[nout] = (vals[i] != 0.0) ? 1.0 : 0.0;        \
-                break;                                                \
-            default: /* OP_ADD: values reduced by the caller */       \
-                break;                                                \
-            }                                                         \
-            nout++;                                                   \
-        } else {                                                      \
-            double v = vals[i];                                       \
-            switch (op) {                                             \
-            case OP_MIN:                                              \
-                out_vals[nout - 1] = fold_min(out_vals[nout - 1], v); \
-                break;                                                \
-            case OP_MAX:                                              \
-                out_vals[nout - 1] = fold_max(out_vals[nout - 1], v); \
-                break;                                                \
-            case OP_OR:                                               \
-                if (v != 0.0)                                         \
-                    out_vals[nout - 1] = 1.0;                         \
-                break;                                                \
-            default:                                                  \
-                break;                                                \
-            }                                                         \
-        }                                                             \
-    }                                                                 \
-    return nout;                                                      \
-}
-
-COMPRESS_IMPL(u16, uint16_t)
-COMPRESS_IMPL(u32, uint32_t)
-COMPRESS_IMPL(u64, uint64_t)
 """
 
 _P = ctypes.POINTER
@@ -577,9 +514,6 @@ _SIGNATURES = {
             _i64p, _i64p, _f64p, _u16p, _u16p, _f64p, _i64p,
         ],
     ),
-    "compress_scan_u16": (_i64, [_u16p, _f64p, _i64, _int, _u16p, _f64p, _i64p]),
-    "compress_scan_u32": (_i64, [_u32p, _f64p, _i64, _int, _u32p, _f64p, _i64p]),
-    "compress_scan_u64": (_i64, [_u64p, _f64p, _i64, _int, _u64p, _f64p, _i64p]),
 }
 
 _lock = threading.Lock()
@@ -728,16 +662,4 @@ class CCEngine:
             _ptr(hist, _i64p), _ptr(wk, _i64p), _ptr(tvc, _f64p),
             _ptr(out_rows, _u16p), _ptr(out_cols, _u16p),
             _ptr(out_vals, _f64p), _ptr(row_counts, _i64p),
-        )
-
-    # -- compress ---------------------------------------------------
-    _COMPRESS = {2: ("compress_scan_u16", _u16p),
-                 4: ("compress_scan_u32", _u32p),
-                 8: ("compress_scan_u64", _u64p)}
-
-    def compress_scan(self, keys, vals, op, out_keys, out_vals, starts):
-        sym, kp = self._COMPRESS[keys.dtype.itemsize]
-        return getattr(self._lib, sym)(
-            _ptr(keys, kp), _ptr(vals, _f64p), len(keys), op,
-            _ptr(out_keys, kp), _ptr(out_vals, _f64p), _ptr(starts, _i64p),
         )

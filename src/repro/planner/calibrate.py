@@ -122,7 +122,7 @@ class MachineProfile:
         ``jit_scatter_mtuples_s``.  Their ratio rescales those cycle
         charges for a ``radix_jit`` / ``panel_jit`` candidate (< 1 when
         the compiled tier is faster — the usual case — but nothing
-        forces that: a slow compiler or tiny numba win prices the tier
+        forces that: a slow compiler or a small compiled win prices the tier
         honestly and the planner simply keeps numpy).  None when the
         rate is unmeasured (0.0): the tier is not priced at all.
         """

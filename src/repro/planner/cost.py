@@ -452,12 +452,14 @@ def rank(
     stats = workload_stats(a_csc, b_csr, nnz_c=sk.nnz_c, seed=sk.seed)
     machine = profile.machine_spec()
     column_scale = profile.column_compute_scale()
-    # The compiled tier is priced only when this process can actually
-    # run it (an engine answers the probe) *and* calibration measured
-    # its rate (jit_sort_scale is None on preset / pre-v4 profiles).
+    # The compiled tier is priced only when calibration measured its
+    # rate (jit_sort_scale is None on preset / pre-v4 profiles) *and*
+    # this process can actually run it (the engine builds or loads).
     from ..kernels.jit import jit_available
 
-    jit_scale = profile.jit_sort_scale() if jit_available() else None
+    jit_scale = profile.jit_sort_scale()
+    if jit_scale is not None and not jit_available():
+        jit_scale = None
     # Price the backend dispatch will actually run (panel unless the
     # config pins the loop ablation) — the loop's Table II model
     # (latency-bound A bursts, accumulator spill) mis-prices the

@@ -127,7 +127,6 @@ _OVERRIDE_KEYS = (
     "local_bin_bytes",
     "sort_backend",
     "distribute_backend",
-    "compress_backend",
     "column_backend",
     "tile_rows",
     "tile_cols",

@@ -26,13 +26,12 @@ from repro.bench import (
     compare_results,
     get_suite,
     load_result,
-    migrate_legacy,
     new_result,
     register_suite,
     run_suite,
     validate_result,
 )
-from repro.bench.schema import SCHEMA_VERSION, detect_legacy_suite
+from repro.bench.schema import SCHEMA_VERSION
 from repro.bench.suites.experiments import EXPERIMENTS, tables_from_result
 from repro.cli import main
 
@@ -51,11 +50,9 @@ SUITE_PARAMS = [
     pytest.param("serve", marks=[pytest.mark.serve, pytest.mark.parallel]),
 ]
 
-#: Suites whose committed artifact predates the shared schema (they
-#: carry a ``migrate`` hook); newer suites commit native-v2 artifacts.
-LEGACY_SUITES = tuple(
-    name for name in PERF_SUITES if get_suite(name).migrate is not None
-)
+#: Suites whose committed artifact predates the shared schema and was
+#: rewritten onto it once; newer suites committed native-v2 artifacts.
+LEGACY_SUITES = ("column", "hotpath", "planner", "session")
 
 
 @pytest.fixture(scope="module")
@@ -143,7 +140,7 @@ class TestSchema:
 
 
 # ---------------------------------------------------------------------------
-# committed legacy artifacts migrate onto the shared schema
+# committed artifacts, including the four rewritten from schema v1
 # ---------------------------------------------------------------------------
 
 class TestLegacyMigration:
@@ -153,18 +150,12 @@ class TestLegacyMigration:
         r = load_result(REPO_ROOT / suite.artifact)
         assert r.suite == name
         assert not r.quick  # committed artifacts are full runs
-        if suite.migrate is not None:  # committed before the shared schema
+        if name in LEGACY_SUITES:  # committed before the shared schema
             assert r.meta["migrated_from_schema_version"] == 1
         validate_result(r.to_dict())
         # The pinned full-run bars the old per-suite tests enforced are
         # now declared on the suites; the artifacts must still clear them.
         assert check_result(r) == []
-
-    @pytest.mark.parametrize("name", LEGACY_SUITES)
-    def test_detect_legacy_suite(self, name):
-        suite = get_suite(name)
-        data = json.loads((REPO_ROOT / suite.artifact).read_text())
-        assert detect_legacy_suite(data) == name
 
     def test_pinned_full_run_bars(self):
         # Spot-check the headline numbers the retired test files pinned.
@@ -187,20 +178,23 @@ class TestLegacyMigration:
             "rmat_s14_ef8",
         }
 
-    def test_migration_is_one_shot(self, tmp_path):
-        src = REPO_ROOT / "BENCH_session.json"
-        migrated = migrate_legacy(json.loads(src.read_text()))
-        path = migrated.write(tmp_path / "BENCH_session.json")
-        again = load_result(path)  # now loads natively, no migration
-        assert again.schema_version == SCHEMA_VERSION
-        assert again.metrics == migrated.metrics
-        assert again.acceptance == migrated.acceptance
+    def test_migration_is_one_shot(self):
+        # The v1 artifacts were rewritten on disk: the files themselves
+        # are native v2, keeping their provenance and legacy fingerprints.
+        for name in LEGACY_SUITES:
+            data = json.loads((REPO_ROOT / get_suite(name).artifact).read_text())
+            assert data["schema_version"] == SCHEMA_VERSION
+            validate_result(data)
+            assert data["meta"]["migrated_from_schema_version"] == 1
+            assert data["machine"]["fingerprint"].startswith("legacy-")
 
-    def test_migrate_rejects_wrong_version(self):
-        with pytest.raises(BenchError):
-            migrate_legacy({"schema_version": 2})
-        with pytest.raises(BenchError):
-            detect_legacy_suite({"schema_version": 1, "surprise": {}})
+    def test_load_rejects_schema_v1(self, tmp_path):
+        data = _synthetic().to_dict()
+        data["schema_version"] = 1
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(BenchError, match="unsupported schema_version 1"):
+            load_result(path)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fly"])
 
+    @pytest.mark.parametrize(
+        "command", ["generate", "stats", "multiply", "simulate", "roofline", "stream"]
+    )
+    def test_pre_tree_spellings_rejected(self, command):
+        # Only the grouped tree parses; the old top-level aliases are gone.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command])
+
     def test_groups_require_subcommand(self):
         for group in ("matrix", "bench"):
             with pytest.raises(SystemExit):
@@ -79,40 +87,6 @@ class TestCanonicalTree:
         assert "MFLOPS" in capsys.readouterr().out
 
 
-class TestDeprecatedAliases:
-    """Pre-tree spellings keep working but warn with the canonical path."""
-
-    @pytest.mark.parametrize(
-        "alias,canonical",
-        [
-            ("generate", "repro matrix generate"),
-            ("stats", "repro matrix stats"),
-            ("multiply", "repro matrix multiply"),
-            ("simulate", "repro machine simulate"),
-            ("roofline", "repro machine roofline"),
-            ("stream", "repro machine stream"),
-        ],
-    )
-    def test_alias_warns(self, alias, canonical, er_mtx, tmp_path, capsys):
-        argv = {
-            "generate": ["generate", "er", str(tmp_path / "g.mtx"), "--scale", "6"],
-            "stats": ["stats", str(er_mtx)],
-            "multiply": ["multiply", str(er_mtx)],
-            "simulate": ["simulate", str(er_mtx), "--algorithms", "pb"],
-            "roofline": ["roofline", "--cf", "1"],
-            "stream": ["stream"],
-        }[alias]
-        with pytest.warns(DeprecationWarning, match=canonical):
-            assert main(argv) == 0
-
-    def test_canonical_does_not_warn(self, capsys):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert main(["machine", "stream"]) == 0
-
-
 class TestBenchCLI:
     def test_list(self, capsys):
         assert main(["bench", "list"]) == 0
@@ -146,32 +120,6 @@ class TestBenchCLI:
         assert r.suite == "fig3" and r.acceptance["tables_nonempty"]
         assert '"suite": "fig3"' in capsys.readouterr().out
 
-    def test_migrate_to_output_dir(self, tmp_path, capsys):
-        import shutil
-        from pathlib import Path
-
-        repo_root = Path(__file__).resolve().parent.parent
-        legacy = tmp_path / "BENCH_hotpath.json"
-        shutil.copy(repo_root / "BENCH_hotpath.json", legacy)
-        outdir = tmp_path / "migrated"
-        outdir.mkdir()
-        rc = main(["bench", "migrate", str(legacy), "--output-dir", str(outdir)])
-        assert rc == 0
-        from repro.bench import SCHEMA_VERSION, load_result
-
-        migrated = load_result(outdir / "BENCH_hotpath.json")
-        assert migrated.schema_version == SCHEMA_VERSION
-        # The original is untouched.
-        import json
-
-        assert json.loads(legacy.read_text())["schema_version"] == 1
-
-    def test_migrate_bad_file(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        assert main(["bench", "migrate", str(bad)]) == 2
-        assert capsys.readouterr().err
-
 
 class TestGenerate:
     def test_er(self, er_mtx):
@@ -181,14 +129,14 @@ class TestGenerate:
 
     def test_rmat(self, tmp_path, capsys):
         path = tmp_path / "r.mtx"
-        assert main(["generate", "rmat", str(path), "--scale", "6"]) == 0
+        assert main(["matrix", "generate", "rmat", str(path), "--scale", "6"]) == 0
         assert read_matrix_market(path).shape == (64, 64)
         assert "wrote" in capsys.readouterr().out
 
     def test_surrogate(self, tmp_path):
         path = tmp_path / "s.mtx"
         rc = main(
-            ["generate", "surrogate", str(path), "--name", "scircuit",
+            ["matrix", "generate", "surrogate", str(path), "--name", "scircuit",
              "--scale-factor", "0.01"]
         )
         assert rc == 0
@@ -197,25 +145,25 @@ class TestGenerate:
 
 class TestStats:
     def test_basic(self, er_mtx, capsys):
-        assert main(["stats", str(er_mtx)]) == 0
+        assert main(["matrix", "stats", str(er_mtx)]) == 0
         out = capsys.readouterr().out
         assert "128 x 128" in out
         assert "mean degree" in out
 
     def test_square(self, er_mtx, capsys):
-        assert main(["stats", str(er_mtx), "--square"]) == 0
+        assert main(["matrix", "stats", str(er_mtx), "--square"]) == 0
         out = capsys.readouterr().out
         assert "compression cf" in out
 
 
 class TestMultiply:
     def test_square_default(self, er_mtx, capsys):
-        assert main(["multiply", str(er_mtx)]) == 0
+        assert main(["matrix", "multiply", str(er_mtx)]) == 0
         assert "C = A*B" in capsys.readouterr().out
 
     def test_output_file(self, er_mtx, tmp_path, capsys):
         out = tmp_path / "c.mtx"
-        assert main(["multiply", str(er_mtx), "--output", str(out)]) == 0
+        assert main(["matrix", "multiply", str(er_mtx), "--output", str(out)]) == 0
         c = read_matrix_market(out)
         # verify against scipy
         a = read_matrix_market(er_mtx)
@@ -226,14 +174,14 @@ class TestMultiply:
 
     @pytest.mark.parametrize("alg", ["heap", "hash", "spa"])
     def test_algorithms(self, er_mtx, alg, capsys):
-        assert main(["multiply", str(er_mtx), "--algorithm", alg]) == 0
+        assert main(["matrix", "multiply", str(er_mtx), "--algorithm", alg]) == 0
 
     def test_two_operands(self, er_mtx, tmp_path, capsys):
-        assert main(["multiply", str(er_mtx), str(er_mtx)]) == 0
+        assert main(["matrix", "multiply", str(er_mtx), str(er_mtx)]) == 0
 
     @pytest.mark.parametrize("backend", ["radix", "argsort", "mergesort"])
     def test_sort_backend(self, er_mtx, backend, capsys):
-        assert main(["multiply", str(er_mtx), "--sort-backend", backend]) == 0
+        assert main(["matrix", "multiply", str(er_mtx), "--sort-backend", backend]) == 0
         assert "C = A*B" in capsys.readouterr().out
 
     def test_sort_backend_identical_products(self, er_mtx, tmp_path):
@@ -241,7 +189,7 @@ class TestMultiply:
         for backend in ("radix", "argsort"):
             out = tmp_path / f"c_{backend}.mtx"
             rc = main(
-                ["multiply", str(er_mtx), "--sort-backend", backend,
+                ["matrix", "multiply", str(er_mtx), "--sort-backend", backend,
                  "--output", str(out)]
             )
             assert rc == 0
@@ -253,7 +201,7 @@ class TestMultiply:
 
     def test_sort_backend_requires_pb(self, er_mtx, capsys):
         rc = main(
-            ["multiply", str(er_mtx), "--algorithm", "hash",
+            ["matrix", "multiply", str(er_mtx), "--algorithm", "hash",
              "--sort-backend", "argsort"]
         )
         assert rc == 2
@@ -262,13 +210,13 @@ class TestMultiply:
 
 class TestSimulate:
     def test_default(self, er_mtx, capsys):
-        assert main(["simulate", str(er_mtx)]) == 0
+        assert main(["machine", "simulate", str(er_mtx)]) == 0
         out = capsys.readouterr().out
         assert "MFLOPS" in out and "pb" in out
 
     def test_machine_and_threads(self, er_mtx, capsys):
         rc = main(
-            ["simulate", str(er_mtx), "--machine", "power9", "--threads", "10",
+            ["machine", "simulate", str(er_mtx), "--machine", "power9", "--threads", "10",
              "--algorithms", "pb"]
         )
         assert rc == 0
@@ -277,11 +225,11 @@ class TestSimulate:
 
 class TestInfoCommands:
     def test_roofline(self, capsys):
-        assert main(["roofline", "--cf", "1,2"]) == 0
+        assert main(["machine", "roofline", "--cf", "1,2"]) == 0
         assert "Roofline" in capsys.readouterr().out
 
     def test_stream(self, capsys):
-        assert main(["stream", "--machine", "skylake"]) == 0
+        assert main(["machine", "stream", "--machine", "skylake"]) == 0
         assert "47.4" in capsys.readouterr().out
 
     def test_experiment_table7(self, capsys):

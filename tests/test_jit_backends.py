@@ -1,51 +1,51 @@
 """Compiled hot-kernel tier (repro.kernels.jit, DESIGN.md §14).
 
-Covers the engine probe (caching, version gating, env pinning), the
-four ``*_jit`` backends' bit-identity against their numpy counterparts
-across every built-in semiring, the absent-degradation contract (one
-structured warning, numpy results, including on process-pool workers),
-warm-up hygiene (Session construction + ``jit_warmup_s`` stopwatch),
-the planner's calibrated pricing (profile schema v4 + migration), and
-the CLI surfaces (``repro machine --json``, backend flags).
+Covers the engine probe (caching, disable switch, missing compiler,
+failed build), the three ``*_jit`` backends' bit-identity against their
+numpy counterparts across every built-in semiring, the absent-degradation
+contract (one structured warning, numpy results, including on
+process-pool workers), warm-up hygiene (Session construction +
+``jit_warmup_s`` stopwatch), the planner's calibrated pricing (profile
+schema v4 + migration), and the CLI surfaces (``repro machine --json``,
+backend flags).
 
 Every test runs whether or not an engine is available: engine-requiring
 assertions are guarded by :func:`repro.kernels.jit.jit_available`, and
-the fallback tests *force* unavailability by pinning
-``REPRO_JIT_ENGINE=numba`` behind an import blocker, so the degradation
-path is exercised even on machines with a working C compiler.
+the fallback tests *force* unavailability by hiding the C compiler
+(no ``$CC``, empty ``PATH``), so the real absent-compiler path is
+exercised even on machines with a working toolchain.
 """
 
 from __future__ import annotations
 
 import json
-import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 import repro
 from repro.core.binning import distribute_packed, plan_bins
 from repro.core.config import PBConfig
-from repro.core.pb_spgemm import pb_spgemm_detailed
+from repro.core.pb_spgemm import pb_spgemm, pb_spgemm_detailed
 from repro.core.symbolic import symbolic_phase
 from repro.errors import ConfigError
 from repro.generators import erdos_renyi
 from repro.kernels import jit as jit_tier
-from repro.kernels.compress import compress_keyed
 from repro.kernels.hash_spgemm import hash_spgemm
 from repro.kernels.jit import JITFallbackWarning
-from repro.kernels.jit._avail import NUMBA_MIN_VERSION, probe
+from repro.kernels.jit import _cc
+from repro.kernels.jit._avail import probe
 from repro.kernels.outer_expand import expand_arena
 from repro.kernels.radix import radix_sort_pairs, sort_tuples
 from repro.semiring import available_semirings
 
+from tests.test_block_core import problems
+
 pytestmark = pytest.mark.jit
 
-JIT_PB = dict(
-    sort_backend="radix_jit",
-    distribute_backend="counting_jit",
-    compress_backend="jit",
-)
+JIT_PB = dict(sort_backend="radix_jit", distribute_backend="counting_jit")
 
 
 @pytest.fixture
@@ -57,21 +57,13 @@ def clean_jit_state():
 
 
 @pytest.fixture
-def no_engine(clean_jit_state, monkeypatch):
-    """Force the tier unavailable: pin the engine to numba and block its
-    import, so even a machine with numba installed degrades."""
-
-    class _Blocker:
-        def find_spec(self, name, path=None, target=None):
-            if name == "numba" or name.startswith("numba."):
-                raise ImportError("numba hidden by test")
-            return None
-
-    monkeypatch.setenv("REPRO_JIT_ENGINE", "numba")
-    monkeypatch.syspath_prepend("")  # ensure meta_path consulted first
-    monkeypatch.setattr(sys, "meta_path", [_Blocker()] + sys.meta_path)
-    for mod in [m for m in sys.modules if m == "numba" or m.startswith("numba.")]:
-        monkeypatch.delitem(sys.modules, mod)
+def no_engine(clean_jit_state, monkeypatch, tmp_path):
+    """Force the tier unavailable by hiding the C compiler: no ``$CC``
+    and an empty ``PATH``, so the probe finds nothing to build with."""
+    empty = tmp_path / "empty-path"
+    empty.mkdir()
+    monkeypatch.delenv("CC", raising=False)
+    monkeypatch.setenv("PATH", str(empty))
     jit_tier.reset_jit_state()
     yield
     jit_tier.reset_jit_state()
@@ -110,8 +102,6 @@ class TestProbe:
         assert {
             "engine",
             "available",
-            "numba_version",
-            "numba_reason",
             "cc_compiler",
             "cc_reason",
             "disabled",
@@ -126,32 +116,32 @@ class TestProbe:
         assert st.disabled and not st.available and st.engine == "none"
         assert not jit_tier.jit_available()
 
-    def test_old_numba_rejected_not_crashed(self, clean_jit_state, monkeypatch):
-        """A too-old numba is reported as a reason, never an exception."""
-        import types
-
-        fake = types.ModuleType("numba")
-        fake.__version__ = "0.48.0"
-        monkeypatch.setitem(sys.modules, "numba", fake)
-        monkeypatch.setenv("REPRO_JIT_ENGINE", "numba")
-        jit_tier.reset_jit_state()
+    def test_missing_compiler_is_the_reason(self, no_engine):
         st = probe()
         assert st.engine == "none" and not st.available
-        assert st.numba_version == "0.48.0"
-        assert "0.48.0" in (st.numba_reason or "")
-        min_str = ".".join(str(v) for v in NUMBA_MIN_VERSION)
-        assert min_str in (st.numba_reason or "")
+        assert st.cc_compiler is None
+        assert "no C compiler on PATH" in st.cc_reason
 
-    def test_engine_pin_cc(self, clean_jit_state, monkeypatch):
-        monkeypatch.setenv("REPRO_JIT_ENGINE", "cc")
+    def test_failed_build_is_reported(self, clean_jit_state, monkeypatch):
+        """A compiler that cannot produce the library marks the tier
+        unavailable with the build error as the reason — in the status,
+        the machine report and the one fallback warning — and the
+        multiply still runs bit-identically on numpy."""
+        if not probe().available:
+            pytest.skip("no C compiler on this machine")
+        monkeypatch.setattr(_cc, "_lib", None)  # force a fresh build
+        monkeypatch.setenv("REPRO_JIT_CACHE_DIR", "/dev/null/jit")
         jit_tier.reset_jit_state()
-        st = probe()
-        assert st.engine in ("cc", "none")  # "none" only if no compiler
-
-    def test_engine_pin_none(self, clean_jit_state, monkeypatch):
-        monkeypatch.setenv("REPRO_JIT_ENGINE", "none")
-        jit_tier.reset_jit_state()
+        a, b = _mats(scale=8)
+        with pytest.warns(JITFallbackWarning) as rec:
+            c1 = repro.multiply(a, b, config=PBConfig(sort_backend="radix_jit"))
+        st = jit_tier.jit_status()
+        assert st["available"] is False and st["engine"] == "none"
+        assert "cc engine build failed" in st["cc_reason"]
         assert not jit_tier.jit_available()
+        warned = [str(w.message) for w in rec if w.category is JITFallbackWarning]
+        assert len(warned) == 1 and st["cc_reason"] in warned[0]
+        assert _bitwise_equal(repro.multiply(a, b, config=PBConfig()), c1)
 
 
 # ---------------------------------------------------------------------------
@@ -217,22 +207,6 @@ class TestBitIdentity:
         assert np.array_equal(v0.view(np.uint64), v1.view(np.uint64))
         assert np.array_equal(s0, s1)
 
-    @pytest.mark.parametrize("semiring", sorted(available_semirings()))
-    def test_compress_backend_identical(self, semiring):
-        rng = np.random.default_rng(11)
-        keys = np.sort(rng.integers(0, 300, size=2000, dtype=np.uint32))
-        vals = rng.standard_normal(2000)
-        k0, v0 = compress_keyed(keys, vals, semiring, backend="numpy")
-        k1, v1 = compress_keyed(keys, vals, semiring, backend="jit")
-        assert np.array_equal(k0, k1)
-        assert np.array_equal(v0.view(np.uint64), v1.view(np.uint64))
-
-    def test_compress_jit_rejects_unsorted(self):
-        keys = np.array([5, 3, 9], dtype=np.uint32)
-        vals = np.ones(3)
-        with pytest.raises(ValueError, match="sorted"):
-            compress_keyed(keys, vals, backend="jit")
-
     @pytest.mark.parallel
     def test_process_pool_workers_bit_identical(self):
         a, b = _mats(scale=8)
@@ -242,12 +216,30 @@ class TestBitIdentity:
         assert _bitwise_equal(c0, c1)
 
 
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problems())
+def test_jit_backends_match_numpy_on_harness_shapes(problem):
+    """The block-core harness shapes (k >> n, n >> k, 0/1 extents, five
+    semirings): compiled PB and panel kernels equal their numpy twins
+    bit for bit, served compiled (no fallback warning)."""
+    if not jit_tier.jit_available():
+        pytest.skip("no JIT engine on this machine")
+    a, b, sr = problem
+    jit_tier.reset_jit_state()  # re-arm the once-per-process warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", JITFallbackWarning)
+        pb1 = pb_spgemm(a, b, sr, PBConfig(**JIT_PB))
+        pn1 = hash_spgemm(a, b, semiring=sr, column_backend="panel_jit")
+    assert _bitwise_equal(pb1, pb_spgemm(a, b, sr))
+    assert _bitwise_equal(pn1, hash_spgemm(a, b, semiring=sr, column_backend="panel"))
+
+
 # ---------------------------------------------------------------------------
 # absent degradation (engine forced away)
 # ---------------------------------------------------------------------------
 
 class TestAbsentDegradation:
-    def test_unavailable_when_pinned_engine_missing(self, no_engine):
+    def test_unavailable_when_compiler_missing(self, no_engine):
         assert not jit_tier.jit_available()
 
     def test_single_warning_and_identical_results(self, no_engine):
@@ -270,8 +262,6 @@ class TestAbsentDegradation:
     def test_process_pool_falls_back_bit_identical(self, no_engine):
         a, b = _mats(scale=8)
         cfg = PBConfig(executor="process", nthreads=2, **JIT_PB)
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", JITFallbackWarning)
             c1 = repro.multiply(a, b, config=cfg)
@@ -282,8 +272,6 @@ class TestAbsentDegradation:
         rng = np.random.default_rng(5)
         keys = rng.integers(0, 1 << 17, size=500, dtype=np.uint64)
         vals = rng.random(500)
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", JITFallbackWarning)
             k1, v1, p1 = sort_tuples(keys, vals, key_bits=17, backend="radix_jit")
@@ -313,8 +301,6 @@ class TestWarmup:
 
     def test_detailed_run_has_phase_stopwatch(self):
         a, b = _mats(scale=8)
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", JITFallbackWarning)
             res = pb_spgemm_detailed(a.to_csc(), b, config=PBConfig(**JIT_PB))
@@ -335,15 +321,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             PBConfig(distribute_backend="jit")
         with pytest.raises(ConfigError):
-            PBConfig(compress_backend="compiled")
-        with pytest.raises(ConfigError):
             PBConfig(column_backend="jit_panel")
 
     def test_uses_jit_property(self):
         assert not PBConfig().uses_jit
         assert PBConfig(sort_backend="radix_jit").uses_jit
         assert PBConfig(distribute_backend="counting_jit").uses_jit
-        assert PBConfig(compress_backend="jit").uses_jit
         assert PBConfig(column_backend="panel_jit").uses_jit
 
     def test_dispatch_metadata_flags(self):
@@ -489,8 +472,6 @@ class TestCLI:
         a, _ = _mats(scale=7, ef=4)
         path = tmp_path / "a.mtx"
         write_matrix_market(a, path)
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", JITFallbackWarning)
             rc = main(
@@ -504,8 +485,6 @@ class TestCLI:
                     "radix_jit",
                     "--distribute-backend",
                     "counting_jit",
-                    "--compress-backend",
-                    "jit",
                 ]
             )
         assert rc == 0

@@ -371,5 +371,5 @@ def test_cli_calibrate_smoke(tmp_path, capsys):
 def test_cli_multiply_auto_smoke(mtx_path, capsys):
     from repro.cli import main
 
-    assert main(["multiply", mtx_path, "--algorithm", "auto"]) == 0
+    assert main(["matrix", "multiply", mtx_path, "--algorithm", "auto"]) == 0
     assert "algorithm=auto" in capsys.readouterr().out
