@@ -6,12 +6,11 @@ figure of the paper: the ``benchmark`` fixture times the regeneration
 rows to the terminal (bypassing capture) and archives them under
 ``benchmarks/results/``.
 
-The four standalone perf harnesses (``bench_hotpath.py``,
-``bench_planner_regret.py``, ``bench_column.py``, ``bench_session.py``)
-are *not* pytest modules: they are thin wrappers over the registered
-:mod:`repro.bench` suites, which validate against the shared result
-schema (``repro.bench.validate_result``) and append to the trend store
-under ``benchmarks/results/bench/`` when run with ``--store``.
+The perf suites (``hotpath``, ``planner``, ``column``, ``session``,
+``serve``, ``tiled``, ``sharded``, ``jit``) are not pytest modules:
+``repro bench run <suite>`` runs them, validates each result against
+the shared schema (``repro.bench.validate_result``) and appends it to
+the trend store under ``benchmarks/results/bench/`` with ``--store``.
 
 Workload sizes honour ``REPRO_BENCH_SCALE`` / ``REPRO_SURROGATE_SCALE``
 (see repro.analysis.experiments).

@@ -110,11 +110,10 @@ def multiply(
         Optional :class:`~repro.core.PBConfig`.  Applies to any
         config-aware algorithm: ``"pb"`` consumes the full pipeline
         tuning; the column kernels (heap / hash / hashvec / spa)
-        honour ``column_backend`` / ``panel_tuples``; ``esc_column``
-        honours ``sort_backend`` / ``expand_backend``.  With
-        ``"auto"`` it parameterizes the planner (``plan_cache_dir``,
-        ``calibration``, executor request) and is forwarded to the
-        chosen kernel.
+        honour ``column_backend``; ``esc_column`` honours
+        ``sort_backend`` / ``expand_backend``.  With ``"auto"`` it
+        parameterizes the planner (``plan_cache_dir``, executor
+        request) and is forwarded to the chosen kernel.
     feedback:
         ``algorithm="auto"`` only: record the measured runtime into the
         plan cache, so repeated shapes converge on the true winner even

@@ -1,9 +1,8 @@
 """Built-in suite definitions.
 
 Each module here owns one registered :class:`~repro.bench.registry.
-Suite`: the measurement code that used to live in a standalone
-``benchmarks/bench_*.py`` harness, plus the declarative acceptance
-checks for that suite.  Modules register
+Suite`: the measurement code plus the declarative acceptance checks
+for that suite (``repro bench run <suite>`` runs it).  Modules register
 themselves at import time; the registry imports them lazily by name.
 """
 

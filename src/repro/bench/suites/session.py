@@ -109,7 +109,7 @@ def _bench_pipeline(b_csr, reps: int) -> dict:
     """Pipelined vs. barriered bin processing on one warm session."""
     a_csc = b_csr.to_csc()
     out: dict = {}
-    for label, pipeline in (("pipelined", "pipelined"), ("barrier", "barrier")):
+    for label, pipeline in (("pipelined", "auto"), ("barrier", "barrier")):
         cfg = _proc_config(pipeline=pipeline)
         with Session(cfg, warm=True) as s:
             s.multiply(a_csc, b_csr)  # warm arenas + page caches
@@ -125,7 +125,7 @@ def _check_identity(b_csr) -> dict:
     """Session (pipelined) vs. serial, bit-exact, per built-in semiring."""
     a_csc = b_csr.to_csc()
     out = {}
-    with Session(_proc_config(pipeline="pipelined")) as s:
+    with Session(_proc_config()) as s:
         for name in available_semirings():
             serial = repro.multiply(a_csc, b_csr, semiring=name, config=PBConfig())
             warm = s.multiply(a_csc, b_csr, semiring=name)

@@ -9,7 +9,7 @@ Measures what :mod:`repro.core.tiled` — the block core of
   Each measurement runs in its own spawned child process (operands
   rebuilt from the generator seed inside the child) so the parent's
   allocator high-water mark cannot mask the difference; the child
-  reports ``ru_maxrss`` after the multiply minus a baseline taken
+  reports its peak RSS after the multiply minus a baseline taken
   after imports and operand construction.  The headline acceptance is
   the ISSUE bar: the tiled engine completes under a budget at which
   the monolithic path cannot;
@@ -76,27 +76,44 @@ QUICK_WORKLOADS = (QUICK_PEAK_WORKLOAD, SPILL_WORKLOAD)
 FULL_WORKLOADS = (PEAK_WORKLOAD, SPILL_WORKLOAD)
 
 
+def _peak_rss_kb() -> int:
+    """This process's peak RSS in KiB.
+
+    Linux carries ``ru_maxrss`` across ``exec``, so a spawned child
+    would start from its parent's high-water mark; ``VmHWM`` belongs to
+    the child's own address space.  Other platforms use ``ru_maxrss``.
+    """
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    import resource
+
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+
 def _peak_worker(conn, wname: str, algorithm: str, budget: int | None) -> None:
     """Child-process body: one multiply, report peak-RSS delta.
 
-    Runs under the ``spawn`` start method so the baseline ``ru_maxrss``
+    Runs under the ``spawn`` start method so the baseline peak RSS
     reflects this interpreter's imports plus the operands and nothing
-    from the parent.  ``ru_maxrss`` is a high-water mark, so the delta
-    is the multiply's working set *beyond* the operand-resident
-    baseline — the quantity a memory budget constrains.
+    from the parent.  Peak RSS is a high-water mark, so the delta is the
+    multiply's working set *beyond* the operand-resident baseline — the
+    quantity a memory budget constrains.
     """
-    import resource
-
     b_csr = _WORKLOADS[wname]()
     a_csc = b_csr.to_csc()
-    baseline_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    baseline_kb = _peak_rss_kb()
     t = time.perf_counter()
     if algorithm == "tiled":
         c = tiled_spgemm(a_csc, b_csr, config=PBConfig(memory_budget=budget))
     else:
         c = repro.pb_spgemm(a_csc, b_csr)
     seconds = time.perf_counter() - t
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak_kb = _peak_rss_kb()
     conn.send(
         {
             "algorithm": algorithm,

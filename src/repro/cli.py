@@ -79,6 +79,12 @@ def _exec_parent() -> argparse.ArgumentParser:
     return p
 
 
+def _shards_arg(value: str):
+    """``--shards N|auto``: digits become an int; anything else stays a
+    string for :class:`~repro.core.PBConfig` to accept or reject."""
+    return int(value) if value.isdigit() else value
+
+
 def _load(path: str):
     from .matrix.io import read_matrix_market
 
@@ -127,50 +133,16 @@ def _cmd_multiply(args) -> int:
     from .matrix.io import write_matrix_market
 
     config = None
-    if args.tiled:
-        if args.algorithm not in ("pb", "tiled"):
-            print(
-                f"--tiled conflicts with --algorithm {args.algorithm!r}; "
-                "drop one of the two",
-                file=sys.stderr,
-            )
-            return 2
-        args.algorithm = "tiled"
-    shards = None
-    if args.shards is not None:
-        if args.shards != "auto":
-            try:
-                shards = int(args.shards)
-            except ValueError:
-                print(
-                    f"--shards takes an integer or 'auto', got "
-                    f"{args.shards!r}",
-                    file=sys.stderr,
-                )
-                return 2
-            if shards < 1:
-                print(
-                    f"--shards must be >= 1, got {shards}", file=sys.stderr
-                )
-                return 2
-        else:
-            shards = "auto"
-        if args.algorithm not in ("pb", "tiled", "sharded", "auto"):
-            print(
-                "--shards routes through the sharded tiled engine; use "
-                "--algorithm pb/tiled/sharded/auto "
-                f"(got {args.algorithm!r})",
-                file=sys.stderr,
-            )
-            return 2
-        if args.executor == "process":
-            print(
-                "--shards and --executor process are mutually exclusive: "
-                "sharding forks its own worker set (one process per tile "
-                "row shard); drop one of the two",
-                file=sys.stderr,
-            )
-            return 2
+    shards = args.shards
+    sharded_algs = ("pb", "tiled", "sharded", "auto")
+    if shards is not None and args.algorithm not in sharded_algs:
+        print(
+            "--shards routes through the sharded tiled engine; use "
+            "--algorithm pb/tiled/sharded/auto "
+            f"(got {args.algorithm!r})",
+            file=sys.stderr,
+        )
+        return 2
     pb_flags = (
         args.executor != "serial"
         or args.nthreads != 1
@@ -178,27 +150,24 @@ def _cmd_multiply(args) -> int:
         or args.sort_backend != "radix"
         or args.distribute_backend != "counting"
     )
-    column_flags = (
-        args.column_backend != "panel" or args.panel_tuples is not None
-    )
+    column_flags = args.column_backend != "panel"
     tiled_flags = (
         args.memory_budget is not None
         or args.tile_rows is not None
         or args.tile_cols is not None
         or args.spill_dir is not None
     )
-    if shards is not None and tiled_flags:
+    if shards is not None and args.tile_rows is not None:
         # --shards reinterprets the tiled knobs (see --shards help):
         # budget becomes per-shard, --tile-cols pins the shared panel
         # split, --tile-rows has no meaning (rows split by shard count).
-        if args.tile_rows is not None:
-            print(
-                "--tile-rows conflicts with --shards: the row split is "
-                "the shard assignment (one flop-balanced contiguous row "
-                "range per shard); pin --shards instead",
-                file=sys.stderr,
-            )
-            return 2
+        print(
+            "--tile-rows conflicts with --shards: the row split is "
+            "the shard assignment (one flop-balanced contiguous row "
+            "range per shard); pin --shards instead",
+            file=sys.stderr,
+        )
+        return 2
     if pb_flags and args.algorithm not in ("pb", "auto", "tiled"):
         print(
             "--executor/--nthreads/--nbins/--sort-backend/"
@@ -210,7 +179,7 @@ def _cmd_multiply(args) -> int:
     _column_algs = ("heap", "hash", "hashvec", "spa")
     if column_flags and args.algorithm not in _column_algs + ("auto",):
         print(
-            "--column-backend/--panel-tuples configure the column kernels; "
+            "--column-backend configures the column kernels; "
             f"use --algorithm {'/'.join(_column_algs)} "
             f"(got {args.algorithm!r})",
             file=sys.stderr,
@@ -223,7 +192,7 @@ def _cmd_multiply(args) -> int:
     ):
         print(
             "--memory-budget/--tile-rows/--tile-cols/--spill-dir configure "
-            "the tiled engine; use --tiled (or --algorithm auto for "
+            "the tiled engine; use --algorithm tiled (or auto for "
             f"budget-gated selection; got {args.algorithm!r})",
             file=sys.stderr,
         )
@@ -240,7 +209,6 @@ def _cmd_multiply(args) -> int:
                 sort_backend=args.sort_backend,
                 distribute_backend=args.distribute_backend,
                 column_backend=args.column_backend,
-                panel_tuples=args.panel_tuples,
                 tile_rows=args.tile_rows,
                 tile_cols=args.tile_cols,
                 memory_budget=args.memory_budget,
@@ -286,28 +254,12 @@ def _cmd_serve(args) -> int:
             distribute_backend=args.distribute_backend,
             column_backend=args.column_backend,
         )
+        if args.shards is not None:
+            # Shard routing runs this config sharded: the same checks
+            # (count, executor conflict) apply.
+            config.with_(shards=args.shards)
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    shards = args.shards
-    if shards is not None and shards != "auto":
-        try:
-            shards = int(shards)
-        except ValueError:
-            print(
-                f"--shards takes an integer or 'auto', got {shards!r}",
-                file=sys.stderr,
-            )
-            return 2
-        if shards < 1:
-            print(f"--shards must be >= 1, got {shards}", file=sys.stderr)
-            return 2
-    if shards is not None and args.executor == "process":
-        print(
-            "--shards and --executor process are mutually exclusive; "
-            "drop one of the two",
-            file=sys.stderr,
-        )
         return 2
     serve_config = ServeConfig(
         host=args.host,
@@ -317,9 +269,7 @@ def _cmd_serve(args) -> int:
         max_pending_tuples=args.max_pending_tuples,
         max_batch=args.max_batch,
         max_batch_tuples=args.max_batch_tuples,
-        max_wait_s=args.max_wait_ms / 1000.0,
-        fuse=not args.no_fuse,
-        shards=shards,
+        shards=args.shards,
         shard_tuples=args.shard_tuples,
     )
 
@@ -334,7 +284,7 @@ def _cmd_serve(args) -> int:
         print(
             f"repro serve: listening on {where} "
             f"(executor={args.executor}x{args.nthreads}, "
-            f"max_batch={args.max_batch}, fuse={not args.no_fuse})",
+            f"max_batch={args.max_batch})",
             flush=True,
         )
         loop = asyncio.get_running_loop()
@@ -371,7 +321,6 @@ def _cmd_plan(args) -> int:
         distribute_backend=args.distribute_backend,
         column_backend=args.column_backend,
         plan_cache_dir=args.cache_dir,
-        calibration="off" if args.no_calibration else "auto",
     )
     a = _load(args.a).to_csc()
     b = _load(args.b).to_csr() if args.b else a.to_csr()
@@ -670,23 +619,12 @@ def _build_multiply(sub, exec_parent):
     m.add_argument("--semiring", default="plus_times")
     m.add_argument("--output", help="write the product here (.mtx)")
     m.add_argument(
-        "--panel-tuples",
-        type=int,
-        default=None,
-        help="panel working-set budget in tuples for --column-backend panel",
-    )
-    m.add_argument(
-        "--tiled",
-        action="store_true",
-        help="run the 2D tiled out-of-core engine (algorithm=tiled)",
-    )
-    m.add_argument(
         "--memory-budget",
         type=int,
         default=None,
         metavar="BYTES",
         help="peak-memory target: sizes the tile grid / enables spill "
-        "(with --tiled) and gates planner candidates (with "
+        "(with --algorithm tiled) and gates planner candidates (with "
         "--algorithm auto)",
     )
     m.add_argument(
@@ -710,6 +648,7 @@ def _build_multiply(sub, exec_parent):
     )
     m.add_argument(
         "--shards",
+        type=_shards_arg,
         default=None,
         metavar="N|auto",
         help="run the multiply across N worker processes, each owning a "
@@ -779,11 +718,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cache-dir",
         help="planner state directory (profile + plan cache); default in-memory",
-    )
-    p.add_argument(
-        "--no-calibration",
-        action="store_true",
-        help="ignore any saved machine profile (preset model only)",
     )
     p.add_argument("--seed", type=int, default=0, help="sketch sampling seed")
     p.add_argument("--json", action="store_true", help="machine-readable dump")
@@ -911,21 +845,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="max estimated flops per fused wave",
     )
     srv.add_argument(
-        "--max-wait-ms", type=float, default=0.0,
-        help="hold the queue head this long to let a wave fill "
-        "(default 0: batching emerges from load, lone requests "
-        "dispatch immediately)",
-    )
-    srv.add_argument(
-        "--no-fuse", action="store_true",
-        help="disable block-diagonal wave fusion (waves of one)",
-    )
-    srv.add_argument(
         "--warm", action="store_true",
         help="spawn and warm the worker pool before accepting traffic",
     )
     srv.add_argument(
-        "--shards", default=None, metavar="N|auto",
+        "--shards", type=_shards_arg, default=None, metavar="N|auto",
         help="route large multiplies through the sharded tiled executor "
         "with this many worker processes ('auto' derives from the "
         "machine); small requests keep wave batching",

@@ -3,8 +3,8 @@
 * :class:`PBConfig` — tunable parameters (nbins policy, local-bin
   width, key packing, bin mapping, sort backend).
 * :func:`symbolic_phase` — Alg. 3: O(n) flop estimation + bin sizing.
-* :mod:`repro.core.binning` — bin geometry, key packing (Sec. III-D),
-  and a faithful local-bin flush simulation used for trace generation.
+* :mod:`repro.core.binning` — bin geometry and key packing
+  (Sec. III-D).
 * :func:`pb_spgemm` — Alg. 2: expand → bin → sort → compress → CSR.
 * :func:`partitioned_pb_spgemm` — the NUMA-partitioned variant
   discussed in Sec. V-D.

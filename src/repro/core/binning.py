@@ -1,18 +1,14 @@
-"""Bin geometry, key packing, and local-bin flush simulation (Secs. III-C/D).
+"""Bin geometry and key packing (Secs. III-C/D).
 
 Propagation blocking partitions the expanded tuple stream into
 ``nbins`` bins so that sort and compress run bin-local (in cache) and
-thread-parallel.  Two ingredients live here:
-
-* :class:`BinLayout` — the bin↦row-range geometry plus the packed-key
-  codec of Sec. III-D: within a bin covering ``rows_per_bin`` rows, a
-  tuple's key is ``(local_row << col_bits) | col``, which usually fits
-  32 bits and halves the radix passes.
-* :func:`simulate_local_bins` — a faithful replay of the thread-private
-  local-bin protocol of Fig. 5 (append; flush to the global bin when
-  full; drain leftovers at the end), used to generate memory traces and
-  to count flush efficiency.  The numeric pipeline itself distributes
-  tuples with one vectorized stable sort — same result, no Python loop.
+thread-parallel.  :class:`BinLayout` is the bin↦row-range geometry plus
+the packed-key codec of Sec. III-D: within a bin covering
+``rows_per_bin`` rows, a tuple's key is ``(local_row << col_bits) |
+col``, which usually fits 32 bits and halves the radix passes.  The
+numeric pipeline distributes tuples with one vectorized stable
+placement; the thread-private local-bin protocol of Fig. 5 is modeled
+by the cost model and the trace simulator.
 """
 
 from __future__ import annotations
@@ -358,47 +354,3 @@ class VariableBinLayout:
 
     def row_range(self, binid: int) -> tuple[int, int]:
         return int(self.edges[binid]), int(self.edges[binid + 1])
-
-
-def simulate_local_bins(
-    layout: BinLayout,
-    rows_stream: np.ndarray,
-    local_bin_tuples: int,
-) -> dict:
-    """Replay the local-bin protocol of Fig. 5 on a tuple stream.
-
-    One virtual thread appends each tuple to its bin's local buffer and
-    flushes the buffer to the global bin when it reaches
-    ``local_bin_tuples`` entries; leftovers flush at stream end
-    (Alg. 2 lines 10-12 and 15-18).
-
-    Returns flush statistics the cost model and Fig. 6a consume:
-    ``full_flushes``, ``partial_flushes``, ``flushed_tuples``, and
-    ``mean_flush_fill`` (fraction of the local-bin width actually used
-    per flush — the cache-line utilization proxy).
-    """
-    if local_bin_tuples < 1:
-        raise ConfigError(f"local_bin_tuples must be >= 1, got {local_bin_tuples}")
-    binid = layout.bin_of_rows(np.asarray(rows_stream))
-    # Per bin, every complete group of local_bin_tuples appends triggers
-    # one full flush; a nonzero remainder drains as one partial flush.
-    counts = np.bincount(binid, minlength=layout.nbins)
-    full_per_bin = counts // local_bin_tuples
-    rem_per_bin = counts % local_bin_tuples
-    full_flushes = int(full_per_bin.sum())
-    flushed = int((full_per_bin * local_bin_tuples).sum())
-    partial_flushes = int(np.count_nonzero(rem_per_bin))
-    flushed += int(rem_per_bin.sum())
-    fills = []
-    if full_flushes:
-        fills.append(np.full(full_flushes, 1.0))
-    if partial_flushes:
-        fills.append(rem_per_bin[rem_per_bin > 0] / local_bin_tuples)
-    mean_fill = float(np.concatenate(fills).mean()) if fills else 0.0
-    return {
-        "full_flushes": full_flushes,
-        "partial_flushes": partial_flushes,
-        "flushed_tuples": flushed,
-        "mean_flush_fill": mean_fill,
-        "tuples_per_bin": counts,
-    }

@@ -3,13 +3,13 @@
 The paper exposes two primary knobs — the number of global bins
 (``nbins``, Fig. 6b) and the local-bin width (``Lbinwidth``, Fig. 6a,
 default 512 bytes) — plus several design decisions this reproduction
-makes ablatable (DESIGN.md §6): bin mapping, key packing, sort backend,
-and the chunk budget the vectorized expand uses.
+makes ablatable (DESIGN.md §6): bin mapping, key packing and the
+per-phase kernel backends.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..errors import ConfigError
 
@@ -29,14 +29,12 @@ class PBConfig:
     ----------
     nbins:
         Number of global bins.  ``None`` (default) lets the symbolic
-        phase choose so a bin's tuples fit ``l2_target_bytes``
-        (Alg. 3 line 6), rounded up to a power of two and clamped to
-        ``[1, nrows]``.
+        phase choose so a bin's tuples fit
+        :data:`DEFAULT_L2_TARGET_BYTES` (Alg. 3 line 6); see
+        :func:`resolve_nbins`.
     local_bin_bytes:
         Width of each thread-private local bin in bytes (Fig. 6a;
         paper default 512).
-    l2_target_bytes:
-        Cache budget a global bin must fit during sort/compress.
     bin_mapping:
         ``"range"`` — contiguous equal row ranges per bin (Fig. 4's
         layout; enables key packing); ``"modulo"`` — ``rowid % nbins``
@@ -77,18 +75,11 @@ class PBConfig:
         ``"panel_jit"`` — the panel path with the compiled per-panel
         sort + segmented fold of the JIT tier (falls back to
         ``"panel"``).  Bit-identical products.
-    panel_tuples:
-        Panel working-set budget in tuples for
-        ``column_backend="panel"``; ``None`` (default) uses
-        :data:`repro.kernels.column_panel.DEFAULT_PANEL_TUPLES`.
     use_local_bins:
         Model/trace the thread-private local-bin stage.  Turning this
         off does not change the numeric result (the executable path is
         vectorized either way) but changes the simulated traffic and
         the generated traces — it is the Fig. 5 ablation switch.
-    chunk_flops:
-        Expand-phase chunk budget in tuples (bounds peak memory; also
-        the work-grain of the parallel expand).
     nthreads:
         Worker count.  With ``executor="serial"`` it only feeds the
         simulator's per-thread work decompositions; with
@@ -98,13 +89,10 @@ class PBConfig:
         JSON + plan cache); ``None`` (default) falls back to the
         ``REPRO_PLAN_CACHE_DIR`` environment variable, and to a
         process-local in-memory cache when that is unset either.
-        Only consulted by ``algorithm="auto"`` / :mod:`repro.planner`.
-    calibration:
-        ``"auto"`` (default) — the planner uses a calibrated machine
-        profile from ``plan_cache_dir`` when one has been saved by
-        ``repro calibrate`` and falls back to the
-        :mod:`repro.machine.presets` model otherwise; ``"off"`` —
-        always use the preset model (fully deterministic planning).
+        Only consulted by ``algorithm="auto"`` / :mod:`repro.planner`,
+        which uses the machine profile saved there by ``repro
+        calibrate`` and the :mod:`repro.machine.presets` model when
+        none has been saved.
     executor:
         ``"serial"`` (default) — single-process numpy pipeline;
         ``"process"`` — run expand and per-bin sort/compress on a
@@ -151,26 +139,21 @@ class PBConfig:
         ``"auto"`` (default) — pipelined when a process engine runs
         (each bin group's sort/compress task is submitted as soon as
         its slice of the distribute placement lands in shared memory,
-        overlapping placement with worker sorting); ``"pipelined"`` —
-        require the pipelined schedule (rejected with
-        ``executor="serial"``, which has no overlap to exploit);
-        ``"barrier"`` — the phase-barriered schedule (distribute
-        completes before any sort task is submitted; the ablation).
-        All schedules are bit-identical.
+        overlapping placement with worker sorting; the serial pipeline
+        has nothing to overlap); ``"barrier"`` — the phase-barriered
+        schedule (distribute completes before any sort task is
+        submitted; the ablation).  Both schedules are bit-identical.
     """
 
     nbins: int | None = None
     local_bin_bytes: int = DEFAULT_LOCAL_BIN_BYTES
-    l2_target_bytes: int = DEFAULT_L2_TARGET_BYTES
     bin_mapping: str = "range"
     pack_keys: bool = True
     sort_backend: str = "radix"
     distribute_backend: str = "counting"
     expand_backend: str = "arena"
     column_backend: str = "panel"
-    panel_tuples: int | None = None
     use_local_bins: bool = True
-    chunk_flops: int = 8_000_000
     nthreads: int = 1
     executor: str = "serial"
     pipeline: str = "auto"
@@ -180,7 +163,6 @@ class PBConfig:
     memory_budget: int | None = None
     spill_dir: str | None = None
     plan_cache_dir: str | None = None
-    calibration: str = "auto"
 
     def __post_init__(self) -> None:
         if self.nbins is not None and self.nbins < 1:
@@ -190,8 +172,6 @@ class PBConfig:
                 f"local_bin_bytes must hold at least one {TUPLE_BYTES}-byte "
                 f"tuple, got {self.local_bin_bytes}"
             )
-        if self.l2_target_bytes < TUPLE_BYTES:
-            raise ConfigError(f"l2_target_bytes too small: {self.l2_target_bytes}")
         if self.bin_mapping not in ("range", "modulo", "balanced"):
             raise ConfigError(
                 "bin_mapping must be 'range', 'modulo' or 'balanced', "
@@ -217,28 +197,15 @@ class PBConfig:
                 "column_backend must be 'panel', 'loop' or 'panel_jit', "
                 f"got {self.column_backend!r}"
             )
-        if self.panel_tuples is not None and self.panel_tuples < 1:
-            raise ConfigError(
-                f"panel_tuples must be >= 1 or None, got {self.panel_tuples}"
-            )
-        if self.chunk_flops < 1:
-            raise ConfigError(f"chunk_flops must be >= 1, got {self.chunk_flops}")
         if self.nthreads < 1:
             raise ConfigError(f"nthreads must be >= 1, got {self.nthreads}")
         if self.executor not in ("serial", "process"):
             raise ConfigError(
                 f"executor must be 'serial' or 'process', got {self.executor!r}"
             )
-        if self.pipeline not in ("auto", "pipelined", "barrier"):
+        if self.pipeline not in ("auto", "barrier"):
             raise ConfigError(
-                "pipeline must be 'auto', 'pipelined' or 'barrier', "
-                f"got {self.pipeline!r}"
-            )
-        if self.pipeline == "pipelined" and self.executor != "process":
-            raise ConfigError(
-                "pipeline='pipelined' requires executor='process' "
-                "(the serial pipeline has no phases to overlap); use "
-                "pipeline='auto' to pipeline only when a process engine runs"
+                f"pipeline must be 'auto' or 'barrier', got {self.pipeline!r}"
             )
         if self.bin_mapping == "modulo" and self.pack_keys:
             raise ConfigError(
@@ -289,10 +256,6 @@ class PBConfig:
                 f"plan_cache_dir must be a str path or None, "
                 f"got {type(self.plan_cache_dir).__name__}"
             )
-        if self.calibration not in ("auto", "off"):
-            raise ConfigError(
-                f"calibration must be 'auto' or 'off', got {self.calibration!r}"
-            )
 
     def with_(self, **changes) -> "PBConfig":
         """Functional update (dataclasses.replace with validation)."""
@@ -336,11 +299,6 @@ class PBConfig:
             or self.column_backend == "panel_jit"
         )
 
-    @property
-    def local_bin_tuples(self) -> int:
-        """Tuples one local bin holds before flushing to its global bin."""
-        return max(1, self.local_bin_bytes // TUPLE_BYTES)
-
 
 def resolve_nbins(flop: int, nrows: int, config: "PBConfig | None" = None) -> int:
     """THE place ``nbins=None`` resolves to a concrete bin count.
@@ -359,11 +317,10 @@ def resolve_nbins(flop: int, nrows: int, config: "PBConfig | None" = None) -> in
     planner — calls this function, so the simulated, planned and
     executed bin counts can never drift apart.
     """
-    cfg = config or PBConfig()
     m = max(int(nrows), 1)
-    if cfg.nbins is not None:
-        return min(cfg.nbins, m)
-    tuples_per_bin = max(1, cfg.l2_target_bytes // TUPLE_BYTES)
+    if config is not None and config.nbins is not None:
+        return min(config.nbins, m)
+    tuples_per_bin = DEFAULT_L2_TARGET_BYTES // TUPLE_BYTES
     needed = max(1, -(-int(flop) // tuples_per_bin))
     pow2 = 1 << max(0, (needed - 1)).bit_length()
     return min(max(pow2, 1024), 2048, m)

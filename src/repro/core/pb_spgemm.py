@@ -7,8 +7,8 @@ Phases (matching the paper's structure and instrumentation points):
 2. **Expand** (lines 5-14): outer products stream A (CSC) and B (CSR)
    once into a flop-sized arena; tuples are packed into narrow integer
    keys (Sec. III-D) and bucket-placed into global bins in one fused
-   counting distribution (the local-bin protocol is replayed separately
-   for traffic accounting when requested).
+   counting distribution (the local-bin protocol of Fig. 5 is modeled
+   by the cost model and the trace simulator, not executed here).
 3. **Sort** (line 16): per bin, the already-packed keys are sorted by
    the counting-scatter LSD radix (see :mod:`repro.kernels.radix`).
 4. **Compress** (line 17): per bin, the two-pointer merge collapses
@@ -18,9 +18,8 @@ Phases (matching the paper's structure and instrumentation points):
    bin order *is* row-major order; one bincount builds the pointer.
 
 The function returns just the CSR product; :func:`pb_spgemm_detailed`
-additionally returns per-phase measurements (tuple counts, bin
-occupancy, radix passes, flush statistics) that the cost model and
-several benchmarks consume.
+additionally returns per-phase measurements (bin occupancy, radix
+passes, phase timings) that several benchmarks consume.
 """
 
 from __future__ import annotations
@@ -37,14 +36,13 @@ from ..matrix.csc import CSCMatrix
 from ..matrix.csr import CSRMatrix
 from ..semiring import PLUS_TIMES, Semiring, get_semiring
 from ..kernels.compress import compress_keyed
-from ..kernels.outer_expand import expand_arena, expand_chunks
+from ..kernels.outer_expand import DEFAULT_CHUNK_FLOPS, expand_arena, expand_chunks
 from ..kernels.radix import sort_tuples
 from .binning import (
     BinLayout,
     distribute_packed,
     distribute_plan,
     plan_bins,
-    simulate_local_bins,
     unpack_keys,
 )
 from .config import PBConfig
@@ -64,13 +62,10 @@ class PBResult:
     tuples_per_bin: np.ndarray
     radix_passes: int
     key_bits: int
-    local_bin_stats: dict | None = None
-    phase_tuple_counts: dict = field(default_factory=dict)
     #: Wall-clock seconds of each executable phase (symbolic, expand,
     #: sort_compress, convert), each measured with its own explicit
     #: start/stop timestamps (``expand`` includes the fused
-    #: distribute; the optional local-bin replay is instrumentation
-    #: and charged to no phase).  Under ``executor="process"`` the keys
+    #: distribute).  Under ``executor="process"`` the keys
     #: ``expand_workers`` and ``sort_compress_workers`` additionally
     #: hold the per-worker-task seconds of each parallel phase, so
     #: benchmarks can report measured numbers next to the simulator's
@@ -109,7 +104,6 @@ def pb_spgemm_detailed(
     b_csr: CSRMatrix,
     semiring: Semiring | str = PLUS_TIMES,
     config: PBConfig | None = None,
-    collect_local_bin_stats: bool = False,
     engine=None,
 ) -> PBResult:
     """Run PB-SpGEMM and return the product with full instrumentation.
@@ -211,7 +205,7 @@ def pb_spgemm_detailed(
         engine = None
     # Pipelined bin processing needs a process engine; "auto" turns it
     # on whenever one runs, "barrier" keeps the phase-barriered ablation.
-    use_pipeline = engine is not None and cfg.pipeline in ("auto", "pipelined")
+    use_pipeline = engine is not None and cfg.pipeline == "auto"
 
     expand_worker_seconds: list[float] | None = None
     sc_worker_seconds: list[float] | None = None
@@ -227,19 +221,21 @@ def pb_spgemm_detailed(
         t_phase = time.perf_counter()
         if engine is not None:
             rows, cols, vals, expand_worker_seconds = engine.expand(
-                a_csc, b_csr, sym.flops_per_k, sr_token, cfg.chunk_flops
+                a_csc, b_csr, sym.flops_per_k, sr_token, DEFAULT_CHUNK_FLOPS
             )
         elif cfg.expand_backend == "arena":
             rows, cols, vals = expand_arena(
                 a_csc,
                 b_csr,
-                chunk_flops=cfg.chunk_flops,
+                chunk_flops=DEFAULT_CHUNK_FLOPS,
                 semiring=sr,
                 per_k=sym.flops_per_k,
             )
         else:  # "concat": pre-optimization list-of-chunks path (ablation)
             chunks = list(
-                expand_chunks(a_csc, b_csr, chunk_flops=cfg.chunk_flops, semiring=sr)
+                expand_chunks(
+                    a_csc, b_csr, chunk_flops=DEFAULT_CHUNK_FLOPS, semiring=sr
+                )
             )
             rows = np.concatenate([c[0] for c in chunks])
             cols = np.concatenate([c[1] for c in chunks])
@@ -260,9 +256,6 @@ def pb_spgemm_detailed(
         tuples_per_bin = np.diff(bin_starts)
         phase_seconds["expand"] = time.perf_counter() - t_phase
 
-        local_stats = None
-        if collect_local_bin_stats and cfg.use_local_bins:
-            local_stats = simulate_local_bins(layout, rows, cfg.local_bin_tuples)
         if use_pipeline:
             # ``vals`` stays alive: it is the expand arena's shm view,
             # read group by group during the pipelined placement.
@@ -359,11 +352,6 @@ def pb_spgemm_detailed(
         tuples_per_bin=tuples_per_bin,
         radix_passes=passes,
         key_bits=layout.key_bits,
-        local_bin_stats=local_stats,
-        phase_tuple_counts={
-            "expanded": sym.flop,
-            "compressed": nnz_c,
-        },
         phase_seconds=phase_seconds,
         executor_used="process" if engine is not None else "serial",
     )

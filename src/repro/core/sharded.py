@@ -157,18 +157,13 @@ def resolve_shards(
 def sharded_config(config: PBConfig | None, shards: int | str | None) -> PBConfig:
     """A config routed to the sharded path, conflicts resolved.
 
-    Sets ``shards`` and downgrades ``executor="process"`` (and a
-    then-stranded ``pipeline="pipelined"``) to the serial pipeline the
-    shards actually run — the helper serve and CLI call instead of
-    re-deriving the compatibility rules of ``PBConfig``.
+    Sets ``shards`` and downgrades ``executor="process"`` to the serial
+    pipeline the shards actually run — the helper serve and the front
+    door call instead of re-deriving the compatibility rules of
+    ``PBConfig``.
     """
     cfg = config or PBConfig()
-    changes: dict = {"shards": shards}
-    if cfg.executor == "process":
-        changes["executor"] = "serial"
-        if cfg.pipeline == "pipelined":
-            changes["pipeline"] = "auto"
-    return cfg.with_(**changes)
+    return cfg.with_(shards=shards, executor="serial")
 
 
 def sharded_peak_bytes(

@@ -59,15 +59,15 @@ DEFAULT_PANEL_TUPLES = 250_000
 COLUMN_BACKENDS = ("panel", "loop", "panel_jit")
 
 
-def resolve_column_backend(config, column_backend, panel_tuples):
-    """Resolve the (backend, panel budget) pair for one kernel call.
+def resolve_column_backend(config, column_backend) -> str:
+    """Resolve the execution strategy for one column-kernel call.
 
-    Explicit keyword arguments win; otherwise the ``PBConfig`` fields
-    (``column_backend`` / ``panel_tuples``) apply; otherwise the
-    defaults (``"panel"``, :data:`DEFAULT_PANEL_TUPLES`).
+    An explicit ``column_backend`` wins; otherwise the ``PBConfig``
+    field applies; otherwise ``"panel"``.  The panel budget is always
+    :data:`DEFAULT_PANEL_TUPLES`.
     """
     if column_backend is None and config is not None:
-        column_backend = getattr(config, "column_backend", None)
+        column_backend = config.column_backend
     if column_backend is None:
         column_backend = "panel"
     if column_backend not in COLUMN_BACKENDS:
@@ -75,13 +75,7 @@ def resolve_column_backend(config, column_backend, panel_tuples):
             f"column_backend must be one of {COLUMN_BACKENDS}, "
             f"got {column_backend!r}"
         )
-    if panel_tuples is None and config is not None:
-        panel_tuples = getattr(config, "panel_tuples", None)
-    if panel_tuples is None:
-        panel_tuples = DEFAULT_PANEL_TUPLES
-    if panel_tuples < 1:
-        raise ConfigError(f"panel_tuples must be >= 1, got {panel_tuples}")
-    return column_backend, int(panel_tuples)
+    return column_backend
 
 
 def stack_column_stream(m, n, out_rows, out_cols, out_vals) -> CSRMatrix:

@@ -31,22 +31,18 @@ class AlgorithmInfo:
     (:mod:`repro.planner`) and the session front door consume instead of
     hard-coding algorithm names: whether the kernel accepts a
     ``config=`` PBConfig, whether it can run on the process-pool
-    executor, whether a masked variant exists
-    (:func:`repro.kernels.masked.masked_spgemm`), and whether it can
-    execute on a :class:`repro.session.Session`'s warm engine (accepts
-    an ``engine=`` keyword).
+    executor, and whether it can execute on a
+    :class:`repro.session.Session`'s warm engine (accepts an
+    ``engine=`` keyword).
 
     ``column_backends`` lists the execution strategies a column kernel
     can run under (``("panel", "loop", "panel_jit")`` for the four
     accumulator algorithms — see :mod:`repro.kernels.column_panel`);
-    empty for algorithms without the switch.
-
-    ``supports_jit`` marks algorithms with at least one ``*_jit``
-    backend from the compiled kernel tier (:mod:`repro.kernels.jit`):
-    the PB pipeline (``radix_jit`` sort, ``counting_jit`` distribute)
-    and the four panel column kernels
-    (``panel_jit``).  The planner only prices JIT-tier candidates for
-    algorithms carrying this flag.
+    empty for algorithms without the switch.  The planner prices the
+    compiled tier (:mod:`repro.kernels.jit`) by name for the PB family
+    (``"pb"``, ``"tiled"``, ``"sharded"``: the ``radix_jit`` sort and
+    ``counting_jit`` distribute) and, for column kernels, when
+    ``"panel_jit"`` is listed here.
 
     ``wants_session`` marks algorithms whose kernel takes the *whole*
     session (a ``session=`` keyword) rather than its warm engine — the
@@ -66,9 +62,7 @@ class AlgorithmInfo:
     description: str
     supports_config: bool = False  # accepts config=PBConfig
     supports_process: bool = False  # can run on the process-pool executor
-    supports_masked: bool = False  # has a masked-output variant
     supports_session: bool = False  # accepts engine= from a warm Session
-    supports_jit: bool = False  # has *_jit backends (repro.kernels.jit)
     wants_session: bool = False  # accepts session= (not engine=)
     column_backends: tuple = ()  # column execution strategies, if any
 
@@ -103,28 +97,24 @@ def _registry() -> dict[str, AlgorithmInfo]:
             "heap", heap_spgemm, "column", "accumulator", "heap", "d", 0,
             "Column SpGEMM, per-column heap merge (Azad et al. 2016)",
             supports_config=True,
-            supports_jit=True,
             column_backends=("panel", "loop", "panel_jit"),
         ),
         AlgorithmInfo(
             "hash", hash_spgemm, "column", "accumulator", "hash", "d", 0,
             "Column SpGEMM, per-column hash table (Nagasaka et al. 2019)",
             supports_config=True,
-            supports_jit=True,
             column_backends=("panel", "loop", "panel_jit"),
         ),
         AlgorithmInfo(
             "hashvec", hashvec_spgemm, "column", "accumulator", "hash", "d", 0,
             "Column SpGEMM, batched open-addressing probing (HashVec)",
             supports_config=True,
-            supports_jit=True,
             column_backends=("panel", "loop", "panel_jit"),
         ),
         AlgorithmInfo(
             "spa", spa_spgemm, "column", "accumulator", "spa", "d", 0,
             "Column SpGEMM, dense sparse-accumulator (Gilbert et al. 1992)",
             supports_config=True,
-            supports_jit=True,
             column_backends=("panel", "loop", "panel_jit"),
         ),
         AlgorithmInfo(
@@ -137,9 +127,7 @@ def _registry() -> dict[str, AlgorithmInfo]:
             "PB-SpGEMM: outer product + propagation blocking (this paper)",
             supports_config=True,
             supports_process=True,
-            supports_masked=True,
             supports_session=True,
-            supports_jit=True,
         ),
         AlgorithmInfo(
             # Same Table I cell as PB — each tile IS a PB multiply; the
@@ -151,7 +139,6 @@ def _registry() -> dict[str, AlgorithmInfo]:
             supports_config=True,
             supports_process=True,
             supports_session=True,
-            supports_jit=True,
         ),
         AlgorithmInfo(
             # Still the same Table I cell: shards only spread the tile
@@ -161,7 +148,6 @@ def _registry() -> dict[str, AlgorithmInfo]:
             "shared-memory panel broadcast, streamed assembly "
             "(repro.core.sharded)",
             supports_config=True,
-            supports_jit=True,
             wants_session=True,
         ),
     ]
@@ -210,9 +196,7 @@ def algorithm_metadata() -> dict[str, dict]:
             "accumulator": info.accumulator,
             "supports_config": info.supports_config,
             "supports_process": info.supports_process,
-            "supports_masked": info.supports_masked,
             "supports_session": info.supports_session,
-            "supports_jit": info.supports_jit,
             "wants_session": info.wants_session,
             "column_backends": list(info.column_backends),
             "description": info.description,

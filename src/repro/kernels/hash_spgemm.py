@@ -39,25 +39,20 @@ def hash_spgemm(
     b_csr: CSRMatrix,
     semiring: Semiring | str = PLUS_TIMES,
     column_backend: str | None = None,
-    panel_tuples: int | None = None,
     config=None,
 ) -> CSRMatrix:
     """C = A · B with per-column hash accumulation; canonical CSR output.
 
-    ``column_backend`` / ``panel_tuples`` override the corresponding
-    :class:`~repro.core.PBConfig` fields when given; ``config`` supplies
-    them otherwise (threaded through :func:`repro.kernels.spgemm` and
-    the planner).
+    ``column_backend`` overrides the :class:`~repro.core.PBConfig`
+    field when given; ``config`` supplies it otherwise (threaded
+    through :func:`repro.kernels.spgemm` and the planner).
     """
     if a_csc.shape[1] != b_csr.shape[0]:
         raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
-    backend, budget = resolve_column_backend(config, column_backend, panel_tuples)
+    backend = resolve_column_backend(config, column_backend)
     sr = get_semiring(semiring)
     if backend in ("panel", "panel_jit"):
-        return panel_spgemm(
-            a_csc, b_csr, sr, panel_tuples=budget,
-            use_jit=(backend == "panel_jit"),
-        )
+        return panel_spgemm(a_csc, b_csr, sr, use_jit=(backend == "panel_jit"))
 
     add_scalar = sr.add_scalar
     m, n = a_csc.shape[0], b_csr.shape[1]

@@ -68,19 +68,15 @@ def heap_spgemm(
     b_csr: CSRMatrix,
     semiring: Semiring | str = PLUS_TIMES,
     column_backend: str | None = None,
-    panel_tuples: int | None = None,
     config=None,
 ) -> CSRMatrix:
     """C = A · B with per-column heap merging; canonical CSR output."""
     if a_csc.shape[1] != b_csr.shape[0]:
         raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
-    backend, budget = resolve_column_backend(config, column_backend, panel_tuples)
+    backend = resolve_column_backend(config, column_backend)
     sr = get_semiring(semiring)
     if backend in ("panel", "panel_jit"):
-        return panel_spgemm(
-            a_csc, b_csr, sr, panel_tuples=budget,
-            use_jit=(backend == "panel_jit"),
-        )
+        return panel_spgemm(a_csc, b_csr, sr, use_jit=(backend == "panel_jit"))
 
     m, n = a_csc.shape[0], b_csr.shape[1]
     b_csc = b_csr.to_csc()

@@ -21,7 +21,7 @@ from ..matrix.csc import CSCMatrix
 from ..matrix.csr import CSRMatrix
 from ..semiring import PLUS_TIMES, Semiring, get_semiring
 from .compress import compress_sorted
-from .outer_expand import expand_chunks
+from .outer_expand import DEFAULT_CHUNK_FLOPS, expand_chunks
 from .radix import sort_tuples
 
 
@@ -39,7 +39,7 @@ def masked_spgemm(
     mask: CSRMatrix,
     semiring: Semiring | str = PLUS_TIMES,
     complement: bool = False,
-    chunk_flops: int = 8_000_000,
+    chunk_flops: int = DEFAULT_CHUNK_FLOPS,
 ) -> CSRMatrix:
     """C = (A · B) ⊙ mask — only entries on the mask's support.
 

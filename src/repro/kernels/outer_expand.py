@@ -30,6 +30,10 @@ from ..matrix.csc import CSCMatrix
 from ..matrix.csr import CSRMatrix
 from ..semiring import PLUS_TIMES, Semiring, get_semiring
 
+#: Expand-phase chunk budget in tuples: bounds the peak memory of one
+#: chunk and is the work grain of the parallel expand.
+DEFAULT_CHUNK_FLOPS = 8_000_000
+
 
 def _expand_range(
     a_csc: CSCMatrix,
@@ -124,7 +128,7 @@ def chunk_ranges(
 def expand_chunks(
     a_csc: CSCMatrix,
     b_csr: CSRMatrix,
-    chunk_flops: int = 8_000_000,
+    chunk_flops: int = DEFAULT_CHUNK_FLOPS,
     semiring: Semiring | str = PLUS_TIMES,
     with_values: bool = True,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
@@ -142,7 +146,7 @@ def expand_chunks(
 def expand_arena(
     a_csc: CSCMatrix,
     b_csr: CSRMatrix,
-    chunk_flops: int = 8_000_000,
+    chunk_flops: int = DEFAULT_CHUNK_FLOPS,
     semiring: Semiring | str = PLUS_TIMES,
     per_k: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -269,7 +273,7 @@ def iter_expand_columns(
     a_csc: CSCMatrix,
     b_csr: CSRMatrix,
     semiring: Semiring | str = PLUS_TIMES,
-    chunk_flops: int = 8_000_000,
+    chunk_flops: int = DEFAULT_CHUNK_FLOPS,
     per_col: np.ndarray | None = None,
 ):
     """Chunked column-major expansion: yields ``(o_lo, o_hi, rows, cols, vals)``.

@@ -216,9 +216,9 @@ def _argsort_byte_passes(keys: np.ndarray, key_bits: int | None) -> tuple[np.nda
 
     Per byte: argsort the digit, then two gathers to advance the working
     keys and the running permutation — the constant factors the
-    counting-scatter path removes.  Kept verbatim so
-    ``benchmarks/bench_hotpath.py`` can measure the win and tests can
-    assert bit-identical output.
+    counting-scatter path removes.  Kept verbatim so the ``hotpath``
+    bench suite can measure the win and tests can assert bit-identical
+    output.
     """
     keys = np.asarray(keys)
     if keys.ndim != 1:

@@ -117,10 +117,9 @@ class ArenaPool:
     #: Smallest size class (one typical page).
     MIN_CLASS_BYTES = 4096
 
-    def __init__(self, max_cached_bytes: int | None = None):
+    def __init__(self):
         if not HAVE_SHARED_MEMORY:
             raise RuntimeError("multiprocessing.shared_memory is unavailable")
-        self.max_cached_bytes = max_cached_bytes
         self._free: dict[int, list] = {}
         self._leased: dict[str, tuple] = {}  # segment name -> (segment, class)
         self._closed = False
@@ -178,14 +177,10 @@ class ArenaPool:
 
     def release(self, seg) -> None:
         """Return a leased segment to its free list (or unlink it when
-        the pool is closed or over its cache budget)."""
+        the pool is closed)."""
         entry = self._leased.pop(seg.name, None)
         cls = entry[1] if entry is not None else self.size_class(seg.size)
-        over_budget = (
-            self.max_cached_bytes is not None
-            and self.cached_bytes() + cls > self.max_cached_bytes
-        )
-        if self._closed or over_budget:
+        if self._closed:
             self._unlink(seg)
             return
         self._counters["released"] += 1

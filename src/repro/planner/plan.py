@@ -107,15 +107,12 @@ def resolve_cache_dir(config: PBConfig | None) -> str | None:
     return os.environ.get(CACHE_DIR_ENV) or None
 
 
-def resolve_profile(
-    config: PBConfig | None, cache_dir: str | None
-) -> MachineProfile:
-    """Saved calibration if allowed and present, else the preset model."""
-    if config is None or config.calibration == "auto":
-        if cache_dir is not None:
-            prof = load_profile(cache_dir)
-            if prof is not None:
-                return prof
+def resolve_profile(cache_dir: str | None) -> MachineProfile:
+    """Saved calibration if present, else the preset model."""
+    if cache_dir is not None:
+        prof = load_profile(cache_dir)
+        if prof is not None:
+            return prof
     return default_profile()
 
 
@@ -169,7 +166,7 @@ def plan(
     cfg = config or PBConfig()
     cache_dir = resolve_cache_dir(config)
     if profile is None:
-        profile = resolve_profile(config, cache_dir)
+        profile = resolve_profile(cache_dir)
     if cache is None:
         cache = default_cache(cache_dir)
 

@@ -124,14 +124,10 @@ class ServeClient:
         b,
         algorithm: str = "pb",
         semiring: str = "plus_times",
-        config: dict | None = None,
     ) -> ServeReply:
-        """C = A · B on the server; raises :class:`RequestRejected` on
-        backpressure and :class:`RemoteError` on failure.
-
-        ``config`` is a dict of :class:`~repro.core.PBConfig` field
-        overrides applied on top of the server's base config.
-        """
+        """C = A · B on the server (under the server's ``PBConfig``);
+        raises :class:`RequestRejected` on backpressure and
+        :class:`RemoteError` on failure."""
         msg = {
             "op": "multiply",
             "a": encode_matrix(a),
@@ -139,8 +135,6 @@ class ServeClient:
             "algorithm": algorithm,
             "semiring": semiring,
         }
-        if config:
-            msg["config"] = dict(config)
         reply = await self._call(msg)
         if not reply.get("ok"):
             err = reply.get("error") or {}

@@ -10,10 +10,13 @@ one flat JSON object and any language can speak the protocol.
 Request objects::
 
     {"op": "multiply", "id": "r1", "a": <matrix>, "b": <matrix>,
-     "algorithm": "pb", "semiring": "plus_times", "config": {...}?}
+     "algorithm": "pb", "semiring": "plus_times"}
     {"op": "stats",    "id": "r2"}
     {"op": "ping",     "id": "r3"}
     {"op": "shutdown", "id": "r4"}
+
+A multiply runs under the server's ``PBConfig``; a ``multiply`` frame
+that carries ``config`` is a ``bad_request``.
 
 Responses always echo ``id`` and carry ``ok``; errors look like::
 

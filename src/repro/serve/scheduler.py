@@ -3,19 +3,18 @@
 The scheduler owns one FIFO of accepted requests and turns it into
 *waves*: the head request is popped, and every queued request that is
 **compatible** with it — same algorithm (``"pb"`` only; the planner and
-the column kernels don't fuse), same semiring, same ``PBConfig`` — is
-drained into the same wave, bounded by ``max_batch`` requests and
-``max_batch_tuples`` estimated flops.  Compatible waves of two or more
-execute as a single block-diagonally stacked PB multiply
+the column kernels don't fuse) and same semiring — is drained into the
+same wave, bounded by ``max_batch`` requests and ``max_batch_tuples``
+estimated flops.  Every request runs under the server's one
+``PBConfig``.  Compatible waves of two or more execute as a single
+block-diagonally stacked PB multiply
 (:meth:`repro.session.Session.multiply_many_detailed`); everything else
 runs as a wave of one.
 
-Batching is *emergent*, not delayed: with the default
-``max_wait_s = 0`` a lone request is dispatched immediately (no added
-latency at low load), and waves grow naturally under concurrency
-because requests that arrive while a wave is computing pile up in the
-queue.  Setting ``max_wait_s > 0`` additionally holds the head back to
-give a forming wave time to fill — a throughput-over-latency knob.
+Batching is *emergent*, not delayed: a lone request is dispatched
+immediately (no added latency at low load), and waves grow naturally
+under concurrency because requests that arrive while a wave is
+computing pile up in the queue.
 
 Admission control is a bounded queue in two currencies: requests
 (``max_pending``) and estimated flops (``max_pending_tuples``, the
@@ -46,7 +45,6 @@ class ServeRequest:
     b_csr: object
     algorithm: str
     semiring: str
-    config: object  # resolved PBConfig
     tuples: int  # estimated flops (admission + batch budgeting)
     future: asyncio.Future = None
     enqueued_at: float = 0.0
@@ -55,7 +53,7 @@ class ServeRequest:
     def compat_token(self) -> tuple:
         """Wave-compatibility key: requests fuse iff tokens are equal
         and the algorithm is the stackable ``"pb"``."""
-        return (self.algorithm, self.semiring, repr(self.config))
+        return (self.algorithm, self.semiring)
 
     @property
     def fusable(self) -> bool:
@@ -92,8 +90,6 @@ class BatchScheduler:
         max_pending_tuples: int = 64_000_000,
         max_batch: int = 32,
         max_batch_tuples: int = 8_000_000,
-        max_wait_s: float = 0.0,
-        fuse: bool = True,
         solo_tuples: int | None = None,
     ):
         self._execute = execute  # async callable(Wave)
@@ -101,8 +97,6 @@ class BatchScheduler:
         self.max_pending_tuples = int(max_pending_tuples)
         self.max_batch = max(1, int(max_batch))
         self.max_batch_tuples = int(max_batch_tuples)
-        self.max_wait_s = float(max_wait_s)
-        self.fuse = bool(fuse)
         #: Requests at or above this many estimated flops always ride a
         #: wave of one — the server runs them on the sharded executor,
         #: which wants the whole machine to itself; fusing them into a
@@ -160,7 +154,7 @@ class BatchScheduler:
         head = self._pending.popleft()
         self._pending_tuples -= head.tuples
         requests = [head]
-        if self.fuse and head.fusable and not self._solo(head):
+        if head.fusable and not self._solo(head):
             tuples = head.tuples
             token = head.compat_token
             keep = deque()
@@ -196,10 +190,6 @@ class BatchScheduler:
                 self._wake.clear()
                 await self._wake.wait()
                 continue
-            if self.max_wait_s > 0 and len(self._pending) < self.max_batch:
-                head_age = time.perf_counter() - self._pending[0].enqueued_at
-                if head_age < self.max_wait_s:
-                    await asyncio.sleep(self.max_wait_s - head_age)
             wave = self._next_wave()
             t0 = time.perf_counter()
             await self._execute(wave)
@@ -225,8 +215,6 @@ class BatchScheduler:
             "max_pending_tuples": self.max_pending_tuples,
             "max_batch": self.max_batch,
             "max_batch_tuples": self.max_batch_tuples,
-            "max_wait_s": self.max_wait_s,
-            "fuse": self.fuse,
             "solo_tuples": self.solo_tuples,
             "waves_dispatched": self.waves_dispatched,
             "wave_ewma_s": self.wave_ewma_s,

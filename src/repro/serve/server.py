@@ -61,8 +61,6 @@ class ServeConfig:
     max_pending_tuples: int = 64_000_000
     max_batch: int = 32
     max_batch_tuples: int = 8_000_000
-    max_wait_s: float = 0.0
-    fuse: bool = True
     #: Route large ``"pb"``/``"tiled"`` requests through the sharded
     #: executor (:mod:`repro.core.sharded`): worker count (int or
     #: ``"auto"``), or ``None`` — sharded routing off.  Small requests
@@ -125,8 +123,6 @@ class MultiplyServer:
             max_pending_tuples=sc.max_pending_tuples,
             max_batch=sc.max_batch,
             max_batch_tuples=sc.max_batch_tuples,
-            max_wait_s=sc.max_wait_s,
-            fuse=sc.fuse,
             solo_tuples=sc.shard_tuples if sc.shards is not None else None,
         )
         self._scheduler_task = asyncio.create_task(self.scheduler.run())
@@ -292,6 +288,10 @@ class MultiplyServer:
     def _parse_multiply(self, msg, rid) -> ServeRequest:
         from ..matrix.stats import total_flops
 
+        if "config" in msg:
+            # The server's config is an operator decision: a client
+            # must not pick server-side paths or resize the pool.
+            raise ProtocolError("multiply takes no config; the server's applies")
         a = decode_matrix(msg["a"])
         b = decode_matrix(msg["b"])
         if a.shape[1] != b.shape[0]:
@@ -303,10 +303,6 @@ class MultiplyServer:
             get_algorithm(algorithm)  # raises DispatchError on unknown names
         semiring = msg.get("semiring", "plus_times")
         get_semiring(semiring)  # raises KeyError on unknown names
-        overrides = msg.get("config") or {}
-        if not isinstance(overrides, dict):
-            raise ProtocolError("config must be an object of PBConfig overrides")
-        config = self.config.with_(**overrides) if overrides else self.config
         a_csc = a.to_csc()
         return ServeRequest(
             id=rid,
@@ -314,7 +310,6 @@ class MultiplyServer:
             b_csr=b,
             algorithm=algorithm,
             semiring=semiring,
-            config=config,
             tuples=int(total_flops(a_csc, b)),
             future=asyncio.get_running_loop().create_future(),
         )
@@ -393,7 +388,6 @@ class MultiplyServer:
             products, detail = session.multiply_many_detailed(
                 [(r.a_csc, r.b_csr) for r in reqs],
                 semiring=head.semiring,
-                config=head.config,
             )
             compute_s = time.perf_counter() - t0
             phase = {**detail.phase_seconds, "shared": True}
@@ -425,7 +419,7 @@ class MultiplyServer:
         ):
             from ..core.sharded import sharded_config, sharded_spgemm_detailed
 
-            cfg = sharded_config(req.config or self.config, sc.shards)
+            cfg = sharded_config(self.config, sc.shards)
             detail = sharded_spgemm_detailed(
                 req.a_csc, req.b_csr, req.semiring, cfg, session=session
             )
@@ -440,7 +434,7 @@ class MultiplyServer:
             return detail.c, phase, compute_s, plan
         if req.algorithm == "pb":
             detail = session.multiply_detailed(
-                req.a_csc, req.b_csr, semiring=req.semiring, config=req.config
+                req.a_csc, req.b_csr, semiring=req.semiring
             )
             compute_s = time.perf_counter() - t0
             plan = {
@@ -456,7 +450,7 @@ class MultiplyServer:
                 req.a_csc,
                 req.b_csr,
                 semiring=req.semiring,
-                config=req.config,
+                config=self.config,
                 warm_pool=session.is_warm(),
             )
             c = session.multiply(
@@ -477,7 +471,6 @@ class MultiplyServer:
             req.b_csr,
             algorithm=req.algorithm,
             semiring=req.semiring,
-            config=req.config if _supports_config(req.algorithm) else None,
         )
         compute_s = time.perf_counter() - t0
         return c, {}, compute_s, {"algorithm": req.algorithm, "source": "direct"}
@@ -492,10 +485,6 @@ class MultiplyServer:
             "scheduler": self.scheduler.gauges() if self.scheduler else {},
             "session": self.session.runtime_stats() if self.session else {},
         }
-
-
-def _supports_config(algorithm: str) -> bool:
-    return bool(getattr(get_algorithm(algorithm), "supports_config", False))
 
 
 def _error(rid, code: str, message: str) -> dict:

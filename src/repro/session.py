@@ -126,10 +126,6 @@ class Session:
     warm:
         Spawn and warm the pool immediately instead of on first use —
         moves the one-time spawn cost to construction time.
-    max_cached_bytes:
-        Cap on bytes the arena pool may keep parked between multiplies
-        (``None`` — unbounded; segments over budget are unlinked on
-        release instead of recycled).
 
     A session is also usable with ``executor="serial"`` configs: the
     batch API still works, there is simply no pool to keep warm.
@@ -141,7 +137,6 @@ class Session:
         *,
         start_method: str | None = None,
         warm: bool = False,
-        max_cached_bytes: int | None = None,
     ):
         self.config = (config or PBConfig()).validate_session()
         self._start_method = start_method
@@ -156,7 +151,7 @@ class Session:
         if process_backend_available():
             from .parallel.shm import ArenaPool
 
-            pool = ArenaPool(max_cached_bytes=max_cached_bytes)
+            pool = ArenaPool()
         # The finalizer must not keep ``self`` alive; resources live in
         # a plain dict both the session and the finalizer can see.
         self._resources: dict = {"engine": None, "pool": pool}
@@ -277,6 +272,7 @@ class Session:
         from .api import multiply as _multiply
 
         self.stats.multiplies += 1
+        engine_multiplies = self.stats.engine_multiplies
         for attempt in (0, 1):
             try:
                 return _multiply(
@@ -292,6 +288,8 @@ class Session:
                 self._recover_engine()
                 if attempt:
                     raise
+                # The retry books its engine multiply again; count once.
+                self.stats.engine_multiplies = engine_multiplies
 
     def multiply_detailed(
         self,
@@ -329,27 +327,20 @@ class Session:
                 if attempt:
                     raise
 
-    def multiply_many(self, pairs, fused: bool | str = "auto", **kwargs) -> list:
+    def multiply_many(self, pairs, **kwargs) -> list:
         """Multiply a batch of ``(a, b)`` operand pairs on this session.
 
-        With ``fused="auto"`` (default), a batch of two or more plain
-        PB multiplies sharing one semiring/config is executed as a
+        A batch of two or more plain PB multiplies (keyword arguments
+        limited to ``semiring=`` / ``config=``) is executed as a
         *single* block-diagonally stacked PB run
         (:mod:`repro.core.batched`) — one symbolic/expand/distribute/
         sort pipeline amortized over the whole wave, bit-identical per
-        pair to the standalone products.  ``fused=False`` forces the
-        loop of individual multiplies; ``fused=True`` requires the
-        fused path (raises if the kwargs are not fusable).  Any other
-        keyword arguments are forwarded to every :meth:`multiply`.
-        Returns the products in order.
+        pair to the standalone products.  Any other batch runs as a
+        loop of :meth:`multiply` calls, each receiving the keyword
+        arguments.  Returns the products in order.
         """
         pairs = list(pairs)
-        fusable = len(pairs) >= 2 and set(kwargs) <= {"semiring", "config"}
-        if fused is True and not fusable:
-            raise ValueError(
-                "fused=True needs >= 2 pairs and only semiring=/config= kwargs"
-            )
-        if fused and fusable:
+        if len(pairs) >= 2 and set(kwargs) <= {"semiring", "config"}:
             results, _detail = self.multiply_many_detailed(pairs, **kwargs)
             return results
         return [self.multiply(a, b, **kwargs) for a, b in pairs]

@@ -110,12 +110,12 @@ class TestRouting:
 
     def test_config_reaches_pb(self, pair, reference):
         a, b = pair
-        c = repro.multiply(a, b, config=PBConfig(nbins=4, chunk_flops=32))
+        c = repro.multiply(a, b, config=PBConfig(nbins=4, bin_mapping="balanced"))
         assert allclose(c, reference)
 
     def test_config_reaches_column_kernels(self, pair, reference):
         # Since the panel rewrite the column kernels are config-aware:
-        # column_backend / panel_tuples select their execution strategy.
+        # column_backend selects their execution strategy.
         a, b = pair
         cfg = PBConfig(column_backend="loop")
         assert allclose(repro.multiply(a, b, algorithm="hash", config=cfg),

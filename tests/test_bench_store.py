@@ -471,3 +471,18 @@ class TestExperimentSuites:
         assert c.evaluate(_synthetic(quick=True)) is None  # full-only on smoke
         assert c.evaluate(_synthetic(metrics={"speedup": 2.0})) is True
         assert c.evaluate(_synthetic(metrics={"speedup": 1.0})) is False
+
+
+@pytest.mark.tiled
+def test_tiled_peak_child_ignores_parent_rss():
+    """The peak-RSS child measures its own address space: a parent with
+    a large high-water mark must not hide the multiply's working set
+    (Linux carries ``ru_maxrss`` across the spawn ``exec``)."""
+    import numpy as np
+
+    from repro.bench.suites.tiled import QUICK_PEAK_WORKLOAD, _measure_peak
+
+    ballast = np.ones(128 * 1024 * 1024 // 8)  # touched pages: parent RSS
+    report = _measure_peak(QUICK_PEAK_WORKLOAD, "pb")
+    del ballast
+    assert report["peak_delta_bytes"] > 0

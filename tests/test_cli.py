@@ -69,7 +69,7 @@ class TestCanonicalTree:
 
     def test_plan_accepts_exec_flags(self, er_mtx, capsys):
         rc = main(
-            ["plan", str(er_mtx), "--no-calibration", "--sort-backend", "radix",
+            ["plan", str(er_mtx), "--sort-backend", "radix",
              "--column-backend", "panel"]
         )
         assert rc == 0

@@ -119,7 +119,7 @@ class TestPanelLoopBitIdentity:
         # the maximal-panel-count degenerate case.
         a, b = CASES["dup_heavy_rmat"]
         loop = KERNELS[kernel](a, b, column_backend="loop")
-        pan = KERNELS[kernel](a, b, column_backend="panel", panel_tuples=1)
+        pan = panel_spgemm(a, b, panel_tuples=1)
         assert _bits(loop) == _bits(pan)
 
     def test_kernels_agree_with_each_other(self):
@@ -153,37 +153,28 @@ class TestEscColumnBackends:
 
 class TestConfigPlumbing:
     def test_resolve_precedence(self):
-        cfg = PBConfig(column_backend="loop", panel_tuples=77)
-        assert resolve_column_backend(cfg, None, None) == ("loop", 77)
-        # Explicit kwargs beat config.
-        assert resolve_column_backend(cfg, "panel", 5) == ("panel", 5)
+        cfg = PBConfig(column_backend="loop")
+        assert resolve_column_backend(cfg, None) == "loop"
+        # An explicit kwarg beats config.
+        assert resolve_column_backend(cfg, "panel") == "panel"
 
     def test_resolve_defaults(self):
-        from repro.kernels import DEFAULT_PANEL_TUPLES
-
-        assert resolve_column_backend(None, None, None) == (
-            "panel",
-            DEFAULT_PANEL_TUPLES,
-        )
+        assert resolve_column_backend(None, None) == "panel"
 
     def test_resolve_rejects_bad_values(self):
         with pytest.raises(ConfigError):
-            resolve_column_backend(None, "vector", None)
-        with pytest.raises(ConfigError):
-            resolve_column_backend(None, "panel", 0)
+            resolve_column_backend(None, "vector")
 
     def test_pbconfig_validates_column_fields(self):
         with pytest.raises(ConfigError):
             PBConfig(column_backend="bogus")
-        with pytest.raises(ConfigError):
-            PBConfig(panel_tuples=0)
 
     def test_config_reaches_kernel_through_multiply(self):
         a, b = CASES["er"]
         loop = repro.multiply(a, b, algorithm="hash",
                               config=PBConfig(column_backend="loop"))
         pan = repro.multiply(a, b, algorithm="hash",
-                             config=PBConfig(panel_tuples=64))
+                             config=PBConfig(column_backend="panel"))
         assert _bits(loop) == _bits(pan)
 
     def test_registry_metadata(self):

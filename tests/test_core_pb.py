@@ -1,5 +1,7 @@
 """Tests for the PB-SpGEMM core: config, symbolic, binning, pipeline."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,7 @@ from repro.core import (
     symbolic_phase,
     unpack_keys,
 )
-from repro.core.binning import (
-    distribute_packed,
-    distribute_to_bins,
-    simulate_local_bins,
-)
+from repro.core.binning import distribute_packed, distribute_to_bins
 from repro.errors import ConfigError, ShapeError
 from repro.generators import erdos_renyi, rmat
 from repro.kernels import scipy_spgemm_oracle
@@ -27,13 +25,15 @@ from repro.matrix.ops import allclose
 
 from tests.util import random_coo
 
+# The module, not the function ``repro.core`` re-exports under its name.
+PB_MODULE = importlib.import_module("repro.core.pb_spgemm")
+
 
 class TestPBConfig:
     def test_defaults(self):
         cfg = PBConfig()
         assert cfg.local_bin_bytes == 512
         assert cfg.bin_mapping == "range"
-        assert cfg.local_bin_tuples == 32
 
     def test_with_(self):
         cfg = PBConfig().with_(nbins=64)
@@ -44,12 +44,12 @@ class TestPBConfig:
         [
             dict(nbins=0),
             dict(local_bin_bytes=8),
-            dict(l2_target_bytes=4),
+            dict(pipeline="pipelined"),
             dict(bin_mapping="hash"),
             dict(sort_backend="quick"),
             dict(distribute_backend="bucket"),
             dict(expand_backend="inplace"),
-            dict(chunk_flops=0),
+            dict(tile_rows=0),
             dict(nthreads=0),
             dict(bin_mapping="modulo", pack_keys=True),
         ],
@@ -178,20 +178,6 @@ class TestBinning:
         # bin 0 keeps arrival order of rows 0,0,1
         np.testing.assert_array_equal(bc[: starts[1]], [0, 2, 0])
 
-    def test_local_bin_stats(self):
-        layout = plan_bins(4, 4, 2, 2)
-        rows = np.array([0] * 70 + [3] * 10)
-        stats = simulate_local_bins(layout, rows, local_bin_tuples=32)
-        assert stats["full_flushes"] == 2  # 70 // 32
-        assert stats["partial_flushes"] == 2  # 6 left in bin0, 10 in bin1
-        assert stats["flushed_tuples"] == 80
-        assert 0 < stats["mean_flush_fill"] <= 1
-
-    def test_local_bin_stats_invalid(self):
-        layout = plan_bins(4, 4, 2, 2)
-        with pytest.raises(ConfigError):
-            simulate_local_bins(layout, np.array([0]), 0)
-
     def test_counting_matches_argsort_placement(self, rng):
         layout = plan_bins(60, 40, 6, 10)
         rows = rng.integers(0, 60, size=400)
@@ -238,14 +224,12 @@ class TestPBSpGEMM:
 
     def test_detailed_instrumentation(self, small_pair):
         a, b = small_pair
-        res = pb_spgemm_detailed(a, b, collect_local_bin_stats=True)
+        res = pb_spgemm_detailed(a, b)
         assert res.flop == res.symbolic.flop
         assert res.nnz_c == res.c.nnz
         assert res.compression_factor == pytest.approx(res.flop / res.nnz_c)
         assert res.tuples_per_bin.sum() == res.flop
         assert res.radix_passes >= 1
-        assert res.local_bin_stats is not None
-        assert res.local_bin_stats["flushed_tuples"] == res.flop
 
     @pytest.mark.parametrize("nbins", [1, 2, 7, 64, 1000])
     def test_any_bin_count(self, small_pair, nbins):
@@ -270,10 +254,10 @@ class TestPBSpGEMM:
         assert res.layout.key_dtype == np.uint64
         assert allclose(res.c, scipy_spgemm_oracle(a, b))
 
-    def test_tiny_chunks(self, small_pair):
+    def test_tiny_chunks(self, small_pair, monkeypatch):
+        monkeypatch.setattr(PB_MODULE, "DEFAULT_CHUNK_FLOPS", 64)
         a, b = small_pair
-        cfg = PBConfig(chunk_flops=64)
-        assert allclose(pb_spgemm(a, b, config=cfg), scipy_spgemm_oracle(a, b))
+        assert allclose(pb_spgemm(a, b), scipy_spgemm_oracle(a, b))
 
     def test_empty(self):
         res = pb_spgemm_detailed(CSCMatrix.empty((5, 4)), CSRMatrix.empty((4, 3)))

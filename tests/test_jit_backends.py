@@ -333,9 +333,7 @@ class TestConfig:
         from repro.kernels.dispatch import algorithm_metadata
 
         meta = algorithm_metadata()
-        for name in ("pb", "heap", "hash", "hashvec", "spa"):
-            assert meta[name]["supports_jit"]
-        assert not meta["esc_column"]["supports_jit"]
+        assert "panel_jit" not in meta["esc_column"]["column_backends"]
         for name in ("heap", "hash", "hashvec", "spa"):
             assert "panel_jit" in meta[name]["column_backends"]
 

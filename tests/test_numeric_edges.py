@@ -1,5 +1,7 @@
 """Numeric and structural edge cases / failure injection."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,10 @@ from repro.errors import ConfigError
 from repro.kernels import scipy_spgemm_oracle, spgemm
 from repro.matrix import COOMatrix, CSCMatrix, CSRMatrix
 from repro.matrix.ops import allclose
+
+# The modules, not the functions ``repro.core`` re-exports.
+PB_MODULE = importlib.import_module("repro.core.pb_spgemm")
+CONFIG_MODULE = importlib.import_module("repro.core.config")
 
 ALGS = ("pb", "heap", "hash", "hashvec", "spa", "esc_column")
 
@@ -114,16 +120,16 @@ class TestPBConfigExtremes:
         cfg = PBConfig(local_bin_bytes=16)  # exactly one tuple
         assert allclose(pb_spgemm(a, b, config=cfg), scipy_spgemm_oracle(a, b))
 
-    def test_giant_l2_target_single_bin(self, small_pair):
+    def test_giant_l2_target_single_bin(self, small_pair, monkeypatch):
+        monkeypatch.setattr(CONFIG_MODULE, "DEFAULT_L2_TARGET_BYTES", 1 << 40)
         a, b = small_pair
-        cfg = PBConfig(l2_target_bytes=1 << 40)
-        assert allclose(pb_spgemm(a, b, config=cfg), scipy_spgemm_oracle(a, b))
+        assert allclose(pb_spgemm(a, b), scipy_spgemm_oracle(a, b))
 
-    def test_chunk_of_one_flop(self):
+    def test_chunk_of_one_flop(self, monkeypatch):
+        monkeypatch.setattr(PB_MODULE, "DEFAULT_CHUNK_FLOPS", 1)
         a = COOMatrix((8, 8), [0, 3, 5], [1, 2, 7], [1.0, 2.0, 3.0]).to_csc()
         b = COOMatrix((8, 8), [1, 2, 7], [4, 4, 0], [1.0, 1.0, 1.0]).to_csr()
-        cfg = PBConfig(chunk_flops=1)
-        assert allclose(pb_spgemm(a, b, config=cfg), scipy_spgemm_oracle(a, b))
+        assert allclose(pb_spgemm(a, b), scipy_spgemm_oracle(a, b))
 
 
 class TestLargeFlopTotals:

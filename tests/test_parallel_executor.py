@@ -8,8 +8,10 @@ executor regressions fail fast; the fallback tests pin the documented
 degradation conditions via ``PBResult.executor_used``.
 """
 
+import importlib
 import os
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,6 +33,9 @@ from tests.util import random_coo
 needs_pool = pytest.mark.skipif(
     not process_backend_available(), reason="POSIX shared memory unavailable"
 )
+
+# The module, not the function ``repro.core`` re-exports under its name.
+PB_MODULE = importlib.import_module("repro.core.pb_spgemm")
 
 MAPPINGS = ("range", "modulo", "balanced")
 SEMIRINGS = sorted(available_semirings())
@@ -88,16 +93,17 @@ class TestBitIdentity:
         )
         _assert_bit_identical(ser, par)
 
-    def test_rectangular_and_tiny_chunks(self):
+    def test_rectangular_and_tiny_chunks(self, monkeypatch):
+        monkeypatch.setattr(PB_MODULE, "DEFAULT_CHUNK_FLOPS", 17)
         rng = np.random.default_rng(3)
         a = random_coo(rng, 60, 90, 400, duplicates=True)
         b = random_coo(rng, 90, 40, 400, duplicates=True)
-        cfg = _config(nbins=8, chunk_flops=17)
+        cfg = _config(nbins=8)
         ser = pb_spgemm_detailed(a.to_csc(), b.to_csr(), config=cfg)
         par = pb_spgemm_detailed(
             a.to_csc(), b.to_csr(), config=cfg.with_(nthreads=2, executor="process")
         )
-        # chunk_flops far below flop forces many expand tasks per worker;
+        # A chunk budget far below flop forces many expand tasks per worker;
         # the fixed flop-prefix offsets must keep the stream identical.
         _assert_bit_identical(ser, par)
 
@@ -123,14 +129,17 @@ class TestProcessProperty:
             if kind == "er"
             else rmat(7, edge_factor=3, seed=seed)
         )
-        cfg = _config(mapping, nbins=8, chunk_flops=chunk)
-        ser = pb_spgemm_detailed(a.to_csc(), a.to_csr(), semiring=sr, config=cfg)
-        par = pb_spgemm_detailed(
-            a.to_csc(),
-            a.to_csr(),
-            semiring=sr,
-            config=cfg.with_(nthreads=2, executor="process"),
-        )
+        cfg = _config(mapping, nbins=8)
+        with mock.patch.object(PB_MODULE, "DEFAULT_CHUNK_FLOPS", chunk):
+            ser = pb_spgemm_detailed(
+                a.to_csc(), a.to_csr(), semiring=sr, config=cfg
+            )
+            par = pb_spgemm_detailed(
+                a.to_csc(),
+                a.to_csr(),
+                semiring=sr,
+                config=cfg.with_(nthreads=2, executor="process"),
+            )
         _assert_bit_identical(ser, par)
 
 

@@ -229,7 +229,7 @@ def test_algorithm_metadata_exposes_planner_fields():
     meta = algorithm_metadata()
     assert set(meta) == set(repro.available_algorithms())
     for name, m in meta.items():
-        assert {"supports_config", "supports_process", "supports_masked"} <= set(m)
+        assert {"supports_config", "supports_process", "supports_session"} <= set(m)
     assert meta["pb"]["supports_process"] is True
     assert meta["pb"]["supports_config"] is True
     assert meta["heap"]["supports_process"] is False
@@ -239,10 +239,8 @@ def test_algorithm_metadata_exposes_planner_fields():
 
 
 def test_config_validates_planner_fields():
-    cfg = PBConfig(plan_cache_dir="/tmp/x", calibration="off")
-    assert cfg.plan_cache_dir == "/tmp/x" and cfg.calibration == "off"
-    with pytest.raises(ConfigError, match="calibration"):
-        PBConfig(calibration="sometimes")
+    cfg = PBConfig(plan_cache_dir="/tmp/x")
+    assert cfg.plan_cache_dir == "/tmp/x"
     with pytest.raises(ConfigError, match="plan_cache_dir"):
         PBConfig(plan_cache_dir=123)
 
@@ -250,7 +248,7 @@ def test_config_validates_planner_fields():
 def test_symbolic_nbins_comes_from_resolve_nbins():
     b = rmat(9, 8, seed=2).to_csr()
     a = b.to_csc()
-    for cfg in (PBConfig(), PBConfig(nbins=64), PBConfig(l2_target_bytes=1 << 16)):
+    for cfg in (PBConfig(), PBConfig(nbins=64), PBConfig(nbins=1 << 16)):
         sym = symbolic_phase(a, b, cfg)
         resolved = resolve_nbins(sym.flop, a.shape[0], cfg)
         # symbolic_phase only snaps the resolved count to the effective

@@ -124,7 +124,6 @@ def _request(rid, semiring="plus_times", algorithm="pb", tuples=10):
         b_csr=None,
         algorithm=algorithm,
         semiring=semiring,
-        config=None,
         tuples=tuples,
     )
 
@@ -300,6 +299,36 @@ class TestServerEndToEnd:
                 await client.close()
 
         asyncio.run(scenario())
+
+    def test_config_override_rejected(self, tmp_path):
+        """The wire takes no PBConfig: a client must not choose
+        server-side paths (``spill_dir``) or resize the pool."""
+        b = repro.erdos_renyi(64, 4, seed=11, fmt="csr")
+        spill = tmp_path / "x"
+
+        async def scenario():
+            server = await MultiplyServer(
+                PBConfig(**SERVER_PB), ServeConfig(port=0)
+            ).start()
+            try:
+                async with await ServeClient.connect(*server.address) as client:
+                    raw = await client._call({
+                        "op": "multiply",
+                        "a": encode_matrix(b),
+                        "b": encode_matrix(b),
+                        "algorithm": "tiled",
+                        "config": {"spill_dir": str(spill), "memory_budget": 4096},
+                    })
+                    reply = await client.multiply(b, b)
+                    return raw, reply
+            finally:
+                await server.close()
+
+        raw, reply = asyncio.run(scenario())
+        assert not raw["ok"] and raw["error"]["code"] == "bad_request"
+        assert "config" in raw["error"]["message"]
+        assert not spill.exists()
+        assert _identical(repro.multiply(b, b, config=PBConfig()), reply.c)
 
     def test_plan_provenance_auto(self):
         b = repro.erdos_renyi(64, 4, seed=9, fmt="csr")

@@ -70,7 +70,7 @@ def test_session_bit_identical_all_semirings(mats, sr):
 
 
 @needs_pool
-@pytest.mark.parametrize("pipeline", ["pipelined", "barrier"])
+@pytest.mark.parametrize("pipeline", ["auto", "barrier"])
 def test_session_pipeline_modes_identical(mats, pipeline):
     a = mats["rmat"]
     serial = repro.multiply(a, a, config=PBConfig(nbins=16))
@@ -210,9 +210,9 @@ def test_session_with_serial_config_has_no_engine():
 def test_pipeline_config_validation():
     with pytest.raises(ConfigError, match="pipeline"):
         PBConfig(pipeline="bogus")
-    with pytest.raises(ConfigError, match="executor='process'"):
-        PBConfig(pipeline="pipelined")  # serial executor has no overlap
-    assert PBConfig(executor="process", nthreads=2, pipeline="pipelined")
+    with pytest.raises(ConfigError, match="pipeline"):
+        PBConfig(executor="process", nthreads=2, pipeline="pipelined")
+    assert PBConfig(executor="process", nthreads=2, pipeline="barrier")
 
 
 def test_supports_session_metadata():
@@ -227,21 +227,19 @@ def test_supports_session_metadata():
 # ---------------------------------------------------------------------------
 
 @needs_pool
-def test_arena_pool_size_classes_and_budget():
+def test_arena_pool_size_classes():
     assert ArenaPool.size_class(1) == ArenaPool.MIN_CLASS_BYTES
     assert ArenaPool.size_class(4097) == 8192
     assert ArenaPool.size_class(8192) == 8192
-    pool = ArenaPool(max_cached_bytes=8192)
+    pool = ArenaPool()
     seg, fresh = pool.lease(6000)
     assert fresh and seg.size >= 6000
     pool.release(seg)
     seg2, fresh2 = pool.lease(6000)
     assert not fresh2  # recycled, same size class
     pool.release(seg2)
-    big, _ = pool.lease(100_000)
-    pool.release(big)  # over budget with the parked 8k: unlinked
-    assert pool.stats()["unlinked"] >= 1
     pool.close()
+    assert pool.stats()["unlinked"] == 1
     pool.close()  # idempotent
 
 

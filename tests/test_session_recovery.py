@@ -79,6 +79,8 @@ def main(start_method):
         assert c.data.tobytes() == serial.data.tobytes()
         assert s.stats.engine_restarts == 1, s.stats.engine_restarts
         assert s.stats.engine_spawns > spawns0
+        # The retried multiply ran on the engine once, not twice.
+        assert s.stats.engine_multiplies == 2, s.stats.engine_multiplies
 
         # 2. A worker dies *while executing* (suicide task poisons the
         # pool mid-flight), then a fused multiply_many wave must recover.

@@ -505,7 +505,7 @@ def test_scheduler_solo_tuples():
     def mk(rid, tuples):
         return ServeRequest(
             id=rid, a_csc=None, b_csr=None, algorithm="pb",
-            semiring="plus_times", config=None, tuples=tuples,
+            semiring="plus_times", tuples=tuples,
         )
 
     sched = BatchScheduler(

@@ -446,7 +446,7 @@ class TestCLI:
         from repro.cli import main
 
         rc = main(
-            ["matrix", "multiply", str(er_mtx), "--tiled",
+            ["matrix", "multiply", str(er_mtx), "--algorithm", "tiled",
              "--memory-budget", "1000000"]
         )
         assert rc == 0
@@ -456,21 +456,11 @@ class TestCLI:
         from repro.cli import main
 
         rc = main(
-            ["matrix", "multiply", str(er_mtx), "--tiled",
+            ["matrix", "multiply", str(er_mtx), "--algorithm", "tiled",
              "--tile-rows", "64", "--tile-cols", "32"]
         )
         assert rc == 0
         assert "algorithm=tiled" in capsys.readouterr().out
-
-    def test_tiled_conflicts_with_algorithm(self, er_mtx, capsys):
-        from repro.cli import main
-
-        rc = main(
-            ["matrix", "multiply", str(er_mtx), "--tiled",
-             "--algorithm", "hash"]
-        )
-        assert rc == 2
-        assert "--tiled" in capsys.readouterr().err
 
     def test_tiled_flags_need_tiled_or_auto(self, er_mtx, capsys):
         from repro.cli import main
