@@ -44,30 +44,6 @@ def _coerce(operand, side: str, fmt: str):
     )
 
 
-def _attach_session_engine(info, session, cfg, kwargs) -> None:
-    """Route a session's resources into a session-capable kernel.
-
-    No-op unless a :class:`repro.session.Session` was passed.  Kernels
-    advertising ``wants_session`` (the sharded executor) receive the
-    whole session — they borrow its :class:`ArenaPool` for broadcast
-    and return segments; kernels advertising ``supports_session``
-    receive its warm engine.  The session may still return no engine
-    (serial config, platform without shm), in which case the kernel
-    runs exactly as it would without a session.
-    """
-    if session is None:
-        return
-    if getattr(info, "wants_session", False):
-        kwargs["session"] = session
-        return
-    if not getattr(info, "supports_session", False):
-        return
-    engine = session.engine_for(cfg)
-    if engine is not None:
-        kwargs["engine"] = engine
-        session._note_engine_multiply()
-
-
 def multiply(
     a,
     b,
@@ -119,13 +95,13 @@ def multiply(
         plan cache, so repeated shapes converge on the true winner even
         where the model is wrong.
     session:
-        Optional :class:`repro.session.Session`.  Session-capable
-        algorithms (``supports_session`` in
-        :func:`repro.kernels.algorithm_metadata`) run on the session's
-        warm process pool and recycled shared-memory arenas instead of
-        spawning per call; ``algorithm="auto"`` prices process
-        candidates at warm-dispatch latency when the pool is already
-        running.  When ``config`` is omitted the session's default
+        Optional :class:`repro.session.Session`, passed as ``session=``
+        to session-capable algorithms (``supports_session`` in
+        :func:`repro.kernels.algorithm_metadata`): they run on the
+        session's warm process pool and recycled shared-memory arenas
+        instead of spawning per call.  ``algorithm="auto"`` prices
+        process candidates at warm-dispatch latency when the pool is
+        already running.  When ``config`` is omitted the session's default
         config applies.  Results are unchanged — bit-identical to the
         session-less call.
     shards:
@@ -185,34 +161,34 @@ def multiply(
         info = get_algorithm(chosen_plan.algorithm)
         if info.supports_config and chosen_plan.config is not None:
             kwargs.setdefault("config", chosen_plan.config)
-        _attach_session_engine(info, session, kwargs.get("config"), kwargs)
-        if not feedback:
-            return info.func(a_csc, b_csr, semiring=sr, **kwargs)
-        import time
+    else:
+        info = get_algorithm(algorithm)
+        if config is not None:
+            if not info.supports_config:
+                raise ConfigError(
+                    f"config= (PBConfig) does not apply to "
+                    f"algorithm={algorithm!r}; config-aware algorithms: "
+                    + ", ".join(sorted(n for n, i in ALGORITHMS.items()
+                                       if i.supports_config))
+                    + ", or 'auto'"
+                )
+            kwargs["config"] = config
+    if session is not None and info.supports_session:
+        kwargs["session"] = session
+    if chosen_plan is None or not feedback:
+        return info.func(a_csc, b_csr, semiring=sr, **kwargs)
 
-        from .planner import default_cache, resolve_cache_dir
+    import time
 
-        t0 = time.perf_counter()
-        result = info.func(a_csc, b_csr, semiring=sr, **kwargs)
-        elapsed = time.perf_counter() - t0
-        default_cache(resolve_cache_dir(config)).record_feedback(
-            chosen_plan.cache_key, chosen_plan.algorithm, elapsed
-        )
-        return result
+    from .planner import default_cache, resolve_cache_dir
 
-    info = get_algorithm(algorithm)
-    if config is not None:
-        if not info.supports_config:
-            raise ConfigError(
-                f"config= (PBConfig) does not apply to "
-                f"algorithm={algorithm!r}; config-aware algorithms: "
-                + ", ".join(sorted(n for n, i in ALGORITHMS.items()
-                                   if i.supports_config))
-                + ", or 'auto'"
-            )
-        kwargs["config"] = config
-    _attach_session_engine(info, session, config, kwargs)
-    return info.func(a_csc, b_csr, semiring=sr, **kwargs)
+    t0 = time.perf_counter()
+    result = info.func(a_csc, b_csr, semiring=sr, **kwargs)
+    elapsed = time.perf_counter() - t0
+    default_cache(resolve_cache_dir(config)).record_feedback(
+        chosen_plan.cache_key, chosen_plan.algorithm, elapsed
+    )
+    return result
 
 
 def spgemm(

@@ -11,8 +11,9 @@ paying pool startup and arena setup per multiply.
 ``config`` / ``session`` keyword pair and get back the session their
 loop should multiply on (or ``None`` for the plain dispatch path).  A
 caller-provided session is used as-is and left open; an internal one is
-created only when the config asks for the process executor, and closed
-when the loop finishes.
+created only when the config actually runs on worker processes
+(:func:`repro.parallel.executor.uses_workers`), and closed when the
+loop finishes.
 """
 
 from __future__ import annotations
@@ -26,16 +27,20 @@ def spgemm_session(config=None, session=None):
 
     * ``session`` given — yielded unchanged; the caller owns its
       lifetime (several app invocations can share one warm pool).
-    * ``config.executor == "process"`` — a fresh internal
+    * ``config`` runs on worker processes — a fresh internal
       :class:`repro.session.Session` is opened for the duration of the
       loop and closed (pool down, arenas unlinked) on exit, even on
       error.
-    * otherwise — ``None``: the loop uses plain per-call dispatch.
+    * otherwise — ``None``: the loop uses plain per-call dispatch, so a
+      config that falls back to serial (``nthreads=1``, no shared
+      memory) runs serially, exactly as :func:`repro.multiply` does.
     """
     if session is not None:
         yield session
         return
-    if config is not None and config.executor == "process":
+    from ..parallel.executor import uses_workers
+
+    if config is not None and uses_workers(config):
         from ..session import Session
 
         with Session(config) as s:

@@ -135,19 +135,20 @@ def fused_multiply_detailed(
     pairs,
     semiring=PLUS_TIMES,
     config: PBConfig | None = None,
-    engine=None,
+    session=None,
 ):
     """Run a batch of coerced ``(A_csc, B_csr)`` pairs as one PB multiply.
 
     Returns ``(products, detail)`` — the per-pair CSR products in order
     plus the :class:`~repro.core.pb_spgemm.PBResult` of the single
     stacked run (its ``phase_seconds`` are *wave-level*: shared by every
-    request in the batch).
+    request in the batch).  ``session`` is passed to
+    :func:`~repro.core.pb_spgemm.pb_spgemm_detailed`.
     """
     from .pb_spgemm import pb_spgemm_detailed
 
     a_stacked, b_stacked, meta = stack_pairs(pairs)
     detail = pb_spgemm_detailed(
-        a_stacked, b_stacked, semiring=semiring, config=config, engine=engine
+        a_stacked, b_stacked, semiring=semiring, config=config, session=session
     )
     return split_product(detail.c, meta), detail

@@ -41,8 +41,9 @@ from ..matrix.base import INDEX_DTYPE, VALUE_DTYPE
 from ..matrix.csc import CSCMatrix
 from ..matrix.csr import CSRMatrix
 from ..matrix.ops import col_slice
+from ..semiring import Semiring
 from .config import PBConfig
-from .pb_spgemm import pb_spgemm
+from .pb_spgemm import _pb_run
 
 #: Modeled peak working bytes per expanded tuple in one PB tile: the
 #: expand arena (8B row + 8B col + 8B value) plus the distribute-phase
@@ -150,14 +151,16 @@ def split_col_panels(b_csr: CSRMatrix, col_edges) -> list[CSRMatrix]:
 def row_panel_tiles(
     a_i: CSCMatrix,
     b_panels: list[CSRMatrix],
-    semiring,
-    config: PBConfig | None,
+    semiring: Semiring,
+    config: PBConfig,
     engine=None,
 ) -> Iterator[tuple[int, CSRMatrix | None]]:
     """The tile loop: ``A[i,:] · B[:,j]`` for each column panel in order.
 
-    Yields ``(tile_flop, tile)`` per panel; ``tile`` is ``None`` when
-    the tile generates no flop (it is skipped, not multiplied).
+    Every tile runs on ``engine``, which the caller resolved once for
+    its whole grid (``None`` = serial).  Yields ``(tile_flop, tile)``
+    per panel; ``tile`` is ``None`` when the tile generates no flop (it
+    is skipped, not multiplied).
     """
     if a_i.nnz == 0:
         for _ in b_panels:
@@ -169,7 +172,7 @@ def row_panel_tiles(
         if flop == 0:
             yield 0, None
         else:
-            yield flop, pb_spgemm(a_i, b_j, semiring, config, engine=engine)
+            yield flop, _pb_run(a_i, b_j, semiring, config, engine).c
 
 
 def assemble_rows(

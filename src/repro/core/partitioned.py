@@ -21,7 +21,8 @@ from ..errors import ShapeError
 from ..matrix.csc import CSCMatrix
 from ..matrix.csr import CSRMatrix
 from ..matrix.ops import row_slice
-from ..semiring import PLUS_TIMES, Semiring
+from ..parallel.executor import engine_scope
+from ..semiring import PLUS_TIMES, Semiring, get_semiring
 from .blocks import BlockGrid, assemble_rows, row_panel_tiles
 from .config import PBConfig
 
@@ -41,10 +42,9 @@ def partitioned_pb_spgemm(
     NUMA model); outputs stack vertically into the final CSR.
 
     ``session`` — an open :class:`repro.session.Session` whose warm
-    engine (and recycling arena pool) every block multiply runs on,
-    instead of each ``pb_spgemm`` call spawning and tearing down a
-    private pool.  ``None`` keeps the historical standalone behavior;
-    a session whose config resolves to serial is also a no-op.
+    engine (and recycling arena pool) every block multiply runs on.
+    Without one, ``executor="process"`` spawns one private engine for
+    the whole grid; a config that resolves to serial runs serially.
     """
     if a_csc.shape[1] != b_csr.shape[0]:
         raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
@@ -53,20 +53,20 @@ def partitioned_pb_spgemm(
     m, n = a_csc.shape[0], b_csr.shape[1]
     npartitions = min(npartitions, max(m, 1))
 
-    engine = None
-    if session is not None:
-        engine = session.engine_for(config)
-        if engine is not None:
-            session._note_engine_multiply()
+    cfg = config or PBConfig()
+    sr = get_semiring(semiring)
 
     a_csr = a_csc.to_csr()
     bounds = np.linspace(0, m, npartitions + 1).astype(int)
     grid = BlockGrid(tuple(int(x) for x in bounds), (0, n))
     panels: list[CSRMatrix] = []
-    for _, lo, hi in grid.row_panels():
-        block = row_slice(a_csr, lo, hi).to_csc()
-        _, c_block = next(row_panel_tiles(block, [b_csr], semiring, config, engine))
-        panels.append(CSRMatrix.empty((hi - lo, n)) if c_block is None else c_block)
+    with engine_scope(cfg, sr, session) as engine:
+        for _, lo, hi in grid.row_panels():
+            block = row_slice(a_csr, lo, hi).to_csc()
+            _, c_block = next(row_panel_tiles(block, [b_csr], sr, cfg, engine))
+            panels.append(
+                CSRMatrix.empty((hi - lo, n)) if c_block is None else c_block
+            )
     return assemble_rows(
         (m, n), grid.row_edges, [p.nnz for p in panels], panels.__getitem__
     )

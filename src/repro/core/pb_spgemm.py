@@ -25,7 +25,6 @@ passes, phase timings) that several benchmarks consume.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +37,7 @@ from ..semiring import PLUS_TIMES, Semiring, get_semiring
 from ..kernels.compress import compress_keyed
 from ..kernels.outer_expand import DEFAULT_CHUNK_FLOPS, expand_arena, expand_chunks
 from ..kernels.radix import sort_tuples
+from ..parallel.executor import engine_scope, semiring_token
 from .binning import (
     BinLayout,
     distribute_packed,
@@ -104,23 +104,37 @@ def pb_spgemm_detailed(
     b_csr: CSRMatrix,
     semiring: Semiring | str = PLUS_TIMES,
     config: PBConfig | None = None,
-    engine=None,
+    session=None,
 ) -> PBResult:
     """Run PB-SpGEMM and return the product with full instrumentation.
 
-    ``engine`` — an already-warm
-    :class:`~repro.parallel.executor.ProcessEngine`, normally supplied
-    by a :class:`repro.session.Session`.  When given (and the semiring
-    can travel to workers), the process path runs on it *without* the
-    per-call pool spawn, and only its arenas are released afterwards —
-    the pool stays warm for the session's next multiply.  Without it,
-    ``executor="process"`` spawns and tears down a private engine as
-    before.
+    ``session`` — a :class:`repro.session.Session` whose warm engine the
+    process path runs on, without the per-call pool spawn; the pool
+    stays warm for the session's next multiply.  Without one,
+    ``executor="process"`` spawns and closes a private engine.  Whether
+    workers run at all is decided by
+    :func:`repro.parallel.executor.engine_scope`.
     """
     if a_csc.shape[1] != b_csr.shape[0]:
         raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
     cfg = config or PBConfig()
     sr = get_semiring(semiring)
+    with engine_scope(cfg, sr, session) as engine:
+        return _pb_run(a_csc, b_csr, sr, cfg, engine)
+
+
+def _pb_run(
+    a_csc: CSCMatrix,
+    b_csr: CSRMatrix,
+    sr: Semiring,
+    cfg: PBConfig,
+    engine,
+) -> PBResult:
+    """The PB body on an already-resolved engine (``None`` = serial).
+
+    Shared by :func:`pb_spgemm_detailed` and the block core's tile loop,
+    which resolves one engine for a whole grid.
+    """
     m, n = a_csc.shape[0], b_csr.shape[1]
     # Each phase gets its own explicit start/stop timestamp; scalar
     # entries are never derived by subtracting other entries, so
@@ -174,35 +188,7 @@ def pb_spgemm_detailed(
             key_bits=layout.key_bits,
         )
 
-    # ---- Executor selection ------------------------------------------------
-    # The process backend runs expand and per-bin sort/compress on a
-    # worker pool (repro.parallel); every fallback condition documented
-    # on PBConfig.executor degrades to the serial path below.  A
-    # session-provided warm engine is used as-is (and left running);
-    # otherwise a private engine is spawned for this call.
-    owns_engine = False
-    sr_token = None
-    if cfg.executor == "process" and cfg.nthreads > 1:
-        from ..parallel import process_backend_available, semiring_token
-
-        sr_token = semiring_token(sr)
-        if not (process_backend_available() and sr_token is not None):
-            engine = None
-        elif engine is None:
-            from ..parallel.executor import ProcessEngine
-
-            try:
-                engine = ProcessEngine(cfg.nthreads)
-                owns_engine = True
-            except Exception as exc:  # pragma: no cover - platform-specific
-                warnings.warn(
-                    f"process executor unavailable ({exc}); running serially",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                engine = None
-    else:
-        engine = None
+    sr_token = None if engine is None else semiring_token(sr)
     # Pipelined bin processing needs a process engine; "auto" turns it
     # on whenever one runs, "barrier" keeps the phase-barriered ablation.
     use_pipeline = engine is not None and cfg.pipeline == "auto"
@@ -313,12 +299,9 @@ def pb_spgemm_detailed(
         phase_seconds["sort_compress"] = time.perf_counter() - t_phase
     finally:
         if engine is not None:
-            # Arenas always die with the multiply; the pool dies with it
-            # only when this call spawned it (close is idempotent and
-            # safe after free_arenas — see ProcessEngine).
+            # Arenas always die with the multiply; the pool outlives it
+            # (engine_scope closes a private one after the whole call).
             engine.free_arenas()
-            if owns_engine:
-                engine.close()
 
     # ---- Phase 5: CSR conversion -------------------------------------------
     t_phase = time.perf_counter()
@@ -362,10 +345,10 @@ def pb_spgemm(
     b_csr: CSRMatrix,
     semiring: Semiring | str = PLUS_TIMES,
     config: PBConfig | None = None,
-    engine=None,
+    session=None,
 ) -> CSRMatrix:
     """C = A · B by propagation-blocked outer-product ESC (the paper's
     PB-SpGEMM).  Returns canonical CSR; see :func:`pb_spgemm_detailed`
-    for instrumentation and the ``engine`` (warm session) parameter.
+    for instrumentation and the ``session`` parameter.
     """
-    return pb_spgemm_detailed(a_csc, b_csr, semiring, config, engine=engine).c
+    return pb_spgemm_detailed(a_csc, b_csr, semiring, config, session=session).c

@@ -12,15 +12,16 @@ the monolithic product for every semiring (k is never split).
 
 Streaming and spill
 -------------------
-Every tile multiply runs through one shared process engine (a warm
-:class:`repro.session.Session`'s, or one private engine spawned for
-the whole grid) so shared-memory arenas recycle across tiles instead
-of being created and unlinked per tile.  Staged tile products and
-merged row panels pass through a :class:`SpillStore`: a bounded
-in-memory cache that evicts oldest-first to ``.npz`` files in a
-staging directory once ``memory_budget`` is exceeded, giving true
-out-of-core operation for products larger than memory (minus the
-final in-memory CSR, which the caller receives).
+Every tile multiply runs on the one engine
+:func:`~repro.parallel.executor.engine_scope` resolves for the grid (a
+warm :class:`repro.session.Session`'s, or one private engine spawned
+for the whole grid), so pools are never spawned per tile.  Staged
+tile products and merged row panels pass through a
+:class:`SpillStore`: a bounded in-memory cache that evicts
+oldest-first to ``.npz`` files in a staging directory once
+``memory_budget`` is exceeded, giving true out-of-core operation for
+products larger than memory (minus the final in-memory CSR, which the
+caller receives).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from ..kernels.tile_merge import hstack_tiles
 from ..matrix.csc import CSCMatrix
 from ..matrix.csr import CSRMatrix
 from ..matrix.ops import row_slice
+from ..parallel.executor import engine_scope
 from ..semiring import PLUS_TIMES, Semiring, get_semiring
 from .blocks import (
     CSR_ENTRY_BYTES,
@@ -291,19 +293,17 @@ def tiled_spgemm_detailed(
     b_csr: CSRMatrix,
     semiring: Semiring | str = PLUS_TIMES,
     config: PBConfig | None = None,
-    engine=None,
     session=None,
 ) -> TiledResult:
     """C = A · B over a 2D tile grid of small PB-SpGEMMs.
 
-    ``engine`` — an already-warm process engine every tile multiply
-    runs on (what the session front door passes); ``session`` — a
-    :class:`repro.session.Session` to borrow the engine from instead.
-    With neither, ``config.executor == "process"`` spawns **one**
-    private engine for the whole grid (never per tile) and closes it
-    at the end; serial configs run serially.  Output is bit-identical
-    to the monolithic :func:`repro.core.pb_spgemm` for every semiring
-    and every grid (see :mod:`repro.core.blocks`).
+    ``session`` — a :class:`repro.session.Session` whose warm engine
+    every tile multiply runs on.  Without one, ``executor="process"``
+    spawns **one** private engine for the whole grid (never per tile)
+    and closes it at the end; configs that resolve to serial run
+    serially.  Output is bit-identical to the monolithic
+    :func:`repro.core.pb_spgemm` for every semiring and every grid (see
+    :mod:`repro.core.blocks`).
     """
     if a_csc.shape[1] != b_csr.shape[0]:
         raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
@@ -314,28 +314,6 @@ def tiled_spgemm_detailed(
     t_start = time.perf_counter()
     total_flop = int(a_csc.col_nnz() @ b_csr.row_nnz())
     grid = plan_tile_grid(m, n, total_flop, cfg)
-
-    own_engine = False
-    own_session_note = session is not None and engine is None
-    if engine is None and session is not None:
-        engine = session.engine_for(cfg)
-    if engine is None and cfg.executor == "process" and cfg.nthreads > 1:
-        from ..parallel import process_backend_available
-
-        if process_backend_available():
-            from ..parallel.executor import ProcessEngine
-
-            engine = ProcessEngine(cfg.nthreads)
-            own_engine = True
-    if own_session_note and engine is not None:
-        session._note_engine_multiply()
-
-    result = TiledResult(
-        c=CSRMatrix.empty((m, n)),
-        grid=grid,
-        total_flop=total_flop,
-        executor_used="process" if engine is not None else "serial",
-    )
     staging_budget = (
         None
         if cfg.memory_budget is None
@@ -343,14 +321,20 @@ def tiled_spgemm_detailed(
     )
     store = SpillStore(cfg.spill_dir, staging_budget)
     merge_seconds = 0.0
-    try:
+    with engine_scope(cfg, sr, session) as engine, store:
+        result = TiledResult(
+            c=CSRMatrix.empty((m, n)),
+            grid=grid,
+            total_flop=total_flop,
+            executor_used="process" if engine is not None else "serial",
+        )
         a_csr = a_csc.to_csr() if grid.grid_rows > 1 else None
         b_panels = split_col_panels(b_csr, grid.col_edges)
         panel_nnz: list[int] = []
         for i, rlo, rhi in grid.row_panels():
             # single row panel: A is already panel-shaped
             a_i = a_csc if a_csr is None else row_slice(a_csr, rlo, rhi).to_csc()
-            tiles = row_panel_tiles(a_i, b_panels, sr, cfg, engine=engine)
+            tiles = row_panel_tiles(a_i, b_panels, sr, cfg, engine)
             for j, (tile_flop, c_ij) in enumerate(tiles):
                 if c_ij is None:
                     result.tiles_empty += 1
@@ -378,10 +362,6 @@ def tiled_spgemm_detailed(
         )
         result.spilled_tiles = store.spilled_entries
         result.spilled_bytes = store.spilled_bytes
-    finally:
-        store.close()
-        if own_engine:
-            engine.close()
     result.predicted_peak_bytes = tiled_peak_bytes(
         total_flop,
         a_csc.nnz,
@@ -401,10 +381,7 @@ def tiled_spgemm(
     b_csr: CSRMatrix,
     semiring: Semiring | str = PLUS_TIMES,
     config: PBConfig | None = None,
-    engine=None,
     session=None,
 ) -> CSRMatrix:
     """C = A · B through the tile grid; see :func:`tiled_spgemm_detailed`."""
-    return tiled_spgemm_detailed(
-        a_csc, b_csr, semiring, config, engine=engine, session=session
-    ).c
+    return tiled_spgemm_detailed(a_csc, b_csr, semiring, config, session=session).c

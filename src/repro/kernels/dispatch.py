@@ -31,9 +31,8 @@ class AlgorithmInfo:
     (:mod:`repro.planner`) and the session front door consume instead of
     hard-coding algorithm names: whether the kernel accepts a
     ``config=`` PBConfig, whether it can run on the process-pool
-    executor, and whether it can execute on a
-    :class:`repro.session.Session`'s warm engine (accepts an
-    ``engine=`` keyword).
+    executor, and whether it accepts a ``session=``
+    :class:`repro.session.Session` whose warm resources it runs on.
 
     ``column_backends`` lists the execution strategies a column kernel
     can run under (``("panel", "loop", "panel_jit")`` for the four
@@ -43,13 +42,6 @@ class AlgorithmInfo:
     (``"pb"``, ``"tiled"``, ``"sharded"``: the ``radix_jit`` sort and
     ``counting_jit`` distribute) and, for column kernels, when
     ``"panel_jit"`` is listed here.
-
-    ``wants_session`` marks algorithms whose kernel takes the *whole*
-    session (a ``session=`` keyword) rather than its warm engine — the
-    sharded executor borrows the session's :class:`ArenaPool` for its
-    broadcast/return segments and books its multiplies in the session
-    stats.  Mutually exclusive with ``supports_session`` consumption:
-    the front door passes ``session=`` instead of ``engine=``.
     """
 
     name: str
@@ -62,8 +54,7 @@ class AlgorithmInfo:
     description: str
     supports_config: bool = False  # accepts config=PBConfig
     supports_process: bool = False  # can run on the process-pool executor
-    supports_session: bool = False  # accepts engine= from a warm Session
-    wants_session: bool = False  # accepts session= (not engine=)
+    supports_session: bool = False  # accepts session= (a warm Session)
     column_backends: tuple = ()  # column execution strategies, if any
 
 
@@ -148,7 +139,7 @@ def _registry() -> dict[str, AlgorithmInfo]:
             "shared-memory panel broadcast, streamed assembly "
             "(repro.core.sharded)",
             supports_config=True,
-            wants_session=True,
+            supports_session=True,
         ),
     ]
     return {i.name: i for i in infos}
@@ -197,7 +188,6 @@ def algorithm_metadata() -> dict[str, dict]:
             "supports_config": info.supports_config,
             "supports_process": info.supports_process,
             "supports_session": info.supports_session,
-            "wants_session": info.wants_session,
             "column_backends": list(info.column_backends),
             "description": info.description,
         }

@@ -7,7 +7,9 @@ passed zero-copy through POSIX shared memory.  Select it with
 ``PBConfig(executor="process", nthreads=N)``.
 
 * :func:`process_backend_available` — platform capability probe.
-* :class:`ProcessEngine` — pool + shared-memory arenas; spawned per
+* :func:`~repro.parallel.executor.engine_scope` — the one resolver:
+  process or serial, and the engine a multiply runs on.
+* :class:`ProcessEngine` — pool + shared-memory arenas; private to one
   multiply by default, or kept warm across many multiplies by a
   :class:`repro.session.Session`.
 * :class:`ArenaPool` — size-classed recycler of shared-memory segments

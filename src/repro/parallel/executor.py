@@ -27,6 +27,9 @@ Fallback contract (also documented on :class:`repro.core.PBConfig`):
 ``executor="process"`` silently degrades to the serial path when
 ``nthreads == 1``, when the platform lacks POSIX shared memory, or when
 the semiring is an unregistered object that cannot be pickled.
+:func:`uses_workers` is the one place that decides, and
+:func:`engine_scope` (through :func:`resolve_engine`) the one place a
+multiply gets its engine.
 """
 
 from __future__ import annotations
@@ -35,16 +38,20 @@ import multiprocessing as mp
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
 from ..matrix.base import INDEX_DTYPE, VALUE_DTYPE
-from ..semiring import Semiring, get_semiring
+from ..semiring import PLUS_TIMES, Semiring, get_semiring
 from .shm import HAVE_SHARED_MEMORY, ArenaPool, ArraySpec, AttachedArrays, SharedArena
 
 __all__ = [
     "process_backend_available",
     "semiring_token",
+    "uses_workers",
+    "resolve_engine",
+    "engine_scope",
     "ProcessEngine",
 ]
 
@@ -198,13 +205,13 @@ def _sort_compress_task(payload):
 class ProcessEngine:
     """Worker pool + shared-memory arenas for PB multiplications.
 
-    Historically one engine served a single multiply (spawned and torn
-    down inside :func:`repro.core.pb_spgemm.pb_spgemm_detailed`); a
-    :class:`repro.session.Session` now keeps one engine *warm* across
-    many multiplies — the pool is spawned once, lazily resized upward
-    via :meth:`ensure_workers`, and arenas are leased from the session's
-    :class:`~repro.parallel.shm.ArenaPool` so buffers recycle instead of
-    being allocated and unlinked per call.
+    Multiplies get one only from :func:`resolve_engine`: either private
+    to one multiply (or one block grid) and closed by
+    :func:`engine_scope`, or kept *warm* by a
+    :class:`repro.session.Session` across many multiplies — spawned
+    once, lazily resized upward via :meth:`ensure_workers`, with arenas
+    leased from the session's :class:`~repro.parallel.shm.ArenaPool` so
+    buffers recycle instead of being allocated and unlinked per call.
 
     Use as a context manager; arenas stay alive until
     :meth:`free_arenas`/:meth:`close` so the views returned by
@@ -513,3 +520,73 @@ class ProcessEngine:
             self._arenas.remove(arena)
             arena.close()
         self._expand_arena = None
+
+
+# ---------------------------------------------------------------------------
+# The resolver: process or serial, and which engine
+# ---------------------------------------------------------------------------
+
+def uses_workers(config, semiring: Semiring = PLUS_TIMES) -> bool:
+    """True when a multiply under ``config`` over ``semiring`` runs on
+    worker processes — the one process-or-serial decision.
+
+    Every fallback of ``PBConfig.executor`` lives here: a serial
+    executor, ``nthreads < 2``, a platform without POSIX shared memory,
+    and a semiring that cannot travel to workers.
+    """
+    return (
+        config.executor == "process"
+        and config.nthreads > 1
+        and process_backend_available()
+        and semiring_token(semiring) is not None
+    )
+
+
+def resolve_engine(config, semiring: Semiring, session):
+    """The :class:`ProcessEngine` one multiply runs on, or ``None``.
+
+    With a :class:`repro.session.Session`, the session's warm engine,
+    spawned on first use and grown to ``config.nthreads``; without
+    one, a new private engine the caller must close.  Counts nothing.
+    """
+    if session is not None and session._closed:
+        raise RuntimeError("session is closed")
+    if not uses_workers(config, semiring):
+        return None
+    pooled = session is not None
+    engine = session._engine if pooled else None
+    if engine is None:
+        engine = ProcessEngine(
+            config.nthreads,
+            arena_pool=session.arena_pool if pooled else None,
+            start_method=session._start_method if pooled else None,
+        )
+        if not pooled:
+            return engine
+        session._resources["engine"] = engine
+    else:
+        engine.ensure_workers(config.nthreads)
+    session.stats.engine_spawns = session._engine_spawns_base + engine.spawn_count
+    return engine
+
+
+@contextmanager
+def engine_scope(config, semiring: Semiring, session=None):
+    """Yield the engine one multiply (or one whole block grid) runs on,
+    or ``None`` to run serially.
+
+    A session's warm engine stays running afterwards and the multiply
+    is booked in ``session.stats.engine_multiplies``; a private engine
+    (no session) is closed on exit.  Private engines own their arenas
+    — unlinked on release, never parked in an :class:`ArenaPool` — so
+    a standalone multiply's footprint ends with it.
+    """
+    engine = resolve_engine(config, semiring, session)
+    private = engine is not None and session is None
+    if engine is not None and not private:
+        session.stats.engine_multiplies += 1
+    try:
+        yield engine
+    finally:
+        if private:
+            engine.close()

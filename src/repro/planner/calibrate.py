@@ -63,10 +63,9 @@ PROFILE_FILENAME = "profile.json"
 #: v3 added ``warm_dispatch_s`` (round-trip latency of a task on an
 #: already-spawned pool, for session-aware warm pricing); v4 added
 #: ``jit_scatter_mtuples_s`` (compiled-tier sort rate, 0.0 when no JIT
-#: engine is available).  v3 profiles migrate in place on load
-#: (the new rate fills as 0.0 — "unmeasured", pricing the tier out
-#: until the next ``repro calibrate``); anything older is rejected and
-#: silently re-calibrated.
+#: engine is available).  Stale profiles recalibrate, never migrate:
+#: any other version is rejected, :func:`load_profile` warns, and the
+#: planner uses the presets until the next ``repro calibrate``.
 PROFILE_SCHEMA_VERSION = 4
 
 #: Sanity clamps: a wildly off micro-benchmark (noisy CI container,
@@ -181,13 +180,6 @@ class MachineProfile:
     def from_dict(cls, data: dict) -> "MachineProfile":
         if not isinstance(data, dict):
             raise ValueError("profile payload must be a JSON object")
-        if data.get("schema_version") == 3 and "jit_scatter_mtuples_s" not in data:
-            # One-shot v3 → v4 migration: pre-JIT-tier profiles stay
-            # valid; the unmeasured rate (0.0) prices the tier out of
-            # every ranking until the next `repro calibrate`.
-            data = dict(data)
-            data["jit_scatter_mtuples_s"] = 0.0
-            data["schema_version"] = PROFILE_SCHEMA_VERSION
         if data.get("schema_version") != PROFILE_SCHEMA_VERSION:
             raise ValueError(
                 f"profile schema_version must be {PROFILE_SCHEMA_VERSION}, "

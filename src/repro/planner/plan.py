@@ -170,13 +170,9 @@ def plan(
     if cache is None:
         cache = default_cache(cache_dir)
 
-    from ..parallel import process_backend_available
+    from ..parallel.executor import uses_workers
 
-    process_ok = (
-        cfg.executor == "process"
-        and cfg.nthreads > 1
-        and process_backend_available()
-    )
+    process_ok = uses_workers(cfg, sr)
     executor_req = "process" if process_ok else "serial"
 
     warm = bool(warm_pool) and process_ok

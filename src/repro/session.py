@@ -143,7 +143,7 @@ class Session:
         self._closed = False
         self.stats = SessionStats()
         # Spawns of engines that were since replaced after a worker
-        # death; engine_for adds the live engine's own count on top.
+        # death; resolve_engine adds the live engine's own count on top.
         self._engine_spawns_base = 0
         pool = None
         from .parallel import process_backend_available
@@ -181,56 +181,18 @@ class Session:
         return self._resources["pool"]
 
     def engine_for(self, config: PBConfig | None = None):
-        """The warm :class:`~repro.parallel.executor.ProcessEngine` for
-        one multiply, or ``None`` when the request resolves to serial.
+        """The warm :class:`~repro.parallel.executor.ProcessEngine` a
+        plain-semiring multiply under ``config`` runs on, or ``None``
+        when that multiply resolves to serial.
 
-        Spawns the pool on first use, grows it when ``config.nthreads``
-        exceeds the current width, and counts the engine-backed multiply
-        in :attr:`stats`.
+        Spawns the pool on first use and grows it when
+        ``config.nthreads`` exceeds the current width.  Counts no
+        multiply: :func:`~repro.parallel.executor.engine_scope` books
+        each multiply that runs on the engine.
         """
-        if self._closed:
-            raise RuntimeError("session is closed")
-        cfg = config or self.config
-        if cfg.executor != "process" or cfg.nthreads < 2:
-            return None
-        from .parallel import process_backend_available
+        from .parallel.executor import resolve_engine
 
-        if not process_backend_available():  # pragma: no cover - platform
-            return None
-        engine = self._resources["engine"]
-        if engine is None:
-            from .parallel.executor import ProcessEngine
-
-            engine = ProcessEngine(
-                cfg.nthreads,
-                arena_pool=self._resources["pool"],
-                start_method=self._start_method,
-            )
-            self._resources["engine"] = engine
-        else:
-            engine.ensure_workers(cfg.nthreads)
-        self.stats.engine_spawns = self._engine_spawns_base + engine.spawn_count
-        return engine
-
-    def _recover_engine(self) -> None:
-        """Discard a broken engine so the next multiply respawns fresh.
-
-        Called when a worker died mid-multiply (``BrokenProcessPool``).
-        Closing the engine releases its arenas back to the session's
-        pool — the parent owns every segment, so nothing leaks in
-        ``/dev/shm`` even though workers vanished — and the next
-        :meth:`engine_for` builds a replacement pool.
-        """
-        engine = self._resources["engine"]
-        if engine is None:
-            return
-        self._engine_spawns_base += engine.spawn_count
-        try:
-            engine.close()
-        except Exception:  # pragma: no cover - teardown of a broken pool
-            pass
-        self._resources["engine"] = None
-        self.stats.engine_restarts += 1
+        return resolve_engine(config or self.config, PLUS_TIMES, self)
 
     def is_warm(self) -> bool:
         """True when the pool has been spawned and is still running."""
@@ -246,6 +208,39 @@ class Session:
         return self
 
     # -- multiplication -----------------------------------------------------
+    def _run(self, call, requests: int = 1):
+        """Run one multiply (or one fused wave of ``requests``), retried
+        once on a fresh pool if a worker dies.
+
+        On ``BrokenProcessPool`` the failed attempt's engine and sharded
+        counts are rolled back and the broken engine is discarded:
+        closing it returns its arenas to the session's pool (the parent
+        owns every segment, so nothing leaks in ``/dev/shm`` even though
+        workers vanished) and the next multiply spawns a replacement.
+        A second death propagates; the replacement still serves later
+        calls.
+        """
+        from concurrent.futures.process import BrokenProcessPool
+
+        self.stats.multiplies += requests
+        for attempt in (0, 1):
+            booked = (self.stats.engine_multiplies, self.stats.sharded_multiplies)
+            try:
+                return call()
+            except BrokenProcessPool:
+                self.stats.engine_multiplies, self.stats.sharded_multiplies = booked
+                engine = self._resources["engine"]
+                if engine is not None:
+                    self._engine_spawns_base += engine.spawn_count
+                    try:
+                        engine.close()
+                    except Exception:  # pragma: no cover - broken pool teardown
+                        pass
+                    self._resources["engine"] = None
+                    self.stats.engine_restarts += 1
+                if attempt:
+                    raise
+
     def multiply(
         self,
         a,
@@ -260,36 +255,23 @@ class Session:
         Identical signature and semantics to the front door; the
         session supplies the warm engine (for session-capable
         algorithms under ``executor="process"``) and warm-vs-cold
-        pricing to ``algorithm="auto"``.
-
-        Worker-death robustness: if a pool worker dies mid-multiply
-        (``BrokenProcessPool``), the session discards the broken engine
-        and retries once on a fresh pool; a second death propagates the
-        exception (and the replacement pool still serves later calls).
+        pricing to ``algorithm="auto"``.  If a pool worker dies
+        mid-multiply, the multiply is retried once on a fresh pool; a
+        second death propagates.
         """
-        from concurrent.futures.process import BrokenProcessPool
-
         from .api import multiply as _multiply
 
-        self.stats.multiplies += 1
-        engine_multiplies = self.stats.engine_multiplies
-        for attempt in (0, 1):
-            try:
-                return _multiply(
-                    a,
-                    b,
-                    algorithm=algorithm,
-                    semiring=semiring,
-                    config=config or self.config,
-                    session=self,
-                    **kwargs,
-                )
-            except BrokenProcessPool:
-                self._recover_engine()
-                if attempt:
-                    raise
-                # The retry books its engine multiply again; count once.
-                self.stats.engine_multiplies = engine_multiplies
+        return self._run(
+            lambda: _multiply(
+                a,
+                b,
+                algorithm=algorithm,
+                semiring=semiring,
+                config=config or self.config,
+                session=self,
+                **kwargs,
+            )
+        )
 
     def multiply_detailed(
         self,
@@ -305,27 +287,17 @@ class Session:
         observability a multiply server reports.  Same worker-death
         retry contract as :meth:`multiply`.
         """
-        from concurrent.futures.process import BrokenProcessPool
-
         from .api import _coerce
         from .core.pb_spgemm import pb_spgemm_detailed
 
-        cfg = config or self.config
         a_csc = _coerce(a, "A", "csc")
         b_csr = _coerce(b, "B", "csr")
-        self.stats.multiplies += 1
-        for attempt in (0, 1):
-            try:
-                engine = self.engine_for(cfg)
-                if engine is not None and attempt == 0:
-                    self._note_engine_multiply()
-                return pb_spgemm_detailed(
-                    a_csc, b_csr, semiring=semiring, config=cfg, engine=engine
-                )
-            except BrokenProcessPool:
-                self._recover_engine()
-                if attempt:
-                    raise
+        cfg = config or self.config
+        return self._run(
+            lambda: pb_spgemm_detailed(
+                a_csc, b_csr, semiring=semiring, config=cfg, session=self
+            )
+        )
 
     def multiply_many(self, pairs, **kwargs) -> list:
         """Multiply a batch of ``(a, b)`` operand pairs on this session.
@@ -360,8 +332,6 @@ class Session:
         contract as :meth:`multiply`: the wave is re-run once on a
         fresh pool before the failure propagates.
         """
-        from concurrent.futures.process import BrokenProcessPool
-
         from .api import _coerce
         from .core.batched import fused_multiply_detailed
 
@@ -369,24 +339,14 @@ class Session:
         coerced = [
             (_coerce(a, "A", "csc"), _coerce(b, "B", "csr")) for a, b in pairs
         ]
-        self.stats.multiplies += len(coerced)
         self.stats.fused_waves += 1
         self.stats.fused_requests += len(coerced)
-        for attempt in (0, 1):
-            try:
-                engine = self.engine_for(cfg)
-                if engine is not None and attempt == 0:
-                    self._note_engine_multiply()
-                return fused_multiply_detailed(
-                    coerced, semiring=semiring, config=cfg, engine=engine
-                )
-            except BrokenProcessPool:
-                self._recover_engine()
-                if attempt:
-                    raise
-
-    def _note_engine_multiply(self) -> None:
-        self.stats.engine_multiplies += 1
+        return self._run(
+            lambda: fused_multiply_detailed(
+                coerced, semiring=semiring, config=cfg, session=self
+            ),
+            requests=len(coerced),
+        )
 
     def _note_sharded_multiply(self) -> None:
         self.stats.sharded_multiplies += 1

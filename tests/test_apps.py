@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro import PBConfig
 from repro.apps import (
     bfs_levels,
     bounded_hop_distances,
@@ -177,6 +178,16 @@ class TestMCL:
         res = markov_clustering(CSRMatrix.empty((0, 0)))
         assert res.n_clusters == 0 and res.converged
 
+    def test_process_config_without_workers_runs_serially(self):
+        # executor="process" with the default nthreads=1 is the
+        # documented serial fallback, as in repro.multiply: no session.
+        adj = block_diagonal(3, 12, seed=5)
+        sym = CSRMatrix.from_dense(np.maximum(adj.to_dense(), adj.to_dense().T))
+        res = markov_clustering(sym, config=PBConfig(executor="process"))
+        ref = markov_clustering(sym)
+        np.testing.assert_array_equal(res.labels, ref.labels)
+        assert res.iterations == ref.iterations
+
 
 class TestWalks:
     def test_walk_counts_match_matrix_power(self, graph):
@@ -186,6 +197,14 @@ class TestWalks:
             np.testing.assert_allclose(
                 w.to_dense(), np.linalg.matrix_power(adj.to_dense(), k), atol=1e-9
             )
+
+    def test_process_config_without_workers_runs_serially(self, graph):
+        adj, _ = graph
+        w = count_walks(adj, 3, config=PBConfig(executor="process"))
+        ref = count_walks(adj, 3)
+        np.testing.assert_array_equal(w.indptr, ref.indptr)
+        np.testing.assert_array_equal(w.indices, ref.indices)
+        assert w.data.tobytes() == ref.data.tobytes()
 
     def test_negative_length(self, graph):
         adj, _ = graph

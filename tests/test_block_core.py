@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
 from repro import PBConfig
-from repro.core import partitioned_pb_spgemm, pb_spgemm
+from repro.core import partitioned_pb_spgemm, pb_spgemm, pb_spgemm_detailed
 from repro.core.blocks import BlockGrid, assemble_rows, uniform_edges
 from repro.core.sharded import _row_flops, plan_shards, sharded_spgemm_detailed
 from repro.core.tiled import tiled_spgemm_detailed
@@ -103,6 +103,22 @@ def test_sharded_matches_monolithic(problem, shards, budget):
         assert res.fallback == "row split degenerates to one shard"
         row_flops = _row_flops(a.to_csr(), b_rownnz)
         assert plan_shards(b.shape[1], row_flops, shards, cfg).grid_rows == 1
+
+
+@pytest.mark.skipif(
+    not process_backend_available(), reason="POSIX shared memory unavailable"
+)
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problems(), st.sampled_from(["auto", "barrier"]))
+def test_standalone_process_pb_matches_serial(problem, pipeline):
+    """``executor="process"`` without a session: one private engine per
+    call, on rectangular and 0/1 extents alike."""
+    a, b, sr = problem
+    cfg = PBConfig(executor="process", nthreads=2, pipeline=pipeline)
+    res = pb_spgemm_detailed(a, b, sr, cfg)
+    _bit_equal(res.c, pb_spgemm(a, b, sr))
+    flop = int(a.col_nnz() @ b.row_nnz())
+    assert res.executor_used == ("process" if flop else "serial")
 
 
 def test_uniform_edges():

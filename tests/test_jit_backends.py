@@ -6,8 +6,8 @@ numpy counterparts across every built-in semiring, the absent-degradation
 contract (one structured warning, numpy results, including on
 process-pool workers), warm-up hygiene (Session construction +
 ``jit_warmup_s`` stopwatch), the planner's calibrated pricing (profile
-schema v4 + migration), and the CLI surfaces (``repro machine --json``,
-backend flags).
+schema v4, stale versions rejected), and the CLI surfaces (``repro
+machine --json``, backend flags).
 
 Every test runs whether or not an engine is available: engine-requiring
 assertions are guarded by :func:`repro.kernels.jit.jit_available`, and
@@ -357,22 +357,28 @@ class TestPlannerPricing:
         again = MachineProfile.from_dict(json.loads(json.dumps(prof.to_dict())))
         assert again == prof
 
-    def test_v3_profile_migrates_one_shot(self):
+    def test_v3_profile_rejected(self, tmp_path):
+        """Stale profiles recalibrate, never migrate: a v3 file is
+        rejected like a v2 one, and the planner falls back to presets."""
         from repro.planner.calibrate import (
-            PROFILE_SCHEMA_VERSION,
             MachineProfile,
             default_profile,
+            profile_path,
         )
+        from repro.planner.plan import resolve_profile
 
         d = default_profile().to_dict()
         d.pop("jit_scatter_mtuples_s")
+        for version in (3, 2):
+            d["schema_version"] = version
+            with pytest.raises(ValueError, match="schema_version"):
+                MachineProfile.from_dict(d)
         d["schema_version"] = 3
-        prof = MachineProfile.from_dict(d)
-        assert prof.schema_version == PROFILE_SCHEMA_VERSION
-        assert prof.jit_scatter_mtuples_s == 0.0
-        d["schema_version"] = 2
-        with pytest.raises(ValueError):
-            MachineProfile.from_dict(d)
+        with open(profile_path(tmp_path), "w") as fh:
+            json.dump(d, fh)
+        with pytest.warns(RuntimeWarning, match="machine profile"):
+            prof = resolve_profile(str(tmp_path))
+        assert prof == default_profile()
 
     def test_jit_sort_scale_ratio(self):
         from repro.planner.calibrate import default_profile

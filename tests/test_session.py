@@ -13,14 +13,14 @@ import pytest
 
 import repro
 from repro import PBConfig, Session
-from repro.core.pb_spgemm import pb_spgemm_detailed
+from repro.core.pb_spgemm import _pb_run
 from repro.errors import ConfigError
 from repro.generators import erdos_renyi, rmat
 from repro.kernels.dispatch import algorithm_metadata
 from repro.parallel import process_backend_available
 from repro.parallel.executor import ProcessEngine
 from repro.parallel.shm import ArenaPool
-from repro.semiring import available_semirings
+from repro.semiring import PLUS_TIMES, Semiring, available_semirings
 
 pytestmark = pytest.mark.session
 
@@ -164,12 +164,13 @@ def test_arena_recycling_hits(mats):
 @needs_pool
 def test_engine_close_idempotent_and_safe_after_free_arenas(mats):
     """Satellite regression: close() after free_arenas(), then close()
-    again, must be no-ops — the pb pipeline's finally block does exactly
-    this sequence for engines it owns."""
+    again, must be no-ops — a private engine sees exactly this sequence:
+    the pb pipeline's finally block frees the arenas, then engine_scope
+    closes the pool."""
     a = mats["er"].to_csc()
     b = mats["er"].to_csr()
     engine = ProcessEngine(2)
-    res = pb_spgemm_detailed(a, b, config=_proc_config(), engine=engine)
+    res = _pb_run(a, b, PLUS_TIMES, _proc_config(), engine)
     assert res.executor_used == "process"
     engine.free_arenas()
     engine.close()
@@ -217,9 +218,25 @@ def test_pipeline_config_validation():
 
 def test_supports_session_metadata():
     meta = algorithm_metadata()
-    assert meta["pb"]["supports_session"] is True
+    for name in ("pb", "tiled", "sharded"):
+        assert meta[name]["supports_session"] is True
     assert all("supports_session" in m for m in meta.values())
     assert meta["hash"]["supports_session"] is False
+
+
+@needs_pool
+def test_unpicklable_semiring_never_books_the_engine(mats):
+    """A semiring that cannot travel to workers runs serially, so the
+    session neither spawns its pool nor counts an engine multiply."""
+    closure = Semiring("custom_lambda", np.add, lambda x, y: x * y, 0.0)
+    a = mats["er"]
+    with Session(_proc_config()) as s:
+        c = s.multiply(a, a, semiring=closure)
+        assert s.stats.engine_multiplies == 0
+        assert not s.is_warm()
+    _assert_identical(
+        repro.multiply(a, a, semiring=closure, config=PBConfig(nbins=16)), c
+    )
 
 
 # ---------------------------------------------------------------------------

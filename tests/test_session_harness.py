@@ -1,5 +1,6 @@
 """Differential harness for the session paths: warm-pool ``multiply``
-under both bin schedules, and fused ``multiply_many`` waves.
+under both bin schedules, tiled and partitioned grids on the warm
+engine, and fused ``multiply_many`` waves.
 
 Reuses the block-core ``problems`` strategy (k >> n, n >> k, 0/1
 extents, five semirings) on one module-scoped process session.  Every
@@ -13,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import PBConfig, Session
-from repro.core import pb_spgemm
+from repro.core import partitioned_pb_spgemm, pb_spgemm
 from repro.parallel import process_backend_available
 from repro.semiring import available_semirings
 
@@ -39,6 +40,30 @@ def test_session_multiply_matches_monolithic(session, problem, pipeline):
     a, b, sr = problem
     engine_multiplies = session.stats.engine_multiplies
     c = session.multiply(a, b, semiring=sr, config=CONFIG.with_(pipeline=pipeline))
+    _bit_equal(c, pb_spgemm(a, b, sr))
+    assert session.stats.engine_multiplies == engine_multiplies + 1
+    assert session.stats.engine_restarts == 0
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problems(), st.integers(1, 50), st.integers(1, 50))
+def test_session_tiled_matches_monolithic(session, problem, tile_rows, tile_cols):
+    a, b, sr = problem
+    engine_multiplies = session.stats.engine_multiplies
+    cfg = CONFIG.with_(tile_rows=tile_rows, tile_cols=tile_cols)
+    c = session.multiply(a, b, algorithm="tiled", semiring=sr, config=cfg)
+    _bit_equal(c, pb_spgemm(a, b, sr))
+    # One engine resolution per grid, however many tiles it has.
+    assert session.stats.engine_multiplies == engine_multiplies + 1
+    assert session.stats.engine_restarts == 0
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(problems(), st.sampled_from([1, 2, 3]))
+def test_session_partitioned_matches_monolithic(session, problem, parts):
+    a, b, sr = problem
+    engine_multiplies = session.stats.engine_multiplies
+    c = partitioned_pb_spgemm(a, b, parts, sr, CONFIG, session=session)
     _bit_equal(c, pb_spgemm(a, b, sr))
     assert session.stats.engine_multiplies == engine_multiplies + 1
     assert session.stats.engine_restarts == 0

@@ -360,7 +360,7 @@ def test_shard_exception_reraised_in_parent(operands, monkeypatch):
 
     a, b = operands
     before = _shm_names()
-    monkeypatch.setattr(blocks, "pb_spgemm", bomb)  # forked shards inherit it
+    monkeypatch.setattr(blocks, "_pb_run", bomb)  # forked shards inherit it
     with pytest.raises(ValueError, match="kernel bomb") as info:
         sharded_spgemm_detailed(a, b, "plus_times", PBConfig(shards=2))
     assert "kernel bomb" in str(info.value.__cause__)
@@ -390,7 +390,7 @@ def test_shard_unpicklable_exception_still_surfaces(operands, monkeypatch):
 
     a, b = operands
     before = _shm_names()
-    monkeypatch.setattr(blocks, "pb_spgemm", bomb)
+    monkeypatch.setattr(blocks, "_pb_run", bomb)
     with pytest.raises(RuntimeError, match="_NoUnpickle.*kernel bomb") as info:
         sharded_spgemm_detailed(a, b, "plus_times", PBConfig(shards=2))
     assert "in shard" in str(info.value.__cause__)

@@ -34,7 +34,7 @@ from repro.kernels.tile_merge import accumulate_partials, hstack_tiles
 from repro.matrix import CSCMatrix, CSRMatrix
 from repro.matrix.ops import allclose, col_slice, row_slice
 from repro.parallel import process_backend_available
-from repro.semiring import available_semirings, get_semiring
+from repro.semiring import Semiring, available_semirings, get_semiring
 
 from tests.util import random_coo
 
@@ -287,6 +287,16 @@ class TestEngineReuse:
         res = tiled_spgemm_detailed(a, b, config=cfg)
         assert res.executor_used == "process"
         assert _identical(res.c, pb_spgemm(a, b))
+
+    def test_unpicklable_semiring_reports_serial(self, pair):
+        """Tiles over a semiring that cannot travel to workers run
+        serially, and the result says so."""
+        a, b = pair
+        sr = Semiring("custom_lambda", np.add, lambda x, y: x * y, 0.0)
+        cfg = PBConfig(executor="process", nthreads=2, tile_rows=64)
+        res = tiled_spgemm_detailed(a, b, sr, cfg)
+        assert res.executor_used == "serial"
+        assert _identical(res.c, pb_spgemm(a, b, sr))
 
 
 class TestPlannerBudgetGate:
