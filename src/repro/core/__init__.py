@@ -6,14 +6,14 @@
 * :mod:`repro.core.binning` — bin geometry and key packing
   (Sec. III-D).
 * :func:`pb_spgemm` — Alg. 2: expand → bin → sort → compress → CSR.
-* :func:`partitioned_pb_spgemm` — the NUMA-partitioned variant
-  discussed in Sec. V-D.
 * :mod:`repro.core.blocks` — the block-decomposition core (DESIGN.md
-  §16): :class:`BlockGrid`, the tile loop, the B column-panel split
-  and the preallocated-CSR row assembler, shared by the three
-  block drivers (partitioned, tiled, sharded).
+  §16): :class:`BlockGrid`, the tile loop, the B column-panel split,
+  the preallocated-CSR row assembler, and the fused wave
+  (``fused_multiply_detailed``: many small multiplies as one
+  block-diagonal PB run).
 * :func:`tiled_spgemm` — the block core in process: bounded peak
-  memory, spill-to-disk staging.
+  memory, spill-to-disk staging; :func:`partitioned_pb_spgemm`, the
+  NUMA variant of Sec. V-D, is the same runner on a row-only grid.
 * :func:`sharded_spgemm` — the block core with one worker process per
   row panel: shared-memory panel broadcast, tiles streamed to the
   parent for merge and assembly.
@@ -24,10 +24,10 @@ from .symbolic import SymbolicResult, symbolic_phase
 from .binning import BinLayout, pack_keys, unpack_keys, plan_bins
 from .pb_spgemm import PBResult, pb_spgemm, pb_spgemm_detailed
 from .blocks import BlockGrid
-from .partitioned import partitioned_pb_spgemm
 from .tiled import (
     SpillStore,
     TiledResult,
+    partitioned_pb_spgemm,
     plan_tile_grid,
     tiled_spgemm,
     tiled_spgemm_detailed,

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .._util import balanced_edges
 from ..errors import ConfigError
 from ..matrix.base import INDEX_DTYPE
 from .config import PBConfig
@@ -301,21 +302,12 @@ def balanced_bin_edges(
 
     A single mega-row can still exceed one share — bins never split a
     row — so perfect balance is not guaranteed, only monotone
-    improvement over fixed ranges.
+    improvement over fixed ranges.  The cut is
+    :func:`repro._util.balanced_edges`.
     """
-    flops_per_row = np.asarray(flops_per_row, dtype=np.float64)
-    m = len(flops_per_row)
     if nbins < 1:
         raise ConfigError(f"nbins must be >= 1, got {nbins}")
-    nbins = min(nbins, max(m, 1))
-    prefix = np.concatenate([[0.0], np.cumsum(flops_per_row)])
-    total = prefix[-1]
-    if total == 0:
-        return np.linspace(0, m, nbins + 1).astype(np.int64)
-    targets = total * np.arange(1, nbins) / nbins
-    cuts = np.searchsorted(prefix, targets, side="left")
-    edges = np.concatenate([[0], cuts, [m]]).astype(np.int64)
-    return np.maximum.accumulate(edges)
+    return balanced_edges(flops_per_row, nbins)
 
 
 class VariableBinLayout:

@@ -1,4 +1,4 @@
-"""The block-decomposition core shared by tiled, sharded and partitioned SpGEMM.
+"""The block-decomposition core of tiled, sharded, partitioned and fused SpGEMM.
 
 Every memory- or process-bounded driver cuts ``C = A · B`` the same way
 (DESIGN.md §16): a :class:`BlockGrid` of row edges over A and column
@@ -6,13 +6,18 @@ edges over B, B split into column panels converted to CSR once, one
 tile loop that multiplies a row panel of A against those panels, a
 ``hstack_tiles`` column merge per row panel, and one preallocated-CSR
 assembler that stacks the merged row panels.  The drivers differ only
-in *where* the tile loop runs and where merged panels wait:
+in the grid and in *where* the tile loop runs:
 
-* :mod:`repro.core.tiled` — in process, panels staged in a
-  :class:`~repro.core.tiled.SpillStore`;
+* :mod:`repro.core.tiled` — the in-process runner
+  (:func:`~repro.core.tiled.run_tile_grid`), panels staged in a
+  :class:`~repro.core.tiled.SpillStore`; the tiled grid comes from
+  :func:`~repro.core.tiled.plan_tile_grid`, the NUMA-partitioned grid
+  (:func:`~repro.core.tiled.partitioned_pb_spgemm`) is row-only;
 * :mod:`repro.core.sharded` — one worker process per row panel,
   tiles streamed back to the parent, which merges and assembles;
-* :mod:`repro.core.partitioned` — a row-only grid, panels in memory.
+* :func:`fused_multiply_detailed` — the other way round: a wave of
+  independent products as ONE multiply over block-diagonal operands,
+  split afterwards along a diagonal grid.
 
 Bit-identity
 ------------
@@ -27,6 +32,24 @@ order, so no schedule can perturb a bit.  A k-split would need
 :func:`repro.kernels.tile_merge.accumulate_partials` and would forfeit
 bit-identity for plus-like semirings; it would be one more enumerator
 of blocks here, not another driver.
+
+A fused wave is exact for a different reason: no PB phase reorders
+values *within* a ``(row, col)`` group.
+
+* Expansion visits the stacked columns in order, and a block's columns
+  are contiguous, so its tuple stream is exactly the standalone stream
+  (with offset coordinates).
+* Blocks occupy disjoint row ranges, so keys from different blocks
+  never collide.
+* Distribute is a stable counting placement and the per-bin radix sort
+  a stable LSD sort, so within any key group the value order is the
+  expansion order — the standalone order.
+* Compress folds duplicate runs left to right, in that same order, so
+  floating-point reductions associate identically.
+
+The stacked run's binning geometry differs from the standalone runs
+(more rows, more flops, possibly wider keys), but binning only
+partitions the key space; it never reorders values within a key.
 """
 
 from __future__ import annotations
@@ -37,11 +60,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import ShapeError
 from ..matrix.base import INDEX_DTYPE, VALUE_DTYPE
 from ..matrix.csc import CSCMatrix
 from ..matrix.csr import CSRMatrix
-from ..matrix.ops import col_slice
-from ..semiring import Semiring
+from ..matrix.ops import col_slice, row_slice
+from ..semiring import PLUS_TIMES, Semiring
 from .config import PBConfig
 from .pb_spgemm import _pb_run
 
@@ -204,3 +228,77 @@ def assemble_rows(
         off += nnz
         del block
     return CSRMatrix((m, n), indptr, indices, data, validate=False)
+
+
+def _block_diag(shape, row_edges, col_edges, blocks) -> CSRMatrix:
+    """diag(blocks) as CSR: row panel ``i`` is block ``i`` shifted right
+    to ``col_edges[i]`` (one tile per panel, so nothing to interleave)."""
+
+    def fetch(i: int) -> CSRMatrix:
+        blk = blocks[i]
+        return CSRMatrix(
+            (blk.shape[0], shape[1]),
+            blk.indptr,
+            blk.indices + col_edges[i],
+            blk.data,
+            validate=False,
+        )
+
+    return assemble_rows(shape, row_edges, [blk.nnz for blk in blocks], fetch)
+
+
+def fused_multiply_detailed(
+    pairs,
+    semiring: Semiring | str = PLUS_TIMES,
+    config: PBConfig | None = None,
+    session=None,
+):
+    """Run a wave of coerced ``(A_csc, B_csr)`` pairs as one PB multiply
+    over diag(A_1 … A_p) · diag(B_1 … B_p) (module docstring).
+
+    diag(B) is :func:`assemble_rows` with B_i, shifted to its column
+    offset, as row panel ``i``; diag(A) in CSC is the same call on the A_iᵀ
+    (zero-copy CSR views).  Returns ``(products, detail)``: each pair's
+    product, sliced along the diagonal :class:`BlockGrid` and owning
+    its arrays, plus the stacked run's
+    :class:`~repro.core.pb_spgemm.PBResult` (wave-level
+    ``phase_seconds``).
+    """
+    from .pb_spgemm import pb_spgemm_detailed
+
+    pairs = list(pairs)
+    if not pairs:
+        raise ValueError("a fused wave needs at least one (a, b) pair")
+    for a, b in pairs:
+        if a.shape[1] != b.shape[0]:
+            raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
+
+    def edges(extents):
+        return tuple(int(x) for x in np.cumsum([0, *extents]))
+
+    grid = BlockGrid(
+        edges(a.shape[0] for a, _ in pairs), edges(b.shape[1] for _, b in pairs)
+    )
+    k_edges = edges(a.shape[1] for a, _ in pairs)
+    m, k, n = grid.row_edges[-1], k_edges[-1], grid.col_edges[-1]
+    a_stacked = _block_diag(
+        (k, m), k_edges, grid.row_edges, [a.transpose() for a, _ in pairs]
+    ).transpose()
+    b_stacked = _block_diag((k, n), k_edges, grid.col_edges, [b for _, b in pairs])
+    detail = pb_spgemm_detailed(
+        a_stacked, b_stacked, semiring=semiring, config=config, session=session
+    )
+    products = []
+    for i, lo, hi in grid.row_panels():
+        c_i = row_slice(detail.c, lo, hi)
+        c0, c1 = grid.col_edges[i], grid.col_edges[i + 1]
+        products.append(
+            CSRMatrix(
+                (hi - lo, c1 - c0),
+                c_i.indptr,
+                c_i.indices - c0,
+                c_i.data.copy(),
+                validate=False,
+            )
+        )
+    return products, detail

@@ -300,6 +300,14 @@ class PBConfig:
         )
 
 
+def effective_config(config: "PBConfig | None", session=None) -> "PBConfig":
+    """``config``, else the session's, else the defaults: the config of
+    every kernel-level entry that takes ``session=``."""
+    if config is not None:
+        return config
+    return session.config if session is not None else PBConfig()
+
+
 def resolve_nbins(flop: int, nrows: int, config: "PBConfig | None" = None) -> int:
     """THE place ``nbins=None`` resolves to a concrete bin count.
 

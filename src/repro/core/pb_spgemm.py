@@ -45,7 +45,7 @@ from .binning import (
     plan_bins,
     unpack_keys,
 )
-from .config import PBConfig
+from .config import PBConfig, effective_config
 from .symbolic import SymbolicResult, symbolic_phase
 
 
@@ -117,7 +117,7 @@ def pb_spgemm_detailed(
     """
     if a_csc.shape[1] != b_csr.shape[0]:
         raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
-    cfg = config or PBConfig()
+    cfg = effective_config(config, session)
     sr = get_semiring(semiring)
     with engine_scope(cfg, sr, session) as engine:
         return _pb_run(a_csc, b_csr, sr, cfg, engine)
@@ -158,17 +158,11 @@ def _pb_run(
     sym = symbolic_phase(a_csc, b_csr, cfg)
     if cfg.bin_mapping == "balanced":
         # Variable row ranges equalizing tuples per bin (Sec. V-C).
+        from ..matrix.stats import flops_per_row
         from .binning import VariableBinLayout, balanced_bin_edges
 
-        b_rownnz = b_csr.row_nnz()
-        col_of_entry = np.repeat(np.arange(a_csc.shape[1]), a_csc.col_nnz())
-        flops_per_row = np.bincount(
-            a_csc.indices,
-            weights=b_rownnz[col_of_entry].astype(np.float64),
-            minlength=m,
-        )
         layout = VariableBinLayout(
-            m, n, balanced_bin_edges(flops_per_row, sym.nbins)
+            m, n, balanced_bin_edges(flops_per_row(a_csc, b_csr), sym.nbins)
         )
     else:
         layout = plan_bins(m, n, sym.nbins, sym.rows_per_bin, cfg)

@@ -13,9 +13,9 @@ every shard shares the same physical memory.
 Topology and protocol
 ---------------------
 * The parent splits A's rows into ``shards`` contiguous ranges of
-  roughly equal flop (the same prefix-sum rule the balanced bin
-  mapping uses) and picks ONE column-panel split for everybody
-  (:func:`repro.core.blocks.col_panels_for`).
+  roughly equal flop (:func:`repro._util.balanced_ranges`, the split
+  of the balanced bin mapping) and picks ONE column-panel split for
+  everybody (:func:`repro.core.blocks.col_panels_for`).
 * A (CSR) and every column panel of B (CSR, converted once in the
   parent) are published as shared-memory segments leased from an
   :class:`~repro.parallel.shm.ArenaPool` — a session's recycling pool
@@ -81,12 +81,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .._util import balanced_ranges
 from ..errors import ShapeError
 from ..kernels.tile_merge import hstack_tiles
 from ..matrix.base import INDEX_DTYPE, VALUE_DTYPE
 from ..matrix.csc import CSCMatrix
 from ..matrix.csr import CSRMatrix
 from ..matrix.ops import row_slice
+from ..matrix.stats import flops_per_row
 from ..semiring import PLUS_TIMES, Semiring, get_semiring
 from .blocks import (
     CSR_ENTRY_BYTES,
@@ -98,7 +100,7 @@ from .blocks import (
     split_col_panels,
     uniform_edges,
 )
-from .config import PBConfig
+from .config import PBConfig, effective_config
 from .tiled import SpillStore, tiled_spgemm_detailed
 
 #: ``shards="auto"`` never derives more than this many workers.
@@ -216,16 +218,6 @@ class ShardedResult:
     merge_seconds: float = 0.0
 
 
-def _row_flops(a_csr: CSRMatrix, b_rownnz: np.ndarray) -> np.ndarray:
-    """flop contributed by each row of A (=" row of C")."""
-    if a_csr.nnz == 0:
-        return np.zeros(a_csr.shape[0], dtype=np.int64)
-    cs = np.concatenate(
-        [[0], np.cumsum(b_rownnz[a_csr.indices], dtype=np.int64)]
-    )
-    return cs[a_csr.indptr[1:]] - cs[a_csr.indptr[:-1]]
-
-
 def plan_shards(
     n: int,
     row_flops: np.ndarray,
@@ -239,10 +231,8 @@ def plan_shards(
     (:func:`repro.core.blocks.col_panels_for`) applied to the busiest
     shard's flop, shared by every shard.
     """
-    from ..parallel.executor import _balanced_groups
-
     row_flops = np.asarray(row_flops, dtype=np.float64)
-    ranges = _balanced_groups(row_flops, shards)
+    ranges = balanced_ranges(row_flops, shards)
     row_edges = (0,) + tuple(hi for _, hi in ranges) if ranges else (0, 0)
     max_shard_flop = max(
         (float(np.sum(row_flops[lo:hi])) for lo, hi in ranges), default=0.0
@@ -404,13 +394,12 @@ def sharded_spgemm_detailed(
     """
     if a_csc.shape[1] != b_csr.shape[0]:
         raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
-    cfg = config or PBConfig()
+    cfg = effective_config(config, session)
     sr = get_semiring(semiring)
     m, n = a_csc.shape[0], b_csr.shape[1]
 
     t_start = time.perf_counter()
-    b_rownnz = b_csr.row_nnz()
-    total_flop = int(a_csc.col_nnz() @ b_rownnz)
+    total_flop = int(a_csc.col_nnz() @ b_csr.row_nnz())
 
     nshards = resolve_shards(
         cfg.shards, m=m, flop=total_flop, memory_budget=cfg.memory_budget
@@ -442,7 +431,7 @@ def sharded_spgemm_detailed(
     from ..parallel.shm import ArenaPool, SharedArena
 
     a_csr = a_csc.to_csr()
-    grid = plan_shards(n, _row_flops(a_csr, b_rownnz), nshards, cfg)
+    grid = plan_shards(n, flops_per_row(a_csc, b_csr), nshards, cfg)
     if grid.grid_rows <= 1:
         return _fallback("row split degenerates to one shard")
     worker_cfg = sharded_config(cfg, None).with_(tile_rows=None, tile_cols=None)
@@ -636,7 +625,7 @@ def sharded_spgemm_detailed(
             pool.close()
 
     if session is not None:
-        session._note_sharded_multiply()
+        session.stats.sharded_multiplies += 1
     result.merge_seconds = merge_seconds
     result.seconds = time.perf_counter() - t_start
     return result

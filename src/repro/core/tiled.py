@@ -52,7 +52,7 @@ from .blocks import (
     split_col_panels,
     uniform_edges,
 )
-from .config import PBConfig
+from .config import PBConfig, effective_config
 
 #: How ``memory_budget`` is apportioned: one tile's modeled working
 #: set gets ``budget // WORKING_BUDGET_DENOM`` and the in-memory
@@ -116,11 +116,8 @@ def plan_tile_grid(
 def monolithic_peak_bytes(
     flop: int, nnz_a: int, nnz_b: int, nnz_c: int
 ) -> float:
-    """Modeled peak bytes of one monolithic PB multiply."""
-    inputs = CSR_ENTRY_BYTES * 2.0 * (nnz_a + nnz_b)  # both orientations
-    return inputs + TILE_WORKING_BYTES_PER_FLOP * float(flop) + (
-        CSR_ENTRY_BYTES * float(nnz_c)
-    )
+    """Modeled peak bytes of one monolithic PB multiply: a 1x1 grid."""
+    return tiled_peak_bytes(flop, nnz_a, nnz_b, nnz_c, 1, 1)
 
 
 def tiled_peak_bytes(
@@ -174,6 +171,7 @@ class SpillStore:
         self._budget = None if mem_budget is None else max(int(mem_budget), 0)
         self._mem: dict[str, CSRMatrix] = {}
         self._bytes = 0
+        self.peak_bytes = 0  # high-water mark of staged_bytes
         self._on_disk: dict[str, str] = {}
         self.spilled_entries = 0
         self.spilled_bytes = 0
@@ -207,6 +205,7 @@ class SpillStore:
         self._mem[key] = mat
         self._bytes += self._size(mat)
         self._evict()
+        self.peak_bytes = max(self.peak_bytes, self._bytes)
 
     def _evict(self) -> None:
         if self._budget is None:
@@ -288,6 +287,62 @@ class TiledResult:
     executor_used: str = "serial"
 
 
+def run_tile_grid(
+    a,
+    b_csr: CSRMatrix,
+    grid: BlockGrid,
+    sr: Semiring,
+    cfg: PBConfig,
+    session=None,
+    staging_budget: int | None = None,
+) -> TiledResult:
+    """Execute a given :class:`BlockGrid` in this process on one engine.
+
+    Tiles and merged row panels wait in a :class:`SpillStore` bounded
+    by ``staging_budget`` (``None`` never spills).  ``a`` may be CSC or
+    CSR.  Fills every :class:`TiledResult` field except ``total_flop``,
+    ``predicted_peak_bytes`` and ``seconds``, which belong to the caller.
+    """
+    m, n = a.shape[0], b_csr.shape[1]
+    store = SpillStore(cfg.spill_dir, staging_budget)
+    with engine_scope(cfg, sr, session) as engine, store:
+        result = TiledResult(
+            c=CSRMatrix.empty((m, n)),
+            grid=grid,
+            executor_used="process" if engine is not None else "serial",
+        )
+        a_csr = a.to_csr() if grid.grid_rows > 1 else None
+        b_panels = split_col_panels(b_csr, grid.col_edges)
+        panel_nnz: list[int] = []
+        for i, rlo, rhi in grid.row_panels():
+            # single row panel: A is already panel-shaped
+            a_i = a.to_csc() if a_csr is None else row_slice(a_csr, rlo, rhi).to_csc()
+            tiles = row_panel_tiles(a_i, b_panels, sr, cfg, engine)
+            for j, (tile_flop, c_ij) in enumerate(tiles):
+                if c_ij is None:
+                    result.tiles_empty += 1
+                    continue
+                result.tiles_computed += 1
+                result.peak_tile_flop = max(result.peak_tile_flop, tile_flop)
+                store.put(f"tile-{i}-{j}", c_ij)
+            t0 = time.perf_counter()
+            staged = [
+                store.pop(f"tile-{i}-{j}") for j in range(grid.grid_cols)
+            ]
+            merged = hstack_tiles(staged, grid.col_starts, rhi - rlo, n, sr)
+            result.merge_seconds += time.perf_counter() - t0
+            panel_nnz.append(merged.nnz)
+            store.put(f"panel-{i}", merged)
+            del merged, staged
+        result.c = assemble_rows(
+            (m, n), grid.row_edges, panel_nnz, lambda i: store.pop(f"panel-{i}")
+        )
+        result.spilled_tiles = store.spilled_entries
+        result.spilled_bytes = store.spilled_bytes
+        result.peak_staged_bytes = store.peak_bytes
+    return result
+
+
 def tiled_spgemm_detailed(
     a_csc: CSCMatrix,
     b_csr: CSRMatrix,
@@ -307,61 +362,19 @@ def tiled_spgemm_detailed(
     """
     if a_csc.shape[1] != b_csr.shape[0]:
         raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
-    cfg = config or PBConfig()
+    cfg = effective_config(config, session)
     sr = get_semiring(semiring)
-    m, n = a_csc.shape[0], b_csr.shape[1]
 
     t_start = time.perf_counter()
     total_flop = int(a_csc.col_nnz() @ b_csr.row_nnz())
-    grid = plan_tile_grid(m, n, total_flop, cfg)
+    grid = plan_tile_grid(a_csc.shape[0], b_csr.shape[1], total_flop, cfg)
     staging_budget = (
         None
         if cfg.memory_budget is None
         else max(cfg.memory_budget // STAGING_BUDGET_DENOM, 1)
     )
-    store = SpillStore(cfg.spill_dir, staging_budget)
-    merge_seconds = 0.0
-    with engine_scope(cfg, sr, session) as engine, store:
-        result = TiledResult(
-            c=CSRMatrix.empty((m, n)),
-            grid=grid,
-            total_flop=total_flop,
-            executor_used="process" if engine is not None else "serial",
-        )
-        a_csr = a_csc.to_csr() if grid.grid_rows > 1 else None
-        b_panels = split_col_panels(b_csr, grid.col_edges)
-        panel_nnz: list[int] = []
-        for i, rlo, rhi in grid.row_panels():
-            # single row panel: A is already panel-shaped
-            a_i = a_csc if a_csr is None else row_slice(a_csr, rlo, rhi).to_csc()
-            tiles = row_panel_tiles(a_i, b_panels, sr, cfg, engine)
-            for j, (tile_flop, c_ij) in enumerate(tiles):
-                if c_ij is None:
-                    result.tiles_empty += 1
-                    continue
-                result.tiles_computed += 1
-                result.peak_tile_flop = max(result.peak_tile_flop, tile_flop)
-                store.put(f"tile-{i}-{j}", c_ij)
-                result.peak_staged_bytes = max(
-                    result.peak_staged_bytes, store.staged_bytes
-                )
-            t0 = time.perf_counter()
-            staged = [
-                store.pop(f"tile-{i}-{j}") for j in range(grid.grid_cols)
-            ]
-            merged = hstack_tiles(staged, grid.col_starts, rhi - rlo, n, sr)
-            merge_seconds += time.perf_counter() - t0
-            panel_nnz.append(merged.nnz)
-            store.put(f"panel-{i}", merged)
-            del merged, staged
-            result.peak_staged_bytes = max(
-                result.peak_staged_bytes, store.staged_bytes
-            )
-        result.c = assemble_rows(
-            (m, n), grid.row_edges, panel_nnz, lambda i: store.pop(f"panel-{i}")
-        )
-        result.spilled_tiles = store.spilled_entries
-        result.spilled_bytes = store.spilled_bytes
+    result = run_tile_grid(a_csc, b_csr, grid, sr, cfg, session, staging_budget)
+    result.total_flop = total_flop
     result.predicted_peak_bytes = tiled_peak_bytes(
         total_flop,
         a_csc.nnz,
@@ -371,7 +384,6 @@ def tiled_spgemm_detailed(
         grid.grid_cols,
         max_tile_flop=result.peak_tile_flop or None,
     )
-    result.merge_seconds = merge_seconds
     result.seconds = time.perf_counter() - t_start
     return result
 
@@ -385,3 +397,37 @@ def tiled_spgemm(
 ) -> CSRMatrix:
     """C = A · B through the tile grid; see :func:`tiled_spgemm_detailed`."""
     return tiled_spgemm_detailed(a_csc, b_csr, semiring, config, session=session).c
+
+
+def partitioned_pb_spgemm(
+    a_csc: CSCMatrix,
+    b_csr: CSRMatrix,
+    npartitions: int = 2,
+    semiring: Semiring | str = PLUS_TIMES,
+    config: PBConfig | None = None,
+    *,
+    session=None,
+) -> CSRMatrix:
+    """C = A · B with A split into ``npartitions`` row blocks: the NUMA
+    variant of paper Sec. V-D.
+
+    The author's thesis variant of the dual-socket experiment (Fig. 14)
+    gives each socket one row block of A and an independent PB-SpGEMM
+    against all of B, so its bins stay local; the price is reading B
+    once per partition (:func:`repro.simulate.simulate_partitioned_pb`
+    models the bandwidth).  Here it is :func:`run_tile_grid` on a
+    row-only grid of ``npartitions`` equal row ranges (clamped to the
+    row count) with panels staged in memory: ``memory_budget`` and
+    ``spill_dir`` do not apply.  ``a_csc`` may also be CSR; ``session``
+    works as for :func:`tiled_spgemm_detailed`.
+    """
+    if a_csc.shape[1] != b_csr.shape[0]:
+        raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
+    if npartitions < 1:
+        raise ValueError(f"npartitions must be >= 1, got {npartitions}")
+    m, n = a_csc.shape[0], b_csr.shape[1]
+    npartitions = min(npartitions, max(m, 1))
+    edges = np.linspace(0, m, npartitions + 1).astype(int)
+    grid = BlockGrid(tuple(int(x) for x in edges), (0, n))
+    cfg = effective_config(config, session)
+    return run_tile_grid(a_csc, b_csr, grid, get_semiring(semiring), cfg, session).c

@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import ShapeError
 from ..matrix.csc import CSCMatrix
 from ..matrix.csr import CSRMatrix
-from ..matrix.stats import multiply_stats
+from ..matrix.stats import flops_per_row, multiply_stats
 
 
 @dataclass(frozen=True)
@@ -132,22 +132,6 @@ def workload_stats(
     per_k = (a_colnnz * b_rownnz).astype(np.int64)
     flop = int(per_k.sum())
 
-    # Tuples per output row: each A entry (i, k) yields nnz(B(k,:)) tuples in row i.
-    col_of_a_entry = np.repeat(np.arange(a_csc.shape[1]), a_colnnz)
-    flops_per_row = np.bincount(
-        a_csc.indices,
-        weights=b_rownnz[col_of_a_entry].astype(np.float64),
-        minlength=a_csc.shape[0],
-    ).astype(np.int64)
-
-    # Tuples per output column: each B entry (k, j) yields nnz(A(:,k)) tuples in col j.
-    row_of_b_entry = np.repeat(np.arange(b_csr.shape[0]), b_rownnz)
-    flops_per_col = np.bincount(
-        b_csr.indices,
-        weights=a_colnnz[row_of_b_entry].astype(np.float64),
-        minlength=b_csr.shape[1],
-    ).astype(np.int64)
-
     nnz_b_per_col = np.bincount(b_csr.indices, minlength=b_csr.shape[1]).astype(
         np.int64
     )
@@ -165,8 +149,9 @@ def workload_stats(
         flop=flop,
         mean_col_degree_a=a_csc.mean_degree(),
         flops_per_k=per_k,
-        flops_per_row=flops_per_row,
-        flops_per_col=flops_per_col,
+        flops_per_row=flops_per_row(a_csc, b_csr),
+        # columns of C are the rows of Cᵀ = Bᵀ·Aᵀ (zero-copy transposes)
+        flops_per_col=flops_per_row(b_csr.transpose(), a_csc.transpose()),
         nnz_b_per_col=nnz_b_per_col,
         max_col_nnz_a=int(a_colnnz.max()) if len(a_colnnz) else 0,
     )

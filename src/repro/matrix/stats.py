@@ -79,6 +79,17 @@ def flops_per_k(a_csc: CSCMatrix, b_csr: CSRMatrix) -> np.ndarray:
     return a_csc.col_nnz() * b_csr.row_nnz()
 
 
+def flops_per_row(a_csc: CSCMatrix, b_csr: CSRMatrix) -> np.ndarray:
+    """Tuples each row of C receives: every stored ``A(i, k)`` expands
+    into ``nnz(B(k,:))`` tuples of row ``i``.  O(nnz(A))."""
+    if a_csc.shape[1] != b_csr.shape[0]:
+        raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
+    weights = np.repeat(b_csr.row_nnz(), a_csc.col_nnz()).astype(np.float64)
+    return np.bincount(
+        a_csc.indices, weights=weights, minlength=a_csc.shape[0]
+    ).astype(np.int64)
+
+
 def total_flops(a_csc: CSCMatrix, b_csr: CSRMatrix) -> int:
     """Total multiplications (the paper's ``flop``)."""
     return int(flops_per_k(a_csc, b_csr).sum())

@@ -42,6 +42,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .._util import balanced_ranges
 from ..matrix.base import INDEX_DTYPE, VALUE_DTYPE
 from ..semiring import PLUS_TIMES, Semiring, get_semiring
 from .shm import HAVE_SHARED_MEMORY, ArenaPool, ArraySpec, AttachedArrays, SharedArena
@@ -107,30 +108,6 @@ def _worker_init() -> None:
     except Exception:  # pragma: no cover - CPython-internal layout change
         inherited = False
     shm.set_tracker_inherited(inherited)
-
-
-def _balanced_groups(weights: np.ndarray, parts: int) -> list[tuple[int, int]]:
-    """Cut ``len(weights)`` items into ≤ ``parts`` contiguous groups of
-    roughly equal total weight (same prefix-sum rule the balanced bin
-    mapping uses).  Returns non-empty ``(lo, hi)`` index ranges.
-    """
-    n = len(weights)
-    if n == 0:
-        return []
-    parts = max(1, min(parts, n))
-    prefix = np.concatenate([[0.0], np.cumsum(np.asarray(weights, dtype=np.float64))])
-    total = prefix[-1]
-    if total <= 0:
-        edges = np.linspace(0, n, parts + 1).astype(np.int64)
-    else:
-        targets = total * np.arange(1, parts) / parts
-        cuts = np.searchsorted(prefix, targets, side="left")
-        edges = np.maximum.accumulate(
-            np.concatenate([[0], cuts, [n]]).astype(np.int64)
-        )
-    return [
-        (int(lo), int(hi)) for lo, hi in zip(edges[:-1], edges[1:]) if hi > lo
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +364,7 @@ class ProcessEngine:
             )
         }
         weights = [o_hi - o_lo for _, _, o_lo, o_hi in ranges]
-        groups = _balanced_groups(np.asarray(weights), self.nworkers)
+        groups = balanced_ranges(weights, self.nworkers)
         futures = [
             self._pool.submit(
                 _expand_task,
@@ -399,6 +376,18 @@ class ProcessEngine:
         return out_rows, out_cols, out_vals, times
 
     # -- phases 3+4: per-bin sort + compress --------------------------------
+    def _bin_groups(self, bin_starts: np.ndarray):
+        """Non-empty bins as ``(bin, lo, hi)`` plus tuple-balanced bin
+        groups: 2x oversubscribed, so the pool's FIFO absorbs skewed
+        bins the way the simulator's LPT schedule does."""
+        bins = [
+            (b, int(bin_starts[b]), int(bin_starts[b + 1]))
+            for b in range(len(bin_starts) - 1)
+            if bin_starts[b + 1] > bin_starts[b]
+        ]
+        weights = [hi - lo for _, lo, hi in bins]
+        return bins, balanced_ranges(weights, self.nworkers * 2)
+
     def sort_compress(
         self,
         layout,
@@ -423,15 +412,7 @@ class ProcessEngine:
         arena.share("bin_vals", b_vals)
         specs = {k: arena.spec(k) for k in ("bin_keys", "bin_vals")}
 
-        bins = [
-            (b, int(bin_starts[b]), int(bin_starts[b + 1]))
-            for b in range(len(bin_starts) - 1)
-            if bin_starts[b + 1] > bin_starts[b]
-        ]
-        weights = np.asarray([hi - lo for _, lo, hi in bins], dtype=np.float64)
-        # 2x oversubscription lets the pool's FIFO absorb skewed bins the
-        # way the simulator's LPT schedule does.
-        groups = _balanced_groups(weights, self.nworkers * 2)
+        bins, groups = self._bin_groups(bin_starts)
         futures = [
             self._pool.submit(
                 _sort_compress_task, (specs, layout, config, sr_token, bins[lo:hi])
@@ -490,13 +471,7 @@ class ProcessEngine:
         b_vals = arena.allocate("bin_vals", (flop,), vals.dtype)
         specs = {k: arena.spec(k) for k in ("bin_keys", "bin_vals")}
 
-        bins = [
-            (b, int(bin_starts[b]), int(bin_starts[b + 1]))
-            for b in range(len(bin_starts) - 1)
-            if bin_starts[b + 1] > bin_starts[b]
-        ]
-        weights = np.asarray([hi - lo for _, lo, hi in bins], dtype=np.float64)
-        groups = _balanced_groups(weights, self.nworkers * 2)
+        bins, groups = self._bin_groups(bin_starts)
         futures = []
         for lo, hi in groups:
             span_lo, span_hi = bins[lo][1], bins[hi - 1][2]

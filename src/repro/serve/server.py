@@ -420,8 +420,10 @@ class MultiplyServer:
             from ..core.sharded import sharded_config, sharded_spgemm_detailed
 
             cfg = sharded_config(self.config, sc.shards)
-            detail = sharded_spgemm_detailed(
-                req.a_csc, req.b_csr, req.semiring, cfg, session=session
+            detail = session._run(
+                lambda: sharded_spgemm_detailed(
+                    req.a_csc, req.b_csr, req.semiring, cfg, session=session
+                )
             )
             compute_s = time.perf_counter() - t0
             plan = {

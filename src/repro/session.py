@@ -267,7 +267,7 @@ class Session:
                 b,
                 algorithm=algorithm,
                 semiring=semiring,
-                config=config or self.config,
+                config=config,
                 session=self,
                 **kwargs,
             )
@@ -292,10 +292,9 @@ class Session:
 
         a_csc = _coerce(a, "A", "csc")
         b_csr = _coerce(b, "B", "csr")
-        cfg = config or self.config
         return self._run(
             lambda: pb_spgemm_detailed(
-                a_csc, b_csr, semiring=semiring, config=cfg, session=self
+                a_csc, b_csr, semiring=semiring, config=config, session=self
             )
         )
 
@@ -305,11 +304,11 @@ class Session:
         A batch of two or more plain PB multiplies (keyword arguments
         limited to ``semiring=`` / ``config=``) is executed as a
         *single* block-diagonally stacked PB run
-        (:mod:`repro.core.batched`) — one symbolic/expand/distribute/
-        sort pipeline amortized over the whole wave, bit-identical per
-        pair to the standalone products.  Any other batch runs as a
-        loop of :meth:`multiply` calls, each receiving the keyword
-        arguments.  Returns the products in order.
+        (:func:`repro.core.blocks.fused_multiply_detailed`) — one
+        symbolic/expand/distribute/sort pipeline amortized over the
+        whole wave, bit-identical per pair to the standalone products.
+        Any other batch runs as a loop of :meth:`multiply` calls, each
+        receiving the keyword arguments.  Returns the products in order.
         """
         pairs = list(pairs)
         if len(pairs) >= 2 and set(kwargs) <= {"semiring", "config"}:
@@ -333,9 +332,8 @@ class Session:
         fresh pool before the failure propagates.
         """
         from .api import _coerce
-        from .core.batched import fused_multiply_detailed
+        from .core.blocks import fused_multiply_detailed
 
-        cfg = config or self.config
         coerced = [
             (_coerce(a, "A", "csc"), _coerce(b, "B", "csr")) for a, b in pairs
         ]
@@ -343,13 +341,10 @@ class Session:
         self.stats.fused_requests += len(coerced)
         return self._run(
             lambda: fused_multiply_detailed(
-                coerced, semiring=semiring, config=cfg, session=self
+                coerced, semiring=semiring, config=config, session=self
             ),
             requests=len(coerced),
         )
-
-    def _note_sharded_multiply(self) -> None:
-        self.stats.sharded_multiplies += 1
 
     def runtime_stats(self) -> dict:
         """Live observability snapshot: session counters plus the

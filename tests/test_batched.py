@@ -1,4 +1,4 @@
-"""Block-diagonal batch fusion (:mod:`repro.core.batched`).
+"""Block-diagonal batch fusion (:func:`repro.core.blocks.fused_multiply_detailed`).
 
 The serve scheduler's throughput mechanism: diag(A_1..A_p) ·
 diag(B_1..B_p) = diag(A_1 B_1 .. A_p B_p), executed as ONE PB multiply.
@@ -19,7 +19,7 @@ import repro
 
 pytestmark = pytest.mark.parallel
 from repro import PBConfig
-from repro.core.batched import fused_multiply_detailed, split_product, stack_pairs
+from repro.core.blocks import fused_multiply_detailed
 from repro.matrix import CSRMatrix
 from repro.semiring import available_semirings
 
@@ -66,15 +66,27 @@ def _assert_identical(ref, got):
 
 
 class TestStackSplit:
-    def test_offsets_and_shape(self):
+    def test_block_shapes(self):
+        # Blocks with 0 rows, 0 inner extent and 0 columns sit between
+        # ordinary ones; each product keeps its own (m_i, n_i) shape.
+        empty = [
+            (CSRMatrix.empty((0, 4)), CSRMatrix.empty((4, 3))),
+            (CSRMatrix.empty((3, 0)), CSRMatrix.empty((0, 5))),
+            (CSRMatrix.empty((2, 6)), CSRMatrix.empty((6, 0))),
+        ]
         pairs = _pairs()
-        a_stacked, b_stacked, meta = stack_pairs(pairs)
-        assert a_stacked.shape[0] == sum(a.shape[0] for a, _ in pairs)
-        assert a_stacked.shape[1] == b_stacked.shape[0]
-        assert b_stacked.shape[1] == sum(b.shape[1] for _, b in pairs)
-        assert a_stacked.indptr[-1] == sum(len(a.data) for a, _ in pairs)
-        assert meta["row_offsets"][0] == 0
-        assert len(meta["shapes"]) == len(pairs)
+        pairs = pairs[:2] + [(a.to_csc(), b) for a, b in empty] + pairs[2:]
+        cfg = PBConfig()
+        products, detail = fused_multiply_detailed(pairs, config=cfg)
+        assert [c.shape for c in products] == [(a.shape[0], b.shape[1]) for a, b in pairs]
+        assert detail.c.shape == (
+            sum(a.shape[0] for a, _ in pairs),
+            sum(b.shape[1] for _, b in pairs),
+        )
+        for (a, b), got in zip(pairs, products):
+            _assert_identical(repro.multiply(a, b, config=cfg), got)
+        with pytest.raises(ValueError):
+            fused_multiply_detailed([], config=cfg)
 
     def test_split_roundtrip(self):
         pairs = _pairs()
@@ -101,18 +113,24 @@ class TestStackSplit:
         for ref, got in zip(refs, products):
             _assert_identical(ref, got)
 
-    def test_split_product_copies(self):
-        # Split products own their data: mutating one block must not
-        # alias another block or the stacked product.
+    def test_products_own_their_arrays(self):
+        # Mutating one product must not alias another product or the
+        # stacked product.
         pairs = _pairs(mixed_shapes=False)
-        a_stacked, b_stacked, meta = stack_pairs(pairs)
-        c = repro.multiply(a_stacked, b_stacked, config=PBConfig())
-        blocks = split_product(c, meta)
-        before = c.data.tobytes()
-        for blk in blocks:
-            if blk.data.size:
-                blk.data[:] = -1.0
-        assert c.data.tobytes() == before
+        products, detail = fused_multiply_detailed(pairs, config=PBConfig())
+        stacked = [detail.c.indptr.tobytes(), detail.c.indices.tobytes(),
+                   detail.c.data.tobytes()]
+        others = [(c.indptr.tobytes(), c.indices.tobytes(), c.data.tobytes())
+                  for c in products[1:]]
+        first = products[0]
+        assert first.nnz
+        first.indptr[:] = 0
+        first.indices[:] = -1
+        first.data[:] = -1.0
+        assert [detail.c.indptr.tobytes(), detail.c.indices.tobytes(),
+                detail.c.data.tobytes()] == stacked
+        assert others == [(c.indptr.tobytes(), c.indices.tobytes(),
+                           c.data.tobytes()) for c in products[1:]]
 
 
 class TestSessionFusedPath:

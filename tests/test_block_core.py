@@ -1,6 +1,6 @@
 """Differential harness for the block-decomposition core (``repro.core.blocks``).
 
-Tiled, partitioned and sharded SpGEMM are three runners over one core:
+Tiled, partitioned, sharded and fused SpGEMM are four drivers over one core:
 a :class:`~repro.core.blocks.BlockGrid`, one tile loop, one B
 column-panel split and one preallocated-CSR assembler.  Whatever the
 runner, grid or shape, the product must be bit-identical to monolithic
@@ -17,10 +17,16 @@ from hypothesis import strategies as st
 
 from repro import PBConfig
 from repro.core import partitioned_pb_spgemm, pb_spgemm, pb_spgemm_detailed
-from repro.core.blocks import BlockGrid, assemble_rows, uniform_edges
-from repro.core.sharded import _row_flops, plan_shards, sharded_spgemm_detailed
+from repro.core.blocks import (
+    BlockGrid,
+    assemble_rows,
+    fused_multiply_detailed,
+    uniform_edges,
+)
+from repro.core.sharded import plan_shards, sharded_spgemm_detailed
 from repro.core.tiled import tiled_spgemm_detailed
 from repro.matrix import CSRMatrix
+from repro.matrix.stats import flops_per_row
 from repro.parallel import process_backend_available
 from repro.semiring import available_semirings
 
@@ -79,6 +85,18 @@ def test_partitioned_matches_monolithic(problem, parts):
     _bit_equal(partitioned_pb_spgemm(a, b, parts, sr), pb_spgemm(a, b, sr))
 
 
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(problems(), min_size=2, max_size=3), st.sampled_from(SEMIRINGS))
+def test_fused_matches_monolithic(batch, sr):
+    """A serial fused wave: each block of the diagonal product equals
+    its standalone multiply, whatever the blocks' shapes."""
+    pairs = [(a, b) for a, b, _ in batch]
+    products, detail = fused_multiply_detailed(pairs, sr)
+    assert detail.executor_used == "serial"
+    for (a, b), c in zip(pairs, products):
+        _bit_equal(c, pb_spgemm(a, b, sr))
+
+
 @pytest.mark.skipif(
     not process_backend_available(), reason="POSIX shared memory unavailable"
 )
@@ -92,8 +110,7 @@ def test_sharded_matches_monolithic(problem, shards, budget):
     _bit_equal(res.c, pb_spgemm(a, b, sr))
     assert res.recovered_shards == 0
     m = a.shape[0]
-    b_rownnz = b.row_nnz()
-    flop = int(a.col_nnz() @ b_rownnz)
+    flop = int(a.col_nnz() @ b.row_nnz())
     if m <= 1:
         assert res.fallback == "shards resolve to 1"
     elif flop == 0:
@@ -101,7 +118,7 @@ def test_sharded_matches_monolithic(problem, shards, budget):
     elif res.fallback is not None:
         # a flop-balanced split can put every flop in one range
         assert res.fallback == "row split degenerates to one shard"
-        row_flops = _row_flops(a.to_csr(), b_rownnz)
+        row_flops = flops_per_row(a, b)
         assert plan_shards(b.shape[1], row_flops, shards, cfg).grid_rows == 1
 
 

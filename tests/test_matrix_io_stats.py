@@ -12,7 +12,12 @@ from repro.matrix import (
     read_matrix_market,
     write_matrix_market,
 )
-from repro.matrix.stats import degree_histogram, flops_per_k, total_flops
+from repro.matrix.stats import (
+    degree_histogram,
+    flops_per_k,
+    flops_per_row,
+    total_flops,
+)
 from repro.matrix.ops import allclose
 
 from tests.util import random_coo
@@ -102,6 +107,22 @@ class TestStats:
             for k in range(12)
         ]
         assert per_k.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "m, k, n", [(15, 12, 18), (30, 4, 2), (3, 40, 25), (0, 5, 4), (6, 0, 4), (6, 5, 0)]
+    )
+    def test_flops_per_row_matches_bruteforce(self, rng, m, k, n):
+        a = random_coo(rng, m, k, (m * k) // 3).to_csc()
+        b = random_coo(rng, k, n, (k * n) // 3).to_csr()
+        got = flops_per_row(a, b)
+        da, db = a.to_dense(), b.to_dense()
+        expected = [
+            sum(np.count_nonzero(db[kk, :]) for kk in range(k) if da[i, kk] != 0)
+            for i in range(m)
+        ]
+        assert got.dtype == np.int64
+        assert got.tolist() == expected
+        assert int(got.sum()) == total_flops(a, b)
 
     def test_total_flops_equals_expanded_tuples(self, small_pair):
         from repro.kernels import expand_outer

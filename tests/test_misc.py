@@ -4,7 +4,12 @@ variable layout integration, rendering edge cases."""
 import numpy as np
 import pytest
 
-from repro._util import distinct_count, sorted_unique
+from repro._util import (
+    balanced_edges,
+    balanced_ranges,
+    distinct_count,
+    sorted_unique,
+)
 from repro.errors import (
     ConfigError,
     FormatError,
@@ -35,6 +40,36 @@ class TestUtil:
 
     def test_sorted_unique_all_duplicates(self):
         assert sorted_unique(np.full(10, 4)).tolist() == [4]
+
+
+    @pytest.mark.parametrize(
+        "weights, parts",
+        [
+            ([5, 1, 1, 1, 8, 1, 1], 3),
+            ([0, 0, 9, 0, 0], 4),  # one item heavier than every share
+            ([1] * 10, 4),
+            ([0] * 6, 3),  # no weight: cut by count
+            ([2, 3], 5),  # more parts than items
+            ([], 3),
+        ],
+    )
+    def test_balanced_edges_matches_bruteforce(self, weights, parts):
+        edges = balanced_edges(np.asarray(weights, dtype=float), parts)
+        n = len(weights)
+        p = max(1, min(parts, max(n, 1)))
+        prefix = [sum(weights[:i]) for i in range(n + 1)]
+        total = prefix[-1]
+        if total == 0:
+            expected = [j * n // p for j in range(p + 1)]
+        else:
+            expected = [0]
+            for j in range(1, p):
+                first = next(i for i in range(n + 1) if prefix[i] >= total * j / p)
+                expected.append(max(expected[-1], first))
+            expected.append(n)
+        assert edges.tolist() == expected
+        ranges = balanced_ranges(np.asarray(weights, dtype=float), parts)
+        assert ranges == [(lo, hi) for lo, hi in zip(expected, expected[1:]) if hi > lo]
 
 
 class TestErrorHierarchy:

@@ -24,7 +24,8 @@ from repro.errors import ConfigError
 from repro.generators import erdos_renyi, rmat
 from repro.kernels import chunk_ranges
 from repro.parallel import process_backend_available, semiring_token
-from repro.parallel.executor import ProcessEngine, _balanced_groups
+from repro._util import balanced_ranges
+from repro.parallel.executor import ProcessEngine
 from repro.parallel import shm
 from repro.parallel.shm import SharedArena, attach
 from repro.semiring import PLUS_TIMES, Semiring, available_semirings
@@ -229,17 +230,17 @@ class TestFallbacks:
 class TestWorkDecomposition:
     def test_balanced_groups_partition(self):
         w = np.array([5.0, 1, 1, 1, 8, 1, 1])
-        groups = _balanced_groups(w, 3)
+        groups = balanced_ranges(w, 3)
         assert 1 <= len(groups) <= 3
         assert groups[0][0] == 0 and groups[-1][1] == len(w)
         for (_, a_hi), (b_lo, _) in zip(groups, groups[1:]):
             assert a_hi == b_lo
 
     def test_balanced_groups_degenerate(self):
-        assert _balanced_groups(np.array([]), 4) == []
-        zero = _balanced_groups(np.zeros(5), 2)
+        assert balanced_ranges(np.array([]), 4) == []
+        zero = balanced_ranges(np.zeros(5), 2)
         assert zero[0][0] == 0 and zero[-1][1] == 5
-        singles = _balanced_groups(np.ones(3), 10)
+        singles = balanced_ranges(np.ones(3), 10)
         assert singles == [(0, 1), (1, 2), (2, 3)]
 
     def test_chunk_ranges_cover_all_flops(self):

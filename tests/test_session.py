@@ -239,6 +239,43 @@ def test_unpicklable_semiring_never_books_the_engine(mats):
     )
 
 
+@needs_pool
+def test_kernel_entries_without_config_run_under_session_config(mats):
+    """A kernel-level call with ``session=`` and no ``config=`` runs
+    under the session's config — on its warm engine — exactly as
+    :meth:`Session.multiply` does."""
+    from repro.core import (
+        partitioned_pb_spgemm,
+        pb_spgemm_detailed,
+        sharded_spgemm_detailed,
+        tiled_spgemm_detailed,
+    )
+    from repro.core.blocks import fused_multiply_detailed
+
+    a_csc, a_csr = mats["er"].to_csc(), mats["er"].to_csr()
+    ref = repro.multiply(a_csc, a_csr, config=PBConfig(nbins=16))
+    with Session(_proc_config()) as s:
+        res = pb_spgemm_detailed(a_csc, a_csr, session=s)
+        assert res.executor_used == "process"
+        assert s.stats.engine_multiplies == 1
+        tiled = tiled_spgemm_detailed(a_csc, a_csr, session=s)
+        assert tiled.executor_used == "process"
+        assert s.stats.engine_multiplies == 2
+        partitioned_pb_spgemm(a_csc, a_csr, session=s)
+        assert s.stats.engine_multiplies == 3
+        sharded = sharded_spgemm_detailed(a_csc, a_csr, session=s)
+        assert sharded.tiled.executor_used == "process"
+        assert s.stats.engine_multiplies == 4
+        (fused, _), detail = fused_multiply_detailed(
+            [(a_csc, a_csr), (a_csc, a_csr)], session=s
+        )
+        assert detail.executor_used == "process"
+        assert s.stats.engine_multiplies == 5
+    _assert_identical(ref, res.c)
+    _assert_identical(ref, tiled.c)
+    _assert_identical(ref, fused)
+
+
 # ---------------------------------------------------------------------------
 # ArenaPool unit behavior
 # ---------------------------------------------------------------------------

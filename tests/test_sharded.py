@@ -539,15 +539,18 @@ def test_serve_routes_large_requests_to_shards(operands):
         ).start()
         try:
             async with await ServeClient.connect(*server.address) as client:
-                return await client.multiply(a, b)
+                return await client.multiply(a, b), await client.stats()
         finally:
             await server.close()
 
-    reply = asyncio.run(scenario())
+    reply, stats = asyncio.run(scenario())
     assert reply.plan["algorithm"] == "sharded"
     assert reply.plan["shards"] == 2
     assert reply.plan["fallback"] is None
     _bit_equal(reply.c, ref)
+    # the shard route runs through the session's accounting
+    assert stats["session"]["multiplies"] == 1
+    assert stats["session"]["sharded_multiplies"] == 1
     assert _shm_names() - before == set()
 
 
