@@ -9,10 +9,12 @@ against the numpy kernel it swaps out, on ER and R-MAT inputs:
 * **distribute** — fused compiled placement (``counting_jit``) vs. the
   numpy counting scatter;
 * **panel** — end-to-end column multiply, ``panel_jit`` vs. ``panel``;
-* **pb end-to-end** — the full PB pipeline with every JIT backend on
-  vs. the all-numpy default;
-* **identity** — JIT and numpy pipelines bit-identical per semiring
-  (both the PB pipeline and the panel column kernel).
+* **pb end-to-end** — default serial PB on the compiled pipeline vs.
+  the numpy pipeline with the tier disabled (:func:`jit.disabled`),
+  plus the compiled pipeline with local bins on and off (the Fig. 5
+  ablation);
+* **identity** — compiled and numpy pipelines bit-identical per
+  semiring (both PB and the panel column kernel).
 
 The suite records ``jit_engine`` / ``jit_available`` in its metadata so
 stored trends from machines without a C compiler remain interpretable.
@@ -42,12 +44,6 @@ from ...semiring import available_semirings
 from ..registry import AcceptanceCheck, Suite, register_suite
 from ..schema import BenchResult, new_result
 from . import best_of
-
-#: Every compiled backend on (what the planner would select wholesale).
-JIT_PB = dict(
-    sort_backend="radix_jit",
-    distribute_backend="counting_jit",
-)
 
 QUICK_WORKLOADS = ("er_s10_ef8", "rmat_s9_ef8")
 FULL_WORKLOADS = ("er_s16_ef16", "rmat_s14_ef8")
@@ -120,22 +116,39 @@ def _bench_kernels(b_csr, reps: int) -> dict:
     }
 
 
+def _time_pb(a_csc, b_csr, cfg, reps: int) -> tuple[float, dict, str]:
+    """Best-of-``reps`` serial PB seconds, that run's phases, and the
+    pipeline it ran on."""
+    best, phases = None, None
+    res = pb_spgemm_detailed(a_csc, b_csr, config=cfg)  # warm-up
+    for _ in range(max(1, reps)):
+        t = time.perf_counter()
+        res = pb_spgemm_detailed(a_csc, b_csr, config=cfg)
+        dt = time.perf_counter() - t
+        if best is None or dt < best:
+            best, phases = dt, dict(res.phase_seconds)
+    return best, phases, res.pipeline
+
+
 def _bench_end_to_end(b_csr, reps: int) -> dict:
-    """Full-pipeline comparisons: PB all-jit vs. default, panel jit vs. numpy."""
+    """Full-pipeline comparisons: compiled vs. numpy PB, local bins on
+    vs. off, panel jit vs. numpy."""
     a_csc = b_csr.to_csc()
     out: dict = {}
-    for label, cfg in (("numpy", PBConfig()), ("jit", PBConfig(**JIT_PB))):
-        best, phases = None, None
-        pb_spgemm_detailed(a_csc, b_csr, config=cfg)  # warm-up
-        for _ in range(max(1, reps)):
-            t = time.perf_counter()
-            res = pb_spgemm_detailed(a_csc, b_csr, config=cfg)
-            dt = time.perf_counter() - t
-            if best is None or dt < best:
-                best, phases = dt, dict(res.phase_seconds)
+    with jit_tier.disabled():
+        numpy_run = _time_pb(a_csc, b_csr, PBConfig(), reps)
+    runs = {
+        "numpy": numpy_run,
+        "jit": _time_pb(a_csc, b_csr, PBConfig(), reps),
+        "direct": _time_pb(a_csc, b_csr, PBConfig(use_local_bins=False), reps),
+    }
+    for label, (best, phases, pipeline) in runs.items():
         out[f"pb_{label}_s"] = best
         out[f"pb_{label}_phases"] = phases
+        out[f"pb_{label}_pipeline"] = pipeline
     out["pb_speedup"] = out["pb_numpy_s"] / out["pb_jit_s"]
+    # > 1 when the local bins pay for themselves over direct scatter.
+    out["pb_local_bins_speedup"] = out["pb_direct_s"] / out["pb_jit_s"]
 
     panel_s = best_of(
         lambda: hash_spgemm(a_csc, b_csr, column_backend="panel"), reps
@@ -161,14 +174,13 @@ def _bitwise_equal(c0, c1) -> bool:
 
 
 def _check_identity(b_csr) -> dict:
-    """Bit-identity of jit vs. numpy backends, per built-in semiring."""
+    """Bit-identity of compiled vs. numpy kernels, per built-in semiring."""
     a_csc = b_csr.to_csc()
     out = {}
     for name in available_semirings():
-        pb0 = pb_spgemm_detailed(a_csc, b_csr, semiring=name, config=PBConfig()).c
-        pb1 = pb_spgemm_detailed(
-            a_csc, b_csr, semiring=name, config=PBConfig(**JIT_PB)
-        ).c
+        with jit_tier.disabled():
+            pb0 = pb_spgemm_detailed(a_csc, b_csr, semiring=name).c
+        pb1 = pb_spgemm_detailed(a_csc, b_csr, semiring=name).c
         pn0 = hash_spgemm(a_csc, b_csr, semiring=name, column_backend="panel")
         pn1 = hash_spgemm(a_csc, b_csr, semiring=name, column_backend="panel_jit")
         out[name] = _bitwise_equal(pb0, pb1) and _bitwise_equal(pn0, pn1)
@@ -186,6 +198,8 @@ def _extract(workloads, kernels, end_to_end, identity):
         metrics[f"{w}.pb.speedup"] = e["pb_speedup"]
         metrics[f"{w}.pb.jit_s"] = e["pb_jit_s"]
         metrics[f"{w}.pb.numpy_s"] = e["pb_numpy_s"]
+        metrics[f"{w}.pb.direct_s"] = e["pb_direct_s"]
+        metrics[f"{w}.pb.local_bins_speedup"] = e["pb_local_bins_speedup"]
         metrics[f"{w}.panel.speedup"] = e["panel_speedup"]
         phases[w] = dict(e["pb_jit_phases"])
     primary = workloads[0]
@@ -219,7 +233,8 @@ def run(quick: bool = False, reps: int = 3) -> BenchResult:
             f"   sort {k['sort']['phase_speedup']:.2f}x, "
             f"distribute {k['distribute']['speedup']:.2f}x, "
             f"panel {e['panel_speedup']:.2f}x, "
-            f"pb {e['pb_speedup']:.2f}x, "
+            f"pb {e['pb_speedup']:.2f}x "
+            f"(local bins {e['pb_local_bins_speedup']:.2f}x), "
             f"identity {'ok' if all(identity[name].values()) else 'FAIL'}",
             flush=True,
         )
@@ -249,8 +264,9 @@ register_suite(
     Suite(
         name="jit",
         description=(
-            "compiled hot-kernel tier (radix_jit/counting_jit/panel_jit) "
-            "vs. the numpy backends it swaps out"
+            "compiled hot-kernel tier (the compiled PB pipeline, "
+            "radix_jit/counting_jit, panel_jit) vs. the numpy kernels "
+            "it swaps out"
         ),
         runner=run,
         figures=("Table III (phase costs)",),
@@ -267,6 +283,9 @@ register_suite(
                 "ge",
                 1.3,
                 full_only=True,
+            ),
+            AcceptanceCheck(
+                "pb_floor", "pb_end_to_end_speedup", "ge", 2.0, full_only=True
             ),
             AcceptanceCheck("bit_identity", "identity_all", "true"),
         ),

@@ -6,9 +6,11 @@ thread-parallel.  :class:`BinLayout` is the bin↦row-range geometry plus
 the packed-key codec of Sec. III-D: within a bin covering
 ``rows_per_bin`` rows, a tuple's key is ``(local_row << col_bits) |
 col``, which usually fits 32 bits and halves the radix passes.  The
-numeric pipeline distributes tuples with one vectorized stable
-placement; the thread-private local-bin protocol of Fig. 5 is modeled
-by the cost model and the trace simulator.
+numpy pipeline distributes tuples with one vectorized stable
+placement; the compiled pipeline expands straight into the bins
+through the thread-private local bins of Fig. 5
+(:func:`repro.kernels.jit.pb_expand_jit`), which the cost model and the
+trace simulator model.
 """
 
 from __future__ import annotations
@@ -67,6 +69,25 @@ class BinLayout:
         lo = binid * self.rows_per_bin
         return lo, min(lo + self.rows_per_bin, self.nrows)
 
+    def row_starts(self) -> np.ndarray:
+        """First row of every ``range`` bin (what packed keys offset by)."""
+        if self.mapping != "range":
+            raise ConfigError("row_starts is only defined for range mapping")
+        return np.arange(self.nbins, dtype=np.int64) * self.rows_per_bin
+
+
+def key_dtype(key_bits: int, pack_keys: bool = True) -> np.dtype:
+    """THE key-width rule of every bin layout: ``uint32`` when packing is
+    on and the key fits 32 bits (Sec. III-D), else ``uint64``."""
+    if key_bits > 64:
+        raise ConfigError(
+            f"key of {key_bits} bits exceeds 64 (matrix too large "
+            f"for the packed-key scheme)"
+        )
+    if pack_keys and key_bits <= 32:
+        return np.dtype(np.uint32)
+    return np.dtype(np.uint64)
+
 
 def plan_bins(
     nrows: int,
@@ -91,22 +112,13 @@ def plan_bins(
         row_span = nrows  # modulo mapping cannot localize rows
     row_bits = max(int(row_span - 1).bit_length(), 1) if row_span else 1
     key_bits = row_bits + col_bits
-    if cfg.pack_keys and key_bits <= 32:
-        dtype = np.dtype(np.uint32)
-    else:
-        dtype = np.dtype(np.uint64)
-        if key_bits > 64:
-            raise ConfigError(
-                f"key of {key_bits} bits exceeds 64 (matrix too large "
-                f"for the packed-key scheme)"
-            )
     return BinLayout(
         nrows=nrows,
         ncols=ncols,
         nbins=nbins,
         rows_per_bin=rows_per_bin,
         mapping=cfg.bin_mapping,
-        key_dtype=dtype,
+        key_dtype=key_dtype(key_bits, cfg.pack_keys),
         key_bits=key_bits,
         col_bits=col_bits,
         row_bits=row_bits,
@@ -318,7 +330,9 @@ class VariableBinLayout:
     row bits.
     """
 
-    def __init__(self, nrows: int, ncols: int, edges: np.ndarray):
+    def __init__(
+        self, nrows: int, ncols: int, edges: np.ndarray, pack_keys: bool = True
+    ):
         edges = np.asarray(edges, dtype=np.int64)
         if len(edges) < 2 or edges[0] != 0 or edges[-1] != nrows:
             raise ConfigError(
@@ -336,9 +350,7 @@ class VariableBinLayout:
         self.col_bits = max(int(ncols - 1).bit_length(), 1) if ncols else 1
         self.row_bits = max(int(max(widest - 1, 1)).bit_length(), 1)
         self.key_bits = self.row_bits + self.col_bits
-        self.key_dtype = (
-            np.dtype(np.uint32) if self.key_bits <= 32 else np.dtype(np.uint64)
-        )
+        self.key_dtype = key_dtype(self.key_bits, pack_keys)
 
     def bin_of_rows(self, rows: np.ndarray) -> np.ndarray:
         """Bin id per row via binary search on the edge array."""
@@ -346,3 +358,7 @@ class VariableBinLayout:
 
     def row_range(self, binid: int) -> tuple[int, int]:
         return int(self.edges[binid]), int(self.edges[binid + 1])
+
+    def row_starts(self) -> np.ndarray:
+        """First row of every bin (what packed keys offset by)."""
+        return self.edges[:-1]

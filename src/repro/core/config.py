@@ -45,19 +45,26 @@ class PBConfig:
         Squeeze (local_row, col) into 32-bit keys when they fit
         (Sec. III-D); ``False`` forces 64-bit keys / 8 radix passes.
     sort_backend:
-        ``"radix"`` — the counting-scatter LSD sort (paper, default);
+        ``"radix"`` — the stable LSD radix sort (paper, default);
         ``"argsort"`` — the pre-optimization byte-argsort radix kept
         as an ablation; ``"mergesort"`` — comparison-sort ablation;
-        ``"radix_jit"`` — the compiled fused histogram+scatter LSD
-        sort of the JIT tier (:mod:`repro.kernels.jit`; falls back to
-        ``"radix"`` with one structured warning when no JIT engine is
-        available).  All produce bit-identical products.
+        ``"radix_jit"`` — the compiled per-bin sort of the JIT tier
+        (:mod:`repro.kernels.jit`).  With ``"radix"`` or
+        ``"radix_jit"`` serial PB runs the compiled pipeline whenever
+        the engine builds (see :func:`repro.core.pb_spgemm.pipeline_for`);
+        otherwise ``"radix"`` is the numpy counting-scatter sort and
+        ``"radix_jit"`` the compiled sort under the numpy pipeline,
+        falling back to ``"radix"`` with one structured warning when
+        no engine is available.  All produce bit-identical products.
     distribute_backend:
-        ``"counting"`` (default) — bucket placement via narrow-dtype
-        counting sort; ``"argsort"`` — the pre-optimization stable
-        argsort placement (ablation); ``"counting_jit"`` — the JIT
-        tier's fused counting placement (scatters keys and values
-        without materializing the permutation; falls back to
+        Placement of the numpy pipeline (the compiled pipeline expands
+        straight into bins and has no separate placement; it runs for
+        ``"counting"`` and ``"counting_jit"``): ``"counting"``
+        (default) — bucket placement via narrow-dtype counting sort;
+        ``"argsort"`` — the pre-optimization stable argsort placement
+        (ablation, forces the numpy pipeline); ``"counting_jit"`` —
+        the JIT tier's fused counting placement (scatters keys and
+        values without materializing the permutation; falls back to
         ``"counting"``).  Identical stable result.
     expand_backend:
         ``"arena"`` (default) — serial expand writes chunks straight
@@ -76,10 +83,13 @@ class PBConfig:
         sort + segmented fold of the JIT tier (falls back to
         ``"panel"``).  Bit-identical products.
     use_local_bins:
-        Model/trace the thread-private local-bin stage.  Turning this
-        off does not change the numeric result (the executable path is
-        vectorized either way) but changes the simulated traffic and
-        the generated traces — it is the Fig. 5 ablation switch.
+        Thread-private local bins of ``local_bin_bytes`` (Fig. 5): the
+        compiled pipeline's expand appends tuples to them and copies
+        each full one to its global bin; ``False`` writes every tuple
+        to its global bin directly — the Fig. 5 ablation, executed.
+        The cost model and trace simulator model the same switch.  The
+        numeric result is the same either way, and the numpy pipeline
+        ignores it.
     nthreads:
         Worker count.  With ``executor="serial"`` it only feeds the
         simulator's per-thread work decompositions; with
@@ -286,12 +296,16 @@ class PBConfig:
 
     @property
     def uses_jit(self) -> bool:
-        """Whether any configured backend belongs to the JIT tier.
+        """Whether any configured backend explicitly names the JIT tier.
 
-        Consulted by :class:`repro.session.Session` (warm-up at
-        construction) and ``pb_spgemm_detailed`` (the ``jit_warmup_s``
-        phase stopwatch) so compile time is paid off the request path
-        and never folded into a multiply's phase timings.
+        The default compiled PB pipeline is not a backend string: it
+        runs whenever :func:`repro.core.pb_spgemm.pipeline_for` allows
+        it.  :class:`repro.session.Session` (warm-up at construction)
+        and ``pb_spgemm_detailed`` (the ``jit_warmup_s`` phase
+        stopwatch) consult both, so compile time is paid off the
+        request path and never folded into a multiply's phase timings.
+        Only an explicit ``*_jit`` backend warns when the engine is
+        missing.
         """
         return (
             self.sort_backend == "radix_jit"

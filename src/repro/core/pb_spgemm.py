@@ -5,17 +5,32 @@ Phases (matching the paper's structure and instrumentation points):
 1. **Symbolic** (Alg. 3): flop count from pointer arrays, bin sizing,
    global-bin allocation.
 2. **Expand** (lines 5-14): outer products stream A (CSC) and B (CSR)
-   once into a flop-sized arena; tuples are packed into narrow integer
-   keys (Sec. III-D) and bucket-placed into global bins in one fused
-   counting distribution (the local-bin protocol of Fig. 5 is modeled
-   by the cost model and the trace simulator, not executed here).
-3. **Sort** (line 16): per bin, the already-packed keys are sorted by
-   the counting-scatter LSD radix (see :mod:`repro.kernels.radix`).
-4. **Compress** (line 17): per bin, the two-pointer merge collapses
-   duplicate (row, col) keys.
+   once; tuples are packed into narrow integer keys (Sec. III-D) and
+   placed into global bins in stream order.
+3. **Sort** (line 16): per bin, the packed keys are sorted by a stable
+   LSD radix (see :mod:`repro.kernels.radix`).
+4. **Compress** (line 17): per bin, duplicate (row, col) keys collapse
+   into one ⊕-folded entry.
 5. **CSR conversion** (line 9 of Alg. 1 / line 22): bins cover
-   ascending disjoint row ranges, so concatenating compressed bins in
-   bin order *is* row-major order; one bincount builds the pointer.
+   ascending disjoint row ranges, so the compressed bins in bin order
+   *are* row-major order; a per-row count builds the pointer.
+
+Two serial implementations run these phases and give bit-identical
+products (:attr:`PBResult.pipeline` says which one ran):
+
+* **compiled** (the default whenever the cc engine of
+  :mod:`repro.kernels.jit` builds): one pass counts each bin's tuples,
+  expand writes them through thread-private local bins of
+  ``local_bin_bytes`` that are flushed to the global bins when full —
+  the local-bin protocol of Fig. 5, executed (``use_local_bins=False``
+  scatters every tuple directly) — then every bin is radix-sorted in
+  place and compressed straight into the output's column and value
+  arrays while its row counts accumulate.
+* **numpy**: expand into one flop-sized arena, one fused pack +
+  counting distribute, then per bin a sort, a compress and a key
+  unpack, and one concatenation.  It runs for the ablation backends,
+  ``modulo`` mapping, custom semirings, non-float64 values, the
+  process executor's workers, and wherever the engine is missing.
 
 The function returns just the CSR product; :func:`pb_spgemm_detailed`
 additionally returns per-phase measurements (bin occupancy, radix
@@ -34,6 +49,7 @@ from ..matrix.base import INDEX_DTYPE
 from ..matrix.csc import CSCMatrix
 from ..matrix.csr import CSRMatrix
 from ..semiring import PLUS_TIMES, Semiring, get_semiring
+from ..kernels import jit as _jit
 from ..kernels.compress import compress_keyed
 from ..kernels.outer_expand import DEFAULT_CHUNK_FLOPS, expand_arena, expand_chunks
 from ..kernels.radix import sort_tuples
@@ -45,7 +61,7 @@ from .binning import (
     plan_bins,
     unpack_keys,
 )
-from .config import PBConfig, effective_config
+from .config import TUPLE_BYTES, PBConfig, effective_config
 from .symbolic import SymbolicResult, symbolic_phase
 
 
@@ -75,6 +91,9 @@ class PBResult:
     #: the process pool executed expand and sort/compress (requested
     #: ``executor="process"`` may legitimately degrade — see PBConfig).
     executor_used: str = "serial"
+    #: Kernel pipeline that ran: ``"compiled"``, or ``"numpy:<reason>"``
+    #: naming why the compiled one could not (see :func:`pipeline_for`).
+    pipeline: str = "numpy:no_engine"
 
 
 def _sort_and_compress_bin(
@@ -123,6 +142,56 @@ def pb_spgemm_detailed(
         return _pb_run(a_csc, b_csr, sr, cfg, engine)
 
 
+#: Backend strings the compiled serial pipeline stands in for (the
+#: defaults and their ``*_jit`` forms); any other is an ablation that
+#: runs on the numpy pipeline.
+_COMPILED_BACKENDS = (
+    ("sort_backend", ("radix", "radix_jit")),
+    ("distribute_backend", ("counting", "counting_jit")),
+    ("expand_backend", ("arena",)),
+)
+
+
+def config_blocker(cfg: PBConfig) -> str | None:
+    """Why ``cfg`` alone keeps serial PB off the compiled pipeline
+    (``"mapping"`` or ``"backend"``), or None when it allows it."""
+    if cfg.bin_mapping not in ("range", "balanced"):
+        return "mapping"
+    if any(getattr(cfg, name) not in ok for name, ok in _COMPILED_BACKENDS):
+        return "backend"
+    return None
+
+
+def pipeline_for(
+    cfg: PBConfig, sr: Semiring, a_csc: CSCMatrix, b_csr: CSRMatrix, engine
+) -> str:
+    """The kernel pipeline one multiply runs: ``"compiled"`` or
+    ``"numpy:<reason>"``.
+
+    Reasons, in the order they are checked: ``executor`` (a process
+    engine runs the phases on its workers), ``semiring`` (⊕ or ⊗ has
+    no compiled op code: a custom semiring), ``dtype`` (values are not
+    float64), ``mapping`` (``modulo`` bins), ``backend`` (an ablation
+    backend string) and ``no_engine`` (no compiler, a failed build, or
+    ``REPRO_JIT_DISABLE``).  Falling back is silent: only an explicit
+    ``*_jit`` backend warns when the engine is missing.
+    """
+    if engine is not None:
+        reason = "executor"
+    elif _jit.semiring_opcode(sr) is None or _jit.multiply_opcode(sr) is None:
+        reason = "semiring"
+    elif any(
+        np.dtype(dt) != np.float64
+        for dt in (sr.dtype, a_csc.data.dtype, b_csr.data.dtype)
+    ):
+        reason = "dtype"
+    else:
+        reason = config_blocker(cfg)
+        if reason is None and not _jit.jit_available():
+            reason = "no_engine"
+    return "compiled" if reason is None else f"numpy:{reason}"
+
+
 def _pb_run(
     a_csc: CSCMatrix,
     b_csr: CSRMatrix,
@@ -142,16 +211,18 @@ def _pb_run(
     # the bookkeeping.
     phase_seconds: dict[str, float] = {}
 
-    # JIT warm-up hygiene: when any configured backend belongs to the
-    # compiled tier, pay (and record) the one-time compile/load cost
-    # under its own stopwatch *before* any phase timer starts, so it is
-    # never silently folded into the first multiply's phase timings.
-    # warmup() is idempotent — a Session already warmed this process
-    # and the stopwatch reads ~0 here.
-    if cfg.uses_jit:
-        from ..kernels import jit as _jit
-
-        phase_seconds["jit_warmup_s"] = _jit.warmup()
+    # JIT warm-up hygiene: when the multiply runs compiled kernels (the
+    # compiled pipeline or an explicit *_jit backend), pay (and record)
+    # the one-time compile/load cost under its own stopwatch *before*
+    # any phase timer starts, so it is never silently folded into the
+    # first multiply's phase timings.  The engine loads inside
+    # pipeline_for; warmup() is idempotent, so a Session that already
+    # warmed this process reads ~0 here.
+    t_phase = time.perf_counter()
+    pipeline = pipeline_for(cfg, sr, a_csc, b_csr, engine)
+    if cfg.uses_jit or pipeline == "compiled":
+        _jit.warmup()
+        phase_seconds["jit_warmup_s"] = time.perf_counter() - t_phase
     t_phase = time.perf_counter()
 
     # ---- Phase 1: symbolic -------------------------------------------------
@@ -162,26 +233,86 @@ def _pb_run(
         from .binning import VariableBinLayout, balanced_bin_edges
 
         layout = VariableBinLayout(
-            m, n, balanced_bin_edges(flops_per_row(a_csc, b_csr), sym.nbins)
+            m,
+            n,
+            balanced_bin_edges(flops_per_row(a_csc, b_csr), sym.nbins),
+            pack_keys=cfg.pack_keys,
         )
     else:
         layout = plan_bins(m, n, sym.nbins, sym.rows_per_bin, cfg)
     phase_seconds["symbolic"] = time.perf_counter() - t_phase
 
     if sym.flop == 0:
-        empty = CSRMatrix.empty((m, n))
-        return PBResult(
-            c=empty,
-            symbolic=sym,
-            layout=layout,
-            flop=0,
-            nnz_c=0,
-            compression_factor=1.0,
-            tuples_per_bin=np.zeros(layout.nbins, dtype=np.int64),
-            radix_passes=0,
-            key_bits=layout.key_bits,
+        c = CSRMatrix.empty((m, n))
+        tuples_per_bin = np.zeros(layout.nbins, dtype=np.int64)
+        passes = 0
+    elif pipeline == "compiled":
+        c, tuples_per_bin, passes = _run_compiled(
+            a_csc, b_csr, sr, cfg, sym, layout, phase_seconds
+        )
+    else:
+        c, tuples_per_bin, passes = _run_numpy(
+            a_csc, b_csr, sr, cfg, sym, layout, engine, phase_seconds
         )
 
+    nnz_c = c.nnz
+    return PBResult(
+        c=c,
+        symbolic=sym,
+        layout=layout,
+        flop=sym.flop,
+        nnz_c=nnz_c,
+        compression_factor=sym.flop / max(nnz_c, 1),
+        tuples_per_bin=tuples_per_bin,
+        radix_passes=passes,
+        key_bits=layout.key_bits,
+        phase_seconds=phase_seconds if sym.flop else {},
+        executor_used="process" if engine is not None and sym.flop else "serial",
+        pipeline=pipeline,
+    )
+
+
+def _run_compiled(a_csc, b_csr, sr, cfg, sym, layout, phase_seconds):
+    """Expand into bins, sort each bin, compress straight into CSR.
+
+    Goes through the three kernel entry points (``expand_arena``,
+    ``sort_tuples``, ``compress_keyed``) in their compiled forms, so
+    per-kernel tracing sees the same names on both pipelines.
+    """
+    m, n = a_csc.shape[0], b_csr.shape[1]
+    t_phase = time.perf_counter()
+    local_tuples = cfg.local_bin_bytes // TUPLE_BYTES if cfg.use_local_bins else 0
+    keys, vals, bin_starts = expand_arena(
+        a_csc,
+        b_csr,
+        semiring=sr,
+        per_k=sym.flops_per_k,
+        layout=layout,
+        local_tuples=local_tuples,
+    )
+    phase_seconds["expand"] = time.perf_counter() - t_phase
+
+    t_phase = time.perf_counter()
+    keys, vals, passes = sort_tuples(
+        keys, vals, key_bits=layout.key_bits, segments=bin_starts
+    )
+    row_counts, c_cols, c_vals = compress_keyed(
+        keys, vals, sr, layout=layout, segments=bin_starts
+    )
+    del keys
+    phase_seconds["sort_compress"] = time.perf_counter() - t_phase
+
+    t_phase = time.perf_counter()
+    indptr = np.zeros(m + 1, dtype=INDEX_DTYPE)
+    np.cumsum(row_counts, out=indptr[1:])
+    c = CSRMatrix((m, n), indptr, c_cols, c_vals, validate=False)
+    phase_seconds["convert"] = time.perf_counter() - t_phase
+    return c, np.diff(bin_starts), passes
+
+
+def _run_numpy(a_csc, b_csr, sr, cfg, sym, layout, engine, phase_seconds):
+    """The numpy pipeline, serial or on a process engine's workers."""
+    m, n = a_csc.shape[0], b_csr.shape[1]
     sr_token = None if engine is None else semiring_token(sr)
     # Pipelined bin processing needs a process engine; "auto" turns it
     # on whenever one runs, "barrier" keeps the phase-barriered ablation.
@@ -318,20 +449,7 @@ def _pb_run(
     if sc_worker_seconds is not None:
         phase_seconds["sort_compress_workers"] = sc_worker_seconds
 
-    nnz_c = c.nnz
-    return PBResult(
-        c=c,
-        symbolic=sym,
-        layout=layout,
-        flop=sym.flop,
-        nnz_c=nnz_c,
-        compression_factor=sym.flop / max(nnz_c, 1),
-        tuples_per_bin=tuples_per_bin,
-        radix_passes=passes,
-        key_bits=layout.key_bits,
-        phase_seconds=phase_seconds,
-        executor_used="process" if engine is not None else "serial",
-    )
+    return c, tuples_per_bin, passes
 
 
 def pb_spgemm(

@@ -21,12 +21,31 @@ def compress_keyed(
     keys: np.ndarray,
     values: np.ndarray,
     semiring: Semiring | str = PLUS_TIMES,
-) -> tuple[np.ndarray, np.ndarray]:
+    layout=None,
+    segments: np.ndarray | None = None,
+) -> tuple[np.ndarray, ...]:
     """Merge adjacent duplicate keys of a *sorted* key array.
 
     Returns the distinct keys and their ⊕-merged values.  Raises if the
     key array is not non-decreasing (the sort phase's postcondition).
+    Plus-like ⊕ reduce each run with ``np.add.reduceat`` (the run head
+    plus numpy's pairwise sum of the rest), ``logical_or`` to 0/1, and
+    min/max with a sequential ``ufunc.at`` fold in run order: numpy's
+    vectorized min/max reductions pick between 0.0 and -0.0 (and
+    between NaNs) by SIMD lane, which varies with the CPU.
+
+    **Compiled form.** With a bin ``layout`` and its ``segments``
+    (bin starts; each segment a sorted bin of PB's packed keys) the
+    compiled kernel of :func:`repro.kernels.jit.pb_compress_bins_jit`
+    folds every bin straight into CSR arrays and returns
+    ``(row_counts, indices, data)`` with the same folds; it consumes
+    ``values``.  The caller must have checked the engine is available.
     """
+    sr = get_semiring(semiring)
+    if layout is not None:
+        from .jit import pb_compress_bins_jit
+
+        return pb_compress_bins_jit(keys, values, segments, layout, sr)
     keys = np.asarray(keys)
     values = np.asarray(values)
     if len(keys) != len(values):
@@ -35,8 +54,18 @@ def compress_keyed(
         return keys[:0], values[:0]
     if np.any(keys[1:] < keys[:-1]):  # unsigned-safe sortedness check
         raise ValueError("compress requires sorted keys (run the sort phase first)")
-    sr = get_semiring(semiring)
-    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    run_start = np.empty(len(keys), dtype=bool)
+    run_start[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    if sr.add_ufunc in (np.minimum, np.maximum):
+        out = values[starts]
+        dup = np.flatnonzero(~run_start)
+        if len(dup):
+            # Duplicate p belongs to run p - (duplicates before it) - 1.
+            with np.errstate(invalid="ignore"):
+                sr.add_ufunc.at(out, dup - np.arange(len(dup)) - 1, values[dup])
+        return keys[starts], out
     return keys[starts], sr.reduceat(values, starts)
 
 

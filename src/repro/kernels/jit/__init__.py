@@ -1,10 +1,16 @@
 """Compiled hot-kernel tier (DESIGN.md §14).
 
-Optional compiled implementations of the three hottest loops of the
-pipeline — the per-bin LSD counting-radix sort, the counting
-distribute placement, and the panel sort + segmented semiring fold —
-selected by the ``*_jit`` backend names (``sort_backend="radix_jit"``,
+The compiled serial PB pipeline — bin count, expand into local bins,
+per-bin radix sort, per-bin compress into CSR (:func:`pb_expand_jit`,
+:func:`pb_sort_bins_jit`, :func:`pb_compress_bins_jit`), which
+``pb_spgemm`` runs by default whenever the engine builds — plus
+compiled forms of three loops of the numpy pipeline and the column
+kernels: the per-bin LSD counting-radix sort, the counting distribute
+placement, and the panel sort + segmented semiring fold, selected by
+the ``*_jit`` backend names (``sort_backend="radix_jit"``,
 ``distribute_backend="counting_jit"``, ``column_backend="panel_jit"``).
+The pipeline wrappers expect a caller that checked
+:func:`jit_available`; the others behave as below.
 
 One engine serves them: a runtime-compiled C library (``_cc``) behind
 a cached probe (``_avail``).  Every wrapper in this module returns
@@ -24,6 +30,8 @@ timings.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import threading
 import time
 
@@ -48,12 +56,16 @@ __all__ = [
     "jit_status",
     "warmup",
     "reset_jit_state",
+    "disabled",
     "semiring_opcode",
     "multiply_opcode",
     "sort_pairs_jit",
     "counting_argsort_jit",
     "place_pairs_jit",
     "panel_jit_context",
+    "pb_expand_jit",
+    "pb_sort_bins_jit",
+    "pb_compress_bins_jit",
     "OP_ADD",
     "OP_MIN",
     "OP_MAX",
@@ -224,6 +236,29 @@ def warmup() -> float:
                 a_ptr, a_rows, a_vals, bk, bv, col_ptr, 0, 2, op, mop,
                 hist, wk2, tvc12, our6, ouc6, ouv6, rc2,
             )
+    # The serial PB pipeline on that 2x2 square, one row per bin: both
+    # key widths, local bins on and off, every ⊗, ⊕ and sort shape.
+    idx = a_rows.astype(np.int64)
+    bin_lo = np.array([0, 1], dtype=np.int64)
+    eng.pb_bin_count(a_ptr, idx, a_ptr, bin_lo, counts)
+    starts = np.array([0, 4, 8], dtype=np.int64)
+    for kdt in (np.uint32, np.uint64):
+        keys = np.empty(8, kdt)
+        pv = np.empty(8, np.float64)
+        lk, lv, lf = np.empty(4, kdt), np.empty(4, np.float64), np.empty(2, np.int64)
+        for cap in (0, 2):
+            for mop in (MUL_TIMES, MUL_PLUS, MUL_AND, MUL_PAIR):
+                eng.pb_expand(
+                    a_ptr, idx, a_vals, a_ptr, idx, a_vals, bin_lo, bin_lo,
+                    1, mop, starts[:-1].copy(), cap, lk, lv, lf, keys, pv,
+                )
+        for npasses, digit_bits in ((1, 1), (2, 1)):
+            eng.pb_sort_bins(keys, pv.view(np.uint64), starts, npasses, digit_bits, ra, rb, hist)
+        for op in (OP_ADD, OP_MIN, OP_MAX, OP_OR):
+            eng.pb_compress_bins(
+                keys, pv.copy(), starts, bin_lo, 1, op,
+                np.empty(8, np.int64), np.empty(8, np.float64), np.zeros(2, np.int64),
+            )
     return time.perf_counter() - t0
 
 
@@ -234,6 +269,25 @@ def reset_jit_state() -> None:
     _ENGINE_FAILED = False
     _WARMED = False
     reset_probe_cache()
+
+
+@contextlib.contextmanager
+def disabled():
+    """Run the body with the tier switched off, as under
+    ``REPRO_JIT_DISABLE=1``: serial PB takes the numpy pipeline.  The
+    variable and the engine caches are restored on exit.  For
+    differential tests and benchmarks; not thread-safe."""
+    saved = os.environ.get("REPRO_JIT_DISABLE")
+    os.environ["REPRO_JIT_DISABLE"] = "1"
+    reset_jit_state()
+    try:
+        yield
+    finally:
+        if saved is None:
+            del os.environ["REPRO_JIT_DISABLE"]
+        else:
+            os.environ["REPRO_JIT_DISABLE"] = saved
+        reset_jit_state()
 
 
 def semiring_opcode(semiring) -> int | None:
@@ -521,3 +575,147 @@ def panel_jit_context(m: int, n: int, semiring, col_dtype):
         return _fallback("column_backend='panel_jit'")
     idx = np.uint16 if (m <= 1 << 16 and n <= 1 << 16) else np.uint32
     return PanelJitContext(eng, m, op, col_dtype, idx, multiply_opcode(semiring))
+
+
+# ----------------------------------------------------------------------
+# The compiled serial PB pipeline (expand → per-bin sort → compress)
+# ----------------------------------------------------------------------
+
+def _require_engine():
+    eng = _engine()
+    if eng is None:
+        raise RuntimeError(
+            "the compiled PB pipeline needs the cc engine; "
+            "check jit_available() before selecting it"
+        )
+    return eng
+
+
+def _check_bins(keys, vals, starts) -> None:
+    """Reject arrays the per-bin kernels would read or write out of
+    bounds: contiguous u32/u64 keys, float64 values of the same length,
+    and int64 bin offsets ascending from 0 to that length."""
+    if not (
+        keys.flags.c_contiguous
+        and vals.flags.c_contiguous
+        and keys.dtype in (np.uint32, np.uint64)
+        and vals.dtype == np.float64
+        and len(keys) == len(vals)
+        and starts.dtype == np.int64
+        and len(starts) >= 1
+        and starts[0] == 0
+        and starts[-1] == len(keys)
+        and not np.any(np.diff(starts) < 0)
+    ):
+        raise ValueError("arrays do not describe contiguous bins of packed tuples")
+
+
+def _local_bins(nbins: int, cap: int, key_dtype) -> tuple:
+    """Per-thread local-bin scratch: ``cap`` tuples per bin (Fig. 5).
+
+    Kept warm across multiplies like the sort scratch, so the local
+    bins' first touch is paid once per thread, not once per expand.
+    """
+    need = nbins * cap
+    cache = getattr(_TLS, "local_bins", None)
+    if cache is None or len(cache[1]) < need or len(cache[2]) < nbins:
+        cache = (
+            np.empty(need, np.uint64),
+            np.empty(need, np.float64),
+            np.empty(nbins, np.int64),
+        )
+        _TLS.local_bins = cache
+    keys, vals, fill = cache
+    return keys.view(key_dtype)[:need], vals[:need], fill[:nbins]
+
+
+def pb_expand_jit(a_csc, b_csr, semiring, layout, local_tuples: int):
+    """Compiled bin count + expand of ``A · B`` straight into bins.
+
+    Counts each bin's tuples from A's nonzeros weighted by nnz(B(k,:)),
+    then walks k, A(:,k), B(k,:) — numpy's expansion order — applying ⊗
+    and packing ``(local_row << col_bits) | col`` keys in
+    ``layout.key_dtype``.  ``local_tuples > 0`` stages tuples in
+    per-bin local bins of that many tuples, flushed to the global bin
+    when full; ``0`` writes each tuple to its global bin directly.
+    Returns ``(keys, vals, bin_starts)``: bin b holds
+    ``[bin_starts[b], bin_starts[b+1])`` in stream order, exactly what
+    the numpy expand + stable distribute produce.
+    """
+    eng = _require_engine()
+    nbins = layout.nbins
+    a_ptr = np.ascontiguousarray(a_csc.indptr, dtype=np.int64)
+    a_rows = np.ascontiguousarray(a_csc.indices, dtype=np.int64)
+    b_ptr = np.ascontiguousarray(b_csr.indptr, dtype=np.int64)
+    bin_of_row = np.ascontiguousarray(
+        layout.bin_of_rows(np.arange(layout.nrows, dtype=np.int64)), dtype=np.int64
+    )
+    counts = np.empty(nbins, dtype=np.int64)
+    eng.pb_bin_count(a_ptr, a_rows, b_ptr, bin_of_row, counts)
+    starts = np.zeros(nbins + 1, dtype=INDEX_DTYPE)
+    np.cumsum(counts, out=starts[1:])
+    flop = int(starts[-1])
+    keys = np.empty(flop, dtype=layout.key_dtype)
+    vals = np.empty(flop, dtype=np.float64)
+    cap = max(int(local_tuples), 0)
+    lkeys, lvals, lfill = _local_bins(nbins, cap, layout.key_dtype)
+    eng.pb_expand(
+        a_ptr, a_rows, np.ascontiguousarray(a_csc.data, dtype=np.float64),
+        b_ptr, np.ascontiguousarray(b_csr.indices, dtype=np.int64),
+        np.ascontiguousarray(b_csr.data, dtype=np.float64),
+        bin_of_row, np.ascontiguousarray(layout.row_starts(), dtype=np.int64),
+        layout.col_bits, multiply_opcode(semiring), starts[:-1].copy(),
+        cap, lkeys, lvals, lfill, keys, vals,
+    )
+    return keys, vals, starts
+
+
+def pb_sort_bins_jit(keys, vals, starts, key_bits: int) -> int:
+    """Stable LSD radix sort of every bin, in place; returns byte passes.
+
+    Each bin ``[starts[b], starts[b+1])`` is sorted on its own with the
+    ``radix_passes_*`` scheme (8-bit-class digits, warm per-thread
+    record scratch sized to the largest bin), so no flop-sized output
+    is allocated.  The stable permutation is the numpy radix's.
+    """
+    eng = _require_engine()
+    _check_bins(keys, vals, starts)
+    sizes = np.diff(starts)
+    n_max = int(sizes.max()) if len(sizes) else 0
+    if n_max > 1:
+        digit_bits = _sort_digit_bits(n_max, key_bits)
+        ra, rb = _sort_scratch(n_max)
+        eng.pb_sort_bins(
+            keys, vals.view(np.uint64), starts,
+            counting_passes(key_bits, digit_bits), digit_bits, ra, rb, _hist(),
+        )
+    return passes_for_bits(key_bits)
+
+
+def pb_compress_bins_jit(keys, vals, starts, layout, semiring):
+    """Fold each sorted bin's duplicate keys straight into CSR arrays.
+
+    Returns ``(row_counts, indices, data)``: int64 columns and ⊕-folded
+    values in row-major order, plus entries per output row, so the row
+    pointer is one cumsum.  The fold replays the numpy compress bit for
+    bit (see the C source).  ``vals`` is consumed: the values are
+    compacted in place, and ``data`` is a view of it unless compression
+    freed more than half of it, when it is copied so the product does
+    not pin the tuple buffer.  ``indices`` is a prefix of a flop-sized
+    buffer whose untouched tail is never faulted in.
+    """
+    eng = _require_engine()
+    _check_bins(keys, vals, starts)
+    if len(starts) != layout.nbins + 1:
+        raise ValueError(f"expected {layout.nbins + 1} bin offsets, got {len(starts)}")
+    flop = len(keys)
+    cols = np.empty(flop, dtype=INDEX_DTYPE)
+    row_counts = np.zeros(layout.nrows, dtype=np.int64)
+    nnz = eng.pb_compress_bins(
+        keys, vals, starts, np.ascontiguousarray(layout.row_starts(), dtype=np.int64),
+        layout.col_bits, semiring_opcode(semiring), cols, vals, row_counts,
+    )
+    data = vals[:nnz]
+    if 2 * nnz < flop:
+        data = data.copy()
+    return row_counts, cols[:nnz], data

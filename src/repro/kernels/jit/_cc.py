@@ -1,7 +1,9 @@
 r"""Runtime-compiled C engine for the JIT kernel tier.
 
 One translation unit containing every compiled hot kernel (radix sort
-passes, counting placement, panel sort+fold), built with
+passes, counting placement, panel sort+fold, and the serial PB
+pipeline: bin count, expand into local bins, per-bin sort, per-bin
+compress into CSR), built with
 the system C compiler the probe found and loaded through
 :mod:`ctypes`.  The build is cached on disk keyed by a hash of the
 source (plus platform), so:
@@ -30,7 +32,15 @@ Bit-identity contracts (asserted by ``tests/test_jit_backends.py``):
 * ``panel_process`` folds duplicate runs with a *sequential left fold
   starting from the run head's raw value* — exactly
   ``Semiring.fold_runs_masked``'s ``add_ufunc.at`` order (``np.add.at``
-  / ``np.minimum.at`` / … are unbuffered sequential applications).
+  / ``np.minimum.at`` / … are unbuffered sequential applications);
+  ``fold_min``/``fold_max`` are ``np.minimum``/``np.maximum`` down to
+  signed zeros and NaNs.
+* ``pb_expand_*`` fills each bin in expansion order and
+  ``pb_sort_bins_*`` is the same stable radix, so every bin matches the
+  numpy expand + stable distribute + sort; ``pb_compress_bins_*`` folds
+  plus runs as the run head + numpy's pairwise sum of the rest (what
+  ``np.add.reduceat`` computes) and min/max runs sequentially, as
+  ``repro.kernels.compress.compress_keyed`` does.
 """
 
 from __future__ import annotations
@@ -202,19 +212,20 @@ PLACE_IMPL(u64, uint64_t)
 #define OP_MAX 2
 #define OP_OR  3
 
-/* np.minimum/np.maximum semantics: NaN in either operand wins. */
+/* np.minimum(a, v) / np.maximum(a, v) exactly: a NaN accumulator  */
+/* stays, else a NaN v wins, else ties (0.0 vs -0.0) return v.      */
 static inline double fold_min(double a, double v)
 {
-    double r = (v < a) ? v : a;
-    if (v != v) r = v;
-    return r;
+    if (a != a) return a;
+    if (v != v) return v;
+    return (a < v) ? a : v;
 }
 
 static inline double fold_max(double a, double v)
 {
-    double r = (v > a) ? v : a;
-    if (v != v) r = v;
-    return r;
+    if (a != a) return a;
+    if (v != v) return v;
+    return (a > v) ? a : v;
 }
 
 /* ---------------------------------------------------------------- */
@@ -460,6 +471,259 @@ API int64_t panel_fused_u16(
     }
     return nout;
 }
+
+/* ================================================================ */
+/* Serial PB-SpGEMM (Alg. 2): bin count, expand into local bins,    */
+/* per-bin radix sort, per-bin compress straight into CSR arrays.   */
+/* A is CSC (a_ptr/a_rows/a_vals), B is CSR (b_ptr/b_cols/b_vals);  */
+/* bin_of_row maps an output row to its bin, bin_lo holds each      */
+/* bin's first row, so a tuple's packed key is                      */
+/* ((row - bin_lo[bin]) << col_bits) | col (Sec. III-D).            */
+/* ================================================================ */
+
+static inline double mul_op(int mop, double a, double b)
+{
+    switch (mop) {
+    case MUL_TIMES:
+        return a * b;
+    case MUL_PLUS:
+        return a + b;
+    case MUL_AND:
+        return (a != 0.0 && b != 0.0) ? 1.0 : 0.0;
+    default: /* MUL_PAIR */
+        return 1.0;
+    }
+}
+
+/* Symbolic bin sizing: every A(r,k) contributes nnz(B(k,:)) tuples */
+/* to bin_of_row[r].  counts (nbins) is overwritten.                */
+API void pb_bin_count(
+    const int64_t *a_ptr, const int64_t *a_rows, const int64_t *b_ptr,
+    int64_t nk, const int64_t *bin_of_row, int64_t nbins, int64_t *counts)
+{
+    memset(counts, 0, (size_t)nbins * sizeof(int64_t));
+    for (int64_t k = 0; k < nk; ++k) {
+        const int64_t w = b_ptr[k + 1] - b_ptr[k];
+        if (w == 0)
+            continue;
+        for (int64_t i = a_ptr[k]; i < a_ptr[k + 1]; ++i)
+            counts[bin_of_row[a_rows[i]]] += w;
+    }
+}
+
+/* Expand: walk k, then A(:,k), then B(k,:) — the numpy expansion   */
+/* order — so every bin receives its tuples in stream order.  With  */
+/* local_cap > 0 each tuple is appended to its bin's thread-private */
+/* local bin (lkeys/lvals, local_cap tuples per bin, Fig. 5) and a  */
+/* full local bin is copied to the global bin in one block; with    */
+/* local_cap == 0 every tuple is written to the global bin directly.*/
+/* cursor holds each bin's start offset on entry, its end on exit.  */
+#define PB_EXPAND_IMPL(SUF, KT)                                       \
+API void pb_expand_##SUF(                                             \
+    const int64_t *a_ptr, const int64_t *a_rows, const double *a_vals,\
+    const int64_t *b_ptr, const int64_t *b_cols, const double *b_vals,\
+    int64_t nk, const int64_t *bin_of_row, const int64_t *bin_lo,     \
+    int col_bits, int mop, int64_t nbins, int64_t *cursor,            \
+    int64_t local_cap, KT *lkeys, double *lvals, int64_t *lfill,      \
+    KT *out_keys, double *out_vals)                                   \
+{                                                                     \
+    if (local_cap > 0)                                                \
+        memset(lfill, 0, (size_t)nbins * sizeof(int64_t));           \
+    for (int64_t k = 0; k < nk; ++k) {                                \
+        const int64_t bs = b_ptr[k], be = b_ptr[k + 1];               \
+        if (bs == be)                                                 \
+            continue;                                                 \
+        for (int64_t i = a_ptr[k]; i < a_ptr[k + 1]; ++i) {           \
+            const int64_t r = a_rows[i];                              \
+            const int64_t bin = bin_of_row[r];                        \
+            const KT kp = (KT)(r - bin_lo[bin]) << col_bits;          \
+            const double av = a_vals[i];                              \
+            if (local_cap > 0) {                                      \
+                KT *lk = lkeys + bin * local_cap;                     \
+                double *lv = lvals + bin * local_cap;                 \
+                int64_t f = lfill[bin];                               \
+                for (int64_t e = bs; e < be; ++e) {                   \
+                    lk[f] = kp | (KT)b_cols[e];                       \
+                    lv[f] = mul_op(mop, av, b_vals[e]);               \
+                    if (++f == local_cap) {                           \
+                        const int64_t pos = cursor[bin];              \
+                        memcpy(out_keys + pos, lk,                    \
+                               (size_t)local_cap * sizeof(KT));       \
+                        memcpy(out_vals + pos, lv,                    \
+                               (size_t)local_cap * sizeof(double));   \
+                        cursor[bin] = pos + local_cap;                \
+                        f = 0;                                        \
+                    }                                                 \
+                }                                                     \
+                lfill[bin] = f;                                       \
+            } else {                                                  \
+                int64_t pos = cursor[bin];                            \
+                for (int64_t e = bs; e < be; ++e, ++pos) {            \
+                    out_keys[pos] = kp | (KT)b_cols[e];               \
+                    out_vals[pos] = mul_op(mop, av, b_vals[e]);       \
+                }                                                     \
+                cursor[bin] = pos;                                    \
+            }                                                         \
+        }                                                             \
+    }                                                                 \
+    if (local_cap > 0) {                                              \
+        for (int64_t bin = 0; bin < nbins; ++bin) {                   \
+            const int64_t f = lfill[bin];                             \
+            const int64_t pos = cursor[bin];                          \
+            memcpy(out_keys + pos, lkeys + bin * local_cap,           \
+                   (size_t)f * sizeof(KT));                           \
+            memcpy(out_vals + pos, lvals + bin * local_cap,           \
+                   (size_t)f * sizeof(double));                       \
+            cursor[bin] = pos + f;                                    \
+        }                                                             \
+    }                                                                 \
+}
+
+PB_EXPAND_IMPL(u32, uint32_t)
+PB_EXPAND_IMPL(u64, uint64_t)
+
+/* Sort each bin [starts[b], starts[b+1]) in place with the stable  */
+/* LSD radix above (the output aliases the input: pass 0 only reads */
+/* it, the last pass only writes it).  A one-pass sort stages the   */
+/* bin as records in ra first.  ra/rb hold 2 * (largest bin) each.  */
+#define PB_SORT_IMPL(SUF, KT)                                         \
+API void pb_sort_bins_##SUF(                                          \
+    KT *keys, uint64_t *vals, const int64_t *starts, int64_t nbins,   \
+    int npasses, int digit_bits, uint64_t *ra, uint64_t *rb,          \
+    int64_t *hist)                                                    \
+{                                                                     \
+    const int64_t nbuckets = (int64_t)1 << digit_bits;                \
+    const uint64_t mask = (uint64_t)nbuckets - 1;                     \
+    for (int64_t b = 0; b < nbins; ++b) {                             \
+        const int64_t lo = starts[b];                                 \
+        const int64_t n = starts[b + 1] - lo;                         \
+        if (n < 2)                                                    \
+            continue;                                                 \
+        KT *k = keys + lo;                                            \
+        uint64_t *v = vals + lo;                                      \
+        if (npasses >= 2) {                                           \
+            radix_passes_##SUF(k, v, k, v, ra, rb, n, npasses,        \
+                               digit_bits, hist);                     \
+            continue;                                                 \
+        }                                                             \
+        memset(hist, 0, (size_t)nbuckets * sizeof(int64_t));          \
+        for (int64_t i = 0; i < n; ++i) {                             \
+            ra[2 * i] = v[i];                                         \
+            ra[2 * i + 1] = (uint64_t)k[i];                           \
+            hist[(size_t)((uint64_t)k[i] & mask)]++;                  \
+        }                                                             \
+        int64_t acc = 0;                                              \
+        for (int64_t d = 0; d < nbuckets; ++d) {                      \
+            int64_t c = hist[d];                                      \
+            hist[d] = acc;                                            \
+            acc += c;                                                 \
+        }                                                             \
+        for (int64_t i = 0; i < n; ++i) {                             \
+            const uint64_t key = ra[2 * i + 1];                       \
+            int64_t pos = hist[(size_t)(key & mask)]++;               \
+            k[pos] = (KT)key;                                         \
+            v[pos] = ra[2 * i];                                       \
+        }                                                             \
+    }                                                                 \
+}
+
+PB_SORT_IMPL(u32, uint32_t)
+PB_SORT_IMPL(u64, uint64_t)
+
+/* numpy's DOUBLE_pairwise_sum (unit stride): what np.add.reduceat  */
+/* adds to a run's head, so the compress fold below reproduces      */
+/* np.add.reduceat bit for bit.                                     */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; ++i)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (int j = 0; j < 8; ++j)
+            r[j] = a[j];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; ++j)
+                r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
+                     ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; ++i)
+            res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* Compress each sorted bin: fold every run of equal keys with ⊕,   */
+/* write the run's column (int64) and value at the output cursor    */
+/* and count it in row_counts (m int64, zeroed by the caller), so   */
+/* the CSR row pointer is one cumsum away.  Folds match the numpy   */
+/* compress: plus is the run head + pairwise_sum of the rest        */
+/* (np.add.reduceat), min/max a sequential fold_min/fold_max (the   */
+/* ufunc's .at), or 1.0 when any value is nonzero                   */
+/* (np.logical_or.reduceat).  out_vals may alias vals: a run is     */
+/* read before its output slot, which never lies past it, is        */
+/* written.  Returns the number of entries written.                 */
+#define PB_COMPRESS_IMPL(SUF, KT)                                     \
+API int64_t pb_compress_bins_##SUF(                                   \
+    const KT *keys, const double *vals, const int64_t *starts,        \
+    int64_t nbins, const int64_t *bin_lo, int col_bits, int op,       \
+    int64_t *out_cols, double *out_vals, int64_t *row_counts)         \
+{                                                                     \
+    const KT cmask = (KT)(((KT)1 << col_bits) - 1);                   \
+    int64_t o = 0;                                                    \
+    for (int64_t b = 0; b < nbins; ++b) {                             \
+        const int64_t hi = starts[b + 1];                             \
+        int64_t *rc = row_counts + bin_lo[b];                         \
+        int64_t i = starts[b];                                        \
+        while (i < hi) {                                              \
+            const KT key = keys[i];                                   \
+            int64_t j = i + 1;                                        \
+            while (j < hi && keys[j] == key)                          \
+                ++j;                                                  \
+            double acc = vals[i];                                     \
+            if (j - i > 1) {                                          \
+                switch (op) {                                         \
+                case OP_ADD:                                          \
+                    acc += pairwise_sum(vals + i + 1, j - i - 1);     \
+                    break;                                            \
+                case OP_MIN:                                          \
+                    for (int64_t t = i + 1; t < j; ++t)               \
+                        acc = fold_min(acc, vals[t]);                 \
+                    break;                                            \
+                case OP_MAX:                                          \
+                    for (int64_t t = i + 1; t < j; ++t)               \
+                        acc = fold_max(acc, vals[t]);                 \
+                    break;                                            \
+                default:                                              \
+                    break;                                            \
+                }                                                     \
+            }                                                         \
+            if (op == OP_OR) {                                        \
+                double any = 0.0;                                     \
+                for (int64_t t = i; t < j; ++t)                       \
+                    if (vals[t] != 0.0)                               \
+                        any = 1.0;                                    \
+                acc = any;                                            \
+            }                                                         \
+            out_cols[o] = (int64_t)(key & cmask);                     \
+            out_vals[o] = acc;                                        \
+            rc[(int64_t)(key >> col_bits)]++;                         \
+            ++o;                                                      \
+            i = j;                                                    \
+        }                                                             \
+    }                                                                 \
+    return o;                                                         \
+}
+
+PB_COMPRESS_IMPL(u32, uint32_t)
+PB_COMPRESS_IMPL(u64, uint64_t)
 """
 
 _P = ctypes.POINTER
@@ -514,7 +778,23 @@ _SIGNATURES = {
             _i64p, _i64p, _f64p, _u16p, _u16p, _f64p, _i64p,
         ],
     ),
+    "pb_bin_count": (None, [_i64p, _i64p, _i64p, _i64, _i64p, _i64, _i64p]),
 }
+for _suf, _kp in (("u32", _u32p), ("u64", _u64p)):
+    _SIGNATURES[f"pb_expand_{_suf}"] = (
+        None,
+        [
+            _i64p, _i64p, _f64p, _i64p, _i64p, _f64p,
+            _i64, _i64p, _i64p, _int, _int, _i64, _i64p,
+            _i64, _kp, _f64p, _i64p, _kp, _f64p,
+        ],
+    )
+    _SIGNATURES[f"pb_sort_bins_{_suf}"] = (
+        None, [_kp, _u64p, _i64p, _i64, _int, _int, _u64p, _u64p, _i64p]
+    )
+    _SIGNATURES[f"pb_compress_bins_{_suf}"] = (
+        _i64, [_kp, _f64p, _i64p, _i64, _i64p, _int, _int, _i64p, _f64p, _i64p]
+    )
 
 _lock = threading.Lock()
 _lib: ctypes.CDLL | None = None
@@ -662,4 +942,49 @@ class CCEngine:
             _ptr(hist, _i64p), _ptr(wk, _i64p), _ptr(tvc, _f64p),
             _ptr(out_rows, _u16p), _ptr(out_cols, _u16p),
             _ptr(out_vals, _f64p), _ptr(row_counts, _i64p),
+        )
+
+    # -- serial PB pipeline -----------------------------------------
+    _KEY = {4: ("u32", _u32p), 8: ("u64", _u64p)}
+
+    def pb_bin_count(self, a_ptr, a_rows, b_ptr, bin_of_row, counts):
+        self._lib.pb_bin_count(
+            _ptr(a_ptr, _i64p), _ptr(a_rows, _i64p), _ptr(b_ptr, _i64p),
+            len(a_ptr) - 1, _ptr(bin_of_row, _i64p), len(counts),
+            _ptr(counts, _i64p),
+        )
+
+    def pb_expand(
+        self, a_ptr, a_rows, a_vals, b_ptr, b_cols, b_vals, bin_of_row,
+        bin_lo, col_bits, mop, cursor, local_cap, lkeys, lvals, lfill,
+        out_keys, out_vals,
+    ):
+        suf, kp = self._KEY[out_keys.dtype.itemsize]
+        getattr(self._lib, f"pb_expand_{suf}")(
+            _ptr(a_ptr, _i64p), _ptr(a_rows, _i64p), _ptr(a_vals, _f64p),
+            _ptr(b_ptr, _i64p), _ptr(b_cols, _i64p), _ptr(b_vals, _f64p),
+            len(a_ptr) - 1, _ptr(bin_of_row, _i64p), _ptr(bin_lo, _i64p),
+            col_bits, mop, len(cursor), _ptr(cursor, _i64p),
+            local_cap, _ptr(lkeys, kp), _ptr(lvals, _f64p),
+            _ptr(lfill, _i64p), _ptr(out_keys, kp), _ptr(out_vals, _f64p),
+        )
+
+    def pb_sort_bins(self, keys, vals, starts, npasses, digit_bits, ra, rb, hist):
+        suf, kp = self._KEY[keys.dtype.itemsize]
+        getattr(self._lib, f"pb_sort_bins_{suf}")(
+            _ptr(keys, kp), _ptr(vals, _u64p), _ptr(starts, _i64p),
+            len(starts) - 1, npasses, digit_bits,
+            _ptr(ra, _u64p), _ptr(rb, _u64p), _ptr(hist, _i64p),
+        )
+
+    def pb_compress_bins(
+        self, keys, vals, starts, bin_lo, col_bits, op, out_cols, out_vals,
+        row_counts,
+    ):
+        suf, kp = self._KEY[keys.dtype.itemsize]
+        return getattr(self._lib, f"pb_compress_bins_{suf}")(
+            _ptr(keys, kp), _ptr(vals, _f64p), _ptr(starts, _i64p),
+            len(starts) - 1, _ptr(bin_lo, _i64p), col_bits, op,
+            _ptr(out_cols, _i64p), _ptr(out_vals, _f64p),
+            _ptr(row_counts, _i64p),
         )

@@ -149,8 +149,18 @@ def expand_arena(
     chunk_flops: int = DEFAULT_CHUNK_FLOPS,
     semiring: Semiring | str = PLUS_TIMES,
     per_k: np.ndarray | None = None,
+    layout=None,
+    local_tuples: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expand the full tuple stream into one flop-sized arena.
+
+    **Compiled form.** With a ``range`` or ``variable`` bin ``layout``
+    the compiled kernel of :func:`repro.kernels.jit.pb_expand_jit` runs
+    instead and expands straight into the global bins — through local
+    bins of ``local_tuples`` tuples each, or directly when that is 0 —
+    returning ``(packed_keys, vals, bin_starts)``: the stream the
+    numpy expand + :func:`repro.core.binning.distribute_packed` would
+    build.  The caller must have checked the engine is available.
 
     The symbolic phase knows every column's exact tuple count, so each
     chunk owns a fixed ``[o_lo, o_hi)`` slice of the output stream;
@@ -168,6 +178,10 @@ def expand_arena(
     if a_csc.shape[1] != b_csr.shape[0]:
         raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
     sr = get_semiring(semiring)
+    if layout is not None:
+        from .jit import pb_expand_jit
+
+        return pb_expand_jit(a_csc, b_csr, sr, layout, local_tuples)
     if per_k is None:
         per_k = (a_csc.col_nnz() * b_csr.row_nnz()).astype(np.int64)
     else:

@@ -249,8 +249,16 @@ def sort_tuples(
     values: np.ndarray,
     key_bits: int | None = None,
     backend: str = "radix",
+    segments: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Sort (key, payload) tuple arrays by key.
+
+    **Compiled form.** With ``segments`` (``nseg + 1`` ascending
+    offsets, e.g. PB's bin starts) every segment is sorted on its own,
+    *in place*, by the compiled stable radix of
+    :func:`repro.kernels.jit.pb_sort_bins_jit`, and the input arrays
+    are returned; ``backend`` is not consulted.  The caller must have
+    checked the engine is available.
 
     ``backend="radix"`` is the counting-scatter path
     (:func:`radix_sort_pairs`); ``backend="radix_jit"`` is the JIT
@@ -264,6 +272,12 @@ def sort_tuples(
     """
     if len(keys) != len(values):
         raise ValueError(f"keys/values length mismatch: {len(keys)} vs {len(values)}")
+    if segments is not None:
+        from .jit import pb_sort_bins_jit
+
+        if key_bits is None:
+            key_bits = np.asarray(keys).dtype.itemsize * 8
+        return keys, values, pb_sort_bins_jit(keys, values, segments, key_bits)
     if backend == "radix":
         return radix_sort_pairs(keys, values, key_bits=key_bits)
     if backend == "radix_jit":

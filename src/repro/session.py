@@ -157,12 +157,18 @@ class Session:
         self._resources: dict = {"engine": None, "pool": pool}
         self._finalizer = weakref.finalize(self, _close_resources, self._resources)
         # Warm-up hygiene (DESIGN.md §14): when the session's config
-        # selects any *_jit backend, compile/load the JIT tier now — at
-        # construction, off the request path — so the first multiply's
-        # phase timings never absorb compiler time.  The cost is
-        # recorded on stats; pb_spgemm's own idempotent warmup then
+        # selects any *_jit backend, or runs serial PB on the compiled
+        # pipeline, compile/load the JIT tier now — at construction, off
+        # the request path — so the first multiply neither pays the
+        # load nor folds compiler time into its phase timings.  The cost
+        # is recorded on stats; pb_spgemm's own idempotent warmup then
         # reads ~0 and reports it under phase_seconds["jit_warmup_s"].
-        if self.config.uses_jit:
+        from .core.pb_spgemm import config_blocker
+        from .parallel.executor import uses_workers
+
+        if self.config.uses_jit or (
+            config_blocker(self.config) is None and not uses_workers(self.config)
+        ):
             from .kernels import jit as _jit
 
             self.stats.jit_warmup_s = _jit.warmup()

@@ -106,3 +106,18 @@ class TestBalancedPB:
             a.to_csc(), a.to_csr(), config=PBConfig(bin_mapping="balanced", nbins=8)
         )
         assert res.layout.mapping == "variable"
+
+
+@pytest.mark.parametrize("mapping", ["range", "balanced"])
+def test_pack_keys_picks_the_key_width_on_every_mapping(mapping):
+    """One key-width rule: ``pack_keys=False`` forces 64-bit keys under
+    variable row ranges exactly as under fixed ones."""
+    a = erdos_renyi(1 << 10, 8, seed=1)
+    a_csc, b = a.to_csc(), a.to_csr()
+    packed = pb_spgemm_detailed(a_csc, b, config=PBConfig(bin_mapping=mapping))
+    wide = pb_spgemm_detailed(
+        a_csc, b, config=PBConfig(bin_mapping=mapping, pack_keys=False)
+    )
+    assert packed.layout.key_dtype == np.uint32
+    assert wide.layout.key_dtype == np.uint64
+    assert wide.c.data.tobytes() == packed.c.data.tobytes()

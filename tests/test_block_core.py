@@ -25,6 +25,7 @@ from repro.core.blocks import (
 )
 from repro.core.sharded import plan_shards, sharded_spgemm_detailed
 from repro.core.tiled import tiled_spgemm_detailed
+from repro.kernels import jit as jit_tier
 from repro.matrix import CSRMatrix
 from repro.matrix.stats import flops_per_row
 from repro.parallel import process_backend_available
@@ -136,6 +137,43 @@ def test_standalone_process_pb_matches_serial(problem, pipeline):
     _bit_equal(res.c, pb_spgemm(a, b, sr))
     flop = int(a.col_nnz() @ b.row_nnz())
     assert res.executor_used == ("process" if flop else "serial")
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    problems(),
+    st.booleans(),
+    st.sampled_from(["range", "balanced"]),
+    st.sampled_from([None, 1, 3]),
+    st.booleans(),
+    st.sampled_from([16, 48, 512]),
+)
+def test_compiled_pipeline_matches_numpy(
+    problem, pack, mapping, nbins, local_bins, local_bytes
+):
+    """Default serial PB runs the compiled pipeline (expand into local
+    bins, per-bin sort, compress into CSR) and equals the numpy pipeline
+    bit for bit — 32- and 64-bit keys, fixed and flop-balanced bins,
+    local bins that flush every 1, 3 or 32 tuples, and direct scatter."""
+    if not jit_tier.jit_available():
+        pytest.skip("no JIT engine on this machine")
+    a, b, sr = problem
+    cfg = PBConfig(
+        pack_keys=pack,
+        bin_mapping=mapping,
+        nbins=nbins,
+        use_local_bins=local_bins,
+        local_bin_bytes=local_bytes,
+    )
+    res = pb_spgemm_detailed(a, b, sr, cfg)
+    assert res.pipeline == "compiled"
+    with jit_tier.disabled():
+        ref = pb_spgemm_detailed(a, b, sr, cfg)
+    assert ref.pipeline == "numpy:no_engine"
+    _bit_equal(res.c, ref.c)
+    assert np.array_equal(res.tuples_per_bin, ref.tuples_per_bin)
+    assert res.radix_passes == ref.radix_passes
+    assert res.layout.key_dtype == ref.layout.key_dtype
 
 
 def test_uniform_edges():

@@ -1,6 +1,7 @@
 """Tests for the PB-SpGEMM core: config, symbolic, binning, pipeline."""
 
 import importlib
+import warnings
 
 import numpy as np
 import pytest
@@ -340,3 +341,56 @@ class TestPartitioned:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             partitioned_pb_spgemm(CSCMatrix.empty((3, 3)), CSRMatrix.empty((4, 4)))
+
+
+class TestPipelineChoice:
+    """``PBResult.pipeline``: which kernel pipeline ran, and why not the
+    compiled one."""
+
+    def test_disabled_engine_falls_back_silently(self, small_pair, monkeypatch):
+        from repro.kernels.jit import reset_jit_state
+
+        a, b = small_pair
+        monkeypatch.setenv("REPRO_JIT_DISABLE", "1")
+        reset_jit_state()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                res = pb_spgemm_detailed(a, b)
+        finally:
+            monkeypatch.delenv("REPRO_JIT_DISABLE")
+            reset_jit_state()
+        assert res.pipeline == "numpy:no_engine"
+        assert "jit_warmup_s" not in res.phase_seconds
+
+    @pytest.mark.parametrize(
+        "kwargs, reason",
+        [
+            (dict(bin_mapping="modulo", pack_keys=False), "mapping"),
+            (dict(sort_backend="argsort"), "backend"),
+            (dict(distribute_backend="argsort"), "backend"),
+            (dict(expand_backend="concat"), "backend"),
+        ],
+    )
+    def test_config_reasons(self, small_pair, kwargs, reason):
+        a, b = small_pair
+        res = pb_spgemm_detailed(a, b, config=PBConfig(**kwargs))
+        assert res.pipeline == f"numpy:{reason}"
+
+    def test_semiring_and_dtype_reasons(self, small_pair):
+        from repro.semiring import PLUS_TIMES, Semiring
+
+        a, b = small_pair
+        custom = Semiring("plus_custom", np.add, lambda x, y: x * y, 0.0)
+        single = Semiring(
+            "plus_times32", np.add, PLUS_TIMES.multiply, 0.0, np.dtype(np.float32)
+        )
+        assert pb_spgemm_detailed(a, b, custom).pipeline == "numpy:semiring"
+        assert pb_spgemm_detailed(a, b, single).pipeline == "numpy:dtype"
+
+    def test_default_runs_compiled_when_engine_builds(self, small_pair):
+        from repro.kernels.jit import jit_available
+
+        a, b = small_pair
+        res = pb_spgemm_detailed(a, b)
+        assert res.pipeline == ("compiled" if jit_available() else "numpy:no_engine")

@@ -38,6 +38,7 @@ from repro.kernels.jit import JITFallbackWarning
 from repro.kernels.jit import _cc
 from repro.kernels.jit._avail import probe
 from repro.kernels.outer_expand import expand_arena
+from repro.kernels.compress import compress_keyed
 from repro.kernels.radix import radix_sort_pairs, sort_tuples
 from repro.semiring import available_semirings
 
@@ -63,6 +64,9 @@ def no_engine(clean_jit_state, monkeypatch, tmp_path):
     empty = tmp_path / "empty-path"
     empty.mkdir()
     monkeypatch.delenv("CC", raising=False)
+    # The missing compiler must be the cause, also when the suite runs
+    # with the tier disabled.
+    monkeypatch.delenv("REPRO_JIT_DISABLE", raising=False)
     monkeypatch.setenv("PATH", str(empty))
     jit_tier.reset_jit_state()
     yield
@@ -157,7 +161,8 @@ class TestBitIdentity:
     @pytest.mark.parametrize("semiring", sorted(available_semirings()))
     def test_pb_pipeline_all_jit(self, semiring):
         a, b = _mats()
-        c0 = repro.multiply(a, b, semiring=semiring, config=PBConfig())
+        with jit_tier.disabled():
+            c0 = repro.multiply(a, b, semiring=semiring, config=PBConfig())
         c1 = repro.multiply(a, b, semiring=semiring, config=PBConfig(**JIT_PB))
         assert _bitwise_equal(c0, c1)
 
@@ -206,6 +211,52 @@ class TestBitIdentity:
         assert np.array_equal(k0, k1)
         assert np.array_equal(v0.view(np.uint64), v1.view(np.uint64))
         assert np.array_equal(s0, s1)
+
+    @pytest.mark.parametrize("semiring", sorted(available_semirings()))
+    def test_compiled_fold_matches_numpy_compress(self, semiring):
+        """One bin holding runs of every length 1-300: the compiled
+        compress folds each run exactly like the numpy compress
+        (``np.add.reduceat``'s pairwise sum, sequential min/max with
+        NaN, ±0 and ±inf, logical_or to 0/1)."""
+        from repro.semiring import get_semiring
+
+        rng = np.random.default_rng(11)
+        lengths = np.arange(1, 301)
+        layout = plan_bins(len(lengths), 2, 1, len(lengths))
+        keys = np.repeat(
+            np.arange(len(lengths), dtype=np.uint32) << layout.col_bits, lengths
+        ).astype(layout.key_dtype)
+        n = len(keys)
+        vals = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+        special = [0.0, -0.0]
+        if semiring in ("min_plus", "max_times"):
+            special += [np.nan, -np.nan, np.inf, -np.inf]
+        pick = rng.random(n) < 0.3
+        vals[pick] = rng.choice(special, int(pick.sum()))
+        sr = get_semiring(semiring)
+        ref_keys, ref_vals = compress_keyed(keys, vals, sr)
+        row_counts, cols, data = compress_keyed(
+            keys, vals.copy(), sr, layout=layout,
+            segments=np.array([0, n], dtype=np.int64),
+        )
+        assert data.tobytes() == ref_vals.tobytes()
+        assert np.array_equal(cols, ref_keys & 1)
+        assert np.array_equal(row_counts, np.ones(len(lengths)))
+
+    def test_compiled_sort_matches_numpy_radix_per_bin(self):
+        rng = np.random.default_rng(4)
+        for nbits in (5, 17, 40):
+            dt = np.uint32 if nbits <= 32 else np.uint64
+            starts = np.array([0, 0, 1, 700, 700, 3001], dtype=np.int64)
+            keys = rng.integers(0, 1 << nbits, size=3001).astype(dt)
+            vals = rng.random(3001)
+            k1, v1 = keys.copy(), vals.copy()
+            _, _, p1 = sort_tuples(k1, v1, key_bits=nbits, segments=starts)
+            for lo, hi in zip(starts[:-1], starts[1:]):
+                k0, v0, p0 = radix_sort_pairs(keys[lo:hi], vals[lo:hi], key_bits=nbits)
+                assert np.array_equal(k0, k1[lo:hi])
+                assert v0.tobytes() == v1[lo:hi].tobytes()
+            assert p1 == p0
 
     @pytest.mark.parallel
     def test_process_pool_workers_bit_identical(self):
@@ -295,9 +346,16 @@ class TestWarmup:
             assert s.stats.jit_warmup_s >= 0.0
             assert "jit_warmup_s" in s.stats.to_dict()
 
-    def test_session_without_jit_skips_warmup(self):
-        with repro.Session(PBConfig()) as s:
+    def test_session_without_jit_skips_warmup(self, clean_jit_state):
+        # The numpy pipeline with numpy backends (an ablation string)
+        # runs no compiled kernel, so the session loads nothing.
+        with repro.Session(PBConfig(expand_backend="concat")) as s:
             assert s.stats.jit_warmup_s == 0.0
+        assert not jit_tier.jit_status()["warmed"]
+
+    def test_session_for_compiled_pipeline_warms(self, clean_jit_state):
+        with repro.Session(PBConfig()):
+            assert jit_tier.jit_status()["warmed"]
 
     def test_detailed_run_has_phase_stopwatch(self):
         a, b = _mats(scale=8)
@@ -306,8 +364,15 @@ class TestWarmup:
             res = pb_spgemm_detailed(a.to_csc(), b, config=PBConfig(**JIT_PB))
         assert "jit_warmup_s" in res.phase_seconds
         assert res.phase_seconds["jit_warmup_s"] >= 0.0
-        res0 = pb_spgemm_detailed(a.to_csc(), b, config=PBConfig())
+        res0 = pb_spgemm_detailed(
+            a.to_csc(), b, config=PBConfig(expand_backend="concat")
+        )
+        assert res0.pipeline == "numpy:backend"
         assert "jit_warmup_s" not in res0.phase_seconds
+        res1 = pb_spgemm_detailed(a.to_csc(), b, config=PBConfig())
+        assert ("jit_warmup_s" in res1.phase_seconds) == (
+            res1.pipeline == "compiled"
+        )
 
 
 # ---------------------------------------------------------------------------
