@@ -8,8 +8,7 @@ they are:
 2. 8-byte keys (no packing)  -> radix passes double;
 3. modulo bin mapping        -> loses packing (and bins lose row
                                 contiguity for the CSR rebuild);
-4. nbins policy              -> L2-fit vs too-few/too-many bins;
-5. mergesort backend         -> comparison sort vs 4 linear passes.
+4. nbins policy              -> L2-fit vs too-few/too-many bins.
 """
 
 import repro
@@ -53,7 +52,6 @@ def _build():
     add("modulo bin mapping", base_cfg.with_(bin_mapping="modulo", pack_keys=False))
     add("nbins = 8", base_cfg.with_(nbins=8), nbins=8)
     add("nbins = 8192", base_cfg.with_(nbins=8192), nbins=8192)
-    add("mergesort backend", base_cfg.with_(sort_backend="mergesort"))
 
     # Variable-range bins (Sec. V-C): executable balance comparison on a
     # skewed input rather than a simulated time (the simulator already

@@ -10,7 +10,7 @@ baselines even in Python, and how the phases split.
 import pytest
 
 import repro
-from repro.core import PBConfig, pb_spgemm
+from repro.core import pb_spgemm
 from repro.kernels import (
     esc_column_spgemm,
     hash_spgemm,
@@ -36,11 +36,6 @@ def test_wallclock_pb_medium(benchmark, medium):
     a, b = medium
     c = benchmark(pb_spgemm, a, b)
     assert c.nnz > 0
-
-
-def test_wallclock_pb_mergesort_medium(benchmark, medium):
-    a, b = medium
-    benchmark(pb_spgemm, a, b, config=PBConfig(sort_backend="mergesort"))
 
 
 def test_wallclock_esc_column_medium(benchmark, medium):

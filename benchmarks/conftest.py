@@ -6,8 +6,8 @@ figure of the paper: the ``benchmark`` fixture times the regeneration
 rows to the terminal (bypassing capture) and archives them under
 ``benchmarks/results/``.
 
-The perf suites (``hotpath``, ``planner``, ``column``, ``session``,
-``serve``, ``tiled``, ``sharded``, ``jit``) are not pytest modules:
+The perf suites (``planner``, ``column``, ``session``, ``serve``,
+``tiled``, ``sharded``, ``jit``) are not pytest modules:
 ``repro bench run <suite>`` runs them, validates each result against
 the shared schema (``repro.bench.validate_result``) and appends it to
 the trend store under ``benchmarks/results/bench/`` with ``--store``.

@@ -86,8 +86,8 @@ def multiply(
         Optional :class:`~repro.core.PBConfig`.  Applies to any
         config-aware algorithm: ``"pb"`` consumes the full pipeline
         tuning; the column kernels (heap / hash / hashvec / spa)
-        honour ``column_backend``; ``esc_column`` honours
-        ``sort_backend`` / ``expand_backend``.  With ``"auto"`` it
+        honour ``column_backend``; ``esc_column`` accepts it and has
+        nothing to read.  With ``"auto"`` it
         parameterizes the planner (``plan_cache_dir``, executor
         request) and is forwarded to the chosen kernel.
     feedback:

@@ -20,7 +20,6 @@ from .schema import BenchResult
 
 #: Perf suites with a committed repo-root baseline artifact.
 PERF_SUITES = (
-    "hotpath",
     "planner",
     "column",
     "session",
@@ -31,7 +30,6 @@ PERF_SUITES = (
 )
 
 _BUILTIN_MODULES = {
-    "hotpath": "repro.bench.suites.hotpath",
     "planner": "repro.bench.suites.planner",
     "column": "repro.bench.suites.column",
     "session": "repro.bench.suites.session",

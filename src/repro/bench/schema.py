@@ -1,12 +1,12 @@
 """The shared benchmark result schema (``schema_version = 2``).
 
-Every suite in :mod:`repro.bench` — the perf harnesses (``hotpath``,
-``planner``, ``column``, ``session``) and the paper-figure drivers —
+Every suite in :mod:`repro.bench` — the perf harnesses (``planner``,
+``column``, ``session``, ``jit``, …) and the paper-figure drivers —
 produces one :class:`BenchResult`.  The schema is deliberately small
 and flat where it matters for regression gating:
 
 * ``metrics``   — dotted-name → number.  Suite-level headline numbers
-  (``sort_phase_speedup``) plus per-workload detail
+  (``pb_end_to_end_speedup``) plus per-workload detail
   (``er_s16_ef16.end_to_end.speedup``).  These are what
   :func:`repro.bench.compare_results` diffs between commits.
 * ``acceptance`` — name → bool.  Correctness invariants (bit-identity,

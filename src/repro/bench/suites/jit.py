@@ -1,13 +1,8 @@
-"""``jit`` suite: compiled hot-kernel tier vs. the numpy backends.
+"""``jit`` suite: compiled hot-kernel tier vs. the numpy kernels.
 
-Times each ``*_jit`` backend of the compiled tier (DESIGN.md §14)
-against the numpy kernel it swaps out, on ER and R-MAT inputs:
+Times the compiled tier (DESIGN.md §14) against the numpy code it
+swaps out, on ER and R-MAT inputs:
 
-* **sort** — per-bin phase comparison, ``radix_jit`` (fused compiled
-  histogram + scatter) vs. ``radix`` (numpy counting passes) on the
-  identical packed keys;
-* **distribute** — fused compiled placement (``counting_jit``) vs. the
-  numpy counting scatter;
 * **panel** — end-to-end column multiply, ``panel_jit`` vs. ``panel``;
 * **pb end-to-end** — default serial PB on the compiled pipeline vs.
   the numpy pipeline with the tier disabled (:func:`jit.disabled`),
@@ -18,8 +13,8 @@ against the numpy kernel it swaps out, on ER and R-MAT inputs:
 
 The suite records ``jit_engine`` / ``jit_available`` in its metadata so
 stored trends from machines without a C compiler remain interpretable.
-When no engine is available the suite still runs — every jit path
-falls back — and reports ~1.0x speedups; the full-run floors then
+When no engine is available the suite still runs — every compiled
+path falls back — and reports ~1.0x speedups; the full-run floors then
 fail, which is the honest verdict.
 
 Committed baseline: repo-root ``BENCH_jit.json``.
@@ -32,14 +27,10 @@ import time
 import numpy as np
 
 from ...core import PBConfig
-from ...core.binning import distribute_packed, plan_bins
 from ...core.pb_spgemm import pb_spgemm_detailed
-from ...core.symbolic import symbolic_phase
 from ...generators import erdos_renyi, rmat
 from ...kernels import jit as jit_tier
 from ...kernels.hash_spgemm import hash_spgemm
-from ...kernels.outer_expand import expand_arena
-from ...kernels.radix import sort_tuples
 from ...semiring import available_semirings
 from ..registry import AcceptanceCheck, Suite, register_suite
 from ..schema import BenchResult, new_result
@@ -59,61 +50,6 @@ def _workloads(quick: bool):
         ("er_s16_ef16", lambda: erdos_renyi(1 << 16, 16, seed=1, fmt="csr")),
         ("rmat_s14_ef8", lambda: rmat(14, 8, seed=1).to_csr()),
     ]
-
-
-def _bench_kernels(b_csr, reps: int) -> dict:
-    """Kernel-level jit-vs-numpy comparisons on one squared input."""
-    a_csc = b_csr.to_csc()
-    cfg = PBConfig()
-    sym = symbolic_phase(a_csc, b_csr, cfg)
-    layout = plan_bins(
-        a_csc.shape[0], b_csr.shape[1], sym.nbins, sym.rows_per_bin, cfg
-    )
-    rows, cols, vals = expand_arena(a_csc, b_csr, per_k=sym.flops_per_k)
-
-    distribute = {
-        "counting_s": best_of(
-            lambda: distribute_packed(layout, rows, cols, vals, method="counting"),
-            reps,
-        ),
-        "counting_jit_s": best_of(
-            lambda: distribute_packed(
-                layout, rows, cols, vals, method="counting_jit"
-            ),
-            reps,
-        ),
-    }
-    distribute["speedup"] = distribute["counting_s"] / distribute["counting_jit_s"]
-
-    keys, bvals, starts = distribute_packed(layout, rows, cols, vals)
-    spans = [
-        (int(starts[i]), int(starts[i + 1]))
-        for i in range(layout.nbins)
-        if starts[i + 1] > starts[i]
-    ]
-
-    def sort_phase(backend: str):
-        for lo, hi in spans:
-            sort_tuples(
-                keys[lo:hi], bvals[lo:hi], key_bits=layout.key_bits, backend=backend
-            )
-
-    sort = {
-        "radix_s": best_of(lambda: sort_phase("radix"), reps),
-        "radix_jit_s": best_of(lambda: sort_phase("radix_jit"), reps),
-    }
-    sort["phase_speedup"] = sort["radix_s"] / sort["radix_jit_s"]
-
-    return {
-        "stats": {
-            "flop": int(sym.flop),
-            "nbins": int(layout.nbins),
-            "key_bits": int(layout.key_bits),
-            "tuples": int(len(rows)),
-        },
-        "distribute": distribute,
-        "sort": sort,
-    }
 
 
 def _time_pb(a_csc, b_csr, cfg, reps: int) -> tuple[float, dict, str]:
@@ -187,13 +123,10 @@ def _check_identity(b_csr) -> dict:
     return out
 
 
-def _extract(workloads, kernels, end_to_end, identity):
+def _extract(workloads, end_to_end, identity):
     metrics: dict = {}
     phases: dict = {}
     for w in workloads:
-        k = kernels[w]
-        metrics[f"{w}.sort.phase_speedup"] = k["sort"]["phase_speedup"]
-        metrics[f"{w}.distribute.speedup"] = k["distribute"]["speedup"]
         e = end_to_end[w]
         metrics[f"{w}.pb.speedup"] = e["pb_speedup"]
         metrics[f"{w}.pb.jit_s"] = e["pb_jit_s"]
@@ -203,7 +136,6 @@ def _extract(workloads, kernels, end_to_end, identity):
         metrics[f"{w}.panel.speedup"] = e["panel_speedup"]
         phases[w] = dict(e["pb_jit_phases"])
     primary = workloads[0]
-    metrics["sort_phase_speedup"] = kernels[primary]["sort"]["phase_speedup"]
     metrics["panel_end_to_end_speedup"] = end_to_end[primary]["panel_speedup"]
     metrics["pb_end_to_end_speedup"] = end_to_end[primary]["pb_speedup"]
     acceptance = {
@@ -220,25 +152,22 @@ def run(quick: bool = False, reps: int = 3) -> BenchResult:
         f"(warmup {warmup_s * 1e3:.1f} ms)",
         flush=True,
     )
-    workloads, kernels, end_to_end, identity = [], {}, {}, {}
+    workloads, end_to_end, identity = [], {}, {}
     for name, make in _workloads(quick):
         print(f"== workload {name}", flush=True)
         b = make()
         workloads.append(name)
-        kernels[name] = _bench_kernels(b, reps)
         end_to_end[name] = _bench_end_to_end(b, reps)
         identity[name] = _check_identity(b)
-        k, e = kernels[name], end_to_end[name]
+        e = end_to_end[name]
         print(
-            f"   sort {k['sort']['phase_speedup']:.2f}x, "
-            f"distribute {k['distribute']['speedup']:.2f}x, "
-            f"panel {e['panel_speedup']:.2f}x, "
+            f"   panel {e['panel_speedup']:.2f}x, "
             f"pb {e['pb_speedup']:.2f}x "
             f"(local bins {e['pb_local_bins_speedup']:.2f}x), "
             f"identity {'ok' if all(identity[name].values()) else 'FAIL'}",
             flush=True,
         )
-    metrics, acceptance, phases = _extract(workloads, kernels, end_to_end, identity)
+    metrics, acceptance, phases = _extract(workloads, end_to_end, identity)
     metrics["jit_available"] = float(bool(status["available"]))
     return new_result(
         "jit",
@@ -249,7 +178,6 @@ def run(quick: bool = False, reps: int = 3) -> BenchResult:
         acceptance=acceptance,
         phases=phases,
         payload={
-            "kernels": kernels,
             "end_to_end": end_to_end,
             "identity": identity,
         },
@@ -265,8 +193,7 @@ register_suite(
         name="jit",
         description=(
             "compiled hot-kernel tier (the compiled PB pipeline, "
-            "radix_jit/counting_jit, panel_jit) vs. the numpy kernels "
-            "it swaps out"
+            "panel_jit) vs. the numpy kernels it swaps out"
         ),
         runner=run,
         figures=("Table III (phase costs)",),
@@ -274,9 +201,6 @@ register_suite(
         artifact="BENCH_jit.json",
         default_reps=3,
         checks=(
-            AcceptanceCheck(
-                "sort_phase_floor", "sort_phase_speedup", "ge", 1.5, full_only=True
-            ),
             AcceptanceCheck(
                 "panel_floor",
                 "panel_end_to_end_speedup",
@@ -289,6 +213,6 @@ register_suite(
             ),
             AcceptanceCheck("bit_identity", "identity_all", "true"),
         ),
-        payload_sections=("kernels", "end_to_end", "identity"),
+        payload_sections=("end_to_end", "identity"),
     )
 )

@@ -17,7 +17,7 @@ Commands form a subcommand tree grouped by what they operate on:
   phase timings over one shared warm session.
 
 Execution flags shared by ``matrix multiply`` and ``plan``
-(``--executor/--nthreads/--nbins/--sort-backend/--column-backend``)
+(``--executor/--nthreads/--nbins/--column-backend``)
 come from one parent parser, so the two commands cannot drift apart.
 """
 
@@ -45,28 +45,12 @@ def _exec_parent() -> argparse.ArgumentParser:
         "--executor",
         default="serial",
         choices=("serial", "process"),
-        help="PB execution backend: in-process numpy, or a real process pool",
+        help="PB execution backend: in this process, or a real process pool",
     )
     p.add_argument(
         "--nthreads", type=int, default=1, help="worker count for --executor process"
     )
     p.add_argument("--nbins", type=int, default=None, help="global bin count override")
-    p.add_argument(
-        "--sort-backend",
-        default="radix",
-        choices=("radix", "argsort", "mergesort", "radix_jit"),
-        help="PB sort kernel: counting-scatter radix (default), the "
-        "pre-optimization byte-argsort ablation, a comparison sort, or "
-        "the compiled JIT-tier radix (falls back to radix when no "
-        "engine is available)",
-    )
-    p.add_argument(
-        "--distribute-backend",
-        default="counting",
-        choices=("counting", "argsort", "counting_jit"),
-        help="PB distribute placement: counting scatter (default), the "
-        "argsort ablation, or the compiled fused placement",
-    )
     p.add_argument(
         "--column-backend",
         default="panel",
@@ -147,8 +131,6 @@ def _cmd_multiply(args) -> int:
         args.executor != "serial"
         or args.nthreads != 1
         or args.nbins is not None
-        or args.sort_backend != "radix"
-        or args.distribute_backend != "counting"
     )
     column_flags = args.column_backend != "panel"
     tiled_flags = (
@@ -170,8 +152,7 @@ def _cmd_multiply(args) -> int:
         return 2
     if pb_flags and args.algorithm not in ("pb", "auto", "tiled"):
         print(
-            "--executor/--nthreads/--nbins/--sort-backend/"
-            "--distribute-backend configure the PB pipeline; "
+            "--executor/--nthreads/--nbins configure the PB pipeline; "
             f"use --algorithm pb (got {args.algorithm!r})",
             file=sys.stderr,
         )
@@ -206,8 +187,6 @@ def _cmd_multiply(args) -> int:
                 nthreads=args.nthreads,
                 executor=args.executor,
                 nbins=args.nbins,
-                sort_backend=args.sort_backend,
-                distribute_backend=args.distribute_backend,
                 column_backend=args.column_backend,
                 tile_rows=args.tile_rows,
                 tile_cols=args.tile_cols,
@@ -250,8 +229,6 @@ def _cmd_serve(args) -> int:
             nthreads=args.nthreads,
             executor=args.executor,
             nbins=args.nbins,
-            sort_backend=args.sort_backend,
-            distribute_backend=args.distribute_backend,
             column_backend=args.column_backend,
         )
         if args.shards is not None:
@@ -317,8 +294,6 @@ def _cmd_plan(args) -> int:
         nthreads=args.nthreads,
         executor=args.executor,
         nbins=args.nbins,
-        sort_backend=args.sort_backend,
-        distribute_backend=args.distribute_backend,
         column_backend=args.column_backend,
         plan_cache_dir=args.cache_dir,
     )

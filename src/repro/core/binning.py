@@ -171,29 +171,14 @@ def unpack_keys(
     return rows, cols
 
 
-def _bin_order(binid: np.ndarray, nbins: int, method: str) -> np.ndarray:
+def _bin_order(binid: np.ndarray, nbins: int) -> np.ndarray:
     """Stable permutation grouping a tuple stream by bin id.
 
-    ``"counting"`` narrows the bin ids to the smallest integer dtype
-    before the stable sort: numpy's stable sort on uint8/uint16 is its
-    O(n) counting/radix scatter, versus the O(n log n) comparison sort
-    the wide-dtype ids of ``"argsort"`` (the pre-optimization path, kept
-    for ablation) fall back to.  ``"counting_jit"`` is the JIT tier's
-    compiled counting argsort (histogram + prefix + index scatter in
-    one loop), degrading to ``"counting"`` when no engine is
-    available.  All produce the identical stable placement.
+    The bin ids are narrowed to the smallest integer dtype before the
+    stable sort: numpy's stable sort on uint8/uint16 is its O(n)
+    counting/radix scatter, where wide-dtype ids would fall back to an
+    O(n log n) comparison sort.
     """
-    if method == "argsort":
-        return np.argsort(binid, kind="stable")
-    if method == "counting_jit":
-        from ..kernels.jit import counting_argsort_jit
-
-        order = counting_argsort_jit(binid, nbins)
-        if order is not None:
-            return order
-        method = "counting"
-    if method != "counting":
-        raise ConfigError(f"unknown distribute backend {method!r}")
     if nbins <= 1 << 8:
         return np.argsort(binid.astype(np.uint8, copy=False), kind="stable")
     if nbins <= 1 << 16:
@@ -214,33 +199,10 @@ def _bin_starts(binid: np.ndarray, nbins: int) -> np.ndarray:
     return starts
 
 
-def distribute_to_bins(
-    layout: BinLayout,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    vals: np.ndarray,
-    method: str = "counting",
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Partition the tuple stream into global bins (vectorized).
-
-    Returns (binned_rows, binned_cols, binned_vals, bin_starts) where
-    ``bin_starts`` has length nbins + 1 and tuples of bin b occupy
-    ``bin_starts[b]:bin_starts[b+1]``.  Within a bin the original
-    stream order is preserved (stable), matching the append semantics
-    of the global bins.  ``method`` selects the placement kernel (see
-    :func:`_bin_order`).
-    """
-    binid = layout.bin_of_rows(rows)
-    order = _bin_order(binid, layout.nbins, method)
-    starts = _bin_starts(binid, layout.nbins)
-    return rows[order], cols[order], vals[order], starts
-
-
 def distribute_plan(
     layout: BinLayout,
     rows: np.ndarray,
     cols: np.ndarray,
-    method: str = "counting",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Packed keys + stable placement permutation, *without* applying it.
 
@@ -255,7 +217,7 @@ def distribute_plan(
     """
     binid = layout.bin_of_rows(rows)
     keys = pack_keys(layout, rows, cols, binid=binid)
-    order = _bin_order(binid, layout.nbins, method)
+    order = _bin_order(binid, layout.nbins)
     starts = _bin_starts(binid, layout.nbins)
     return keys, order, starts
 
@@ -265,38 +227,21 @@ def distribute_packed(
     rows: np.ndarray,
     cols: np.ndarray,
     vals: np.ndarray,
-    method: str = "counting",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fused :func:`pack_keys` + :func:`distribute_to_bins`.
+    """Partition the tuple stream into global bins, keys packed first.
 
     Packs the whole tuple stream into narrow per-bin keys *before*
     placement, so binning gathers one key array (4 or 8 bytes) instead
     of separate row and column arrays, and the sort phase receives
-    already-packed keys — the per-bin packing pass disappears.
+    already-packed keys.
 
-    Returns ``(binned_keys, binned_vals, bin_starts)``; the permutation
-    is the same stable placement :func:`distribute_to_bins` uses, so
-    per-bin key/value streams are bit-identical to packing after the
-    unfused distribute.
-
-    ``method="counting_jit"`` goes one step further than the fused
-    numpy path: the JIT tier's compiled placement scatters keys *and*
-    values directly into bin-grouped order, so the stable permutation
-    is never materialized and the two ``take`` gathers disappear.
-    Falls back to ``"counting"`` (identical placement) when no JIT
-    engine is available or the value dtype is not 8 bytes wide.
+    Returns ``(binned_keys, binned_vals, bin_starts)``: ``bin_starts``
+    has length nbins + 1 and the tuples of bin b occupy
+    ``bin_starts[b]:bin_starts[b+1]``.  Within a bin the original
+    stream order is preserved (stable), matching the append semantics
+    of the global bins.
     """
-    if method == "counting_jit":
-        from ..kernels.jit import place_pairs_jit
-
-        binid = layout.bin_of_rows(rows)
-        keys = pack_keys(layout, rows, cols, binid=binid)
-        placed = place_pairs_jit(keys, vals, binid, layout.nbins)
-        if placed is not None:
-            return placed
-        order = _bin_order(binid, layout.nbins, method)
-        return keys[order], vals[order], _bin_starts(binid, layout.nbins)
-    keys, order, starts = distribute_plan(layout, rows, cols, method=method)
+    keys, order, starts = distribute_plan(layout, rows, cols)
     return keys[order], vals[order], starts
 
 

@@ -3,8 +3,8 @@
 The paper exposes two primary knobs — the number of global bins
 (``nbins``, Fig. 6b) and the local-bin width (``Lbinwidth``, Fig. 6a,
 default 512 bytes) — plus several design decisions this reproduction
-makes ablatable (DESIGN.md §6): bin mapping, key packing and the
-per-phase kernel backends.
+makes ablatable (DESIGN.md §6): bin mapping, key packing, local bins
+and the column-kernel backend.
 """
 
 from __future__ import annotations
@@ -44,35 +44,6 @@ class PBConfig:
     pack_keys:
         Squeeze (local_row, col) into 32-bit keys when they fit
         (Sec. III-D); ``False`` forces 64-bit keys / 8 radix passes.
-    sort_backend:
-        ``"radix"`` — the stable LSD radix sort (paper, default);
-        ``"argsort"`` — the pre-optimization byte-argsort radix kept
-        as an ablation; ``"mergesort"`` — comparison-sort ablation;
-        ``"radix_jit"`` — the compiled per-bin sort of the JIT tier
-        (:mod:`repro.kernels.jit`).  With ``"radix"`` or
-        ``"radix_jit"`` serial PB runs the compiled pipeline whenever
-        the engine builds (see :func:`repro.core.pb_spgemm.pipeline_for`);
-        otherwise ``"radix"`` is the numpy counting-scatter sort and
-        ``"radix_jit"`` the compiled sort under the numpy pipeline,
-        falling back to ``"radix"`` with one structured warning when
-        no engine is available.  All produce bit-identical products.
-    distribute_backend:
-        Placement of the numpy pipeline (the compiled pipeline expands
-        straight into bins and has no separate placement; it runs for
-        ``"counting"`` and ``"counting_jit"``): ``"counting"``
-        (default) — bucket placement via narrow-dtype counting sort;
-        ``"argsort"`` — the pre-optimization stable argsort placement
-        (ablation, forces the numpy pipeline); ``"counting_jit"`` —
-        the JIT tier's fused counting placement (scatters keys and
-        values without materializing the permutation; falls back to
-        ``"counting"``).  Identical stable result.
-    expand_backend:
-        ``"arena"`` (default) — serial expand writes chunks straight
-        into one flop-sized arena at flop-prefix offsets;
-        ``"concat"`` — the pre-optimization list-of-chunks +
-        ``np.concatenate`` path (ablation).  Identical stream.  Also
-        consumed by ``esc_column`` (chunked column-major arena vs. the
-        one-shot whole-stream expand).
     column_backend:
         Execution strategy of the column kernels (heap / hash /
         hashvec / spa): ``"panel"`` (default) — panel-vectorized gather
@@ -104,7 +75,7 @@ class PBConfig:
         calibrate`` and the :mod:`repro.machine.presets` model when
         none has been saved.
     executor:
-        ``"serial"`` (default) — single-process numpy pipeline;
+        ``"serial"`` (default) — run every phase in this process;
         ``"process"`` — run expand and per-bin sort/compress on a
         process pool with shared-memory array transport
         (:mod:`repro.parallel`).  Results are bit-identical.  Falls
@@ -159,9 +130,6 @@ class PBConfig:
     local_bin_bytes: int = DEFAULT_LOCAL_BIN_BYTES
     bin_mapping: str = "range"
     pack_keys: bool = True
-    sort_backend: str = "radix"
-    distribute_backend: str = "counting"
-    expand_backend: str = "arena"
     column_backend: str = "panel"
     use_local_bins: bool = True
     nthreads: int = 1
@@ -186,21 +154,6 @@ class PBConfig:
             raise ConfigError(
                 "bin_mapping must be 'range', 'modulo' or 'balanced', "
                 f"got {self.bin_mapping!r}"
-            )
-        if self.sort_backend not in ("radix", "argsort", "mergesort", "radix_jit"):
-            raise ConfigError(
-                "sort_backend must be 'radix', 'argsort', 'mergesort' or "
-                f"'radix_jit', got {self.sort_backend!r}"
-            )
-        if self.distribute_backend not in ("counting", "argsort", "counting_jit"):
-            raise ConfigError(
-                "distribute_backend must be 'counting', 'argsort' or "
-                f"'counting_jit', got {self.distribute_backend!r}"
-            )
-        if self.expand_backend not in ("arena", "concat"):
-            raise ConfigError(
-                "expand_backend must be 'arena' or 'concat', "
-                f"got {self.expand_backend!r}"
             )
         if self.column_backend not in ("panel", "loop", "panel_jit"):
             raise ConfigError(
@@ -296,7 +249,7 @@ class PBConfig:
 
     @property
     def uses_jit(self) -> bool:
-        """Whether any configured backend explicitly names the JIT tier.
+        """Whether the column backend explicitly names the JIT tier.
 
         The default compiled PB pipeline is not a backend string: it
         runs whenever :func:`repro.core.pb_spgemm.pipeline_for` allows
@@ -304,14 +257,10 @@ class PBConfig:
         and ``pb_spgemm_detailed`` (the ``jit_warmup_s`` phase
         stopwatch) consult both, so compile time is paid off the
         request path and never folded into a multiply's phase timings.
-        Only an explicit ``*_jit`` backend warns when the engine is
+        Only ``column_backend="panel_jit"`` warns when the engine is
         missing.
         """
-        return (
-            self.sort_backend == "radix_jit"
-            or self.distribute_backend == "counting_jit"
-            or self.column_backend == "panel_jit"
-        )
+        return self.column_backend == "panel_jit"
 
 
 def effective_config(config: "PBConfig | None", session=None) -> "PBConfig":

@@ -27,10 +27,11 @@ products (:attr:`PBResult.pipeline` says which one ran):
   place and compressed straight into the output's column and value
   arrays while its row counts accumulate.
 * **numpy**: expand into one flop-sized arena, one fused pack +
-  counting distribute, then per bin a sort, a compress and a key
-  unpack, and one concatenation.  It runs for the ablation backends,
-  ``modulo`` mapping, custom semirings, non-float64 values, the
-  process executor's workers, and wherever the engine is missing.
+  counting distribute, then per bin a radix sort, a compress and a key
+  unpack, and one concatenation.  It is the bit-identical reference
+  and runs for ``modulo`` mapping, custom semirings, non-float64
+  values, the process executor's workers, and wherever the engine is
+  missing.
 
 The function returns just the CSR product; :func:`pb_spgemm_detailed`
 additionally returns per-phase measurements (bin occupancy, radix
@@ -51,7 +52,7 @@ from ..matrix.csr import CSRMatrix
 from ..semiring import PLUS_TIMES, Semiring, get_semiring
 from ..kernels import jit as _jit
 from ..kernels.compress import compress_keyed
-from ..kernels.outer_expand import DEFAULT_CHUNK_FLOPS, expand_arena, expand_chunks
+from ..kernels.outer_expand import DEFAULT_CHUNK_FLOPS, expand_arena
 from ..kernels.radix import sort_tuples
 from ..parallel.executor import engine_scope, semiring_token
 from .binning import (
@@ -102,7 +103,6 @@ def _sort_and_compress_bin(
     keys: np.ndarray,
     vals: np.ndarray,
     semiring: Semiring,
-    config: PBConfig,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Sort one bin's already-packed tuples by key and merge duplicates.
 
@@ -110,9 +110,7 @@ def _sort_and_compress_bin(
     (:func:`repro.core.binning.distribute_packed`), so the sort phase
     starts immediately on the narrow key array.
     """
-    skeys, svals, passes = sort_tuples(
-        keys, vals, key_bits=layout.key_bits, backend=config.sort_backend
-    )
+    skeys, svals, passes = sort_tuples(keys, vals, key_bits=layout.key_bits)
     ckeys, cvals = compress_keyed(skeys, svals, semiring)
     crows, ccols = unpack_keys(layout, ckeys, binid)
     return crows, ccols, cvals, passes
@@ -142,23 +140,12 @@ def pb_spgemm_detailed(
         return _pb_run(a_csc, b_csr, sr, cfg, engine)
 
 
-#: Backend strings the compiled serial pipeline stands in for (the
-#: defaults and their ``*_jit`` forms); any other is an ablation that
-#: runs on the numpy pipeline.
-_COMPILED_BACKENDS = (
-    ("sort_backend", ("radix", "radix_jit")),
-    ("distribute_backend", ("counting", "counting_jit")),
-    ("expand_backend", ("arena",)),
-)
-
-
 def config_blocker(cfg: PBConfig) -> str | None:
     """Why ``cfg`` alone keeps serial PB off the compiled pipeline
-    (``"mapping"`` or ``"backend"``), or None when it allows it."""
+    (``"mapping"``: ``modulo`` bins interleave rows, so the compiled
+    compress cannot write row-major CSR), or None when it allows it."""
     if cfg.bin_mapping not in ("range", "balanced"):
         return "mapping"
-    if any(getattr(cfg, name) not in ok for name, ok in _COMPILED_BACKENDS):
-        return "backend"
     return None
 
 
@@ -171,10 +158,10 @@ def pipeline_for(
     Reasons, in the order they are checked: ``executor`` (a process
     engine runs the phases on its workers), ``semiring`` (⊕ or ⊗ has
     no compiled op code: a custom semiring), ``dtype`` (values are not
-    float64), ``mapping`` (``modulo`` bins), ``backend`` (an ablation
-    backend string) and ``no_engine`` (no compiler, a failed build, or
-    ``REPRO_JIT_DISABLE``).  Falling back is silent: only an explicit
-    ``*_jit`` backend warns when the engine is missing.
+    float64), ``mapping`` (``modulo`` bins) and ``no_engine`` (no
+    compiler, a failed build, or ``REPRO_JIT_DISABLE``).  Falling back
+    is silent: only ``column_backend="panel_jit"`` warns when the
+    engine is missing.
     """
     if engine is not None:
         reason = "executor"
@@ -212,7 +199,7 @@ def _pb_run(
     phase_seconds: dict[str, float] = {}
 
     # JIT warm-up hygiene: when the multiply runs compiled kernels (the
-    # compiled pipeline or an explicit *_jit backend), pay (and record)
+    # compiled pipeline or the panel_jit column backend), pay (and record)
     # the one-time compile/load cost under its own stopwatch *before*
     # any phase timer starts, so it is never silently folded into the
     # first multiply's phase timings.  The engine loads inside
@@ -334,7 +321,7 @@ def _run_numpy(a_csc, b_csr, sr, cfg, sym, layout, engine, phase_seconds):
             rows, cols, vals, expand_worker_seconds = engine.expand(
                 a_csc, b_csr, sym.flops_per_k, sr_token, DEFAULT_CHUNK_FLOPS
             )
-        elif cfg.expand_backend == "arena":
+        else:
             rows, cols, vals = expand_arena(
                 a_csc,
                 b_csr,
@@ -342,28 +329,15 @@ def _run_numpy(a_csc, b_csr, sr, cfg, sym, layout, engine, phase_seconds):
                 semiring=sr,
                 per_k=sym.flops_per_k,
             )
-        else:  # "concat": pre-optimization list-of-chunks path (ablation)
-            chunks = list(
-                expand_chunks(
-                    a_csc, b_csr, chunk_flops=DEFAULT_CHUNK_FLOPS, semiring=sr
-                )
-            )
-            rows = np.concatenate([c[0] for c in chunks])
-            cols = np.concatenate([c[1] for c in chunks])
-            vals = np.concatenate([c[2] for c in chunks])
 
         if use_pipeline:
             # Pipelined: compute only the placement *plan* here; the
             # gather itself interleaves with sort-task submission below,
             # so "expand" ends at the plan and "sort_compress" covers
             # the overlapped placement + sorting.
-            keys, order, bin_starts = distribute_plan(
-                layout, rows, cols, method=cfg.distribute_backend
-            )
+            keys, order, bin_starts = distribute_plan(layout, rows, cols)
         else:
-            b_keys, b_vals, bin_starts = distribute_packed(
-                layout, rows, cols, vals, method=cfg.distribute_backend
-            )
+            b_keys, b_vals, bin_starts = distribute_packed(layout, rows, cols, vals)
         tuples_per_bin = np.diff(bin_starts)
         phase_seconds["expand"] = time.perf_counter() - t_phase
 
@@ -393,7 +367,6 @@ def _run_numpy(a_csc, b_csr, sr, cfg, sym, layout, engine, phase_seconds):
                 order,
                 bin_starts,
                 sr_token,
-                cfg,
                 after_place=engine.free_expand_arena,
             )
             del vals, keys, order
@@ -403,7 +376,7 @@ def _run_numpy(a_csc, b_csr, sr, cfg, sym, layout, engine, phase_seconds):
                 out_vals.append(cvals)
         elif engine is not None:
             groups, passes, sc_worker_seconds = engine.sort_compress(
-                layout, bin_starts, b_keys, b_vals, sr_token, cfg
+                layout, bin_starts, b_keys, b_vals, sr_token
             )
             for crows, ccols, cvals in groups:
                 out_rows.append(crows)
@@ -415,7 +388,7 @@ def _run_numpy(a_csc, b_csr, sr, cfg, sym, layout, engine, phase_seconds):
                 if lo == hi:
                     continue
                 crows, ccols, cvals, p = _sort_and_compress_bin(
-                    layout, b, b_keys[lo:hi], b_vals[lo:hi], sr, cfg
+                    layout, b, b_keys[lo:hi], b_vals[lo:hi], sr
                 )
                 passes = max(passes, p)
                 out_rows.append(crows)

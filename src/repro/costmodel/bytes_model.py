@@ -79,19 +79,8 @@ def pb_phase_costs(
     machine: MachineSpec,
     config: PBConfig | None = None,
     nbins: int | None = None,
-    sort_compute_scale: float = 1.0,
 ) -> list[PhaseCost]:
-    """Phase costs of PB-SpGEMM (Alg. 2) on ``machine``.
-
-    ``sort_compute_scale`` rescales the sort phase's compute cycles to
-    a *measured* backend rate — the planner passes
-    :meth:`repro.planner.calibrate.MachineProfile.jit_sort_scale` when
-    pricing a ``sort_backend="radix_jit"`` candidate, since the model's
-    per-pass cycle constant describes the numpy counting-scatter loop.
-    Byte traffic is untouched: the compiled sort moves the same tuples
-    through the same passes.  The default 1.0 keeps the paper model
-    (simulator and figure paths unchanged).
-    """
+    """Phase costs of PB-SpGEMM (Alg. 2) on ``machine``."""
     cfg = config or PBConfig()
     b = TUPLE_BYTES
     flop = stats.flop
@@ -127,23 +116,10 @@ def pb_phase_costs(
 
     residency, spill = _bin_residency(flop, nbins, machine)
     key_bytes = 4 if (cfg.pack_keys and cfg.bin_mapping == "range") else 8
-    # All three radix implementations ("radix" counting-scatter,
-    # "radix_jit" compiled counting-scatter, "argsort" byte-argsort
-    # ablation) do byte-pass work; only the comparison backend is
-    # charged n log n passes.
-    passes = (
-        key_bytes
-        if cfg.sort_backend in ("radix", "radix_jit", "argsort")
-        else int(np.ceil(np.log2(max(flop / max(nbins, 1), 2))))
-    )
+    # The LSD radix sort does one byte pass per key byte.
+    passes = key_bytes
     sort_read = b * flop
-    sort_cycles = (
-        C.PB_SORT_CYCLES_PER_FLOP_PER_PASS
-        * passes
-        * flop
-        * spill
-        * float(sort_compute_scale)
-    )
+    sort_cycles = C.PB_SORT_CYCLES_PER_FLOP_PER_PASS * passes * flop * spill
     if residency == "DRAM" and C.DRAM_SPILL:
         # Oversized bins: radix passes stream the bin through DRAM.
         # The scatter of a counting-sort pass is itself sequential per

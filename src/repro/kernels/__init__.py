@@ -22,7 +22,6 @@ from .outer_expand import (
     expand_outer,
     expand_chunks,
     expand_arena,
-    expand_column_major,
     expand_cols_range,
     column_flops,
     iter_expand_columns,
@@ -51,7 +50,6 @@ __all__ = [
     "expand_outer",
     "expand_chunks",
     "expand_arena",
-    "expand_column_major",
     "expand_cols_range",
     "column_flops",
     "iter_expand_columns",

@@ -27,8 +27,7 @@ This module is the vectorized execution strategy all four share:
 
 The four kernels keep their loop implementations reachable as
 ``column_backend="loop"`` (ablation + ground truth for the
-cross-backend property suite), mirroring PR 2's ``sort_backend``
-ablation switches.
+cross-backend property suite).
 """
 
 from __future__ import annotations

@@ -28,11 +28,10 @@ def compress_keyed(
 
     Returns the distinct keys and their ⊕-merged values.  Raises if the
     key array is not non-decreasing (the sort phase's postcondition).
-    Plus-like ⊕ reduce each run with ``np.add.reduceat`` (the run head
-    plus numpy's pairwise sum of the rest), ``logical_or`` to 0/1, and
-    min/max with a sequential ``ufunc.at`` fold in run order: numpy's
-    vectorized min/max reductions pick between 0.0 and -0.0 (and
-    between NaNs) by SIMD lane, which varies with the CPU.
+    Runs reduce through :meth:`Semiring.reduceat`: plus-like ⊕ with
+    ``np.add.reduceat`` (the run head plus numpy's pairwise sum of the
+    rest), ``logical_or`` to 0/1, and min/max with a sequential fold in
+    run order.
 
     **Compiled form.** With a bin ``layout`` and its ``segments``
     (bin starts; each segment a sorted bin of PB's packed keys) the
@@ -58,14 +57,6 @@ def compress_keyed(
     run_start[0] = True
     np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
     starts = np.flatnonzero(run_start)
-    if sr.add_ufunc in (np.minimum, np.maximum):
-        out = values[starts]
-        dup = np.flatnonzero(~run_start)
-        if len(dup):
-            # Duplicate p belongs to run p - (duplicates before it) - 1.
-            with np.errstate(invalid="ignore"):
-                sr.add_ufunc.at(out, dup - np.arange(len(dup)) - 1, values[dup])
-        return keys[starts], out
     return keys[starts], sr.reduceat(values, starts)
 
 

@@ -38,9 +38,7 @@ class AlgorithmInfo:
     can run under (``("panel", "loop", "panel_jit")`` for the four
     accumulator algorithms — see :mod:`repro.kernels.column_panel`);
     empty for algorithms without the switch.  The planner prices the
-    compiled tier (:mod:`repro.kernels.jit`) by name for the PB family
-    (``"pb"``, ``"tiled"``, ``"sharded"``: the ``radix_jit`` sort and
-    ``counting_jit`` distribute) and, for column kernels, when
+    compiled tier (:mod:`repro.kernels.jit`) for column kernels when
     ``"panel_jit"`` is listed here.
     """
 

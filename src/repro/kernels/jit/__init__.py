@@ -3,17 +3,14 @@
 The compiled serial PB pipeline — bin count, expand into local bins,
 per-bin radix sort, per-bin compress into CSR (:func:`pb_expand_jit`,
 :func:`pb_sort_bins_jit`, :func:`pb_compress_bins_jit`), which
-``pb_spgemm`` runs by default whenever the engine builds — plus
-compiled forms of three loops of the numpy pipeline and the column
-kernels: the per-bin LSD counting-radix sort, the counting distribute
-placement, and the panel sort + segmented semiring fold, selected by
-the ``*_jit`` backend names (``sort_backend="radix_jit"``,
-``distribute_backend="counting_jit"``, ``column_backend="panel_jit"``).
-The pipeline wrappers expect a caller that checked
-:func:`jit_available`; the others behave as below.
+``pb_spgemm`` runs by default whenever the engine builds — plus the
+column kernels' compiled panel sort + segmented semiring fold,
+selected by ``column_backend="panel_jit"``.  The pipeline wrappers
+expect a caller that checked :func:`jit_available`; the panel context
+behaves as below.
 
 One engine serves them: a runtime-compiled C library (``_cc``) behind
-a cached probe (``_avail``).  Every wrapper in this module returns
+a cached probe (``_avail``).  :func:`panel_jit_context` returns
 ``None`` when the engine cannot serve the call — after emitting the
 tier's single :class:`JITFallbackWarning` if the cause is engine
 unavailability — and the caller falls back to its numpy path, which
@@ -38,7 +35,7 @@ import time
 import numpy as np
 
 from ...matrix.base import INDEX_DTYPE
-from ..radix import _normalize_keys, counting_passes, passes_for_bits
+from ..radix import counting_passes, passes_for_bits
 from ._avail import (
     JITFallbackWarning,
     JITStatus,
@@ -59,9 +56,6 @@ __all__ = [
     "disabled",
     "semiring_opcode",
     "multiply_opcode",
-    "sort_pairs_jit",
-    "counting_argsort_jit",
-    "place_pairs_jit",
     "panel_jit_context",
     "pb_expand_jit",
     "pb_sort_bins_jit",
@@ -137,12 +131,9 @@ def _sort_scratch(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     The compiled sort moves interleaved 16-byte (value, key) records
     through two ``uint64[2n]`` buffers on all passes but the last.
-    The sort phase calls :func:`sort_pairs_jit` once per bin —
-    hundreds to thousands of times per multiply — and freshly
-    ``np.empty``-ing both buffers each call would pay their page
-    faults inside the timed scatter loop.  One warm scratch pair,
-    grown geometrically, amortizes that to zero; only the buffers the
-    caller keeps (the returned arrays) are allocated per call.
+    Freshly ``np.empty``-ing both buffers for every multiply would pay
+    their page faults inside the timed scatter loop; one warm scratch
+    pair, grown geometrically, amortizes that to zero.
     """
     pair = getattr(_TLS, "sort_scratch", None)
     if pair is None or len(pair[0]) < 2 * n:
@@ -177,7 +168,7 @@ def warmup() -> float:
 
     Returns the wall seconds this call spent (0.0 when already warm or
     when no engine is available — unavailability is *not* warned here;
-    the warning belongs to an actual ``*_jit`` backend request).
+    the warning belongs to an actual ``panel_jit`` request).
     Exercises each kernel on every key width so the cc build + dlopen
     and each kernel's first touch all happen now; the on-disk ``.so``
     makes later processes' warmup near-free.
@@ -192,20 +183,8 @@ def warmup() -> float:
         return time.perf_counter() - t0
     hist = _hist()
     vals = np.array([1.5, -2.0, 1.5, 0.0], dtype=np.float64)
-    vals_u64 = vals.view(np.uint64)
-    binid = np.array([1, 0, 1, 0], dtype=np.int64)
     counts = np.empty(2, dtype=np.int64)
-    order = np.empty(4, dtype=np.int64)
-    eng.counting_argsort(binid, counts, order)
     ra, rb = np.empty(8, np.uint64), np.empty(8, np.uint64)
-    for kdt in (np.uint16, np.uint32, np.uint64):
-        keys = np.array([3, 1, 3, 2], dtype=kdt)
-        ka = np.empty_like(keys)
-        va = np.empty(4, np.uint64)
-        for npasses in (1, 2):  # direct and record-buffer pass shapes
-            eng.radix_passes(keys, vals_u64, ka, va, ra, rb, npasses, 2, hist)
-        if kdt is not np.uint16:
-            eng.place_pairs(keys, vals_u64, binid, counts, ka, va)
     for idt in (np.uint16, np.uint32):
         rows = np.array([1, 0, 1, 1], dtype=idt)
         cols = np.array([0, 1, 0, 2], dtype=idt)
@@ -326,7 +305,7 @@ def multiply_opcode(semiring) -> int | None:
 
 
 # ----------------------------------------------------------------------
-# sort_backend="radix_jit"
+# Digit width of the compiled radix sort
 # ----------------------------------------------------------------------
 
 def _sort_digit_bits(n: int, key_bits: int) -> int:
@@ -346,97 +325,6 @@ def _sort_digit_bits(n: int, key_bits: int) -> int:
     digit = max(1, min(8, key_bits))
     npasses = -(-key_bits // digit)
     return -(-key_bits // npasses)
-
-
-def sort_pairs_jit(
-    keys: np.ndarray, values: np.ndarray, key_bits: int | None = None
-):
-    """Compiled stable LSD sort of (key, payload) pairs.
-
-    Returns ``(sorted_keys, permuted_values, byte_passes)`` exactly like
-    :func:`repro.kernels.radix.radix_sort_pairs` (same unique stable
-    permutation), or None when the call cannot be served compiled
-    (no engine — warned once — or a payload that is not 8 bytes wide).
-    """
-    values = np.asarray(values)
-    if values.ndim != 1 or values.dtype.itemsize != 8:
-        return None
-    eng = _engine()
-    if eng is None:
-        return _fallback("sort_backend='radix_jit'")
-    keys_n, key_bits = _normalize_keys(keys, key_bits)
-    if len(keys_n) != len(values):
-        raise ValueError(
-            f"keys/values length mismatch: {len(keys_n)} vs {values.shape}"
-        )
-    n = len(keys_n)
-    book_passes = passes_for_bits(key_bits)
-    digit_bits = _sort_digit_bits(n, key_bits)
-    npasses = counting_passes(key_bits, digit_bits)
-    if n <= 1 or npasses == 0:
-        return keys_n.copy(), values.copy(), book_passes
-    keys_c = np.ascontiguousarray(keys_n)
-    vals_u64 = np.ascontiguousarray(values).view(np.uint64)
-    # The kernel's intermediate record buffers are warm per-thread
-    # scratch; only the output pair the caller keeps is allocated.
-    out_k = np.empty_like(keys_c)
-    out_v = np.empty(n, dtype=np.uint64)
-    ra, rb = _sort_scratch(n)
-    eng.radix_passes(
-        keys_c, vals_u64, out_k, out_v, ra, rb, npasses, digit_bits, _hist()
-    )
-    return out_k, out_v.view(values.dtype), book_passes
-
-
-# ----------------------------------------------------------------------
-# distribute_backend="counting_jit"
-# ----------------------------------------------------------------------
-
-def counting_argsort_jit(binid: np.ndarray, nbins: int):
-    """Compiled stable counting argsort of bin ids, or None.
-
-    Same permutation as ``np.argsort(binid, kind="stable")`` on ids in
-    ``[0, nbins)`` — the distribute placement's contract.
-    """
-    eng = _engine()
-    if eng is None:
-        return _fallback("distribute_backend='counting_jit'")
-    binid = np.ascontiguousarray(binid, dtype=np.int64)
-    counts = np.empty(max(int(nbins), 1), dtype=np.int64)
-    order = np.empty(len(binid), dtype=np.int64)
-    eng.counting_argsort(binid, counts, order)
-    return order
-
-
-def place_pairs_jit(
-    keys: np.ndarray, vals: np.ndarray, binid: np.ndarray, nbins: int
-):
-    """Fused counting placement of packed (key, value) pairs.
-
-    Scatters both arrays into bin-grouped stable order in one compiled
-    pass — the permutation is never materialized — and returns
-    ``(binned_keys, binned_vals, bin_starts)`` matching
-    :func:`repro.core.binning.distribute_packed`.  None on fallback.
-    """
-    keys = np.asarray(keys)
-    vals = np.asarray(vals)
-    if keys.dtype.itemsize not in (4, 8) or vals.dtype.itemsize != 8:
-        return None
-    eng = _engine()
-    if eng is None:
-        return _fallback("distribute_backend='counting_jit'")
-    n = len(keys)
-    keys_c = np.ascontiguousarray(keys)
-    vals_u64 = np.ascontiguousarray(vals).view(np.uint64)
-    binid_c = np.ascontiguousarray(binid, dtype=np.int64)
-    nbins = max(int(nbins), 1)
-    counts = np.empty(nbins, dtype=np.int64)
-    out_keys = np.empty_like(keys_c)
-    out_vals = np.empty(n, dtype=np.uint64)
-    eng.place_pairs(keys_c, vals_u64, binid_c, counts, out_keys, out_vals)
-    starts = np.zeros(nbins + 1, dtype=INDEX_DTYPE)
-    starts[1:] = counts  # each bin's end offset == the next bin's start
-    return out_keys, out_vals.view(vals.dtype), starts
 
 
 # ----------------------------------------------------------------------

@@ -12,8 +12,9 @@ and the result is exposed three ways:
   ``repro machine --json`` so users can see whether the tier is active
   and, if not, why;
 * :class:`JITFallbackWarning` + :func:`warn_fallback_once` — the single
-  structured warning emitted when a ``*_jit`` backend is requested but
-  no engine is available (warned once per process, never per call).
+  structured warning emitted when ``column_backend="panel_jit"`` is
+  requested but no engine is available (warned once per process, never
+  per call).
 
 When the compiler is found but the library cannot be built or loaded
 (compiler error, unwritable cache directory), the loader calls
@@ -48,7 +49,7 @@ __all__ = [
 
 
 class JITFallbackWarning(UserWarning):
-    """A ``*_jit`` backend was requested but no JIT engine is available.
+    """``panel_jit`` was requested but no JIT engine is available.
 
     Emitted exactly once per process (see :func:`warn_fallback_once`);
     the computation proceeds on the bit-identical numpy path.

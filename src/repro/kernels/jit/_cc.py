@@ -1,10 +1,9 @@
 r"""Runtime-compiled C engine for the JIT kernel tier.
 
-One translation unit containing every compiled hot kernel (radix sort
-passes, counting placement, panel sort+fold, and the serial PB
-pipeline: bin count, expand into local bins, per-bin sort, per-bin
-compress into CSR), built with
-the system C compiler the probe found and loaded through
+One translation unit containing every compiled hot kernel (the panel
+sort+fold of the column kernels and the serial PB pipeline: bin count,
+expand into local bins, per-bin sort, per-bin compress into CSR),
+built with the system C compiler the probe found and loaded through
 :mod:`ctypes`.  The build is cached on disk keyed by a hash of the
 source (plus platform), so:
 
@@ -24,11 +23,6 @@ twice and atomically agree on the result.
 
 Bit-identity contracts (asserted by ``tests/test_jit_backends.py``):
 
-* ``radix_passes_*`` is a stable LSD counting sort — the stable sort
-  permutation is unique, so sorted (key, payload) streams match the
-  numpy counting-scatter path bit for bit.
-* ``counting_argsort``/``place_pairs_*`` produce the same stable
-  grouping permutation as ``np.argsort(binid, kind="stable")``.
 * ``panel_process`` folds duplicate runs with a *sequential left fold
   starting from the run head's raw value* — exactly
   ``Semiring.fold_runs_masked``'s ``add_ufunc.at`` order (``np.add.at``
@@ -36,8 +30,9 @@ Bit-identity contracts (asserted by ``tests/test_jit_backends.py``):
   ``fold_min``/``fold_max`` are ``np.minimum``/``np.maximum`` down to
   signed zeros and NaNs.
 * ``pb_expand_*`` fills each bin in expansion order and
-  ``pb_sort_bins_*`` is the same stable radix, so every bin matches the
-  numpy expand + stable distribute + sort; ``pb_compress_bins_*`` folds
+  ``pb_sort_bins_*`` is a stable LSD counting sort (the stable sort
+  permutation is unique), so every bin matches the numpy expand +
+  stable distribute + sort; ``pb_compress_bins_*`` folds
   plus runs as the run head + numpy's pairwise sum of the rest (what
   ``np.add.reduceat`` computes) and min/max runs sequentially, as
   ``repro.kernels.compress.compress_keyed`` does.
@@ -78,10 +73,10 @@ C_SOURCE = r"""
 /* writes (same multiset either way), so only pass 0 runs a         */
 /* standalone counting loop.  hist must hold 2 << digit_bits int64  */
 /* (two alternating bucket arrays).  The sorted result is always    */
-/* in out_k/out_v; returns 0.                                       */
+/* in out_k/out_v; returns 0.  Internal to pb_sort_bins_*.          */
 /* ---------------------------------------------------------------- */
 #define RADIX_IMPL(SUF, KT)                                           \
-API int radix_passes_##SUF(                                           \
+static int radix_passes_##SUF(                                        \
     const KT *keys_in, const uint64_t *vals_in,                       \
     KT *out_k, uint64_t *out_v, uint64_t *ra, uint64_t *rb,           \
     int64_t n, int npasses, int digit_bits, int64_t *hist)            \
@@ -150,61 +145,8 @@ API int radix_passes_##SUF(                                           \
     return 0;                                                         \
 }
 
-RADIX_IMPL(u16, uint16_t)
 RADIX_IMPL(u32, uint32_t)
 RADIX_IMPL(u64, uint64_t)
-
-/* ---------------------------------------------------------------- */
-/* Stable counting argsort of small non-negative int64 keys (bin    */
-/* ids).  counts must hold nbins int64 (scratch, overwritten).      */
-/* ---------------------------------------------------------------- */
-API void counting_argsort_i64(
-    const int64_t *binid, int64_t n, int64_t nbins,
-    int64_t *counts, int64_t *order)
-{
-    memset(counts, 0, (size_t)nbins * sizeof(int64_t));
-    for (int64_t i = 0; i < n; ++i)
-        counts[binid[i]]++;
-    int64_t acc = 0;
-    for (int64_t b = 0; b < nbins; ++b) {
-        int64_t c = counts[b];
-        counts[b] = acc;
-        acc += c;
-    }
-    for (int64_t i = 0; i < n; ++i)
-        order[counts[binid[i]]++] = i;
-}
-
-/* ---------------------------------------------------------------- */
-/* Fused counting distribute: scatter (key, payload) pairs straight */
-/* into bin-grouped order without materializing the permutation.    */
-/* counts (nbins scratch) holds each bin's END offset on return, so */
-/* the caller reads bin_starts[b+1] out of it directly.             */
-/* ---------------------------------------------------------------- */
-#define PLACE_IMPL(SUF, KT)                                           \
-API void place_pairs_##SUF(                                           \
-    const KT *keys, const uint64_t *vals, const int64_t *binid,       \
-    int64_t n, int64_t nbins, int64_t *counts,                        \
-    KT *out_keys, uint64_t *out_vals)                                 \
-{                                                                     \
-    memset(counts, 0, (size_t)nbins * sizeof(int64_t));               \
-    for (int64_t i = 0; i < n; ++i)                                   \
-        counts[binid[i]]++;                                           \
-    int64_t acc = 0;                                                  \
-    for (int64_t b = 0; b < nbins; ++b) {                             \
-        int64_t c = counts[b];                                        \
-        counts[b] = acc;                                              \
-        acc += c;                                                     \
-    }                                                                 \
-    for (int64_t i = 0; i < n; ++i) {                                 \
-        int64_t pos = counts[binid[i]]++;                             \
-        out_keys[pos] = keys[i];                                      \
-        out_vals[pos] = vals[i];                                      \
-    }                                                                 \
-}
-
-PLACE_IMPL(u32, uint32_t)
-PLACE_IMPL(u64, uint64_t)
 
 /* Semiring ⊕ op codes of panel_process and panel_fused. */
 #define OP_ADD 0
@@ -737,25 +679,6 @@ _f64p = _P(ctypes.c_double)
 
 #: name -> (restype, argtypes)
 _SIGNATURES = {
-    "radix_passes_u16": (
-        _int,
-        [_u16p, _u64p, _u16p, _u64p, _u64p, _u64p, _i64, _int, _int, _i64p],
-    ),
-    "radix_passes_u32": (
-        _int,
-        [_u32p, _u64p, _u32p, _u64p, _u64p, _u64p, _i64, _int, _int, _i64p],
-    ),
-    "radix_passes_u64": (
-        _int,
-        [_u64p, _u64p, _u64p, _u64p, _u64p, _u64p, _i64, _int, _int, _i64p],
-    ),
-    "counting_argsort_i64": (None, [_i64p, _i64, _i64, _i64p, _i64p]),
-    "place_pairs_u32": (
-        None, [_u32p, _u64p, _i64p, _i64, _i64, _i64p, _u32p, _u64p]
-    ),
-    "place_pairs_u64": (
-        None, [_u64p, _u64p, _i64p, _i64, _i64, _i64p, _u64p, _u64p]
-    ),
     "panel_process_u16": (
         _i64,
         [
@@ -881,39 +804,6 @@ class CCEngine:
 
     def __init__(self, compiler: str):
         self._lib = load(compiler)
-
-    # -- radix ------------------------------------------------------
-    _RADIX = {2: ("radix_passes_u16", _u16p),
-              4: ("radix_passes_u32", _u32p),
-              8: ("radix_passes_u64", _u64p)}
-
-    def radix_passes(
-        self, keys_in, vals_in, out_k, out_v, ra, rb, npasses, digit_bits, hist
-    ):
-        sym, kp = self._RADIX[keys_in.dtype.itemsize]
-        return getattr(self._lib, sym)(
-            _ptr(keys_in, kp), _ptr(vals_in, _u64p),
-            _ptr(out_k, kp), _ptr(out_v, _u64p),
-            _ptr(ra, _u64p), _ptr(rb, _u64p),
-            len(keys_in), npasses, digit_bits, _ptr(hist, _i64p),
-        )
-
-    # -- distribute -------------------------------------------------
-    def counting_argsort(self, binid, counts, order):
-        self._lib.counting_argsort_i64(
-            _ptr(binid, _i64p), len(binid), len(counts),
-            _ptr(counts, _i64p), _ptr(order, _i64p),
-        )
-
-    _PLACE = {4: ("place_pairs_u32", _u32p), 8: ("place_pairs_u64", _u64p)}
-
-    def place_pairs(self, keys, vals, binid, counts, out_keys, out_vals):
-        sym, kp = self._PLACE[keys.dtype.itemsize]
-        getattr(self._lib, sym)(
-            _ptr(keys, kp), _ptr(vals, _u64p), _ptr(binid, _i64p),
-            len(keys), len(counts), _ptr(counts, _i64p),
-            _ptr(out_keys, kp), _ptr(out_vals, _u64p),
-        )
 
     # -- panel ------------------------------------------------------
     _PANEL = {2: ("panel_process_u16", _u16p), 4: ("panel_process_u32", _u32p)}

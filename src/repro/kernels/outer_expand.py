@@ -310,24 +310,3 @@ def iter_expand_columns(
     for j_lo, j_hi in chunk_ranges(per_col, chunk_flops):
         rows, cols, vals = expand_cols_range(a_csc, b_csc, j_lo, j_hi, sr)
         yield int(prefix[j_lo]), int(prefix[j_hi]), rows, cols, vals
-
-
-def expand_column_major(
-    a_csc: CSCMatrix,
-    b_csr: CSRMatrix,
-    semiring: Semiring | str = PLUS_TIMES,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Expand :math:`\\hat{C}` in *output-column-major* order, one shot.
-
-    The column-wise ESC algorithm (Dalton et al.) generates
-    :math:`\\hat{C}(:, j)` from B(:, j): the same tuple multiset as
-    :func:`expand_outer` but grouped by output column j.  The whole
-    stream is materialized at once (peak memory ≈ 2× the stream for the
-    gather temporaries); :func:`iter_expand_columns` is the chunked
-    arena-friendly variant the ESC kernel uses by default.
-    """
-    if a_csc.shape[1] != b_csr.shape[0]:
-        raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
-    sr = get_semiring(semiring)
-    b_csc = b_csr.to_csc()
-    return expand_cols_range(a_csc, b_csc, 0, b_csc.shape[1], sr)

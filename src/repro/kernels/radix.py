@@ -2,16 +2,14 @@
 
 The paper sorts each bin's tuples with an in-place byte-wise radix sort
 (American-flag style): stable counting-sort passes, least significant
-digit first.  The hot path here (:func:`radix_sort_pairs`, the
-``backend="radix"`` of :func:`sort_tuples`) realizes each pass as a true
-counting scatter — histogram the digit, prefix-sum the bucket offsets,
-scatter key *and* payload into a double buffer — so every pass moves the
-data exactly once.  The digit histogram/scatter runs inside numpy's C
+digit first.  The numpy sort here (:func:`radix_sort_pairs`) realizes
+each pass as a true counting scatter — histogram the digit, prefix-sum
+the bucket offsets, scatter key *and* payload into a double buffer — so
+every pass moves the data exactly once.  The digit histogram/scatter runs inside numpy's C
 stable integer sort: ``np.argsort(digit, kind="stable")`` on a uint8 or
 uint16 digit array *is* numpy's ``bincount + cumsum + scatter`` radix
 pass (npysort's aradixsort), so one pass costs one O(n) counting scan
-plus one gather per array instead of the comparison sort + two index
-gathers the pre-optimization path paid.
+plus one gather per array.
 
 Two layers of pass accounting coexist on purpose:
 
@@ -24,24 +22,10 @@ Two layers of pass accounting coexist on purpose:
   double-buffered scatter actually performs; with the default 16-bit
   digits a 32-bit packed key needs 2, not 4.
 
-Backends of :func:`sort_tuples`:
-
-* ``"radix"`` — the counting-scatter path above (default).
-* ``"argsort"`` — the pre-optimization byte-wise path: per byte,
-  ``np.argsort`` of the digit plus two gathers to carry the running
-  permutation, then two more gathers at the end.  Kept verbatim as the
-  ablation baseline the hot-path bench compares against.
-* ``"mergesort"`` — one comparison sort (DESIGN.md §6 ablation).
-* ``"radix_jit"`` — the JIT tier's compiled LSD sort
-  (:mod:`repro.kernels.jit`): the histogram, prefix and key+payload
-  scatter of each 16-bit pass fused into one compiled loop, removing
-  the per-pass digit materialization and double ``np.take``.  Falls
-  back to ``"radix"`` (with the tier's one-time structured warning)
-  when no JIT engine is available.
-
-All backends produce the *same stable permutation* (LSD radix with
-stable passes is exactly the stable sort order), so sorted keys and
-payloads are bit-identical across them.
+Every sort entry point produces the *same stable permutation* (LSD
+radix with stable passes is exactly the stable sort order), so the
+numpy sort and the compiled per-bin sort of :func:`sort_tuples` give
+bit-identical keys and payloads.
 """
 
 from __future__ import annotations
@@ -211,64 +195,26 @@ def radix_sort_keys(keys: np.ndarray, key_bits: int | None = None) -> tuple[np.n
     return np.asarray(keys)[order], passes
 
 
-def _argsort_byte_passes(keys: np.ndarray, key_bits: int | None) -> tuple[np.ndarray, int]:
-    """Pre-optimization byte-wise path (``backend="argsort"`` ablation).
-
-    Per byte: argsort the digit, then two gathers to advance the working
-    keys and the running permutation — the constant factors the
-    counting-scatter path removes.  Kept verbatim so the ``hotpath``
-    bench suite can measure the win and tests can assert bit-identical
-    output.
-    """
-    keys = np.asarray(keys)
-    if keys.ndim != 1:
-        raise ValueError(f"keys must be 1-D, got shape {keys.shape}")
-    if keys.dtype.kind not in "ui":
-        raise ValueError(f"keys must be integer, got dtype {keys.dtype}")
-    if key_bits is None:
-        key_bits = keys.dtype.itemsize * 8
-    n = len(keys)
-    passes = passes_for_bits(key_bits)
-    order = np.arange(n, dtype=np.int64)
-    if n <= 1 or passes == 0:
-        return order, passes
-    work = keys.copy()
-    for p in range(passes):
-        digit = (
-            (work >> np.asarray(8 * p, dtype=keys.dtype))
-            & np.asarray(0xFF, dtype=keys.dtype)
-        ).astype(np.uint8)
-        perm = np.argsort(digit, kind="stable")
-        work = work[perm]
-        order = order[perm]
-    return order, passes
-
-
 def sort_tuples(
     keys: np.ndarray,
     values: np.ndarray,
     key_bits: int | None = None,
-    backend: str = "radix",
     segments: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Sort (key, payload) tuple arrays by key.
+
+    Without ``segments`` this is the numpy counting-scatter sort
+    (:func:`radix_sort_pairs`) of the whole arrays.
 
     **Compiled form.** With ``segments`` (``nseg + 1`` ascending
     offsets, e.g. PB's bin starts) every segment is sorted on its own,
     *in place*, by the compiled stable radix of
     :func:`repro.kernels.jit.pb_sort_bins_jit`, and the input arrays
-    are returned; ``backend`` is not consulted.  The caller must have
-    checked the engine is available.
+    are returned.  The caller must have checked the engine is
+    available.
 
-    ``backend="radix"`` is the counting-scatter path
-    (:func:`radix_sort_pairs`); ``backend="radix_jit"`` is the JIT
-    tier's compiled equivalent (numpy fallback when unavailable);
-    ``backend="argsort"`` is the pre-optimization byte-argsort path
-    kept as an ablation; ``backend="mergesort"`` is the comparison
-    baseline of DESIGN.md §6.  All backends return the identical
-    stable result.  Returns sorted keys, permuted values, and the byte
-    pass count charged by the cost model (0 for the comparison
-    backend).
+    Both forms return the identical stable result: sorted keys,
+    permuted values, and the byte pass count charged by the cost model.
     """
     if len(keys) != len(values):
         raise ValueError(f"keys/values length mismatch: {len(keys)} vs {len(values)}")
@@ -278,20 +224,4 @@ def sort_tuples(
         if key_bits is None:
             key_bits = np.asarray(keys).dtype.itemsize * 8
         return keys, values, pb_sort_bins_jit(keys, values, segments, key_bits)
-    if backend == "radix":
-        return radix_sort_pairs(keys, values, key_bits=key_bits)
-    if backend == "radix_jit":
-        from .jit import sort_pairs_jit
-
-        out = sort_pairs_jit(keys, values, key_bits=key_bits)
-        if out is not None:
-            return out
-        return radix_sort_pairs(keys, values, key_bits=key_bits)
-    if backend == "argsort":
-        order, passes = _argsort_byte_passes(keys, key_bits)
-    elif backend == "mergesort":
-        order = np.argsort(keys, kind="stable")
-        passes = 0
-    else:
-        raise ValueError(f"unknown sort backend {backend!r}")
-    return np.asarray(keys)[order], np.asarray(values)[order], passes
+    return radix_sort_pairs(keys, values, key_bits=key_bits)

@@ -148,7 +148,7 @@ def _sort_compress_task(payload):
     returning one triple per *group* (instead of per bin) keeps the
     result pickle small even with thousands of bins.
     """
-    specs, layout, config, sr_token, bins = payload
+    specs, layout, sr_token, bins = payload
     from ..core.pb_spgemm import _sort_and_compress_bin
 
     t0 = time.perf_counter()
@@ -159,7 +159,7 @@ def _sort_compress_task(payload):
         keys, vals = arr["bin_keys"], arr["bin_vals"]
         for binid, lo, hi in bins:
             crows, ccols, cvals, p = _sort_and_compress_bin(
-                layout, binid, keys[lo:hi], vals[lo:hi], sr, config
+                layout, binid, keys[lo:hi], vals[lo:hi], sr
             )
             passes = max(passes, p)
             out_rows.append(crows)
@@ -395,7 +395,6 @@ class ProcessEngine:
         b_keys: np.ndarray,
         b_vals: np.ndarray,
         sr_token,
-        config,
     ) -> tuple[list[tuple], int, list[float]]:
         """Fan non-empty bins out over the pool.
 
@@ -415,7 +414,7 @@ class ProcessEngine:
         bins, groups = self._bin_groups(bin_starts)
         futures = [
             self._pool.submit(
-                _sort_compress_task, (specs, layout, config, sr_token, bins[lo:hi])
+                _sort_compress_task, (specs, layout, sr_token, bins[lo:hi])
             )
             for lo, hi in groups
         ]
@@ -443,7 +442,6 @@ class ProcessEngine:
         order: np.ndarray,
         bin_starts: np.ndarray,
         sr_token,
-        config,
         after_place=None,
     ) -> tuple[list[tuple], int, list[float]]:
         """Overlap bucket placement with per-bin sort/compress.
@@ -481,7 +479,7 @@ class ProcessEngine:
             futures.append(
                 self._pool.submit(
                     _sort_compress_task,
-                    (specs, layout, config, sr_token, bins[lo:hi]),
+                    (specs, layout, sr_token, bins[lo:hi]),
                 )
             )
         if after_place is not None:

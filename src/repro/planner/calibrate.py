@@ -21,12 +21,11 @@ four effective rates with short numpy micro-benchmarks:
   so without this measurement the planner systematically misprices
   column algorithms against PB,
 * **JIT scatter rate** — tuples/s of the compiled tier's radix sort
-  (:func:`repro.kernels.jit.sort_pairs_jit`) on the identical workload
-  as the numpy radix measurement, so
+  (:func:`repro.kernels.jit.pb_sort_bins_jit` over one segment) on the
+  identical workload as the numpy radix measurement, so
   :meth:`MachineProfile.jit_sort_scale` is a clean cycle multiplier
-  for ``radix_jit`` / ``panel_jit`` candidates; recorded as 0.0 when
-  no JIT engine is available, which prices the tier out of every
-  ranking,
+  for ``panel_jit`` candidates; recorded as 0.0 when no JIT engine is
+  available, which prices the tier out of every ranking,
 * **process-pool startup and warm dispatch** — the fixed price of
   spawning a worker pool (paid once per pool: per multiply for a
   standalone ``PBConfig(executor="process")`` call, once per
@@ -119,7 +118,7 @@ class MachineProfile:
         radix path, which calibration measured at ``radix_mtuples_s``;
         the compiled tier ran the *same* workload at
         ``jit_scatter_mtuples_s``.  Their ratio rescales those cycle
-        charges for a ``radix_jit`` / ``panel_jit`` candidate (< 1 when
+        charges for a ``panel_jit`` candidate (< 1 when
         the compiled tier is faster — the usual case — but nothing
         forces that: a slow compiler or a small compiled win prices the tier
         honestly and the planner simply keeps numpy).  None when the
@@ -311,19 +310,24 @@ def calibrate(
 
     # Compiled-tier sort rate on the *same* workload, so the ratio to
     # radix_mtuples_s is a clean cycle multiplier (jit_sort_scale()).
-    # warmup() runs first so compile/dlopen time never pollutes the
-    # measurement; 0.0 records "no engine" and prices the tier out.
+    # The compiled sort works in place, so each rep sorts fresh copies
+    # (the numpy sort allocates its outputs too).  warmup() runs first
+    # so compile/dlopen time never pollutes the measurement; 0.0
+    # records "no engine" and prices the tier out.
     from ..kernels import jit as jit_tier
 
     jit_scatter_mtuples_s = 0.0
     if jit_tier.jit_available():
         try:
             jit_tier.warmup()
+            one_seg = np.array([0, ns], dtype=np.int64)
             t_jit = _best_of(
-                lambda: jit_tier.sort_pairs_jit(keys, vals, key_bits=32), reps
+                lambda: jit_tier.pb_sort_bins_jit(
+                    keys.copy(), vals.copy(), one_seg, 32
+                ),
+                reps,
             )
-            if jit_tier.sort_pairs_jit(keys, vals, key_bits=32) is not None:
-                jit_scatter_mtuples_s = ns / t_jit / 1e6
+            jit_scatter_mtuples_s = ns / t_jit / 1e6
         except Exception:  # pragma: no cover - engine came up then broke
             jit_scatter_mtuples_s = 0.0
 

@@ -126,19 +126,12 @@ def _tune_pb(
     config: PBConfig,
     nthreads: int,
     sockets: int = 1,
-    jit_sort_scale: float | None = None,
 ) -> tuple[float, float, dict, dict]:
-    """Sweep (nbins, local_bin_bytes, sort backend); best combination.
+    """Sweep (nbins, local_bin_bytes); best combination.
 
     Knobs the caller already pinned in ``config`` are honored (their
     sweep collapses to the pinned value), so the returned overrides
-    only ever fill blanks.  The sort-backend sweep joins only when
-    ``jit_sort_scale`` is set (a calibrated compiled-tier rate on an
-    available engine) and the config leaves ``sort_backend`` at its
-    ``"radix"`` default: the ``radix_jit`` candidate is priced with the
-    measured cycle multiplier, and winning it also selects the fused
-    compiled placement (``distribute_backend="counting_jit"``) — the
-    same scatter machinery the calibration measured.
+    only ever fill blanks.
     """
     nbins_cands = (
         [min(config.nbins, max(stats.n_rows, 1))]
@@ -150,44 +143,23 @@ def _tune_pb(
         if config.local_bin_bytes != DEFAULT_LOCAL_BIN_BYTES
         else list(LOCAL_BIN_SWEEP)
     )
-    sort_unpinned = config.sort_backend == "radix"
-    sort_cands = [(config.sort_backend, 1.0)]
-    if jit_sort_scale is not None:
-        if sort_unpinned:
-            sort_cands.append(("radix_jit", jit_sort_scale))
-        elif config.sort_backend == "radix_jit":
-            sort_cands = [("radix_jit", jit_sort_scale)]
     best = None
     for nbins in nbins_cands:
         for lbb in lbb_cands:
-            for sb, sscale in sort_cands:
-                cfg = config.with_(
-                    nbins=nbins, local_bin_bytes=lbb, sort_backend=sb
-                )
-                phases = pb_phase_costs(
-                    stats, machine, cfg, nbins=nbins, sort_compute_scale=sscale
-                )
-                reports = simulate_phases(phases, machine, nthreads, sockets)
-                total = sum(p.seconds for p in reports)
-                if best is None or total < best[0]:
-                    dram = sum(p.dram_bytes for p in reports)
-                    per_phase = {p.name: p.seconds for p in reports}
-                    best = (
-                        total,
-                        dram,
-                        per_phase,
-                        {"nbins": nbins, "local_bin_bytes": lbb, "sort_backend": sb},
-                    )
+            cfg = config.with_(nbins=nbins, local_bin_bytes=lbb)
+            phases = pb_phase_costs(stats, machine, cfg, nbins=nbins)
+            reports = simulate_phases(phases, machine, nthreads, sockets)
+            total = sum(p.seconds for p in reports)
+            if best is None or total < best[0]:
+                dram = sum(p.dram_bytes for p in reports)
+                per_phase = {p.name: p.seconds for p in reports}
+                best = (total, dram, per_phase, {"nbins": nbins, "local_bin_bytes": lbb})
     total, dram, per_phase, knobs = best
     overrides = {}
     if config.nbins is None:
         overrides["nbins"] = knobs["nbins"]
     if config.local_bin_bytes == DEFAULT_LOCAL_BIN_BYTES:
         overrides["local_bin_bytes"] = knobs["local_bin_bytes"]
-    if sort_unpinned and knobs["sort_backend"] == "radix_jit":
-        overrides["sort_backend"] = "radix_jit"
-        if config.distribute_backend == "counting":
-            overrides["distribute_backend"] = "counting_jit"
     return total, dram, per_phase, overrides
 
 
@@ -249,7 +221,6 @@ def _tune_tiled(
     machine,
     config: PBConfig,
     nthreads: int,
-    jit_sort_scale: float | None = None,
 ) -> tuple[float, float, dict, dict, float]:
     """Sweep the tile grid; returns the PB tuple plus the peak bytes.
 
@@ -268,7 +239,7 @@ def _tune_tiled(
     overrides only ever fill blanks.
     """
     pb_total, pb_dram, pb_phases, pb_overrides = _tune_pb(
-        stats, machine, config, nthreads, jit_sort_scale=jit_sort_scale
+        stats, machine, config, nthreads
     )
     budget = config.memory_budget
     m, n = stats.n_rows, stats.n_cols
@@ -332,7 +303,6 @@ def _tune_sharded(
     machine,
     config: PBConfig,
     profile: MachineProfile,
-    jit_sort_scale: float | None = None,
 ) -> tuple[float, float, dict, dict, float, int]:
     """Sweep shard counts; returns the PB tuple + peak bytes + shards.
 
@@ -362,9 +332,7 @@ def _tune_sharded(
     from ..core.blocks import col_panels_for
     from ..core.sharded import resolve_shards, sharded_peak_bytes
 
-    pb_total, pb_dram, pb_phases, pb_overrides = _tune_pb(
-        stats, machine, config, 1, jit_sort_scale=jit_sort_scale
-    )
+    pb_total, pb_dram, pb_phases, pb_overrides = _tune_pb(stats, machine, config, 1)
     budget = config.memory_budget
     cores = max(1, machine.total_cores)
     if isinstance(config.shards, int):
@@ -452,9 +420,10 @@ def rank(
     stats = workload_stats(a_csc, b_csr, nnz_c=sk.nnz_c, seed=sk.seed)
     machine = profile.machine_spec()
     column_scale = profile.column_compute_scale()
-    # The compiled tier is priced only when calibration measured its
-    # rate (jit_sort_scale is None on preset / pre-v4 profiles) *and*
-    # this process can actually run it (the engine builds or loads).
+    # The compiled panel is priced only when calibration measured the
+    # compiled tier's rate (jit_sort_scale is None on preset profiles)
+    # *and* this process can actually run it (the engine builds or
+    # loads).
     from ..kernels.jit import jit_available
 
     jit_scale = profile.jit_sort_scale()
@@ -482,7 +451,7 @@ def rank(
             if not shardable or cfg.executor == "process":
                 continue
             total, dram, per_phase, overrides, peak, s = _tune_sharded(
-                stats, machine, cfg, profile, jit_sort_scale=jit_scale
+                stats, machine, cfg, profile
             )
             scored.append(
                 CandidateScore(
@@ -499,14 +468,14 @@ def rank(
             continue
         if name == "pb" and info.supports_config:
             total, dram, per_phase, overrides = _tune_pb(
-                stats, machine, cfg, nthreads, jit_sort_scale=jit_scale
+                stats, machine, cfg, nthreads
             )
             peak = monolithic_peak_bytes(
                 stats.flop, stats.nnz_a, stats.nnz_b, stats.nnz_c
             )
         elif name == "tiled" and info.supports_config:
             total, dram, per_phase, overrides, peak = _tune_tiled(
-                stats, machine, cfg, nthreads, jit_sort_scale=jit_scale
+                stats, machine, cfg, nthreads
             )
         else:
             # Column candidates: sweep the compiled panel alongside the

@@ -122,8 +122,6 @@ def resolve_profile(cache_dir: str | None) -> MachineProfile:
 _OVERRIDE_KEYS = (
     "nbins",
     "local_bin_bytes",
-    "sort_backend",
-    "distribute_backend",
     "column_backend",
     "tile_rows",
     "tile_cols",

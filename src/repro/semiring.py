@@ -107,9 +107,9 @@ class Semiring:
           ``column_backend="loop"``.  (``np.add.reduceat`` is pairwise
           on floats and would diverge in the last ulps for runs ≥ 8.)
         * **other ufunc ⊕** (min / max / logical_or) use
-          ``add_ufunc.reduceat`` — numpy only applies pairwise
-          reassociation to add/multiply, so these are the same exact
-          left fold.
+          :meth:`reduceat`, whose min/max is the same sequential left
+          fold (numpy's vectorized min/max reduction picks signed zeros
+          and NaNs by SIMD lane).
         * **non-ufunc ⊕** (a custom Semiring carrying a plain callable)
           fall back to a stable lexsort of (key, position) plus a
           per-run Python fold — slow but correct for any ⊕.
@@ -165,8 +165,8 @@ class Semiring:
           fold, without materializing per-element run ids;
         * otherwise plus-like ⊕ fold through ``np.bincount`` — a
           sequential left fold in stream order (never pairwise);
-        * other ufunc ⊕ use ``add_ufunc.reduceat`` (exact for
-          min / max / logical_or);
+        * other ufunc ⊕ use :meth:`reduceat` (a sequential fold for
+          min / max, exact ``reduceat`` for logical_or);
         * non-ufunc ⊕ fold each run in a Python loop.
         """
         sv = sorted_vals
@@ -231,12 +231,27 @@ class Semiring:
     def reduceat(self, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """Segmented ⊕-reduction: reduce ``values[starts[i]:starts[i+1]]``.
 
-        ``starts`` must be a sorted int array of segment start offsets
-        with ``starts[0] == 0``; the final segment runs to the end of
-        ``values``.  Matches the semantics of ``np.add.reduceat``.
+        ``starts`` must be a strictly ascending int array of segment
+        start offsets with ``starts[0] == 0``; the final segment runs to
+        the end of ``values``.  Matches the semantics of
+        ``np.add.reduceat``, except that min/max fold each segment
+        sequentially from its head (``ufunc.at`` applies the rest
+        unbuffered, in ascending position): numpy's vectorized min/max
+        reductions pick between 0.0 and -0.0, and between NaNs, by SIMD
+        lane, while the loop and compiled kernels fold left to right.
         """
         if len(values) == 0:
             return np.asarray([], dtype=values.dtype)
+        if self.add_ufunc in (np.minimum, np.maximum):
+            out = values[starts]
+            head = np.zeros(len(values), dtype=bool)
+            head[starts] = True
+            dup = np.flatnonzero(~head)
+            if len(dup):
+                # Duplicate p belongs to segment p - (duplicates before it) - 1.
+                with np.errstate(invalid="ignore"):
+                    self.add_ufunc.at(out, dup - np.arange(len(dup)) - 1, values[dup])
+            return out
         out = self.add_ufunc.reduceat(values, starts)
         # Boolean ufuncs (logical_or) reduce to bool; keep value dtype.
         return out.astype(values.dtype, copy=False)

@@ -157,7 +157,7 @@ class Session:
         self._resources: dict = {"engine": None, "pool": pool}
         self._finalizer = weakref.finalize(self, _close_resources, self._resources)
         # Warm-up hygiene (DESIGN.md §14): when the session's config
-        # selects any *_jit backend, or runs serial PB on the compiled
+        # selects the panel_jit backend, or runs serial PB on the compiled
         # pipeline, compile/load the JIT tier now — at construction, off
         # the request path — so the first multiply neither pays the
         # load nor folds compiler time into its phase timings.  The cost

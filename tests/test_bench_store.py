@@ -42,7 +42,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 #: Quick-mode suite runs, with the markers the per-suite test files
 #: used to carry so ``-m column`` etc. still select this coverage.
 SUITE_PARAMS = [
-    pytest.param("hotpath"),
     pytest.param("planner", marks=pytest.mark.planner),
     pytest.param("column", marks=pytest.mark.column),
     pytest.param("session", marks=[pytest.mark.session, pytest.mark.parallel]),
@@ -52,7 +51,7 @@ SUITE_PARAMS = [
 
 #: Suites whose committed artifact predates the shared schema and was
 #: rewritten onto it once; newer suites committed native-v2 artifacts.
-LEGACY_SUITES = ("column", "hotpath", "planner", "session")
+LEGACY_SUITES = ("column", "planner", "session")
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +139,7 @@ class TestSchema:
 
 
 # ---------------------------------------------------------------------------
-# committed artifacts, including the four rewritten from schema v1
+# committed artifacts, including the three rewritten from schema v1
 # ---------------------------------------------------------------------------
 
 class TestLegacyMigration:
@@ -159,9 +158,9 @@ class TestLegacyMigration:
 
     def test_pinned_full_run_bars(self):
         # Spot-check the headline numbers the retired test files pinned.
-        hot = load_result(REPO_ROOT / "BENCH_hotpath.json")
-        assert hot.metrics["sort_phase_speedup"] >= 1.5
-        assert hot.metrics["end_to_end_speedup"] >= 1.2
+        jit = load_result(REPO_ROOT / "BENCH_jit.json")
+        assert jit.metrics["pb_end_to_end_speedup"] >= 2.0
+        assert jit.metrics["panel_end_to_end_speedup"] >= 1.3
         col = load_result(REPO_ROOT / "BENCH_column.json")
         assert col.metrics["hash_speedup"] >= 10.0
         assert col.metrics["spa_speedup"] >= 10.0
@@ -230,10 +229,11 @@ class TestQuickRuns:
         assert booleans and all(d.status != "regressed" for d in booleans)
         assert any("mode mismatch" in why for _, why in report.skipped)
 
-    def test_hotpath_phases_from_stopwatches(self, quick_results):
-        r = quick_results("hotpath")
+    @pytest.mark.jit
+    def test_jit_phases_from_stopwatches(self, quick_results):
+        r = quick_results("jit")
         for w in r.workloads:
-            assert {"symbolic", "expand"} <= set(r.phases[w])
+            assert {"symbolic", "expand", "sort_compress"} <= set(r.phases[w])
 
 
 # ---------------------------------------------------------------------------

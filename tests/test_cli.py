@@ -1,6 +1,5 @@
 """Tests for the command-line interface."""
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
@@ -62,14 +61,14 @@ class TestCanonicalTree:
     def test_matrix_multiply_shares_exec_flags(self, er_mtx, capsys):
         rc = main(
             ["matrix", "multiply", str(er_mtx), "--algorithm", "pb",
-             "--sort-backend", "argsort"]
+             "--nbins", "16"]
         )
         assert rc == 0
         assert "C = A*B" in capsys.readouterr().out
 
     def test_plan_accepts_exec_flags(self, er_mtx, capsys):
         rc = main(
-            ["plan", str(er_mtx), "--sort-backend", "radix",
+            ["plan", str(er_mtx), "--nbins", "16",
              "--column-backend", "panel"]
         )
         assert rc == 0
@@ -91,14 +90,14 @@ class TestBenchCLI:
     def test_list(self, capsys):
         assert main(["bench", "list"]) == 0
         out = capsys.readouterr().out
-        for suite in ("hotpath", "planner", "column", "session", "fig3", "table7"):
+        for suite in ("jit", "planner", "column", "session", "fig3", "table7"):
             assert f"{suite}:" in out
 
     def test_list_verbose_shows_checks(self, capsys):
         assert main(["bench", "list", "-v"]) == 0
         out = capsys.readouterr().out
-        assert "BENCH_hotpath.json" in out
-        assert "sort_phase_speedup >= 1.5" in out
+        assert "BENCH_jit.json" in out
+        assert "pb_end_to_end_speedup >= 2" in out
 
     def test_run_unknown_suite(self, capsys):
         assert main(["bench", "run", "nope"]) == 2
@@ -179,33 +178,31 @@ class TestMultiply:
     def test_two_operands(self, er_mtx, tmp_path, capsys):
         assert main(["matrix", "multiply", str(er_mtx), str(er_mtx)]) == 0
 
-    @pytest.mark.parametrize("backend", ["radix", "argsort", "mergesort"])
-    def test_sort_backend(self, er_mtx, backend, capsys):
-        assert main(["matrix", "multiply", str(er_mtx), "--sort-backend", backend]) == 0
-        assert "C = A*B" in capsys.readouterr().out
-
     def test_sort_backend_identical_products(self, er_mtx, tmp_path):
+        """The compiled per-bin sort and the numpy radix sort write the
+        same product file."""
+        from repro.kernels import jit
+
         outs = {}
-        for backend in ("radix", "argsort"):
+        for backend in ("compiled", "numpy"):
             out = tmp_path / f"c_{backend}.mtx"
-            rc = main(
-                ["matrix", "multiply", str(er_mtx), "--sort-backend", backend,
-                 "--output", str(out)]
-            )
+            argv = ["matrix", "multiply", str(er_mtx), "--output", str(out)]
+            if backend == "numpy":
+                with jit.disabled():
+                    rc = main(argv)
+            else:
+                rc = main(argv)
             assert rc == 0
-            outs[backend] = read_matrix_market(out).to_csr()
-        import numpy as np
+            outs[backend] = out.read_bytes()
+        assert outs["compiled"] == outs["numpy"]
 
-        assert np.array_equal(outs["radix"].data, outs["argsort"].data)
-        assert np.array_equal(outs["radix"].indices, outs["argsort"].indices)
-
-    def test_sort_backend_requires_pb(self, er_mtx, capsys):
+    def test_pb_flags_require_pb(self, er_mtx, capsys):
         rc = main(
             ["matrix", "multiply", str(er_mtx), "--algorithm", "hash",
-             "--sort-backend", "argsort"]
+             "--nbins", "16"]
         )
         assert rc == 2
-        assert "--sort-backend" in capsys.readouterr().err
+        assert "--nbins" in capsys.readouterr().err
 
 
 class TestSimulate:

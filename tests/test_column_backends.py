@@ -134,21 +134,76 @@ class TestPanelLoopBitIdentity:
 class TestEscColumnBackends:
     @pytest.mark.parametrize("semiring", SEMIRINGS)
     def test_arena_matches_concat(self, semiring):
-        a, b = CASES["dup_heavy_rmat"]
-        arena = esc_column_spgemm(a, b, semiring=semiring, expand_backend="arena")
-        concat = esc_column_spgemm(a, b, semiring=semiring, expand_backend="concat")
-        assert _bits(arena) == _bits(concat)
+        """The chunked arena expand + radix sort against the whole
+        column-major stream concatenated and stably argsorted here."""
+        from repro.kernels.compress import compress_sorted
+        from repro.kernels.outer_expand import iter_expand_columns
 
-    def test_invalid_expand_backend(self):
-        a, b = CASES["er"]
-        with pytest.raises(ConfigError):
-            esc_column_spgemm(a, b, expand_backend="bogus")
+        a, b = CASES["dup_heavy_rmat"]
+        sr = get_semiring(semiring)
+        arena = esc_column_spgemm(a, b, semiring=semiring)
+        parts = list(iter_expand_columns(a, b, sr))
+        rows, cols, vals = (np.concatenate([p[i] for p in parts]) for i in (2, 3, 4))
+        order = np.argsort(rows * b.shape[1] + cols, kind="stable")
+        c_rows, c_cols, c_vals = compress_sorted(
+            rows[order], cols[order], vals[order], sr
+        )
+        indptr = np.zeros(a.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(c_rows, minlength=a.shape[0]), out=indptr[1:])
+        concat = CSRMatrix((a.shape[0], b.shape[1]), indptr, c_cols, c_vals)
+        assert _bits(arena) == _bits(concat)
 
     def test_shape_mismatch_raises_shape_error(self):
         a = CSCMatrix.identity(4)
         b = CSRMatrix.identity(5)
         with pytest.raises(ShapeError):
             esc_column_spgemm(a, b)
+
+
+def _with_specials(mat, seed):
+    """``mat`` with every value drawn from signed zeros, NaN, ±inf and
+    ±1: the values whose min/max folds depend on order.  ``inf - inf``
+    and ``0 * inf`` make the other NaN; inputs carry one NaN only,
+    because which payload ``NaN + NaN`` keeps is not fixed by IEEE 754."""
+    rng = np.random.default_rng(seed)
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.0, -1.0])
+    data = rng.choice(specials, size=mat.nnz)
+    return type(mat)(mat.shape, mat.indptr, mat.indices, data)
+
+
+class TestMinMaxFolds:
+    """min/max fold each duplicate run sequentially in stream order on
+    every path: numpy's vectorized min/max reduction picks 0.0 vs -0.0,
+    and which NaN survives, by SIMD lane."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("semiring", ["min_plus", "max_times"])
+    def test_signed_zero_and_nan_folds_agree(self, semiring, seed):
+        import warnings
+
+        from repro.core import pb_spgemm
+        from repro.kernels import jit
+
+        a, b = CASES["dup_heavy_rmat"]
+        a, b = _with_specials(a, seed), _with_specials(b, seed + 100)
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            loop = _bits(hash_spgemm(a, b, semiring=semiring, column_backend="loop"))
+            # One panel for the whole product: duplicate-heavy, so the
+            # numpy panel takes its bulk fold path.
+            panel = _bits(panel_spgemm(a, b, semiring=semiring, panel_tuples=1 << 20))
+            assert panel == loop
+            assert _bits(hash_spgemm(a, b, semiring=semiring)) == loop
+            esc = _bits(esc_column_spgemm(a, b, semiring=semiring))
+            pb = _bits(pb_spgemm(a, b, semiring))
+            assert esc == pb
+            with jit.disabled():
+                assert _bits(pb_spgemm(a, b, semiring)) == pb
+            if jit.jit_available():
+                compiled = hash_spgemm(
+                    a, b, semiring=semiring, column_backend="panel_jit"
+                )
+                assert _bits(compiled) == loop
 
 
 class TestConfigPlumbing:

@@ -17,7 +17,7 @@ from repro.core import (
     symbolic_phase,
     unpack_keys,
 )
-from repro.core.binning import distribute_packed, distribute_to_bins
+from repro.core.binning import distribute_packed
 from repro.errors import ConfigError, ShapeError
 from repro.generators import erdos_renyi, rmat
 from repro.kernels import scipy_spgemm_oracle
@@ -47,9 +47,9 @@ class TestPBConfig:
             dict(local_bin_bytes=8),
             dict(pipeline="pipelined"),
             dict(bin_mapping="hash"),
-            dict(sort_backend="quick"),
-            dict(distribute_backend="bucket"),
-            dict(expand_backend="inplace"),
+            dict(column_backend="jit_panel"),
+            dict(executor="threads"),
+            dict(shards=0),
             dict(tile_rows=0),
             dict(nthreads=0),
             dict(bin_mapping="modulo", pack_keys=True),
@@ -60,10 +60,13 @@ class TestPBConfig:
             PBConfig(**kwargs)
 
     def test_hot_path_defaults(self):
-        cfg = PBConfig()
-        assert cfg.sort_backend == "radix"
-        assert cfg.distribute_backend == "counting"
-        assert cfg.expand_backend == "arena"
+        # The defaults never keep serial PB off the compiled pipeline.
+        assert PB_MODULE.config_blocker(PBConfig()) is None
+        assert PB_MODULE.config_blocker(PBConfig(bin_mapping="balanced")) is None
+        assert (
+            PB_MODULE.config_blocker(PBConfig(bin_mapping="modulo", pack_keys=False))
+            == "mapping"
+        )
 
 
 class TestSymbolic:
@@ -158,13 +161,24 @@ class TestKeyPacking:
         assert hi == 100
 
 
+def _distribute(layout, rows, cols, vals):
+    """Binned (rows, cols, vals, starts): distribute_packed + unpack_keys."""
+    keys, bvals, starts = distribute_packed(layout, rows, cols, vals)
+    br, bc = [], []
+    for b in range(layout.nbins):
+        r, c = unpack_keys(layout, keys[starts[b] : starts[b + 1]], b)
+        br.append(r)
+        bc.append(c)
+    return np.concatenate(br), np.concatenate(bc), bvals, starts
+
+
 class TestBinning:
     def test_distribute_partitions_all(self, rng):
         layout = plan_bins(60, 40, 6, 10)
         rows = rng.integers(0, 60, size=400)
         cols = rng.integers(0, 40, size=400)
         vals = rng.normal(size=400)
-        br, bc, bv, starts = distribute_to_bins(layout, rows, cols, vals)
+        br, bc, bv, starts = _distribute(layout, rows, cols, vals)
         assert starts[-1] == 400
         for b in range(6):
             seg = br[starts[b] : starts[b + 1]]
@@ -175,29 +189,35 @@ class TestBinning:
         rows = np.array([0, 2, 0, 2, 1])
         cols = np.array([0, 1, 2, 3, 0])
         vals = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        br, bc, bv, starts = distribute_to_bins(layout, rows, cols, vals)
+        br, bc, bv, starts = _distribute(layout, rows, cols, vals)
         # bin 0 keeps arrival order of rows 0,0,1
         np.testing.assert_array_equal(bc[: starts[1]], [0, 2, 0])
+        np.testing.assert_array_equal(bv[: starts[1]], [1.0, 3.0, 5.0])
 
     def test_counting_matches_argsort_placement(self, rng):
-        layout = plan_bins(60, 40, 6, 10)
-        rows = rng.integers(0, 60, size=400)
-        cols = rng.integers(0, 40, size=400)
-        vals = rng.normal(size=400)
-        ref = distribute_to_bins(layout, rows, cols, vals, method="argsort")
-        got = distribute_to_bins(layout, rows, cols, vals, method="counting")
-        for r, g in zip(ref, got):
-            assert np.array_equal(r, g)  # same stable placement, bit-exact
+        # The uint8, uint16 and radix bin-id paths against a stable argsort.
+        for nbins in (6, 300, 70000):
+            layout = plan_bins(nbins * 2, 40, nbins, 2)
+            rows = rng.integers(0, nbins * 2, size=400)
+            cols = rng.integers(0, 40, size=400)
+            vals = rng.normal(size=400)
+            ref = np.argsort(rows // 2, kind="stable")
+            keys, bvals, starts = distribute_packed(layout, rows, cols, vals)
+            assert np.array_equal(keys, pack_keys(layout, rows[ref], cols[ref]))
+            assert np.array_equal(bvals, vals[ref])  # bit-exact stable placement
+            counts = np.bincount(rows // 2, minlength=nbins)
+            assert np.array_equal(starts[1:], np.cumsum(counts))
 
     def test_distribute_packed_fuses_pack(self, rng):
         layout = plan_bins(60, 40, 6, 10)
         rows = rng.integers(0, 60, size=400)
         cols = rng.integers(0, 40, size=400)
         vals = rng.normal(size=400)
-        br, bc, bv, ref_starts = distribute_to_bins(layout, rows, cols, vals)
         keys, bvals, starts = distribute_packed(layout, rows, cols, vals)
-        np.testing.assert_array_equal(starts, ref_starts)
-        assert np.array_equal(bvals, bv)
+        br, bc, _, _ = _distribute(layout, rows, cols, vals)
+        ref = np.argsort(rows // 10, kind="stable")
+        np.testing.assert_array_equal(br, rows[ref])
+        np.testing.assert_array_equal(bc, cols[ref])
         np.testing.assert_array_equal(keys, pack_keys(layout, br, bc))
 
     def test_distribute_packed_empty(self):
@@ -210,12 +230,6 @@ class TestBinning:
         )
         assert len(keys) == len(bvals) == 0
         assert starts.tolist() == [0] * (layout.nbins + 1)
-
-    def test_distribute_bad_method(self, rng):
-        layout = plan_bins(8, 8, 4, 2)
-        rows = rng.integers(0, 8, size=10)
-        with pytest.raises(ConfigError):
-            distribute_to_bins(layout, rows, rows, np.ones(10), method="hash")
 
 
 class TestPBSpGEMM:
@@ -241,11 +255,6 @@ class TestPBSpGEMM:
     def test_modulo_mapping_correct(self, small_pair):
         a, b = small_pair
         cfg = PBConfig(bin_mapping="modulo", pack_keys=False, nbins=16)
-        assert allclose(pb_spgemm(a, b, config=cfg), scipy_spgemm_oracle(a, b))
-
-    def test_mergesort_backend(self, small_pair):
-        a, b = small_pair
-        cfg = PBConfig(sort_backend="mergesort")
         assert allclose(pb_spgemm(a, b, config=cfg), scipy_spgemm_oracle(a, b))
 
     def test_unpacked_keys(self, small_pair):
@@ -278,31 +287,12 @@ class TestPBSpGEMM:
         res = pb_spgemm_detailed(a, b)
         assert res.radix_passes == -(-res.layout.key_bits // 8)
 
-    def test_legacy_backends_bit_identical(self):
-        # The full pre-optimization configuration must reproduce the
-        # hot path's product exactly: indptr, indices and float values.
-        m = erdos_renyi(1 << 9, 8, seed=3, fmt="csr")
-        a = m.to_csc()
-        new = pb_spgemm(a, m)
-        legacy = pb_spgemm(
-            a,
-            m,
-            config=PBConfig(
-                sort_backend="argsort",
-                distribute_backend="argsort",
-                expand_backend="concat",
-            ),
-        )
-        assert np.array_equal(new.indptr, legacy.indptr)
-        assert np.array_equal(new.indices, legacy.indices)
-        assert np.array_equal(new.data, legacy.data)
-
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(sort_backend="argsort"),
-            dict(distribute_backend="argsort"),
-            dict(expand_backend="concat"),
+            dict(use_local_bins=False),
+            dict(pack_keys=False),
+            dict(bin_mapping="balanced"),
         ],
     )
     def test_single_ablation_matches_oracle(self, small_pair, kwargs):
@@ -367,9 +357,6 @@ class TestPipelineChoice:
         "kwargs, reason",
         [
             (dict(bin_mapping="modulo", pack_keys=False), "mapping"),
-            (dict(sort_backend="argsort"), "backend"),
-            (dict(distribute_backend="argsort"), "backend"),
-            (dict(expand_backend="concat"), "backend"),
         ],
     )
     def test_config_reasons(self, small_pair, kwargs, reason):

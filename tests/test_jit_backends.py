@@ -1,13 +1,14 @@
 """Compiled hot-kernel tier (repro.kernels.jit, DESIGN.md §14).
 
 Covers the engine probe (caching, disable switch, missing compiler,
-failed build), the three ``*_jit`` backends' bit-identity against their
-numpy counterparts across every built-in semiring, the absent-degradation
-contract (one structured warning, numpy results, including on
-process-pool workers), warm-up hygiene (Session construction +
-``jit_warmup_s`` stopwatch), the planner's calibrated pricing (profile
-schema v4, stale versions rejected), and the CLI surfaces (``repro
-machine --json``, backend flags).
+failed build), the bit-identity of the compiled PB pipeline and the
+``panel_jit`` column backend against the numpy code across every
+built-in semiring, the absent-degradation contract (one structured
+warning, numpy results, including on process-pool workers), warm-up
+hygiene (Session construction + ``jit_warmup_s`` stopwatch), the
+planner's calibrated pricing (profile schema v4, stale versions
+rejected), and the CLI surfaces (``repro machine --json``, backend
+flags).
 
 Every test runs whether or not an engine is available: engine-requiring
 assertions are guarded by :func:`repro.kernels.jit.jit_available`, and
@@ -45,8 +46,6 @@ from repro.semiring import available_semirings
 from tests.test_block_core import problems
 
 pytestmark = pytest.mark.jit
-
-JIT_PB = dict(sort_backend="radix_jit", distribute_backend="counting_jit")
 
 
 @pytest.fixture
@@ -138,18 +137,20 @@ class TestProbe:
         jit_tier.reset_jit_state()
         a, b = _mats(scale=8)
         with pytest.warns(JITFallbackWarning) as rec:
-            c1 = repro.multiply(a, b, config=PBConfig(sort_backend="radix_jit"))
+            c1 = hash_spgemm(a.to_csc(), b, column_backend="panel_jit")
         st = jit_tier.jit_status()
         assert st["available"] is False and st["engine"] == "none"
         assert "cc engine build failed" in st["cc_reason"]
         assert not jit_tier.jit_available()
         warned = [str(w.message) for w in rec if w.category is JITFallbackWarning]
         assert len(warned) == 1 and st["cc_reason"] in warned[0]
-        assert _bitwise_equal(repro.multiply(a, b, config=PBConfig()), c1)
+        assert _bitwise_equal(hash_spgemm(a.to_csc(), b, column_backend="panel"), c1)
+        res = pb_spgemm_detailed(a.to_csc(), b)
+        assert res.pipeline == "numpy:no_engine"
 
 
 # ---------------------------------------------------------------------------
-# bit-identity of every jit backend (engine-gated)
+# bit-identity of the compiled kernels (engine-gated)
 # ---------------------------------------------------------------------------
 
 class TestBitIdentity:
@@ -162,9 +163,10 @@ class TestBitIdentity:
     def test_pb_pipeline_all_jit(self, semiring):
         a, b = _mats()
         with jit_tier.disabled():
-            c0 = repro.multiply(a, b, semiring=semiring, config=PBConfig())
-        c1 = repro.multiply(a, b, semiring=semiring, config=PBConfig(**JIT_PB))
-        assert _bitwise_equal(c0, c1)
+            r0 = pb_spgemm_detailed(a.to_csc(), b, semiring=semiring)
+        r1 = pb_spgemm_detailed(a.to_csc(), b, semiring=semiring)
+        assert (r0.pipeline, r1.pipeline) == ("numpy:no_engine", "compiled")
+        assert _bitwise_equal(r0.c, r1.c)
 
     @pytest.mark.parametrize("semiring", sorted(available_semirings()))
     def test_panel_jit_column_kernel(self, semiring):
@@ -176,26 +178,34 @@ class TestBitIdentity:
         assert _bitwise_equal(c0, c1)
 
     def test_sort_backend_exact_permutation(self):
+        """The compiled sort over one segment, the numpy sort and a
+        stable argsort agree on keys, payload bits and passes."""
         rng = np.random.default_rng(3)
-        for nbits in (11, 17, 22):
-            keys = rng.integers(0, 1 << nbits, size=4001, dtype=np.uint64)
+        for nbits in (11, 17, 22, 40):
+            dt = np.uint32 if nbits <= 32 else np.uint64
+            keys = rng.integers(0, 1 << nbits, size=4001).astype(dt)
             vals = rng.random(4001)
-            k0, v0, p0 = sort_tuples(keys, vals, key_bits=nbits, backend="radix")
+            ref = np.argsort(keys, kind="stable")
+            k0, v0, p0 = sort_tuples(keys, vals, key_bits=nbits)
+            one_seg = np.array([0, len(keys)], dtype=np.int64)
             k1, v1, p1 = sort_tuples(
-                keys, vals, key_bits=nbits, backend="radix_jit"
+                keys.copy(), vals.copy(), key_bits=nbits, segments=one_seg
             )
             assert p0 == p1
-            assert np.array_equal(k0, k1)
-            assert np.array_equal(v0.view(np.uint64), v1.view(np.uint64))
+            assert np.array_equal(k0, keys[ref]) and np.array_equal(k1, keys[ref])
+            assert v0.tobytes() == vals[ref].tobytes() == v1.tobytes()
 
     def test_sort_backend_edge_sizes(self):
         for n in (0, 1):
             keys = np.arange(n, dtype=np.uint64)
             vals = np.arange(n, dtype=np.float64)
-            k1, v1, _ = sort_tuples(keys, vals, key_bits=17, backend="radix_jit")
+            segments = np.array([0, n], dtype=np.int64)
+            k1, v1, _ = sort_tuples(keys, vals, key_bits=17, segments=segments)
             assert len(k1) == n and len(v1) == n
 
     def test_distribute_backend_identical(self):
+        """The compiled expand straight into bins (local bins on and
+        off) equals the numpy expand + counting distribute."""
         a, b = _mats(scale=8)
         a_csc = a.to_csc()
         cfg = PBConfig()
@@ -204,13 +214,15 @@ class TestBitIdentity:
             a_csc.shape[0], b.shape[1], sym.nbins, sym.rows_per_bin, cfg
         )
         rows, cols, vals = expand_arena(a_csc, b, per_k=sym.flops_per_k)
-        k0, v0, s0 = distribute_packed(layout, rows, cols, vals, method="counting")
-        k1, v1, s1 = distribute_packed(
-            layout, rows, cols, vals, method="counting_jit"
-        )
-        assert np.array_equal(k0, k1)
-        assert np.array_equal(v0.view(np.uint64), v1.view(np.uint64))
-        assert np.array_equal(s0, s1)
+        k0, v0, s0 = distribute_packed(layout, rows, cols, vals)
+        for local_tuples in (0, 32):
+            k1, v1, s1 = expand_arena(
+                a_csc, b, per_k=sym.flops_per_k, layout=layout,
+                local_tuples=local_tuples,
+            )
+            assert np.array_equal(k0, k1)
+            assert np.array_equal(v0.view(np.uint64), v1.view(np.uint64))
+            assert np.array_equal(s0, s1)
 
     @pytest.mark.parametrize("semiring", sorted(available_semirings()))
     def test_compiled_fold_matches_numpy_compress(self, semiring):
@@ -261,7 +273,7 @@ class TestBitIdentity:
     @pytest.mark.parallel
     def test_process_pool_workers_bit_identical(self):
         a, b = _mats(scale=8)
-        cfg = PBConfig(executor="process", nthreads=2, **JIT_PB)
+        cfg = PBConfig(executor="process", nthreads=2)
         c0 = repro.multiply(a, b, config=PBConfig())
         c1 = repro.multiply(a, b, config=cfg)
         assert _bitwise_equal(c0, c1)
@@ -279,9 +291,10 @@ def test_jit_backends_match_numpy_on_harness_shapes(problem):
     jit_tier.reset_jit_state()  # re-arm the once-per-process warning
     with warnings.catch_warnings():
         warnings.simplefilter("error", JITFallbackWarning)
-        pb1 = pb_spgemm(a, b, sr, PBConfig(**JIT_PB))
+        pb1 = pb_spgemm(a, b, sr)
         pn1 = hash_spgemm(a, b, semiring=sr, column_backend="panel_jit")
-    assert _bitwise_equal(pb1, pb_spgemm(a, b, sr))
+    with jit_tier.disabled():
+        assert _bitwise_equal(pb1, pb_spgemm(a, b, sr))
     assert _bitwise_equal(pn1, hash_spgemm(a, b, semiring=sr, column_backend="panel"))
 
 
@@ -295,11 +308,12 @@ class TestAbsentDegradation:
 
     def test_single_warning_and_identical_results(self, no_engine):
         a, b = _mats(scale=8)
+        cfg = PBConfig(column_backend="panel_jit")
         with pytest.warns(JITFallbackWarning) as rec:
-            c1 = repro.multiply(a, b, config=PBConfig(**JIT_PB))
-            repro.multiply(a, b, config=PBConfig(**JIT_PB))  # no second warning
+            c1 = repro.multiply(a, b, algorithm="hash", config=cfg)
+            repro.multiply(a, b, algorithm="hash", config=cfg)  # no second warning
         assert len([w for w in rec if w.category is JITFallbackWarning]) == 1
-        c0 = repro.multiply(a, b, config=PBConfig())
+        c0 = repro.multiply(a, b, algorithm="hash")
         assert _bitwise_equal(c0, c1)
 
     def test_panel_jit_falls_back(self, no_engine):
@@ -312,22 +326,27 @@ class TestAbsentDegradation:
     @pytest.mark.parallel
     def test_process_pool_falls_back_bit_identical(self, no_engine):
         a, b = _mats(scale=8)
-        cfg = PBConfig(executor="process", nthreads=2, **JIT_PB)
+        cfg = PBConfig(executor="process", nthreads=2)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", JITFallbackWarning)
+            warnings.simplefilter("error", JITFallbackWarning)
             c1 = repro.multiply(a, b, config=cfg)
-        c0 = repro.multiply(a, b, config=PBConfig())
+            c0 = repro.multiply(a, b, config=PBConfig())
         assert _bitwise_equal(c0, c1)
 
     def test_sort_tuples_falls_back_to_radix(self, no_engine):
+        """Without an engine PB runs the numpy pipeline silently, and its
+        sort is the numpy radix."""
         rng = np.random.default_rng(5)
         keys = rng.integers(0, 1 << 17, size=500, dtype=np.uint64)
         vals = rng.random(500)
+        a, b = _mats(scale=8)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", JITFallbackWarning)
-            k1, v1, p1 = sort_tuples(keys, vals, key_bits=17, backend="radix_jit")
+            warnings.simplefilter("error", JITFallbackWarning)
+            k1, v1, p1 = sort_tuples(keys, vals, key_bits=17)
+            res = pb_spgemm_detailed(a.to_csc(), b)
         k0, v0, p0 = radix_sort_pairs(keys, vals, key_bits=17)
         assert np.array_equal(k0, k1) and np.array_equal(v0, v1) and p0 == p1
+        assert res.pipeline == "numpy:no_engine"
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +361,14 @@ class TestWarmup:
         assert jit_tier.jit_status()["warmed"]
 
     def test_session_records_warmup(self):
-        with repro.Session(PBConfig(**JIT_PB)) as s:
+        with repro.Session(PBConfig(column_backend="panel_jit")) as s:
             assert s.stats.jit_warmup_s >= 0.0
             assert "jit_warmup_s" in s.stats.to_dict()
 
     def test_session_without_jit_skips_warmup(self, clean_jit_state):
-        # The numpy pipeline with numpy backends (an ablation string)
-        # runs no compiled kernel, so the session loads nothing.
-        with repro.Session(PBConfig(expand_backend="concat")) as s:
+        # modulo bins keep PB on the numpy pipeline and the column
+        # backend is numpy, so the session loads nothing.
+        with repro.Session(PBConfig(bin_mapping="modulo", pack_keys=False)) as s:
             assert s.stats.jit_warmup_s == 0.0
         assert not jit_tier.jit_status()["warmed"]
 
@@ -361,13 +380,15 @@ class TestWarmup:
         a, b = _mats(scale=8)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", JITFallbackWarning)
-            res = pb_spgemm_detailed(a.to_csc(), b, config=PBConfig(**JIT_PB))
+            res = pb_spgemm_detailed(
+                a.to_csc(), b, config=PBConfig(column_backend="panel_jit")
+            )
         assert "jit_warmup_s" in res.phase_seconds
         assert res.phase_seconds["jit_warmup_s"] >= 0.0
         res0 = pb_spgemm_detailed(
-            a.to_csc(), b, config=PBConfig(expand_backend="concat")
+            a.to_csc(), b, config=PBConfig(bin_mapping="modulo", pack_keys=False)
         )
-        assert res0.pipeline == "numpy:backend"
+        assert res0.pipeline == "numpy:mapping"
         assert "jit_warmup_s" not in res0.phase_seconds
         res1 = pb_spgemm_detailed(a.to_csc(), b, config=PBConfig())
         assert ("jit_warmup_s" in res1.phase_seconds) == (
@@ -382,16 +403,15 @@ class TestWarmup:
 class TestConfig:
     def test_backend_validation(self):
         with pytest.raises(ConfigError):
-            PBConfig(sort_backend="radixjit")
-        with pytest.raises(ConfigError):
-            PBConfig(distribute_backend="jit")
-        with pytest.raises(ConfigError):
             PBConfig(column_backend="jit_panel")
+        # The numpy PB pipeline has no per-phase backend to pick.
+        for field in ("sort_backend", "distribute_backend", "expand_backend"):
+            with pytest.raises(TypeError):
+                PBConfig(**{field: "radix"})
 
     def test_uses_jit_property(self):
         assert not PBConfig().uses_jit
-        assert PBConfig(sort_backend="radix_jit").uses_jit
-        assert PBConfig(distribute_backend="counting_jit").uses_jit
+        assert not PBConfig(column_backend="loop").uses_jit
         assert PBConfig(column_backend="panel_jit").uses_jit
 
     def test_dispatch_metadata_flags(self):
@@ -456,8 +476,9 @@ class TestPlannerPricing:
         assert MachineProfile.from_dict(fast).jit_sort_scale() == pytest.approx(0.5)
 
     def test_rank_prices_jit_only_when_measured(self):
-        """A calibrated jit rate + live engine ⇒ jit overrides; an
-        unmeasured rate ⇒ the tier is never selected."""
+        """A calibrated jit rate + live engine ⇒ the ``panel_jit``
+        override; an unmeasured rate ⇒ the tier is never selected.  PB
+        runs compiled without any override either way."""
         from repro.planner.calibrate import MachineProfile, default_profile
         from repro.planner.cost import rank
         from repro.planner.sketch import deepen, sketch
@@ -469,7 +490,6 @@ class TestPlannerPricing:
         base = default_profile()
         scored = rank(a_csc, b_csr, sk, base)
         for c in scored:
-            assert "sort_backend" not in c.overrides
             assert c.overrides.get("column_backend") != "panel_jit"
 
         if not jit_tier.jit_available():
@@ -479,8 +499,7 @@ class TestPlannerPricing:
         fast = MachineProfile.from_dict(d)
         scored = rank(a_csc, b_csr, sk, fast)
         pb = next(c for c in scored if c.algorithm == "pb")
-        assert pb.overrides.get("sort_backend") == "radix_jit"
-        assert pb.overrides.get("distribute_backend") == "counting_jit"
+        assert set(pb.overrides) <= {"nbins", "local_bin_bytes"}
         col = next(c for c in scored if c.algorithm == "hash")
         assert col.overrides.get("column_backend") == "panel_jit"
 
@@ -491,15 +510,11 @@ class TestPlannerPricing:
             None,
             {
                 "nbins": 64,
-                "sort_backend": "radix_jit",
-                "distribute_backend": "counting_jit",
                 "column_backend": "panel_jit",
                 "not_a_knob": 1,
             },
         )
         assert cfg.nbins == 64
-        assert cfg.sort_backend == "radix_jit"
-        assert cfg.distribute_backend == "counting_jit"
         assert cfg.column_backend == "panel_jit"
 
     def test_calibrate_measures_jit_rate(self):
@@ -549,11 +564,9 @@ class TestCLI:
                     "multiply",
                     str(path),
                     "--algorithm",
-                    "pb",
-                    "--sort-backend",
-                    "radix_jit",
-                    "--distribute-backend",
-                    "counting_jit",
+                    "hash",
+                    "--column-backend",
+                    "panel_jit",
                 ]
             )
         assert rc == 0

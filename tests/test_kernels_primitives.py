@@ -8,8 +8,8 @@ from repro.kernels.compress import compress_keyed, compress_sorted
 from repro.kernels.outer_expand import (
     expand_arena,
     expand_chunks,
-    expand_column_major,
     expand_outer,
+    iter_expand_columns,
 )
 from repro.kernels.radix import (
     counting_passes,
@@ -105,11 +105,18 @@ class TestExpand:
         with pytest.raises(ValueError):
             list(expand_chunks(a, b, chunk_flops=0))
 
+    @staticmethod
+    def _column_major(a, b):
+        """The whole column-major stream, from the chunked expand."""
+        parts = list(iter_expand_columns(a, b, chunk_flops=16))
+        assert [p[0] for p in parts[1:]] == [p[1] for p in parts[:-1]]
+        return tuple(np.concatenate([p[i] for p in parts]) for i in (2, 3, 4))
+
     def test_column_major_same_multiset(self, rng):
         a = random_coo(rng, 10, 8, 25).to_csc()
         b = random_coo(rng, 8, 12, 25).to_csr()
         r1, c1, v1 = expand_outer(a, b)
-        r2, c2, v2 = expand_column_major(a, b)
+        r2, c2, v2 = self._column_major(a, b)
         k1 = sorted(zip(r1.tolist(), c1.tolist(), np.round(v1, 9).tolist()))
         k2 = sorted(zip(r2.tolist(), c2.tolist(), np.round(v2, 9).tolist()))
         assert k1 == k2
@@ -117,7 +124,7 @@ class TestExpand:
     def test_column_major_grouped_by_output_column(self, rng):
         a = random_coo(rng, 10, 8, 25).to_csc()
         b = random_coo(rng, 8, 12, 25).to_csr()
-        _, cols, _ = expand_column_major(a, b)
+        _, cols, _ = self._column_major(a, b)
         assert np.all(np.diff(cols) >= 0)
 
     def test_semiring_multiply_used(self, small_pair):
@@ -174,17 +181,6 @@ class TestRadixSort:
         np.testing.assert_array_equal(sk, keys[order])
         np.testing.assert_allclose(sv, vals[order])
 
-    def test_sort_tuples_mergesort_backend(self, rng):
-        keys = rng.integers(0, 100, size=50, dtype=np.uint32)
-        vals = rng.normal(size=50)
-        sk, sv, passes = sort_tuples(keys, vals, backend="mergesort")
-        assert passes == 0
-        np.testing.assert_array_equal(sk, np.sort(keys))
-
-    def test_sort_tuples_bad_backend(self):
-        with pytest.raises(ValueError):
-            sort_tuples(np.array([1], dtype=np.uint32), np.array([1.0]), backend="quick")
-
     def test_sort_tuples_length_mismatch(self):
         with pytest.raises(ValueError):
             sort_tuples(np.array([1, 2], dtype=np.uint32), np.array([1.0]))
@@ -233,15 +229,25 @@ class TestCountingScatter:
         np.testing.assert_array_equal(sk, keys[order])
         np.testing.assert_allclose(sv, vals[order])
 
-    @pytest.mark.parametrize("backend", ["radix", "argsort", "mergesort"])
+    @pytest.mark.parametrize("backend", ["radix", "compiled"])
     def test_backends_bit_identical(self, rng, backend):
         keys = rng.integers(0, 1 << 22, size=1000, dtype=np.uint32)
         vals = rng.normal(size=1000)
         ref_o = np.argsort(keys, kind="stable")
-        sk, sv, _ = sort_tuples(keys, vals, key_bits=22, backend=backend)
+        if backend == "radix":
+            sk, sv, _ = sort_tuples(keys, vals, key_bits=22)
+        else:
+            from repro.kernels import jit
+
+            if not jit.jit_available():
+                pytest.skip("no JIT engine on this machine")
+            segments = np.array([0, len(keys)], dtype=np.int64)
+            sk, sv, _ = sort_tuples(
+                keys.copy(), vals.copy(), key_bits=22, segments=segments
+            )
         np.testing.assert_array_equal(sk, keys[ref_o])
-        # Bit-identical, not approximately equal: the same stable
-        # permutation must come out of every backend.
+        # Bit-identical, not approximately equal: both sorts must
+        # produce the one stable permutation.
         assert np.array_equal(sv, vals[ref_o])
 
     def test_duplicate_heavy_keys_stable(self, rng):

@@ -140,17 +140,21 @@ class TestEngineOptions:
 
 class TestVariableLayoutIntegration:
     def test_distribute_with_variable_layout(self, rng):
-        from repro.core.binning import VariableBinLayout, distribute_to_bins
+        from repro.core.binning import (
+            VariableBinLayout,
+            distribute_packed,
+            unpack_keys,
+        )
 
         layout = VariableBinLayout(100, 80, np.array([0, 10, 50, 100]))
         rows = rng.integers(0, 100, size=300)
         cols = rng.integers(0, 80, size=300)
         vals = rng.normal(size=300)
-        br, bc, bv, starts = distribute_to_bins(layout, rows, cols, vals)
+        keys, bv, starts = distribute_packed(layout, rows, cols, vals)
         assert starts[-1] == 300
         for b in range(3):
             lo, hi = layout.row_range(b)
-            seg = br[starts[b] : starts[b + 1]]
+            seg, _ = unpack_keys(layout, keys[starts[b] : starts[b + 1]], b)
             assert np.all((seg >= lo) & (seg < hi))
 
     def test_pack_unpack_variable(self, rng):

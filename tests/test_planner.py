@@ -80,6 +80,29 @@ def test_plan_cache_hit_skips_sampling(operands):
     assert p1.cache_key == p0.cache_key
 
 
+def test_stale_cache_record_with_removed_backend_overrides(operands, tmp_path):
+    """Plan-cache records written while PBConfig still had per-phase
+    numpy backends carry ``sort_backend``/``distribute_backend``
+    overrides; a hit must ignore them, not crash ``with_``."""
+    a, b = operands
+    cache = PlanCache(str(tmp_path))
+    p0 = plan(a, b, profile=default_profile(), cache=cache)
+    rec = cache.get(p0.cache_key)
+    rec["algorithm"] = "pb"
+    rec["overrides"] = {
+        "nbins": 16,
+        "sort_backend": "radix_jit",
+        "distribute_backend": "counting_jit",
+    }
+    cache.put(p0.cache_key, rec)
+    reopened = PlanCache(str(tmp_path))
+    p1 = plan(a, b, profile=default_profile(), cache=reopened)
+    assert p1.source == "cache" and p1.algorithm == "pb"
+    assert p1.config.nbins == 16
+    c = repro.multiply(a, b, algorithm=p1)
+    assert c.data.tobytes() == repro.multiply(a, b, config=PBConfig(nbins=16)).data.tobytes()
+
+
 def test_plan_records_all_candidates_with_reasons(operands):
     a, b = operands
     p = plan(a, b, profile=default_profile(), cache=PlanCache())

@@ -79,3 +79,30 @@ class TestOperations:
     def test_is_annihilated(self):
         mask = PLUS_TIMES.is_annihilated(np.array([0.0, 1.0, 0.0]))
         assert mask.tolist() == [True, False, True]
+
+
+class TestSequentialMinMaxFold:
+    """min/max runs fold left to right from the run head, whatever the
+    duplicate share: numpy's vectorized min/max reduction picks 0.0 vs
+    -0.0, and which NaN survives, by SIMD lane."""
+
+    @pytest.mark.parametrize("name", ["min_plus", "max_times"])
+    def test_fold_runs_and_reduceat_match_left_fold(self, name):
+        sr = get_semiring(name)
+        rng = np.random.default_rng(5)
+        lengths = rng.integers(1, 40, size=3000)
+        vals = rng.choice(np.array([0.0, -0.0, np.nan, -np.nan, 1.0]), lengths.sum())
+        starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+        run_start = np.zeros(len(vals), dtype=bool)
+        run_start[starts] = True
+        expected = np.empty(len(starts))
+        for i, (lo, n) in enumerate(zip(starts, lengths)):
+            acc = vals[lo]
+            for v in vals[lo + 1 : lo + n]:
+                acc = sr.add_ufunc(acc, v)
+            expected[i] = acc
+        with np.errstate(invalid="ignore"):
+            _, folded = sr.fold_runs(run_start, vals)
+            assert folded.tobytes() == expected.tobytes()
+            assert sr.fold_runs_masked(run_start, vals).tobytes() == expected.tobytes()
+            assert sr.reduceat(vals, starts).tobytes() == expected.tobytes()
