@@ -13,13 +13,16 @@ Quickstart::
 
 :func:`multiply` accepts COO/CSR/CSC (or scipy/dense) operands in
 either position and converts to each kernel's expected formats; pass
-``config=PBConfig(nthreads=4, executor="process")`` for real
-multi-core execution of the PB pipeline.  For many multiplies in a
-loop, open a :class:`Session` — the worker pool and shared-memory
-arenas persist across calls instead of being rebuilt per multiply::
+``config=PBConfig(nthreads=4)`` for real multi-core execution of the
+compiled PB pipeline on threads.  Where only the numpy pipeline can
+run, ``executor="process"`` runs it on a worker pool; for many such
+multiplies in a loop, open a :class:`Session` — the pool and
+shared-memory arenas persist across calls instead of being rebuilt per
+multiply (with a compiler the session runs on threads and never
+spawns)::
 
     with repro.Session(repro.PBConfig(executor="process", nthreads=4)) as s:
-        c = s.multiply(a, a)          # spawns the pool once
+        c = s.multiply(a, a)          # threads, or spawns the pool once
         c2 = s.multiply(c, a)         # reuses it, recycled arenas
 """
 

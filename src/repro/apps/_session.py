@@ -2,10 +2,11 @@
 
 Every app in this package calls SpGEMM in a loop (MCL expansion, matrix
 powers, AMG triple products...), which is exactly the workload
-:class:`repro.session.Session` exists for: under
-``PBConfig(executor="process")`` a session spawns the worker pool once
-and recycles shared-memory arenas across all iterations, instead of
-paying pool startup and arena setup per multiply.
+:class:`repro.session.Session` exists for: when the loop's multiplies
+run on worker processes (``PBConfig(executor="process")`` on the numpy
+pipeline) a session spawns the pool once and recycles shared-memory
+arenas across all iterations, instead of paying pool startup and arena
+setup per multiply.  Compiled multiplies run on threads and need none.
 
 :func:`spgemm_session` is the one policy point: apps call it with their
 ``config`` / ``session`` keyword pair and get back the session their

@@ -74,9 +74,11 @@ def markov_clustering(
         Add the identity before normalizing (standard MCL practice).
     config:
         Optional :class:`~repro.core.PBConfig` for the expansion
-        SpGEMMs.  With ``executor="process"`` the whole MCL loop runs
-        on one internal :class:`repro.session.Session` — the worker
-        pool spawns once and shared-memory arenas are recycled across
+        SpGEMMs (``nthreads`` threads on the compiled pipeline).
+        When its multiplies run on worker processes (``executor=
+        "process"`` on the numpy pipeline) the whole MCL loop runs on
+        one internal :class:`repro.session.Session` — the worker pool
+        spawns once and shared-memory arenas are recycled across
         iterations instead of being rebuilt per expansion.
     session:
         An existing :class:`repro.session.Session` to run on (left

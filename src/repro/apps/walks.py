@@ -29,9 +29,9 @@ def count_walks(
     """Matrix whose (i, j) entry counts length-``length`` walks i→j.
 
     Computed as the plus-times matrix power A^length by repeated
-    squaring (O(log k) SpGEMMs).  With
-    ``config=PBConfig(executor="process")`` (or an explicit
-    ``session``) every squaring runs on one warm
+    squaring (O(log k) SpGEMMs).  When ``config`` runs on worker
+    processes (``executor="process"`` on the numpy pipeline), or with
+    an explicit ``session``, every squaring runs on one warm
     :class:`repro.session.Session` instead of spawning a pool per
     multiply.
     """

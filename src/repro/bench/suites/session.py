@@ -15,6 +15,9 @@ Measures what :class:`repro.session.Session` amortizes away from
 * **hygiene** — arena-pool counters after the warm loop: every lease
   released, recycling hits observed, exactly one pool spawn.
 
+The pool serves only the numpy pipeline, so every row runs with the
+compiled tier switched off (:func:`repro.kernels.jit.disabled`).
+
 Committed baseline: repo-root ``BENCH_session.json``.
 """
 
@@ -28,6 +31,7 @@ import repro
 
 from ...core import PBConfig
 from ...generators import erdos_renyi, rmat
+from ...kernels import jit
 from ...semiring import available_semirings
 from ...session import Session
 from ..registry import AcceptanceCheck, Suite, register_suite
@@ -166,7 +170,8 @@ def run(quick: bool = False, reps: int = 3) -> BenchResult:
     print(f"== amortization {name}", flush=True)
     b = make()
     cold_calls, warm_calls = (3, 8) if quick else (10, 100)
-    amortization = {"workload": name, **_bench_amortization(b, cold_calls, warm_calls)}
+    with jit.disabled():
+        amortization = {"workload": name, **_bench_amortization(b, cold_calls, warm_calls)}
     print(
         f"   cold {amortization['cold_mean_s'] * 1e3:.1f} ms/call, warm steady "
         f"{amortization['warm_steady_mean_s'] * 1e3:.1f} ms/call -> "
@@ -175,7 +180,8 @@ def run(quick: bool = False, reps: int = 3) -> BenchResult:
         f"{amortization['engine_spawns']} spawn)",
         flush=True,
     )
-    identity = {name: _check_identity(b)}
+    with jit.disabled():
+        identity = {name: _check_identity(b)}
     print(
         f"   identity {'ok' if all(identity[name].values()) else 'FAIL'}",
         flush=True,
@@ -186,7 +192,8 @@ def run(quick: bool = False, reps: int = 3) -> BenchResult:
     for wname, wmake in _pipeline_workloads(quick):
         print(f"== pipeline {wname}", flush=True)
         workloads.append(wname)
-        pipeline[wname] = _bench_pipeline(wmake(), reps)
+        with jit.disabled():
+            pipeline[wname] = _bench_pipeline(wmake(), reps)
         p = pipeline[wname]
         print(
             f"   barrier {p['barrier_s']:.3f} s, pipelined "

@@ -45,10 +45,15 @@ def _exec_parent() -> argparse.ArgumentParser:
         "--executor",
         default="serial",
         choices=("serial", "process"),
-        help="PB execution backend: in this process, or a real process pool",
+        help="where PB's numpy fallback runs (no compiler, modulo bins, "
+        "custom semirings): in this process, or a real process pool",
     )
     p.add_argument(
-        "--nthreads", type=int, default=1, help="worker count for --executor process"
+        "--nthreads",
+        type=int,
+        default=1,
+        help="threads of the compiled PB pipeline (capped by usable CPUs "
+        "and work); pool size of the numpy fallback under --executor process",
     )
     p.add_argument("--nbins", type=int, default=None, help="global bin count override")
     p.add_argument(

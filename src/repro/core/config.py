@@ -62,9 +62,17 @@ class PBConfig:
         numeric result is the same either way, and the numpy pipeline
         ignores it.
     nthreads:
-        Worker count.  With ``executor="serial"`` it only feeds the
-        simulator's per-thread work decompositions; with
-        ``executor="process"`` it is the real process-pool size.
+        Thread count of the compiled PB pipeline
+        (:mod:`repro.parallel.threads`), under either executor, for
+        standalone multiplies, sessions and tiles alike: flop-balanced
+        column chunks expand and contiguous bin ranges sort and
+        compress in parallel, bit-identical to one thread.  The
+        threads actually used are capped by the usable CPUs and by the
+        work (tiny multiplies run inline; see
+        :func:`~repro.parallel.threads.thread_count`).  Where only the
+        numpy pipeline can run, it is the process-pool size under
+        ``executor="process"`` and unused otherwise.  The simulator's
+        per-thread work decompositions read it too.
     plan_cache_dir:
         Directory for the planner's persistent state (machine profile
         JSON + plan cache); ``None`` (default) falls back to the
@@ -75,11 +83,15 @@ class PBConfig:
         calibrate`` and the :mod:`repro.machine.presets` model when
         none has been saved.
     executor:
-        ``"serial"`` (default) — run every phase in this process;
-        ``"process"`` — run expand and per-bin sort/compress on a
-        process pool with shared-memory array transport
-        (:mod:`repro.parallel`).  Results are bit-identical.  Falls
-        back to serial when ``nthreads == 1``, when the platform lacks
+        Where the numpy pipeline runs when the compiled one cannot (no
+        compiler, ``modulo`` mapping, non-float64 values, a custom
+        semiring): ``"serial"`` (default) — in this process;
+        ``"process"`` — expand and per-bin sort/compress on a process
+        pool with shared-memory array transport
+        (:mod:`repro.parallel`).  A multiply the compiled pipeline can
+        run never uses the pool: it runs in process on ``nthreads``
+        threads under either value.  Results are bit-identical.  The
+        pool is skipped when ``nthreads == 1``, when the platform lacks
         POSIX shared memory, or when the semiring is an unregistered
         object that cannot be pickled.
     tile_rows / tile_cols:
@@ -231,10 +243,11 @@ class PBConfig:
         shared-memory arenas, so config combinations that silently
         defeat that purpose are rejected here rather than degraded:
 
-        * ``executor="process"`` with ``nthreads == 1`` would fall back
-          to serial on *every* multiply — the warm pool would never be
-          used — so it is an error in a session (outside a session the
-          documented silent fallback stands).
+        * ``executor="process"`` with ``nthreads == 1`` asks for a pool
+          that would never run (one thread, or the serial numpy
+          pipeline, on *every* multiply), so it is an error in a
+          session (outside a session the documented silent fallback
+          stands).
 
         Returns ``self`` so construction sites can chain it.
         """
@@ -252,7 +265,7 @@ class PBConfig:
         """Whether the column backend explicitly names the JIT tier.
 
         The default compiled PB pipeline is not a backend string: it
-        runs whenever :func:`repro.core.pb_spgemm.pipeline_for` allows
+        runs whenever :func:`repro.core.pb_spgemm.compiled_blocker` allows
         it.  :class:`repro.session.Session` (warm-up at construction)
         and ``pb_spgemm_detailed`` (the ``jit_warmup_s`` phase
         stopwatch) consult both, so compile time is paid off the

@@ -15,8 +15,8 @@ Phases (matching the paper's structure and instrumentation points):
    ascending disjoint row ranges, so the compressed bins in bin order
    *are* row-major order; a per-row count builds the pointer.
 
-Two serial implementations run these phases and give bit-identical
-products (:attr:`PBResult.pipeline` says which one ran):
+Two implementations run these phases and give bit-identical products
+(:attr:`PBResult.pipeline` says which one ran):
 
 * **compiled** (the default whenever the cc engine of
   :mod:`repro.kernels.jit` builds): one pass counts each bin's tuples,
@@ -25,13 +25,16 @@ products (:attr:`PBResult.pipeline` says which one ran):
   the local-bin protocol of Fig. 5, executed (``use_local_bins=False``
   scatters every tuple directly) — then every bin is radix-sorted in
   place and compressed straight into the output's column and value
-  arrays while its row counts accumulate.
+  arrays while its row counts accumulate.  It runs on
+  ``PBConfig.nthreads`` threads (:mod:`repro.parallel.threads`):
+  flop-balanced column chunks expand into their own cursor ranges of
+  every bin, and contiguous bin ranges sort and compress in place.
 * **numpy**: expand into one flop-sized arena, one fused pack +
   counting distribute, then per bin a radix sort, a compress and a key
   unpack, and one concatenation.  It is the bit-identical reference
   and runs for ``modulo`` mapping, custom semirings, non-float64
-  values, the process executor's workers, and wherever the engine is
-  missing.
+  values, and wherever the engine is missing — serially, or on a
+  process engine's workers under ``executor="process"``.
 
 The function returns just the CSR product; :func:`pb_spgemm_detailed`
 additionally returns per-phase measurements (bin occupancy, radix
@@ -55,6 +58,7 @@ from ..kernels.compress import compress_keyed
 from ..kernels.outer_expand import DEFAULT_CHUNK_FLOPS, expand_arena
 from ..kernels.radix import sort_tuples
 from ..parallel.executor import engine_scope, semiring_token
+from ..parallel.threads import ThreadTeam, thread_count
 from .binning import (
     BinLayout,
     distribute_packed,
@@ -82,18 +86,19 @@ class PBResult:
     #: Wall-clock seconds of each executable phase (symbolic, expand,
     #: sort_compress, convert), each measured with its own explicit
     #: start/stop timestamps (``expand`` includes the fused
-    #: distribute).  Under ``executor="process"`` the keys
+    #: distribute).  When threads or process workers ran, the keys
     #: ``expand_workers`` and ``sort_compress_workers`` additionally
-    #: hold the per-worker-task seconds of each parallel phase, so
-    #: benchmarks can report measured numbers next to the simulator's
-    #: modeled Fig. 12/13 curves.
+    #: hold the per-thread (or per-worker-task) seconds of each
+    #: parallel phase, so benchmarks can report measured numbers next
+    #: to the simulator's modeled Fig. 12/13 curves.
     phase_seconds: dict = field(default_factory=dict)
-    #: Backend that actually ran: ``"serial"``, or ``"process"`` when
-    #: the process pool executed expand and sort/compress (requested
-    #: ``executor="process"`` may legitimately degrade — see PBConfig).
+    #: Backend that actually ran: ``"serial"``; ``"threads"`` when the
+    #: compiled pipeline ran on more than one thread; ``"process"``
+    #: when a process pool executed the numpy pipeline's expand and
+    #: sort/compress (see ``PBConfig.nthreads``).
     executor_used: str = "serial"
     #: Kernel pipeline that ran: ``"compiled"``, or ``"numpy:<reason>"``
-    #: naming why the compiled one could not (see :func:`pipeline_for`).
+    #: naming why the compiled one could not (see :func:`compiled_blocker`).
     pipeline: str = "numpy:no_engine"
 
 
@@ -136,12 +141,13 @@ def pb_spgemm_detailed(
         raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
     cfg = effective_config(config, session)
     sr = get_semiring(semiring)
-    with engine_scope(cfg, sr, session) as engine:
+    dtypes = (a_csc.data.dtype, b_csr.data.dtype)
+    with engine_scope(cfg, sr, session, dtypes) as engine:
         return _pb_run(a_csc, b_csr, sr, cfg, engine)
 
 
 def config_blocker(cfg: PBConfig) -> str | None:
-    """Why ``cfg`` alone keeps serial PB off the compiled pipeline
+    """Why ``cfg`` alone keeps PB off the compiled pipeline
     (``"mapping"``: ``modulo`` bins interleave rows, so the compiled
     compress cannot write row-major CSR), or None when it allows it."""
     if cfg.bin_mapping not in ("range", "balanced"):
@@ -149,34 +155,23 @@ def config_blocker(cfg: PBConfig) -> str | None:
     return None
 
 
-def pipeline_for(
-    cfg: PBConfig, sr: Semiring, a_csc: CSCMatrix, b_csr: CSRMatrix, engine
-) -> str:
-    """The kernel pipeline one multiply runs: ``"compiled"`` or
-    ``"numpy:<reason>"``.
+def compiled_blocker(cfg: PBConfig, sr: Semiring, dtypes=()) -> str | None:
+    """Why a multiply under ``cfg`` over ``sr`` with operand value
+    ``dtypes`` cannot run the compiled pipeline, or None when it can.
 
-    Reasons, in the order they are checked: ``executor`` (a process
-    engine runs the phases on its workers), ``semiring`` (⊕ or ⊗ has
+    Reasons, in the order they are checked: ``semiring`` (⊕ or ⊗ has
     no compiled op code: a custom semiring), ``dtype`` (values are not
     float64), ``mapping`` (``modulo`` bins) and ``no_engine`` (no
-    compiler, a failed build, or ``REPRO_JIT_DISABLE``).  Falling back
-    is silent: only ``column_backend="panel_jit"`` warns when the
-    engine is missing.
+    compiler, a failed build, or ``REPRO_JIT_DISABLE``).
     """
-    if engine is not None:
-        reason = "executor"
-    elif _jit.semiring_opcode(sr) is None or _jit.multiply_opcode(sr) is None:
-        reason = "semiring"
-    elif any(
-        np.dtype(dt) != np.float64
-        for dt in (sr.dtype, a_csc.data.dtype, b_csr.data.dtype)
-    ):
-        reason = "dtype"
-    else:
-        reason = config_blocker(cfg)
-        if reason is None and not _jit.jit_available():
-            reason = "no_engine"
-    return "compiled" if reason is None else f"numpy:{reason}"
+    if _jit.semiring_opcode(sr) is None or _jit.multiply_opcode(sr) is None:
+        return "semiring"
+    if any(np.dtype(dt) != np.float64 for dt in (sr.dtype, *dtypes)):
+        return "dtype"
+    reason = config_blocker(cfg)
+    if reason is None and not _jit.jit_available():
+        reason = "no_engine"
+    return reason
 
 
 def _pb_run(
@@ -203,10 +198,12 @@ def _pb_run(
     # the one-time compile/load cost under its own stopwatch *before*
     # any phase timer starts, so it is never silently folded into the
     # first multiply's phase timings.  The engine loads inside
-    # pipeline_for; warmup() is idempotent, so a Session that already
-    # warmed this process reads ~0 here.
+    # compiled_blocker; warmup() is idempotent, so a Session that already
+    # warmed this process reads ~0 here.  Falling back to numpy is
+    # silent: only column_backend="panel_jit" warns.
     t_phase = time.perf_counter()
-    pipeline = pipeline_for(cfg, sr, a_csc, b_csr, engine)
+    reason = compiled_blocker(cfg, sr, (a_csc.data.dtype, b_csr.data.dtype))
+    pipeline = "compiled" if reason is None else f"numpy:{reason}"
     if cfg.uses_jit or pipeline == "compiled":
         _jit.warmup()
         phase_seconds["jit_warmup_s"] = time.perf_counter() - t_phase
@@ -229,18 +226,25 @@ def _pb_run(
         layout = plan_bins(m, n, sym.nbins, sym.rows_per_bin, cfg)
     phase_seconds["symbolic"] = time.perf_counter() - t_phase
 
+    executor_used = "serial"
     if sym.flop == 0:
         c = CSRMatrix.empty((m, n))
         tuples_per_bin = np.zeros(layout.nbins, dtype=np.int64)
         passes = 0
     elif pipeline == "compiled":
-        c, tuples_per_bin, passes = _run_compiled(
-            a_csc, b_csr, sr, cfg, sym, layout, phase_seconds
-        )
+        nthreads = thread_count(cfg.nthreads, sym.flop)
+        with ThreadTeam(nthreads) as team:
+            c, tuples_per_bin, passes = _run_compiled(
+                a_csc, b_csr, sr, cfg, sym, layout, phase_seconds, team
+            )
+        if nthreads > 1:
+            executor_used = "threads"
     else:
         c, tuples_per_bin, passes = _run_numpy(
             a_csc, b_csr, sr, cfg, sym, layout, engine, phase_seconds
         )
+        if engine is not None:
+            executor_used = "process"
 
     nnz_c = c.nnz
     return PBResult(
@@ -254,17 +258,21 @@ def _pb_run(
         radix_passes=passes,
         key_bits=layout.key_bits,
         phase_seconds=phase_seconds if sym.flop else {},
-        executor_used="process" if engine is not None and sym.flop else "serial",
+        executor_used=executor_used,
         pipeline=pipeline,
     )
 
 
-def _run_compiled(a_csc, b_csr, sr, cfg, sym, layout, phase_seconds):
-    """Expand into bins, sort each bin, compress straight into CSR.
+def _run_compiled(a_csc, b_csr, sr, cfg, sym, layout, phase_seconds, team):
+    """Expand into bins, sort each bin, compress straight into CSR, on
+    the threads of ``team``.
 
     Goes through the three kernel entry points (``expand_arena``,
-    ``sort_tuples``, ``compress_keyed``) in their compiled forms, so
-    per-kernel tracing sees the same names on both pipelines.
+    ``sort_tuples``, ``compress_keyed``) in their compiled forms, each
+    called once from this thread, so per-kernel tracing sees the same
+    names on both pipelines.  With more than one thread, the per-thread
+    busy seconds of expand and of sort + compress (which deal the same
+    bin ranges) land in ``expand_workers`` / ``sort_compress_workers``.
     """
     m, n = a_csc.shape[0], b_csr.shape[1]
     t_phase = time.perf_counter()
@@ -276,24 +284,30 @@ def _run_compiled(a_csc, b_csr, sr, cfg, sym, layout, phase_seconds):
         per_k=sym.flops_per_k,
         layout=layout,
         local_tuples=local_tuples,
+        team=team,
     )
     phase_seconds["expand"] = time.perf_counter() - t_phase
+    expand_workers = team.take_seconds()
 
     t_phase = time.perf_counter()
     keys, vals, passes = sort_tuples(
-        keys, vals, key_bits=layout.key_bits, segments=bin_starts
+        keys, vals, key_bits=layout.key_bits, segments=bin_starts, team=team
     )
     row_counts, c_cols, c_vals = compress_keyed(
-        keys, vals, sr, layout=layout, segments=bin_starts
+        keys, vals, sr, layout=layout, segments=bin_starts, team=team
     )
     del keys
     phase_seconds["sort_compress"] = time.perf_counter() - t_phase
+    sc_workers = team.take_seconds()
 
     t_phase = time.perf_counter()
     indptr = np.zeros(m + 1, dtype=INDEX_DTYPE)
     np.cumsum(row_counts, out=indptr[1:])
     c = CSRMatrix((m, n), indptr, c_cols, c_vals, validate=False)
     phase_seconds["convert"] = time.perf_counter() - t_phase
+    if team.size > 1:
+        phase_seconds["expand_workers"] = expand_workers
+        phase_seconds["sort_compress_workers"] = sc_workers
     return c, np.diff(bin_starts), passes
 
 

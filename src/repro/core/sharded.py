@@ -159,13 +159,14 @@ def resolve_shards(
 def sharded_config(config: PBConfig | None, shards: int | str | None) -> PBConfig:
     """A config routed to the sharded path, conflicts resolved.
 
-    Sets ``shards`` and downgrades ``executor="process"`` to the serial
-    pipeline the shards actually run — the helper serve and the front
-    door call instead of re-deriving the compatibility rules of
-    ``PBConfig``.
+    Sets ``shards`` and pins the one-thread serial pipeline the shards
+    actually run (``executor="serial"``, ``nthreads=1``): shards are
+    the parallelism, so neither a process pool nor a thread team runs
+    inside one — the helper serve and the front door call instead of
+    re-deriving the compatibility rules of ``PBConfig``.
     """
     cfg = config or PBConfig()
-    return cfg.with_(shards=shards, executor="serial")
+    return cfg.with_(shards=shards, executor="serial", nthreads=1)
 
 
 def sharded_peak_bytes(

@@ -305,7 +305,8 @@ def run_tile_grid(
     """
     m, n = a.shape[0], b_csr.shape[1]
     store = SpillStore(cfg.spill_dir, staging_budget)
-    with engine_scope(cfg, sr, session) as engine, store:
+    dtypes = (a.data.dtype, b_csr.data.dtype)
+    with engine_scope(cfg, sr, session, dtypes) as engine, store:
         result = TiledResult(
             c=CSRMatrix.empty((m, n)),
             grid=grid,

@@ -23,6 +23,7 @@ def compress_keyed(
     semiring: Semiring | str = PLUS_TIMES,
     layout=None,
     segments: np.ndarray | None = None,
+    team=None,
 ) -> tuple[np.ndarray, ...]:
     """Merge adjacent duplicate keys of a *sorted* key array.
 
@@ -37,14 +38,15 @@ def compress_keyed(
     (bin starts; each segment a sorted bin of PB's packed keys) the
     compiled kernel of :func:`repro.kernels.jit.pb_compress_bins_jit`
     folds every bin straight into CSR arrays and returns
-    ``(row_counts, indices, data)`` with the same folds; it consumes
-    ``values``.  The caller must have checked the engine is available.
+    ``(row_counts, indices, data)`` with the same folds, on the threads
+    of ``team`` when one is given; it consumes ``values``.  The caller
+    must have checked the engine is available.
     """
     sr = get_semiring(semiring)
     if layout is not None:
         from .jit import pb_compress_bins_jit
 
-        return pb_compress_bins_jit(keys, values, segments, layout, sr)
+        return pb_compress_bins_jit(keys, values, segments, layout, sr, team)
     keys = np.asarray(keys)
     values = np.asarray(values)
     if len(keys) != len(values):

@@ -34,7 +34,9 @@ import time
 
 import numpy as np
 
+from ..._util import balanced_ranges
 from ...matrix.base import INDEX_DTYPE
+from ...parallel.threads import ThreadTeam
 from ..radix import counting_passes, passes_for_bits
 from ._avail import (
     JITFallbackWarning,
@@ -517,7 +519,16 @@ def _local_bins(nbins: int, cap: int, key_dtype) -> tuple:
     return keys.view(key_dtype)[:need], vals[:need], fill[:nbins]
 
 
-def pb_expand_jit(a_csc, b_csr, semiring, layout, local_tuples: int):
+def _deal(weights, team) -> list[tuple[int, int]]:
+    """Contiguous ``(lo, hi)`` ranges of ``weights``, one per thread of
+    ``team``, balanced by weight (one range for a one-thread team)."""
+    n = len(weights)
+    if team.size == 1 or n == 0:
+        return [(0, n)]
+    return balanced_ranges(weights, team.size)
+
+
+def pb_expand_jit(a_csc, b_csr, semiring, layout, local_tuples: int, per_k=None, team=None):
     """Compiled bin count + expand of ``A · B`` straight into bins.
 
     Counts each bin's tuples from A's nonzeros weighted by nnz(B(k,:)),
@@ -529,58 +540,92 @@ def pb_expand_jit(a_csc, b_csr, semiring, layout, local_tuples: int):
     Returns ``(keys, vals, bin_starts)``: bin b holds
     ``[bin_starts[b], bin_starts[b+1])`` in stream order, exactly what
     the numpy expand + stable distribute produce.
+
+    With a :class:`~repro.parallel.threads.ThreadTeam` A's columns are
+    cut into flop-balanced chunks (``per_k``: tuples per column), one
+    per thread.  Each chunk counts its tuples per bin; prefix sums of
+    the counts in chunk order give every chunk its own cursor into
+    every bin, so each bin still holds its tuples in stream order.
     """
     eng = _require_engine()
+    team = team or ThreadTeam()
     nbins = layout.nbins
     a_ptr = np.ascontiguousarray(a_csc.indptr, dtype=np.int64)
     a_rows = np.ascontiguousarray(a_csc.indices, dtype=np.int64)
+    a_vals = np.ascontiguousarray(a_csc.data, dtype=np.float64)
     b_ptr = np.ascontiguousarray(b_csr.indptr, dtype=np.int64)
+    b_cols = np.ascontiguousarray(b_csr.indices, dtype=np.int64)
+    b_vals = np.ascontiguousarray(b_csr.data, dtype=np.float64)
     bin_of_row = np.ascontiguousarray(
         layout.bin_of_rows(np.arange(layout.nrows, dtype=np.int64)), dtype=np.int64
     )
-    counts = np.empty(nbins, dtype=np.int64)
-    eng.pb_bin_count(a_ptr, a_rows, b_ptr, bin_of_row, counts)
+    bin_lo = np.ascontiguousarray(layout.row_starts(), dtype=np.int64)
+    if per_k is None:
+        per_k = np.diff(a_ptr) * np.diff(b_ptr)
+    chunks = _deal(per_k, team)
+    counts = np.empty((len(chunks), nbins), dtype=np.int64)
+
+    def count(c):
+        lo, hi = chunks[c]
+        eng.pb_bin_count(a_ptr[lo : hi + 1], a_rows, b_ptr[lo : hi + 1], bin_of_row, counts[c])
+
+    team.map(count, range(len(chunks)))
     starts = np.zeros(nbins + 1, dtype=INDEX_DTYPE)
-    np.cumsum(counts, out=starts[1:])
+    np.cumsum(counts.sum(axis=0), out=starts[1:])
+    cursors = np.cumsum(counts, axis=0)
+    cursors -= counts
+    cursors += starts[:-1]
     flop = int(starts[-1])
     keys = np.empty(flop, dtype=layout.key_dtype)
     vals = np.empty(flop, dtype=np.float64)
     cap = max(int(local_tuples), 0)
-    lkeys, lvals, lfill = _local_bins(nbins, cap, layout.key_dtype)
-    eng.pb_expand(
-        a_ptr, a_rows, np.ascontiguousarray(a_csc.data, dtype=np.float64),
-        b_ptr, np.ascontiguousarray(b_csr.indices, dtype=np.int64),
-        np.ascontiguousarray(b_csr.data, dtype=np.float64),
-        bin_of_row, np.ascontiguousarray(layout.row_starts(), dtype=np.int64),
-        layout.col_bits, multiply_opcode(semiring), starts[:-1].copy(),
-        cap, lkeys, lvals, lfill, keys, vals,
-    )
+    mop = multiply_opcode(semiring)
+
+    def expand(c):
+        lo, hi = chunks[c]
+        lkeys, lvals, lfill = _local_bins(nbins, cap, layout.key_dtype)
+        eng.pb_expand(
+            a_ptr[lo : hi + 1], a_rows, a_vals, b_ptr[lo : hi + 1], b_cols, b_vals,
+            bin_of_row, bin_lo, layout.col_bits, mop, cursors[c],
+            cap, lkeys, lvals, lfill, keys, vals,
+        )
+
+    team.map(expand, range(len(chunks)))
     return keys, vals, starts
 
 
-def pb_sort_bins_jit(keys, vals, starts, key_bits: int) -> int:
+def pb_sort_bins_jit(keys, vals, starts, key_bits: int, team=None) -> int:
     """Stable LSD radix sort of every bin, in place; returns byte passes.
 
     Each bin ``[starts[b], starts[b+1])`` is sorted on its own with the
     ``radix_passes_*`` scheme (8-bit-class digits, warm per-thread
     record scratch sized to the largest bin), so no flop-sized output
-    is allocated.  The stable permutation is the numpy radix's.
+    is allocated.  The stable permutation is the numpy radix's.  With a
+    team, each thread sorts a contiguous range of bins dealt by tuple
+    count.
     """
     eng = _require_engine()
+    team = team or ThreadTeam()
     _check_bins(keys, vals, starts)
     sizes = np.diff(starts)
-    n_max = int(sizes.max()) if len(sizes) else 0
-    if n_max > 1:
-        digit_bits = _sort_digit_bits(n_max, key_bits)
-        ra, rb = _sort_scratch(n_max)
-        eng.pb_sort_bins(
-            keys, vals.view(np.uint64), starts,
-            counting_passes(key_bits, digit_bits), digit_bits, ra, rb, _hist(),
-        )
+    if len(sizes) and int(sizes.max()) > 1:
+        digit_bits = _sort_digit_bits(int(sizes.max()), key_bits)
+        npasses = counting_passes(key_bits, digit_bits)
+        ranges = _deal(sizes, team)
+        vbits = vals.view(np.uint64)
+
+        def sort(r):
+            lo, hi = ranges[r]
+            ra, rb = _sort_scratch(int(sizes[lo:hi].max()))
+            eng.pb_sort_bins(
+                keys, vbits, starts[lo : hi + 1], npasses, digit_bits, ra, rb, _hist()
+            )
+
+        team.map(sort, range(len(ranges)))
     return passes_for_bits(key_bits)
 
 
-def pb_compress_bins_jit(keys, vals, starts, layout, semiring):
+def pb_compress_bins_jit(keys, vals, starts, layout, semiring, team=None):
     """Fold each sorted bin's duplicate keys straight into CSR arrays.
 
     Returns ``(row_counts, indices, data)``: int64 columns and ⊕-folded
@@ -590,20 +635,44 @@ def pb_compress_bins_jit(keys, vals, starts, layout, semiring):
     compacted in place, and ``data`` is a view of it unless compression
     freed more than half of it, when it is copied so the product does
     not pin the tuple buffer.  ``indices`` is a prefix of a flop-sized
-    buffer whose untouched tail is never faulted in.
+    buffer; serially its untouched tail is never faulted in.
+
+    With a team, each thread folds the same bin ranges the sort dealt
+    (bins own disjoint rows, so ``row_counts`` needs no merge), writing
+    its output in place from its first bin's offset; one ordered pass
+    then moves each range's output down behind the previous one.
     """
     eng = _require_engine()
+    team = team or ThreadTeam()
     _check_bins(keys, vals, starts)
     if len(starts) != layout.nbins + 1:
         raise ValueError(f"expected {layout.nbins + 1} bin offsets, got {len(starts)}")
     flop = len(keys)
     cols = np.empty(flop, dtype=INDEX_DTYPE)
     row_counts = np.zeros(layout.nrows, dtype=np.int64)
-    nnz = eng.pb_compress_bins(
-        keys, vals, starts, np.ascontiguousarray(layout.row_starts(), dtype=np.int64),
-        layout.col_bits, semiring_opcode(semiring), cols, vals, row_counts,
-    )
-    data = vals[:nnz]
+    bin_lo = np.ascontiguousarray(layout.row_starts(), dtype=np.int64)
+    op = semiring_opcode(semiring)
+    ranges = _deal(np.diff(starts), team)
+
+    def compress(r):
+        lo, hi = ranges[r]
+        base = int(starts[lo])
+        return eng.pb_compress_bins(
+            keys, vals, starts[lo : hi + 1], bin_lo[lo:hi], layout.col_bits, op,
+            cols[base:], vals[base:], row_counts,
+        )
+
+    written = team.map(compress, range(len(ranges)))
+    nnz = 0
+    for (lo, _), n in zip(ranges, written):
+        base = int(starts[lo])
+        if base != nnz:
+            cols[nnz : nnz + n] = cols[base : base + n]
+            vals[nnz : nnz + n] = vals[base : base + n]
+        nnz += n
+    indices, data = cols[:nnz], vals[:nnz]
     if 2 * nnz < flop:
         data = data.copy()
-    return row_counts, cols[:nnz], data
+        if len(ranges) > 1:  # the threads faulted in pages past nnz
+            indices = indices.copy()
+    return row_counts, indices, data

@@ -151,6 +151,7 @@ def expand_arena(
     per_k: np.ndarray | None = None,
     layout=None,
     local_tuples: int = 0,
+    team=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expand the full tuple stream into one flop-sized arena.
 
@@ -160,7 +161,9 @@ def expand_arena(
     bins of ``local_tuples`` tuples each, or directly when that is 0 —
     returning ``(packed_keys, vals, bin_starts)``: the stream the
     numpy expand + :func:`repro.core.binning.distribute_packed` would
-    build.  The caller must have checked the engine is available.
+    build, on the threads of ``team`` (a
+    :class:`~repro.parallel.threads.ThreadTeam`) when one is given.
+    The caller must have checked the engine is available.
 
     The symbolic phase knows every column's exact tuple count, so each
     chunk owns a fixed ``[o_lo, o_hi)`` slice of the output stream;
@@ -181,7 +184,7 @@ def expand_arena(
     if layout is not None:
         from .jit import pb_expand_jit
 
-        return pb_expand_jit(a_csc, b_csr, sr, layout, local_tuples)
+        return pb_expand_jit(a_csc, b_csr, sr, layout, local_tuples, per_k, team)
     if per_k is None:
         per_k = (a_csc.col_nnz() * b_csr.row_nnz()).astype(np.int64)
     else:

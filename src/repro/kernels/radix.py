@@ -200,6 +200,7 @@ def sort_tuples(
     values: np.ndarray,
     key_bits: int | None = None,
     segments: np.ndarray | None = None,
+    team=None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """Sort (key, payload) tuple arrays by key.
 
@@ -209,8 +210,9 @@ def sort_tuples(
     **Compiled form.** With ``segments`` (``nseg + 1`` ascending
     offsets, e.g. PB's bin starts) every segment is sorted on its own,
     *in place*, by the compiled stable radix of
-    :func:`repro.kernels.jit.pb_sort_bins_jit`, and the input arrays
-    are returned.  The caller must have checked the engine is
+    :func:`repro.kernels.jit.pb_sort_bins_jit` — segment ranges split
+    over the threads of ``team`` when one is given — and the input
+    arrays are returned.  The caller must have checked the engine is
     available.
 
     Both forms return the identical stable result: sorted keys,
@@ -223,5 +225,5 @@ def sort_tuples(
 
         if key_bits is None:
             key_bits = np.asarray(keys).dtype.itemsize * 8
-        return keys, values, pb_sort_bins_jit(keys, values, segments, key_bits)
+        return keys, values, pb_sort_bins_jit(keys, values, segments, key_bits, team)
     return radix_sort_pairs(keys, values, key_bits=key_bits)

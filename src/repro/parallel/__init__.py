@@ -1,14 +1,18 @@
 """Real multi-core execution backend for PB-SpGEMM.
 
 The simulator (:mod:`repro.simulate`) *models* the paper's parallel
-phases; this package *runs* them: per-bin sort+compress and chunked
-expand fan out over a ``ProcessPoolExecutor``, with the large arrays
-passed zero-copy through POSIX shared memory.  Select it with
-``PBConfig(executor="process", nthreads=N)``.
+phases; this package *runs* them.  ``PBConfig(nthreads=N)`` fans the
+compiled pipeline's chunked expand and per-bin sort+compress out over
+threads of this process (:mod:`repro.parallel.threads`); where only the
+numpy pipeline can run, ``PBConfig(executor="process", nthreads=N)``
+fans it out over a ``ProcessPoolExecutor`` instead, with the large
+arrays passed zero-copy through POSIX shared memory.
 
+* :mod:`repro.parallel.threads` — the thread-count policy and the
+  thread team of the compiled pipeline.
 * :func:`process_backend_available` — platform capability probe.
 * :func:`~repro.parallel.executor.engine_scope` — the one resolver:
-  process or serial, and the engine a multiply runs on.
+  worker processes or this process, and the engine a multiply runs on.
 * :class:`ProcessEngine` — pool + shared-memory arenas; private to one
   multiply by default, or kept warm across many multiplies by a
   :class:`repro.session.Session`.

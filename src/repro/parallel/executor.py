@@ -1,9 +1,13 @@
-"""Process-pool execution backend for PB-SpGEMM.
+"""Process-pool execution backend for PB-SpGEMM's numpy pipeline.
 
-This is where ``PBConfig(executor="process")`` lands: a real
-``ProcessPoolExecutor`` running the two heavy phases of Algorithm 2
-concurrently, exploiting the same independence the simulator's
-virtual-thread schedules model:
+This is where ``PBConfig(executor="process")`` lands when the compiled
+pipeline cannot run (no compiler, ``modulo`` mapping, non-float64
+values, a custom semiring): a real ``ProcessPoolExecutor`` running the
+two heavy phases of Algorithm 2 concurrently, exploiting the same
+independence the simulator's virtual-thread schedules model.  A
+multiply the compiled pipeline can run never gets here: it runs on
+``nthreads`` threads in the calling process
+(:mod:`repro.parallel.threads`).
 
 * **Expand** — outer products partition cleanly over column ranges of
   A.  The symbolic phase knows each column's exact tuple count, so
@@ -24,7 +28,8 @@ and ``spawn`` start methods work; ``fork`` is preferred when available
 (cheap on Linux).
 
 Fallback contract (also documented on :class:`repro.core.PBConfig`):
-``executor="process"`` silently degrades to the serial path when
+``executor="process"`` runs in process when the compiled pipeline can
+serve the multiply, and silently degrades to the serial numpy path when
 ``nthreads == 1``, when the platform lacks POSIX shared memory, or when
 the semiring is an unregistered object that cannot be pickled.
 :func:`uses_workers` is the one place that decides, and
@@ -499,23 +504,31 @@ class ProcessEngine:
 # The resolver: process or serial, and which engine
 # ---------------------------------------------------------------------------
 
-def uses_workers(config, semiring: Semiring = PLUS_TIMES) -> bool:
-    """True when a multiply under ``config`` over ``semiring`` runs on
-    worker processes — the one process-or-serial decision.
+def uses_workers(config, semiring: Semiring = PLUS_TIMES, dtypes=()) -> bool:
+    """True when a multiply under ``config`` over ``semiring``, with
+    operand value ``dtypes``, runs on worker processes — the one
+    process-or-in-process decision.
 
-    Every fallback of ``PBConfig.executor`` lives here: a serial
+    Workers serve only the numpy pipeline: a multiply the compiled
+    pipeline can run (:func:`repro.core.pb_spgemm.compiled_blocker`)
+    runs it in this process, on ``config.nthreads`` threads.  Every
+    other fallback of ``PBConfig.executor`` lives here too: a serial
     executor, ``nthreads < 2``, a platform without POSIX shared memory,
     and a semiring that cannot travel to workers.
     """
-    return (
+    if not (
         config.executor == "process"
         and config.nthreads > 1
         and process_backend_available()
         and semiring_token(semiring) is not None
-    )
+    ):
+        return False
+    from ..core.pb_spgemm import compiled_blocker
+
+    return compiled_blocker(config, semiring, dtypes) is not None
 
 
-def resolve_engine(config, semiring: Semiring, session):
+def resolve_engine(config, semiring: Semiring, session, dtypes=()):
     """The :class:`ProcessEngine` one multiply runs on, or ``None``.
 
     With a :class:`repro.session.Session`, the session's warm engine,
@@ -524,7 +537,7 @@ def resolve_engine(config, semiring: Semiring, session):
     """
     if session is not None and session._closed:
         raise RuntimeError("session is closed")
-    if not uses_workers(config, semiring):
+    if not uses_workers(config, semiring, dtypes):
         return None
     pooled = session is not None
     engine = session._engine if pooled else None
@@ -544,9 +557,9 @@ def resolve_engine(config, semiring: Semiring, session):
 
 
 @contextmanager
-def engine_scope(config, semiring: Semiring, session=None):
+def engine_scope(config, semiring: Semiring, session=None, dtypes=()):
     """Yield the engine one multiply (or one whole block grid) runs on,
-    or ``None`` to run serially.
+    or ``None`` to run in this process (see :func:`uses_workers`).
 
     A session's warm engine stays running afterwards and the multiply
     is booked in ``session.stats.engine_multiplies``; a private engine
@@ -554,7 +567,7 @@ def engine_scope(config, semiring: Semiring, session=None):
     — unlinked on release, never parked in an :class:`ArenaPool` — so
     a standalone multiply's footprint ends with it.
     """
-    engine = resolve_engine(config, semiring, session)
+    engine = resolve_engine(config, semiring, session, dtypes)
     private = engine is not None and session is None
     if engine is not None and not private:
         session.stats.engine_multiplies += 1

@@ -17,9 +17,12 @@ cheapest pair becomes the plan's config override.
 Executor choice consumes the registry's ``supports_process`` metadata:
 algorithms that can run on the process pool are priced at the requested
 worker count plus a fixed pool overhead; the rest are priced
-single-threaded.  The overhead depends on how the pool is provisioned:
-a standalone process-executor multiply spawns (and tears down) its own
-pool, so it is charged the calibrated ``pool_startup_s`` every call; a
+single-threaded.  Where the compiled PB pipeline can run, PB and tiled
+are instead priced on the threads it would use
+(:func:`repro.parallel.threads.thread_count`), with no pool overhead.
+The pool overhead depends on how the pool is provisioned: a standalone
+process-executor multiply spawns (and tears down) its own pool, so it
+is charged the calibrated ``pool_startup_s`` every call; a
 multiply on a warm :class:`repro.session.Session` reuses an
 already-running pool and is charged only ``warm_dispatch_s``
 (``rank(..., warm_pool=True)``).  A session's *first* multiply is still
@@ -406,6 +409,7 @@ def rank(
     config: PBConfig | None = None,
     process_ok: bool = False,
     warm_pool: bool = False,
+    threads_ok: bool = False,
 ) -> list[CandidateScore]:
     """Price every registered algorithm; cheapest first.
 
@@ -415,6 +419,9 @@ def rank(
     candidates may use it.  ``warm_pool`` says a session's pool is
     already running, so process candidates pay the calibrated
     warm-dispatch latency instead of the pool-spawn cost.
+    ``threads_ok`` says the compiled PB pipeline can run this call, so
+    PB and tiled run (and are priced) on ``thread_count(cfg.nthreads,
+    flop)`` threads.
     """
     cfg = config or PBConfig()
     stats = workload_stats(a_csc, b_csr, nnz_c=sk.nnz_c, seed=sk.seed)
@@ -438,12 +445,16 @@ def rank(
     scored: list[CandidateScore] = []
     budget = cfg.memory_budget
     from ..parallel import process_backend_available
+    from ..parallel.threads import thread_count
 
     shardable = process_backend_available()
+    pb_threads = thread_count(want_threads, stats.flop) if threads_ok else 1
     for name, info in sorted(ALGORITHMS.items()):
         use_process = process_ok and info.supports_process and want_threads > 1
         nthreads = min(want_threads, machine.total_cores) if use_process else 1
         executor = "process" if use_process else "serial"
+        if name in ("pb", "tiled") and pb_threads > 1:
+            nthreads, executor = pb_threads, "threads"
         if name == "sharded":
             # Feasibility gate: the sharded executor needs POSIX shared
             # memory, and a config that asked for the (mutually

@@ -168,10 +168,18 @@ def plan(
     if cache is None:
         cache = default_cache(cache_dir)
 
+    from ..core.pb_spgemm import compiled_blocker
     from ..parallel.executor import uses_workers
 
-    process_ok = uses_workers(cfg, sr)
-    executor_req = "process" if process_ok else "serial"
+    dtypes = (a_csc.data.dtype, b_csr.data.dtype)
+    process_ok = uses_workers(cfg, sr, dtypes)
+    threads_ok = compiled_blocker(cfg, sr, dtypes) is None
+    if process_ok:
+        executor_req = "process"
+    elif threads_ok and cfg.nthreads > 1:
+        executor_req = "threads"
+    else:
+        executor_req = "serial"
 
     warm = bool(warm_pool) and process_ok
     sk = sketch(a_csc, b_csr, seed=seed)
@@ -215,7 +223,14 @@ def plan(
     # Cache miss: pay for the deep sketch (bounded sampling) + ranking.
     sk = deepen(sk, a_csc, b_csr)
     candidates = rank(
-        a_csc, b_csr, sk, profile, cfg, process_ok=process_ok, warm_pool=warm
+        a_csc,
+        b_csr,
+        sk,
+        profile,
+        cfg,
+        process_ok=process_ok,
+        warm_pool=warm,
+        threads_ok=threads_ok,
     )
     if not candidates:
         raise PlannerError("no registered algorithms to plan over")

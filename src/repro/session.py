@@ -28,6 +28,12 @@ buffer-reuse designs of GraphBLAS-style libraries
   sort/compress task is submitted the moment its slice of the placement
   lands in shared memory.
 
+The pool serves only the numpy pipeline.  A multiply the compiled
+pipeline can run (a registered semiring, float64 values, ``range`` or
+``balanced`` bins, a working compiler) runs in this process on
+``nthreads`` threads instead, so with a compiler a process session
+usually never spawns at all (``stats.engine_spawns == 0``).
+
 Results are bit-identical to ``executor="serial"`` for every semiring —
 the session only changes *when* pools and buffers are created, never
 what is computed.
@@ -37,7 +43,7 @@ Usage::
     import repro
 
     with repro.Session(repro.PBConfig(executor="process", nthreads=4)) as s:
-        c1 = s.multiply(a, a)                  # spawns the pool
+        c1 = s.multiply(a, a)                  # threads, or spawns the pool
         c2 = s.multiply(c1, a)                 # reuses it (warm)
         batch = s.multiply_many([(a, a), (c1, c1)], semiring="min_plus")
     # close() shut the pool down and unlinked every pooled segment
@@ -157,18 +163,16 @@ class Session:
         self._resources: dict = {"engine": None, "pool": pool}
         self._finalizer = weakref.finalize(self, _close_resources, self._resources)
         # Warm-up hygiene (DESIGN.md §14): when the session's config
-        # selects the panel_jit backend, or runs serial PB on the compiled
-        # pipeline, compile/load the JIT tier now — at construction, off
-        # the request path — so the first multiply neither pays the
-        # load nor folds compiler time into its phase timings.  The cost
-        # is recorded on stats; pb_spgemm's own idempotent warmup then
-        # reads ~0 and reports it under phase_seconds["jit_warmup_s"].
+        # selects the panel_jit backend, or lets PB run the compiled
+        # pipeline (serial or process executor alike), compile/load the
+        # JIT tier now — at construction, off the request path — so the
+        # first multiply neither pays the load nor folds compiler time
+        # into its phase timings.  The cost is recorded on stats;
+        # pb_spgemm's own idempotent warmup then reads ~0 and reports it
+        # under phase_seconds["jit_warmup_s"].
         from .core.pb_spgemm import config_blocker
-        from .parallel.executor import uses_workers
 
-        if self.config.uses_jit or (
-            config_blocker(self.config) is None and not uses_workers(self.config)
-        ):
+        if self.config.uses_jit or config_blocker(self.config) is None:
             from .kernels import jit as _jit
 
             self.stats.jit_warmup_s = _jit.warmup()

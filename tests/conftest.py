@@ -37,3 +37,16 @@ def skewed_pair():
     a = rmat(9, edge_factor=6, seed=17)
     b = rmat(9, edge_factor=6, seed=18)
     return a.to_csc(), b
+
+
+@pytest.fixture
+def numpy_pipeline():
+    """The compiled tier switched off for one test, as under
+    ``REPRO_JIT_DISABLE=1``: PB runs the numpy pipeline, so
+    ``executor="process"`` configs run it on a process engine.  For the
+    engine mechanics (pool reuse, arenas, worker timings); with a
+    compiler present those configs run compiled on threads instead."""
+    from repro.kernels import jit
+
+    with jit.disabled():
+        yield

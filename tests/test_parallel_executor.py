@@ -6,6 +6,11 @@ every bin mapping and every registered semiring, on both ER and R-MAT
 inputs.  The smoke tests keep >=2 real workers in the tier-1 run so
 executor regressions fail fast; the fallback tests pin the documented
 degradation conditions via ``PBResult.executor_used``.
+
+Workers serve only the numpy pipeline, so every test here runs with
+the compiled tier switched off (the ``numpy_pipeline`` fixture); with a
+compiler, the same configs run compiled on threads
+(``tests/test_threaded_pb.py``).
 """
 
 import importlib
@@ -39,6 +44,8 @@ needs_pool = pytest.mark.skipif(
 PB_MODULE = importlib.import_module("repro.core.pb_spgemm")
 
 MAPPINGS = ("range", "modulo", "balanced")
+
+pytestmark = pytest.mark.usefixtures("numpy_pipeline")
 SEMIRINGS = sorted(available_semirings())
 
 

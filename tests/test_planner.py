@@ -289,6 +289,7 @@ def test_resolve_nbins_policy():
 
 
 @pytest.mark.parallel
+@pytest.mark.usefixtures("numpy_pipeline")
 def test_serial_and_process_executors_resolve_identical_nbins():
     if not repro.process_backend_available():
         pytest.skip("process backend unavailable")
@@ -303,6 +304,39 @@ def test_serial_and_process_executors_resolve_identical_nbins():
     assert serial.layout.nbins == proc.layout.nbins
     assert np.array_equal(serial.c.indptr, proc.c.indptr)
     assert np.array_equal(serial.c.data, proc.c.data)
+
+
+@pytest.mark.parametrize("executor", ["serial", "process"])
+def test_threaded_pb_priced_on_its_threads(executor):
+    """PB and tiled are priced on the threads the compiled pipeline
+    would use, under either executor, with no pool-startup charge."""
+    from repro.kernels import jit
+    from repro.parallel.threads import thread_count
+
+    a = rmat(11, 8, seed=3)
+    cfg = PBConfig(executor=executor, nthreads=2)
+    cache = PlanCache()
+    with jit.disabled():
+        one = plan(a, a, config=PBConfig(), cache=cache)
+        if executor == "serial":
+            # Without the compiled pipeline, nthreads under the serial
+            # executor buys nothing.
+            numpy_plan = plan(a, a, config=cfg, cache=cache)
+            pb = {c.algorithm: c for c in numpy_plan.candidates}["pb"]
+            assert (pb.executor, pb.nthreads) == ("serial", 1)
+    if not jit.jit_available():
+        pytest.skip("compiled pipeline unavailable")
+    p = plan(a, a, config=cfg, cache=cache)
+    threads = thread_count(2, p.sketch.flop)
+    by_name = {c.algorithm: c for c in p.candidates}
+    serial_pb = {c.algorithm: c for c in one.candidates}["pb"]
+    for name in ("pb", "tiled"):
+        c = by_name[name]
+        assert c.nthreads == threads
+        assert c.executor == ("threads" if threads > 1 else "serial")
+    if threads > 1:
+        assert by_name["pb"].predicted_seconds < serial_pb.predicted_seconds
+        assert "threads:2" in p.cache_key
 
 
 # -- calibration ------------------------------------------------------------

@@ -5,7 +5,9 @@ The session contract: one warm worker pool reused across multiplies
 the session's :class:`~repro.parallel.shm.ArenaPool` instead of being
 allocated/unlinked per call, and — above all — products bit-identical
 to ``executor="serial"`` for every registered semiring, pipelined or
-barriered.
+barriered.  The pool serves only the numpy pipeline: the engine tests
+switch the compiled tier off (``numpy_pipeline``), and with it on, a
+process session runs compiled on threads and never spawns.
 """
 
 import numpy as np
@@ -97,6 +99,7 @@ def test_session_bin_mappings_identical(mats, mapping):
 # ---------------------------------------------------------------------------
 
 @needs_pool
+@pytest.mark.usefixtures("numpy_pipeline")
 def test_pool_spawned_once_across_multiplies(mats):
     a = mats["er"]
     with Session(_proc_config()) as s:
@@ -114,6 +117,7 @@ def test_pool_spawned_once_across_multiplies(mats):
 
 
 @needs_pool
+@pytest.mark.usefixtures("numpy_pipeline")
 def test_pool_grows_never_shrinks(mats):
     a = mats["er"]
     with Session(_proc_config(nthreads=2)) as s:
@@ -129,6 +133,7 @@ def test_pool_grows_never_shrinks(mats):
 
 
 @needs_pool
+@pytest.mark.usefixtures("numpy_pipeline")
 def test_warm_up_and_multiply_many(mats):
     a = mats["er"]
     serial = repro.multiply(a, a, config=PBConfig(nbins=16))
@@ -141,6 +146,7 @@ def test_warm_up_and_multiply_many(mats):
 
 
 @needs_pool
+@pytest.mark.usefixtures("numpy_pipeline")
 def test_arena_recycling_hits(mats):
     a = mats["er"]
     with Session(_proc_config()) as s:
@@ -157,11 +163,38 @@ def test_arena_recycling_hits(mats):
     assert s.stats.arena_stats["unlinked"] == s.stats.arena_stats["misses"]
 
 
+@needs_pool
+def test_compiled_session_never_spawns(mats):
+    """With the compiled pipeline available, a process session runs
+    every plain multiply in process on threads: no pool is spawned,
+    grown or booked, even by ``warm_up``."""
+    from repro.kernels import jit
+
+    if not jit.jit_available():
+        pytest.skip("no JIT engine on this machine")
+    a = mats["rmat"]
+    serial = repro.multiply(a, a, config=PBConfig(nbins=16))
+    with Session(_proc_config(), warm=True) as s:
+        for _ in range(2):
+            _assert_identical(serial, s.multiply(a, a))
+        res = s.multiply_detailed(a, a)
+        s.multiply(a, a, config=_proc_config(nthreads=3))
+        s.multiply_many([(a, a), (a, a)])
+        assert res.pipeline == "compiled"
+        assert res.executor_used in ("threads", "serial")
+        assert s.stats.engine_spawns == 0
+        assert s.stats.engine_multiplies == 0
+        assert not s.is_warm()
+        assert s.engine_for() is None
+        assert s.stats.jit_warmup_s >= 0.0 and jit.jit_status()["warmed"]
+
+
 # ---------------------------------------------------------------------------
 # Lifecycle and validation
 # ---------------------------------------------------------------------------
 
 @needs_pool
+@pytest.mark.usefixtures("numpy_pipeline")
 def test_engine_close_idempotent_and_safe_after_free_arenas(mats):
     """Satellite regression: close() after free_arenas(), then close()
     again, must be no-ops — a private engine sees exactly this sequence:
@@ -240,6 +273,7 @@ def test_unpicklable_semiring_never_books_the_engine(mats):
 
 
 @needs_pool
+@pytest.mark.usefixtures("numpy_pipeline")
 def test_kernel_entries_without_config_run_under_session_config(mats):
     """A kernel-level call with ``session=`` and no ``config=`` runs
     under the session's config — on its warm engine — exactly as
@@ -298,6 +332,7 @@ def test_arena_pool_size_classes():
 
 
 @needs_pool
+@pytest.mark.usefixtures("numpy_pipeline")
 def test_session_auto_plan_prices_warm_pool(mats, tmp_path):
     """algorithm='auto' on a warm session keys and prices plans
     separately from cold calls."""

@@ -3,7 +3,8 @@ under both bin schedules, tiled and partitioned grids on the warm
 engine, and fused ``multiply_many`` waves.
 
 Reuses the block-core ``problems`` strategy (k >> n, n >> k, 0/1
-extents, five semirings) on one module-scoped process session.  Every
+extents, five semirings) on one module-scoped process session, with
+the compiled tier off so the numpy pipeline runs on its pool.  Every
 product must be bit-identical to monolithic ``pb_spgemm``, and the
 warm pool must never be replaced: a restart here would mean a
 deterministic bug hidden by the recovery machinery.
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro import PBConfig, Session
 from repro.core import partitioned_pb_spgemm, pb_spgemm
+from repro.kernels import jit
 from repro.parallel import process_backend_available
 from repro.semiring import available_semirings
 
@@ -29,7 +31,9 @@ CONFIG = PBConfig(executor="process", nthreads=2)
 
 @pytest.fixture(scope="module")
 def session():
-    with Session(CONFIG) as s:
+    # The pool serves only the numpy pipeline: keep the compiled tier
+    # off for the module so every multiply here runs on the engine.
+    with jit.disabled(), Session(CONFIG) as s:
         yield s
         assert s.stats.engine_restarts == 0
 

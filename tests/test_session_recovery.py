@@ -43,6 +43,7 @@ import sys
 
 import repro
 from repro import PBConfig, Session
+from repro.kernels import jit
 
 
 def shm_names():
@@ -68,7 +69,9 @@ def main(start_method):
     a = repro.erdos_renyi(1 << 8, edge_factor=4, seed=7, fmt="csr")
     serial = repro.multiply(a, a, config=PBConfig(nbins=8))
     cfg = PBConfig(executor="process", nthreads=2, nbins=8)
-    with Session(cfg, start_method=start_method) as s:
+    # The pool serves only the numpy pipeline: with the compiled tier
+    # off, every multiply below runs on the engine.
+    with jit.disabled(), Session(cfg, start_method=start_method) as s:
         c = s.multiply(a, a)
         assert c.data.tobytes() == serial.data.tobytes()
         spawns0 = s.stats.engine_spawns
@@ -96,6 +99,13 @@ def main(start_method):
         stats = s.runtime_stats()
         assert stats["engine"]["workers_alive"] >= 1
         assert not stats["engine"]["broken"]
+    # With the tier on, the same config runs compiled on threads: no
+    # pool to kill.
+    if jit.jit_available():
+        with Session(cfg, start_method=start_method) as s:
+            c = s.multiply(a, a)
+            assert c.data.tobytes() == serial.data.tobytes()
+            assert s.stats.engine_spawns == 0, s.stats.engine_spawns
     leftover = shm_names() - before
     if leftover:
         raise SystemExit(f"leaked shm segments: {sorted(leftover)}")

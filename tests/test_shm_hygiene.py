@@ -43,6 +43,7 @@ import numpy as np
 
 import repro
 from repro import PBConfig, Session
+from repro.kernels import jit
 from repro.semiring import Semiring
 
 
@@ -65,7 +66,9 @@ def main(start_method, n_multiplies):
     a = repro.erdos_renyi(1 << 9, edge_factor=4, seed=5, fmt="csr")
     serial = repro.multiply(a, a, config=PBConfig(nbins=16))
     cfg = PBConfig(executor="process", nthreads=2, nbins=16)
-    with Session(cfg, start_method=start_method) as s:
+    # The pool serves only the numpy pipeline: with the compiled tier
+    # off, every multiply below leases arenas on the engine.
+    with jit.disabled(), Session(cfg, start_method=start_method) as s:
         for _ in range(n_multiplies):
             c = s.multiply(a, a)
             assert c.data.tobytes() == serial.data.tobytes()
@@ -89,6 +92,14 @@ def main(start_method, n_multiplies):
         assert s.is_warm()
         c = s.multiply(a, a)
         assert c.data.tobytes() == serial.data.tobytes()
+    # With the tier on, the same config runs compiled on threads: no
+    # pool, no arenas.
+    if jit.jit_available():
+        with Session(cfg, start_method=start_method) as s:
+            c = s.multiply(a, a)
+            assert c.data.tobytes() == serial.data.tobytes()
+            assert s.stats.engine_spawns == 0, s.stats.engine_spawns
+            assert s.arena_pool.stats()["leases"] == 0
     leftover = shm_names() - before
     if leftover:
         raise SystemExit(f"leaked shm segments: {sorted(leftover)}")

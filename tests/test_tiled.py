@@ -256,7 +256,10 @@ class TestSpillRoundTrip:
 
 
 @needs_pool
+@pytest.mark.usefixtures("numpy_pipeline")
 class TestEngineReuse:
+    """Tiles on a process engine: it serves only the numpy pipeline."""
+
     def test_session_engine_shared_across_tiles(self, pair):
         a, b = pair
         cfg = PBConfig(
