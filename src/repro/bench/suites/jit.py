@@ -3,13 +3,14 @@
 Times the compiled tier (DESIGN.md §14) against the numpy code it
 swaps out, on ER and R-MAT inputs:
 
-* **panel** — end-to-end column multiply, ``panel_jit`` vs. ``panel``;
+* **panel** — end-to-end default ``hash_spgemm`` (the compiled panel)
+  vs. the same call with the tier disabled (:func:`jit.disabled`: the
+  numpy panel);
 * **pb end-to-end** — default serial PB on the compiled pipeline vs.
-  the numpy pipeline with the tier disabled (:func:`jit.disabled`),
-  plus the compiled pipeline with local bins on and off (the Fig. 5
-  ablation);
-* **identity** — compiled and numpy pipelines bit-identical per
-  semiring (both PB and the panel column kernel).
+  the numpy pipeline with the tier disabled, plus the compiled
+  pipeline with local bins on and off (the Fig. 5 ablation);
+* **identity** — compiled and numpy paths bit-identical per semiring
+  (both PB and the panel column kernel).
 
 The suite records ``jit_engine`` / ``jit_available`` in its metadata so
 stored trends from machines without a C compiler remain interpretable.
@@ -68,11 +69,12 @@ def _time_pb(a_csc, b_csr, cfg, reps: int) -> tuple[float, dict, str]:
 
 def _bench_end_to_end(b_csr, reps: int) -> dict:
     """Full-pipeline comparisons: compiled vs. numpy PB, local bins on
-    vs. off, panel jit vs. numpy."""
+    vs. off, compiled vs. numpy panel."""
     a_csc = b_csr.to_csc()
     out: dict = {}
     with jit_tier.disabled():
         numpy_run = _time_pb(a_csc, b_csr, PBConfig(), reps)
+        panel_numpy_s = best_of(lambda: hash_spgemm(a_csc, b_csr), reps)
     runs = {
         "numpy": numpy_run,
         "jit": _time_pb(a_csc, b_csr, PBConfig(), reps),
@@ -86,15 +88,10 @@ def _bench_end_to_end(b_csr, reps: int) -> dict:
     # > 1 when the local bins pay for themselves over direct scatter.
     out["pb_local_bins_speedup"] = out["pb_direct_s"] / out["pb_jit_s"]
 
-    panel_s = best_of(
-        lambda: hash_spgemm(a_csc, b_csr, column_backend="panel"), reps
-    )
-    panel_jit_s = best_of(
-        lambda: hash_spgemm(a_csc, b_csr, column_backend="panel_jit"), reps
-    )
-    out["panel_s"] = panel_s
+    panel_jit_s = best_of(lambda: hash_spgemm(a_csc, b_csr), reps)
+    out["panel_numpy_s"] = panel_numpy_s
     out["panel_jit_s"] = panel_jit_s
-    out["panel_speedup"] = panel_s / panel_jit_s
+    out["panel_speedup"] = panel_numpy_s / panel_jit_s
     return out
 
 
@@ -116,9 +113,9 @@ def _check_identity(b_csr) -> dict:
     for name in available_semirings():
         with jit_tier.disabled():
             pb0 = pb_spgemm_detailed(a_csc, b_csr, semiring=name).c
+            pn0 = hash_spgemm(a_csc, b_csr, semiring=name)
         pb1 = pb_spgemm_detailed(a_csc, b_csr, semiring=name).c
-        pn0 = hash_spgemm(a_csc, b_csr, semiring=name, column_backend="panel")
-        pn1 = hash_spgemm(a_csc, b_csr, semiring=name, column_backend="panel_jit")
+        pn1 = hash_spgemm(a_csc, b_csr, semiring=name)
         out[name] = _bitwise_equal(pb0, pb1) and _bitwise_equal(pn0, pn1)
     return out
 
@@ -192,8 +189,8 @@ register_suite(
     Suite(
         name="jit",
         description=(
-            "compiled hot-kernel tier (the compiled PB pipeline, "
-            "panel_jit) vs. the numpy kernels it swaps out"
+            "compiled hot-kernel tier (the compiled PB pipeline and "
+            "column panel) vs. the numpy kernels it swaps out"
         ),
         runner=run,
         figures=("Table III (phase costs)",),

@@ -27,6 +27,7 @@ import argparse
 import sys
 
 from . import __version__
+from .kernels.column_panel import COLUMN_BACKENDS
 
 
 def _add_machine_arg(p: argparse.ArgumentParser) -> None:
@@ -59,11 +60,11 @@ def _exec_parent() -> argparse.ArgumentParser:
     p.add_argument(
         "--column-backend",
         default="panel",
-        choices=("panel", "loop", "panel_jit"),
+        choices=COLUMN_BACKENDS,
         help="column-kernel strategy (heap/hash/hashvec/spa): "
-        "panel-vectorized gather + segmented reduction (default), the "
-        "faithful per-column loop accumulators (ablation), or the "
-        "compiled panel sort + fold",
+        "panel-vectorized gather + segmented reduction, compiled when "
+        "a C compiler is present (default), or the faithful per-column "
+        "loop accumulators (ablation)",
     )
     return p
 
@@ -338,14 +339,8 @@ def _cmd_calibrate(args) -> int:
             f"  scatter   : {profile.scatter_gbs:8.2f} GB/s\n"
             f"  radix     : {profile.radix_mtuples_s:8.2f} Mtuples/s "
             f"(effective clock {profile.effective_clock_ghz:.2f} GHz)\n"
-            f"  jit sort  : {profile.jit_scatter_mtuples_s:8.2f} Mtuples/s "
-            + (
-                f"({profile.radix_mtuples_s / profile.jit_scatter_mtuples_s:.2f}x "
-                "cycle scale)\n"
-                if profile.jit_scatter_mtuples_s > 0
-                else "(no JIT engine)\n"
-            )
-            + f"  latency   : {profile.dram_latency_ns:8.1f} ns\n"
+            f"  column    : {profile.column_mtuples_s:8.2f} Mtuples/s\n"
+            f"  latency   : {profile.dram_latency_ns:8.1f} ns\n"
             f"  pool spawn: {profile.pool_startup_s * 1e3:8.1f} ms\n"
             f"  fingerprint {profile.fingerprint()}"
         )

@@ -48,11 +48,11 @@ class PBConfig:
         Execution strategy of the column kernels (heap / hash /
         hashvec / spa): ``"panel"`` (default) — panel-vectorized gather
         + segmented semiring reduction
-        (:mod:`repro.kernels.column_panel`); ``"loop"`` — the faithful
-        per-output-column Python accumulators (ablation);
-        ``"panel_jit"`` — the panel path with the compiled per-panel
-        sort + segmented fold of the JIT tier (falls back to
-        ``"panel"``).  Bit-identical products.
+        (:mod:`repro.kernels.column_panel`), run compiled whenever the
+        compiled tier can serve the multiply and on numpy otherwise,
+        as PB picks its pipeline; ``"loop"`` — the faithful
+        per-output-column Python accumulators (ablation).
+        Bit-identical products.
     use_local_bins:
         Thread-private local bins of ``local_bin_bytes`` (Fig. 5): the
         compiled pipeline's expand appends tuples to them and copies
@@ -167,9 +167,9 @@ class PBConfig:
                 "bin_mapping must be 'range', 'modulo' or 'balanced', "
                 f"got {self.bin_mapping!r}"
             )
-        if self.column_backend not in ("panel", "loop", "panel_jit"):
+        if self.column_backend not in ("panel", "loop"):
             raise ConfigError(
-                "column_backend must be 'panel', 'loop' or 'panel_jit', "
+                "column_backend must be 'panel' or 'loop', "
                 f"got {self.column_backend!r}"
             )
         if self.nthreads < 1:
@@ -259,21 +259,6 @@ class PBConfig:
                 "warm pool)"
             )
         return self
-
-    @property
-    def uses_jit(self) -> bool:
-        """Whether the column backend explicitly names the JIT tier.
-
-        The default compiled PB pipeline is not a backend string: it
-        runs whenever :func:`repro.core.pb_spgemm.compiled_blocker` allows
-        it.  :class:`repro.session.Session` (warm-up at construction)
-        and ``pb_spgemm_detailed`` (the ``jit_warmup_s`` phase
-        stopwatch) consult both, so compile time is paid off the
-        request path and never folded into a multiply's phase timings.
-        Only ``column_backend="panel_jit"`` warns when the engine is
-        missing.
-        """
-        return self.column_backend == "panel_jit"
 
 
 def effective_config(config: "PBConfig | None", session=None) -> "PBConfig":

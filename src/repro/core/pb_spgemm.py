@@ -162,15 +162,13 @@ def compiled_blocker(cfg: PBConfig, sr: Semiring, dtypes=()) -> str | None:
     Reasons, in the order they are checked: ``semiring`` (⊕ or ⊗ has
     no compiled op code: a custom semiring), ``dtype`` (values are not
     float64), ``mapping`` (``modulo`` bins) and ``no_engine`` (no
-    compiler, a failed build, or ``REPRO_JIT_DISABLE``).
+    compiler, a failed build, or ``REPRO_JIT_DISABLE``).  All but
+    ``mapping`` come from the tier's own check,
+    :func:`repro.kernels.jit.blocker`, which the column panel shares.
     """
-    if _jit.semiring_opcode(sr) is None or _jit.multiply_opcode(sr) is None:
-        return "semiring"
-    if any(np.dtype(dt) != np.float64 for dt in (sr.dtype, *dtypes)):
-        return "dtype"
-    reason = config_blocker(cfg)
-    if reason is None and not _jit.jit_available():
-        reason = "no_engine"
+    reason = _jit.blocker(sr, dtypes)
+    if reason in (None, "no_engine"):
+        reason = config_blocker(cfg) or reason
     return reason
 
 
@@ -193,18 +191,17 @@ def _pb_run(
     # the bookkeeping.
     phase_seconds: dict[str, float] = {}
 
-    # JIT warm-up hygiene: when the multiply runs compiled kernels (the
-    # compiled pipeline or the panel_jit column backend), pay (and record)
-    # the one-time compile/load cost under its own stopwatch *before*
-    # any phase timer starts, so it is never silently folded into the
-    # first multiply's phase timings.  The engine loads inside
-    # compiled_blocker; warmup() is idempotent, so a Session that already
-    # warmed this process reads ~0 here.  Falling back to numpy is
-    # silent: only column_backend="panel_jit" warns.
+    # JIT warm-up hygiene: when the multiply runs the compiled pipeline,
+    # pay (and record) the one-time compile/load cost under its own
+    # stopwatch *before* any phase timer starts, so it is never
+    # silently folded into the first multiply's phase timings.  The
+    # engine loads inside compiled_blocker; warmup() is idempotent, so
+    # a Session that already warmed this process reads ~0 here.
+    # Falling back to numpy is silent; ``pipeline`` says why.
     t_phase = time.perf_counter()
     reason = compiled_blocker(cfg, sr, (a_csc.data.dtype, b_csr.data.dtype))
     pipeline = "compiled" if reason is None else f"numpy:{reason}"
-    if cfg.uses_jit or pipeline == "compiled":
+    if pipeline == "compiled":
         _jit.warmup()
         phase_seconds["jit_warmup_s"] = time.perf_counter() - t_phase
     t_phase = time.perf_counter()

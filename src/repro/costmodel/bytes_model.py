@@ -236,17 +236,13 @@ def column_phase_costs(
       panel cost per tuple (per-column and per-output overheads of the
       calibration workload folded in), which is what makes this the
       model the *planner* prices candidates with.  Equal predictions
-      fall to :func:`repro.planner.cost.rank`'s name tiebreak.
-    * ``"panel_jit"`` — same traffic shape as ``"panel"`` (the compiled
-      panel sort moves the identical tuples); the planner expresses the
-      compiled tier's speed entirely through ``compute_scale`` (its
-      calibrated column scale times the profile's ``jit_sort_scale``),
-      so the builder treats the two panel backends identically.
+      fall to :func:`repro.planner.cost.rank`'s name tiebreak.  The
+      compiled panel moves the same tuples, so its speed too enters
+      only through the calibrated ``compute_scale``.
     """
-    if column_backend not in ("loop", "panel", "panel_jit"):
+    if column_backend not in ("loop", "panel"):
         raise ValueError(
-            "column_backend must be 'loop', 'panel' or 'panel_jit', "
-            f"got {column_backend!r}"
+            f"column_backend must be 'loop' or 'panel', got {column_backend!r}"
         )
     flop = float(stats.flop)
     ncols = float(stats.n_cols)
@@ -284,7 +280,7 @@ def column_phase_costs(
     else:
         raise ValueError(f"not a column accumulator algorithm: {algorithm!r}")
     cycles = cycles * float(compute_scale)
-    if column_backend in ("panel", "panel_jit"):
+    if column_backend == "panel":
         # One shared execution path for all four algorithms: same
         # d(A)-fold A volume as the loop, but gathered as sequential
         # per-column slices — streamed, not latency-bound — no

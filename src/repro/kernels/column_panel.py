@@ -25,6 +25,13 @@ This module is the vectorized execution strategy all four share:
    is a sequential left fold in k-ascending stream order —
    bit-identical to the loop accumulators' insertion order.
 
+Steps 3-4 run as one compiled call per panel whenever the compiled
+tier can serve the multiply (:func:`repro.kernels.jit.blocker`: a
+registry semiring, float64 values, a working engine), exactly as PB
+picks its compiled pipeline; otherwise they run on numpy, the
+bit-identical reference and fallback (``jit.disabled()`` or
+``REPRO_JIT_DISABLE=1`` forces it).
+
 The four kernels keep their loop implementations reachable as
 ``column_backend="loop"`` (ablation + ground truth for the
 cross-backend property suite).
@@ -51,11 +58,7 @@ DEFAULT_PANEL_TUPLES = 250_000
 
 #: Values ``column_backend`` may take, shared by the four kernels,
 #: :class:`repro.core.PBConfig` validation, and the CLI.
-#: ``"panel_jit"`` is the panel strategy with the per-panel stable
-#: row sort + segmented semiring fold compiled by the JIT tier
-#: (:mod:`repro.kernels.jit`); it degrades to ``"panel"`` when no
-#: engine is available.
-COLUMN_BACKENDS = ("panel", "loop", "panel_jit")
+COLUMN_BACKENDS = ("panel", "loop")
 
 
 def resolve_column_backend(config, column_backend) -> str:
@@ -117,7 +120,6 @@ def panel_spgemm(
     b_csr: CSRMatrix,
     semiring: Semiring | str = PLUS_TIMES,
     panel_tuples: int = DEFAULT_PANEL_TUPLES,
-    use_jit: bool = False,
 ) -> CSRMatrix:
     """C = A · B via panel gather + segmented semiring reduction.
 
@@ -143,14 +145,13 @@ def panel_spgemm(
     addresses), skipping the global concatenate-and-re-sort a
     column-major stream would need.
 
-    ``use_jit=True`` (``column_backend="panel_jit"``) replaces steps
-    3-4 per panel — stable row sort, run detection, segmented fold,
-    compaction, row histogram — with one compiled call
-    (:func:`repro.kernels.jit.panel_jit_context`): same stable
+    When the compiled tier can serve the multiply
+    (:func:`repro.kernels.jit.blocker`) and the shape fits its
+    envelope, one compiled call per panel replaces the stable row
+    sort, run detection, segmented fold, compaction and row histogram
+    (:func:`repro.kernels.jit.panel_context`): same stable
     permutation, same sequential fold order, bit-identical output.
-    Degrades to the numpy path when no JIT engine is available (one
-    structured warning) or the semiring/shape is outside the compiled
-    envelope.
+    Otherwise the numpy path runs, silently.
     """
     if a_csc.shape[1] != b_csr.shape[0]:
         raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
@@ -167,11 +168,11 @@ def panel_spgemm(
         col_dtype = np.uint32
     else:
         col_dtype = INDEX_DTYPE
-    jit_ctx = None
-    if use_jit:
-        from .jit import panel_jit_context
+    from . import jit
 
-        jit_ctx = panel_jit_context(m, n, sr, col_dtype)
+    jit_ctx = None
+    if jit.blocker(sr, (a_csc.data.dtype, b_csc.data.dtype)) is None:
+        jit_ctx = jit.panel_context(m, n, sr, col_dtype)
     if jit_ctx is not None:
         # The compiled kernel consumes one index dtype for rows and
         # cols — uint16 when the output square fits 65536 (half the
@@ -179,15 +180,7 @@ def panel_spgemm(
         # once here makes every panel's gather emit that dtype directly.
         a_rows = a_csc.indices.astype(jit_ctx.index_dtype)
         panel_col_dtype = jit_ctx.index_dtype
-        # The fused kernel reads A and the B panel slice as float64
-        # directly; any other stored dtype would change where the
-        # cast happens relative to ⊗, so those inputs keep the
-        # expand-then-process path (still compiled, still identical).
-        use_fused = (
-            jit_ctx.supports_fused
-            and a_csc.data.dtype == np.float64
-            and b_csc.data.dtype == np.float64
-        )
+        use_fused = jit_ctx.supports_fused
         if use_fused:
             # The fused kernel buffers one 16-byte (val, col) record per
             # tuple where the numpy path materializes ~34 bytes (expand

@@ -33,13 +33,6 @@ class AlgorithmInfo:
     ``config=`` PBConfig, whether it can run on the process-pool
     executor, and whether it accepts a ``session=``
     :class:`repro.session.Session` whose warm resources it runs on.
-
-    ``column_backends`` lists the execution strategies a column kernel
-    can run under (``("panel", "loop", "panel_jit")`` for the four
-    accumulator algorithms — see :mod:`repro.kernels.column_panel`);
-    empty for algorithms without the switch.  The planner prices the
-    compiled tier (:mod:`repro.kernels.jit`) for column kernels when
-    ``"panel_jit"`` is listed here.
     """
 
     name: str
@@ -53,7 +46,6 @@ class AlgorithmInfo:
     supports_config: bool = False  # accepts config=PBConfig
     supports_process: bool = False  # can run on the process-pool executor
     supports_session: bool = False  # accepts session= (a warm Session)
-    column_backends: tuple = ()  # column execution strategies, if any
 
 
 def _pb(a_csc, b_csr, semiring=PLUS_TIMES, **kwargs):
@@ -86,25 +78,21 @@ def _registry() -> dict[str, AlgorithmInfo]:
             "heap", heap_spgemm, "column", "accumulator", "heap", "d", 0,
             "Column SpGEMM, per-column heap merge (Azad et al. 2016)",
             supports_config=True,
-            column_backends=("panel", "loop", "panel_jit"),
         ),
         AlgorithmInfo(
             "hash", hash_spgemm, "column", "accumulator", "hash", "d", 0,
             "Column SpGEMM, per-column hash table (Nagasaka et al. 2019)",
             supports_config=True,
-            column_backends=("panel", "loop", "panel_jit"),
         ),
         AlgorithmInfo(
             "hashvec", hashvec_spgemm, "column", "accumulator", "hash", "d", 0,
             "Column SpGEMM, batched open-addressing probing (HashVec)",
             supports_config=True,
-            column_backends=("panel", "loop", "panel_jit"),
         ),
         AlgorithmInfo(
             "spa", spa_spgemm, "column", "accumulator", "spa", "d", 0,
             "Column SpGEMM, dense sparse-accumulator (Gilbert et al. 1992)",
             supports_config=True,
-            column_backends=("panel", "loop", "panel_jit"),
         ),
         AlgorithmInfo(
             "esc_column", esc_column_spgemm, "column", "esc", "sort", "d", 2,
@@ -186,7 +174,6 @@ def algorithm_metadata() -> dict[str, dict]:
             "supports_config": info.supports_config,
             "supports_process": info.supports_process,
             "supports_session": info.supports_session,
-            "column_backends": list(info.column_backends),
             "description": info.description,
         }
         for info in ALGORITHMS.values()

@@ -9,8 +9,10 @@ SpGEMM" row of the paper's Table II (irregular reads of A, streamed B
 and C).
 
 ``column_backend="panel"`` (default) runs the shared panel-vectorized
-path (:mod:`repro.kernels.column_panel`) — the SPA's dense-array cost
-story lives in :mod:`repro.costmodel` and is unchanged.  The loop
+path (:mod:`repro.kernels.column_panel`; compiled whenever the
+compiled tier can serve the multiply, numpy otherwise) — the SPA's
+dense-array cost story lives in :mod:`repro.costmodel` and is
+unchanged.  The loop
 backend's ``ufunc.at`` scatters accumulate sequentially in k order,
 matching the panel reduction's left fold, so both backends are
 bit-identical.  ``column_backend="loop"`` keeps the per-column dense
@@ -42,8 +44,8 @@ def spa_spgemm(
         raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
     backend = resolve_column_backend(config, column_backend)
     sr = get_semiring(semiring)
-    if backend in ("panel", "panel_jit"):
-        return panel_spgemm(a_csc, b_csr, sr, use_jit=(backend == "panel_jit"))
+    if backend == "panel":
+        return panel_spgemm(a_csc, b_csr, sr)
 
     m, n = a_csc.shape[0], b_csr.shape[1]
     b_csc = b_csr.to_csc()

@@ -16,7 +16,9 @@ here):
   duplicate (row, col) runs with the segmented semiring reduction.  The
   reduction's plus-path is a sequential left fold in the same
   k-ascending order the hash table accumulates, so results are
-  bit-identical to the loop backend.
+  bit-identical to the loop backend.  The sort and fold run as one
+  compiled call per panel whenever the compiled tier can serve the
+  multiply, and on numpy otherwise.
 * ``column_backend="loop"`` — the faithful per-column transcription: a
   Python ``dict`` (a genuine open-addressing hash table) per output
   column, kept for ablation and as the property-suite ground truth.
@@ -51,8 +53,8 @@ def hash_spgemm(
         raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
     backend = resolve_column_backend(config, column_backend)
     sr = get_semiring(semiring)
-    if backend in ("panel", "panel_jit"):
-        return panel_spgemm(a_csc, b_csr, sr, use_jit=(backend == "panel_jit"))
+    if backend == "panel":
+        return panel_spgemm(a_csc, b_csr, sr)
 
     add_scalar = sr.add_scalar
     m, n = a_csc.shape[0], b_csr.shape[1]

@@ -10,8 +10,9 @@ distance and retry.  All per-round work is whole-array numpy — the
 vector-register structure of the original, at array granularity.
 
 ``column_backend="panel"`` (default) runs the shared panel-vectorized
-path (:mod:`repro.kernels.column_panel`); the per-column probing above
-is retained as ``column_backend="loop"`` for ablation.  Both produce
+path (:mod:`repro.kernels.column_panel`; compiled whenever the
+compiled tier can serve the multiply, numpy otherwise); the per-column
+probing above is retained as ``column_backend="loop"`` for ablation.  Both produce
 bit-identical canonical CSR (the loop backend pre-merges each batch
 with the same stable reduction and folds across batches in k order).
 """
@@ -105,8 +106,8 @@ def hashvec_spgemm(
         raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
     backend = resolve_column_backend(config, column_backend)
     sr = get_semiring(semiring)
-    if backend in ("panel", "panel_jit"):
-        return panel_spgemm(a_csc, b_csr, sr, use_jit=(backend == "panel_jit"))
+    if backend == "panel":
+        return panel_spgemm(a_csc, b_csr, sr)
 
     m, n = a_csc.shape[0], b_csr.shape[1]
     b_csc = b_csr.to_csc()

@@ -8,12 +8,13 @@ heap factor the paper cites — and the output emerges already sorted, so
 no post-sort is needed.
 
 ``column_backend="panel"`` (default) runs the shared panel-vectorized
-path (:mod:`repro.kernels.column_panel`); the heap's modeled cost —
-Table II's access pattern plus the log d sift factor — stays in
-:mod:`repro.costmodel`, untouched by the execution strategy.  The heap
-pops equal rows in source (k-ascending) order, the same order the
-panel's stable segmented reduction folds duplicates, so both backends
-are bit-identical.  ``column_backend="loop"`` keeps the faithful
+path (:mod:`repro.kernels.column_panel`; compiled whenever the
+compiled tier can serve the multiply, numpy otherwise); the heap's
+modeled cost — Table II's access pattern plus the log d sift factor —
+stays in :mod:`repro.costmodel`, untouched by the execution strategy.
+The heap pops equal rows in source (k-ascending) order, the same order
+the panel's stable segmented reduction folds duplicates, so both
+backends are bit-identical.  ``column_backend="loop"`` keeps the faithful
 ``heapq`` transcription for ablation.
 """
 
@@ -75,8 +76,8 @@ def heap_spgemm(
         raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
     backend = resolve_column_backend(config, column_backend)
     sr = get_semiring(semiring)
-    if backend in ("panel", "panel_jit"):
-        return panel_spgemm(a_csc, b_csr, sr, use_jit=(backend == "panel_jit"))
+    if backend == "panel":
+        return panel_spgemm(a_csc, b_csr, sr)
 
     m, n = a_csc.shape[0], b_csr.shape[1]
     b_csc = b_csr.to_csc()

@@ -2,21 +2,18 @@
 
 The compiled serial PB pipeline — bin count, expand into local bins,
 per-bin radix sort, per-bin compress into CSR (:func:`pb_expand_jit`,
-:func:`pb_sort_bins_jit`, :func:`pb_compress_bins_jit`), which
-``pb_spgemm`` runs by default whenever the engine builds — plus the
-column kernels' compiled panel sort + segmented semiring fold,
-selected by ``column_backend="panel_jit"``.  The pipeline wrappers
-expect a caller that checked :func:`jit_available`; the panel context
-behaves as below.
+:func:`pb_sort_bins_jit`, :func:`pb_compress_bins_jit`) — plus the
+column kernels' compiled panel (:func:`panel_context`).  Both run
+by default whenever the tier can serve the call: :func:`blocker` is
+the one check of that (an op code for the semiring, float64 values,
+a working engine), and otherwise the caller runs its numpy path,
+silently.  The numpy paths are bit-identical by construction (stable
+sorts share their unique permutation; compiled folds replay the
+numpy fold's sequential order).
 
 One engine serves them: a runtime-compiled C library (``_cc``) behind
-a cached probe (``_avail``).  :func:`panel_jit_context` returns
-``None`` when the engine cannot serve the call — after emitting the
-tier's single :class:`JITFallbackWarning` if the cause is engine
-unavailability — and the caller falls back to its numpy path, which
-is bit-identical by construction (stable sorts share their unique
-permutation; compiled folds replay the numpy ufunc's sequential
-order).
+a cached probe (``_avail``).  :func:`jit_status` says why the engine
+is off when it is.
 
 :func:`warmup` compiles/loads everything once, idempotently, and
 returns the seconds spent — :class:`repro.session.Session` calls it at
@@ -38,19 +35,12 @@ from ..._util import balanced_ranges
 from ...matrix.base import INDEX_DTYPE
 from ...parallel.threads import ThreadTeam
 from ..radix import counting_passes, passes_for_bits
-from ._avail import (
-    JITFallbackWarning,
-    JITStatus,
-    probe,
-    record_engine_failure,
-    reset_probe_cache,
-    warn_fallback_once,
-)
+from ._avail import JITStatus, probe, record_engine_failure, reset_probe_cache
 
 __all__ = [
-    "JITFallbackWarning",
     "JITStatus",
     "jit_available",
+    "blocker",
     "probe",
     "jit_status",
     "warmup",
@@ -58,7 +48,7 @@ __all__ = [
     "disabled",
     "semiring_opcode",
     "multiply_opcode",
-    "panel_jit_context",
+    "panel_context",
     "pb_expand_jit",
     "pb_sort_bins_jit",
     "pb_compress_bins_jit",
@@ -102,17 +92,21 @@ def _engine():
     except Exception as exc:
         # Probe found a compiler but the library could not be built or
         # loaded.  Degrade exactly like absence, with the real cause on
-        # the cached status so every report and the warning name it.
+        # the cached status so every report names it.
         _ENGINE_FAILED = True
         record_engine_failure(exc)
         return None
     return _ENGINE
 
 
-def _fallback(context: str):
-    """Record one structured warning and signal numpy fallback."""
-    warn_fallback_once(context)
-    return None
+def _require_engine():
+    eng = _engine()
+    if eng is None:
+        raise RuntimeError(
+            "the compiled tier needs the cc engine; "
+            "check blocker() before selecting it"
+        )
+    return eng
 
 
 def _hist() -> np.ndarray:
@@ -168,9 +162,8 @@ def jit_status() -> dict:
 def warmup() -> float:
     """Compile/load every compiled kernel once, off the request path.
 
-    Returns the wall seconds this call spent (0.0 when already warm or
-    when no engine is available — unavailability is *not* warned here;
-    the warning belongs to an actual ``panel_jit`` request).
+    Returns the wall seconds this call spent (0.0 when already warm;
+    only the probe's cost when no engine is available).
     Exercises each kernel on every key width so the cc build + dlopen
     and each kernel's first touch all happen now; the on-disk ``.so``
     makes later processes' warmup near-free.
@@ -255,9 +248,10 @@ def reset_jit_state() -> None:
 @contextlib.contextmanager
 def disabled():
     """Run the body with the tier switched off, as under
-    ``REPRO_JIT_DISABLE=1``: serial PB takes the numpy pipeline.  The
-    variable and the engine caches are restored on exit.  For
-    differential tests and benchmarks; not thread-safe."""
+    ``REPRO_JIT_DISABLE=1``: PB takes the numpy pipeline and the column
+    kernels the numpy panel.  The variable and the engine caches are
+    restored on exit.  For differential tests and benchmarks; not
+    thread-safe."""
     saved = os.environ.get("REPRO_JIT_DISABLE")
     os.environ["REPRO_JIT_DISABLE"] = "1"
     reset_jit_state()
@@ -306,6 +300,26 @@ def multiply_opcode(semiring) -> int | None:
     return None
 
 
+def blocker(semiring, dtypes=()) -> str | None:
+    """Why the compiled tier cannot serve a multiply over ``semiring``
+    with operand value ``dtypes``, or None when it can.
+
+    Reasons, in the order they are checked: ``semiring`` (⊕ or ⊗ has
+    no compiled op code: a custom semiring), ``dtype`` (values are not
+    float64) and ``no_engine`` (no compiler, a failed build, or
+    ``REPRO_JIT_DISABLE``).  PB adds its own ``mapping`` check
+    (:func:`repro.core.pb_spgemm.compiled_blocker`); the column panel
+    adds only its shape envelope (:func:`panel_context`).
+    """
+    if semiring_opcode(semiring) is None or multiply_opcode(semiring) is None:
+        return "semiring"
+    if any(np.dtype(dt) != np.float64 for dt in (semiring.dtype, *dtypes)):
+        return "dtype"
+    if not jit_available():
+        return "no_engine"
+    return None
+
+
 # ----------------------------------------------------------------------
 # Digit width of the compiled radix sort
 # ----------------------------------------------------------------------
@@ -330,17 +344,17 @@ def _sort_digit_bits(n: int, key_bits: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# column_backend="panel_jit"
+# The column kernels' compiled panel
 # ----------------------------------------------------------------------
 
-class PanelJitContext:
+class PanelContext:
     """Per-multiply state for the compiled panel sort + fold.
 
     Holds the engine, the ⊕ op code and a reusable histogram scratch so
     the per-panel calls allocate only their own buffers.
     """
 
-    def __init__(self, eng, m: int, op: int, col_dtype, index_dtype, mop=None):
+    def __init__(self, eng, m: int, op: int, col_dtype, index_dtype, mop: int):
         self._eng = eng
         self._m = int(m)
         self._op = op
@@ -354,10 +368,9 @@ class PanelJitContext:
         self._wk = None  # inner-dim scratch, sized on first fused call
         self._fused_scratch = None  # (tvc, out_r, out_c, out_v), grown
         #: Whether :meth:`process_fused` can serve this multiply — the
-        #: fused kernel walks the CSC structure itself, so it needs a
-        #: compiled ⊗ (registry semirings only) and a uint16 index
-        #: envelope.
-        self.supports_fused = mop is not None and self.index_dtype == np.uint16
+        #: fused kernel walks the CSC structure itself in a uint16
+        #: index envelope.
+        self.supports_fused = self.index_dtype == np.uint16
 
     def process_fused(
         self, a_ptr, a_rows_idx, a_vals, b_ptr, b_ks, b_data, j_lo, j_hi,
@@ -447,39 +460,25 @@ class PanelJitContext:
         return rows_p, cols_p, vals_p, row_counts
 
 
-def panel_jit_context(m: int, n: int, semiring, col_dtype):
-    """Build the compiled panel context, or None to run the numpy path.
+def panel_context(m: int, n: int, semiring, col_dtype):
+    """The compiled panel context for an ``m × n`` product, or None
+    when the shape is outside the compiled envelope (rows or cols
+    beyond 32 bits) and the numpy panel must run.
 
-    None (with the one-time warning) when no engine is available;
-    None *silently* when the shape or semiring is outside the compiled
-    envelope (rows/cols beyond 32 bits, non-ufunc ⊕) — there the numpy
-    path is not a degradation but the only implementation.
+    The caller has checked :func:`blocker` first.
     """
-    op = semiring_opcode(semiring)
-    if op is None or m > 1 << 32 or n > 1 << 32:
+    if m > 1 << 32 or n > 1 << 32:
         return None
-    if np.dtype(semiring.dtype) != np.float64:
-        return None
-    eng = _engine()
-    if eng is None:
-        return _fallback("column_backend='panel_jit'")
     idx = np.uint16 if (m <= 1 << 16 and n <= 1 << 16) else np.uint32
-    return PanelJitContext(eng, m, op, col_dtype, idx, multiply_opcode(semiring))
+    return PanelContext(
+        _require_engine(), m, semiring_opcode(semiring), col_dtype, idx,
+        multiply_opcode(semiring),
+    )
 
 
 # ----------------------------------------------------------------------
 # The compiled serial PB pipeline (expand → per-bin sort → compress)
 # ----------------------------------------------------------------------
-
-def _require_engine():
-    eng = _engine()
-    if eng is None:
-        raise RuntimeError(
-            "the compiled PB pipeline needs the cc engine; "
-            "check jit_available() before selecting it"
-        )
-    return eng
-
 
 def _check_bins(keys, vals, starts) -> None:
     """Reject arrays the per-bin kernels would read or write out of

@@ -10,17 +10,16 @@ and the result is exposed three ways:
   it builds the library;
 * :meth:`JITStatus.to_dict` — the JSON-friendly status surfaced by
   ``repro machine --json`` so users can see whether the tier is active
-  and, if not, why;
-* :class:`JITFallbackWarning` + :func:`warn_fallback_once` — the single
-  structured warning emitted when ``column_backend="panel_jit"`` is
-  requested but no engine is available (warned once per process, never
-  per call).
+  and, if not, why.
+
+Falling back to numpy is silent: no caller asks for the tier by name,
+so an absent engine is a status to report, not a warning to raise.
 
 When the compiler is found but the library cannot be built or loaded
 (compiler error, unwritable cache directory), the loader calls
 :func:`record_engine_failure`, which replaces the cached status with an
-unavailable one carrying the real cause — so availability checks, the
-machine report and the fallback warning never claim a working engine.
+unavailable one carrying the real cause — so availability checks and
+the machine report never claim a working engine.
 
 Environment overrides (read at probe time, re-read on ``refresh``):
 
@@ -35,25 +34,14 @@ from __future__ import annotations
 import dataclasses
 import os
 import shutil
-import warnings
 from dataclasses import asdict, dataclass
 
 __all__ = [
-    "JITFallbackWarning",
     "JITStatus",
     "probe",
     "record_engine_failure",
-    "warn_fallback_once",
     "reset_probe_cache",
 ]
-
-
-class JITFallbackWarning(UserWarning):
-    """``panel_jit`` was requested but no JIT engine is available.
-
-    Emitted exactly once per process (see :func:`warn_fallback_once`);
-    the computation proceeds on the bit-identical numpy path.
-    """
 
 
 @dataclass(frozen=True)
@@ -77,7 +65,6 @@ class JITStatus:
 
 
 _STATUS: JITStatus | None = None
-_FALLBACK_WARNED = False
 
 
 def _probe_cc() -> tuple[str | None, str | None]:
@@ -128,27 +115,7 @@ def record_engine_failure(exc: BaseException) -> JITStatus:
     return _STATUS
 
 
-def warn_fallback_once(context: str) -> None:
-    """Emit the single structured fallback warning for this process."""
-    global _FALLBACK_WARNED
-    if _FALLBACK_WARNED:
-        return
-    _FALLBACK_WARNED = True
-    st = probe()
-    if st.disabled:
-        detail = "REPRO_JIT_DISABLE is set"
-    else:
-        detail = st.cc_reason or "no JIT engine available"
-    warnings.warn(
-        f"JIT kernel tier unavailable for {context} ({detail}); "
-        "falling back to the bit-identical numpy backends",
-        JITFallbackWarning,
-        stacklevel=3,
-    )
-
-
 def reset_probe_cache() -> None:
-    """Forget the cached probe and warning latch (tests only)."""
-    global _STATUS, _FALLBACK_WARNED
+    """Forget the cached probe (tests only)."""
+    global _STATUS
     _STATUS = None
-    _FALLBACK_WARNED = False

@@ -15,17 +15,11 @@ four effective rates with short numpy micro-benchmarks:
   (:mod:`repro.costmodel.compute`) translate to seconds on this core,
 * **column-kernel throughput** — tuples/s of the real panel-vectorized
   column kernel (:func:`repro.kernels.hash_spgemm` on a small ER
-  product), from which :meth:`MachineProfile.column_compute_scale`
-  rescales the accumulator cycle constants — the hand-tuned per-tuple
-  constants describe a compiled hash loop, not this numpy panel path,
-  so without this measurement the planner systematically misprices
-  column algorithms against PB,
-* **JIT scatter rate** — tuples/s of the compiled tier's radix sort
-  (:func:`repro.kernels.jit.pb_sort_bins_jit` over one segment) on the
-  identical workload as the numpy radix measurement, so
-  :meth:`MachineProfile.jit_sort_scale` is a clean cycle multiplier
-  for ``panel_jit`` candidates; recorded as 0.0 when no JIT engine is
-  available, which prices the tier out of every ranking,
+  product, as it runs by default: compiled when the engine builds,
+  numpy otherwise), from which
+  :meth:`MachineProfile.column_compute_scale` rescales the accumulator
+  cycle constants, so column candidates are priced on the kernel that
+  actually runs,
 * **process-pool startup and warm dispatch** — the fixed price of
   spawning a worker pool (paid once per pool: per multiply for a
   standalone ``PBConfig(executor="process")`` call, once per
@@ -61,11 +55,12 @@ PROFILE_FILENAME = "profile.json"
 #: v2 added ``column_mtuples_s`` (measured panel column-kernel rate);
 #: v3 added ``warm_dispatch_s`` (round-trip latency of a task on an
 #: already-spawned pool, for session-aware warm pricing); v4 added
-#: ``jit_scatter_mtuples_s`` (compiled-tier sort rate, 0.0 when no JIT
-#: engine is available).  Stale profiles recalibrate, never migrate:
-#: any other version is rejected, :func:`load_profile` warns, and the
-#: planner uses the presets until the next ``repro calibrate``.
-PROFILE_SCHEMA_VERSION = 4
+#: ``jit_scatter_mtuples_s`` (compiled-tier sort rate); v5 dropped it
+#: again and times ``column_mtuples_s`` on the column kernel as it runs
+#: by default.  Stale profiles recalibrate, never migrate: any other
+#: version is rejected, :func:`load_profile` warns, and the planner
+#: uses the presets until the next ``repro calibrate``.
+PROFILE_SCHEMA_VERSION = 5
 
 #: Sanity clamps: a wildly off micro-benchmark (noisy CI container,
 #: throttled laptop) must not poison every subsequent ranking.
@@ -86,7 +81,6 @@ class MachineProfile:
     scatter_gbs: float
     radix_mtuples_s: float
     column_mtuples_s: float
-    jit_scatter_mtuples_s: float  # compiled-tier sort rate; 0.0 = no engine
     effective_clock_ghz: float
     dram_latency_ns: float
     pool_startup_s: float
@@ -110,23 +104,6 @@ class MachineProfile:
             self.effective_clock_ghz * 1e3 / max(self.column_mtuples_s, 1e-9)
         )
         return measured_cycles / C.HASH_CYCLES_PER_FLOP
-
-    def jit_sort_scale(self) -> float | None:
-        """Cycle multiplier pricing the compiled scatter tier, or None.
-
-        The model's sort/scatter cycle constants describe the numpy
-        radix path, which calibration measured at ``radix_mtuples_s``;
-        the compiled tier ran the *same* workload at
-        ``jit_scatter_mtuples_s``.  Their ratio rescales those cycle
-        charges for a ``panel_jit`` candidate (< 1 when
-        the compiled tier is faster — the usual case — but nothing
-        forces that: a slow compiler or a small compiled win prices the tier
-        honestly and the planner simply keeps numpy).  None when the
-        rate is unmeasured (0.0): the tier is not priced at all.
-        """
-        if self.jit_scatter_mtuples_s <= 0.0:
-            return None
-        return self.radix_mtuples_s / self.jit_scatter_mtuples_s
 
     def fingerprint(self) -> str:
         """Stable short hash identifying this profile in plan-cache keys.
@@ -193,7 +170,6 @@ class MachineProfile:
             "scatter_gbs": (int, float),
             "radix_mtuples_s": (int, float),
             "column_mtuples_s": (int, float),
-            "jit_scatter_mtuples_s": (int, float),
             "effective_clock_ghz": (int, float),
             "dram_latency_ns": (int, float),
             "pool_startup_s": (int, float),
@@ -308,31 +284,10 @@ def calibrate(
         model_cycles * ns / t_radix / 1e9, _CLOCK_BOUNDS_GHZ
     )
 
-    # Compiled-tier sort rate on the *same* workload, so the ratio to
-    # radix_mtuples_s is a clean cycle multiplier (jit_sort_scale()).
-    # The compiled sort works in place, so each rep sorts fresh copies
-    # (the numpy sort allocates its outputs too).  warmup() runs first
-    # so compile/dlopen time never pollutes the measurement; 0.0
-    # records "no engine" and prices the tier out.
-    from ..kernels import jit as jit_tier
-
-    jit_scatter_mtuples_s = 0.0
-    if jit_tier.jit_available():
-        try:
-            jit_tier.warmup()
-            one_seg = np.array([0, ns], dtype=np.int64)
-            t_jit = _best_of(
-                lambda: jit_tier.pb_sort_bins_jit(
-                    keys.copy(), vals.copy(), one_seg, 32
-                ),
-                reps,
-            )
-            jit_scatter_mtuples_s = ns / t_jit / 1e6
-        except Exception:  # pragma: no cover - engine came up then broke
-            jit_scatter_mtuples_s = 0.0
-
-    # Column-kernel throughput on the real panel hash kernel: a small
-    # ER product, priced in tuples (flop) per second.
+    # Column-kernel throughput on the real panel hash kernel as it runs
+    # by default (compiled when the engine builds): a small ER product,
+    # priced in tuples (flop) per second.  The untimed first call of
+    # _best_of pays any compile/load.
     from ..generators import erdos_renyi
     from ..kernels.hash_spgemm import hash_spgemm
     from ..kernels.outer_expand import column_flops
@@ -340,9 +295,7 @@ def calibrate(
     g = erdos_renyi(1 << (10 if quick else 12), 8, seed=seed, fmt="csr")
     ca, cb = g.to_csc(), g
     col_flop = int(column_flops(ca, cb.to_csc()).sum())
-    t_col = _best_of(
-        lambda: hash_spgemm(ca, cb, column_backend="panel"), reps
-    )
+    t_col = _best_of(lambda: hash_spgemm(ca, cb), reps)
     column_mtuples_s = max(col_flop, 1) / t_col / 1e6
 
     if measure_pool:
@@ -360,7 +313,6 @@ def calibrate(
         scatter_gbs=scatter_gbs,
         radix_mtuples_s=radix_mtuples_s,
         column_mtuples_s=column_mtuples_s,
-        jit_scatter_mtuples_s=jit_scatter_mtuples_s,
         effective_clock_ghz=effective_clock_ghz,
         dram_latency_ns=dram_latency_ns,
         pool_startup_s=pool_startup_s,
@@ -391,9 +343,6 @@ def default_profile(base_preset: str = "laptop") -> MachineProfile:
         scatter_gbs=base.line_bytes * base.mlp / base.dram_latency_ns,
         radix_mtuples_s=radix_mtuples_s,
         column_mtuples_s=column_mtuples_s,
-        # Presets predate the compiled tier; only a real calibration can
-        # justify pricing it, so the preset profile leaves it unmeasured.
-        jit_scatter_mtuples_s=0.0,
         effective_clock_ghz=base.clock_ghz,
         dram_latency_ns=base.dram_latency_ns,
         pool_startup_s=_POOL_STARTUP_ESTIMATE_S,

@@ -427,15 +427,6 @@ def rank(
     stats = workload_stats(a_csc, b_csr, nnz_c=sk.nnz_c, seed=sk.seed)
     machine = profile.machine_spec()
     column_scale = profile.column_compute_scale()
-    # The compiled panel is priced only when calibration measured the
-    # compiled tier's rate (jit_sort_scale is None on preset profiles)
-    # *and* this process can actually run it (the engine builds or
-    # loads).
-    from ..kernels.jit import jit_available
-
-    jit_scale = profile.jit_sort_scale()
-    if jit_scale is not None and not jit_available():
-        jit_scale = None
     # Price the backend dispatch will actually run (panel unless the
     # config pins the loop ablation) — the loop's Table II model
     # (latency-bound A bursts, accumulator spill) mis-prices the
@@ -489,42 +480,21 @@ def rank(
                 stats, machine, cfg, nthreads
             )
         else:
-            # Column candidates: sweep the compiled panel alongside the
-            # numpy panel when the config leaves the backend unpinned
-            # and the tier is both available and calibrated.  The
-            # compiled panel's speed enters purely through the compute
-            # scale (same traffic shape — see column_phase_costs).
-            backend_cands = [(column_backend, 1.0)]
-            if jit_scale is not None and "panel_jit" in info.column_backends:
-                if column_backend == "panel":
-                    backend_cands.append(("panel_jit", jit_scale))
-                elif column_backend == "panel_jit":
-                    backend_cands = [("panel_jit", jit_scale)]
-            best = None
-            for cb, cscale in backend_cands:
-                phases = algorithm_phase_costs(
-                    name,
-                    stats,
-                    machine,
-                    cfg,
-                    column_compute_scale=column_scale * cscale,
-                    column_backend=cb,
-                )
-                reports = simulate_phases(phases, machine, nthreads)
-                cand_total = sum(p.seconds for p in reports)
-                if best is None or cand_total < best[0]:
-                    best = (
-                        cand_total,
-                        sum(p.dram_bytes for p in reports),
-                        {p.name: p.seconds for p in reports},
-                        cb,
-                    )
-            total, dram, per_phase, chosen_cb = best
-            overrides = (
-                {"column_backend": "panel_jit"}
-                if chosen_cb == "panel_jit" and column_backend == "panel"
-                else {}
+            # Column candidates, priced on the calibrated rate of the
+            # panel as it runs by default (compiled when it can be).
+            phases = algorithm_phase_costs(
+                name,
+                stats,
+                machine,
+                cfg,
+                column_compute_scale=column_scale,
+                column_backend=column_backend,
             )
+            reports = simulate_phases(phases, machine, nthreads)
+            total = sum(p.seconds for p in reports)
+            dram = sum(p.dram_bytes for p in reports)
+            per_phase = {p.name: p.seconds for p in reports}
+            overrides = {}
             peak = (
                 monolithic_peak_bytes(
                     stats.flop, stats.nnz_a, stats.nnz_b, stats.nnz_c

@@ -117,21 +117,26 @@ def resolve_profile(cache_dir: str | None) -> MachineProfile:
 
 
 #: Override keys the ranker may emit that translate to PBConfig fields.
-#: Anything else in an overrides dict (e.g. from a hand-edited cache
-#: record) is ignored rather than crashing ``with_``.
+#: Anything else in an overrides dict (a hand-edited cache record, or
+#: one written when the ranker still emitted other keys, such as the
+#: per-phase numpy backends or ``column_backend``) is dropped rather
+#: than crashing ``with_``.
 _OVERRIDE_KEYS = (
     "nbins",
     "local_bin_bytes",
-    "column_backend",
     "tile_rows",
     "tile_cols",
     "shards",
 )
 
 
+def _known_overrides(overrides: dict) -> dict:
+    return {k: v for k, v in overrides.items() if k in _OVERRIDE_KEYS}
+
+
 def _resolved_config(base: PBConfig | None, overrides: dict) -> PBConfig:
     cfg = base or PBConfig()
-    valid = {k: v for k, v in overrides.items() if k in _OVERRIDE_KEYS}
+    valid = _known_overrides(overrides)
     return cfg.with_(**valid) if valid else cfg
 
 
@@ -195,7 +200,7 @@ def plan(
 
     rec = cache.get(key)
     if rec is not None:
-        overrides = dict(rec.get("overrides", {}))
+        overrides = _known_overrides(rec.get("overrides", {}))
         algorithm = rec["algorithm"]
         return Plan(
             algorithm=algorithm,
@@ -253,8 +258,7 @@ def plan(
         executor=winner.executor,
         nthreads=winner.nthreads,
         # Column winners carry a config only when the ranker tuned a
-        # backend for them (e.g. column_backend="panel_jit"); PB always
-        # carries its tuned knobs.
+        # knob for them; PB always carries its tuned knobs.
         config=(
             _resolved_config(config, winner.overrides)
             if (winner.algorithm == "pb" or winner.overrides)

@@ -110,8 +110,12 @@ def decode_matrix(payload) -> CSRMatrix:
         raise ProtocolError(f"invalid CSR payload: {exc}") from exc
 
 
-async def read_frame(reader: asyncio.StreamReader):
-    """Read one JSON frame; returns ``None`` on clean EOF."""
+async def read_frame(reader: asyncio.StreamReader) -> dict | None:
+    """Read one JSON object frame; returns ``None`` on clean EOF.
+
+    A frame that is valid JSON but not an object (``null`` included,
+    which would otherwise read as EOF) is a :class:`ProtocolError`.
+    """
     try:
         prefix = await reader.readexactly(_PREFIX_BYTES)
     except (asyncio.IncompleteReadError, ConnectionResetError):
@@ -124,9 +128,12 @@ async def read_frame(reader: asyncio.StreamReader):
     except asyncio.IncompleteReadError as exc:
         raise ProtocolError("connection closed mid-frame") from exc
     try:
-        return json.loads(body.decode("utf-8"))
+        obj = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"frame is not valid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ProtocolError(f"frame must be a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 async def write_frame(

@@ -209,13 +209,6 @@ class MultiplyServer:
             task.add_done_callback(tasks.discard)
 
     async def _dispatch(self, msg, writer, write_lock) -> None:
-        if not isinstance(msg, dict):
-            self.metrics.bump("bad_requests")
-            await self._safe_write(
-                writer, _error(None, "bad_request", "frame must be an object"),
-                write_lock,
-            )
-            return
         rid = msg.get("id")
         op = msg.get("op")
         try:

@@ -162,19 +162,16 @@ class Session:
         # a plain dict both the session and the finalizer can see.
         self._resources: dict = {"engine": None, "pool": pool}
         self._finalizer = weakref.finalize(self, _close_resources, self._resources)
-        # Warm-up hygiene (DESIGN.md §14): when the session's config
-        # selects the panel_jit backend, or lets PB run the compiled
-        # pipeline (serial or process executor alike), compile/load the
-        # JIT tier now — at construction, off the request path — so the
-        # first multiply neither pays the load nor folds compiler time
-        # into its phase timings.  The cost is recorded on stats;
+        # Warm-up hygiene (DESIGN.md §14): when the compiled tier has an
+        # engine, compile/load it now — at construction, off the
+        # request path — so the first multiply (PB or column kernel,
+        # under any config) neither pays the load nor folds compiler
+        # time into its phase timings.  The cost is recorded on stats;
         # pb_spgemm's own idempotent warmup then reads ~0 and reports it
         # under phase_seconds["jit_warmup_s"].
-        from .core.pb_spgemm import config_blocker
+        from .kernels import jit as _jit
 
-        if self.config.uses_jit or config_blocker(self.config) is None:
-            from .kernels import jit as _jit
-
+        if _jit.jit_available():
             self.stats.jit_warmup_s = _jit.warmup()
         if warm:
             self.warm_up()

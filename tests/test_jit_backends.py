@@ -2,13 +2,12 @@
 
 Covers the engine probe (caching, disable switch, missing compiler,
 failed build), the bit-identity of the compiled PB pipeline and the
-``panel_jit`` column backend against the numpy code across every
-built-in semiring, the absent-degradation contract (one structured
-warning, numpy results, including on process-pool workers), warm-up
-hygiene (Session construction + ``jit_warmup_s`` stopwatch), the
-planner's calibrated pricing (profile schema v4, stale versions
-rejected), and the CLI surfaces (``repro machine --json``, backend
-flags).
+compiled column panel against the numpy code across every built-in
+semiring, the absent-degradation contract (silent, numpy results,
+including on process-pool workers), warm-up hygiene (Session
+construction + ``jit_warmup_s`` stopwatch), the planner's calibrated
+pricing (profile schema v5, stale versions rejected), and the CLI
+surfaces (``repro machine --json``, backend flags).
 
 Every test runs whether or not an engine is available: engine-requiring
 assertions are guarded by :func:`repro.kernels.jit.jit_available`, and
@@ -35,7 +34,6 @@ from repro.errors import ConfigError
 from repro.generators import erdos_renyi
 from repro.kernels import jit as jit_tier
 from repro.kernels.hash_spgemm import hash_spgemm
-from repro.kernels.jit import JITFallbackWarning
 from repro.kernels.jit import _cc
 from repro.kernels.jit._avail import probe
 from repro.kernels.outer_expand import expand_arena
@@ -127,25 +125,24 @@ class TestProbe:
 
     def test_failed_build_is_reported(self, clean_jit_state, monkeypatch):
         """A compiler that cannot produce the library marks the tier
-        unavailable with the build error as the reason — in the status,
-        the machine report and the one fallback warning — and the
-        multiply still runs bit-identically on numpy."""
+        unavailable with the build error as the reason — in the status
+        and the machine report — and the multiply still runs
+        bit-identically on numpy, silently."""
         if not probe().available:
             pytest.skip("no C compiler on this machine")
         monkeypatch.setattr(_cc, "_lib", None)  # force a fresh build
         monkeypatch.setenv("REPRO_JIT_CACHE_DIR", "/dev/null/jit")
         jit_tier.reset_jit_state()
         a, b = _mats(scale=8)
-        with pytest.warns(JITFallbackWarning) as rec:
-            c1 = hash_spgemm(a.to_csc(), b, column_backend="panel_jit")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c1 = hash_spgemm(a.to_csc(), b)
+            res = pb_spgemm_detailed(a.to_csc(), b)
         st = jit_tier.jit_status()
         assert st["available"] is False and st["engine"] == "none"
         assert "cc engine build failed" in st["cc_reason"]
-        assert not jit_tier.jit_available()
-        warned = [str(w.message) for w in rec if w.category is JITFallbackWarning]
-        assert len(warned) == 1 and st["cc_reason"] in warned[0]
-        assert _bitwise_equal(hash_spgemm(a.to_csc(), b, column_backend="panel"), c1)
-        res = pb_spgemm_detailed(a.to_csc(), b)
+        assert jit_tier.blocker(repro.get_semiring("plus_times")) == "no_engine"
+        assert _bitwise_equal(hash_spgemm(a.to_csc(), b, column_backend="loop"), c1)
         assert res.pipeline == "numpy:no_engine"
 
 
@@ -170,12 +167,35 @@ class TestBitIdentity:
 
     @pytest.mark.parametrize("semiring", sorted(available_semirings()))
     def test_panel_jit_column_kernel(self, semiring):
+        """The panel on the compiled tier (the default) against the
+        numpy panel, on an input larger than the harness draws."""
         a, b = _mats()
-        c0 = hash_spgemm(a.to_csc(), b, semiring=semiring, column_backend="panel")
-        c1 = hash_spgemm(
-            a.to_csc(), b, semiring=semiring, column_backend="panel_jit"
-        )
+        with jit_tier.disabled():
+            c0 = hash_spgemm(a.to_csc(), b, semiring=semiring)
+        c1 = hash_spgemm(a.to_csc(), b, semiring=semiring)
         assert _bitwise_equal(c0, c1)
+
+    @pytest.mark.parametrize("semiring", sorted(available_semirings()))
+    def test_panel_past_uint16_rows_runs_unfused(self, semiring):
+        """More than 2^16 output rows: the compiled panel sorts and
+        folds numpy-expanded panels at uint32 indices (the unfused
+        kernel), still bit-identical to the loop and the numpy panel."""
+        from repro.matrix.coo import COOMatrix
+
+        rng = np.random.default_rng(0)
+        m, k, n = 70_000, 64, 40
+        a = COOMatrix(
+            (m, k), rng.integers(0, m, 3000), rng.integers(0, k, 3000), rng.normal(size=3000)
+        ).to_csc()
+        b = COOMatrix(
+            (k, n), rng.integers(0, k, 300), rng.integers(0, n, 300), rng.normal(size=300)
+        ).to_csr()
+        ctx = jit_tier.panel_context(m, n, repro.get_semiring(semiring), np.uint16)
+        assert not ctx.supports_fused
+        c1 = hash_spgemm(a, b, semiring=semiring)
+        assert _bitwise_equal(hash_spgemm(a, b, semiring=semiring, column_backend="loop"), c1)
+        with jit_tier.disabled():
+            assert _bitwise_equal(hash_spgemm(a, b, semiring=semiring), c1)
 
     def test_sort_backend_exact_permutation(self):
         """The compiled sort over one segment, the numpy sort and a
@@ -283,19 +303,15 @@ class TestBitIdentity:
 @given(problems())
 def test_jit_backends_match_numpy_on_harness_shapes(problem):
     """The block-core harness shapes (k >> n, n >> k, 0/1 extents, five
-    semirings): compiled PB and panel kernels equal their numpy twins
-    bit for bit, served compiled (no fallback warning)."""
+    semirings): compiled PB equals the numpy pipeline bit for bit.  The
+    column kernels' twin of this property is
+    ``tests/test_column_harness.py``."""
     if not jit_tier.jit_available():
         pytest.skip("no JIT engine on this machine")
     a, b, sr = problem
-    jit_tier.reset_jit_state()  # re-arm the once-per-process warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", JITFallbackWarning)
-        pb1 = pb_spgemm(a, b, sr)
-        pn1 = hash_spgemm(a, b, semiring=sr, column_backend="panel_jit")
+    pb1 = pb_spgemm(a, b, sr)
     with jit_tier.disabled():
         assert _bitwise_equal(pb1, pb_spgemm(a, b, sr))
-    assert _bitwise_equal(pn1, hash_spgemm(a, b, semiring=sr, column_backend="panel"))
 
 
 # ---------------------------------------------------------------------------
@@ -306,21 +322,14 @@ class TestAbsentDegradation:
     def test_unavailable_when_compiler_missing(self, no_engine):
         assert not jit_tier.jit_available()
 
-    def test_single_warning_and_identical_results(self, no_engine):
-        a, b = _mats(scale=8)
-        cfg = PBConfig(column_backend="panel_jit")
-        with pytest.warns(JITFallbackWarning) as rec:
-            c1 = repro.multiply(a, b, algorithm="hash", config=cfg)
-            repro.multiply(a, b, algorithm="hash", config=cfg)  # no second warning
-        assert len([w for w in rec if w.category is JITFallbackWarning]) == 1
-        c0 = repro.multiply(a, b, algorithm="hash")
-        assert _bitwise_equal(c0, c1)
-
     def test_panel_jit_falls_back(self, no_engine):
+        """With no engine the panel runs on numpy, silently, and equals
+        the loop ground truth."""
         a, b = _mats(scale=8)
-        with pytest.warns(JITFallbackWarning):
-            c1 = hash_spgemm(a.to_csc(), b, column_backend="panel_jit")
-        c0 = hash_spgemm(a.to_csc(), b, column_backend="panel")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            c1 = repro.multiply(a, b, algorithm="hash")
+        c0 = hash_spgemm(a.to_csc(), b, column_backend="loop")
         assert _bitwise_equal(c0, c1)
 
     @pytest.mark.parallel
@@ -328,7 +337,7 @@ class TestAbsentDegradation:
         a, b = _mats(scale=8)
         cfg = PBConfig(executor="process", nthreads=2)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", JITFallbackWarning)
+            warnings.simplefilter("error")
             c1 = repro.multiply(a, b, config=cfg)
             c0 = repro.multiply(a, b, config=PBConfig())
         assert _bitwise_equal(c0, c1)
@@ -341,7 +350,7 @@ class TestAbsentDegradation:
         vals = rng.random(500)
         a, b = _mats(scale=8)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", JITFallbackWarning)
+            warnings.simplefilter("error")
             k1, v1, p1 = sort_tuples(keys, vals, key_bits=17)
             res = pb_spgemm_detailed(a.to_csc(), b)
         k0, v0, p0 = radix_sort_pairs(keys, vals, key_bits=17)
@@ -360,31 +369,26 @@ class TestWarmup:
         assert s1 >= 0.0 and s2 == 0.0
         assert jit_tier.jit_status()["warmed"]
 
-    def test_session_records_warmup(self):
-        with repro.Session(PBConfig(column_backend="panel_jit")) as s:
+    def test_session_records_warmup(self, clean_jit_state):
+        # Any config warms when an engine exists: modulo bins keep PB on
+        # numpy, but the session's column kernels run compiled.
+        with repro.Session(PBConfig(bin_mapping="modulo", pack_keys=False)) as s:
             assert s.stats.jit_warmup_s >= 0.0
             assert "jit_warmup_s" in s.stats.to_dict()
+        assert jit_tier.jit_status()["warmed"] == jit_tier.jit_available()
 
-    def test_session_without_jit_skips_warmup(self, clean_jit_state):
-        # modulo bins keep PB on the numpy pipeline and the column
-        # backend is numpy, so the session loads nothing.
-        with repro.Session(PBConfig(bin_mapping="modulo", pack_keys=False)) as s:
+    def test_session_without_jit_skips_warmup(self, no_engine):
+        # No engine: the session loads nothing and records no cost.
+        with repro.Session(PBConfig()) as s:
             assert s.stats.jit_warmup_s == 0.0
         assert not jit_tier.jit_status()["warmed"]
 
     def test_session_for_compiled_pipeline_warms(self, clean_jit_state):
         with repro.Session(PBConfig()):
-            assert jit_tier.jit_status()["warmed"]
+            assert jit_tier.jit_status()["warmed"] == jit_tier.jit_available()
 
     def test_detailed_run_has_phase_stopwatch(self):
         a, b = _mats(scale=8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", JITFallbackWarning)
-            res = pb_spgemm_detailed(
-                a.to_csc(), b, config=PBConfig(column_backend="panel_jit")
-            )
-        assert "jit_warmup_s" in res.phase_seconds
-        assert res.phase_seconds["jit_warmup_s"] >= 0.0
         res0 = pb_spgemm_detailed(
             a.to_csc(), b, config=PBConfig(bin_mapping="modulo", pack_keys=False)
         )
@@ -409,18 +413,16 @@ class TestConfig:
             with pytest.raises(TypeError):
                 PBConfig(**{field: "radix"})
 
-    def test_uses_jit_property(self):
-        assert not PBConfig().uses_jit
-        assert not PBConfig(column_backend="loop").uses_jit
-        assert PBConfig(column_backend="panel_jit").uses_jit
-
     def test_dispatch_metadata_flags(self):
+        """No option names the compiled tier: the column backend is
+        ``panel`` or ``loop``, and the registry lists no backends."""
         from repro.kernels.dispatch import algorithm_metadata
 
+        with pytest.raises(ConfigError):
+            PBConfig(column_backend="panel_jit")
         meta = algorithm_metadata()
-        assert "panel_jit" not in meta["esc_column"]["column_backends"]
-        for name in ("heap", "hash", "hashvec", "spa"):
-            assert "panel_jit" in meta[name]["column_backends"]
+        for name in ("heap", "hash", "hashvec", "spa", "esc_column"):
+            assert "column_backends" not in meta[name]
 
 
 # ---------------------------------------------------------------------------
@@ -428,23 +430,23 @@ class TestConfig:
 # ---------------------------------------------------------------------------
 
 class TestPlannerPricing:
-    def test_profile_schema_v4_roundtrip(self):
+    def test_profile_schema_v5_roundtrip(self):
         from repro.planner.calibrate import (
             PROFILE_SCHEMA_VERSION,
             MachineProfile,
             default_profile,
         )
 
-        assert PROFILE_SCHEMA_VERSION == 4
+        assert PROFILE_SCHEMA_VERSION == 5
         prof = default_profile()
-        assert prof.jit_scatter_mtuples_s == 0.0
-        assert prof.jit_sort_scale() is None
+        assert "jit_scatter_mtuples_s" not in prof.to_dict()
         again = MachineProfile.from_dict(json.loads(json.dumps(prof.to_dict())))
         assert again == prof
 
     def test_v3_profile_rejected(self, tmp_path):
-        """Stale profiles recalibrate, never migrate: a v3 file is
-        rejected like a v2 one, and the planner falls back to presets."""
+        """Stale profiles recalibrate, never migrate: a v4 file (which
+        carries ``jit_scatter_mtuples_s``) is rejected like a v3 or v2
+        one, and the planner falls back to presets."""
         from repro.planner.calibrate import (
             MachineProfile,
             default_profile,
@@ -453,55 +455,32 @@ class TestPlannerPricing:
         from repro.planner.plan import resolve_profile
 
         d = default_profile().to_dict()
-        d.pop("jit_scatter_mtuples_s")
-        for version in (3, 2):
+        d["jit_scatter_mtuples_s"] = 0.0
+        for version in (4, 3, 2):
             d["schema_version"] = version
             with pytest.raises(ValueError, match="schema_version"):
                 MachineProfile.from_dict(d)
-        d["schema_version"] = 3
+        d["schema_version"] = 4
         with open(profile_path(tmp_path), "w") as fh:
             json.dump(d, fh)
         with pytest.warns(RuntimeWarning, match="machine profile"):
             prof = resolve_profile(str(tmp_path))
         assert prof == default_profile()
 
-    def test_jit_sort_scale_ratio(self):
+    def test_rank_emits_no_column_backend_override(self):
+        """Column candidates are priced on the panel as it runs by
+        default; the ranker never pins a column backend."""
         from repro.planner.calibrate import default_profile
-
-        prof = default_profile()
-        fast = prof.to_dict()
-        fast["jit_scatter_mtuples_s"] = prof.radix_mtuples_s * 2.0
-        from repro.planner.calibrate import MachineProfile
-
-        assert MachineProfile.from_dict(fast).jit_sort_scale() == pytest.approx(0.5)
-
-    def test_rank_prices_jit_only_when_measured(self):
-        """A calibrated jit rate + live engine ⇒ the ``panel_jit``
-        override; an unmeasured rate ⇒ the tier is never selected.  PB
-        runs compiled without any override either way."""
-        from repro.planner.calibrate import MachineProfile, default_profile
         from repro.planner.cost import rank
         from repro.planner.sketch import deepen, sketch
 
         a, _ = _mats(scale=10, ef=8)
         a_csc, b_csr = a.to_csc(), a
         sk = deepen(sketch(a_csc, b_csr), a_csc, b_csr)
-
-        base = default_profile()
-        scored = rank(a_csc, b_csr, sk, base)
-        for c in scored:
-            assert c.overrides.get("column_backend") != "panel_jit"
-
-        if not jit_tier.jit_available():
-            pytest.skip("no JIT engine on this machine")
-        d = base.to_dict()
-        d["jit_scatter_mtuples_s"] = base.radix_mtuples_s * 2.0  # 2x faster
-        fast = MachineProfile.from_dict(d)
-        scored = rank(a_csc, b_csr, sk, fast)
-        pb = next(c for c in scored if c.algorithm == "pb")
+        for c in rank(a_csc, b_csr, sk, default_profile()):
+            assert "column_backend" not in c.overrides
+        pb = next(c for c in rank(a_csc, b_csr, sk, default_profile()) if c.algorithm == "pb")
         assert set(pb.overrides) <= {"nbins", "local_bin_bytes"}
-        col = next(c for c in scored if c.algorithm == "hash")
-        assert col.overrides.get("column_backend") == "panel_jit"
 
     def test_resolved_config_applies_backend_overrides(self):
         from repro.planner.plan import _resolved_config
@@ -510,22 +489,36 @@ class TestPlannerPricing:
             None,
             {
                 "nbins": 64,
-                "column_backend": "panel_jit",
+                "column_backend": "panel_jit",  # no longer an override key
                 "not_a_knob": 1,
             },
         )
         assert cfg.nbins == 64
-        assert cfg.column_backend == "panel_jit"
+        assert cfg.column_backend == "panel"
 
-    def test_calibrate_measures_jit_rate(self):
+    def test_calibrate_measures_jit_rate(self, monkeypatch):
+        """The column rate is timed on ``hash_spgemm`` as it runs by
+        default, so it measures the compiled panel when an engine
+        exists."""
+        from importlib import import_module
+
         from repro.planner.calibrate import calibrate
 
+        # import_module: ``repro.kernels`` re-exports a function named
+        # ``hash_spgemm`` that shadows the submodule attribute.
+        hash_mod = import_module("repro.kernels.hash_spgemm")
+
+        calls = []
+        real = hash_mod.hash_spgemm
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hash_mod, "hash_spgemm", spy)
         prof = calibrate(quick=True, measure_pool=False)
-        if jit_tier.jit_available():
-            assert prof.jit_scatter_mtuples_s > 0.0
-            assert prof.jit_sort_scale() is not None
-        else:
-            assert prof.jit_scatter_mtuples_s == 0.0
+        assert prof.column_mtuples_s > 0.0
+        assert calls and all("column_backend" not in kw for kw in calls)
 
 
 # ---------------------------------------------------------------------------
@@ -556,18 +549,13 @@ class TestCLI:
         a, _ = _mats(scale=7, ef=4)
         path = tmp_path / "a.mtx"
         write_matrix_market(a, path)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", JITFallbackWarning)
-            rc = main(
-                [
-                    "matrix",
-                    "multiply",
-                    str(path),
-                    "--algorithm",
-                    "hash",
-                    "--column-backend",
-                    "panel_jit",
-                ]
-            )
+        rc = main(
+            ["matrix", "multiply", str(path), "--algorithm", "hash", "--column-backend", "panel"]
+        )
         assert rc == 0
         assert "C = A*B" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(
+                ["matrix", "multiply", str(path), "--algorithm", "hash",
+                 "--column-backend", "panel_jit"]
+            )

@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.core import pb_spgemm
 from repro.errors import ShapeError
 from repro.generators import erdos_renyi
 from repro.kernels import masked_spgemm, scipy_spgemm_oracle
 from repro.matrix import CSCMatrix, CSRMatrix
+from repro.matrix.coo import COOMatrix
 from repro.matrix.ops import tril, triu
 
+from tests.test_block_core import problems
 from tests.util import random_coo
 
 
@@ -98,3 +103,51 @@ class TestMaskedSpGEMM:
         pb = (b.to_dense() != 0).astype(float)
         expected = np.where(mask.to_dense() != 0, pa @ pb, 0.0)
         np.testing.assert_allclose(got.to_dense(), expected)
+
+
+def _mask(kind: str, shape, rng) -> CSRMatrix:
+    """An empty, full or random structural mask of ``shape``."""
+    m, n = shape
+    if kind == "empty" or m * n == 0:
+        return CSRMatrix.empty(shape)
+    if kind == "full":
+        keys = np.arange(m * n)
+    else:
+        keys = np.unique(rng.integers(0, m * n, size=int(rng.integers(1, m * n + 1))))
+    return COOMatrix(shape, keys // n, keys % n, np.ones(len(keys))).to_csr()
+
+
+def _restrict_csr(c: CSRMatrix, mask: CSRMatrix, complement: bool) -> CSRMatrix:
+    """The entries of ``c`` on (or, with ``complement``, off) the
+    mask's support, in ``c``'s own order."""
+    n = c.shape[1]
+    rows = np.repeat(np.arange(c.shape[0]), np.diff(c.indptr))
+    mrows = np.repeat(np.arange(mask.shape[0]), np.diff(mask.indptr))
+    keep = np.isin(rows * n + c.indices, mrows * n + mask.indices)
+    if complement:
+        keep = ~keep
+    indptr = np.zeros(c.shape[0] + 1, dtype=c.indptr.dtype)
+    np.cumsum(np.bincount(rows[keep], minlength=c.shape[0]), out=indptr[1:])
+    return CSRMatrix(c.shape, indptr, c.indices[keep], c.data[keep])
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    problems(),
+    st.sampled_from(["empty", "full", "random"]),
+    st.booleans(),
+    st.sampled_from([1, 7, 1 << 16]),
+    st.integers(0, 2**16),
+)
+def test_masked_equals_restricted_reference_bitwise(problem, kind, complement, chunk, seed):
+    """On the block-core shapes (rectangular, 0/1 extents) and all five
+    semirings, the masked product is the reference PB product
+    restricted to the mask (or its complement), bit for bit."""
+    a, b, sr = problem
+    mask = _mask(kind, (a.shape[0], b.shape[1]), np.random.default_rng(seed))
+    got = masked_spgemm(a, b, mask, sr, complement=complement, chunk_flops=chunk)
+    want = _restrict_csr(pb_spgemm(a, b, sr), mask, complement)
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()

@@ -83,7 +83,9 @@ def test_plan_cache_hit_skips_sampling(operands):
 def test_stale_cache_record_with_removed_backend_overrides(operands, tmp_path):
     """Plan-cache records written while PBConfig still had per-phase
     numpy backends carry ``sort_backend``/``distribute_backend``
-    overrides; a hit must ignore them, not crash ``with_``."""
+    overrides, and records from when the ranker swept the compiled
+    panel carry ``column_backend="panel_jit"``; a hit must drop them,
+    not crash ``with_``."""
     a, b = operands
     cache = PlanCache(str(tmp_path))
     p0 = plan(a, b, profile=default_profile(), cache=cache)
@@ -93,12 +95,14 @@ def test_stale_cache_record_with_removed_backend_overrides(operands, tmp_path):
         "nbins": 16,
         "sort_backend": "radix_jit",
         "distribute_backend": "counting_jit",
+        "column_backend": "panel_jit",
     }
     cache.put(p0.cache_key, rec)
     reopened = PlanCache(str(tmp_path))
     p1 = plan(a, b, profile=default_profile(), cache=reopened)
     assert p1.source == "cache" and p1.algorithm == "pb"
     assert p1.config.nbins == 16
+    assert p1.overrides == {"nbins": 16} and p1.config.column_backend == "panel"
     c = repro.multiply(a, b, algorithm=p1)
     assert c.data.tobytes() == repro.multiply(a, b, config=PBConfig(nbins=16)).data.tobytes()
 

@@ -109,6 +109,13 @@ class TestProtocol:
             r.feed_data(struct.pack(">I", len(body)) + body)
             with pytest.raises(ProtocolError, match="JSON"):
                 await read_frame(r)
+            # JSON that is not an object -> ProtocolError; ``null`` must
+            # not read as a clean EOF.
+            for body in (b"null", b"[]"):
+                r = asyncio.StreamReader()
+                r.feed_data(struct.pack(">I", len(body)) + body)
+                with pytest.raises(ProtocolError, match="object"):
+                    await read_frame(r)
 
         asyncio.run(scenario())
 
