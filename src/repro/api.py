@@ -75,8 +75,8 @@ def multiply(
     algorithm:
         One of :func:`repro.available_algorithms` (default the paper's
         ``"pb"``), the string ``"auto"`` — let :mod:`repro.planner`
-        choose the algorithm and its tuning from the cost model and the
-        plan cache — or an explicit :class:`repro.planner.Plan`.  The
+        choose the algorithm and its tile grid or shard count from
+        measured kernel costs and the plan cache — or an explicit :class:`repro.planner.Plan`.  The
         auto path is bit-identical to invoking the chosen algorithm
         directly.
     semiring:

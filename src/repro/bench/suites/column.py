@@ -159,7 +159,7 @@ def _bench_planner(b_csr, profile, measured: dict) -> dict:
         "match_tolerance": MATCH_TOLERANCE,
         "predicted_s": predicted,
         "measured_s": dict(measured),
-        "column_compute_scale": profile.column_compute_scale(),
+        "profile": profile.to_dict(),
     }
 
 

@@ -60,14 +60,19 @@ MAX_PLANNER_REGRET = 1.6
 #: Square grid sizes swept against the planner's pick.
 GRID_SWEEP = (1, 2, 4, 8, 16)
 
-PEAK_WORKLOAD = "er_s14_ef16"
+#: The peak head-to-head needs a product far smaller than its tuple
+#: stream (compression factor ≫ 1): monolithic PB holds all 26M
+#: tuples of ER 2^10 at edge factor 160 (cf ≈ 25, about 300 MB), while
+#: a tiled run holds one tile's tuples plus the 1M-entry product.  On
+#: cf ≈ 1 inputs the product alone is most of the monolithic peak.
+PEAK_WORKLOAD = "er_s10_ef160"
 QUICK_PEAK_WORKLOAD = "er_s11_ef8"
 SPILL_WORKLOAD = "er_s9_ef4"
 
 #: Operand builders keyed by name so spawned children can rebuild the
 #: exact operands from the seed instead of inheriting parent memory.
 _WORKLOADS = {
-    PEAK_WORKLOAD: lambda: erdos_renyi(1 << 14, 16, seed=5, fmt="csr"),
+    PEAK_WORKLOAD: lambda: erdos_renyi(1 << 10, 160, seed=5, fmt="csr"),
     QUICK_PEAK_WORKLOAD: lambda: erdos_renyi(1 << 11, 8, seed=5, fmt="csr"),
     SPILL_WORKLOAD: lambda: erdos_renyi(1 << 9, 4, seed=6, fmt="csr"),
 }

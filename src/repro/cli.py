@@ -321,10 +321,10 @@ def _cmd_calibrate(args) -> int:
     import json as _json
 
     from .planner import calibrate, save_profile
+    from .planner.calibrate import FAMILIES
 
     profile = calibrate(
         quick=args.quick,
-        base_preset=args.base,
         measure_pool=not args.no_pool,
         seed=args.seed,
     )
@@ -332,16 +332,14 @@ def _cmd_calibrate(args) -> int:
         print(_json.dumps(profile.to_dict(), indent=2, sort_keys=True))
     else:
         print(
-            f"calibrated ({'quick' if profile.quick else 'full'}, "
-            f"geometry {profile.base_preset}):\n"
+            f"calibrated ({'quick' if profile.quick else 'full'}):\n"
             f"  copy      : {profile.copy_gbs:8.2f} GB/s\n"
-            f"  triad     : {profile.triad_gbs:8.2f} GB/s\n"
-            f"  scatter   : {profile.scatter_gbs:8.2f} GB/s\n"
-            f"  radix     : {profile.radix_mtuples_s:8.2f} Mtuples/s "
-            f"(effective clock {profile.effective_clock_ghz:.2f} GHz)\n"
-            f"  column    : {profile.column_mtuples_s:8.2f} Mtuples/s\n"
-            f"  latency   : {profile.dram_latency_ns:8.1f} ns\n"
-            f"  pool spawn: {profile.pool_startup_s * 1e3:8.1f} ms\n"
+            + "".join(
+                f"  {family:<10s}: {getattr(profile, family + '_flop_ns'):8.2f} ns/flop"
+                f" + {getattr(profile, family + '_out_ns'):8.2f} ns/output\n"
+                for family in FAMILIES
+            )
+            + f"  pool spawn: {profile.pool_startup_s * 1e3:8.1f} ms\n"
             f"  fingerprint {profile.fingerprint()}"
         )
     if args.cache_dir:
@@ -699,16 +697,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_plan)
 
     c = sub.add_parser(
-        "calibrate", help="micro-benchmark this machine into a planner profile"
+        "calibrate", help="measure this machine's kernel costs into a planner profile"
     )
     c.add_argument(
         "--quick", action="store_true", help="small working sets (finishes in seconds)"
-    )
-    c.add_argument(
-        "--base",
-        default="laptop",
-        choices=("laptop", "skylake", "power9"),
-        help="preset donating the cache/core geometry (default: laptop)",
     )
     c.add_argument(
         "--cache-dir", help="also save the profile JSON here (what auto planning reads)"

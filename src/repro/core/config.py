@@ -281,10 +281,10 @@ def resolve_nbins(flop: int, nrows: int, config: "PBConfig | None" = None) -> in
 
     Every consumer — the executable symbolic phase
     (:func:`repro.core.symbolic.symbolic_phase`, shared by the serial
-    and process executors), the analytic cost model
-    (:func:`repro.costmodel.bytes_model.pb_phase_costs`) and the
-    planner — calls this function, so the simulated, planned and
-    executed bin counts can never drift apart.
+    and process executors) and the analytic cost model
+    (:func:`repro.costmodel.bytes_model.pb_phase_costs`) — calls this
+    function, so the simulated and executed bin counts can never drift
+    apart.
     """
     m = max(int(nrows), 1)
     if config is not None and config.nbins is not None:

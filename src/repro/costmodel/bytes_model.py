@@ -202,48 +202,14 @@ def column_phase_costs(
     algorithm: str,
     stats: WorkloadStats,
     machine: MachineSpec,
-    compute_scale: float = 1.0,
-    column_backend: str = "loop",
 ) -> list[PhaseCost]:
     """Fused-phase cost of a column SpGEMM algorithm (Table II row 1).
 
-    ``compute_scale`` rescales the per-tuple accumulator cycle constants
-    to a *measured* column-kernel throughput
-    (:meth:`repro.planner.calibrate.MachineProfile.column_compute_scale`)
-    — the paper-model default of 1.0 keeps the preset constants, so the
-    simulator and figure paths are unaffected.  The accumulator-spill
-    term is a memory-latency price, not a compute price, and is left
-    unscaled.
-
-    ``column_backend`` selects which execution strategy is priced:
-
-    * ``"loop"`` (default) — the paper's Table II access pattern: one
-      accumulator per output column fed by *dependent* irregular A
-      reads (``nnz(B)`` random bursts, latency-priced, overlap "add")
-      plus the accumulator-spill latency term.  The simulator and
-      every figure use this model untouched.
-    * ``"panel"`` — the panel-vectorized path
-      (:mod:`repro.kernels.column_panel`) the kernels dispatch to by
-      default.  It moves the *same* d(A)-fold A volume, but as
-      sequential column slices gathered panel-at-a-time, so that
-      traffic is charged as streamed bytes instead of random line
-      touches; there is no per-column accumulator to spill (panels
-      sort-and-fold), and the vectorized passes overlap compute with
-      bandwidth ("max").  All four algorithms dispatch to the *same*
-      panel code, so they are priced identically: the compute charge
-      is ``HASH_CYCLES_PER_FLOP · compute_scale`` per tuple — with a
-      calibrated profile that product *is* the measured end-to-end
-      panel cost per tuple (per-column and per-output overheads of the
-      calibration workload folded in), which is what makes this the
-      model the *planner* prices candidates with.  Equal predictions
-      fall to :func:`repro.planner.cost.rank`'s name tiebreak.  The
-      compiled panel moves the same tuples, so its speed too enters
-      only through the calibrated ``compute_scale``.
+    The paper's access pattern: one accumulator per output column fed
+    by *dependent* irregular A reads (``nnz(B)`` random bursts,
+    latency-priced, overlap "add") plus the accumulator-spill latency
+    term.  The simulator and every figure use this model.
     """
-    if column_backend not in ("loop", "panel"):
-        raise ValueError(
-            f"column_backend must be 'loop' or 'panel', got {column_backend!r}"
-        )
     flop = float(stats.flop)
     ncols = float(stats.n_cols)
     nnzc = float(stats.nnz_c)
@@ -279,24 +245,6 @@ def column_phase_costs(
         )
     else:
         raise ValueError(f"not a column accumulator algorithm: {algorithm!r}")
-    cycles = cycles * float(compute_scale)
-    if column_backend == "panel":
-        # One shared execution path for all four algorithms: same
-        # d(A)-fold A volume as the loop, but gathered as sequential
-        # per-column slices — streamed, not latency-bound — no
-        # per-column accumulator table to outgrow the cache, and one
-        # shared per-tuple compute rate (the calibrated measurement).
-        merge = PhaseCost(
-            name=algorithm,
-            dram_read_bytes=ENTRY_BYTES * (stats.nnz_b + flop),
-            dram_write_bytes=ENTRY_BYTES * stats.nnz_c,
-            compute_cycles=C.HASH_CYCLES_PER_FLOP * flop * float(compute_scale),
-            work_items=stats.flops_per_col.astype(np.float64),
-            schedule="lpt",
-            overlap="max",  # vectorized passes overlap compute and BW
-            stream_kernel="copy",
-        )
-        return [merge]
     cycles += _accumulator_spill_cycles(algorithm, stats, machine)
 
     touches, useful = _column_a_read(stats, machine)
@@ -352,26 +300,10 @@ def algorithm_phase_costs(
     stats: WorkloadStats,
     machine: MachineSpec,
     config: PBConfig | None = None,
-    column_compute_scale: float = 1.0,
-    column_backend: str = "loop",
 ) -> list[PhaseCost]:
-    """Dispatch to the right cost builder for any registered algorithm.
-
-    ``column_compute_scale`` and ``column_backend`` are consumed only by
-    the accumulator column algorithms (see :func:`column_phase_costs`);
-    PB and ESC price their compute through the measured effective clock
-    instead.  The default ``"loop"`` keeps the paper's Table II model
-    (the simulator / figure paths); the planner passes the backend the
-    kernels will actually dispatch to.
-    """
+    """Dispatch to the right cost builder for any registered algorithm."""
     if algorithm == "pb":
         return pb_phase_costs(stats, machine, config)
     if algorithm == "esc_column":
         return esc_column_phase_costs(stats, machine)
-    return column_phase_costs(
-        algorithm,
-        stats,
-        machine,
-        compute_scale=column_compute_scale,
-        column_backend=column_backend,
-    )
+    return column_phase_costs(algorithm, stats, machine)

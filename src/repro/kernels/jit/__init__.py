@@ -173,9 +173,9 @@ def warmup() -> float:
         return 0.0
     t0 = time.perf_counter()
     eng = _engine()
-    _WARMED = True
     if eng is None:
         return time.perf_counter() - t0
+    _WARMED = True
     hist = _hist()
     vals = np.array([1.5, -2.0, 1.5, 0.0], dtype=np.float64)
     counts = np.empty(2, dtype=np.int64)

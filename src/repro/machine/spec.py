@@ -175,36 +175,3 @@ class MachineSpec:
     def socket_of_thread(self, thread: int) -> int:
         """Socket a thread lands on under OMP_PLACES=cores / close binding."""
         return (thread // self.cores_per_socket) % self.sockets
-
-    def with_measurements(
-        self,
-        name: str | None = None,
-        stream_single: StreamTable | None = None,
-        stream_dual: StreamTable | None = None,
-        per_core_bandwidth_gbs: float | None = None,
-        dram_latency_ns: float | None = None,
-        clock_ghz: float | None = None,
-    ) -> "MachineSpec":
-        """A copy with measured bandwidth/latency/clock substituted.
-
-        This is how :mod:`repro.planner.calibrate` grafts micro-benchmark
-        results onto a preset's cache/core geometry (which calibration
-        cannot observe): only the performance numbers change, the
-        topology stays the preset's.
-        """
-        from dataclasses import replace
-
-        updates: dict = {}
-        if name is not None:
-            updates["name"] = name
-        if stream_single is not None:
-            updates["stream_single"] = stream_single
-        if stream_dual is not None:
-            updates["stream_dual"] = stream_dual
-        if per_core_bandwidth_gbs is not None:
-            updates["per_core_bandwidth_gbs"] = per_core_bandwidth_gbs
-        if dram_latency_ns is not None:
-            updates["dram_latency_ns"] = dram_latency_ns
-        if clock_ghz is not None:
-            updates["clock_ghz"] = clock_ghz
-        return replace(self, **updates)

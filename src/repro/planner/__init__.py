@@ -1,17 +1,17 @@
-"""repro.planner — calibrated auto-tuning planner (DESIGN.md §10).
+"""repro.planner — auto-tuning planner priced from measured kernels
+(DESIGN.md §10).
 
-Wires the pieces the library already had — the algorithm registry
-(:mod:`repro.kernels.dispatch`), the bytes/roofline cost model
-(:mod:`repro.costmodel`), sampled output estimation
-(:mod:`repro.matrix.stats`) and machine models (:mod:`repro.machine`) —
+Wires the algorithm registry (:mod:`repro.kernels.dispatch`), sampled
+output estimation (:mod:`repro.matrix.stats`) and measured kernel costs
 into one decision procedure:
 
 * :mod:`sketch` — bounded-cost input summaries (cheap pointer-array
   tier + lazily sampled compression factor),
-* :mod:`calibrate` — micro-benchmarked :class:`MachineProfile`,
-  persisted as JSON, preset fallback when unavailable,
-* :mod:`cost` — rank every registered algorithm with the existing
-  model; tune PB's ``nbins`` / ``local_bin_bytes`` from the cache model,
+* :mod:`calibrate` — per-flop and per-output costs of the kernel
+  families that run, measured into a :class:`MachineProfile` persisted
+  as JSON, with preset costs when no calibration is saved,
+* :mod:`cost` — price every registered algorithm from those costs;
+  sweep the tile grid and shard count under the memory budget,
 * :mod:`cache` — LRU + on-disk plan cache with measured-runtime
   feedback,
 * :mod:`plan` — the :func:`plan` front door producing inspectable

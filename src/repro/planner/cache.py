@@ -40,6 +40,7 @@ def plan_key(
     nthreads: int,
     warm: bool = False,
     budget: int | None = None,
+    pins: dict | None = None,
 ) -> str:
     """Render the cache key for one planning request.
 
@@ -49,12 +50,16 @@ def plan_key(
     (``PBConfig.memory_budget``) likewise keys budgeted requests apart:
     the feasibility gate can flip the winner, so a plan ranked under a
     memory budget must never answer an unbudgeted request (or one with
-    a different budget) from cache.
+    a different budget) from cache.  ``pins`` (config knobs the caller
+    fixed, such as ``shards`` or ``column_backend="loop"``) change the
+    candidates and their overrides, so they key apart too.
     """
     bucket = ",".join(str(b) for b in sk.bucket())
     mode = f"{executor}:{nthreads}" + (":warm" if warm else "")
     if budget is not None:
         mode += f":mb{int(budget)}"
+    for name, value in sorted((pins or {}).items()):
+        mode += f":{name}={value}"
     return f"b[{bucket}]|p[{profile.fingerprint()}]|s[{semiring_name}]|x[{mode}]"
 
 

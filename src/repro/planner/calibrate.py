@@ -1,38 +1,30 @@
-"""One-time machine calibration: micro-benchmarks → a persisted profile.
+"""One-time machine calibration: measured kernel costs → a persisted profile.
 
-The cost model's predictions are only as good as its machine numbers.
-Rather than trusting a preset (:mod:`repro.machine.presets`) to describe
-whatever box the library actually runs on, :func:`calibrate` measures
-four effective rates with short numpy micro-benchmarks:
+The planner prices each candidate from the measured throughput of the
+code that would run it (DESIGN.md §10), not from the simulator's cycle
+constants.  :func:`calibrate` times three kernel families on two small
+products of different compression factor and fits two costs per
+family, one per flop (expanded tuple) and one per output entry:
 
-* **copy / triad bandwidth** — what the expand and compress phases
-  stream at (the paper's Table V role),
-* **scatter rate** — random cache-line writes, from which an effective
-  DRAM latency is derived (the irregular-access side of Table II),
-* **radix throughput** — tuples/s of the real counting-scatter sort
-  (:func:`repro.kernels.radix.radix_sort_pairs`), from which an
-  *effective clock* is derived so the model's cycle constants
-  (:mod:`repro.costmodel.compute`) translate to seconds on this core,
-* **column-kernel throughput** — tuples/s of the real panel-vectorized
-  column kernel (:func:`repro.kernels.hash_spgemm` on a small ER
-  product, as it runs by default: compiled when the engine builds,
-  numpy otherwise), from which
-  :meth:`MachineProfile.column_compute_scale` rescales the accumulator
-  cycle constants, so column candidates are priced on the kernel that
-  actually runs,
-* **process-pool startup and warm dispatch** — the fixed price of
-  spawning a worker pool (paid once per pool: per multiply for a
-  standalone ``PBConfig(executor="process")`` call, once per
-  :class:`repro.session.Session` lifetime for session multiplies) and
-  the round-trip latency of dispatching a task to an *already warm*
-  pool.  The ranker charges cold candidates the spawn cost and
-  warm-session candidates only the dispatch latency.
+* **pb** — :func:`repro.core.pb_spgemm.pb_spgemm` on one thread, as this
+  host runs it (the compiled pipeline when the engine builds, numpy
+  otherwise); ``pb``, ``tiled`` and ``sharded`` run it,
+* **panel** — :func:`repro.kernels.hash_spgemm` on its default panel
+  backend, which ``heap``, ``hash``, ``hashvec`` and ``spa`` all
+  dispatch to,
+* **esc** — :func:`repro.kernels.esc_column_spgemm`.
+
+It also measures the copy rate (what tiling and sharding restream at)
+and the process-pool spawn and warm-dispatch latencies (paid per
+multiply by a standalone ``PBConfig(executor="process")`` call, once
+per :class:`repro.session.Session`).
 
 The result is a :class:`MachineProfile` persisted as JSON under the
-plan-cache directory (``repro calibrate``); :func:`default_profile`
-wraps a preset when no calibration is available, so planning always
-works.  ``calibrate(quick=True)`` sizes the benchmarks to finish in a
-few seconds so tests exercise real calibration instead of mocking it.
+plan-cache directory (``repro calibrate``).  Without one,
+:func:`default_profile` derives the same numbers from a preset's copy
+rate (:data:`PRESET_COPY_BYTES`), so planning measures nothing.
+``calibrate(quick=True)`` uses smaller products and finishes in a few
+seconds.
 """
 
 from __future__ import annotations
@@ -42,68 +34,63 @@ import json
 import os
 import time
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ..costmodel import compute as C
-from ..kernels.radix import passes_for_bits, radix_sort_pairs
 from ..machine.presets import get_machine
-from ..machine.spec import MachineSpec, StreamTable
 
 PROFILE_FILENAME = "profile.json"
-#: v2 added ``column_mtuples_s`` (measured panel column-kernel rate);
-#: v3 added ``warm_dispatch_s`` (round-trip latency of a task on an
-#: already-spawned pool, for session-aware warm pricing); v4 added
-#: ``jit_scatter_mtuples_s`` (compiled-tier sort rate); v5 dropped it
-#: again and times ``column_mtuples_s`` on the column kernel as it runs
-#: by default.  Stale profiles recalibrate, never migrate: any other
-#: version is rejected, :func:`load_profile` warns, and the planner
-#: uses the presets until the next ``repro calibrate``.
-PROFILE_SCHEMA_VERSION = 5
+#: v6 replaced the simulator's rates (triad, scatter, radix, latency,
+#: effective clock, column Mtuples/s) with measured per-flop and
+#: per-output costs of each kernel family.  Stale profiles recalibrate,
+#: never migrate: any other version is rejected, :func:`load_profile`
+#: warns, and the planner uses the presets until the next
+#: ``repro calibrate``.
+PROFILE_SCHEMA_VERSION = 6
 
-#: Sanity clamps: a wildly off micro-benchmark (noisy CI container,
-#: throttled laptop) must not poison every subsequent ranking.
-_CLOCK_BOUNDS_GHZ = (0.05, 8.0)
-_LATENCY_BOUNDS_NS = (40.0, 400.0)
+#: The kernel families a profile prices (see the module docstring).
+FAMILIES = ("pb", "panel", "esc")
+
+#: Per-family (per-flop, per-output) costs for the presets, measured
+#: with ``calibrate()`` on a 2-vCPU x86-64 host (compiled tier, median
+#: of four full calibrations, copy rate 17.9 GB/s) and stored as the
+#: bytes that host copies in the same time.  A preset's cost in ns is
+#: these bytes over its copy rate in GB/s.
+PRESET_COPY_BYTES = {
+    "pb": (463.0, 0.0),
+    "panel": (380.0, 730.0),
+    "esc": (3170.0, 0.0),
+}
+
+#: Sanity clamp on the measured copy rate: a wildly off benchmark
+#: (noisy CI container, throttled laptop) must not poison every ranking.
 _BANDWIDTH_BOUNDS_GBS = (0.5, 500.0)
 
 
 @dataclass(frozen=True)
 class MachineProfile:
-    """Calibrated (or preset-derived) machine performance numbers."""
+    """Calibrated (or preset-derived) costs of the kernels that run."""
 
-    base_preset: str  # geometry donor: "laptop" | "skylake" | "power9"
-    source: str  # "calibrated" | "preset"
+    source: str  # "calibrated" | "preset:<name>"
     quick: bool
     copy_gbs: float
-    triad_gbs: float
-    scatter_gbs: float
-    radix_mtuples_s: float
-    column_mtuples_s: float
-    effective_clock_ghz: float
-    dram_latency_ns: float
+    pb_flop_ns: float
+    pb_out_ns: float
+    panel_flop_ns: float
+    panel_out_ns: float
+    esc_flop_ns: float
+    esc_out_ns: float
     pool_startup_s: float
     warm_dispatch_s: float
     created_unix: float
     schema_version: int = PROFILE_SCHEMA_VERSION
 
-    def column_compute_scale(self) -> float:
-        """Multiplier mapping the model's accumulator cycle constants to
-        this machine's *measured* column-kernel throughput.
-
-        The cost model charges ``HASH_CYCLES_PER_FLOP`` cycles per tuple
-        (:func:`repro.costmodel.bytes_model.column_phase_costs`); the
-        measured panel kernel processes ``column_mtuples_s`` Mtuples/s at
-        ``effective_clock_ghz``, i.e. ``clock * 1e3 / rate`` cycles per
-        tuple.  The ratio rescales every accumulator constant at ranking
-        time.  Preset profiles derive ``column_mtuples_s`` so this is
-        exactly 1.0 (the untouched paper model).
-        """
-        measured_cycles = (
-            self.effective_clock_ghz * 1e3 / max(self.column_mtuples_s, 1e-9)
-        )
-        return measured_cycles / C.HASH_CYCLES_PER_FLOP
+    def kernel_seconds(self, family: str, flop: float, nnz_c: float) -> float:
+        """Predicted one-thread seconds of ``family`` on one product."""
+        t_flop = getattr(self, f"{family}_flop_ns")
+        t_out = getattr(self, f"{family}_out_ns")
+        return (float(flop) * t_flop + float(nnz_c) * t_out) * 1e-9
 
     def fingerprint(self) -> str:
         """Stable short hash identifying this profile in plan-cache keys.
@@ -114,40 +101,6 @@ class MachineProfile:
         payload = {k: v for k, v in asdict(self).items() if k != "created_unix"}
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
-
-    def machine_spec(self) -> MachineSpec:
-        """The :class:`MachineSpec` the cost model should rank against.
-
-        Preset profiles return the preset untouched (bit-for-bit the
-        Table IV/V machine).  Calibrated profiles keep the preset's
-        cache/core *geometry* — micro-benchmarks cannot observe
-        topology — and substitute every measured rate.  The dual-socket
-        STREAM table is scaled by the preset's own dual/single ratio.
-        """
-        base = get_machine(self.base_preset)
-        if self.source == "preset":
-            return base
-        single = StreamTable(
-            copy=self.copy_gbs,
-            scale=self.copy_gbs,
-            add=self.triad_gbs,
-            triad=self.triad_gbs,
-        )
-        ratio = base.stream_dual.copy / max(base.stream_single.copy, 1e-9)
-        dual = StreamTable(
-            copy=self.copy_gbs * ratio,
-            scale=self.copy_gbs * ratio,
-            add=self.triad_gbs * ratio,
-            triad=self.triad_gbs * ratio,
-        )
-        return base.with_measurements(
-            name=f"calibrated_{self.base_preset}",
-            stream_single=single,
-            stream_dual=dual,
-            per_core_bandwidth_gbs=self.copy_gbs,
-            dram_latency_ns=self.dram_latency_ns,
-            clock_ghz=self.effective_clock_ghz,
-        )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -161,26 +114,15 @@ class MachineProfile:
                 f"profile schema_version must be {PROFILE_SCHEMA_VERSION}, "
                 f"got {data.get('schema_version')!r}"
             )
-        fields = {
-            "base_preset": str,
-            "source": str,
-            "quick": bool,
-            "copy_gbs": (int, float),
-            "triad_gbs": (int, float),
-            "scatter_gbs": (int, float),
-            "radix_mtuples_s": (int, float),
-            "column_mtuples_s": (int, float),
-            "effective_clock_ghz": (int, float),
-            "dram_latency_ns": (int, float),
-            "pool_startup_s": (int, float),
-            "warm_dispatch_s": (int, float),
-            "created_unix": (int, float),
-        }
+        types = {"str": str, "bool": bool, "float": (int, float)}
         kwargs = {}
-        for name, types in fields.items():
-            if name not in data or not isinstance(data[name], types):
-                raise ValueError(f"profile field {name!r} missing or mistyped")
-            kwargs[name] = data[name]
+        for f in fields(cls):
+            if f.name == "schema_version":
+                continue
+            value = data.get(f.name)
+            if not isinstance(value, types[f.type]):
+                raise ValueError(f"profile field {f.name!r} missing or mistyped")
+            kwargs[f.name] = value
         return cls(**kwargs)
 
 
@@ -188,14 +130,79 @@ def _clamp(x: float, bounds: tuple[float, float]) -> float:
     return float(min(max(x, bounds[0]), bounds[1]))
 
 
-def _best_of(fn, reps: int) -> float:
-    fn()  # warm-up: page the arrays in
-    best = float("inf")
+def _median_of(fn, reps: int) -> float:
+    fn()  # warm-up: page the arrays in, load any compiled code
+    times = []
     for _ in range(max(1, reps)):
         t = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - t)
-    return best
+        times.append(time.perf_counter() - t)
+    return float(np.median(times))
+
+
+def _measure_copy(quick: bool, seed: int) -> float:
+    """STREAM-convention copy rate (GB/s) of ``b := a`` far beyond LLC."""
+    n = 2_000_000 if quick else 16_000_000
+    src = np.random.default_rng(seed).random(n)
+    dst = np.empty_like(src)
+    t = _median_of(lambda: np.copyto(dst, src), 2 if quick else 4)
+    return _clamp(16.0 * n / t / 1e9, _BANDWIDTH_BOUNDS_GBS)
+
+
+def _calibration_products(quick: bool, seed: int) -> list:
+    """Two squarings of different compression factor: ER at edge factor
+    16 (cf ≈ 1) and R-MAT at edge factor 16 (cf ≈ 3), as
+    ``(a_csc, b_csr, flop, nnz_c)``."""
+    from ..core.pb_spgemm import pb_spgemm
+    from ..generators import erdos_renyi, rmat
+
+    er_scale, rmat_scale = (11, 10) if quick else (12, 11)
+    products = []
+    for b in (
+        erdos_renyi(1 << er_scale, 16, seed=seed, fmt="csr"),
+        rmat(rmat_scale, 16, seed=seed).to_csr(),
+    ):
+        a = b.to_csc()
+        flop = int((a.col_nnz() * b.row_nnz()).sum())
+        products.append((a, b, flop, pb_spgemm(a, b).nnz))
+    return products
+
+
+def _measure_family(family: str, products: list, reps: int) -> list:
+    """``(flop, nnz_c, seconds)`` of ``family`` on each product."""
+    from ..core.pb_spgemm import pb_spgemm
+    from ..kernels.esc_column import esc_column_spgemm
+    from ..kernels.hash_spgemm import hash_spgemm
+
+    kernel = {"pb": pb_spgemm, "panel": hash_spgemm, "esc": esc_column_spgemm}[family]
+    return [
+        (flop, nnz_c, _median_of(lambda: kernel(a, b), reps))
+        for a, b, flop, nnz_c in products
+    ]
+
+
+def _fit_costs(samples: list) -> tuple[float, float]:
+    """Non-negative (per-flop, per-output) seconds fitting ``samples``.
+
+    Least squares over ``(flop, nnz_c, seconds)`` rows; when the exact
+    fit needs a negative cost (noise on two near-collinear products),
+    the better of the two one-term fits is kept instead.
+    """
+    x = np.array([[f, o] for f, o, _ in samples], dtype=np.float64)
+    y = np.array([s for _, _, s in samples], dtype=np.float64)
+    coef = np.linalg.lstsq(x, y, rcond=None)[0]
+    if (coef >= 0.0).all():
+        return float(coef[0]), float(coef[1])
+    best = None
+    for j in range(2):
+        col = x[:, j]
+        c = float(col @ y / max(col @ col, 1e-30))
+        resid = float(np.sum((y - c * col) ** 2))
+        if best is None or resid < best[0]:
+            best = (resid, j, c)
+    out = [0.0, 0.0]
+    out[best[1]] = best[2]
+    return out[0], out[1]
 
 
 #: Estimates used when the pool cannot (or should not) be measured:
@@ -236,118 +243,55 @@ def _measure_pool() -> tuple[float, float]:
 
 def calibrate(
     quick: bool = False,
-    base_preset: str = "laptop",
     measure_pool: bool = True,
     seed: int = 0,
 ) -> MachineProfile:
-    """Run the micro-benchmarks and return a calibrated profile.
+    """Run the measurements and return a calibrated profile.
 
     ``quick=True`` shrinks every working set so the whole run finishes
     in a few seconds (the ``repro calibrate --quick`` CI path); numbers
     are noisier but still this machine's, not a preset's.
     """
-    rng = np.random.default_rng(seed)
-    n = 2_000_000 if quick else 16_000_000
-    reps = 2 if quick else 4
-
-    # Streaming: copy (b := a) and STREAM "add" (a := b + c; numpy has
-    # no fused scale-add without a temporary, and add moves the same
-    # 3 × 8 bytes per element as triad).  STREAM byte-counting
-    # convention: 2 and 3 touched arrays respectively.
-    src = rng.random(n)
-    dst = np.empty_like(src)
-    t_copy = _best_of(lambda: np.copyto(dst, src), reps)
-    copy_gbs = _clamp(16.0 * n / t_copy / 1e9, _BANDWIDTH_BOUNDS_GBS)
-
-    c2 = rng.random(n)
-    t_triad = _best_of(lambda: np.add(src, c2, out=dst), reps)
-    triad_gbs = _clamp(24.0 * n / t_triad / 1e9, _BANDWIDTH_BOUNDS_GBS)
-
-    # Scatter: random 8-byte stores over a working set far beyond LLC.
-    # Effective latency assumes `mlp` overlapped line fills per core.
-    idx = rng.permutation(n)
-    t_scatter = _best_of(lambda: dst.__setitem__(idx, src), reps)
-    scatter_gbs = _clamp(16.0 * n / t_scatter / 1e9, _BANDWIDTH_BOUNDS_GBS)
-    base = get_machine(base_preset)
-    lines_per_s = n / t_scatter
-    dram_latency_ns = _clamp(base.mlp / lines_per_s * 1e9, _LATENCY_BOUNDS_NS)
-
-    # Radix throughput on the real kernel → effective clock, by charging
-    # the cost model's own cycles (byte passes × cycles/pass) per tuple.
-    ns = 1_000_000 if quick else 4_000_000
-    keys = rng.integers(0, 1 << 32, size=ns, dtype=np.uint64).astype(np.uint32)
-    vals = rng.random(ns)
-    t_radix = _best_of(lambda: radix_sort_pairs(keys, vals, key_bits=32), reps)
-    radix_mtuples_s = ns / t_radix / 1e6
-    model_cycles = C.PB_SORT_CYCLES_PER_FLOP_PER_PASS * passes_for_bits(32)
-    effective_clock_ghz = _clamp(
-        model_cycles * ns / t_radix / 1e9, _CLOCK_BOUNDS_GHZ
-    )
-
-    # Column-kernel throughput on the real panel hash kernel as it runs
-    # by default (compiled when the engine builds): a small ER product,
-    # priced in tuples (flop) per second.  The untimed first call of
-    # _best_of pays any compile/load.
-    from ..generators import erdos_renyi
-    from ..kernels.hash_spgemm import hash_spgemm
-    from ..kernels.outer_expand import column_flops
-
-    g = erdos_renyi(1 << (10 if quick else 12), 8, seed=seed, fmt="csr")
-    ca, cb = g.to_csc(), g
-    col_flop = int(column_flops(ca, cb.to_csc()).sum())
-    t_col = _best_of(lambda: hash_spgemm(ca, cb), reps)
-    column_mtuples_s = max(col_flop, 1) / t_col / 1e6
-
+    copy_gbs = _measure_copy(quick, seed)
+    products = _calibration_products(quick, seed)
+    costs = {}
+    for family in FAMILIES:
+        t_flop, t_out = _fit_costs(
+            _measure_family(family, products, 3 if quick else 5)
+        )
+        costs[f"{family}_flop_ns"] = t_flop * 1e9
+        costs[f"{family}_out_ns"] = t_out * 1e9
     if measure_pool:
         pool_startup_s, warm_dispatch_s = _measure_pool()
     else:
         pool_startup_s = _POOL_STARTUP_ESTIMATE_S
         warm_dispatch_s = _WARM_DISPATCH_ESTIMATE_S
-
     return MachineProfile(
-        base_preset=base_preset,
         source="calibrated",
         quick=quick,
         copy_gbs=copy_gbs,
-        triad_gbs=triad_gbs,
-        scatter_gbs=scatter_gbs,
-        radix_mtuples_s=radix_mtuples_s,
-        column_mtuples_s=column_mtuples_s,
-        effective_clock_ghz=effective_clock_ghz,
-        dram_latency_ns=dram_latency_ns,
         pool_startup_s=pool_startup_s,
         warm_dispatch_s=warm_dispatch_s,
         created_unix=time.time(),
+        **costs,
     )
 
 
 def default_profile(base_preset: str = "laptop") -> MachineProfile:
     """Preset fallback used whenever no calibration has been saved."""
-    base = get_machine(base_preset)
-    # Derived so the preset profile and a calibration of a machine that
-    # exactly matched the preset would rank candidates identically.
-    radix_mtuples_s = (
-        base.clock_ghz
-        * 1e3
-        / (C.PB_SORT_CYCLES_PER_FLOP_PER_PASS * passes_for_bits(32))
-    )
-    # Derived so column_compute_scale() is exactly 1.0 — the preset
-    # profile prices column kernels with the untouched paper constants.
-    column_mtuples_s = base.clock_ghz * 1e3 / C.HASH_CYCLES_PER_FLOP
+    copy_gbs = get_machine(base_preset).stream_single.copy
+    costs = {}
+    for family, (flop_bytes, out_bytes) in PRESET_COPY_BYTES.items():
+        costs[f"{family}_flop_ns"] = flop_bytes / copy_gbs
+        costs[f"{family}_out_ns"] = out_bytes / copy_gbs
     return MachineProfile(
-        base_preset=base_preset,
-        source="preset",
+        source=f"preset:{base_preset}",
         quick=False,
-        copy_gbs=base.stream_single.copy,
-        triad_gbs=base.stream_single.triad,
-        scatter_gbs=base.line_bytes * base.mlp / base.dram_latency_ns,
-        radix_mtuples_s=radix_mtuples_s,
-        column_mtuples_s=column_mtuples_s,
-        effective_clock_ghz=base.clock_ghz,
-        dram_latency_ns=base.dram_latency_ns,
+        copy_gbs=copy_gbs,
         pool_startup_s=_POOL_STARTUP_ESTIMATE_S,
         warm_dispatch_s=_WARM_DISPATCH_ESTIMATE_S,
         created_unix=0.0,
+        **costs,
     )
 
 

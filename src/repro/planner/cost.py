@@ -1,65 +1,68 @@
 """Candidate ranking: sketch × profile → scored algorithm choices.
 
-This is where the paper's model becomes a decision procedure.  Every
-registered algorithm (``kernels.dispatch`` — heap / hash / hashvec /
-spa / esc_column / pb) is priced by plugging the workload's structural
-stats into the existing bytes/roofline machinery
-(:func:`repro.costmodel.bytes_model.algorithm_phase_costs` timed by
-:func:`repro.simulate.engine.simulate_phases`) against the calibrated
-:class:`~repro.planner.calibrate.MachineProfile`.
+Every registered algorithm (``kernels.dispatch`` — heap / hash /
+hashvec / spa / esc_column / pb / tiled / sharded) is priced from the
+measured costs of the kernel family that runs it
+(:class:`~repro.planner.calibrate.MachineProfile`, DESIGN.md §10)::
 
-PB additionally gets its two paper knobs tuned from the cache model
-(Fig. 6) instead of a static default: candidate ``nbins`` (powers of
-two around the L2-fit point) and ``local_bin_bytes`` widths are swept
-through :func:`~repro.costmodel.bytes_model.pb_phase_costs` and the
-cheapest pair becomes the plan's config override.
+    seconds = flop · t_flop + nnz(C) · t_out
 
-Executor choice consumes the registry's ``supports_process`` metadata:
-algorithms that can run on the process pool are priced at the requested
-worker count plus a fixed pool overhead; the rest are priced
-single-threaded.  Where the compiled PB pipeline can run, PB and tiled
-are instead priced on the threads it would use
-(:func:`repro.parallel.threads.thread_count`), with no pool overhead.
-The pool overhead depends on how the pool is provisioned: a standalone
-process-executor multiply spawns (and tears down) its own pool, so it
-is charged the calibrated ``pool_startup_s`` every call; a
-multiply on a warm :class:`repro.session.Session` reuses an
-already-running pool and is charged only ``warm_dispatch_s``
-(``rank(..., warm_pool=True)``).  A session's *first* multiply is still
-priced cold — the spawn genuinely happens there; it is simply never
-paid again.
+PB runs on the threads :func:`repro.parallel.threads.thread_count`
+gives it (or the process pool's workers), so its time is divided by
+them.  Tiled and sharded add the bytes they restream over the measured
+copy rate plus :data:`PER_TILE_S` per tile, and sharded adds the pool
+spawn it pays every call.  Process-pool candidates (the registry's
+``supports_process`` metadata) pay the calibrated ``pool_startup_s``
+per standalone multiply, or only ``warm_dispatch_s`` on a session
+whose pool already runs (``rank(..., warm_pool=True)``).
+
+A ``memory_budget`` orders candidates before speed: one whose modeled
+peak exceeds it loses to every candidate that fits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..core.config import DEFAULT_LOCAL_BIN_BYTES, PBConfig, resolve_nbins
+from ..core.blocks import CSR_ENTRY_BYTES, TILE_WORKING_BYTES_PER_FLOP
+from ..core.config import PBConfig
 from ..core.tiled import monolithic_peak_bytes, tiled_peak_bytes
-from ..costmodel.bytes_model import ENTRY_BYTES, algorithm_phase_costs, pb_phase_costs
-from ..costmodel.phases import PhaseCost, WorkloadStats, workload_stats
 from ..kernels.dispatch import ALGORITHMS
 from ..matrix.csc import CSCMatrix
 from ..matrix.csr import CSRMatrix
-from ..simulate.engine import simulate_phases
+from ..matrix.stats import flops_per_row
+from ..parallel import threads
 from .calibrate import MachineProfile
-from .sketch import Sketch
+from .sketch import Sketch, deepen
 
-#: Local-bin widths swept for PB (Fig. 6a's x-axis, bracketing the
-#: paper's 512-byte default).
-LOCAL_BIN_SWEEP = (256, 512, 1024)
+#: The kernel family (a :data:`~repro.planner.calibrate.FAMILIES`
+#: entry) each registered algorithm runs.
+FAMILY = {
+    "pb": "pb",
+    "tiled": "pb",
+    "sharded": "pb",
+    "heap": "panel",
+    "hash": "panel",
+    "hashvec": "panel",
+    "spa": "panel",
+    "esc_column": "esc",
+}
 
-#: Grid dimensions swept when pricing ``algorithm="tiled"`` (powers of
-#: two, the same shape of sweep ``nbins`` gets).
+#: Grid dimensions swept when pricing ``algorithm="tiled"``.
 TILE_GRID_SWEEP = (1, 2, 4, 8, 16, 32)
 
-#: Modeled fixed cycles per tile: panel slicing, the per-tile symbolic
-#: phase, and Python dispatch overhead around each small PB multiply.
-#: This is what stops the sweep from over-tiling — past the budget's
-#: needs, more tiles only add this term.
-PER_TILE_CYCLES = 150_000.0
+#: Shard counts swept when ``PBConfig.shards`` leaves the count open
+#: (those up to the usable CPUs).
+SHARD_SWEEP = (2, 4, 8)
+
+#: Fixed seconds per tile: panel slicing, the per-tile symbolic phase
+#: and the Python dispatch around each small PB multiply.  Measured at
+#: 0.5–1.1 ms per tile on a 2-vCPU x86-64 host (compiled tier, ER 2^12
+#: and 2^14 at edge factor 16 on 16×16 and 32×32 grids).  It is what
+#: stops the grid sweep from over-tiling.
+PER_TILE_S = 1e-3
 
 
 @dataclass(frozen=True)
@@ -74,8 +77,6 @@ class CandidateScore:
     executor: str
     nthreads: int
     predicted_seconds: float
-    predicted_dram_bytes: float
-    phase_seconds: dict = field(default_factory=dict)
     overrides: dict = field(default_factory=dict)
     reason: str | None = None
     #: Modeled peak resident bytes (0.0 on pre-tiling cache records,
@@ -88,9 +89,7 @@ class CandidateScore:
             "executor": self.executor,
             "nthreads": self.nthreads,
             "predicted_seconds": self.predicted_seconds,
-            "predicted_dram_bytes": self.predicted_dram_bytes,
             "predicted_peak_bytes": self.predicted_peak_bytes,
-            "phase_seconds": dict(self.phase_seconds),
             "overrides": dict(self.overrides),
             "reason": self.reason,
         }
@@ -102,71 +101,13 @@ class CandidateScore:
             executor=data.get("executor", "serial"),
             nthreads=int(data.get("nthreads", 1)),
             predicted_seconds=float(data["predicted_seconds"]),
-            predicted_dram_bytes=float(data.get("predicted_dram_bytes", 0.0)),
-            phase_seconds=dict(data.get("phase_seconds", {})),
             overrides=dict(data.get("overrides", {})),
             reason=data.get("reason"),
             predicted_peak_bytes=float(data.get("predicted_peak_bytes", 0.0)),
         )
 
 
-def _nbins_candidates(flop: int, nrows: int, config: PBConfig) -> list[int]:
-    """Powers of two bracketing the L2-fit resolution (Fig. 6b sweep)."""
-    center = resolve_nbins(flop, nrows, config)
-    cands = sorted(
-        {
-            max(1, min(c, max(nrows, 1)))
-            for c in (center // 4, center // 2, center, center * 2, center * 4)
-            if c >= 1
-        }
-    )
-    return cands
-
-
-def _tune_pb(
-    stats: WorkloadStats,
-    machine,
-    config: PBConfig,
-    nthreads: int,
-    sockets: int = 1,
-) -> tuple[float, float, dict, dict]:
-    """Sweep (nbins, local_bin_bytes); best combination.
-
-    Knobs the caller already pinned in ``config`` are honored (their
-    sweep collapses to the pinned value), so the returned overrides
-    only ever fill blanks.
-    """
-    nbins_cands = (
-        [min(config.nbins, max(stats.n_rows, 1))]
-        if config.nbins is not None
-        else _nbins_candidates(stats.flop, stats.n_rows, config)
-    )
-    lbb_cands = (
-        [config.local_bin_bytes]
-        if config.local_bin_bytes != DEFAULT_LOCAL_BIN_BYTES
-        else list(LOCAL_BIN_SWEEP)
-    )
-    best = None
-    for nbins in nbins_cands:
-        for lbb in lbb_cands:
-            cfg = config.with_(nbins=nbins, local_bin_bytes=lbb)
-            phases = pb_phase_costs(stats, machine, cfg, nbins=nbins)
-            reports = simulate_phases(phases, machine, nthreads, sockets)
-            total = sum(p.seconds for p in reports)
-            if best is None or total < best[0]:
-                dram = sum(p.dram_bytes for p in reports)
-                per_phase = {p.name: p.seconds for p in reports}
-                best = (total, dram, per_phase, {"nbins": nbins, "local_bin_bytes": lbb})
-    total, dram, per_phase, knobs = best
-    overrides = {}
-    if config.nbins is None:
-        overrides["nbins"] = knobs["nbins"]
-    if config.local_bin_bytes == DEFAULT_LOCAL_BIN_BYTES:
-        overrides["local_bin_bytes"] = knobs["local_bin_bytes"]
-    return total, dram, per_phase, overrides
-
-
-def _panel_peak_bytes(stats: WorkloadStats) -> float:
+def _panel_peak_bytes(sk: Sketch) -> float:
     """Modeled peak bytes of the panel-vectorized column algorithms.
 
     The panel path materializes at most ``DEFAULT_PANEL_TUPLES`` (or
@@ -176,13 +117,14 @@ def _panel_peak_bytes(stats: WorkloadStats) -> float:
     """
     from ..kernels.column_panel import DEFAULT_PANEL_TUPLES
 
-    from ..core.blocks import CSR_ENTRY_BYTES, TILE_WORKING_BYTES_PER_FLOP
+    inputs = CSR_ENTRY_BYTES * 2.0 * (sk.nnz_a + sk.nnz_b)
+    panel = TILE_WORKING_BYTES_PER_FLOP * float(min(sk.flop, DEFAULT_PANEL_TUPLES))
+    return inputs + panel + CSR_ENTRY_BYTES * float(sk.nnz_c)
 
-    inputs = CSR_ENTRY_BYTES * 2.0 * (stats.nnz_a + stats.nnz_b)
-    panel = TILE_WORKING_BYTES_PER_FLOP * float(
-        min(stats.flop, DEFAULT_PANEL_TUPLES)
-    )
-    return inputs + panel + CSR_ENTRY_BYTES * float(stats.nnz_c)
+
+def _copy_seconds(profile: MachineProfile, entries: float) -> float:
+    """Seconds to restream ``entries`` CSR entries at the copy rate."""
+    return CSR_ENTRY_BYTES * float(entries) / (profile.copy_gbs * 1e9)
 
 
 def _grid_dims(extent: int, pinned_tile: int | None) -> list[int]:
@@ -193,212 +135,145 @@ def _grid_dims(extent: int, pinned_tile: int | None) -> list[int]:
     return [d for d in TILE_GRID_SWEEP if d <= extent] or [1]
 
 
-def _max_tile_flop(stats: WorkloadStats, gr: int, gc: int) -> float:
-    """Busiest tile's flop under the grid, from the row/col marginals.
-
-    ``flops_per_row[i] * flops_per_col[j] / flop`` is the expected
-    tile load when row and column structure are independent; taking
-    the max panel marginals upper-bounds the skewed case well enough
-    for a feasibility gate.
-    """
-    total = float(max(stats.flop, 1))
-    if gr <= 1 and gc <= 1:
-        return float(stats.flop)
-    row_starts = np.linspace(0, len(stats.flops_per_row), gr + 1).astype(int)[:-1]
-    col_starts = np.linspace(0, len(stats.flops_per_col), gc + 1).astype(int)[:-1]
-    max_row = (
-        float(np.add.reduceat(stats.flops_per_row, row_starts).max())
-        if len(stats.flops_per_row)
-        else 0.0
-    )
-    max_col = (
-        float(np.add.reduceat(stats.flops_per_col, col_starts).max())
-        if len(stats.flops_per_col)
-        else 0.0
-    )
-    return max_row * max_col / total
+def _max_panel_flop(per_line: np.ndarray, panels: int) -> float:
+    """Flop of the busiest of ``panels`` even panels over ``per_line``."""
+    if panels <= 1 or not len(per_line):
+        return float(per_line.sum())
+    starts = np.linspace(0, len(per_line), panels + 1).astype(int)[:-1]
+    return float(np.add.reduceat(per_line, starts).max())
 
 
 def _tune_tiled(
-    stats: WorkloadStats,
-    machine,
+    a_csc: CSCMatrix,
+    b_csr: CSRMatrix,
+    sk: Sketch,
+    pb_s: float,
     config: PBConfig,
-    nthreads: int,
-) -> tuple[float, float, dict, dict, float]:
-    """Sweep the tile grid; returns the PB tuple plus the peak bytes.
+    profile: MachineProfile,
+) -> tuple[float, dict, float]:
+    """Sweep the tile grid; returns ``(seconds, overrides, peak)``.
 
-    The per-tile pipeline is the monolithic PB pipeline over the same
-    total tuple stream, so the base cost reuses :func:`_tune_pb`'s
-    swept optimum; each candidate grid then adds a ``tiling`` phase —
-    the restreamed operand passes ((gc−1)·A, (gr−1)·B), the merge
-    stage's read+write of C, and :data:`PER_TILE_CYCLES` per tile —
-    and the cheapest *budget-feasible* grid wins.  With no
-    ``memory_budget`` every grid is feasible and the 1×1 grid's zero
-    overhead wins, which is exactly right: tiling is pure cost until
-    memory is the constraint.
-
-    Pinned ``config.tile_rows`` / ``tile_cols`` collapse their
-    dimension of the sweep (the `_tune_pb` convention); the returned
+    Each grid costs the PB time of the whole product plus its
+    restreamed operand passes ((gc−1)·A, (gr−1)·B), the merge stage's
+    read and write of C, and :data:`PER_TILE_S` per tile; the cheapest
+    *budget-feasible* grid wins.  With no ``memory_budget`` the 1×1
+    grid wins, which is right: tiling is pure cost until memory is
+    the constraint.  The busiest tile's flop is the product of the
+    busiest row and column panels' flop over the total (independent
+    row and column structure).  Pinned ``config.tile_rows`` /
+    ``tile_cols`` collapse their dimension of the sweep; the returned
     overrides only ever fill blanks.
     """
-    pb_total, pb_dram, pb_phases, pb_overrides = _tune_pb(
-        stats, machine, config, nthreads
-    )
     budget = config.memory_budget
-    m, n = stats.n_rows, stats.n_cols
-    gr_cands = _grid_dims(m, config.tile_rows)
-    gc_cands = _grid_dims(n, config.tile_cols)
-    best = None  # (infeasible, total, peak, gr, gc, phase_s, dram)
-    for gr in gr_cands:
-        for gc in gc_cands:
+    m, n = sk.m, sk.n
+    per_row = flops_per_row(a_csc, b_csr)
+    per_col = flops_per_row(b_csr.transpose(), a_csc.transpose())
+    total = float(max(sk.flop, 1))
+    best = None
+    for gr in _grid_dims(m, config.tile_rows):
+        for gc in _grid_dims(n, config.tile_cols):
             ntiles = gr * gc
-            read = (
-                (gc - 1) * ENTRY_BYTES * stats.nnz_a
-                + (gr - 1) * ENTRY_BYTES * stats.nnz_b
-                + (ENTRY_BYTES * stats.nnz_c if ntiles > 1 else 0)
-            )
-            write = ENTRY_BYTES * stats.nnz_c if ntiles > 1 else 0
-            overhead = PhaseCost(
-                name="tiling",
-                dram_read_bytes=float(read),
-                dram_write_bytes=float(write),
-                compute_cycles=ntiles * PER_TILE_CYCLES,
-                schedule="static_block",
-                overlap="max",
-            )
-            # Per-tile fixed work is serial driver overhead, not
-            # worker-parallel: price it single-threaded.
-            reports = simulate_phases([overhead], machine, 1)
-            extra = sum(p.seconds for p in reports)
-            extra_dram = sum(p.dram_bytes for p in reports)
+            restream = (gc - 1) * sk.nnz_a + (gr - 1) * sk.nnz_b
+            if ntiles > 1:
+                restream += 2 * sk.nnz_c
+            seconds = pb_s + _copy_seconds(profile, restream) + ntiles * PER_TILE_S
             peak = tiled_peak_bytes(
-                stats.flop,
-                stats.nnz_a,
-                stats.nnz_b,
-                stats.nnz_c,
+                sk.flop,
+                sk.nnz_a,
+                sk.nnz_b,
+                sk.nnz_c,
                 gr,
                 gc,
-                max_tile_flop=_max_tile_flop(stats, gr, gc),
+                max_tile_flop=(
+                    _max_panel_flop(per_row, gr) * _max_panel_flop(per_col, gc) / total
+                ),
             )
-            infeasible = budget is not None and peak > budget
-            key = (infeasible, pb_total + extra, peak)
+            key = (budget is not None and peak > budget, seconds, peak)
             if best is None or key < best[0]:
-                best = (key, gr, gc, extra, extra_dram, peak)
-    key, gr, gc, extra, extra_dram, peak = best
-    total = pb_total + extra
-    phase_seconds = dict(pb_phases)
-    if extra > 0.0:
-        phase_seconds["tiling"] = extra
-    overrides = dict(pb_overrides)
+                best = (key, gr, gc)
+    (_, seconds, peak), gr, gc = best
+    overrides = {}
     if config.tile_rows is None:
         overrides["tile_rows"] = max(1, -(-max(m, 1) // gr))
     if config.tile_cols is None:
         overrides["tile_cols"] = max(1, -(-max(n, 1) // gc))
-    return total, pb_dram + extra_dram, phase_seconds, overrides, peak
+    return seconds, overrides, peak
 
 
-#: Shard counts swept when ``PBConfig.shards`` leaves the count open.
-SHARD_SWEEP = (2, 4, 8)
+def _shard_counts(sk: Sketch, config: PBConfig, cpus: int) -> list[int]:
+    """Shard counts to price: the pinned one, or those this host can run
+    in parallel plus the count ``"auto"`` needs to meet the budget."""
+    from ..core.sharded import resolve_shards
+
+    rows = max(sk.m, 1)
+    if isinstance(config.shards, int):
+        return [min(config.shards, rows)]
+    budgeted = [
+        resolve_shards(
+            "auto", m=sk.m, flop=sk.flop, memory_budget=config.memory_budget
+        )
+    ]
+    if config.shards == "auto":
+        return budgeted
+    counts = {s for s in SHARD_SWEEP if s <= cpus} or {SHARD_SWEEP[0]}
+    if config.memory_budget is not None:
+        counts.update(budgeted)
+    return sorted({min(s, rows) for s in counts})
 
 
 def _tune_sharded(
-    stats: WorkloadStats,
-    machine,
+    sk: Sketch,
+    pb_s: float,
     config: PBConfig,
     profile: MachineProfile,
-) -> tuple[float, float, dict, dict, float, int]:
-    """Sweep shard counts; returns the PB tuple + peak bytes + shards.
+) -> tuple[float, dict, float]:
+    """Sweep shard counts; returns ``(seconds, overrides, peak)``.
 
-    Extends the tiled pricing with the sharded executor's own terms:
-
-    * **compute** — the swept PB optimum divided by the *effective*
-      parallelism ``min(shards, cores)``; extra shards beyond the core
-      count only shrink per-process working sets, they don't add speed
-      (the driver staggers them for exactly this reason).
-    * **panel broadcast** — one shared-memory write + one read of A and
-      the B panels (``ENTRY_BYTES * (nnz_a + nnz_b)`` each way), plus
-      the streamed return and merge of C (2× its bytes) and the final
-      assembly write.
+    * **compute** — the one-thread PB time divided by the shards that
+      run at once, ``min(shards, usable CPUs)``; extra shards only
+      shrink per-process working sets.
+    * **transport** — A and the B panels written to and read from
+      shared memory once, and C returned, merged and assembled
+      (3× its entries), all at the copy rate, plus :data:`PER_TILE_S`
+      for each of the ``shards × grid_cols`` tiles.
     * **spawn** — the calibrated ``pool_startup_s`` every call: the
-      sharded driver forks its own worker set per multiply; there is no
-      warm-pool discount.
-    * **per-tile overhead** — :data:`PER_TILE_CYCLES` for each of the
-      ``shards × grid_cols`` tiles.
+      sharded driver forks its own workers per multiply.
 
     The returned peak is the busiest *shard's* modeled resident bytes
     (:func:`repro.core.sharded.sharded_peak_bytes`) or the parent's
-    assembly floor, whichever is larger — the feasibility gate then
-    compares it against the per-process ``memory_budget``, which is
-    how ``algorithm="auto"`` picks sharded exactly when fan-out is
-    what makes the budget satisfiable.
+    assembly floor, whichever is larger — the feasibility gate compares
+    it against the per-process ``memory_budget``, which is how
+    ``algorithm="auto"`` picks sharded exactly when fan-out is what
+    makes the budget satisfiable.
     """
     from ..core.blocks import col_panels_for
-    from ..core.sharded import resolve_shards, sharded_peak_bytes
+    from ..core.sharded import sharded_peak_bytes
 
-    pb_total, pb_dram, pb_phases, pb_overrides = _tune_pb(stats, machine, config, 1)
     budget = config.memory_budget
-    cores = max(1, machine.total_cores)
-    if isinstance(config.shards, int):
-        shard_cands = [min(config.shards, max(stats.n_rows, 1))]
-    elif config.shards == "auto":
-        shard_cands = [
-            resolve_shards(
-                "auto",
-                m=stats.n_rows,
-                flop=stats.flop,
-                memory_budget=budget,
-            )
-        ]
-    else:
-        shard_cands = [s for s in SHARD_SWEEP if s <= max(stats.n_rows, 1)] or [1]
+    cpus = threads.usable_cpus()
+    transport = _copy_seconds(profile, 2 * (sk.nnz_a + sk.nnz_b) + 3 * sk.nnz_c)
+    parent_floor = CSR_ENTRY_BYTES * float(sk.nnz_a + sk.nnz_b + sk.nnz_c)
     best = None
-    for s in shard_cands:
+    for s in _shard_counts(sk, config, cpus):
         # The driver's column split, for an even flop split over s shards.
-        gc = col_panels_for(stats.n_cols, float(stats.flop) / max(s, 1), config)
-        transport = PhaseCost(
-            name="shard_transport",
-            dram_read_bytes=float(
-                ENTRY_BYTES * (stats.nnz_a + stats.nnz_b)  # workers read
-                + ENTRY_BYTES * stats.nnz_c  # parent merges returns
-            ),
-            dram_write_bytes=float(
-                ENTRY_BYTES * (stats.nnz_a + stats.nnz_b)  # broadcast copy
-                + 2.0 * ENTRY_BYTES * stats.nnz_c  # return + assembly
-            ),
-            compute_cycles=s * gc * PER_TILE_CYCLES,
-            schedule="static_block",
-            overlap="max",
+        gc = col_panels_for(sk.n, float(sk.flop) / max(s, 1), config)
+        seconds = (
+            pb_s / min(s, cpus)
+            + transport
+            + s * gc * PER_TILE_S
+            + profile.pool_startup_s
         )
-        reports = simulate_phases([transport], machine, 1)
-        extra = sum(p.seconds for p in reports) + profile.pool_startup_s
-        extra_dram = sum(p.dram_bytes for p in reports)
-        compute = pb_total / min(s, cores)
-        shard_peak = sharded_peak_bytes(
-            stats.flop, stats.nnz_a, stats.nnz_b, s, gc
+        peak = max(
+            sharded_peak_bytes(sk.flop, sk.nnz_a, sk.nnz_b, s, gc), parent_floor
         )
-        parent_floor = ENTRY_BYTES * float(
-            stats.nnz_a + stats.nnz_b + stats.nnz_c
-        )
-        peak = max(shard_peak, parent_floor)
-        infeasible = budget is not None and peak > budget
-        key = (infeasible, compute + extra, peak)
+        key = (budget is not None and peak > budget, seconds, peak)
         if best is None or key < best[0]:
-            best = (key, s, gc, compute, extra, extra_dram, peak)
-    key, s, gc, compute, extra, extra_dram, peak = best
-    phase_seconds = dict(pb_phases)
-    phase_seconds["shard_transport"] = extra
-    overrides = dict(pb_overrides)
-    overrides["shards"] = s
+            best = (key, s, gc)
+    (_, seconds, peak), s, gc = best
+    overrides = {"shards": s}
     if config.tile_cols is None and gc > 1:
-        overrides["tile_cols"] = max(1, -(-max(stats.n_cols, 1) // gc))
-    return (
-        compute + extra,
-        pb_dram + extra_dram,
-        phase_seconds,
-        overrides,
-        peak,
-        s,
-    )
+        overrides["tile_cols"] = max(1, -(-max(sk.n, 1) // gc))
+    return seconds, overrides, peak
 
 
 def rank(
@@ -422,105 +297,58 @@ def rank(
     ``threads_ok`` says the compiled PB pipeline can run this call, so
     PB and tiled run (and are priced) on ``thread_count(cfg.nthreads,
     flop)`` threads.
-    """
-    cfg = config or PBConfig()
-    stats = workload_stats(a_csc, b_csr, nnz_c=sk.nnz_c, seed=sk.seed)
-    machine = profile.machine_spec()
-    column_scale = profile.column_compute_scale()
-    # Price the backend dispatch will actually run (panel unless the
-    # config pins the loop ablation) — the loop's Table II model
-    # (latency-bound A bursts, accumulator spill) mis-prices the
-    # streaming panel path by several-fold.
-    column_backend = cfg.column_backend or "panel"
-    want_threads = max(1, cfg.nthreads)
-    scored: list[CandidateScore] = []
-    budget = cfg.memory_budget
-    from ..parallel import process_backend_available
-    from ..parallel.threads import thread_count
 
-    shardable = process_backend_available()
-    pb_threads = thread_count(want_threads, stats.flop) if threads_ok else 1
+    A config that pins ``column_backend="loop"`` drops heap, hash,
+    hashvec and spa: the profile measures only the panel those
+    kernels run by default, and the loop ablation is 3–200× slower
+    (``BENCH_column.json``), so no measured rate prices it.
+    """
+    from ..parallel import process_backend_available
+
+    cfg = config or PBConfig()
+    sk = deepen(sk, a_csc, b_csr)
+    want_threads = max(1, cfg.nthreads)
+    budget = cfg.memory_budget
+    pb_threads = threads.thread_count(want_threads, sk.flop) if threads_ok else 1
+    scored: list[CandidateScore] = []
     for name, info in sorted(ALGORITHMS.items()):
-        use_process = process_ok and info.supports_process and want_threads > 1
-        nthreads = min(want_threads, machine.total_cores) if use_process else 1
-        executor = "process" if use_process else "serial"
-        if name in ("pb", "tiled") and pb_threads > 1:
-            nthreads, executor = pb_threads, "threads"
+        family = FAMILY[name]
+        if family == "panel" and cfg.column_backend == "loop":
+            continue
+        seconds = profile.kernel_seconds(family, sk.flop, sk.nnz_c)
         if name == "sharded":
             # Feasibility gate: the sharded executor needs POSIX shared
             # memory, and a config that asked for the (mutually
             # exclusive) process executor keeps it out of the running.
-            if not shardable or cfg.executor == "process":
+            if not process_backend_available() or cfg.executor == "process":
                 continue
-            total, dram, per_phase, overrides, peak, s = _tune_sharded(
-                stats, machine, cfg, profile
-            )
+            seconds, overrides, peak = _tune_sharded(sk, seconds, cfg, profile)
+            shards = overrides["shards"]
             scored.append(
-                CandidateScore(
-                    algorithm=name,
-                    executor="sharded",
-                    nthreads=s,
-                    predicted_seconds=total,
-                    predicted_dram_bytes=dram,
-                    phase_seconds=per_phase,
-                    overrides=overrides,
-                    predicted_peak_bytes=peak,
-                )
+                CandidateScore(name, "sharded", shards, seconds, overrides, None, peak)
             )
             continue
-        if name == "pb" and info.supports_config:
-            total, dram, per_phase, overrides = _tune_pb(
-                stats, machine, cfg, nthreads
+        use_process = process_ok and info.supports_process and want_threads > 1
+        nthreads = min(want_threads, threads.usable_cpus()) if use_process else 1
+        executor = "process" if use_process else "serial"
+        if name in ("pb", "tiled") and pb_threads > 1:
+            nthreads, executor = pb_threads, "threads"
+        seconds /= nthreads
+        overrides: dict = {}
+        if name == "tiled":
+            seconds, overrides, peak = _tune_tiled(
+                a_csc, b_csr, sk, seconds, cfg, profile
             )
-            peak = monolithic_peak_bytes(
-                stats.flop, stats.nnz_a, stats.nnz_b, stats.nnz_c
-            )
-        elif name == "tiled" and info.supports_config:
-            total, dram, per_phase, overrides, peak = _tune_tiled(
-                stats, machine, cfg, nthreads
-            )
-        else:
-            # Column candidates, priced on the calibrated rate of the
-            # panel as it runs by default (compiled when it can be).
-            phases = algorithm_phase_costs(
-                name,
-                stats,
-                machine,
-                cfg,
-                column_compute_scale=column_scale,
-                column_backend=column_backend,
-            )
-            reports = simulate_phases(phases, machine, nthreads)
-            total = sum(p.seconds for p in reports)
-            dram = sum(p.dram_bytes for p in reports)
-            per_phase = {p.name: p.seconds for p in reports}
-            overrides = {}
-            peak = (
-                monolithic_peak_bytes(
-                    stats.flop, stats.nnz_a, stats.nnz_b, stats.nnz_c
-                )
-                if name == "esc_column"  # expands the whole tuple stream
-                else _panel_peak_bytes(stats)
-            )
+        elif family == "panel":
+            peak = _panel_peak_bytes(sk)
+        else:  # pb and esc_column expand the whole tuple stream
+            peak = monolithic_peak_bytes(sk.flop, sk.nnz_a, sk.nnz_b, sk.nnz_c)
         if use_process:
-            total += profile.warm_dispatch_s if warm_pool else profile.pool_startup_s
+            seconds += profile.warm_dispatch_s if warm_pool else profile.pool_startup_s
         scored.append(
-            CandidateScore(
-                algorithm=name,
-                executor=executor,
-                nthreads=nthreads,
-                predicted_seconds=total,
-                predicted_dram_bytes=dram,
-                phase_seconds=per_phase,
-                overrides=overrides,
-                predicted_peak_bytes=peak,
-            )
+            CandidateScore(name, executor, nthreads, seconds, overrides, None, peak)
         )
-    # Budget feasibility orders before speed: with a memory budget set,
-    # a candidate whose modeled peak exceeds it loses to every feasible
-    # one no matter how fast it looks — this is the auto-selection
-    # lever that flips pb → tiled when the monolithic working set
-    # cannot fit.
+
     def _infeasible(c: CandidateScore) -> bool:
         return budget is not None and c.predicted_peak_bytes > budget
 
@@ -536,9 +364,7 @@ def rank(
                 f"exceeds memory budget {budget / 1e6:.0f} MB"
             )
         if ratio >= 1.005:
-            notes.append(
-                f"predicted {ratio:.2f}x slower than {winner.algorithm}"
-            )
+            notes.append(f"predicted {ratio:.2f}x slower than {winner.algorithm}")
         elif not notes:
             notes.append(f"tied with {winner.algorithm}; loses the name tiebreak")
         if (
@@ -547,17 +373,5 @@ def rank(
             and not ALGORITHMS[c.algorithm].supports_process
         ):
             notes.append("no process-executor support; priced serially")
-        out.append(
-            CandidateScore(
-                algorithm=c.algorithm,
-                executor=c.executor,
-                nthreads=c.nthreads,
-                predicted_seconds=c.predicted_seconds,
-                predicted_dram_bytes=c.predicted_dram_bytes,
-                phase_seconds=c.phase_seconds,
-                overrides=c.overrides,
-                reason="; ".join(notes),
-                predicted_peak_bytes=c.predicted_peak_bytes,
-            )
-        )
+        out.append(replace(c, reason="; ".join(notes)))
     return out

@@ -8,17 +8,17 @@ Dataflow (DESIGN.md §10)::
     calibrated profile ──► tuned winner ──► cache.put ──► Plan(source=model)
 
 A :class:`Plan` is a fully inspectable record: the chosen algorithm,
-the resolved :class:`~repro.core.config.PBConfig` (with the tuned
-``nbins`` / ``local_bin_bytes`` overrides applied), the predicted
-per-phase seconds and DRAM bytes, and every candidate's score with a
-why-rejected reason.  ``repro.multiply(..., algorithm="auto")`` executes
-one; so does ``repro.kernels.spgemm(a, b, algorithm=plan)``.
+the resolved :class:`~repro.core.config.PBConfig` (with the tuned tile
+grid or shard count applied), the predicted seconds and peak bytes,
+and every candidate's score with a why-rejected reason.
+``repro.multiply(..., algorithm="auto")`` executes one; so does
+``repro.kernels.spgemm(a, b, algorithm=plan)``.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.config import PBConfig
 from ..errors import PlannerError
@@ -45,13 +45,11 @@ class Plan:
     config: PBConfig | None  # resolved config, overrides applied (None if untuned)
     overrides: dict
     predicted_seconds: float
-    predicted_dram_bytes: float
     source: str  # "model" | "cache" | "feedback"
     cache_key: str
     profile_fingerprint: str
     sketch: Sketch
     candidates: tuple[CandidateScore, ...] = ()
-    phase_seconds: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         """JSON-able dump (``repro plan --json``)."""
@@ -62,8 +60,6 @@ class Plan:
             "nthreads": self.nthreads,
             "overrides": dict(self.overrides),
             "predicted_seconds": self.predicted_seconds,
-            "predicted_dram_bytes": self.predicted_dram_bytes,
-            "phase_seconds": dict(self.phase_seconds),
             "source": self.source,
             "cache_key": self.cache_key,
             "profile_fingerprint": self.profile_fingerprint,
@@ -81,8 +77,7 @@ class Plan:
             f"nnz(A)={sk.nnz_a}, nnz(B)={sk.nnz_b}, flop={sk.flop}"
             + (f", cf~{sk.cf:.2f}" if sk.cf is not None else "")
             + f", skew={sk.skew:.1f}",
-            f"  pred  : {self.predicted_seconds * 1e3:.3f} ms, "
-            f"{self.predicted_dram_bytes / 1e6:.1f} MB DRAM traffic",
+            f"  pred  : {self.predicted_seconds * 1e3:.3f} ms",
         ]
         if self.overrides:
             knobs = ", ".join(f"{k}={v}" for k, v in sorted(self.overrides.items()))
@@ -119,19 +114,22 @@ def resolve_profile(cache_dir: str | None) -> MachineProfile:
 #: Override keys the ranker may emit that translate to PBConfig fields.
 #: Anything else in an overrides dict (a hand-edited cache record, or
 #: one written when the ranker still emitted other keys, such as the
-#: per-phase numpy backends or ``column_backend``) is dropped rather
-#: than crashing ``with_``.
-_OVERRIDE_KEYS = (
-    "nbins",
-    "local_bin_bytes",
-    "tile_rows",
-    "tile_cols",
-    "shards",
-)
+#: per-phase numpy backends, ``column_backend`` or the Fig. 6 knobs
+#: ``nbins`` / ``local_bin_bytes``) is dropped rather than crashing
+#: ``with_`` or pinning a knob nothing priced.
+_OVERRIDE_KEYS = ("tile_rows", "tile_cols", "shards")
 
 
 def _known_overrides(overrides: dict) -> dict:
     return {k: v for k, v in overrides.items() if k in _OVERRIDE_KEYS}
+
+
+def _pins(cfg: PBConfig) -> dict:
+    """The config knobs that change what the ranker prices."""
+    pins = {k: getattr(cfg, k) for k in _OVERRIDE_KEYS if getattr(cfg, k) is not None}
+    if cfg.column_backend == "loop":
+        pins["column_backend"] = "loop"
+    return pins
 
 
 def _resolved_config(base: PBConfig | None, overrides: dict) -> PBConfig:
@@ -196,6 +194,7 @@ def plan(
         cfg.nthreads,
         warm=warm,
         budget=cfg.memory_budget,
+        pins=_pins(cfg),
     )
 
     rec = cache.get(key)
@@ -214,7 +213,6 @@ def plan(
             ),
             overrides=overrides,
             predicted_seconds=float(rec.get("predicted_seconds", 0.0)),
-            predicted_dram_bytes=float(rec.get("predicted_dram_bytes", 0.0)),
             source=rec.get("source", "cache"),
             cache_key=key,
             profile_fingerprint=profile.fingerprint(),
@@ -222,7 +220,6 @@ def plan(
             candidates=tuple(
                 CandidateScore.from_dict(c) for c in rec.get("candidates", [])
             ),
-            phase_seconds=dict(rec.get("phase_seconds", {})),
         )
 
     # Cache miss: pay for the deep sketch (bounded sampling) + ranking.
@@ -246,8 +243,6 @@ def plan(
         "nthreads": winner.nthreads,
         "overrides": dict(winner.overrides),
         "predicted_seconds": winner.predicted_seconds,
-        "predicted_dram_bytes": winner.predicted_dram_bytes,
-        "phase_seconds": dict(winner.phase_seconds),
         "candidates": [c.to_dict() for c in candidates],
         "sketch": sk.to_dict(),
     }
@@ -258,7 +253,7 @@ def plan(
         executor=winner.executor,
         nthreads=winner.nthreads,
         # Column winners carry a config only when the ranker tuned a
-        # knob for them; PB always carries its tuned knobs.
+        # knob for them; PB always carries the caller's config.
         config=(
             _resolved_config(config, winner.overrides)
             if (winner.algorithm == "pb" or winner.overrides)
@@ -266,11 +261,9 @@ def plan(
         ),
         overrides=dict(winner.overrides),
         predicted_seconds=winner.predicted_seconds,
-        predicted_dram_bytes=winner.predicted_dram_bytes,
         source="model",
         cache_key=key,
         profile_fingerprint=profile.fingerprint(),
         sketch=sk,
         candidates=tuple(candidates),
-        phase_seconds=dict(winner.phase_seconds),
     )

@@ -28,7 +28,6 @@ class ServerMetrics:
             "batches": 0,  # waves dispatched to the session
             "fused_batches": 0,  # waves executed as one stacked multiply
             "batched_requests": 0,  # requests served by waves of size >= 2
-            "wave_retries": 0,  # waves re-run after a worker death
             "connections": 0,
         }
         self._latencies = deque(maxlen=reservoir)

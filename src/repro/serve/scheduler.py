@@ -66,7 +66,6 @@ class Wave:
 
     id: int
     requests: list
-    retried: bool = False  # one re-run allowed after a worker death
 
     @property
     def tuples(self) -> int:

@@ -21,10 +21,10 @@ Architecture (DESIGN.md §15)::
   machine profile, one warm JIT tier and one recycled arena pool.
 
 Failure model: a pool worker dying mid-wave surfaces as
-``BrokenProcessPool``.  The Session already swaps in a fresh engine and
-retries once per call; the server adds one wave-level re-run on top,
-and only then fails the wave's requests with ``code="error"`` — later
-requests run on the replacement pool.  Admission control rejects with
+``BrokenProcessPool``.  Every wave runs through ``Session._run``, which
+swaps in a fresh engine and retries the multiply once; a second death
+fails the wave's requests with ``code="error"``, and later requests run
+on the replacement pool.  Admission control rejects with
 ``code="rejected"`` + ``retry_after_s`` before the queue can grow
 without bound (the queued-tuples bound is the arena-pool pressure
 proxy).
@@ -35,7 +35,6 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from ..core.config import PBConfig
@@ -359,19 +358,8 @@ class MultiplyServer:
                 request.future.set_result(payload)
 
     def _run_wave_sync(self, wave: Wave) -> list:
-        """Compute-thread entry: run one wave, with one wave-level
-        re-run after a worker death (on top of the Session's own
-        per-call engine replacement)."""
-        try:
-            return self._run_wave_once(wave)
-        except BrokenProcessPool:
-            if wave.retried:
-                raise  # pragma: no cover - second death in one wave
-            wave.retried = True
-            self.metrics.bump("wave_retries")
-            return self._run_wave_once(wave)
-
-    def _run_wave_once(self, wave: Wave) -> list:
+        """Compute-thread entry: run one wave (the Session retries a
+        worker death once; a second one fails the wave)."""
         session = self.session
         reqs = wave.requests
         if len(reqs) >= 2:
@@ -396,8 +384,6 @@ class MultiplyServer:
         req = reqs[0]
         try:
             return [("ok", self._run_single(req))]
-        except BrokenProcessPool:
-            raise
         except Exception as exc:
             return [("error", f"{type(exc).__name__}: {exc}")]
 

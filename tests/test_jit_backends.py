@@ -6,7 +6,7 @@ compiled column panel against the numpy code across every built-in
 semiring, the absent-degradation contract (silent, numpy results,
 including on process-pool workers), warm-up hygiene (Session
 construction + ``jit_warmup_s`` stopwatch), the planner's calibrated
-pricing (profile schema v5, stale versions rejected), and the CLI
+pricing (profile schema v6, stale versions rejected), and the CLI
 surfaces (``repro machine --json``, backend flags).
 
 Every test runs whether or not an engine is available: engine-requiring
@@ -366,8 +366,17 @@ class TestWarmup:
     def test_warmup_idempotent(self):
         s1 = jit_tier.warmup()
         s2 = jit_tier.warmup()
-        assert s1 >= 0.0 and s2 == 0.0
-        assert jit_tier.jit_status()["warmed"]
+        assert s1 >= 0.0 and s2 >= 0.0
+        assert jit_tier.jit_status()["warmed"] == jit_tier.jit_available()
+        if jit_tier.jit_available():
+            assert s2 == 0.0
+
+    def test_warmup_without_engine_stays_cold(self, no_engine):
+        """With no engine there is nothing to warm: the status must not
+        report ``warmed`` next to ``available: false``."""
+        jit_tier.warmup()
+        st = jit_tier.jit_status()
+        assert not st["available"] and not st["warmed"]
 
     def test_session_records_warmup(self, clean_jit_state):
         # Any config warms when an engine exists: modulo bins keep PB on
@@ -430,22 +439,23 @@ class TestConfig:
 # ---------------------------------------------------------------------------
 
 class TestPlannerPricing:
-    def test_profile_schema_v5_roundtrip(self):
+    def test_profile_schema_v6_roundtrip(self):
         from repro.planner.calibrate import (
             PROFILE_SCHEMA_VERSION,
             MachineProfile,
             default_profile,
         )
 
-        assert PROFILE_SCHEMA_VERSION == 5
+        assert PROFILE_SCHEMA_VERSION == 6
         prof = default_profile()
-        assert "jit_scatter_mtuples_s" not in prof.to_dict()
+        for stale in ("jit_scatter_mtuples_s", "column_mtuples_s", "effective_clock_ghz"):
+            assert stale not in prof.to_dict()
         again = MachineProfile.from_dict(json.loads(json.dumps(prof.to_dict())))
         assert again == prof
 
     def test_v3_profile_rejected(self, tmp_path):
-        """Stale profiles recalibrate, never migrate: a v4 file (which
-        carries ``jit_scatter_mtuples_s``) is rejected like a v3 or v2
+        """Stale profiles recalibrate, never migrate: a v5 or v4 file
+        (which carry the simulator's rates) is rejected like a v3 or v2
         one, and the planner falls back to presets."""
         from repro.planner.calibrate import (
             MachineProfile,
@@ -456,7 +466,7 @@ class TestPlannerPricing:
 
         d = default_profile().to_dict()
         d["jit_scatter_mtuples_s"] = 0.0
-        for version in (4, 3, 2):
+        for version in (5, 4, 3, 2):
             d["schema_version"] = version
             with pytest.raises(ValueError, match="schema_version"):
                 MachineProfile.from_dict(d)
@@ -480,7 +490,7 @@ class TestPlannerPricing:
         for c in rank(a_csc, b_csr, sk, default_profile()):
             assert "column_backend" not in c.overrides
         pb = next(c for c in rank(a_csc, b_csr, sk, default_profile()) if c.algorithm == "pb")
-        assert set(pb.overrides) <= {"nbins", "local_bin_bytes"}
+        assert pb.overrides == {}  # no Fig. 6 knob sweep either
 
     def test_resolved_config_applies_backend_overrides(self):
         from repro.planner.plan import _resolved_config
@@ -488,12 +498,14 @@ class TestPlannerPricing:
         cfg = _resolved_config(
             None,
             {
-                "nbins": 64,
+                "tile_rows": 64,
+                "nbins": 64,  # no longer an override key
                 "column_backend": "panel_jit",  # no longer an override key
                 "not_a_knob": 1,
             },
         )
-        assert cfg.nbins == 64
+        assert cfg.tile_rows == 64
+        assert cfg.nbins is None
         assert cfg.column_backend == "panel"
 
     def test_calibrate_measures_jit_rate(self, monkeypatch):
@@ -517,7 +529,7 @@ class TestPlannerPricing:
 
         monkeypatch.setattr(hash_mod, "hash_spgemm", spy)
         prof = calibrate(quick=True, measure_pool=False)
-        assert prof.column_mtuples_s > 0.0
+        assert prof.panel_flop_ns + prof.panel_out_ns > 0.0
         assert calls and all("column_backend" not in kw for kw in calls)
 
 
