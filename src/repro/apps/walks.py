@@ -16,6 +16,7 @@ from ..errors import ShapeError
 from ..matrix.base import INDEX_DTYPE
 from ..matrix.coo import COOMatrix
 from ..matrix.csr import CSRMatrix
+from ..semiring import MIN_PLUS
 from ._session import loop_multiply, spgemm_session
 
 
@@ -100,10 +101,7 @@ def _entrywise_min(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
     n = a.shape[1]
     keys = np.concatenate([ca.rows * n + ca.cols, cb.rows * n + cb.cols])
     vals = np.concatenate([ca.vals, cb.vals])
-    order = np.argsort(keys, kind="stable")
-    keys, vals = keys[order], vals[order]
-    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-    merged = np.minimum.reduceat(vals, starts)
-    rows = (keys[starts] // n).astype(INDEX_DTYPE)
-    cols = (keys[starts] % n).astype(INDEX_DTYPE)
+    keys, merged = MIN_PLUS.segment_reduce(keys, vals)
+    rows = (keys // n).astype(INDEX_DTYPE)
+    cols = (keys % n).astype(INDEX_DTYPE)
     return COOMatrix(a.shape, rows, cols, merged, validate=False).to_csr()

@@ -27,3 +27,13 @@ def best_of(fn, reps: int) -> float:
     """
     fn()
     return min(timed(fn) for _ in range(max(1, reps)))
+
+
+def bit_identical(c0, c1) -> bool:
+    """Whether two CSR products are equal bit for bit (NaNs included)."""
+    return bool(
+        c0.shape == c1.shape
+        and c0.indptr.tobytes() == c1.indptr.tobytes()
+        and c0.indices.tobytes() == c1.indices.tobytes()
+        and c0.data.tobytes() == c1.data.tobytes()
+    )

@@ -2,8 +2,9 @@
 
 Times the panel execution path (:mod:`repro.kernels.column_panel`)
 against the faithful per-column loop accumulators for all four column
-algorithms (hash / heap / hashvec / spa), checks bit-identity per
-semiring, and scores the planner's pick against the measured fastest
+algorithms (hash / heap / hashvec / spa), checks that every kernel
+and strategy equals numpy PB bit for bit per semiring, and scores
+the planner's pick against the measured fastest
 algorithm across the whole registry; see DESIGN.md §11.
 
 The loop backends are interpreter-bound: at full scale the two
@@ -25,6 +26,7 @@ from ...kernels import (
     hash_spgemm,
     hashvec_spgemm,
     heap_spgemm,
+    jit,
     spa_spgemm,
 )
 from ...kernels.outer_expand import column_flops
@@ -34,7 +36,7 @@ from ...planner.sketch import deepen, sketch
 from ...semiring import available_semirings
 from ..registry import AcceptanceCheck, Suite, register_suite
 from ..schema import BenchResult, new_result
-from . import best_of, timed
+from . import best_of, bit_identical, timed
 
 #: The four accumulator column algorithms with a backend switch.
 COLUMN_KERNELS = {
@@ -127,20 +129,23 @@ def _bench_kernels(b_csr, reps: int, quick: bool) -> tuple[dict, dict]:
 
 
 def _check_identity(b_csr) -> dict:
-    """semiring -> bit-identity of panel vs loop across all 4 kernels."""
+    """semiring -> whether every column kernel under every strategy
+    (loop, panel, numpy panel) and ``esc_column`` equal numpy PB bit for
+    bit."""
     a_csc = b_csr.to_csc()
     out = {}
     for sr in available_semirings():
-        ok = True
+        with jit.disabled():
+            ref = pb_spgemm(a_csc, b_csr, sr)
+            products = [
+                kernel(a_csc, b_csr, semiring=sr, column_backend="panel")
+                for kernel in COLUMN_KERNELS.values()
+            ]
+        products.append(esc_column_spgemm(a_csc, b_csr, semiring=sr))
         for kernel in COLUMN_KERNELS.values():
-            loop = kernel(a_csc, b_csr, semiring=sr, column_backend="loop")
-            pan = kernel(a_csc, b_csr, semiring=sr, column_backend="panel")
-            ok = ok and (
-                np.array_equal(loop.indptr, pan.indptr)
-                and np.array_equal(loop.indices, pan.indices)
-                and loop.data.tobytes() == pan.data.tobytes()
-            )
-        out[sr] = bool(ok)
+            products.append(kernel(a_csc, b_csr, semiring=sr, column_backend="loop"))
+            products.append(kernel(a_csc, b_csr, semiring=sr, column_backend="panel"))
+        out[sr] = all(bit_identical(ref, c) for c in products)
     return out
 
 

@@ -19,11 +19,10 @@ This module is the vectorized execution strategy all four share:
    ties keep ascending-column order and the panel lands in full
    (row, col) order without packed keys.
 4. **Reduce** — detect duplicate (row, col) runs by adjacent
-   comparison and ⊕-fold them with the segmented semiring reduction
-   (:meth:`repro.semiring.Semiring.fold_runs_masked`, the fold half of
-   :meth:`~repro.semiring.Semiring.segment_reduce`), whose plus-path
-   is a sequential left fold in k-ascending stream order —
-   bit-identical to the loop accumulators' insertion order.
+   comparison and ⊕-fold them with :meth:`repro.semiring.Semiring.fold`
+   — a sequential left fold from the run head in k-ascending stream
+   order, the loop accumulators' insertion order and PB's compress
+   order, so every strategy and PB agree bit for bit.
 
 Steps 3-4 run as one compiled call per panel whenever the compiled
 tier can serve the multiply (:func:`repro.kernels.jit.blocker`: a
@@ -45,7 +44,7 @@ from ..errors import ConfigError, ShapeError
 from ..matrix.base import INDEX_DTYPE
 from ..matrix.csc import CSCMatrix
 from ..matrix.csr import CSRMatrix
-from ..semiring import PLUS_TIMES, Semiring, get_semiring
+from ..semiring import PLUS_TIMES, Semiring, canonical_nan, get_semiring
 from .outer_expand import chunk_ranges, column_flops, expand_cols_range
 
 #: Default panel budget in tuples (≈ 8 MB of gathered (row, col, val)
@@ -95,13 +94,15 @@ def stack_column_stream(m, n, out_rows, out_cols, out_vals) -> CSRMatrix:
     (a 64-bit lexsort of ~nnz(C) tuples).  Shared by all four kernels'
     ``column_backend="loop"`` paths (the panel path scatters panels
     into the final CSR directly); either assembly of the same fragment
-    stream is bit-identical.
+    stream is bit-identical.  The loop accumulators fold outside
+    :meth:`~repro.semiring.Semiring.fold`, so their NaN results are
+    canonicalized here (:func:`~repro.semiring.canonical_nan`).
     """
     if not out_rows:
         return CSRMatrix.empty((m, n))
     rows = np.concatenate(out_rows)
     cols = np.concatenate(out_cols)
-    vals = np.concatenate(out_vals)
+    vals = canonical_nan(np.concatenate(out_vals))
     if m <= 1 << 8:
         sort_keys = rows.astype(np.uint8)
     elif m <= 1 << 16:
@@ -124,9 +125,10 @@ def panel_spgemm(
     """C = A · B via panel gather + segmented semiring reduction.
 
     Produces the same canonical CSR — bit-for-bit, for every shipped
-    semiring — as the per-column loop accumulators, because the panel
-    gather preserves their k-ascending accumulation order and
-    ``segment_reduce`` folds duplicates sequentially in that order.
+    semiring — as the per-column loop accumulators and PB, because the
+    panel gather preserves their k-ascending accumulation order and
+    :meth:`~repro.semiring.Semiring.fold` folds duplicates sequentially
+    in that order.
 
     The panel stream is column-major, so one *stable* sort on the row
     id alone puts a panel in full (row, col) order: ties keep stream
@@ -134,10 +136,9 @@ def panel_spgemm(
     unsigned dtype so ``np.argsort(kind="stable")`` takes numpy's C
     radix path (≤ 16-bit integers); duplicate runs are then detected by
     comparing adjacent (row, col) pairs directly — no packed keys — and
-    ⊕-folded through :meth:`repro.semiring.Semiring.fold_runs_masked`,
-    the same fold :meth:`~repro.semiring.Semiring.segment_reduce` uses
-    (run heads selected by the boolean mask, never a materialized
-    start-index array).
+    ⊕-folded through :meth:`repro.semiring.Semiring.fold` (run heads
+    selected by the boolean mask, never a materialized start-index
+    array).
     Each panel's reduced output is therefore already in CSR order for
     its column range, and panels scatter straight into the final
     ``indices``/``data`` arrays at offsets computed from per-panel row
@@ -248,7 +249,7 @@ def panel_spgemm(
         np.logical_or(
             run_start[1:], cols_s[1:] != cols_s[:-1], out=run_start[1:]
         )
-        reduced = sr.fold_runs_masked(run_start, np.take(vals, order))
+        reduced = sr.fold(run_start, np.take(vals, order))
         # One explicit widening to the platform index dtype: bincount
         # and the assembly's base-offset gather would otherwise each
         # re-cast the narrow row ids internally, once per panel.

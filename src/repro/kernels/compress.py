@@ -3,9 +3,9 @@
 After the sort phase, tuples with equal (row, col) keys sit in adjacent
 positions; the paper merges them with a single two-pointer scan
 (Sec. III-E).  The vectorized equivalent: run boundaries come from one
-``diff`` over the key array, values merge with one segmented ⊕-reduction
-(``Semiring.reduceat``).  Exactly one linear pass over the data, like
-the paper's scan.
+comparison of adjacent keys, values merge with :meth:`Semiring.fold` —
+a sequential left fold from each run head, the scan's own order.
+Exactly one linear pass over the data, like the paper's scan.
 """
 
 from __future__ import annotations
@@ -29,16 +29,14 @@ def compress_keyed(
 
     Returns the distinct keys and their ⊕-merged values.  Raises if the
     key array is not non-decreasing (the sort phase's postcondition).
-    Runs reduce through :meth:`Semiring.reduceat`: plus-like ⊕ with
-    ``np.add.reduceat`` (the run head plus numpy's pairwise sum of the
-    rest), ``logical_or`` to 0/1, and min/max with a sequential fold in
-    run order.
+    Runs reduce through :meth:`Semiring.fold`, the one fold order of
+    every path.
 
     **Compiled form.** With a bin ``layout`` and its ``segments``
     (bin starts; each segment a sorted bin of PB's packed keys) the
     compiled kernel of :func:`repro.kernels.jit.pb_compress_bins_jit`
     folds every bin straight into CSR arrays and returns
-    ``(row_counts, indices, data)`` with the same folds, on the threads
+    ``(row_counts, indices, data)`` with the same fold, on the threads
     of ``team`` when one is given; it consumes ``values``.  The caller
     must have checked the engine is available.
     """
@@ -58,8 +56,7 @@ def compress_keyed(
     run_start = np.empty(len(keys), dtype=bool)
     run_start[0] = True
     np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
-    starts = np.flatnonzero(run_start)
-    return keys[starts], sr.reduceat(values, starts)
+    return keys[run_start], sr.fold(run_start, values)
 
 
 def compress_sorted(
@@ -92,6 +89,6 @@ def compress_sorted(
         )
     ):
         raise ValueError("compress requires (row, col)-sorted tuples")
-    sr = get_semiring(semiring)
-    starts = np.flatnonzero(np.concatenate([[True], ~same]))
-    return rows[starts], cols[starts], sr.reduceat(values, starts)
+    run_start = np.concatenate([[True], changed])
+    vals = get_semiring(semiring).fold(run_start, values)
+    return rows[run_start], cols[run_start], vals

@@ -13,10 +13,10 @@ path (:mod:`repro.kernels.column_panel`; compiled whenever the
 compiled tier can serve the multiply, numpy otherwise) — the SPA's
 dense-array cost story lives in :mod:`repro.costmodel` and is
 unchanged.  The loop
-backend's ``ufunc.at`` scatters accumulate sequentially in k order,
-matching the panel reduction's left fold, so both backends are
-bit-identical.  ``column_backend="loop"`` keeps the per-column dense
-scatter for ablation.
+backend stores each slot's first value raw and ``ufunc.at``-scatters
+the rest in k order — :meth:`repro.semiring.Semiring.fold`'s order —
+so both backends (and PB) are bit-identical.  ``column_backend="loop"``
+keeps the per-column dense scatter for ablation.
 """
 
 from __future__ import annotations
@@ -67,10 +67,13 @@ def spa_spgemm(
             if len(rows_k) == 0:
                 continue
             prod = sr.multiply(avals_k, np.broadcast_to(bval, avals_k.shape))
-            if sr.add_ufunc is np.add:
-                np.add.at(spa, rows_k, prod)
-            else:
-                sr.add_ufunc.at(spa, rows_k, prod)
+            # A slot's first value is stored raw, as every fold's run
+            # head is (0.0 + -0.0 would lose the sign of a zero); the
+            # rest ⊕ into it in k order.
+            seen = occupied[rows_k]
+            fresh = ~seen
+            spa[rows_k[fresh]] = prod[fresh]
+            sr.add_ufunc.at(spa, rows_k[seen], prod[seen])
             occupied[rows_k] = True
             touched.append(rows_k)
         if not touched:
@@ -78,9 +81,9 @@ def spa_spgemm(
         idx = sorted_unique(np.concatenate(touched))
         out_rows.append(idx)
         out_cols.append(np.full(len(idx), j, dtype=INDEX_DTYPE))
-        out_vals.append(spa[idx].copy())
-        # Reset only the touched slots — O(col work), not O(m).
-        spa[idx] = sr.add_identity
+        out_vals.append(spa[idx])
+        # Reset only the touched slots — O(col work), not O(m); a slot's
+        # next first touch overwrites its value.
         occupied[idx] = False
 
     return stack_column_stream(m, n, out_rows, out_cols, out_vals)

@@ -13,12 +13,12 @@ here):
 * ``column_backend="panel"`` (default) — the panel-vectorized path
   (:mod:`repro.kernels.column_panel`): gather a panel of output columns
   in one fancy-index pass, stably radix-sort it by row id, and collapse
-  duplicate (row, col) runs with the segmented semiring reduction.  The
-  reduction's plus-path is a sequential left fold in the same
+  duplicate (row, col) runs with :meth:`repro.semiring.Semiring.fold`,
+  a sequential left fold from each run's first value in the same
   k-ascending order the hash table accumulates, so results are
-  bit-identical to the loop backend.  The sort and fold run as one
-  compiled call per panel whenever the compiled tier can serve the
-  multiply, and on numpy otherwise.
+  bit-identical to the loop backend and to PB.  The sort and fold run
+  as one compiled call per panel whenever the compiled tier can serve
+  the multiply, and on numpy otherwise.
 * ``column_backend="loop"`` — the faithful per-column transcription: a
   Python ``dict`` (a genuine open-addressing hash table) per output
   column, kept for ablation and as the property-suite ground truth.

@@ -14,7 +14,8 @@ path (:mod:`repro.kernels.column_panel`; compiled whenever the
 compiled tier can serve the multiply, numpy otherwise); the per-column
 probing above is retained as ``column_backend="loop"`` for ablation.  Both produce
 bit-identical canonical CSR (the loop backend pre-merges each batch
-with the same stable reduction and folds across batches in k order).
+with :meth:`~repro.semiring.Semiring.segment_reduce` and folds across
+batches in k order, from each entry's first value).
 """
 
 from __future__ import annotations
@@ -55,13 +56,8 @@ def _probe_insert(keys, vals, table_keys, table_vals, sr):
     pre-merged so the scatter is conflict-free.
     """
     mask = np.uint64(len(table_keys) - 1)
-    # Pre-merge duplicates in this batch (sort + reduceat).
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    vals = vals[order]
-    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-    keys = keys[starts]
-    vals = sr.reduceat(vals, starts)
+    # Pre-merge duplicates in this batch (stable sort + the one fold).
+    keys, vals = sr.segment_reduce(keys, vals)
 
     slots = ((keys.astype(np.uint64) * _HASH_SCALE) & mask).astype(np.int64)
     pending = np.arange(len(keys))

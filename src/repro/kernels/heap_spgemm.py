@@ -12,10 +12,10 @@ path (:mod:`repro.kernels.column_panel`; compiled whenever the
 compiled tier can serve the multiply, numpy otherwise); the heap's
 modeled cost — Table II's access pattern plus the log d sift factor —
 stays in :mod:`repro.costmodel`, untouched by the execution strategy.
-The heap pops equal rows in source (k-ascending) order, the same order
-the panel's stable segmented reduction folds duplicates, so both
-backends are bit-identical.  ``column_backend="loop"`` keeps the faithful
-``heapq`` transcription for ablation.
+The heap pops equal rows in source (k-ascending) order and folds them
+onto the first one, the order of :meth:`repro.semiring.Semiring.fold`,
+so both backends (and PB) are bit-identical.  ``column_backend="loop"``
+keeps the faithful ``heapq`` transcription for ablation.
 """
 
 from __future__ import annotations

@@ -432,7 +432,7 @@ class PanelContext:
         Returns ``(rows_intp, cols, reduced_vals, row_counts)`` —
         compacted copies matching the numpy panel path's
         ``rows_s[run_start].astype(np.intp)`` / ``cols_s[run_start]`` /
-        ``fold_runs_masked`` / ``np.bincount`` quartet.
+        ``Semiring.fold`` / ``np.bincount`` quartet.
         """
         n = len(rows_idx)
         idt = self.index_dtype

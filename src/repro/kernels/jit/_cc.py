@@ -21,21 +21,20 @@ race-safe: the object is compiled to a uniquely named temp file and
 ``os.replace``\ d into place, so concurrent first-calls at worst build
 twice and atomically agree on the result.
 
-Bit-identity contracts (asserted by ``tests/test_jit_backends.py``):
+Bit-identity contracts (asserted by ``tests/test_jit_backends.py`` and
+``tests/test_column_harness.py``):
 
-* ``panel_process`` folds duplicate runs with a *sequential left fold
-  starting from the run head's raw value* — exactly
-  ``Semiring.fold_runs_masked``'s ``add_ufunc.at`` order (``np.add.at``
-  / ``np.minimum.at`` / … are unbuffered sequential applications);
-  ``fold_min``/``fold_max`` are ``np.minimum``/``np.maximum`` down to
-  signed zeros and NaNs.
+* every compiled fold — ``pb_compress_bins_*``, ``panel_process_*``,
+  ``panel_fused_u16`` — goes through one ``static inline`` ⊕ step
+  (``fold_head`` / ``fold_step``): a *sequential left fold starting
+  from the run head's raw value*, storing NaN as the canonical quiet
+  NaN — exactly :meth:`repro.semiring.Semiring.fold` (``add_ufunc.at``
+  applies duplicates unbuffered, in stream order), down to signed
+  zeros and NaNs;
 * ``pb_expand_*`` fills each bin in expansion order and
   ``pb_sort_bins_*`` is a stable LSD counting sort (the stable sort
   permutation is unique), so every bin matches the numpy expand +
-  stable distribute + sort; ``pb_compress_bins_*`` folds
-  plus runs as the run head + numpy's pairwise sum of the rest (what
-  ``np.add.reduceat`` computes) and min/max runs sequentially, as
-  ``repro.kernels.compress.compress_keyed`` does.
+  stable distribute + sort.
 """
 
 from __future__ import annotations
@@ -148,35 +147,59 @@ static int radix_passes_##SUF(                                        \
 RADIX_IMPL(u32, uint32_t)
 RADIX_IMPL(u64, uint64_t)
 
-/* Semiring ⊕ op codes of panel_process and panel_fused. */
+/* Semiring ⊕ op codes of every compiled fold. */
 #define OP_ADD 0
 #define OP_MIN 1
 #define OP_MAX 2
 #define OP_OR  3
 
-/* np.minimum(a, v) / np.maximum(a, v) exactly: a NaN accumulator  */
-/* stays, else a NaN v wins, else ties (0.0 vs -0.0) return v.      */
-static inline double fold_min(double a, double v)
+/* ---------------------------------------------------------------- */
+/* The one ⊕ fold of every compiled kernel (pb_compress_bins_*,     */
+/* panel_process_*, panel_fused_u16) — Semiring.fold's order: each  */
+/* run is a sequential left fold in stream order that starts from   */
+/* the run head's raw value, ((v0 ⊕ v1) ⊕ v2) ⊕ ...  fold_head is   */
+/* what a fold stores for a run head, fold_step one ⊕ application;  */
+/* both store a NaN as the canonical quiet NaN (numpy's np.nan      */
+/* bits, Semiring.fold's canonical_nan), so the sign and payload    */
+/* ⊗/⊕ operand order would pick never show.  Each op is its ufunc   */
+/* exactly: min/max keep a NaN accumulator, else let a NaN v win,   */
+/* else return v on ties (0.0 vs -0.0); or is 1.0 when either       */
+/* operand is nonzero (np.logical_or into a float64 out).           */
+/* ---------------------------------------------------------------- */
+static inline double fold_head(double v)
 {
-    if (a != a) return a;
-    if (v != v) return v;
-    return (a < v) ? a : v;
+    static const uint64_t qnan_bits = 0x7FF8000000000000ULL;
+    double q;
+    if (v == v)
+        return v;
+    memcpy(&q, &qnan_bits, sizeof q);
+    return q;
 }
 
-static inline double fold_max(double a, double v)
+static inline double fold_step(int op, double a, double v)
 {
-    if (a != a) return a;
-    if (v != v) return v;
-    return (a > v) ? a : v;
+    switch (op) {
+    case OP_ADD:
+        return fold_head(a + v);
+    case OP_MIN:
+        if (a != a) return a;
+        if (v != v) return fold_head(v);
+        return (a < v) ? a : v;
+    case OP_MAX:
+        if (a != a) return a;
+        if (v != v) return fold_head(v);
+        return (a > v) ? a : v;
+    default: /* OP_OR */
+        return (a != 0.0 || v != 0.0) ? 1.0 : 0.0;
+    }
 }
 
 /* ---------------------------------------------------------------- */
 /* Panel sort + segmented fold: stable counting sort of the panel   */
 /* stream by row id (the same permutation as                        */
 /* np.argsort(rows, kind="stable")), then one scan detecting        */
-/* duplicate (row, col) runs, folding each run sequentially from    */
-/* the head's raw value — Semiring.fold_runs_masked's add_ufunc.at  */
-/* order — and counting surviving entries per row.                  */
+/* duplicate (row, col) runs, folding each run with fold_head /     */
+/* fold_step, and counting surviving entries per row.               */
 /*                                                                  */
 /* hist: 65536 int64 scratch (row histogram / radix digits).        */
 /* tr/tc/tv: n-sized sort buffers.  out_*: n-sized outputs, first   */
@@ -254,26 +277,12 @@ API int64_t panel_process_##SUF(                                      \
     int64_t nout = 0;                                                 \
     for (int64_t i = 0; i < n; ++i) {                                 \
         if (i > 0 && tr[i] == tr[i - 1] && tc[i] == tc[i - 1]) {      \
-            double v = tv[i];                                         \
-            double a = out_vals[nout - 1];                            \
-            switch (op) {                                             \
-            case OP_ADD:                                              \
-                out_vals[nout - 1] = a + v;                           \
-                break;                                                \
-            case OP_MIN:                                              \
-                out_vals[nout - 1] = fold_min(a, v);                  \
-                break;                                                \
-            case OP_MAX:                                              \
-                out_vals[nout - 1] = fold_max(a, v);                  \
-                break;                                                \
-            default: /* OP_OR: logical_or.at into a float64 out */    \
-                out_vals[nout - 1] = (a != 0.0 || v != 0.0) ? 1.0 : 0.0; \
-                break;                                                \
-            }                                                         \
+            out_vals[nout - 1] =                                      \
+                fold_step(op, out_vals[nout - 1], tv[i]);             \
         } else {                                                      \
             out_rows[nout] = tr[i];                                   \
             out_cols[nout] = tc[i];                                   \
-            out_vals[nout] = tv[i]; /* run head keeps its raw value */\
+            out_vals[nout] = fold_head(tv[i]);                        \
             row_counts[tr[i]]++;                                      \
             nout++;                                                   \
         }                                                             \
@@ -385,26 +394,12 @@ API int64_t panel_fused_u16(
         for (int64_t i = seg_lo; i < seg_hi; ++i) {
             const double ci = tvc[2 * i + 1];
             if (i > seg_lo && ci == tvc[2 * i - 1]) {
-                const double v = tvc[2 * i];
-                const double a = out_vals[nout - 1];
-                switch (op) {
-                case OP_ADD:
-                    out_vals[nout - 1] = a + v;
-                    break;
-                case OP_MIN:
-                    out_vals[nout - 1] = fold_min(a, v);
-                    break;
-                case OP_MAX:
-                    out_vals[nout - 1] = fold_max(a, v);
-                    break;
-                default: /* OP_OR */
-                    out_vals[nout - 1] = (a != 0.0 || v != 0.0) ? 1.0 : 0.0;
-                    break;
-                }
+                out_vals[nout - 1] =
+                    fold_step(op, out_vals[nout - 1], tvc[2 * i]);
             } else {
                 out_rows[nout] = (uint16_t)r;
                 out_cols[nout] = (uint16_t)ci;
-                out_vals[nout] = tvc[2 * i]; /* run head keeps raw value */
+                out_vals[nout] = fold_head(tvc[2 * i]);
                 nout++;
             }
         }
@@ -572,46 +567,14 @@ API void pb_sort_bins_##SUF(                                          \
 PB_SORT_IMPL(u32, uint32_t)
 PB_SORT_IMPL(u64, uint64_t)
 
-/* numpy's DOUBLE_pairwise_sum (unit stride): what np.add.reduceat  */
-/* adds to a run's head, so the compress fold below reproduces      */
-/* np.add.reduceat bit for bit.                                     */
-static double pairwise_sum(const double *a, int64_t n)
-{
-    if (n < 8) {
-        double res = -0.0;
-        for (int64_t i = 0; i < n; ++i)
-            res += a[i];
-        return res;
-    }
-    if (n <= 128) {
-        double r[8];
-        int64_t i;
-        for (int j = 0; j < 8; ++j)
-            r[j] = a[j];
-        for (i = 8; i < n - (n % 8); i += 8)
-            for (int j = 0; j < 8; ++j)
-                r[j] += a[i + j];
-        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
-                     ((r[4] + r[5]) + (r[6] + r[7]));
-        for (; i < n; ++i)
-            res += a[i];
-        return res;
-    }
-    int64_t n2 = n / 2;
-    n2 -= n2 % 8;
-    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
-}
-
-/* Compress each sorted bin: fold every run of equal keys with ⊕,   */
-/* write the run's column (int64) and value at the output cursor    */
-/* and count it in row_counts (m int64, zeroed by the caller), so   */
-/* the CSR row pointer is one cumsum away.  Folds match the numpy   */
-/* compress: plus is the run head + pairwise_sum of the rest        */
-/* (np.add.reduceat), min/max a sequential fold_min/fold_max (the   */
-/* ufunc's .at), or 1.0 when any value is nonzero                   */
-/* (np.logical_or.reduceat).  out_vals may alias vals: a run is     */
-/* read before its output slot, which never lies past it, is        */
-/* written.  Returns the number of entries written.                 */
+/* Compress each sorted bin: fold every run of equal keys with      */
+/* fold_head / fold_step (Semiring.fold's order, as the numpy        */
+/* compress does), write the run's column (int64) and value at the  */
+/* output cursor and count it in row_counts (m int64, zeroed by the */
+/* caller), so the CSR row pointer is one cumsum away.  out_vals    */
+/* may alias vals: a run is read before its output slot, which      */
+/* never lies past it, is written.  Returns the number of entries   */
+/* written.                                                         */
 #define PB_COMPRESS_IMPL(SUF, KT)                                     \
 API int64_t pb_compress_bins_##SUF(                                   \
     const KT *keys, const double *vals, const int64_t *starts,        \
@@ -626,34 +589,10 @@ API int64_t pb_compress_bins_##SUF(                                   \
         int64_t i = starts[b];                                        \
         while (i < hi) {                                              \
             const KT key = keys[i];                                   \
+            double acc = fold_head(vals[i]);                          \
             int64_t j = i + 1;                                        \
-            while (j < hi && keys[j] == key)                          \
-                ++j;                                                  \
-            double acc = vals[i];                                     \
-            if (j - i > 1) {                                          \
-                switch (op) {                                         \
-                case OP_ADD:                                          \
-                    acc += pairwise_sum(vals + i + 1, j - i - 1);     \
-                    break;                                            \
-                case OP_MIN:                                          \
-                    for (int64_t t = i + 1; t < j; ++t)               \
-                        acc = fold_min(acc, vals[t]);                 \
-                    break;                                            \
-                case OP_MAX:                                          \
-                    for (int64_t t = i + 1; t < j; ++t)               \
-                        acc = fold_max(acc, vals[t]);                 \
-                    break;                                            \
-                default:                                              \
-                    break;                                            \
-                }                                                     \
-            }                                                         \
-            if (op == OP_OR) {                                        \
-                double any = 0.0;                                     \
-                for (int64_t t = i; t < j; ++t)                       \
-                    if (vals[t] != 0.0)                               \
-                        any = 1.0;                                    \
-                acc = any;                                            \
-            }                                                         \
+            for (; j < hi && keys[j] == key; ++j)                     \
+                acc = fold_step(op, acc, vals[j]);                    \
             out_cols[o] = (int64_t)(key & cmask);                     \
             out_vals[o] = acc;                                        \
             rc[(int64_t)(key >> col_bits)]++;                         \

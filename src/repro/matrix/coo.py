@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
+from ..semiring import PLUS_TIMES
 from . import base
 
 
@@ -74,7 +75,8 @@ class COOMatrix:
         """Return a row-major sorted copy with duplicates merged.
 
         Duplicate ``(row, col)`` entries are summed (``sum_duplicates=True``,
-        the SpGEMM compress semantics) or the last occurrence wins.
+        the SpGEMM compress semantics: :meth:`repro.semiring.Semiring.fold`,
+        in input order) or the last occurrence wins.
         Numeric zeros produced by cancellation are retained — structural
         pruning is a separate explicit operation (:func:`repro.matrix.ops.prune`).
         """
@@ -87,13 +89,15 @@ class COOMatrix:
         key_change = np.empty(len(r), dtype=bool)
         key_change[0] = True
         key_change[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-        starts = np.flatnonzero(key_change)
         if sum_duplicates:
-            merged = np.add.reduceat(v, starts)
+            merged = PLUS_TIMES.fold(key_change, v)
         else:
-            ends = np.r_[starts[1:], len(v)] - 1
-            merged = v[ends]
-        return COOMatrix(self.shape, r[starts], c[starts], merged, validate=False)
+            # The last occurrence wins: the element before each run start.
+            last = np.append(key_change[1:], True)
+            merged = v[last]
+        return COOMatrix(
+            self.shape, r[key_change], c[key_change], merged, validate=False
+        )
 
     # -- conversions (thin wrappers; logic lives in convert.py) ----------
     def to_csr(self):

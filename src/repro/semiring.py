@@ -12,14 +12,12 @@ pipeline needs:
 
 * ``multiply(a, b)`` — elementwise combine of matched A/B values
   (the "expand" step),
-* ``reduceat(values, starts)`` — segmented reduction of sorted runs of
-  duplicate (row, col) values (the "compress" step),
-* ``add(a, b)`` — pairwise reduction (used by accumulator-based
-  column kernels: heap / hash / SPA),
-* ``add_scalar(a, b)`` — the scalar ⊕ for per-collision accumulation in
-  the retained loop backends (no 1-element array round trip),
-* ``segment_reduce(keys, vals)`` — whole-stream duplicate reduction for
-  the panel-vectorized column kernels: sort by key, reduce each run.
+* ``fold(run_start, values)`` — the ⊕ fold of runs of duplicate
+  (row, col) values (the "compress" step): a sequential left fold from
+  each run head, the one fold order of every path,
+* ``segment_reduce(keys, vals)`` — sort by key, then :meth:`fold`,
+* ``add(a, b)`` / ``add_scalar(a, b)`` — one elementwise / scalar ⊕
+  step, for the accumulators of the column kernels' loop backends.
 
 All operations are vectorized numpy ufunc applications, so kernels stay
 loop-free regardless of the semiring.
@@ -34,6 +32,7 @@ import numpy as np
 
 __all__ = [
     "Semiring",
+    "canonical_nan",
     "PLUS_TIMES",
     "MIN_PLUS",
     "MAX_TIMES",
@@ -53,7 +52,8 @@ class Semiring:
     name:
         Registry key, e.g. ``"plus_times"``.
     add_ufunc:
-        Binary numpy ufunc implementing ⊕ (must support ``reduceat``).
+        Binary numpy ufunc implementing ⊕ (any binary callable works;
+        a ufunc takes the vectorized ``ufunc.at`` fold).
     multiply:
         Vectorized binary callable implementing ⊗.
     add_identity:
@@ -94,28 +94,8 @@ class Semiring:
     ) -> tuple[np.ndarray, np.ndarray]:
         """⊕-reduce duplicate keys: ``(unique_keys_sorted, reduced_vals)``.
 
-        The panel-vectorized column kernels form one packed integer key
-        per generated tuple and hand the whole stream here.  The stream
-        is stably sorted by key, run boundaries are located, and each
-        run is ⊕-reduced:
-
-        * **plus-like semirings** (``add_ufunc is np.add``, float
-          values) reduce through :func:`np.bincount` on the run ids —
-          a *sequential left fold in stream order*, which is exactly
-          the accumulation order of the loop backends' dict / SPA /
-          heap accumulators, so results are bit-identical to
-          ``column_backend="loop"``.  (``np.add.reduceat`` is pairwise
-          on floats and would diverge in the last ulps for runs ≥ 8.)
-        * **other ufunc ⊕** (min / max / logical_or) use
-          :meth:`reduceat`, whose min/max is the same sequential left
-          fold (numpy's vectorized min/max reduction picks signed zeros
-          and NaNs by SIMD lane).
-        * **non-ufunc ⊕** (a custom Semiring carrying a plain callable)
-          fall back to a stable lexsort of (key, position) plus a
-          per-run Python fold — slow but correct for any ⊕.
-
-        Ties within a run keep stream order (stable sort), preserving
-        the loop backends' k-ascending accumulation order.
+        Stably sorts the stream by key (ties keep stream order) and
+        hands the runs of equal keys to :meth:`fold`.
         """
         keys = np.asarray(keys)
         vals = np.asarray(vals)
@@ -125,136 +105,53 @@ class Semiring:
             )
         if len(keys) == 0:
             return keys[:0], vals[:0]
-        if isinstance(self.add_ufunc, np.ufunc):
-            order = np.argsort(keys, kind="stable")
-        else:
-            # Fallback ordering: lexsort on (position, key) — positions
-            # break ties, making the sort stable for any key dtype.
-            order = np.lexsort((np.arange(len(keys)), keys))
+        order = np.argsort(keys, kind="stable")
         sk = keys[order]
-        sv = vals[order]
         run_start = np.empty(len(sk), dtype=bool)
         run_start[0] = True
         np.not_equal(sk[1:], sk[:-1], out=run_start[1:])
-        starts, reduced = self.fold_runs(run_start, sv)
-        return sk[starts], reduced
+        return sk[run_start], self.fold(run_start, vals[order])
 
-    def fold_runs(
-        self, run_start: np.ndarray, sorted_vals: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """⊕-fold runs of an already-sorted value stream.
+    def fold(self, run_start: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """⊕-fold every run of a run-ordered value stream — the one fold.
 
-        The fold half of :meth:`segment_reduce`: ``run_start`` is a
-        boolean mask marking the first element of every run of equal
-        keys (``run_start[0]`` must be True for non-empty input) and
-        ``sorted_vals`` holds the values in run order.  Returns
-        ``(starts, reduced)`` with ``starts = flatnonzero(run_start)``.
+        ``run_start`` is a boolean mask marking the first element of
+        every run (``run_start[0]`` must be True for non-empty input);
+        ``values`` holds the runs back to back.  Each run folds as a
+        *sequential left fold from the run head's raw value, in stream
+        order*: ``((v0 ⊕ v1) ⊕ v2) ⊕ …``.  That is the paper's
+        two-pointer compress scan (Sec. III-E) and the order of every
+        accumulator in the repo — PB (numpy and compiled), the column
+        panel (numpy and compiled), the loop accumulators — so all of
+        them agree bit for bit.  A NaN result is stored as the one
+        canonical quiet NaN (:func:`canonical_nan`), so the sign and
+        payload that ⊗/⊕ operand order would pick never show.
 
-        Exposed so callers that can establish the sorted order cheaper
-        than a generic key sort — the panel column kernels stably sort
-        by row id alone (numpy's C radix for ≤ 16-bit keys) and detect
-        runs by comparing adjacent (row, col) pairs — reduce through
-        the *same* fold and stay bit-identical to
-        :meth:`segment_reduce`:
-
-        * when duplicates are rare (< 1/8 of the stream — compression
-          factors near 1, the regime column algorithms target), the
-          run-start values are copied out and each duplicate is ⊕-ed
-          into its run with ``add_ufunc.at`` — unbuffered, applied in
-          ascending stream position, i.e. the same sequential left
-          fold, without materializing per-element run ids;
-        * otherwise plus-like ⊕ fold through ``np.bincount`` — a
-          sequential left fold in stream order (never pairwise);
-        * other ufunc ⊕ use :meth:`reduceat` (a sequential fold for
-          min / max, exact ``reduceat`` for logical_or);
-        * non-ufunc ⊕ fold each run in a Python loop.
+        A ufunc ⊕ copies the run heads out and applies each duplicate
+        with ``add_ufunc.at``, which is unbuffered and runs in
+        ascending stream position; the duplicate at stream position
+        ``p`` with ``j`` duplicates before it belongs to run
+        ``p - j - 1``.  Any other ⊕ runs the same fold in a Python
+        loop.  (``np.add.reduceat`` would sum pairwise, and
+        ``np.bincount`` sums from +0.0, turning a run of -0.0 into
+        +0.0; neither is this fold.)
         """
-        sv = sorted_vals
-        starts = np.flatnonzero(run_start)
-        n_dup = sv.size - starts.size
-        if isinstance(self.add_ufunc, np.ufunc) and n_dup * 8 < sv.size:
-            out = sv[starts]
-            if n_dup:
-                dup_pos = np.flatnonzero(~run_start)
-                run_idx = np.searchsorted(starts, dup_pos, side="right") - 1
-                self.add_ufunc.at(out, run_idx, sv[dup_pos])
-            return starts, out
-        if (
-            self.add_ufunc is np.add
-            and np.issubdtype(sv.dtype, np.floating)
-        ):
-            run_ids = np.cumsum(run_start) - 1
-            out = np.bincount(run_ids, weights=sv, minlength=len(starts))
-            return starts, out.astype(sv.dtype, copy=False)
-        if isinstance(self.add_ufunc, np.ufunc):
-            return starts, self.reduceat(sv, starts)
-        bounds = np.append(starts, len(sv))
-        out = np.empty(len(starts), dtype=sv.dtype)
-        for i in range(len(starts)):
-            acc = sv[bounds[i]]
-            for j in range(bounds[i] + 1, bounds[i + 1]):
-                acc = self.add_ufunc(acc, sv[j])
-            out[i] = acc
-        return starts, out
-
-    def fold_runs_masked(
-        self, run_start: np.ndarray, sorted_vals: np.ndarray
-    ) -> np.ndarray:
-        """⊕-fold runs, returning only the reduced values.
-
-        Same contract and bit-exact results as :meth:`fold_runs`, for
-        callers that select run heads with the boolean ``run_start``
-        mask directly (``x[run_start]``) and never need the integer
-        ``starts`` array.  In the rare-duplicate regime this skips
-        materializing ``flatnonzero(run_start)`` — nearly one int64
-        index per element when compression is ≈ 1 — and finds each
-        duplicate's run by counting: the run containing stream position
-        ``p`` with ``j`` duplicates at or before it is run ``p - j - 1``
-        (positions ``0..p`` hold ``p+1-(j+1)`` run heads), an
-        O(duplicates) closed form replacing the searchsorted over
-        ``starts``.  ``add_ufunc.at`` applies the duplicates unbuffered
-        in ascending stream position — the same sequential left fold.
-        Dup-heavy and non-ufunc inputs fall back to :meth:`fold_runs`.
-        """
-        sv = sorted_vals
-        if isinstance(self.add_ufunc, np.ufunc):
-            dup_pos = np.flatnonzero(~run_start)
-            n_dup = dup_pos.size
-            if n_dup * 8 < sv.size:
-                out = sv[run_start]
-                if n_dup:
-                    run_idx = dup_pos - np.arange(n_dup, dtype=dup_pos.dtype) - 1
-                    self.add_ufunc.at(out, run_idx, sv[dup_pos])
-                return out
-        return self.fold_runs(run_start, sv)[1]
-
-    def reduceat(self, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        """Segmented ⊕-reduction: reduce ``values[starts[i]:starts[i+1]]``.
-
-        ``starts`` must be a strictly ascending int array of segment
-        start offsets with ``starts[0] == 0``; the final segment runs to
-        the end of ``values``.  Matches the semantics of
-        ``np.add.reduceat``, except that min/max fold each segment
-        sequentially from its head (``ufunc.at`` applies the rest
-        unbuffered, in ascending position): numpy's vectorized min/max
-        reductions pick between 0.0 and -0.0, and between NaNs, by SIMD
-        lane, while the loop and compiled kernels fold left to right.
-        """
-        if len(values) == 0:
-            return np.asarray([], dtype=values.dtype)
-        if self.add_ufunc in (np.minimum, np.maximum):
-            out = values[starts]
-            head = np.zeros(len(values), dtype=bool)
-            head[starts] = True
-            dup = np.flatnonzero(~head)
-            if len(dup):
-                # Duplicate p belongs to segment p - (duplicates before it) - 1.
+        values = np.asarray(values)
+        # compress/take, not values[run_start]: boolean-mask indexing
+        # branches per element and runs ~3x slower on irregular masks.
+        out = np.compress(run_start, values)
+        dup_pos = np.flatnonzero(~run_start)
+        if dup_pos.size:
+            run_idx = np.arange(-1, -1 - dup_pos.size, -1, dtype=dup_pos.dtype)
+            run_idx += dup_pos
+            dups = values.take(dup_pos)
+            if isinstance(self.add_ufunc, np.ufunc):
                 with np.errstate(invalid="ignore"):
-                    self.add_ufunc.at(out, dup - np.arange(len(dup)) - 1, values[dup])
-            return out
-        out = self.add_ufunc.reduceat(values, starts)
-        # Boolean ufuncs (logical_or) reduce to bool; keep value dtype.
-        return out.astype(values.dtype, copy=False)
+                    self.add_ufunc.at(out, run_idx, dups)
+            else:
+                for r, v in zip(run_idx.tolist(), dups):
+                    out[r] = self.add_ufunc(out[r], v)
+        return canonical_nan(out)
 
     def is_annihilated(self, values: np.ndarray) -> np.ndarray:
         """Boolean mask of values equal to the ⊕-identity (numeric zeros)."""
@@ -262,6 +159,25 @@ class Semiring:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Semiring({self.name!r})"
+
+
+#: The one NaN every fold stores (numpy's ``np.nan``: positive, quiet,
+#: zero payload); the compiled folds write the same bits.
+_CANONICAL_NAN = np.float64(np.nan)
+
+
+def canonical_nan(values: np.ndarray) -> np.ndarray:
+    """Overwrite every NaN of a float array with the canonical quiet NaN,
+    in place, and return the array.
+
+    IEEE 754 leaves the sign and payload of a NaN result to operand
+    order, so two correct folds of the same run may store different
+    NaN bits; writing one NaN wherever a fold stores its result keeps
+    every path bit-identical.
+    """
+    if values.dtype.kind == "f":
+        np.copyto(values, _CANONICAL_NAN, where=np.isnan(values))
+    return values
 
 
 def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -3,9 +3,8 @@
 The contract under test (DESIGN.md §11): for every shipped semiring and
 every input shape, ``column_backend="panel"`` and ``column_backend="loop"``
 produce **bit-identical** canonical CSR — same indptr, same indices, and
-byte-for-byte equal data, not merely allclose.  The loop backends are the
-faithful algorithm transcriptions, so they are the ground truth; the
-panel path must reproduce their accumulation order exactly.  The panel
+byte-for-byte equal data, not merely allclose — and both equal numpy
+PB, because every path folds duplicates in the same order.  The panel
 runs compiled when an engine exists; CI runs this file again under
 ``REPRO_JIT_DISABLE=1`` to cover the numpy panel.
 """
@@ -17,6 +16,7 @@ import pytest
 
 import repro
 from repro.core.config import PBConfig
+from repro.core.pb_spgemm import pb_spgemm
 from repro.errors import ConfigError, ShapeError
 from repro.generators import erdos_renyi, rmat
 from repro.kernels import (
@@ -24,6 +24,7 @@ from repro.kernels import (
     hash_spgemm,
     hashvec_spgemm,
     heap_spgemm,
+    jit,
     panel_spgemm,
     resolve_column_backend,
     spa_spgemm,
@@ -111,10 +112,13 @@ class TestPanelLoopBitIdentity:
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_bit_identical(self, kernel, case, semiring):
+        """Loop and panel equal each other and numpy PB: one fold."""
         a, b = CASES[case]
         loop = KERNELS[kernel](a, b, semiring=semiring, column_backend="loop")
         pan = KERNELS[kernel](a, b, semiring=semiring, column_backend="panel")
-        assert _bits(loop) == _bits(pan)
+        with jit.disabled():
+            pb = pb_spgemm(a, b, semiring)
+        assert _bits(loop) == _bits(pan) == _bits(pb)
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_tiny_panels_still_identical(self, kernel):

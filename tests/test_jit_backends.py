@@ -168,18 +168,22 @@ class TestBitIdentity:
     @pytest.mark.parametrize("semiring", sorted(available_semirings()))
     def test_panel_jit_column_kernel(self, semiring):
         """The panel on the compiled tier (the default) against the
-        numpy panel, on an input larger than the harness draws."""
+        numpy panel and numpy PB, on an input larger than the harness
+        draws."""
         a, b = _mats()
         with jit_tier.disabled():
             c0 = hash_spgemm(a.to_csc(), b, semiring=semiring)
+            pb = pb_spgemm(a.to_csc(), b, semiring)
         c1 = hash_spgemm(a.to_csc(), b, semiring=semiring)
         assert _bitwise_equal(c0, c1)
+        assert _bitwise_equal(pb, c1)
 
     @pytest.mark.parametrize("semiring", sorted(available_semirings()))
     def test_panel_past_uint16_rows_runs_unfused(self, semiring):
         """More than 2^16 output rows: the compiled panel sorts and
         folds numpy-expanded panels at uint32 indices (the unfused
-        kernel), still bit-identical to the loop and the numpy panel."""
+        kernel), still bit-identical to the loop, the numpy panel and
+        numpy PB."""
         from repro.matrix.coo import COOMatrix
 
         rng = np.random.default_rng(0)
@@ -196,6 +200,7 @@ class TestBitIdentity:
         assert _bitwise_equal(hash_spgemm(a, b, semiring=semiring, column_backend="loop"), c1)
         with jit_tier.disabled():
             assert _bitwise_equal(hash_spgemm(a, b, semiring=semiring), c1)
+            assert _bitwise_equal(pb_spgemm(a, b, semiring), c1)
 
     def test_sort_backend_exact_permutation(self):
         """The compiled sort over one segment, the numpy sort and a
@@ -248,8 +253,8 @@ class TestBitIdentity:
     def test_compiled_fold_matches_numpy_compress(self, semiring):
         """One bin holding runs of every length 1-300: the compiled
         compress folds each run exactly like the numpy compress
-        (``np.add.reduceat``'s pairwise sum, sequential min/max with
-        NaN, ±0 and ±inf, logical_or to 0/1)."""
+        (``Semiring.fold``: a left fold from the run head, through ±0,
+        NaNs of both signs and ±inf, NaN stored canonically)."""
         from repro.semiring import get_semiring
 
         rng = np.random.default_rng(11)
@@ -260,13 +265,12 @@ class TestBitIdentity:
         ).astype(layout.key_dtype)
         n = len(keys)
         vals = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
-        special = [0.0, -0.0]
-        if semiring in ("min_plus", "max_times"):
-            special += [np.nan, -np.nan, np.inf, -np.inf]
+        special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf]
         pick = rng.random(n) < 0.3
         vals[pick] = rng.choice(special, int(pick.sum()))
         sr = get_semiring(semiring)
-        ref_keys, ref_vals = compress_keyed(keys, vals, sr)
+        with np.errstate(invalid="ignore"):
+            ref_keys, ref_vals = compress_keyed(keys, vals, sr)
         row_counts, cols, data = compress_keyed(
             keys, vals.copy(), sr, layout=layout,
             segments=np.array([0, n], dtype=np.int64),
@@ -303,15 +307,18 @@ class TestBitIdentity:
 @given(problems())
 def test_jit_backends_match_numpy_on_harness_shapes(problem):
     """The block-core harness shapes (k >> n, n >> k, 0/1 extents, five
-    semirings): compiled PB equals the numpy pipeline bit for bit.  The
-    column kernels' twin of this property is
-    ``tests/test_column_harness.py``."""
+    semirings): compiled PB and the compiled panel equal the numpy
+    pipeline bit for bit.  ``tests/test_column_harness.py`` runs every
+    column strategy against the same reference."""
     if not jit_tier.jit_available():
         pytest.skip("no JIT engine on this machine")
     a, b, sr = problem
     pb1 = pb_spgemm(a, b, sr)
+    panel = hash_spgemm(a, b, semiring=sr)
     with jit_tier.disabled():
-        assert _bitwise_equal(pb1, pb_spgemm(a, b, sr))
+        ref = pb_spgemm(a, b, sr)
+    assert _bitwise_equal(pb1, ref)
+    assert _bitwise_equal(panel, ref)
 
 
 # ---------------------------------------------------------------------------

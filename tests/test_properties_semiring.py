@@ -3,8 +3,8 @@
 Each registered semiring must satisfy the algebraic laws the ESC
 pipeline silently relies on: ⊕ associativity/commutativity (compress
 merges runs in arbitrary grouping), the ⊕-identity annihilating
-behaviour, and consistency between ``add``, ``reduceat`` and a serial
-fold.
+behaviour, and that ``Semiring.fold`` (the compress fold of every path)
+is exactly the serial left fold of ``add``.
 """
 
 import numpy as np
@@ -78,14 +78,16 @@ class TestReduceatConsistency:
             )
         ) if len(vals) > 1 else []
         starts = np.array([0] + cuts, dtype=np.int64)
-        got = sr.reduceat(vals, starts)
+        run_start = np.zeros(len(vals), dtype=bool)
+        run_start[starts] = True
+        got = sr.fold(run_start, vals)
         bounds = list(starts) + [len(vals)]
         for i in range(len(starts)):
             seg = vals[bounds[i] : bounds[i + 1]]
             acc = seg[0]
             for v in seg[1:]:
                 acc = sr.add(np.array([acc]), np.array([v]))[0]
-            assert got[i] == pytest.approx(acc, rel=1e-9, abs=1e-9)
+            assert got[i] == acc  # the same left fold, bit for bit
 
     @SETTINGS
     @given(vals=hnp.arrays(np.float64, st.integers(1, 40), elements=finite))
@@ -93,11 +95,13 @@ class TestReduceatConsistency:
         sr = get_semiring(name)
         if name == "or_and":
             vals = (vals != 0).astype(np.float64)
-        got = sr.reduceat(vals, np.array([0]))[0]
+        run_start = np.zeros(len(vals), dtype=bool)
+        run_start[0] = True
+        got = sr.fold(run_start, vals)[0]
         acc = vals[0]
         for v in vals[1:]:
             acc = sr.add(np.array([acc]), np.array([v]))[0]
-        assert got == pytest.approx(acc, rel=1e-9, abs=1e-9)
+        assert got == acc
 
 
 class TestMultiplyShapes:

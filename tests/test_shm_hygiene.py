@@ -51,13 +51,10 @@ def shm_names():
     return set(glob.glob("/dev/shm/psm_*")) | set(glob.glob("/dev/shm/wnsm_*"))
 
 
-class BombUfunc:
-    """Quacks like the add ufunc until compress calls reduceat mid-bin."""
+class BombSemiring(Semiring):
+    """plus_times until compress calls the fold mid-bin."""
 
-    def __call__(self, a, b):
-        return np.add(a, b)
-
-    def reduceat(self, vals, starts):
+    def fold(self, run_start, values):
         raise RuntimeError("bin bomb")
 
 
@@ -73,11 +70,11 @@ def main(start_method, n_multiplies):
             c = s.multiply(a, a)
             assert c.data.tobytes() == serial.data.tobytes()
         # Abnormal teardown: an unregistered (pickled-by-value) semiring
-        # whose segmented reduction detonates inside a worker, mid-bin,
-        # while the multiply's arenas are still leased.
-        bomb = Semiring(
+        # whose ⊕ fold detonates inside a worker, mid-bin, while the
+        # multiply's arenas are still leased.
+        bomb = BombSemiring(
             name="bomb-unregistered",
-            add_ufunc=BombUfunc(),
+            add_ufunc=np.add,
             multiply=np.multiply,
             add_identity=0.0,
         )
