@@ -16,6 +16,7 @@ from repro.analysis.records import ResultTable
 from repro.analysis.tables import render_table
 from repro.core import PBConfig
 from repro.costmodel import pb_phase_costs, workload_stats
+from repro.costmodel.bytes_model import PAPER_CONFIG
 from repro.machine import skylake_sp
 from repro.simulate import simulate_phases
 
@@ -32,7 +33,7 @@ def _build():
     machine = skylake_sp()
     a = repro.erdos_renyi(1 << 13, 8, seed=31)
     stats = workload_stats(a.to_csc(), a.to_csr())
-    base_cfg = PBConfig()
+    base_cfg = PAPER_CONFIG  # local bins on, as the paper evaluates
     base = _simulate(stats, machine, base_cfg)
 
     t = ResultTable(

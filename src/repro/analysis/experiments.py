@@ -125,7 +125,7 @@ def fig6_parameter_sweep(
         ["lbin_bytes", "expand_gbs"],
     )
     for w in (16, 32, 64, 128, 256, 512, 1024, 2048, 4096):
-        cfg = PBConfig(local_bin_bytes=w)
+        cfg = PBConfig(local_bin_bytes=w, use_local_bins=True)
         phases = pb_phase_costs(stats, m, cfg)
         reps = simulate_phases(phases, m, nthreads)
         expand = next(r for r in reps if r.name == "expand")
@@ -141,7 +141,7 @@ def fig6_parameter_sweep(
     for nb in (64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384):
         if nb > stats.n_rows:
             continue
-        cfg = PBConfig(nbins=nb)
+        cfg = PBConfig(nbins=nb, use_local_bins=True)
         phases = pb_phase_costs(stats, m, cfg, nbins=nb)
         reps = simulate_phases(phases, m, nthreads)
         expand = next(r for r in reps if r.name == "expand")

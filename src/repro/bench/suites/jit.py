@@ -5,11 +5,13 @@ swaps out, on ER and R-MAT inputs:
 
 * **panel** — end-to-end default ``hash_spgemm`` (the compiled panel)
   vs. the same call with the tier disabled (:func:`jit.disabled`: the
-  numpy panel), the median ratio of :data:`PANEL_ROUNDS` interleaved
+  numpy panel), the median ratio of :data:`ROUNDS` interleaved
   rounds;
 * **pb end-to-end** — default serial PB on the compiled pipeline vs.
-  the numpy pipeline with the tier disabled, plus the compiled
-  pipeline with local bins on and off (the Fig. 5 ablation);
+  the numpy pipeline with the tier disabled;
+* **local bins** — the compiled pipeline with the paper's local bins
+  (``use_local_bins=True``) vs. the default direct scatter, the median
+  ratio of :data:`ROUNDS` interleaved rounds (the Fig. 5 ablation);
 * **identity** — compiled PB and the compiled and numpy panel column
   kernel bit-identical to numpy PB, per semiring.
 
@@ -41,8 +43,9 @@ from . import bit_identical, timed
 QUICK_WORKLOADS = ("er_s10_ef8", "rmat_s9_ef8")
 FULL_WORKLOADS = ("er_s16_ef16", "rmat_s14_ef8")
 
-#: Interleaved numpy/compiled rounds behind ``panel_speedup``.
-PANEL_ROUNDS = 7
+#: Interleaved rounds behind ``panel_speedup`` and
+#: ``local_bins_speedup``.
+ROUNDS = 7
 
 
 def _workloads(quick: bool):
@@ -72,8 +75,8 @@ def _time_pb(a_csc, b_csr, cfg, reps: int) -> tuple[float, dict, str]:
 
 
 def _bench_end_to_end(b_csr, reps: int) -> dict:
-    """Full-pipeline comparisons: compiled vs. numpy PB, local bins on
-    vs. off, compiled vs. numpy panel."""
+    """Full-pipeline comparisons: compiled vs. numpy PB, local bins vs.
+    direct scatter, compiled vs. numpy panel."""
     a_csc = b_csr.to_csc()
     out: dict = {}
     with jit_tier.disabled():
@@ -81,44 +84,59 @@ def _bench_end_to_end(b_csr, reps: int) -> dict:
     runs = {
         "numpy": numpy_run,
         "jit": _time_pb(a_csc, b_csr, PBConfig(), reps),
-        "direct": _time_pb(a_csc, b_csr, PBConfig(use_local_bins=False), reps),
     }
     for label, (best, phases, pipeline) in runs.items():
         out[f"pb_{label}_s"] = best
         out[f"pb_{label}_phases"] = phases
         out[f"pb_{label}_pipeline"] = pipeline
     out["pb_speedup"] = out["pb_numpy_s"] / out["pb_jit_s"]
-    # > 1 when the local bins pay for themselves over direct scatter.
-    out["pb_local_bins_speedup"] = out["pb_direct_s"] / out["pb_jit_s"]
 
-    out.update(_panel_rounds(a_csc, b_csr))
+    def pb(cfg):
+        return lambda: timed(lambda: pb_spgemm_detailed(a_csc, b_csr, config=cfg))
+
+    # > 1 when the paper's local bins pay for themselves over the
+    # default direct scatter.
+    direct_s, local_s = _rounds(pb(PBConfig()), pb(PBConfig(use_local_bins=True)))
+    out.update(_summary("pb_direct_s", "pb_local_s", "pb_local_bins", direct_s, local_s))
+
+    run = lambda: hash_spgemm(a_csc, b_csr)  # noqa: E731
+
+    def numpy_panel():
+        with jit_tier.disabled():
+            return timed(run)
+
+    numpy_s, jit_s = _rounds(numpy_panel, lambda: timed(run))
+    out.update(_summary("panel_numpy_s", "panel_jit_s", "panel", numpy_s, jit_s))
     return out
 
 
-def _panel_rounds(a_csc, b_csr) -> dict:
-    """The numpy and the compiled panel timed in :data:`PANEL_ROUNDS`
-    interleaved rounds (one warm-up each first): median seconds of each,
-    and the median of the per-round ratios as ``panel_speedup``.
+def _rounds(base, other) -> tuple[list[float], list[float]]:
+    """Seconds of ``base`` and ``other`` (each timing one call and
+    returning its seconds) over :data:`ROUNDS` interleaved rounds,
+    after one warm-up each.
 
     Both sides of a round see the same host state, so drift between
-    rounds cancels in the ratio, and the median of seven rounds
+    rounds cancels in their ratio, and the median of seven rounds
     discards the outliers a best-of on each side would pair up.
     """
-    run = lambda: hash_spgemm(a_csc, b_csr)  # noqa: E731
-    with jit_tier.disabled():
-        run()
-    run()
-    numpy_s, jit_s = [], []
-    for _ in range(PANEL_ROUNDS):
-        with jit_tier.disabled():
-            numpy_s.append(timed(run))
-        jit_s.append(timed(run))
-    ratios = [n / j for n, j in zip(numpy_s, jit_s)]
+    base()
+    other()
+    base_s, other_s = [], []
+    for _ in range(ROUNDS):
+        base_s.append(base())
+        other_s.append(other())
+    return base_s, other_s
+
+
+def _summary(base_key, other_key, label, base_s, other_s) -> dict:
+    """Median seconds of each side, and the median of the per-round
+    ``base / other`` ratios as ``{label}_speedup``."""
+    ratios = [b / o for b, o in zip(base_s, other_s)]
     return {
-        "panel_numpy_s": float(np.median(numpy_s)),
-        "panel_jit_s": float(np.median(jit_s)),
-        "panel_speedup": float(np.median(ratios)),
-        "panel_round_speedups": ratios,
+        base_key: float(np.median(base_s)),
+        other_key: float(np.median(other_s)),
+        f"{label}_speedup": float(np.median(ratios)),
+        f"{label}_round_speedups": ratios,
     }
 
 
@@ -149,6 +167,7 @@ def _extract(workloads, end_to_end, identity):
         metrics[f"{w}.pb.jit_s"] = e["pb_jit_s"]
         metrics[f"{w}.pb.numpy_s"] = e["pb_numpy_s"]
         metrics[f"{w}.pb.direct_s"] = e["pb_direct_s"]
+        metrics[f"{w}.pb.local_s"] = e["pb_local_s"]
         metrics[f"{w}.pb.local_bins_speedup"] = e["pb_local_bins_speedup"]
         metrics[f"{w}.panel.speedup"] = e["panel_speedup"]
         phases[w] = dict(e["pb_jit_phases"])

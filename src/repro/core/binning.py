@@ -8,8 +8,8 @@ the packed-key codec of Sec. III-D: within a bin covering
 col``, which usually fits 32 bits and halves the radix passes.  The
 numpy pipeline distributes tuples with one vectorized stable
 placement; the compiled pipeline expands straight into the bins
-through the thread-private local bins of Fig. 5
-(:func:`repro.kernels.jit.pb_expand_jit`), which the cost model and the
+(:func:`repro.kernels.jit.pb_expand_jit`), directly or through the
+thread-private local bins of Fig. 5, which the cost model and the
 trace simulator model.
 """
 
@@ -22,7 +22,7 @@ import numpy as np
 from .._util import balanced_edges
 from ..errors import ConfigError
 from ..matrix.base import INDEX_DTYPE
-from .config import PBConfig
+from .config import PBConfig, index_bits
 
 
 @dataclass(frozen=True)
@@ -105,12 +105,12 @@ def plan_bins(
     of 8.
     """
     cfg = config or PBConfig()
-    col_bits = max(int(ncols - 1).bit_length(), 1) if ncols else 1
+    col_bits = index_bits(ncols)
     if cfg.bin_mapping == "range":
         row_span = rows_per_bin
     else:
         row_span = nrows  # modulo mapping cannot localize rows
-    row_bits = max(int(row_span - 1).bit_length(), 1) if row_span else 1
+    row_bits = index_bits(row_span)
     key_bits = row_bits + col_bits
     return BinLayout(
         nrows=nrows,
@@ -292,8 +292,8 @@ class VariableBinLayout:
         self.mapping = "variable"
         widest = int(np.diff(edges).max()) if self.nbins else 1
         self.rows_per_bin = widest  # upper bound used for key packing
-        self.col_bits = max(int(ncols - 1).bit_length(), 1) if ncols else 1
-        self.row_bits = max(int(max(widest - 1, 1)).bit_length(), 1)
+        self.col_bits = index_bits(ncols)
+        self.row_bits = index_bits(widest)
         self.key_bits = self.row_bits + self.col_bits
         self.key_dtype = key_dtype(self.key_bits, pack_keys)
 

@@ -19,6 +19,9 @@ DEFAULT_LOCAL_BIN_BYTES = 512
 TUPLE_BYTES = 16
 #: The paper sizes global bins to fit L2; Skylake-SP has 1 MiB L2/core.
 DEFAULT_L2_TARGET_BYTES = 1024 * 1024
+#: Fewest tuples per bin, on average, that :func:`resolve_nbins` keeps
+#: when it raises the bin count to drop a radix pass.
+MIN_TUPLES_PER_BIN = 512
 
 
 @dataclass(frozen=True)
@@ -29,8 +32,10 @@ class PBConfig:
     ----------
     nbins:
         Number of global bins.  ``None`` (default) lets the symbolic
-        phase choose so a bin's tuples fit
-        :data:`DEFAULT_L2_TARGET_BYTES` (Alg. 3 line 6); see
+        phase choose: enough that a bin's tuples fit
+        :data:`DEFAULT_L2_TARGET_BYTES` (Alg. 3 line 6), then, without
+        local bins, raised by up to 4x where that lands the packed key
+        on a byte boundary and saves a radix pass; see
         :func:`resolve_nbins`.
     local_bin_bytes:
         Width of each thread-private local bin in bytes (Fig. 6a;
@@ -54,13 +59,16 @@ class PBConfig:
         per-output-column Python accumulators (ablation).
         Bit-identical products.
     use_local_bins:
-        Thread-private local bins of ``local_bin_bytes`` (Fig. 5): the
-        compiled pipeline's expand appends tuples to them and copies
-        each full one to its global bin; ``False`` writes every tuple
-        to its global bin directly — the Fig. 5 ablation, executed.
-        The cost model and trace simulator model the same switch.  The
-        numeric result is the same either way, and the numpy pipeline
-        ignores it.
+        Thread-private local bins of ``local_bin_bytes`` (Fig. 5):
+        ``True`` makes the compiled pipeline's expand append tuples to
+        them and copy each full one to its global bin; ``False``
+        (default) writes every tuple to its global bin directly.  The
+        expansion order already writes nnz(B(k,:)) consecutive tuples
+        to one bin, so the local-bin copy measured as pure overhead on
+        every input tried (DESIGN.md §6).  The cost model and trace
+        simulator model the same switch and price the paper's
+        ``True`` unless given a config.  The numeric result is the
+        same either way, and the numpy pipeline ignores it.
     nthreads:
         Thread count of the compiled PB pipeline
         (:mod:`repro.parallel.threads`), under either executor, for
@@ -143,7 +151,7 @@ class PBConfig:
     bin_mapping: str = "range"
     pack_keys: bool = True
     column_backend: str = "panel"
-    use_local_bins: bool = True
+    use_local_bins: bool = False
     nthreads: int = 1
     executor: str = "serial"
     pipeline: str = "auto"
@@ -269,19 +277,44 @@ def effective_config(config: "PBConfig | None", session=None) -> "PBConfig":
     return session.config if session is not None else PBConfig()
 
 
-def resolve_nbins(flop: int, nrows: int, config: "PBConfig | None" = None) -> int:
+def index_bits(extent: int) -> int:
+    """Bits of one packed-key field (Sec. III-D) holding ids in
+    ``[0, extent)``; at least one."""
+    return max(int(extent - 1).bit_length(), 1) if extent else 1
+
+
+def resolve_nbins(
+    flop: int, nrows: int, ncols: int, config: "PBConfig | None" = None
+) -> int:
     """THE place ``nbins=None`` resolves to a concrete bin count.
 
     Paper Alg. 3 line 6 + Sec. V-A: enough bins that one bin's tuples
     fit the L2 budget (assuming tuples spread evenly), rounded up to a
     power of two so bin ids come from cheap shifts, clamped to the
     paper's practical [1K, 2K] band ("for most practical matrices, we
-    use 1K or 2K bins") and to the row count.  An explicit
-    ``config.nbins`` passes through (clamped to ``nrows``).
+    use 1K or 2K bins") and to the row count.
+
+    With packed ``range`` or ``balanced`` keys the count then moves onto
+    a digit boundary: of the power-of-two counts from that L2-fit count
+    up to 4x it, never above ``nrows`` and keeping at least
+    :data:`MIN_TUPLES_PER_BIN` tuples per bin on average, take the one
+    whose packed key needs the fewest byte passes
+    (:func:`repro.kernels.radix.passes_for_bits`, the passes the
+    compiled 8-bit-digit sort runs), the fewest bins on a tie.
+    More bins shorten the local-row field, so ER 2^14 squared goes from
+    1K bins and 18-bit keys (3 passes) to 4K bins and 16-bit keys (2);
+    a 13-column-bit R-MAT already has 16-bit keys at 1K bins and keeps
+    them.  ``modulo`` mapping (its keys hold the whole row id),
+    ``pack_keys=False`` (8 passes whatever the count), local bins
+    (every thread holds ``nbins * local_bin_bytes`` of them, which the
+    L2-fit count keeps within L2, Fig. 6b) and an explicit
+    ``config.nbins`` (clamped to ``nrows``) pass through.  The cost
+    model prices the paper's local bins, so its bin counts, and the
+    simulated figures, stay the paper's.
 
     Every consumer — the executable symbolic phase
-    (:func:`repro.core.symbolic.symbolic_phase`, shared by the serial
-    and process executors) and the analytic cost model
+    (:func:`repro.core.symbolic.symbolic_phase`, shared by the compiled
+    and numpy pipelines) and the analytic cost model
     (:func:`repro.costmodel.bytes_model.pb_phase_costs`) — calls this
     function, so the simulated and executed bin counts can never drift
     apart.
@@ -292,4 +325,19 @@ def resolve_nbins(flop: int, nrows: int, config: "PBConfig | None" = None) -> in
     tuples_per_bin = DEFAULT_L2_TARGET_BYTES // TUPLE_BYTES
     needed = max(1, -(-int(flop) // tuples_per_bin))
     pow2 = 1 << max(0, (needed - 1)).bit_length()
-    return min(max(pow2, 1024), 2048, m)
+    nbins = min(max(pow2, 1024), 2048, m)
+    cfg = config or PBConfig()
+    if not cfg.pack_keys or cfg.bin_mapping == "modulo" or cfg.use_local_bins:
+        return nbins
+    from ..kernels.radix import passes_for_bits
+
+    def passes(nb: int) -> int:
+        return passes_for_bits(index_bits(-(-m // nb)) + index_bits(ncols))
+
+    best = nbins
+    for nb in (2 * nbins, 4 * nbins):
+        if nb > m or int(flop) < MIN_TUPLES_PER_BIN * nb:
+            break
+        if passes(nb) < passes(best):
+            best = nb
+    return best

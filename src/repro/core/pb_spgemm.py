@@ -2,8 +2,9 @@
 
 Phases (matching the paper's structure and instrumentation points):
 
-1. **Symbolic** (Alg. 3): flop count from pointer arrays, bin sizing,
-   global-bin allocation.
+1. **Symbolic** (Alg. 3): flop count from pointer arrays, bin sizing
+   (L2-fit, then moved onto a key-width digit boundary; see
+   :func:`repro.core.config.resolve_nbins`), global-bin allocation.
 2. **Expand** (lines 5-14): outer products stream A (CSC) and B (CSR)
    once; tuples are packed into narrow integer keys (Sec. III-D) and
    placed into global bins in stream order.
@@ -20,10 +21,10 @@ Two implementations run these phases and give bit-identical products
 
 * **compiled** (the default whenever the cc engine of
   :mod:`repro.kernels.jit` builds): one pass counts each bin's tuples,
-  expand writes them through thread-private local bins of
-  ``local_bin_bytes`` that are flushed to the global bins when full —
-  the local-bin protocol of Fig. 5, executed (``use_local_bins=False``
-  scatters every tuple directly) — then every bin is radix-sorted in
+  expand writes each tuple straight to its global bin
+  (``use_local_bins=True`` stages them in thread-private local bins of
+  ``local_bin_bytes`` flushed when full — the local-bin protocol of
+  Fig. 5, executed as an ablation), then every bin is radix-sorted in
   place and compressed straight into the output's column and value
   arrays while its row counts accumulate.  It runs on
   ``PBConfig.nthreads`` threads (:mod:`repro.parallel.threads`):

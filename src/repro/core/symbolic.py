@@ -62,7 +62,7 @@ def symbolic_phase(
     # The Alg. 3 line 6 bin-count policy (and the handling of an
     # explicit cfg.nbins) lives in exactly one place:
     # repro.core.config.resolve_nbins.
-    nbins = resolve_nbins(flop, m, cfg)
+    nbins = resolve_nbins(flop, m, b_csr.shape[1], cfg)
 
     rows_per_bin = max(1, -(-m // nbins)) if m else 1
     # With range mapping the effective bin count is ceil(m / rows_per_bin).

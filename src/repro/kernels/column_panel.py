@@ -253,9 +253,9 @@ def panel_spgemm(
         # One explicit widening to the platform index dtype: bincount
         # and the assembly's base-offset gather would otherwise each
         # re-cast the narrow row ids internally, once per panel.
-        rows_p = rows_s[run_start].astype(np.intp)
+        rows_p = np.compress(run_start, rows_s).astype(np.intp)
         panel_rows.append(rows_p)
-        panel_cols.append(cols_s[run_start])
+        panel_cols.append(np.compress(run_start, cols_s))
         panel_vals.append(reduced)
         panel_counts.append(np.bincount(rows_p, minlength=m))
 

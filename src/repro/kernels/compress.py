@@ -56,7 +56,7 @@ def compress_keyed(
     run_start = np.empty(len(keys), dtype=bool)
     run_start[0] = True
     np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
-    return keys[run_start], sr.fold(run_start, values)
+    return np.compress(run_start, keys), sr.fold(run_start, values)
 
 
 def compress_sorted(
@@ -91,4 +91,4 @@ def compress_sorted(
         raise ValueError("compress requires (row, col)-sorted tuples")
     run_start = np.concatenate([[True], changed])
     vals = get_semiring(semiring).fold(run_start, values)
-    return rows[run_start], cols[run_start], vals
+    return np.compress(run_start, rows), np.compress(run_start, cols), vals

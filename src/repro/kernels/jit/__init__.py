@@ -1,13 +1,14 @@
 """Compiled hot-kernel tier (DESIGN.md §14).
 
-The compiled serial PB pipeline — bin count, expand into local bins,
+The compiled serial PB pipeline — bin count, expand into bins,
 per-bin radix sort, per-bin compress into CSR (:func:`pb_expand_jit`,
 :func:`pb_sort_bins_jit`, :func:`pb_compress_bins_jit`) — plus the
-column kernels' compiled panel (:func:`panel_context`).  Both run
-by default whenever the tier can serve the call: :func:`blocker` is
-the one check of that (an op code for the semiring, float64 values,
-a working engine), and otherwise the caller runs its numpy path,
-silently.  The numpy paths are bit-identical by construction (stable
+column kernels' compiled panel (:func:`panel_context`) and the
+counting transpose of the CSR/CSC conversions (:func:`transpose_jit`).
+Each runs by default whenever the tier can serve the call — for PB and
+the panel, :func:`blocker` is the one check of that (an op code for
+the semiring, float64 values, a working engine) — and otherwise the
+caller runs its numpy path, silently.  The numpy paths are bit-identical by construction (stable
 sorts share their unique permutation; compiled folds replay the
 numpy fold's sequential order).
 
@@ -52,6 +53,7 @@ __all__ = [
     "pb_expand_jit",
     "pb_sort_bins_jit",
     "pb_compress_bins_jit",
+    "transpose_jit",
     "OP_ADD",
     "OP_MIN",
     "OP_MAX",
@@ -233,6 +235,8 @@ def warmup() -> float:
                 keys, pv.copy(), starts, bin_lo, 1, op,
                 np.empty(8, np.int64), np.empty(8, np.float64), np.zeros(2, np.int64),
             )
+    # A as CSC, transposed into its CSR structure.
+    transpose_jit(a_ptr, idx, a_vals, 2)
     return time.perf_counter() - t0
 
 
@@ -474,6 +478,45 @@ def panel_context(m: int, n: int, semiring, col_dtype):
         _require_engine(), m, semiring_opcode(semiring), col_dtype, idx,
         multiply_opcode(semiring),
     )
+
+
+# ----------------------------------------------------------------------
+# Format conversion
+# ----------------------------------------------------------------------
+
+def transpose_jit(indptr, indices, data, nminor: int):
+    """Stable counting transpose of a compressed structure, or None.
+
+    ``indptr``/``indices`` describe ``len(indptr) - 1`` major segments
+    over minor ids in ``[0, nminor)``; ``data`` values are moved as raw
+    bits.  Returns ``(ptr, idx, data)`` of the transposed structure —
+    entries in the order ``np.argsort(indices, kind="stable")`` gives —
+    or None when the kernel cannot serve the arrays: indices that are
+    not int64, values not 8 bytes wide, or arrays that do not describe
+    a valid structure (the caller's numpy path then handles them as
+    before).
+    """
+    eng = _require_engine()
+    if not (
+        indptr.dtype == indices.dtype == np.int64
+        and data.dtype.itemsize == 8
+        and len(indptr) >= 1
+        and len(data) == len(indices)
+    ):
+        return None
+    indptr = np.ascontiguousarray(indptr)
+    indices = np.ascontiguousarray(indices)
+    data = np.ascontiguousarray(data)
+    out_ptr = np.empty(int(nminor) + 1, dtype=INDEX_DTYPE)
+    out_idx = np.empty(len(indices), dtype=INDEX_DTYPE)
+    out_data = np.empty(len(indices), dtype=data.dtype)
+    status = eng.csx_transpose(
+        indptr, indices, data.view(np.uint64), int(nminor),
+        out_ptr, out_idx, out_data.view(np.uint64),
+    )
+    if status != 0:
+        return None
+    return out_ptr, out_idx, out_data
 
 
 # ----------------------------------------------------------------------

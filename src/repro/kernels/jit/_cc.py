@@ -1,8 +1,9 @@
 r"""Runtime-compiled C engine for the JIT kernel tier.
 
 One translation unit containing every compiled hot kernel (the panel
-sort+fold of the column kernels and the serial PB pipeline: bin count,
-expand into local bins, per-bin sort, per-bin compress into CSR),
+sort+fold of the column kernels, the serial PB pipeline: bin count,
+expand into bins, per-bin sort, per-bin compress into CSR, and the
+CSR/CSC counting transpose),
 built with the system C compiler the probe found and loaded through
 :mod:`ctypes`.  The build is cached on disk keyed by a hash of the
 source (plus platform), so:
@@ -410,7 +411,7 @@ API int64_t panel_fused_u16(
 }
 
 /* ================================================================ */
-/* Serial PB-SpGEMM (Alg. 2): bin count, expand into local bins,    */
+/* Serial PB-SpGEMM (Alg. 2): bin count, expand into bins,          */
 /* per-bin radix sort, per-bin compress straight into CSR arrays.   */
 /* A is CSC (a_ptr/a_rows/a_vals), B is CSR (b_ptr/b_cols/b_vals);  */
 /* bin_of_row maps an output row to its bin, bin_lo holds each      */
@@ -571,14 +572,20 @@ PB_SORT_IMPL(u64, uint64_t)
 /* fold_head / fold_step (Semiring.fold's order, as the numpy        */
 /* compress does), write the run's column (int64) and value at the  */
 /* output cursor and count it in row_counts (m int64, zeroed by the */
-/* caller), so the CSR row pointer is one cumsum away.  out_vals    */
-/* may alias vals: a run is read before its output slot, which      */
-/* never lies past it, is written.  Returns the number of entries   */
-/* written.                                                         */
+/* caller), so the CSR row pointer is one cumsum away.  Keys are    */
+/* sorted, so one row's entries are adjacent: the scan walks a bin  */
+/* row by row and adds each row's count (outputs written since the  */
+/* row began, a register difference) once, when the row ends,       */
+/* instead of incrementing a counter in memory per output entry.    */
+/* The public entry dispatches on op once, so each ⊕ gets its own   */
+/* copy of the loop with fold_step's switch resolved.  out_vals may */
+/* alias vals: a run is read before its output slot, which never    */
+/* lies past it, is written.  Returns the number of entries written.*/
 #define PB_COMPRESS_IMPL(SUF, KT)                                     \
-API int64_t pb_compress_bins_##SUF(                                   \
+static inline __attribute__((always_inline)) int64_t                  \
+compress_bins_##SUF(                                                  \
     const KT *keys, const double *vals, const int64_t *starts,        \
-    int64_t nbins, const int64_t *bin_lo, int col_bits, int op,       \
+    int64_t nbins, const int64_t *bin_lo, int col_bits, const int op, \
     int64_t *out_cols, double *out_vals, int64_t *row_counts)         \
 {                                                                     \
     const KT cmask = (KT)(((KT)1 << col_bits) - 1);                   \
@@ -588,23 +595,91 @@ API int64_t pb_compress_bins_##SUF(                                   \
         int64_t *rc = row_counts + bin_lo[b];                         \
         int64_t i = starts[b];                                        \
         while (i < hi) {                                              \
-            const KT key = keys[i];                                   \
-            double acc = fold_head(vals[i]);                          \
-            int64_t j = i + 1;                                        \
-            for (; j < hi && keys[j] == key; ++j)                     \
-                acc = fold_step(op, acc, vals[j]);                    \
-            out_cols[o] = (int64_t)(key & cmask);                     \
-            out_vals[o] = acc;                                        \
-            rc[(int64_t)(key >> col_bits)]++;                         \
-            ++o;                                                      \
-            i = j;                                                    \
+            const uint64_t row = (uint64_t)keys[i] >> col_bits;       \
+            const uint64_t row_end = (row + 1) << col_bits;           \
+            const int64_t row_o = o;                                  \
+            do {                                                      \
+                const KT key = keys[i];                               \
+                double acc = fold_head(vals[i]);                      \
+                int64_t j = i + 1;                                    \
+                for (; j < hi && keys[j] == key; ++j)                 \
+                    acc = fold_step(op, acc, vals[j]);                \
+                out_cols[o] = (int64_t)(key & cmask);                 \
+                out_vals[o] = acc;                                    \
+                ++o;                                                  \
+                i = j;                                                \
+            } while (i < hi && (uint64_t)keys[i] < row_end);          \
+            rc[row] += o - row_o;                                     \
         }                                                             \
     }                                                                 \
     return o;                                                         \
+}                                                                     \
+                                                                      \
+API int64_t pb_compress_bins_##SUF(                                   \
+    const KT *keys, const double *vals, const int64_t *starts,        \
+    int64_t nbins, const int64_t *bin_lo, int col_bits, int op,       \
+    int64_t *out_cols, double *out_vals, int64_t *row_counts)         \
+{                                                                     \
+    switch (op) {                                                     \
+    case OP_ADD:                                                      \
+        return compress_bins_##SUF(keys, vals, starts, nbins, bin_lo, \
+            col_bits, OP_ADD, out_cols, out_vals, row_counts);        \
+    case OP_MIN:                                                      \
+        return compress_bins_##SUF(keys, vals, starts, nbins, bin_lo, \
+            col_bits, OP_MIN, out_cols, out_vals, row_counts);        \
+    case OP_MAX:                                                      \
+        return compress_bins_##SUF(keys, vals, starts, nbins, bin_lo, \
+            col_bits, OP_MAX, out_cols, out_vals, row_counts);        \
+    default:                                                          \
+        return compress_bins_##SUF(keys, vals, starts, nbins, bin_lo, \
+            col_bits, OP_OR, out_cols, out_vals, row_counts);         \
+    }                                                                 \
 }
 
 PB_COMPRESS_IMPL(u32, uint32_t)
 PB_COMPRESS_IMPL(u64, uint64_t)
+
+/* ---------------------------------------------------------------- */
+/* Stable counting transpose of a compressed (CSR or CSC) structure */
+/* with nmajor segments over minor ids in [0, nminor): a histogram  */
+/* of the minor ids, a prefix sum into out_ptr, then one scatter in */
+/* stream order of each entry's major id and its 8 value bytes —    */
+/* the permutation np.argsort(idx, kind="stable") gives.  out_ptr   */
+/* (nminor + 1) serves as the scatter cursor and is shifted back    */
+/* into a pointer afterwards.  Returns 0, or -1 (nothing useful     */
+/* written) when ptr is not a non-decreasing pointer from 0 to nnz  */
+/* or a minor id falls outside [0, nminor).                         */
+/* ---------------------------------------------------------------- */
+API int csx_transpose(
+    const int64_t *ptr, const int64_t *idx, const uint64_t *vals,
+    int64_t nmajor, int64_t nminor, int64_t nnz,
+    int64_t *out_ptr, int64_t *out_idx, uint64_t *out_vals)
+{
+    if (ptr[0] != 0 || ptr[nmajor] != nnz)
+        return -1;
+    for (int64_t i = 0; i < nmajor; ++i)
+        if (ptr[i + 1] < ptr[i])
+            return -1;
+    memset(out_ptr, 0, (size_t)(nminor + 1) * sizeof(int64_t));
+    for (int64_t e = 0; e < nnz; ++e) {
+        const int64_t j = idx[e];
+        if ((uint64_t)j >= (uint64_t)nminor)
+            return -1;
+        out_ptr[j + 1]++;
+    }
+    for (int64_t j = 0; j < nminor; ++j)
+        out_ptr[j + 1] += out_ptr[j];
+    for (int64_t i = 0; i < nmajor; ++i) {
+        for (int64_t e = ptr[i]; e < ptr[i + 1]; ++e) {
+            const int64_t pos = out_ptr[idx[e]]++;
+            out_idx[pos] = i;
+            out_vals[pos] = vals[e];
+        }
+    }
+    memmove(out_ptr + 1, out_ptr, (size_t)nminor * sizeof(int64_t));
+    out_ptr[0] = 0;
+    return 0;
+}
 """
 
 _P = ctypes.POINTER
@@ -641,6 +716,9 @@ _SIGNATURES = {
         ],
     ),
     "pb_bin_count": (None, [_i64p, _i64p, _i64p, _i64, _i64p, _i64, _i64p]),
+    "csx_transpose": (
+        _int, [_i64p, _i64p, _u64p, _i64, _i64, _i64, _i64p, _i64p, _u64p]
+    ),
 }
 for _suf, _kp in (("u32", _u32p), ("u64", _u64p)):
     _SIGNATURES[f"pb_expand_{_suf}"] = (
@@ -771,6 +849,14 @@ class CCEngine:
             _ptr(hist, _i64p), _ptr(wk, _i64p), _ptr(tvc, _f64p),
             _ptr(out_rows, _u16p), _ptr(out_cols, _u16p),
             _ptr(out_vals, _f64p), _ptr(row_counts, _i64p),
+        )
+
+    # -- format conversion ------------------------------------------
+    def csx_transpose(self, ptr, idx, vals, nminor, out_ptr, out_idx, out_vals):
+        return self._lib.csx_transpose(
+            _ptr(ptr, _i64p), _ptr(idx, _i64p), _ptr(vals, _u64p),
+            len(ptr) - 1, nminor, len(idx),
+            _ptr(out_ptr, _i64p), _ptr(out_idx, _i64p), _ptr(out_vals, _u64p),
         )
 
     # -- serial PB pipeline -----------------------------------------

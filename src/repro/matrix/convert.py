@@ -73,40 +73,48 @@ def csc_to_coo(csc):
     return COOMatrix(csc.shape, csc.indices, cols, csc.data, validate=False)
 
 
-def csr_to_csc(csr):
-    """CSR → CSC via a stable counting redistribution (Gustavson transpose).
+def _transpose(ptr, idx, data, nminor: int):
+    """``(ptr, major ids, data)`` of a compressed structure transposed.
 
-    Equivalent to the classic two-pass histogram transpose: count
-    entries per column, prefix-sum into a pointer, then place entries.
-    The placement scatter is realized with a stable argsort on the
-    column key, which numpy implements as a radix sort for integers
-    narrow enough (:func:`_narrow_sort_key`).
+    Stable: within each minor segment, entries keep their stream order,
+    so major ids ascend.  Runs the compiled counting transpose
+    (histogram, prefix sum, scatter; :func:`repro.kernels.jit.transpose_jit`)
+    whenever the engine is available and the kernel can serve the
+    arrays (int64 indices, 8-byte values); otherwise a stable argsort
+    on the minor id, which numpy implements as a radix sort for ids
+    narrow enough (:func:`_narrow_sort_key`).  Both give the same
+    arrays bit for bit.
     """
+    from ..kernels import jit
+
+    if jit.jit_available():
+        out = jit.transpose_jit(ptr, idx, data, nminor)
+        if out is not None:
+            return out
+    order = np.argsort(_narrow_sort_key(idx, nminor), kind="stable")
+    major = np.repeat(
+        np.arange(len(ptr) - 1, dtype=base.INDEX_DTYPE), np.diff(ptr)
+    )
+    return _compress_pointer(idx, nminor), major[order], data[order]
+
+
+def csr_to_csc(csr):
+    """CSR → CSC by a stable counting transpose (Gustavson's two-pass
+    histogram transpose: count entries per column, prefix-sum into a
+    pointer, then place entries); see :func:`_transpose`."""
     from .csc import CSCMatrix
 
-    order = np.argsort(
-        _narrow_sort_key(csr.indices, csr.shape[1]), kind="stable"
+    indptr, rows, data = _transpose(
+        csr.indptr, csr.indices, csr.data, csr.shape[1]
     )
-    rows = np.repeat(
-        np.arange(csr.shape[0], dtype=base.INDEX_DTYPE), np.diff(csr.indptr)
-    )
-    indptr = _compress_pointer(csr.indices, csr.shape[1])
-    return CSCMatrix(
-        csr.shape, indptr, rows[order], csr.data[order], validate=False
-    )
+    return CSCMatrix(csr.shape, indptr, rows, data, validate=False)
 
 
 def csc_to_csr(csc):
     """CSC → CSR; mirror of :func:`csr_to_csc`."""
     from .csr import CSRMatrix
 
-    order = np.argsort(
-        _narrow_sort_key(csc.indices, csc.shape[0]), kind="stable"
+    indptr, cols, data = _transpose(
+        csc.indptr, csc.indices, csc.data, csc.shape[0]
     )
-    cols = np.repeat(
-        np.arange(csc.shape[1], dtype=base.INDEX_DTYPE), np.diff(csc.indptr)
-    )
-    indptr = _compress_pointer(csc.indices, csc.shape[0])
-    return CSRMatrix(
-        csc.shape, indptr, cols[order], csc.data[order], validate=False
-    )
+    return CSRMatrix(csc.shape, indptr, cols, data, validate=False)

@@ -35,6 +35,7 @@ class TestPBConfig:
         cfg = PBConfig()
         assert cfg.local_bin_bytes == 512
         assert cfg.bin_mapping == "range"
+        assert cfg.use_local_bins is False  # direct scatter (DESIGN §6)
 
     def test_with_(self):
         cfg = PBConfig().with_(nbins=64)
@@ -290,7 +291,7 @@ class TestPBSpGEMM:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(use_local_bins=False),
+            dict(use_local_bins=True),
             dict(pack_keys=False),
             dict(bin_mapping="balanced"),
         ],

@@ -155,7 +155,7 @@ class TestPBPhaseCosts:
     def test_wider_local_bins_more_efficient(self, er_stats):
         m = skylake_sp()
         def write_bytes(w):
-            cfg = PBConfig(local_bin_bytes=w)
+            cfg = PBConfig(local_bin_bytes=w, use_local_bins=True)
             return next(
                 p for p in pb_phase_costs(er_stats, m, cfg) if p.name == "expand"
             ).dram_write_bytes

@@ -166,3 +166,116 @@ class TestSpMVAndMisc:
         assert m.to_csr() is m
         c = m.to_csc()
         assert c.to_csc() is c
+
+
+def _with_values(mat, dtype, rng):
+    """``mat`` with its values replaced by ``dtype`` values (the formats
+    coerce to float64 on construction, so the conversions can also meet
+    narrower arrays set afterwards)."""
+    n = len(mat.data)
+    if dtype == np.float64:
+        vals = rng.normal(size=n)
+        specials = [-0.0, np.nan, -np.nan, np.inf, -np.inf]
+        vals[: min(n, len(specials))] = specials[: min(n, len(specials))]
+    elif dtype == np.bool_:
+        vals = rng.random(n) < 0.5
+    else:
+        vals = rng.integers(-1000, 1000, size=n).astype(dtype)
+    mat.data = np.asarray(vals, dtype=dtype)
+    return mat
+
+
+def _structures(rng):
+    """CSR matrices covering the degenerate and rectangular shapes."""
+    holes = random_coo(rng, 30, 20, 120).to_csr().to_dense()
+    holes[[2, 5, 17], :] = 0.0  # empty rows
+    holes[:, [0, 3, 19]] = 0.0  # empty columns
+    return {
+        "0xn": CSRMatrix.empty((0, 5)),
+        "mx0": CSRMatrix.empty((5, 0)),
+        "1x1": CSRMatrix((1, 1), [0, 1], [0], [2.5]),
+        "1x1_empty": CSRMatrix.empty((1, 1)),
+        "nnz0": CSRMatrix.empty((7, 9)),
+        "wide": random_coo(rng, 9, 300, 400, duplicates=True).to_csr(),
+        "tall": random_coo(rng, 300, 9, 400, duplicates=True).to_csr(),
+        "holes": CSRMatrix.from_dense(holes),
+    }
+
+
+class TestCompiledTranspose:
+    """``csr_to_csc``/``csc_to_csr`` on the compiled counting transpose
+    against the argsort fallback run under ``jit.disabled()``: bit for
+    bit, and the compiled kernel serves exactly the int64-index,
+    8-byte-value conversions."""
+
+    @pytest.fixture(autouse=True)
+    def _engine(self):
+        from repro.kernels import jit
+
+        if not jit.jit_available():
+            pytest.skip("compiled engine unavailable")
+
+    @staticmethod
+    def _assert_bits(out, ref):
+        assert out.shape == ref.shape
+        assert out.indptr.tobytes() == ref.indptr.tobytes()
+        assert out.indices.tobytes() == ref.indices.tobytes()
+        assert out.data.dtype == ref.data.dtype
+        assert out.data.tobytes() == ref.data.tobytes()
+
+    @staticmethod
+    def _counting_calls(monkeypatch):
+        from repro.kernels import jit
+
+        calls = []
+        real = jit.transpose_jit
+
+        def counted(*args):
+            out = real(*args)
+            calls.append(out is not None)
+            return out
+
+        monkeypatch.setattr(jit, "transpose_jit", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "dtype,compiled",
+        [(np.float64, True), (np.int64, True), (np.float32, False), (np.bool_, False)],
+    )
+    def test_matches_argsort_path(self, rng, monkeypatch, dtype, compiled):
+        from repro.kernels import jit
+
+        for name, csr in _structures(rng).items():
+            csr = _with_values(csr, dtype, rng)
+            csc = CSCMatrix(
+                (csr.shape[1], csr.shape[0]), csr.indptr, csr.indices, csr.data,
+                validate=False,
+            )  # the transpose's structure, read as CSC
+            csc.data = csr.data
+            calls = self._counting_calls(monkeypatch)
+            got = [csr.to_csc(), csc.to_csr()]
+            assert calls == [compiled, compiled], name
+            monkeypatch.undo()
+            with jit.disabled():
+                want = [csr.to_csc(), csc.to_csr()]
+            for out, ref in zip(got, want):
+                self._assert_bits(out, ref)
+
+    def test_roundtrip_is_identity(self, rng):
+        for csr in _structures(rng).values():
+            back = csr.to_csc().to_csr()
+            self._assert_bits(back, csr)
+
+    def test_kernel_declines_what_it_cannot_serve(self):
+        from repro.kernels import jit
+
+        ptr = np.array([0, 2, 1, 3], dtype=np.int64)  # decreasing
+        assert jit.transpose_jit(ptr, np.zeros(3, np.int64), np.zeros(3), 4) is None
+        ptr = np.array([0, 1, 2], dtype=np.int64)
+        idx = np.array([0, 4], dtype=np.int64)  # minor id out of range
+        assert jit.transpose_jit(ptr, idx, np.zeros(2), 4) is None
+        idx = np.array([0, 3], dtype=np.int64)
+        assert jit.transpose_jit(ptr, idx, np.zeros(2), 4) is not None
+        assert jit.transpose_jit(ptr, idx.astype(np.int32), np.zeros(2), 4) is None
+        assert jit.transpose_jit(ptr, idx, np.zeros(2, np.float32), 4) is None
+        assert jit.transpose_jit(ptr[:2], idx, np.zeros(2), 4) is None  # nnz mismatch

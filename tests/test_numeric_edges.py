@@ -117,7 +117,7 @@ class TestKeyPackingLimits:
 class TestPBConfigExtremes:
     def test_one_tuple_local_bin(self, small_pair):
         a, b = small_pair
-        cfg = PBConfig(local_bin_bytes=16)  # exactly one tuple
+        cfg = PBConfig(local_bin_bytes=16, use_local_bins=True)  # one tuple
         assert allclose(pb_spgemm(a, b, config=cfg), scipy_spgemm_oracle(a, b))
 
     def test_giant_l2_target_single_bin(self, small_pair, monkeypatch):

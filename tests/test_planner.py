@@ -18,14 +18,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
+import repro.core.config as CONFIG_MODULE
 from repro.core.config import PBConfig, resolve_nbins
 from repro.core.pb_spgemm import pb_spgemm_detailed
 from repro.core.symbolic import symbolic_phase
 from repro.errors import ConfigError, DispatchError, ReproError
 from repro.generators import erdos_renyi, rmat
 from repro.kernels.dispatch import algorithm_metadata, get_algorithm
+from repro.matrix.coo import COOMatrix
 from repro.matrix.csr import CSRMatrix
 from repro.planner import (
     MachineProfile,
@@ -287,7 +291,7 @@ def test_symbolic_nbins_comes_from_resolve_nbins():
     a = b.to_csc()
     for cfg in (PBConfig(), PBConfig(nbins=64), PBConfig(nbins=1 << 16)):
         sym = symbolic_phase(a, b, cfg)
-        resolved = resolve_nbins(sym.flop, a.shape[0], cfg)
+        resolved = resolve_nbins(sym.flop, a.shape[0], b.shape[1], cfg)
         # symbolic_phase only snaps the resolved count to the effective
         # number of contiguous row ranges — never re-derives policy.
         rows_per_bin = max(1, -(-a.shape[0] // resolved))
@@ -295,11 +299,103 @@ def test_symbolic_nbins_comes_from_resolve_nbins():
 
 
 def test_resolve_nbins_policy():
-    assert resolve_nbins(10**9, 1 << 20) == 2048  # upper clamp
-    assert resolve_nbins(1, 1 << 20) == 1024  # lower clamp
-    assert resolve_nbins(10**9, 100) == 100  # never exceeds nrows
-    assert resolve_nbins(0, 0) == 1
-    assert resolve_nbins(10**6, 1 << 20, PBConfig(nbins=4096)) == 4096
+    assert resolve_nbins(10**9, 1 << 20, 1 << 20) == 2048  # upper clamp
+    assert resolve_nbins(1, 1 << 20, 1 << 20) == 1024  # lower clamp
+    assert resolve_nbins(10**9, 100, 100) == 100  # never exceeds nrows
+    assert resolve_nbins(0, 0, 0) == 1
+    assert resolve_nbins(10**6, 1 << 20, 1 << 20, PBConfig(nbins=4096)) == 4096
+
+    # The digit boundary: ER 2^14/16 squared has 14 column bits, so 1K
+    # bins give 4 row bits (18-bit keys, 3 byte passes) and 4K bins 2
+    # (16 bits, 2 passes).
+    er = erdos_renyi(1 << 14, 16, seed=1, fmt="csr")
+    sym = symbolic_phase(er.to_csc(), er)
+    assert sym.nbins == 4096
+    assert resolve_nbins(sym.flop, 1 << 14, 1 << 14) == 4096
+    res = pb_spgemm_detailed(er.to_csc(), er)
+    assert (res.layout.nbins, res.key_bits, res.radix_passes) == (4096, 16, 2)
+    # R-MAT 13: 1K bins already give 3 + 13 = 16-bit keys.
+    rm = rmat(13, 8, seed=1).to_csr()
+    assert symbolic_phase(rm.to_csc(), rm).nbins == 1024
+    # 16 column bits: every count up to 4x leaves 3 passes, so the
+    # L2-fit count stands (what unpacked keys, which skip the search, get).
+    for flop in (10**6, 10**7, 10**9):
+        assert resolve_nbins(flop, 1 << 16, 1 << 16) == resolve_nbins(
+            flop, 1 << 16, 1 << 16, PBConfig(pack_keys=False)
+        )
+    # The tuple floor: 4K bins need 512 tuples per bin on average; below
+    # that, 2K bins save no pass over 1K, and the fewest bins win.
+    floor = 4096 * CONFIG_MODULE.MIN_TUPLES_PER_BIN
+    assert resolve_nbins(floor, 1 << 14, 1 << 14) == 4096
+    assert resolve_nbins(floor - 1, 1 << 14, 1 << 14) == 1024
+    # Pass-through: an explicit count, modulo mapping, unpacked keys,
+    # and local bins, whose footprint the L2-fit count bounds (so the
+    # cost model, which prices the paper's local bins, keeps it too).
+    flop = sym.flop
+    for cfg, want in (
+        (PBConfig(nbins=1024), 1024),
+        (PBConfig(nbins=3000), 3000),
+        (PBConfig(bin_mapping="modulo", pack_keys=False), 1024),
+        (PBConfig(pack_keys=False), 1024),
+        (PBConfig(use_local_bins=True), 1024),
+    ):
+        assert resolve_nbins(flop, 1 << 14, 1 << 14, cfg) == want
+    # Serve-sized products keep one bin per row.
+    assert resolve_nbins(10**6, 256, 1 << 20) == 256
+
+
+def _digit_boundary_problem(seed: int):
+    """An 8192 x 64 by 64 x 32768 product (15 column bits) whose rows
+    and columns come from 300 ids each, so many tuples collide: the
+    rule moves it from 1K bins (18-bit keys) to 4K (16-bit) once the
+    tuple floor is lifted."""
+    rng = np.random.default_rng(seed)
+    rows = np.sort(rng.choice(8192, 300, replace=False))
+    cols = np.sort(rng.choice(32768, 300, replace=False))
+
+    def operand(shape, ids, along_rows):
+        nnz = 64 * 40
+        inner = np.repeat(np.arange(64), 40)
+        outer = rng.choice(ids, nnz)
+        vals = rng.normal(size=nnz).round(1)  # ties exercise min/max
+        r, c = (outer, inner) if along_rows else (inner, outer)
+        return COOMatrix(shape, r, c, vals).coalesce()
+
+    a = operand((8192, 64), rows, True).to_csc()
+    b = operand((64, 32768), cols, False).to_csr()
+    return a, b
+
+
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2**16), st.sampled_from(available_semirings()))
+def test_digit_boundary_bins_are_bit_identical(seed, semiring):
+    """The product does not depend on the bin count: the rule's pick,
+    1K, 2K and 8K bins, with and without local bins, on one and two
+    threads, all equal the numpy pipeline bit for bit."""
+    from unittest import mock
+
+    from repro.kernels import jit
+    from repro.parallel import threads
+
+    a, b = _digit_boundary_problem(seed)
+    with jit.disabled():
+        ref = pb_spgemm_detailed(a, b, semiring).c
+    with (
+        mock.patch.object(CONFIG_MODULE, "MIN_TUPLES_PER_BIN", 1),
+        mock.patch.object(threads, "MIN_FLOP_PER_THREAD", 1),
+        mock.patch.object(threads, "usable_cpus", lambda: 2),
+    ):
+        assert pb_spgemm_detailed(a, b, semiring).layout.nbins == 4096
+        for nbins in (None, 1024, 2048, 8192):
+            for local_bins in (False, True):
+                for nthreads in (1, 2):
+                    cfg = PBConfig(
+                        nbins=nbins, use_local_bins=local_bins, nthreads=nthreads
+                    )
+                    c = pb_spgemm_detailed(a, b, semiring, cfg).c
+                    assert c.indptr.tobytes() == ref.indptr.tobytes()
+                    assert c.indices.tobytes() == ref.indices.tobytes()
+                    assert c.data.tobytes() == ref.data.tobytes()
 
 
 @pytest.mark.parallel
