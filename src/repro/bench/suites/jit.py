@@ -6,7 +6,8 @@ swaps out, on ER and R-MAT inputs:
 * **panel** — end-to-end default ``hash_spgemm`` (the compiled panel)
   vs. the same call with the tier disabled (:func:`jit.disabled`: the
   numpy panel), the median ratio of :data:`ROUNDS` interleaved
-  rounds;
+  rounds; full runs add ER 2^17/8 (:data:`PANEL_U32_WORKLOADS`, panel
+  rows only), where the compiled panel runs at uint32 indices;
 * **pb end-to-end** — default serial PB on the compiled pipeline vs.
   the numpy pipeline with the tier disabled;
 * **local bins** — the compiled pipeline with the paper's local bins
@@ -42,6 +43,9 @@ from . import bit_identical, timed
 
 QUICK_WORKLOADS = ("er_s10_ef8", "rmat_s9_ef8")
 FULL_WORKLOADS = ("er_s16_ef16", "rmat_s14_ef8")
+#: Full-run inputs past 65,536 rows and columns, timed on the panel
+#: rows only: the compiled panel's uint32 kernel.
+PANEL_U32_WORKLOADS = ("er_s17_ef8",)
 
 #: Interleaved rounds behind ``panel_speedup`` and
 #: ``local_bins_speedup``.
@@ -57,6 +61,7 @@ def _workloads(quick: bool):
     return [
         ("er_s16_ef16", lambda: erdos_renyi(1 << 16, 16, seed=1, fmt="csr")),
         ("rmat_s14_ef8", lambda: rmat(14, 8, seed=1).to_csr()),
+        ("er_s17_ef8", lambda: erdos_renyi(1 << 17, 8, seed=1, fmt="csr")),
     ]
 
 
@@ -99,6 +104,13 @@ def _bench_end_to_end(b_csr, reps: int) -> dict:
     direct_s, local_s = _rounds(pb(PBConfig()), pb(PBConfig(use_local_bins=True)))
     out.update(_summary("pb_direct_s", "pb_local_s", "pb_local_bins", direct_s, local_s))
 
+    out.update(_bench_panel(a_csc, b_csr))
+    return out
+
+
+def _bench_panel(a_csc, b_csr) -> dict:
+    """Compiled vs. numpy panel ``hash_spgemm``, :data:`ROUNDS`
+    interleaved rounds."""
     run = lambda: hash_spgemm(a_csc, b_csr)  # noqa: E731
 
     def numpy_panel():
@@ -106,8 +118,7 @@ def _bench_end_to_end(b_csr, reps: int) -> dict:
             return timed(run)
 
     numpy_s, jit_s = _rounds(numpy_panel, lambda: timed(run))
-    out.update(_summary("panel_numpy_s", "panel_jit_s", "panel", numpy_s, jit_s))
-    return out
+    return _summary("panel_numpy_s", "panel_jit_s", "panel", numpy_s, jit_s)
 
 
 def _rounds(base, other) -> tuple[list[float], list[float]]:
@@ -163,13 +174,16 @@ def _extract(workloads, end_to_end, identity):
     phases: dict = {}
     for w in workloads:
         e = end_to_end[w]
+        metrics[f"{w}.panel.speedup"] = e["panel_speedup"]
+        if w in PANEL_U32_WORKLOADS:
+            metrics["panel_u32_end_to_end_speedup"] = e["panel_speedup"]
+            continue
         metrics[f"{w}.pb.speedup"] = e["pb_speedup"]
         metrics[f"{w}.pb.jit_s"] = e["pb_jit_s"]
         metrics[f"{w}.pb.numpy_s"] = e["pb_numpy_s"]
         metrics[f"{w}.pb.direct_s"] = e["pb_direct_s"]
         metrics[f"{w}.pb.local_s"] = e["pb_local_s"]
         metrics[f"{w}.pb.local_bins_speedup"] = e["pb_local_bins_speedup"]
-        metrics[f"{w}.panel.speedup"] = e["panel_speedup"]
         phases[w] = dict(e["pb_jit_phases"])
     primary = workloads[0]
     metrics["panel_end_to_end_speedup"] = end_to_end[primary]["panel_speedup"]
@@ -193,13 +207,20 @@ def run(quick: bool = False, reps: int = 3) -> BenchResult:
         print(f"== workload {name}", flush=True)
         b = make()
         workloads.append(name)
-        end_to_end[name] = _bench_end_to_end(b, reps)
+        if name in PANEL_U32_WORKLOADS:
+            end_to_end[name] = _bench_panel(b.to_csc(), b)
+        else:
+            end_to_end[name] = _bench_end_to_end(b, reps)
         identity[name] = _check_identity(b)
         e = end_to_end[name]
-        print(
-            f"   panel {e['panel_speedup']:.2f}x, "
-            f"pb {e['pb_speedup']:.2f}x "
+        pb = (
+            ""
+            if name in PANEL_U32_WORKLOADS
+            else f"pb {e['pb_speedup']:.2f}x "
             f"(local bins {e['pb_local_bins_speedup']:.2f}x), "
+        )
+        print(
+            f"   panel {e['panel_speedup']:.2f}x, {pb}"
             f"identity {'ok' if all(identity[name].values()) else 'FAIL'}",
             flush=True,
         )
@@ -233,13 +254,23 @@ register_suite(
         ),
         runner=run,
         figures=("Table III (phase costs)",),
-        workloads={"quick": QUICK_WORKLOADS, "full": FULL_WORKLOADS},
+        workloads={
+            "quick": QUICK_WORKLOADS,
+            "full": FULL_WORKLOADS + PANEL_U32_WORKLOADS,
+        },
         artifact="BENCH_jit.json",
         default_reps=3,
         checks=(
             AcceptanceCheck(
                 "panel_floor",
                 "panel_end_to_end_speedup",
+                "ge",
+                1.3,
+                full_only=True,
+            ),
+            AcceptanceCheck(
+                "panel_u32_floor",
+                "panel_u32_end_to_end_speedup",
                 "ge",
                 1.3,
                 full_only=True,

@@ -24,12 +24,12 @@ This module is the vectorized execution strategy all four share:
    order, the loop accumulators' insertion order and PB's compress
    order, so every strategy and PB agree bit for bit.
 
-Steps 3-4 run as one compiled call per panel whenever the compiled
+Steps 2-4 run as one compiled call per panel whenever the compiled
 tier can serve the multiply (:func:`repro.kernels.jit.blocker`: a
-registry semiring, float64 values, a working engine), exactly as PB
-picks its compiled pipeline; otherwise they run on numpy, the
-bit-identical reference and fallback (``jit.disabled()`` or
-``REPRO_JIT_DISABLE=1`` forces it).
+registry semiring, float64 values, a working engine) and the output
+fits 32-bit indices, exactly as PB picks its compiled pipeline;
+otherwise they run on numpy, the bit-identical reference and fallback
+(``jit.disabled()`` or ``REPRO_JIT_DISABLE=1`` forces it).
 
 The four kernels keep their loop implementations reachable as
 ``column_backend="loop"`` (ablation + ground truth for the
@@ -54,6 +54,13 @@ from .outer_expand import chunk_ranges, column_flops, expand_cols_range
 #: ER scale-16 acceptance workload, and well below the full flop
 #: stream on paper-scale inputs.
 DEFAULT_PANEL_TUPLES = 250_000
+
+#: The compiled panel's tuple budget over the numpy one.  It buffers
+#: one 16-byte (val, col) record per tuple where the numpy panel
+#: materializes ~34 bytes (expand + repeat + argsort + sorted copies),
+#: so 4x the tuples hold about the same bytes, and fewer panels
+#: amortize the per-panel m-length assembly passes.
+COMPILED_PANEL_SCALE = 4
 
 #: Values ``column_backend`` may take, shared by the four kernels,
 #: :class:`repro.core.PBConfig` validation, and the CLI.
@@ -147,12 +154,14 @@ def panel_spgemm(
     column-major stream would need.
 
     When the compiled tier can serve the multiply
-    (:func:`repro.kernels.jit.blocker`) and the shape fits its
-    envelope, one compiled call per panel replaces the stable row
-    sort, run detection, segmented fold, compaction and row histogram
-    (:func:`repro.kernels.jit.panel_context`): same stable
-    permutation, same sequential fold order, bit-identical output.
-    Otherwise the numpy path runs, silently.
+    (:func:`repro.kernels.jit.blocker`) and the output fits 32-bit
+    indices (:func:`repro.kernels.jit.panel_context`), one compiled
+    call per panel replaces the gather, stable row sort, run
+    detection, segmented fold, compaction and row histogram, at
+    uint16 indices when both extents fit 65536 and uint32 otherwise,
+    over :data:`COMPILED_PANEL_SCALE` times the tuple budget: same
+    stable permutation, same sequential fold order, bit-identical
+    output.  Otherwise the numpy path runs, silently.
     """
     if a_csc.shape[1] != b_csr.shape[0]:
         raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
@@ -175,43 +184,28 @@ def panel_spgemm(
     if jit.blocker(sr, (a_csc.data.dtype, b_csc.data.dtype)) is None:
         jit_ctx = jit.panel_context(m, n, sr, col_dtype)
     if jit_ctx is not None:
-        # The compiled kernel consumes one index dtype for rows and
-        # cols — uint16 when the output square fits 65536 (half the
-        # scatter traffic), uint32 otherwise.  Casting the row indices
-        # once here makes every panel's gather emit that dtype directly.
+        # The kernel reads A's rows at its index width: cast once here.
         a_rows = a_csc.indices.astype(jit_ctx.index_dtype)
-        panel_col_dtype = jit_ctx.index_dtype
-        use_fused = jit_ctx.supports_fused
-        if use_fused:
-            # The fused kernel buffers one 16-byte (val, col) record per
-            # tuple where the numpy path materializes ~34 bytes (expand
-            # + repeat + argsort + sorted copies), so 4x the tuple
-            # budget holds the per-panel working set at the same byte
-            # size — and fewer panels amortize the per-panel m-length
-            # assembly passes.
-            panel_tuples = panel_tuples * 4
+        panel_tuples = panel_tuples * COMPILED_PANEL_SCALE
+    elif m <= 1 << 8:
+        a_rows = a_csc.indices.astype(np.uint8)
+    elif m <= 1 << 16:
+        a_rows = a_csc.indices.astype(np.uint16)
     else:
-        use_fused = False
-        if m <= 1 << 8:
-            a_rows = a_csc.indices.astype(np.uint8)
-        elif m <= 1 << 16:
-            a_rows = a_csc.indices.astype(np.uint16)
-        else:
-            a_rows = a_csc.indices
-        panel_col_dtype = col_dtype
+        a_rows = a_csc.indices
     panel_rows: list[np.ndarray] = []
     panel_cols: list[np.ndarray] = []
     panel_vals: list[np.ndarray] = []
     panel_counts: list[np.ndarray] = []
     for j_lo, j_hi in chunk_ranges(per_col, panel_tuples):
-        if use_fused:
+        if jit_ctx is not None:
             # One compiled call expands, ⊗-multiplies, row-groups and
             # ⊕-folds the panel straight off the CSC structure — the
             # materialized expand/repeat stream below is never built.
             ntuples = int(per_col[j_lo:j_hi].sum())
             if ntuples == 0:
                 continue
-            rows_p, cols_p, reduced, cnt = jit_ctx.process_fused(
+            rows_p, cols_p, reduced, cnt = jit_ctx.process(
                 a_csc.indptr, a_rows, a_csc.data,
                 b_csc.indptr, b_csc.indices, b_csc.data,
                 j_lo, j_hi, ntuples,
@@ -229,15 +223,8 @@ def panel_spgemm(
         # Rebuild output-column ids from the symbolic per-column tuple
         # counts in a narrow dtype (absolute ids — n fits the dtype).
         cols = np.repeat(
-            np.arange(j_lo, j_hi, dtype=panel_col_dtype), per_col[j_lo:j_hi]
+            np.arange(j_lo, j_hi, dtype=col_dtype), per_col[j_lo:j_hi]
         )
-        if jit_ctx is not None:
-            rows_p, cols_p, reduced, cnt = jit_ctx.process(rows, cols, vals)
-            panel_rows.append(rows_p)
-            panel_cols.append(cols_p)
-            panel_vals.append(reduced)
-            panel_counts.append(cnt)
-            continue
         order = np.argsort(rows, kind="stable")
         # np.take over fancy indexing: same gather, ~25% less per-call
         # overhead on these cache-resident panel arrays.

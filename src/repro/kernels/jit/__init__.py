@@ -179,39 +179,28 @@ def warmup() -> float:
         return time.perf_counter() - t0
     _WARMED = True
     hist = _hist()
-    vals = np.array([1.5, -2.0, 1.5, 0.0], dtype=np.float64)
     counts = np.empty(2, dtype=np.int64)
     ra, rb = np.empty(8, np.uint64), np.empty(8, np.uint64)
-    for idt in (np.uint16, np.uint32):
-        rows = np.array([1, 0, 1, 1], dtype=idt)
-        cols = np.array([0, 1, 0, 2], dtype=idt)
-        tr, tc = np.empty(4, idt), np.empty(4, idt)
-        tv = np.empty(4, np.float64)
-        our, ouc = np.empty(4, idt), np.empty(4, idt)
-        ouv = np.empty(4, np.float64)
-        rc = np.empty(2, np.int64)
-        for op in (OP_ADD, OP_MIN, OP_MAX, OP_OR):
-            eng.panel_process(
-                rows, cols, vals, 2, op, hist, tr, tc, tv, our, ouc, ouv, rc
-            )
-    # 2x2 A (CSC) times 2x2 B panel: exercises every (⊕, ⊗) pair.
+    # 2x2 A (CSC) times 2x2 B panel at both index widths: exercises
+    # every (⊕, ⊗) pair.
     a_ptr = np.array([0, 2, 4], dtype=np.int64)
-    a_rows = np.array([0, 1, 0, 1], dtype=np.uint16)
     a_vals = np.array([1.0, 2.0, 3.0, 4.0], dtype=np.float64)
     bk = np.array([0, 1, 1], dtype=np.int64)
     bv = np.array([1.5, -2.0, 0.5], dtype=np.float64)
     col_ptr = np.array([0, 2, 3], dtype=np.int64)
     wk2 = np.empty(2, np.int64)
     tvc12 = np.empty(12, np.float64)
-    our6, ouc6 = np.empty(6, np.uint16), np.empty(6, np.uint16)
     ouv6 = np.empty(6, np.float64)
     rc2 = np.empty(2, np.int64)
-    for op in (OP_ADD, OP_MIN, OP_MAX, OP_OR):
-        for mop in (MUL_TIMES, MUL_PLUS, MUL_AND, MUL_PAIR):
-            eng.panel_fused(
-                a_ptr, a_rows, a_vals, bk, bv, col_ptr, 0, 2, op, mop,
-                hist, wk2, tvc12, our6, ouc6, ouv6, rc2,
-            )
+    for idt in (np.uint16, np.uint32):
+        a_rows = np.array([0, 1, 0, 1], dtype=idt)
+        our6, ouc6 = np.empty(6, idt), np.empty(6, idt)
+        for op in (OP_ADD, OP_MIN, OP_MAX, OP_OR):
+            for mop in (MUL_TIMES, MUL_PLUS, MUL_AND, MUL_PAIR):
+                eng.panel_fused(
+                    a_ptr, a_rows, a_vals, bk, bv, col_ptr, 0, 2, op, mop,
+                    hist, wk2, tvc12, our6, ouc6, ouv6, rc2,
+                )
     # The serial PB pipeline on that 2x2 square, one row per bin: both
     # key widths, local bins on and off, every ⊗, ⊕ and sort shape.
     idx = a_rows.astype(np.int64)
@@ -352,10 +341,11 @@ def _sort_digit_bits(n: int, key_bits: int) -> int:
 # ----------------------------------------------------------------------
 
 class PanelContext:
-    """Per-multiply state for the compiled panel sort + fold.
+    """Per-multiply state for the compiled panel kernel.
 
-    Holds the engine, the ⊕ op code and a reusable histogram scratch so
-    the per-panel calls allocate only their own buffers.
+    Holds the engine, the ⊕ and ⊗ op codes, the index width the kernel
+    runs at and scratch reused by every panel of the multiply, so the
+    per-panel calls allocate only their compacted outputs.
     """
 
     def __init__(self, eng, m: int, op: int, col_dtype, index_dtype, mop: int):
@@ -364,100 +354,68 @@ class PanelContext:
         self._op = op
         self._mop = mop
         self._col_dtype = np.dtype(col_dtype)
-        #: Narrowest index dtype the compiled kernel runs at for this
-        #: shape — the caller gathers rows/cols in this dtype so the
-        #: sub-65536-square case moves half the index bytes per scatter.
+        #: Index dtype of the kernel's rows and cols: uint16 when the
+        #: output fits 65536 rows and columns (half the output index
+        #: bytes), uint32 otherwise.  The caller casts A's row indices
+        #: to it once per multiply.
         self.index_dtype = np.dtype(index_dtype)
-        self._hist = np.empty(65536, dtype=np.int64)
-        self._wk = None  # inner-dim scratch, sized on first fused call
-        self._fused_scratch = None  # (tvc, out_r, out_c, out_v), grown
-        #: Whether :meth:`process_fused` can serve this multiply — the
-        #: fused kernel walks the CSC structure itself in a uint16
-        #: index envelope.
-        self.supports_fused = self.index_dtype == np.uint16
+        # The row histogram needs m entries.  It never takes fewer than
+        # 2^16: sized to m alone, R-MAT 14/8 hash_spgemm ran 2-8%
+        # slower in fresh processes while the kernel alone timed the
+        # same, an effect of the heap allocator's state.
+        self._hist = np.empty(max(self._m, 1 << 16), dtype=np.int64)
+        self._wk = None  # inner-dim scratch, sized on the first panel
+        self._scratch = None  # (tvc, out_r, out_c, out_v), grown
 
-    def process_fused(
+    def process(
         self, a_ptr, a_rows_idx, a_vals, b_ptr, b_ks, b_data, j_lo, j_hi,
         ntuples,
     ):
-        """Expand + ⊗ + row-group + fold one panel in one compiled call.
+        """Expand + ⊗ + row-group + fold the panel of output columns
+        ``[j_lo, j_hi)`` (``ntuples`` tuples) in one compiled call.
 
-        Walks the CSC expansion structure directly (the same implicit
-        j-major tuple stream ``expand_cols_range`` materializes), so the
-        numpy-side expand/repeat/gather buffers are never built.  The
-        stable row grouping and sequential col-run fold replay the
-        non-fused path's order exactly, so results stay bit-identical.
-        Returns the same quartet as :meth:`process`.
+        Walks the CSC expansion structure directly (the implicit
+        j-major tuple stream ``expand_cols_range`` materializes), so
+        no expanded tuple stream is built.  The stable row grouping and
+        sequential col-run fold replay the numpy panel's order exactly.
+        Returns ``(rows_intp, cols, reduced_vals, row_counts)`` —
+        compacted copies matching the numpy panel's
+        ``rows_s[run_start].astype(np.intp)`` / ``cols_s[run_start]`` /
+        ``Semiring.fold`` / ``np.bincount`` quartet.
         """
         n = int(ntuples)
         e_lo = int(b_ptr[j_lo])
         e_hi = int(b_ptr[j_hi])
         col_ptr = (b_ptr[j_lo : j_hi + 1] - e_lo).astype(np.int64)
-        idt = self.index_dtype
+        a_ptr = np.ascontiguousarray(a_ptr, dtype=np.int64)
+        a_vals = np.ascontiguousarray(a_vals, dtype=np.float64)
+        bk = np.ascontiguousarray(b_ks[e_lo:e_hi], dtype=np.int64)
+        bv = np.ascontiguousarray(b_data[e_lo:e_hi], dtype=np.float64)
+        if a_rows_idx.dtype != self.index_dtype or not a_rows_idx.flags.c_contiguous:
+            raise ValueError(f"row indices must be contiguous {self.index_dtype}")
         nk = len(a_ptr) - 1
         if self._wk is None or len(self._wk) < nk:
             self._wk = np.empty(nk, dtype=np.int64)
         # Warm per-context scratch: the compacted outputs below are
         # copies, so the big per-panel buffers never escape and their
         # page faults are paid once per multiply, not once per panel.
-        scr = self._fused_scratch
+        scr = self._scratch
         if scr is None or len(scr[1]) < n:
+            idt = self.index_dtype
             scr = (
                 np.empty(2 * n, dtype=np.float64),
                 np.empty(n, dtype=idt),
                 np.empty(n, dtype=idt),
                 np.empty(n, dtype=np.float64),
             )
-            self._fused_scratch = scr
+            self._scratch = scr
         tvc, out_r, out_c, out_v = scr
         row_counts = np.empty(self._m, dtype=np.int64)
         nout = self._eng.panel_fused(
-            np.ascontiguousarray(a_ptr, dtype=np.int64),
-            a_rows_idx,
-            np.ascontiguousarray(a_vals, dtype=np.float64),
-            np.ascontiguousarray(b_ks[e_lo:e_hi], dtype=np.int64),
-            np.ascontiguousarray(b_data[e_lo:e_hi], dtype=np.float64),
-            col_ptr,
-            int(j_lo),
-            self._m,
-            self._op,
-            self._mop,
-            self._hist,
-            self._wk, tvc, out_r, out_c, out_v, row_counts,
+            a_ptr, a_rows_idx, a_vals, bk, bv, col_ptr, int(j_lo), self._m,
+            self._op, self._mop, self._hist, self._wk, tvc, out_r, out_c,
+            out_v, row_counts,
         )
-        rows_p = out_r[:nout].astype(np.intp)
-        cols_p = out_c[:nout].astype(self._col_dtype, copy=True)
-        vals_p = out_v[:nout].copy()
-        return rows_p, cols_p, vals_p, row_counts
-
-    def process(self, rows_idx, cols_idx, vals_f64):
-        """Sort one panel by row, fold duplicate (row, col) runs.
-
-        Returns ``(rows_intp, cols, reduced_vals, row_counts)`` —
-        compacted copies matching the numpy panel path's
-        ``rows_s[run_start].astype(np.intp)`` / ``cols_s[run_start]`` /
-        ``Semiring.fold`` / ``np.bincount`` quartet.
-        """
-        n = len(rows_idx)
-        idt = self.index_dtype
-        tr = np.empty(n, dtype=idt)
-        tc = np.empty(n, dtype=idt)
-        tv = np.empty(n, dtype=np.float64)
-        out_r = np.empty(n, dtype=idt)
-        out_c = np.empty(n, dtype=idt)
-        out_v = np.empty(n, dtype=np.float64)
-        row_counts = np.empty(self._m, dtype=np.int64)
-        nout = self._eng.panel_process(
-            np.ascontiguousarray(rows_idx, dtype=idt),
-            np.ascontiguousarray(cols_idx, dtype=idt),
-            np.ascontiguousarray(vals_f64, dtype=np.float64),
-            self._m,
-            self._op,
-            self._hist,
-            tr, tc, tv, out_r, out_c, out_v, row_counts,
-        )
-        # Compact copies: the big per-panel buffers must not outlive
-        # this call (panels accumulate until assembly).
         rows_p = out_r[:nout].astype(np.intp)
         cols_p = out_c[:nout].astype(self._col_dtype, copy=True)
         vals_p = out_v[:nout].copy()
@@ -469,7 +427,8 @@ def panel_context(m: int, n: int, semiring, col_dtype):
     when the shape is outside the compiled envelope (rows or cols
     beyond 32 bits) and the numpy panel must run.
 
-    The caller has checked :func:`blocker` first.
+    The kernel runs at uint16 indices when both extents fit 65536,
+    else at uint32.  The caller has checked :func:`blocker` first.
     """
     if m > 1 << 32 or n > 1 << 32:
         return None

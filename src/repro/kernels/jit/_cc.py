@@ -1,9 +1,9 @@
 r"""Runtime-compiled C engine for the JIT kernel tier.
 
-One translation unit containing every compiled hot kernel (the panel
-sort+fold of the column kernels, the serial PB pipeline: bin count,
-expand into bins, per-bin sort, per-bin compress into CSR, and the
-CSR/CSC counting transpose),
+One translation unit containing every compiled hot kernel (the column
+kernels' panel, one kernel instantiated at uint16 and uint32 indices;
+the serial PB pipeline: bin count, expand into bins, per-bin sort,
+per-bin compress into CSR; and the CSR/CSC counting transpose),
 built with the system C compiler the probe found and loaded through
 :mod:`ctypes`.  The build is cached on disk keyed by a hash of the
 source (plus platform), so:
@@ -25,8 +25,8 @@ twice and atomically agree on the result.
 Bit-identity contracts (asserted by ``tests/test_jit_backends.py`` and
 ``tests/test_column_harness.py``):
 
-* every compiled fold — ``pb_compress_bins_*``, ``panel_process_*``,
-  ``panel_fused_u16`` — goes through one ``static inline`` ⊕ step
+* every compiled fold — ``pb_compress_bins_*`` and ``panel_fused_*``
+  — goes through one ``static inline`` ⊕ step
   (``fold_head`` / ``fold_step``): a *sequential left fold starting
   from the run head's raw value*, storing NaN as the canonical quiet
   NaN — exactly :meth:`repro.semiring.Semiring.fold` (``add_ufunc.at``
@@ -155,11 +155,11 @@ RADIX_IMPL(u64, uint64_t)
 #define OP_OR  3
 
 /* ---------------------------------------------------------------- */
-/* The one ⊕ fold of every compiled kernel (pb_compress_bins_*,     */
-/* panel_process_*, panel_fused_u16) — Semiring.fold's order: each  */
-/* run is a sequential left fold in stream order that starts from   */
-/* the run head's raw value, ((v0 ⊕ v1) ⊕ v2) ⊕ ...  fold_head is   */
-/* what a fold stores for a run head, fold_step one ⊕ application;  */
+/* The one ⊕ fold of every compiled kernel (pb_compress_bins_* and  */
+/* panel_fused_*) — Semiring.fold's order: each run is a sequential */
+/* left fold in stream order that starts from the run head's raw    */
+/* value, ((v0 ⊕ v1) ⊕ v2) ⊕ ...  fold_head is what a fold stores   */
+/* for a run head, fold_step one ⊕ application;                     */
 /* both store a NaN as the canonical quiet NaN (numpy's np.nan      */
 /* bits, Semiring.fold's canonical_nan), so the sign and payload    */
 /* ⊗/⊕ operand order would pick never show.  Each op is its ufunc   */
@@ -195,229 +195,11 @@ static inline double fold_step(int op, double a, double v)
     }
 }
 
-/* ---------------------------------------------------------------- */
-/* Panel sort + segmented fold: stable counting sort of the panel   */
-/* stream by row id (the same permutation as                        */
-/* np.argsort(rows, kind="stable")), then one scan detecting        */
-/* duplicate (row, col) runs, folding each run with fold_head /     */
-/* fold_step, and counting surviving entries per row.               */
-/*                                                                  */
-/* hist: 65536 int64 scratch (row histogram / radix digits).        */
-/* tr/tc/tv: n-sized sort buffers.  out_*: n-sized outputs, first   */
-/* n_out entries valid.  row_counts: m int64, zeroed here.          */
-/* Rows must be < m <= 2^32.  When m > 65536 the stable row sort    */
-/* runs as two 16-bit LSD passes using the out_* arrays as the      */
-/* intermediate buffer (they are rewritten by the fold scan).       */
-/* The u16 variant (rows AND cols < 2^16) halves the index traffic  */
-/* of the sort scatter — the common sub-65536-square panel case.    */
-/* ---------------------------------------------------------------- */
-#define PANEL_IMPL(SUF, IT)                                           \
-API int64_t panel_process_##SUF(                                      \
-    const IT *rows, const IT *cols, const double *vals,               \
-    int64_t n, int64_t m, int op, int64_t *hist,                      \
-    IT *tr, IT *tc, double *tv,                                       \
-    IT *out_rows, IT *out_cols, double *out_vals,                     \
-    int64_t *row_counts)                                              \
-{                                                                     \
-    memset(row_counts, 0, (size_t)m * sizeof(int64_t));               \
-    if (n == 0)                                                       \
-        return 0;                                                     \
-                                                                      \
-    if (m <= 65536) {                                                 \
-        /* One counting pass keyed by the row id itself. */           \
-        memset(hist, 0, (size_t)m * sizeof(int64_t));                 \
-        for (int64_t i = 0; i < n; ++i)                               \
-            hist[rows[i]]++;                                          \
-        int64_t acc = 0;                                              \
-        for (int64_t r = 0; r < m; ++r) {                             \
-            int64_t c = hist[r];                                      \
-            hist[r] = acc;                                            \
-            acc += c;                                                 \
-        }                                                             \
-        for (int64_t i = 0; i < n; ++i) {                             \
-            int64_t pos = hist[rows[i]]++;                            \
-            tr[pos] = rows[i];                                        \
-            tc[pos] = cols[i];                                        \
-            tv[pos] = vals[i];                                        \
-        }                                                             \
-    } else {                                                          \
-        /* Two stable 16-bit LSD passes over the 32-bit row id. */    \
-        memset(hist, 0, 65536 * sizeof(int64_t));                     \
-        for (int64_t i = 0; i < n; ++i)                               \
-            hist[rows[i] & 0xFFFF]++;                                 \
-        int64_t acc = 0;                                              \
-        for (int d = 0; d < 65536; ++d) {                             \
-            int64_t c = hist[d];                                      \
-            hist[d] = acc;                                            \
-            acc += c;                                                 \
-        }                                                             \
-        for (int64_t i = 0; i < n; ++i) {                             \
-            int64_t pos = hist[rows[i] & 0xFFFF]++;                   \
-            out_rows[pos] = rows[i];                                  \
-            out_cols[pos] = cols[i];                                  \
-            out_vals[pos] = vals[i];                                  \
-        }                                                             \
-        memset(hist, 0, 65536 * sizeof(int64_t));                     \
-        for (int64_t i = 0; i < n; ++i)                               \
-            hist[((uint32_t)out_rows[i] >> 16) & 0xFFFF]++;           \
-        acc = 0;                                                      \
-        for (int d = 0; d < 65536; ++d) {                             \
-            int64_t c = hist[d];                                      \
-            hist[d] = acc;                                            \
-            acc += c;                                                 \
-        }                                                             \
-        for (int64_t i = 0; i < n; ++i) {                             \
-            int64_t pos = hist[((uint32_t)out_rows[i] >> 16) & 0xFFFF]++; \
-            tr[pos] = out_rows[i];                                    \
-            tc[pos] = out_cols[i];                                    \
-            tv[pos] = out_vals[i];                                    \
-        }                                                             \
-    }                                                                 \
-                                                                      \
-    /* Run detection + sequential fold + compaction + histogram. */   \
-    int64_t nout = 0;                                                 \
-    for (int64_t i = 0; i < n; ++i) {                                 \
-        if (i > 0 && tr[i] == tr[i - 1] && tc[i] == tc[i - 1]) {      \
-            out_vals[nout - 1] =                                      \
-                fold_step(op, out_vals[nout - 1], tv[i]);             \
-        } else {                                                      \
-            out_rows[nout] = tr[i];                                   \
-            out_cols[nout] = tc[i];                                   \
-            out_vals[nout] = fold_head(tv[i]);                        \
-            row_counts[tr[i]]++;                                      \
-            nout++;                                                   \
-        }                                                             \
-    }                                                                 \
-    return nout;                                                      \
-}
-
-PANEL_IMPL(u16, uint16_t)
-PANEL_IMPL(u32, uint32_t)
-
-/* Semiring ⊗ op codes for the fused panel kernel. */
+/* Semiring ⊗ op codes of every compiled expansion. */
 #define MUL_TIMES 0
 #define MUL_PLUS  1
 #define MUL_AND   2
 #define MUL_PAIR  3
-
-/* ---------------------------------------------------------------- */
-/* Fused panel SpGEMM: expansion gather + ⊗ + stable row sort +     */
-/* col-run ⊕ fold in one kernel, never materializing the tuple      */
-/* stream the numpy path builds (expand_cols_range + repeat +       */
-/* argsort).  The expansion is walked twice straight off the CSC    */
-/* structure: pass 1 counts rows (prefix sum = stable positions),   */
-/* pass 2 recomputes each product and scatters (col, val) into      */
-/* row-grouped order — row ids are implicit in the segment, so      */
-/* only 10 bytes move per tuple.  Pass 3 folds duplicate col runs   */
-/* per row segment exactly like panel_process.                      */
-/*                                                                  */
-/* a_ptr/a_rows/a_vals: A in CSC (rows pre-cast to uint16).         */
-/* bk/bv: the panel's B entries (k id, value), output-column-major. */
-/* col_ptr: ncols+1 B-entry offsets of each output column.          */
-/* hist/wk: m- and nk-sized int64 scratch (nk = len(a_ptr) - 1).    */
-/* tvc: 2*ntuples float64 — interleaved (value, col) records, so    */
-/* the stable scatter dirties ONE cache line per tuple instead of   */
-/* two (separate col and val streams land on different lines for    */
-/* nearly every tuple once the panel spans more rows than cache).   */
-/* out_*: ntuples-sized outputs.  row_counts: m int64, written.     */
-/* Requires m <= 65536 and output cols < 65536 (uint16 envelope;    */
-/* col ids round-trip exactly through the double slot).             */
-/* ---------------------------------------------------------------- */
-API int64_t panel_fused_u16(
-    const int64_t *a_ptr, const uint16_t *a_rows, const double *a_vals,
-    const int64_t *bk, const double *bv, const int64_t *col_ptr,
-    int64_t ncols, int64_t nk, int64_t j_lo, int64_t m, int op, int mop,
-    int64_t *hist, int64_t *wk, double *tvc,
-    uint16_t *out_rows, uint16_t *out_cols, double *out_vals,
-    int64_t *row_counts)
-{
-    memset(row_counts, 0, (size_t)m * sizeof(int64_t));
-    memset(hist, 0, (size_t)m * sizeof(int64_t));
-    memset(wk, 0, (size_t)nk * sizeof(int64_t));
-    const int64_t ne = col_ptr[ncols];
-
-    /* Pass 1: row histogram over the implicit expansion.  Each B    */
-    /* entry with inner id k contributes A's column k once, so count */
-    /* k multiplicities first and walk each touched A column once    */
-    /* with that weight — repeated inner ids then cost nothing.      */
-    for (int64_t e = 0; e < ne; ++e)
-        wk[bk[e]]++;
-    for (int64_t k = 0; k < nk; ++k) {
-        const int64_t w = wk[k];
-        if (w == 0)
-            continue;
-        for (int64_t i = a_ptr[k]; i < a_ptr[k + 1]; ++i)
-            hist[a_rows[i]] += w;
-    }
-    int64_t acc = 0;
-    for (int64_t r = 0; r < m; ++r) {
-        int64_t c = hist[r];
-        hist[r] = acc;
-        acc += c;
-    }
-    if (acc == 0)
-        return 0;
-
-    /* Pass 2: expand + ⊗ + stable scatter into row-grouped order. */
-    for (int64_t j = 0; j < ncols; ++j) {
-        const double cjd = (double)(j_lo + j);
-        for (int64_t e = col_ptr[j]; e < col_ptr[j + 1]; ++e) {
-            const int64_t k = bk[e];
-            const double b = bv[e];
-            for (int64_t i = a_ptr[k]; i < a_ptr[k + 1]; ++i) {
-                const int64_t pos = hist[a_rows[i]]++;
-                double *rec = tvc + 2 * pos;
-                switch (mop) {
-                case MUL_TIMES:
-                    rec[0] = a_vals[i] * b;
-                    break;
-                case MUL_PLUS:
-                    rec[0] = a_vals[i] + b;
-                    break;
-                case MUL_AND:
-                    rec[0] = (a_vals[i] != 0.0 && b != 0.0) ? 1.0 : 0.0;
-                    break;
-                default: /* MUL_PAIR */
-                    rec[0] = 1.0;
-                    break;
-                }
-                rec[1] = cjd;
-            }
-        }
-    }
-
-    /* Pass 3: per-row-segment col-run fold + compaction. */
-    int64_t nout = 0;
-    int64_t seg_lo = 0;
-    for (int64_t r = 0; r < m; ++r) {
-        const int64_t seg_hi = hist[r]; /* segment end after pass 2 */
-        const int64_t head = nout;
-        for (int64_t i = seg_lo; i < seg_hi; ++i) {
-            const double ci = tvc[2 * i + 1];
-            if (i > seg_lo && ci == tvc[2 * i - 1]) {
-                out_vals[nout - 1] =
-                    fold_step(op, out_vals[nout - 1], tvc[2 * i]);
-            } else {
-                out_rows[nout] = (uint16_t)r;
-                out_cols[nout] = (uint16_t)ci;
-                out_vals[nout] = fold_head(tvc[2 * i]);
-                nout++;
-            }
-        }
-        row_counts[r] = nout - head;
-        seg_lo = seg_hi;
-    }
-    return nout;
-}
-
-/* ================================================================ */
-/* Serial PB-SpGEMM (Alg. 2): bin count, expand into bins,          */
-/* per-bin radix sort, per-bin compress straight into CSR arrays.   */
-/* A is CSC (a_ptr/a_rows/a_vals), B is CSR (b_ptr/b_cols/b_vals);  */
-/* bin_of_row maps an output row to its bin, bin_lo holds each      */
-/* bin's first row, so a tuple's packed key is                      */
-/* ((row - bin_lo[bin]) << col_bits) | col (Sec. III-D).            */
-/* ================================================================ */
 
 static inline double mul_op(int mop, double a, double b)
 {
@@ -432,6 +214,115 @@ static inline double mul_op(int mop, double a, double b)
         return 1.0;
     }
 }
+
+/* ---------------------------------------------------------------- */
+/* Panel SpGEMM: expansion gather + ⊗ + stable row sort + col-run ⊕ */
+/* fold in one kernel, never materializing the tuple stream the     */
+/* numpy panel builds (expand_cols_range + repeat + argsort).  The  */
+/* expansion is walked twice straight off the CSC structure: pass 1 */
+/* counts rows (prefix sum = stable positions), pass 2 recomputes   */
+/* each product and scatters (val, col) into row-grouped order —    */
+/* row ids are implicit in the segment.  Pass 3 folds each row      */
+/* segment's duplicate col runs with fold_head / fold_step.         */
+/*                                                                  */
+/* a_ptr/a_rows/a_vals: A in CSC (rows pre-cast to IT).             */
+/* bk/bv: the panel's B entries (k id, value), output-column-major. */
+/* col_ptr: ncols+1 B-entry offsets of each output column.          */
+/* hist/wk: m- and nk-sized int64 scratch (nk = len(a_ptr) - 1).    */
+/* tvc: 2*ntuples float64 — interleaved (value, col) records, so    */
+/* the stable scatter dirties ONE cache line per tuple instead of   */
+/* two (separate col and val streams land on different lines for    */
+/* nearly every tuple once the panel spans more rows than cache).   */
+/* out_*: ntuples-sized outputs.  row_counts: m int64, written.     */
+/* Instantiated for uint16 indices (m and output cols <= 65536,     */
+/* half the output index bytes) and uint32 (<= 2^32).  Col ids      */
+/* round-trip exactly through the double slot, exact to 2^53.       */
+/* ---------------------------------------------------------------- */
+#define PANEL_FUSED_IMPL(SUF, IT)                                     \
+API int64_t panel_fused_##SUF(                                        \
+    const int64_t *a_ptr, const IT *a_rows, const double *a_vals,     \
+    const int64_t *bk, const double *bv, const int64_t *col_ptr,      \
+    int64_t ncols, int64_t nk, int64_t j_lo, int64_t m, int op,       \
+    int mop, int64_t *hist, int64_t *wk, double *tvc,                 \
+    IT *out_rows, IT *out_cols, double *out_vals,                     \
+    int64_t *row_counts)                                              \
+{                                                                     \
+    memset(row_counts, 0, (size_t)m * sizeof(int64_t));               \
+    memset(hist, 0, (size_t)m * sizeof(int64_t));                     \
+    memset(wk, 0, (size_t)nk * sizeof(int64_t));                      \
+    const int64_t ne = col_ptr[ncols];                                \
+                                                                      \
+    /* Pass 1: row histogram over the implicit expansion.  Each B  */ \
+    /* entry with inner id k contributes A's column k once, so     */ \
+    /* count k multiplicities first and walk each touched A column */ \
+    /* once with that weight: repeated inner ids then cost nothing.*/ \
+    for (int64_t e = 0; e < ne; ++e)                                  \
+        wk[bk[e]]++;                                                  \
+    for (int64_t k = 0; k < nk; ++k) {                                \
+        const int64_t w = wk[k];                                      \
+        if (w == 0)                                                   \
+            continue;                                                 \
+        for (int64_t i = a_ptr[k]; i < a_ptr[k + 1]; ++i)             \
+            hist[a_rows[i]] += w;                                     \
+    }                                                                 \
+    int64_t acc = 0;                                                  \
+    for (int64_t r = 0; r < m; ++r) {                                 \
+        int64_t c = hist[r];                                          \
+        hist[r] = acc;                                                \
+        acc += c;                                                     \
+    }                                                                 \
+    if (acc == 0)                                                     \
+        return 0;                                                     \
+                                                                      \
+    /* Pass 2: expand + ⊗ + stable scatter into row-grouped order. */ \
+    for (int64_t j = 0; j < ncols; ++j) {                             \
+        const double cjd = (double)(j_lo + j);                        \
+        for (int64_t e = col_ptr[j]; e < col_ptr[j + 1]; ++e) {       \
+            const int64_t k = bk[e];                                  \
+            const double b = bv[e];                                   \
+            for (int64_t i = a_ptr[k]; i < a_ptr[k + 1]; ++i) {       \
+                double *rec = tvc + 2 * hist[a_rows[i]]++;            \
+                rec[0] = mul_op(mop, a_vals[i], b);                   \
+                rec[1] = cjd;                                         \
+            }                                                         \
+        }                                                             \
+    }                                                                 \
+                                                                      \
+    /* Pass 3: per-row-segment col-run fold + compaction. */          \
+    int64_t nout = 0;                                                 \
+    int64_t seg_lo = 0;                                               \
+    for (int64_t r = 0; r < m; ++r) {                                 \
+        const int64_t seg_hi = hist[r]; /* segment end after pass 2 */\
+        const int64_t head = nout;                                    \
+        for (int64_t i = seg_lo; i < seg_hi; ++i) {                   \
+            const double ci = tvc[2 * i + 1];                         \
+            if (i > seg_lo && ci == tvc[2 * i - 1]) {                 \
+                out_vals[nout - 1] =                                  \
+                    fold_step(op, out_vals[nout - 1], tvc[2 * i]);    \
+            } else {                                                  \
+                out_rows[nout] = (IT)r;                               \
+                out_cols[nout] = (IT)ci;                              \
+                out_vals[nout] = fold_head(tvc[2 * i]);               \
+                nout++;                                               \
+            }                                                         \
+        }                                                             \
+        row_counts[r] = nout - head;                                  \
+        seg_lo = seg_hi;                                              \
+    }                                                                 \
+    return nout;                                                      \
+}
+
+PANEL_FUSED_IMPL(u16, uint16_t)
+PANEL_FUSED_IMPL(u32, uint32_t)
+
+/* ================================================================ */
+/* Serial PB-SpGEMM (Alg. 2): bin count, expand into bins,          */
+/* per-bin radix sort, per-bin compress straight into CSR arrays.   */
+/* A is CSC (a_ptr/a_rows/a_vals), B is CSR (b_ptr/b_cols/b_vals);  */
+/* bin_of_row maps an output row to its bin, bin_lo holds each      */
+/* bin's first row, so a tuple's packed key is                      */
+/* ((row - bin_lo[bin]) << col_bits) | col (Sec. III-D).            */
+/* ================================================================ */
 
 /* Symbolic bin sizing: every A(r,k) contributes nnz(B(k,:)) tuples */
 /* to bin_of_row[r].  counts (nbins) is overwritten.                */
@@ -682,58 +573,29 @@ API int csx_transpose(
 }
 """
 
-_P = ctypes.POINTER
 _i64 = ctypes.c_int64
 _int = ctypes.c_int
-_u16p = _P(ctypes.c_uint16)
-_u32p = _P(ctypes.c_uint32)
-_u64p = _P(ctypes.c_uint64)
-_i64p = _P(ctypes.c_int64)
-_f64p = _P(ctypes.c_double)
+#: Every array argument: a raw address (``ndarray.ctypes.data``).
+_p = ctypes.c_void_p
 
 #: name -> (restype, argtypes)
 _SIGNATURES = {
-    "panel_process_u16": (
-        _i64,
-        [
-            _u16p, _u16p, _f64p, _i64, _i64, _int, _i64p,
-            _u16p, _u16p, _f64p, _u16p, _u16p, _f64p, _i64p,
-        ],
-    ),
-    "panel_process_u32": (
-        _i64,
-        [
-            _u32p, _u32p, _f64p, _i64, _i64, _int, _i64p,
-            _u32p, _u32p, _f64p, _u32p, _u32p, _f64p, _i64p,
-        ],
-    ),
-    "panel_fused_u16": (
-        _i64,
-        [
-            _i64p, _u16p, _f64p, _i64p, _f64p, _i64p,
-            _i64, _i64, _i64, _i64, _int, _int,
-            _i64p, _i64p, _f64p, _u16p, _u16p, _f64p, _i64p,
-        ],
-    ),
-    "pb_bin_count": (None, [_i64p, _i64p, _i64p, _i64, _i64p, _i64, _i64p]),
-    "csx_transpose": (
-        _int, [_i64p, _i64p, _u64p, _i64, _i64, _i64, _i64p, _i64p, _u64p]
-    ),
+    "pb_bin_count": (None, [_p, _p, _p, _i64, _p, _i64, _p]),
+    "csx_transpose": (_int, [_p, _p, _p, _i64, _i64, _i64, _p, _p, _p]),
 }
-for _suf, _kp in (("u32", _u32p), ("u64", _u64p)):
+for _suf in ("u16", "u32"):
+    _SIGNATURES[f"panel_fused_{_suf}"] = (
+        _i64, [_p] * 6 + [_i64, _i64, _i64, _i64, _int, _int] + [_p] * 7
+    )
+for _suf in ("u32", "u64"):
     _SIGNATURES[f"pb_expand_{_suf}"] = (
-        None,
-        [
-            _i64p, _i64p, _f64p, _i64p, _i64p, _f64p,
-            _i64, _i64p, _i64p, _int, _int, _i64, _i64p,
-            _i64, _kp, _f64p, _i64p, _kp, _f64p,
-        ],
+        None, [_p] * 6 + [_i64, _p, _p, _int, _int, _i64, _p, _i64] + [_p] * 5
     )
     _SIGNATURES[f"pb_sort_bins_{_suf}"] = (
-        None, [_kp, _u64p, _i64p, _i64, _int, _int, _u64p, _u64p, _i64p]
+        None, [_p, _p, _p, _i64, _int, _int, _p, _p, _p]
     )
     _SIGNATURES[f"pb_compress_bins_{_suf}"] = (
-        _i64, [_kp, _f64p, _i64p, _i64, _i64p, _int, _int, _i64p, _f64p, _i64p]
+        _i64, [_p, _p, _p, _i64, _p, _int, _int, _p, _p, _p]
     )
 
 _lock = threading.Lock()
@@ -810,63 +672,53 @@ def build_seconds() -> float:
     return _build_seconds
 
 
-def _ptr(arr: np.ndarray, ctype):
-    return arr.ctypes.data_as(ctype)
-
-
 class CCEngine:
-    """Numpy-array façade over the C symbols (one per process)."""
+    """Numpy-array façade over the C symbols (one per process).
+
+    Arrays go to C as raw addresses (``ndarray.ctypes.data``), which do
+    not keep an array alive: every array is a parameter of the method,
+    bound for the whole call.  The callers in :mod:`repro.kernels.jit`
+    check dtypes, contiguity and lengths; the index or key width picks
+    the symbol (``_SUF``).
+    """
 
     name = "cc"
+    _SUF = {2: "u16", 4: "u32", 8: "u64"}
 
     def __init__(self, compiler: str):
         self._lib = load(compiler)
 
+    def _sym(self, kernel: str, arr: np.ndarray):
+        return getattr(self._lib, f"{kernel}_{self._SUF[arr.dtype.itemsize]}")
+
     # -- panel ------------------------------------------------------
-    _PANEL = {2: ("panel_process_u16", _u16p), 4: ("panel_process_u32", _u32p)}
-
-    def panel_process(
-        self, rows, cols, vals, m, op, hist,
-        tr, tc, tv, out_rows, out_cols, out_vals, row_counts,
-    ):
-        sym, ip = self._PANEL[rows.dtype.itemsize]
-        return getattr(self._lib, sym)(
-            _ptr(rows, ip), _ptr(cols, ip), _ptr(vals, _f64p),
-            len(rows), m, op, _ptr(hist, _i64p),
-            _ptr(tr, ip), _ptr(tc, ip), _ptr(tv, _f64p),
-            _ptr(out_rows, ip), _ptr(out_cols, ip), _ptr(out_vals, _f64p),
-            _ptr(row_counts, _i64p),
-        )
-
     def panel_fused(
         self, a_ptr, a_rows, a_vals, bk, bv, col_ptr, j_lo, m, op, mop,
         hist, wk, tvc, out_rows, out_cols, out_vals, row_counts,
     ):
-        return self._lib.panel_fused_u16(
-            _ptr(a_ptr, _i64p), _ptr(a_rows, _u16p), _ptr(a_vals, _f64p),
-            _ptr(bk, _i64p), _ptr(bv, _f64p), _ptr(col_ptr, _i64p),
+        return self._sym("panel_fused", a_rows)(
+            a_ptr.ctypes.data, a_rows.ctypes.data, a_vals.ctypes.data,
+            bk.ctypes.data, bv.ctypes.data, col_ptr.ctypes.data,
             len(col_ptr) - 1, len(a_ptr) - 1, j_lo, m, op, mop,
-            _ptr(hist, _i64p), _ptr(wk, _i64p), _ptr(tvc, _f64p),
-            _ptr(out_rows, _u16p), _ptr(out_cols, _u16p),
-            _ptr(out_vals, _f64p), _ptr(row_counts, _i64p),
+            hist.ctypes.data, wk.ctypes.data, tvc.ctypes.data,
+            out_rows.ctypes.data, out_cols.ctypes.data,
+            out_vals.ctypes.data, row_counts.ctypes.data,
         )
 
     # -- format conversion ------------------------------------------
     def csx_transpose(self, ptr, idx, vals, nminor, out_ptr, out_idx, out_vals):
         return self._lib.csx_transpose(
-            _ptr(ptr, _i64p), _ptr(idx, _i64p), _ptr(vals, _u64p),
+            ptr.ctypes.data, idx.ctypes.data, vals.ctypes.data,
             len(ptr) - 1, nminor, len(idx),
-            _ptr(out_ptr, _i64p), _ptr(out_idx, _i64p), _ptr(out_vals, _u64p),
+            out_ptr.ctypes.data, out_idx.ctypes.data, out_vals.ctypes.data,
         )
 
     # -- serial PB pipeline -----------------------------------------
-    _KEY = {4: ("u32", _u32p), 8: ("u64", _u64p)}
-
     def pb_bin_count(self, a_ptr, a_rows, b_ptr, bin_of_row, counts):
         self._lib.pb_bin_count(
-            _ptr(a_ptr, _i64p), _ptr(a_rows, _i64p), _ptr(b_ptr, _i64p),
-            len(a_ptr) - 1, _ptr(bin_of_row, _i64p), len(counts),
-            _ptr(counts, _i64p),
+            a_ptr.ctypes.data, a_rows.ctypes.data, b_ptr.ctypes.data,
+            len(a_ptr) - 1, bin_of_row.ctypes.data, len(counts),
+            counts.ctypes.data,
         )
 
     def pb_expand(
@@ -874,32 +726,29 @@ class CCEngine:
         bin_lo, col_bits, mop, cursor, local_cap, lkeys, lvals, lfill,
         out_keys, out_vals,
     ):
-        suf, kp = self._KEY[out_keys.dtype.itemsize]
-        getattr(self._lib, f"pb_expand_{suf}")(
-            _ptr(a_ptr, _i64p), _ptr(a_rows, _i64p), _ptr(a_vals, _f64p),
-            _ptr(b_ptr, _i64p), _ptr(b_cols, _i64p), _ptr(b_vals, _f64p),
-            len(a_ptr) - 1, _ptr(bin_of_row, _i64p), _ptr(bin_lo, _i64p),
-            col_bits, mop, len(cursor), _ptr(cursor, _i64p),
-            local_cap, _ptr(lkeys, kp), _ptr(lvals, _f64p),
-            _ptr(lfill, _i64p), _ptr(out_keys, kp), _ptr(out_vals, _f64p),
+        self._sym("pb_expand", out_keys)(
+            a_ptr.ctypes.data, a_rows.ctypes.data, a_vals.ctypes.data,
+            b_ptr.ctypes.data, b_cols.ctypes.data, b_vals.ctypes.data,
+            len(a_ptr) - 1, bin_of_row.ctypes.data, bin_lo.ctypes.data,
+            col_bits, mop, len(cursor), cursor.ctypes.data,
+            local_cap, lkeys.ctypes.data, lvals.ctypes.data,
+            lfill.ctypes.data, out_keys.ctypes.data, out_vals.ctypes.data,
         )
 
     def pb_sort_bins(self, keys, vals, starts, npasses, digit_bits, ra, rb, hist):
-        suf, kp = self._KEY[keys.dtype.itemsize]
-        getattr(self._lib, f"pb_sort_bins_{suf}")(
-            _ptr(keys, kp), _ptr(vals, _u64p), _ptr(starts, _i64p),
+        self._sym("pb_sort_bins", keys)(
+            keys.ctypes.data, vals.ctypes.data, starts.ctypes.data,
             len(starts) - 1, npasses, digit_bits,
-            _ptr(ra, _u64p), _ptr(rb, _u64p), _ptr(hist, _i64p),
+            ra.ctypes.data, rb.ctypes.data, hist.ctypes.data,
         )
 
     def pb_compress_bins(
         self, keys, vals, starts, bin_lo, col_bits, op, out_cols, out_vals,
         row_counts,
     ):
-        suf, kp = self._KEY[keys.dtype.itemsize]
-        return getattr(self._lib, f"pb_compress_bins_{suf}")(
-            _ptr(keys, kp), _ptr(vals, _f64p), _ptr(starts, _i64p),
-            len(starts) - 1, _ptr(bin_lo, _i64p), col_bits, op,
-            _ptr(out_cols, _i64p), _ptr(out_vals, _f64p),
-            _ptr(row_counts, _i64p),
+        return self._sym("pb_compress_bins", keys)(
+            keys.ctypes.data, vals.ctypes.data, starts.ctypes.data,
+            len(starts) - 1, bin_lo.ctypes.data, col_bits, op,
+            out_cols.ctypes.data, out_vals.ctypes.data,
+            row_counts.ctypes.data,
         )

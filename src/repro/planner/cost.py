@@ -107,19 +107,38 @@ class CandidateScore:
         )
 
 
+#: Modeled bytes per tuple of one compiled panel's scratch: a 16-byte
+#: (value, column) record plus the uint32 row, uint32 column and
+#: float64 value outputs.
+COMPILED_PANEL_BYTES_PER_TUPLE = 32
+
+#: Modeled bytes per output entry of a panel multiply at its peak, the
+#: end of assembly: the per-panel fragments kept until then (8-byte
+#: row, up to 4-byte column, 8-byte value), the narrow column arena the
+#: fragments scatter into (up to 4 bytes) and the final CSR.
+PANEL_BYTES_PER_OUTPUT = 24 + CSR_ENTRY_BYTES
+
+
 def _panel_peak_bytes(sk: Sketch) -> float:
     """Modeled peak bytes of the panel-vectorized column algorithms.
 
-    The panel path materializes at most ``DEFAULT_PANEL_TUPLES`` (or
-    the whole flop, if smaller) expanded tuples at a time on top of the
-    operands and the product — the column kernels were already
-    memory-bounded before tiling existed.
+    On top of the operands: one panel's working set, whichever of the
+    numpy panel (``DEFAULT_PANEL_TUPLES`` tuples) and the compiled one
+    (``COMPILED_PANEL_SCALE`` times as many) holds more; an m-length
+    int64 row histogram per numpy panel (the more panels of the two);
+    and :data:`PANEL_BYTES_PER_OUTPUT` per output entry, since every
+    panel's fragments live until the product is assembled.
     """
-    from ..kernels.column_panel import DEFAULT_PANEL_TUPLES
+    from ..kernels.column_panel import COMPILED_PANEL_SCALE, DEFAULT_PANEL_TUPLES
 
     inputs = CSR_ENTRY_BYTES * 2.0 * (sk.nnz_a + sk.nnz_b)
-    panel = TILE_WORKING_BYTES_PER_FLOP * float(min(sk.flop, DEFAULT_PANEL_TUPLES))
-    return inputs + panel + CSR_ENTRY_BYTES * float(sk.nnz_c)
+    panel = max(
+        TILE_WORKING_BYTES_PER_FLOP * float(min(sk.flop, DEFAULT_PANEL_TUPLES)),
+        COMPILED_PANEL_BYTES_PER_TUPLE
+        * float(min(sk.flop, DEFAULT_PANEL_TUPLES * COMPILED_PANEL_SCALE)),
+    )
+    row_counts = 8.0 * sk.m * -(-sk.flop // DEFAULT_PANEL_TUPLES)
+    return inputs + panel + row_counts + PANEL_BYTES_PER_OUTPUT * float(sk.nnz_c)
 
 
 def _copy_seconds(profile: MachineProfile, entries: float) -> float:

@@ -178,25 +178,31 @@ class TestBitIdentity:
         assert _bitwise_equal(c0, c1)
         assert _bitwise_equal(pb, c1)
 
+    @pytest.mark.parametrize(
+        "shape", [(70_000, 64, 40), (40, 64, 200_000)], ids=["rows", "cols"]
+    )
     @pytest.mark.parametrize("semiring", sorted(available_semirings()))
-    def test_panel_past_uint16_rows_runs_unfused(self, semiring):
-        """More than 2^16 output rows: the compiled panel sorts and
-        folds numpy-expanded panels at uint32 indices (the unfused
-        kernel), still bit-identical to the loop, the numpy panel and
-        numpy PB."""
+    def test_panel_past_uint16_runs_fused(self, semiring, shape):
+        """More than 2^16 output rows, or few rows and more than 2^16
+        output columns: the compiled panel runs the fused kernel at
+        uint32 indices, still bit-identical to the loop, the numpy
+        panel and numpy PB."""
         from repro.matrix.coo import COOMatrix
 
         rng = np.random.default_rng(0)
-        m, k, n = 70_000, 64, 40
+        m, k, n = shape
         a = COOMatrix(
             (m, k), rng.integers(0, m, 3000), rng.integers(0, k, 3000), rng.normal(size=3000)
         ).to_csc()
         b = COOMatrix(
             (k, n), rng.integers(0, k, 300), rng.integers(0, n, 300), rng.normal(size=300)
         ).to_csr()
-        ctx = jit_tier.panel_context(m, n, repro.get_semiring(semiring), np.uint16)
-        assert not ctx.supports_fused
+        ctx = jit_tier.panel_context(m, n, repro.get_semiring(semiring), np.uint32)
+        assert ctx.index_dtype == np.uint32
         c1 = hash_spgemm(a, b, semiring=semiring)
+        # The product holds row or column ids past 16 bits.
+        last_row = int(np.flatnonzero(np.diff(c1.indptr)).max())
+        assert max(last_row, int(c1.indices.max())) >= 1 << 16
         assert _bitwise_equal(hash_spgemm(a, b, semiring=semiring, column_backend="loop"), c1)
         with jit_tier.disabled():
             assert _bitwise_equal(hash_spgemm(a, b, semiring=semiring), c1)

@@ -650,7 +650,37 @@ def test_sharded_sweep_fits_usable_cpus(monkeypatch):
     assert _shard_counts(sk, PBConfig(shards=3), 8) == [3]
 
 
-# -- CLI smoke# -- CLI smoke --------------------------------------------------------------
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: erdos_renyi(1 << 14, 16, seed=1, fmt="csr"),
+        lambda: rmat(13, 8, seed=1).to_csr(),
+    ],
+    ids=["er_s14_ef16", "rmat_s13_ef8"],
+)
+def test_panel_peak_model_covers_traced_peak(make):
+    """The memory-budget gate prices a panel candidate at no less than
+    what ``hash_spgemm`` allocates at its peak (traced, on whichever
+    panel runs: compiled, or numpy without an engine), given the exact
+    nnz(C)."""
+    import tracemalloc
+
+    from repro.kernels.hash_spgemm import hash_spgemm
+    from repro.planner.cost import _panel_peak_bytes
+
+    b = make()
+    a = b.to_csc()
+    hash_spgemm(a, b)  # warm the engine outside the trace
+    tracemalloc.start()
+    try:
+        c = hash_spgemm(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= _panel_peak_bytes(dataclasses.replace(sketch(a, b), nnz_c=c.nnz))
+
+
+# -- CLI smoke --------------------------------------------------------------
 
 
 @pytest.fixture()
