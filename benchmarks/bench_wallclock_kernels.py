@@ -1,10 +1,11 @@
 """Wall-clock comparison of the executable Python kernels.
 
-These timings are *relative* (pure-Python/numpy kernels on one core),
+These timings are *relative* (single-process kernels on this host),
 not the paper's hardware numbers — the performance figures come from
-the simulator benches.  What this file establishes is that the
-vectorized ESC pipeline (PB) dominates the per-column interpreted
-baselines even in Python, and how the phases split.
+the simulator benches.  What this file shows is how PB, the column
+ESC kernel and scipy compare on a medium input, and how far the one
+panel kernel that heap / hash / hashvec / spa run sits from the four
+per-column interpreted loop references on a small one.
 """
 
 import pytest
@@ -13,10 +14,11 @@ import repro
 from repro.core import pb_spgemm
 from repro.kernels import (
     esc_column_spgemm,
-    hash_spgemm,
-    hashvec_spgemm,
-    heap_spgemm,
-    spa_spgemm,
+    hash_spgemm_loop,
+    hashvec_spgemm_loop,
+    heap_spgemm_loop,
+    panel_spgemm,
+    spa_spgemm_loop,
 )
 
 
@@ -43,24 +45,19 @@ def test_wallclock_esc_column_medium(benchmark, medium):
     benchmark(esc_column_spgemm, a, b)
 
 
-def test_wallclock_heap_small(benchmark, small):
+def test_wallclock_panel_small(benchmark, small):
     a, b = small
-    benchmark(heap_spgemm, a, b)
+    benchmark(panel_spgemm, a, b)
 
 
-def test_wallclock_hash_small(benchmark, small):
+@pytest.mark.parametrize(
+    "loop",
+    [heap_spgemm_loop, hash_spgemm_loop, hashvec_spgemm_loop, spa_spgemm_loop],
+    ids=["heap", "hash", "hashvec", "spa"],
+)
+def test_wallclock_loop_small(benchmark, small, loop):
     a, b = small
-    benchmark(hash_spgemm, a, b)
-
-
-def test_wallclock_hashvec_small(benchmark, small):
-    a, b = small
-    benchmark(hashvec_spgemm, a, b)
-
-
-def test_wallclock_spa_small(benchmark, small):
-    a, b = small
-    benchmark(spa_spgemm, a, b)
+    benchmark(loop, a, b)
 
 
 def test_wallclock_scipy_oracle_medium(benchmark, medium):

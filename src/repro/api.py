@@ -85,8 +85,8 @@ def multiply(
     config:
         Optional :class:`~repro.core.PBConfig`.  Applies to any
         config-aware algorithm: ``"pb"`` consumes the full pipeline
-        tuning; the column kernels (heap / hash / hashvec / spa)
-        honour ``column_backend``; ``esc_column`` accepts it and has
+        tuning; the column kernels (heap / hash / hashvec / spa, all
+        the one panel kernel) and ``esc_column`` accept it and have
         nothing to read.  With ``"auto"`` it
         parameterizes the planner (``plan_cache_dir``, executor
         request) and is forwarded to the chosen kernel.

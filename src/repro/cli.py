@@ -17,7 +17,7 @@ Commands form a subcommand tree grouped by what they operate on:
   phase timings over one shared warm session.
 
 Execution flags shared by ``matrix multiply`` and ``plan``
-(``--executor/--nthreads/--nbins/--column-backend``)
+(``--executor/--nthreads/--nbins``)
 come from one parent parser, so the two commands cannot drift apart.
 """
 
@@ -27,7 +27,6 @@ import argparse
 import sys
 
 from . import __version__
-from .kernels.column_panel import COLUMN_BACKENDS
 
 
 def _add_machine_arg(p: argparse.ArgumentParser) -> None:
@@ -57,15 +56,6 @@ def _exec_parent() -> argparse.ArgumentParser:
         "and work); pool size of the numpy fallback under --executor process",
     )
     p.add_argument("--nbins", type=int, default=None, help="global bin count override")
-    p.add_argument(
-        "--column-backend",
-        default="panel",
-        choices=COLUMN_BACKENDS,
-        help="column-kernel strategy (heap/hash/hashvec/spa): "
-        "panel-vectorized gather + segmented reduction, compiled when "
-        "a C compiler is present (default), or the faithful per-column "
-        "loop accumulators (ablation)",
-    )
     return p
 
 
@@ -138,7 +128,6 @@ def _cmd_multiply(args) -> int:
         or args.nthreads != 1
         or args.nbins is not None
     )
-    column_flags = args.column_backend != "panel"
     tiled_flags = (
         args.memory_budget is not None
         or args.tile_rows is not None
@@ -156,19 +145,10 @@ def _cmd_multiply(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if pb_flags and args.algorithm not in ("pb", "auto", "tiled"):
+    if pb_flags and args.algorithm not in sharded_algs:
         print(
             "--executor/--nthreads/--nbins configure the PB pipeline; "
-            f"use --algorithm pb (got {args.algorithm!r})",
-            file=sys.stderr,
-        )
-        return 2
-    _column_algs = ("heap", "hash", "hashvec", "spa")
-    if column_flags and args.algorithm not in _column_algs + ("auto",):
-        print(
-            "--column-backend configures the column kernels; "
-            f"use --algorithm {'/'.join(_column_algs)} "
-            f"(got {args.algorithm!r})",
+            f"use --algorithm pb/tiled/sharded/auto (got {args.algorithm!r})",
             file=sys.stderr,
         )
         return 2
@@ -184,7 +164,7 @@ def _cmd_multiply(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if pb_flags or column_flags or tiled_flags or shards is not None:
+    if pb_flags or tiled_flags or shards is not None:
         from .core.config import PBConfig
         from .errors import ConfigError
 
@@ -193,7 +173,6 @@ def _cmd_multiply(args) -> int:
                 nthreads=args.nthreads,
                 executor=args.executor,
                 nbins=args.nbins,
-                column_backend=args.column_backend,
                 tile_rows=args.tile_rows,
                 tile_cols=args.tile_cols,
                 memory_budget=args.memory_budget,
@@ -209,10 +188,8 @@ def _cmd_multiply(args) -> int:
     backend = ""
     if shards is not None:
         backend = f", shards={shards}"
-    elif config and pb_flags:
+    elif pb_flags:
         backend = f", executor={args.executor}x{args.nthreads}"
-    elif config:
-        backend = f", column_backend={args.column_backend}"
     print(
         f"C = A*B: {c.shape[0]}x{c.shape[1]}, nnz={c.nnz} "
         f"(algorithm={args.algorithm}{backend})"
@@ -235,7 +212,6 @@ def _cmd_serve(args) -> int:
             nthreads=args.nthreads,
             executor=args.executor,
             nbins=args.nbins,
-            column_backend=args.column_backend,
         )
         if args.shards is not None:
             # Shard routing runs this config sharded: the same checks
@@ -300,7 +276,6 @@ def _cmd_plan(args) -> int:
         nthreads=args.nthreads,
         executor=args.executor,
         nbins=args.nbins,
-        column_backend=args.column_backend,
         plan_cache_dir=args.cache_dir,
     )
     a = _load(args.a).to_csc()

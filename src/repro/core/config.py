@@ -3,8 +3,8 @@
 The paper exposes two primary knobs — the number of global bins
 (``nbins``, Fig. 6b) and the local-bin width (``Lbinwidth``, Fig. 6a,
 default 512 bytes) — plus several design decisions this reproduction
-makes ablatable (DESIGN.md §6): bin mapping, key packing, local bins
-and the column-kernel backend.
+makes ablatable (DESIGN.md §6): bin mapping, key packing and local
+bins.
 """
 
 from __future__ import annotations
@@ -49,15 +49,6 @@ class PBConfig:
     pack_keys:
         Squeeze (local_row, col) into 32-bit keys when they fit
         (Sec. III-D); ``False`` forces 64-bit keys / 8 radix passes.
-    column_backend:
-        Execution strategy of the column kernels (heap / hash /
-        hashvec / spa): ``"panel"`` (default) — panel-vectorized gather
-        + segmented semiring reduction
-        (:mod:`repro.kernels.column_panel`), run compiled whenever the
-        compiled tier can serve the multiply and on numpy otherwise,
-        as PB picks its pipeline; ``"loop"`` — the faithful
-        per-output-column Python accumulators (ablation).
-        Bit-identical products.
     use_local_bins:
         Thread-private local bins of ``local_bin_bytes`` (Fig. 5):
         ``True`` makes the compiled pipeline's expand append tuples to
@@ -150,7 +141,6 @@ class PBConfig:
     local_bin_bytes: int = DEFAULT_LOCAL_BIN_BYTES
     bin_mapping: str = "range"
     pack_keys: bool = True
-    column_backend: str = "panel"
     use_local_bins: bool = False
     nthreads: int = 1
     executor: str = "serial"
@@ -174,11 +164,6 @@ class PBConfig:
             raise ConfigError(
                 "bin_mapping must be 'range', 'modulo' or 'balanced', "
                 f"got {self.bin_mapping!r}"
-            )
-        if self.column_backend not in ("panel", "loop"):
-            raise ConfigError(
-                "column_backend must be 'panel' or 'loop', "
-                f"got {self.column_backend!r}"
             )
         if self.nthreads < 1:
             raise ConfigError(f"nthreads must be >= 1, got {self.nthreads}")

@@ -8,6 +8,10 @@ Column algorithms (Gustavson-style, one output column at a time):
 * :func:`spa_spgemm`      — dense SPA accumulator      [Gilbert et al. 1992]
 * :func:`esc_column_spgemm` — column-wise expand-sort-compress [Dalton 2015]
 
+The first four all run :func:`panel_spgemm`; their faithful
+per-column transcriptions are the references ``heap_spgemm_loop``,
+``hash_spgemm_loop``, ``hashvec_spgemm_loop`` and ``spa_spgemm_loop``.
+
 Outer-product algorithms:
 
 * :func:`repro.core.pb_spgemm` — the paper's PB-SpGEMM (propagation
@@ -29,16 +33,14 @@ from .outer_expand import (
 )
 from .column_panel import (
     panel_spgemm,
-    resolve_column_backend,
-    COLUMN_BACKENDS,
     DEFAULT_PANEL_TUPLES,
 )
 from .radix import radix_sort_keys, radix_argsort, radix_sort_pairs, sort_tuples
 from .compress import compress_sorted, compress_keyed
-from .gustavson_spa import spa_spgemm
-from .heap_spgemm import heap_spgemm
-from .hash_spgemm import hash_spgemm
-from .hashvec_spgemm import hashvec_spgemm
+from .gustavson_spa import spa_spgemm, spa_spgemm_loop
+from .heap_spgemm import heap_spgemm, heap_spgemm_loop
+from .hash_spgemm import hash_spgemm, hash_spgemm_loop
+from .hashvec_spgemm import hashvec_spgemm, hashvec_spgemm_loop
 from .esc_column import esc_column_spgemm
 from .masked import masked_spgemm
 from .tile_merge import hstack_tiles, accumulate_partials
@@ -55,8 +57,6 @@ __all__ = [
     "iter_expand_columns",
     "chunk_ranges",
     "panel_spgemm",
-    "resolve_column_backend",
-    "COLUMN_BACKENDS",
     "DEFAULT_PANEL_TUPLES",
     "radix_sort_keys",
     "radix_argsort",
@@ -68,6 +68,10 @@ __all__ = [
     "heap_spgemm",
     "hash_spgemm",
     "hashvec_spgemm",
+    "spa_spgemm_loop",
+    "heap_spgemm_loop",
+    "hash_spgemm_loop",
+    "hashvec_spgemm_loop",
     "esc_column_spgemm",
     "masked_spgemm",
     "hstack_tiles",

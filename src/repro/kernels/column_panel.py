@@ -1,19 +1,25 @@
-"""Panel-vectorized column SpGEMM (the shared fast path of the four
-column baselines).
+"""Panel-vectorized column SpGEMM: the one kernel of the four column
+baselines, and the column loop of their references.
 
-The per-output-column loop backends (``dict`` hash table, ``heapq``
-merge, dense SPA scatter, batched open-addressing probes) are faithful
-algorithm transcriptions, but at paper scale their runtimes measure the
-Python interpreter, not the memory system the paper's Table II models.
-This module is the vectorized execution strategy all four share:
+``heap``, ``hash``, ``hashvec`` and ``spa`` (and the public names
+:func:`repro.heap_spgemm` and so on) all run :func:`panel_spgemm`.
+Their faithful per-output-column transcriptions (``dict`` hash table,
+``heapq`` merge, dense SPA scatter, batched open-addressing probes)
+stay as named references (``hash_spgemm_loop`` and so on) that the
+property suites and the ``column`` suite's floors compare against; at
+paper scale their runtimes measure the Python interpreter, not the
+memory system the paper's Table II models.  They share one loop,
+:func:`column_loop_spgemm`, and each keeps only its accumulator.
+
+The panel runs in four steps:
 
 1. **Panelize** — group output columns into *panels* sized by a tuple
    budget (``chunk_ranges`` over the per-output-column flop counts), so
    one panel's gathered tuples bound the working set.
 2. **Gather** — expand each panel's tuples with one fancy-index pass
    over the CSC pointer arrays (:func:`~.outer_expand.expand_cols_range`
-   — the same column-major access pattern the loop backends perform one
-   column at a time, so the Table II byte accounting is unchanged).
+   — the same column-major access pattern the loop references perform
+   one column at a time, so the Table II byte accounting is unchanged).
 3. **Sort** — stably sort the panel by row id alone (numpy's C radix
    for narrow integer keys); the gathered stream is column-major, so
    ties keep ascending-column order and the panel lands in full
@@ -30,18 +36,14 @@ registry semiring, float64 values, a working engine) and the output
 fits 32-bit indices, exactly as PB picks its compiled pipeline;
 otherwise they run on numpy, the bit-identical reference and fallback
 (``jit.disabled()`` or ``REPRO_JIT_DISABLE=1`` forces it).
-
-The four kernels keep their loop implementations reachable as
-``column_backend="loop"`` (ablation + ground truth for the
-cross-backend property suite).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigError, ShapeError
-from ..matrix.base import INDEX_DTYPE
+from ..errors import ShapeError
+from ..matrix.base import INDEX_DTYPE, VALUE_DTYPE
 from ..matrix.csc import CSCMatrix
 from ..matrix.csr import CSRMatrix
 from ..semiring import PLUS_TIMES, Semiring, canonical_nan, get_semiring
@@ -62,49 +64,51 @@ DEFAULT_PANEL_TUPLES = 250_000
 #: amortize the per-panel m-length assembly passes.
 COMPILED_PANEL_SCALE = 4
 
-#: Values ``column_backend`` may take, shared by the four kernels,
-#: :class:`repro.core.PBConfig` validation, and the CLI.
-COLUMN_BACKENDS = ("panel", "loop")
 
+def column_loop_spgemm(
+    a_csc: CSCMatrix,
+    b_csr: CSRMatrix,
+    semiring: Semiring | str,
+    accumulator,
+) -> CSRMatrix:
+    """C = A · B one output column at a time, for the loop references.
 
-def resolve_column_backend(config, column_backend) -> str:
-    """Resolve the execution strategy for one column-kernel call.
+    ``accumulator(a_csc, sr)`` builds the per-column merger (any state
+    it keeps across columns, such as a dense SPA, is allocated once
+    there); ``merge(ks, bvals)`` then returns the rows of C(:, j),
+    ascending and unique, with their ⊕-folded values, given the
+    selected columns ``ks`` of A and their scales ``bvals`` from
+    B(:, j).
 
-    An explicit ``column_backend`` wins; otherwise the ``PBConfig``
-    field applies; otherwise ``"panel"``.  The panel budget is always
-    :data:`DEFAULT_PANEL_TUPLES`.
+    The fragments arrive output-column-major, so the stream is already
+    sorted by (col, row) and one *stable* sort on the row key alone
+    yields canonical CSR order (ties keep stream order, i.e. ascending
+    col).  Rows are cast to the narrowest unsigned dtype so
+    ``np.argsort(kind="stable")`` takes numpy's C radix-sort path
+    (≤ 16-bit integers) instead of timsort.  The accumulators fold
+    outside :meth:`~repro.semiring.Semiring.fold`, so their NaN results
+    are canonicalized here (:func:`~repro.semiring.canonical_nan`).
     """
-    if column_backend is None and config is not None:
-        column_backend = config.column_backend
-    if column_backend is None:
-        column_backend = "panel"
-    if column_backend not in COLUMN_BACKENDS:
-        raise ConfigError(
-            f"column_backend must be one of {COLUMN_BACKENDS}, "
-            f"got {column_backend!r}"
-        )
-    return column_backend
+    if a_csc.shape[1] != b_csr.shape[0]:
+        raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
+    sr = get_semiring(semiring)
+    m, n = a_csc.shape[0], b_csr.shape[1]
+    b_csc = b_csr.to_csc()
+    merge = accumulator(a_csc, sr)
 
+    out_rows: list[np.ndarray] = []
+    out_cols: list[np.ndarray] = []
+    out_vals: list[np.ndarray] = []
+    for j in range(n):
+        ks, bvals = b_csc.col(j)
+        if len(ks) == 0:
+            continue
+        rows_j, vals_j = merge(ks, bvals)
+        if len(rows_j):
+            out_rows.append(np.asarray(rows_j, dtype=INDEX_DTYPE))
+            out_cols.append(np.full(len(rows_j), j, dtype=INDEX_DTYPE))
+            out_vals.append(np.asarray(vals_j, dtype=VALUE_DTYPE))
 
-def stack_column_stream(m, n, out_rows, out_cols, out_vals) -> CSRMatrix:
-    """Canonical CSR from per-column/per-panel fragments.
-
-    Fragments arrive output-column-major with rows ascending inside each
-    column and no duplicates — exactly what every column backend (loop
-    and panel) emits — so the stream is already sorted by (col, row) and
-    one *stable* sort on the row key alone yields canonical CSR order
-    (ties keep stream order, i.e. ascending col).  Rows are cast to the
-    narrowest unsigned dtype so ``np.argsort(kind="stable")`` takes
-    numpy's C radix-sort path (≤ 16-bit integers) instead of timsort —
-    on the near-duplicate-free products column algorithms are built
-    for, this final placement otherwise dominates the whole assembly
-    (a 64-bit lexsort of ~nnz(C) tuples).  Shared by all four kernels'
-    ``column_backend="loop"`` paths (the panel path scatters panels
-    into the final CSR directly); either assembly of the same fragment
-    stream is bit-identical.  The loop accumulators fold outside
-    :meth:`~repro.semiring.Semiring.fold`, so their NaN results are
-    canonicalized here (:func:`~repro.semiring.canonical_nan`).
-    """
     if not out_rows:
         return CSRMatrix.empty((m, n))
     rows = np.concatenate(out_rows)
@@ -127,15 +131,19 @@ def panel_spgemm(
     a_csc: CSCMatrix,
     b_csr: CSRMatrix,
     semiring: Semiring | str = PLUS_TIMES,
+    config=None,
     panel_tuples: int = DEFAULT_PANEL_TUPLES,
 ) -> CSRMatrix:
     """C = A · B via panel gather + segmented semiring reduction.
 
-    Produces the same canonical CSR — bit-for-bit, for every shipped
-    semiring — as the per-column loop accumulators and PB, because the
-    panel gather preserves their k-ascending accumulation order and
+    The kernel of ``heap``, ``hash``, ``hashvec`` and ``spa``.  It
+    produces the same canonical CSR — bit-for-bit, for every shipped
+    semiring — as their loop references and PB, because the panel
+    gather preserves their k-ascending accumulation order and
     :meth:`~repro.semiring.Semiring.fold` folds duplicates sequentially
-    in that order.
+    in that order.  ``config`` is accepted for the uniform kernel
+    signature of :mod:`repro.kernels.dispatch`; the kernel has no
+    option to read.
 
     The panel stream is column-major, so one *stable* sort on the row
     id alone puts a panel in full (row, col) order: ties keep stream

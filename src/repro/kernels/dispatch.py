@@ -67,30 +67,27 @@ def _sharded(a_csc, b_csr, semiring=PLUS_TIMES, **kwargs):
 
 
 def _registry() -> dict[str, AlgorithmInfo]:
+    from .column_panel import panel_spgemm
     from .esc_column import esc_column_spgemm
-    from .gustavson_spa import spa_spgemm
-    from .hash_spgemm import hash_spgemm
-    from .hashvec_spgemm import hashvec_spgemm
-    from .heap_spgemm import heap_spgemm
 
     infos = [
         AlgorithmInfo(
-            "heap", heap_spgemm, "column", "accumulator", "heap", "d", 0,
+            "heap", panel_spgemm, "column", "accumulator", "heap", "d", 0,
             "Column SpGEMM, per-column heap merge (Azad et al. 2016)",
             supports_config=True,
         ),
         AlgorithmInfo(
-            "hash", hash_spgemm, "column", "accumulator", "hash", "d", 0,
+            "hash", panel_spgemm, "column", "accumulator", "hash", "d", 0,
             "Column SpGEMM, per-column hash table (Nagasaka et al. 2019)",
             supports_config=True,
         ),
         AlgorithmInfo(
-            "hashvec", hashvec_spgemm, "column", "accumulator", "hash", "d", 0,
+            "hashvec", panel_spgemm, "column", "accumulator", "hash", "d", 0,
             "Column SpGEMM, batched open-addressing probing (HashVec)",
             supports_config=True,
         ),
         AlgorithmInfo(
-            "spa", spa_spgemm, "column", "accumulator", "spa", "d", 0,
+            "spa", panel_spgemm, "column", "accumulator", "spa", "d", 0,
             "Column SpGEMM, dense sparse-accumulator (Gilbert et al. 1992)",
             supports_config=True,
         ),

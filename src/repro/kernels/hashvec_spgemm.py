@@ -9,12 +9,13 @@ vectorized scatter, colliding entries advance to the next probe
 distance and retry.  All per-round work is whole-array numpy — the
 vector-register structure of the original, at array granularity.
 
-``column_backend="panel"`` (default) runs the shared panel-vectorized
-path (:mod:`repro.kernels.column_panel`; compiled whenever the
-compiled tier can serve the multiply, numpy otherwise); the per-column
-probing above is retained as ``column_backend="loop"`` for ablation.  Both produce
-bit-identical canonical CSR (the loop backend pre-merges each batch
-with :meth:`~repro.semiring.Semiring.segment_reduce` and folds across
+``hashvec_spgemm`` runs the shared panel kernel
+(:func:`~repro.kernels.column_panel.panel_spgemm`; compiled whenever
+the compiled tier can serve the multiply, numpy otherwise); the
+per-column probing above is kept as the reference
+:func:`hashvec_spgemm_loop`.  Both produce bit-identical canonical CSR
+(the reference pre-merges each batch with
+:meth:`~repro.semiring.Semiring.segment_reduce` and folds across
 batches in k order, from each entry's first value).
 """
 
@@ -22,12 +23,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
 from ..matrix.base import INDEX_DTYPE, VALUE_DTYPE
 from ..matrix.csc import CSCMatrix
 from ..matrix.csr import CSRMatrix
-from ..semiring import PLUS_TIMES, Semiring, get_semiring
-from .column_panel import panel_spgemm, resolve_column_backend, stack_column_stream
+from ..semiring import PLUS_TIMES, Semiring
+from .column_panel import column_loop_spgemm, panel_spgemm
+
+hashvec_spgemm = panel_spgemm
 
 _EMPTY = np.int64(-1)
 #: Multiplier of the classic Fibonacci/multiplicative hash used by the
@@ -90,36 +92,17 @@ def _probe_insert(keys, vals, table_keys, table_vals, sr):
         slots[pending] = (slots[pending] + 1) & int(mask)  # linear probe
 
 
-def hashvec_spgemm(
-    a_csc: CSCMatrix,
-    b_csr: CSRMatrix,
-    semiring: Semiring | str = PLUS_TIMES,
-    column_backend: str | None = None,
-    config=None,
-) -> CSRMatrix:
-    """C = A · B with batched open-addressing hash probing; canonical CSR."""
-    if a_csc.shape[1] != b_csr.shape[0]:
-        raise ShapeError(f"cannot multiply {a_csc.shape} by {b_csr.shape}")
-    backend = resolve_column_backend(config, column_backend)
-    sr = get_semiring(semiring)
-    if backend == "panel":
-        return panel_spgemm(a_csc, b_csr, sr)
-
-    m, n = a_csc.shape[0], b_csr.shape[1]
-    b_csc = b_csr.to_csc()
+def _probe_merge(a_csc, sr):
+    """Per-column merger: an open-addressing table sized from the
+    column's flop bound, filled by batched probes, drained in row
+    order."""
     a_colnnz = a_csc.col_nnz()
 
-    out_rows: list[np.ndarray] = []
-    out_cols: list[np.ndarray] = []
-    out_vals: list[np.ndarray] = []
-    for j in range(n):
-        ks, bvals = b_csc.col(j)
-        if len(ks) == 0:
-            continue
+    def merge(ks, bvals):
         upper = int(a_colnnz[ks].sum())  # flop upper bound on nnz(C(:,j))
         size = _table_size(upper)
         if size == 0:
-            continue
+            return (), ()
         table_keys = np.full(size, _EMPTY, dtype=INDEX_DTYPE)
         table_vals = np.full(size, sr.add_identity, dtype=VALUE_DTYPE)
         for k, bval in zip(ks, bvals):
@@ -132,8 +115,13 @@ def hashvec_spgemm(
         rows_j = table_keys[filled]
         vals_j = table_vals[filled]
         order = np.argsort(rows_j)
-        out_rows.append(rows_j[order])
-        out_cols.append(np.full(len(rows_j), j, dtype=INDEX_DTYPE))
-        out_vals.append(vals_j[order])
+        return rows_j[order], vals_j[order]
 
-    return stack_column_stream(m, n, out_rows, out_cols, out_vals)
+    return merge
+
+
+def hashvec_spgemm_loop(
+    a_csc: CSCMatrix, b_csr: CSRMatrix, semiring: Semiring | str = PLUS_TIMES
+) -> CSRMatrix:
+    """Reference C = A · B with batched open-addressing hash probing."""
+    return column_loop_spgemm(a_csc, b_csr, semiring, _probe_merge)

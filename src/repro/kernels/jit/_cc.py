@@ -47,11 +47,10 @@ import subprocess
 import sys
 import tempfile
 import threading
-import time
 
 import numpy as np
 
-__all__ = ["load", "build_seconds"]
+__all__ = ["load"]
 
 C_SOURCE = r"""
 #include <stdint.h>
@@ -600,7 +599,6 @@ for _suf in ("u32", "u64"):
 
 _lock = threading.Lock()
 _lib: ctypes.CDLL | None = None
-_build_seconds = 0.0
 
 
 def _cache_dir() -> str:
@@ -647,13 +645,12 @@ def _compile(compiler: str, out_path: str) -> None:
 
 def load(compiler: str) -> ctypes.CDLL:
     """Load (building at most once per machine) the kernel library."""
-    global _lib, _build_seconds
+    global _lib
     if _lib is not None:
         return _lib
     with _lock:
         if _lib is not None:
             return _lib
-        t0 = time.perf_counter()
         path = _lib_path()
         if not os.path.exists(path):
             _compile(compiler, path)
@@ -662,14 +659,8 @@ def load(compiler: str) -> ctypes.CDLL:
             fn = getattr(lib, name)
             fn.restype = restype
             fn.argtypes = argtypes
-        _build_seconds = time.perf_counter() - t0
         _lib = lib
     return _lib
-
-
-def build_seconds() -> float:
-    """Wall seconds the last :func:`load` spent building/loading."""
-    return _build_seconds
 
 
 class CCEngine:

@@ -51,7 +51,7 @@ def plan_key(
     the feasibility gate can flip the winner, so a plan ranked under a
     memory budget must never answer an unbudgeted request (or one with
     a different budget) from cache.  ``pins`` (config knobs the caller
-    fixed, such as ``shards`` or ``column_backend="loop"``) change the
+    fixed, such as ``shards`` or ``tile_rows``) change the
     candidates and their overrides, so they key apart too.
     """
     bucket = ",".join(str(b) for b in sk.bucket())

@@ -9,9 +9,8 @@ family, one per flop (expanded tuple) and one per output entry:
 * **pb** — :func:`repro.core.pb_spgemm.pb_spgemm` on one thread, as this
   host runs it (the compiled pipeline when the engine builds, numpy
   otherwise); ``pb``, ``tiled`` and ``sharded`` run it,
-* **panel** — :func:`repro.kernels.hash_spgemm` on its default panel
-  backend, which ``heap``, ``hash``, ``hashvec`` and ``spa`` all
-  dispatch to,
+* **panel** — :func:`repro.kernels.hash_spgemm`, the panel kernel
+  that ``heap``, ``hash``, ``hashvec`` and ``spa`` all dispatch to,
 * **esc** — :func:`repro.kernels.esc_column_spgemm`.
 
 It also measures the copy rate (what tiling and sharding restream at)

@@ -316,11 +316,6 @@ def rank(
     ``threads_ok`` says the compiled PB pipeline can run this call, so
     PB and tiled run (and are priced) on ``thread_count(cfg.nthreads,
     flop)`` threads.
-
-    A config that pins ``column_backend="loop"`` drops heap, hash,
-    hashvec and spa: the profile measures only the panel those
-    kernels run by default, and the loop ablation is 3–200× slower
-    (``BENCH_column.json``), so no measured rate prices it.
     """
     from ..parallel import process_backend_available
 
@@ -332,8 +327,6 @@ def rank(
     scored: list[CandidateScore] = []
     for name, info in sorted(ALGORITHMS.items()):
         family = FAMILY[name]
-        if family == "panel" and cfg.column_backend == "loop":
-            continue
         seconds = profile.kernel_seconds(family, sk.flop, sk.nnz_c)
         if name == "sharded":
             # Feasibility gate: the sharded executor needs POSIX shared

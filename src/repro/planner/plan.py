@@ -114,7 +114,8 @@ def resolve_profile(cache_dir: str | None) -> MachineProfile:
 #: Override keys the ranker may emit that translate to PBConfig fields.
 #: Anything else in an overrides dict (a hand-edited cache record, or
 #: one written when the ranker still emitted other keys, such as the
-#: per-phase numpy backends, ``column_backend`` or the Fig. 6 knobs
+#: per-phase numpy backends, the column-kernel backend or the Fig. 6
+#: knobs
 #: ``nbins`` / ``local_bin_bytes``) is dropped rather than crashing
 #: ``with_`` or pinning a knob nothing priced.
 _OVERRIDE_KEYS = ("tile_rows", "tile_cols", "shards")
@@ -126,10 +127,7 @@ def _known_overrides(overrides: dict) -> dict:
 
 def _pins(cfg: PBConfig) -> dict:
     """The config knobs that change what the ranker prices."""
-    pins = {k: getattr(cfg, k) for k in _OVERRIDE_KEYS if getattr(cfg, k) is not None}
-    if cfg.column_backend == "loop":
-        pins["column_backend"] = "loop"
-    return pins
+    return {k: getattr(cfg, k) for k in _OVERRIDE_KEYS if getattr(cfg, k) is not None}
 
 
 def _resolved_config(base: PBConfig | None, overrides: dict) -> PBConfig:

@@ -17,7 +17,7 @@ pipeline needs:
   each run head, the one fold order of every path,
 * ``segment_reduce(keys, vals)`` — sort by key, then :meth:`fold`,
 * ``add(a, b)`` / ``add_scalar(a, b)`` — one elementwise / scalar ⊕
-  step, for the accumulators of the column kernels' loop backends.
+  step, for the accumulators of the column kernels' loop references.
 
 All operations are vectorized numpy ufunc applications, so kernels stay
 loop-free regardless of the semiring.
@@ -77,8 +77,8 @@ class Semiring:
     def add_scalar(self, a, b):
         """Scalar ⊕ of two Python/numpy scalars.
 
-        The retained ``column_backend="loop"`` accumulators apply ⊕ once
-        per hash collision; boxing each operand into a 1-element array
+        The loop references of the column kernels (``hash_spgemm_loop``
+        and so on) apply ⊕ once per hash collision; boxing each operand into a 1-element array
         to call :meth:`add` costs two allocations and a ufunc dispatch
         per collision.  This resolves the scalar operation once — a
         plain Python arithmetic op where one exists, the ufunc on

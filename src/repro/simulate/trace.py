@@ -21,15 +21,7 @@ from ..core.config import TUPLE_BYTES
 from ..matrix.csc import CSCMatrix
 from ..matrix.csr import CSRMatrix
 
-#: Region spacing in the synthetic address space — large enough that
-#: regions never share cache lines.
-_REGION = 1 << 34
 ENTRY_BYTES = 12
-
-
-def region_base(index: int) -> int:
-    """Base byte address of synthetic region ``index``."""
-    return index * _REGION
 
 
 def trace_stream_read(nnz: int, entry_bytes: int = ENTRY_BYTES, base: int = 0) -> np.ndarray:

@@ -114,10 +114,10 @@ class TestRouting:
         assert allclose(c, reference)
 
     def test_config_reaches_column_kernels(self, pair, reference):
-        # Since the panel rewrite the column kernels are config-aware:
-        # column_backend selects their execution strategy.
+        # The column kernels accept a config for the uniform dispatch
+        # signature; it has no column field for them to read.
         a, b = pair
-        cfg = PBConfig(column_backend="loop")
+        cfg = PBConfig(nbins=4)
         assert allclose(repro.multiply(a, b, algorithm="hash", config=cfg),
                         reference)
 

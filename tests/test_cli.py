@@ -68,8 +68,7 @@ class TestCanonicalTree:
 
     def test_plan_accepts_exec_flags(self, er_mtx, capsys):
         rc = main(
-            ["plan", str(er_mtx), "--nbins", "16",
-             "--column-backend", "panel"]
+            ["plan", str(er_mtx), "--nbins", "16"]
         )
         assert rc == 0
 
@@ -195,6 +194,20 @@ class TestMultiply:
             assert rc == 0
             outs[backend] = out.read_bytes()
         assert outs["compiled"] == outs["numpy"]
+
+    def test_sharded_accepts_nbins(self, er_mtx, tmp_path, capsys):
+        """``--algorithm sharded --nbins`` runs the same sharded multiply
+        as ``--algorithm pb --shards 2 --nbins``: bit-identical files."""
+        outs = []
+        for flags in (["--algorithm", "sharded", "--shards", "2"],
+                      ["--algorithm", "pb", "--shards", "2"],
+                      ["--algorithm", "sharded"]):
+            out = tmp_path / f"c{len(outs)}.mtx"
+            rc = main(["matrix", "multiply", str(er_mtx), *flags,
+                       "--nbins", "16", "--output", str(out)])
+            assert rc == 0, capsys.readouterr().err
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
 
     def test_pb_flags_require_pb(self, er_mtx, capsys):
         rc = main(

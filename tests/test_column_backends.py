@@ -1,12 +1,14 @@
-"""Cross-backend property suite for the panel-vectorized column kernels.
+"""Property suite for the panel column kernel against the loop references.
 
 The contract under test (DESIGN.md §11): for every shipped semiring and
-every input shape, ``column_backend="panel"`` and ``column_backend="loop"``
-produce **bit-identical** canonical CSR — same indptr, same indices, and
-byte-for-byte equal data, not merely allclose — and both equal numpy
-PB, because every path folds duplicates in the same order.  The panel
-runs compiled when an engine exists; CI runs this file again under
-``REPRO_JIT_DISABLE=1`` to cover the numpy panel.
+every input shape, the panel kernel that ``heap``, ``hash``,
+``hashvec`` and ``spa`` run and each algorithm's loop reference
+(``hash_spgemm_loop`` and so on) produce **bit-identical** canonical
+CSR — same indptr, same indices, and byte-for-byte equal data, not
+merely allclose — and both equal numpy PB, because every path folds
+duplicates in the same order.  The panel runs compiled when an engine
+exists; CI runs this file again under ``REPRO_JIT_DISABLE=1`` to cover
+the numpy panel.
 """
 
 from __future__ import annotations
@@ -17,19 +19,22 @@ import pytest
 import repro
 from repro.core.config import PBConfig
 from repro.core.pb_spgemm import pb_spgemm
-from repro.errors import ConfigError, ShapeError
+from repro.errors import ShapeError
 from repro.generators import erdos_renyi, rmat
 from repro.kernels import (
+    ALGORITHMS,
     esc_column_spgemm,
     hash_spgemm,
+    hash_spgemm_loop,
     hashvec_spgemm,
+    hashvec_spgemm_loop,
     heap_spgemm,
+    heap_spgemm_loop,
     jit,
     panel_spgemm,
-    resolve_column_backend,
     spa_spgemm,
+    spa_spgemm_loop,
 )
-from repro.kernels.column_panel import COLUMN_BACKENDS
 from repro.kernels.hashvec_spgemm import _table_size
 from repro.matrix.coo import COOMatrix
 from repro.matrix.csc import CSCMatrix
@@ -43,6 +48,13 @@ KERNELS = {
     "hash": hash_spgemm,
     "hashvec": hashvec_spgemm,
     "spa": spa_spgemm,
+}
+
+LOOPS = {
+    "heap": heap_spgemm_loop,
+    "hash": hash_spgemm_loop,
+    "hashvec": hashvec_spgemm_loop,
+    "spa": spa_spgemm_loop,
 }
 
 SEMIRINGS = available_semirings()
@@ -114,8 +126,8 @@ class TestPanelLoopBitIdentity:
     def test_bit_identical(self, kernel, case, semiring):
         """Loop and panel equal each other and numpy PB: one fold."""
         a, b = CASES[case]
-        loop = KERNELS[kernel](a, b, semiring=semiring, column_backend="loop")
-        pan = KERNELS[kernel](a, b, semiring=semiring, column_backend="panel")
+        loop = LOOPS[kernel](a, b, semiring=semiring)
+        pan = KERNELS[kernel](a, b, semiring=semiring)
         with jit.disabled():
             pb = pb_spgemm(a, b, semiring)
         assert _bits(loop) == _bits(pan) == _bits(pb)
@@ -125,7 +137,7 @@ class TestPanelLoopBitIdentity:
         # panel_tuples=1 forces one output column (or less) per panel —
         # the maximal-panel-count degenerate case.
         a, b = CASES["dup_heavy_rmat"]
-        loop = KERNELS[kernel](a, b, column_backend="loop")
+        loop = LOOPS[kernel](a, b)
         pan = panel_spgemm(a, b, panel_tuples=1)
         assert _bits(loop) == _bits(pan)
 
@@ -195,7 +207,7 @@ class TestMinMaxFolds:
         a, b = _with_specials(a, seed), _with_specials(b, seed + 100)
         with warnings.catch_warnings(), np.errstate(invalid="ignore"):
             warnings.simplefilter("ignore", RuntimeWarning)
-            loop = _bits(hash_spgemm(a, b, semiring=semiring, column_backend="loop"))
+            loop = _bits(hash_spgemm_loop(a, b, semiring=semiring))
             # The default panel: compiled when an engine exists.
             assert _bits(hash_spgemm(a, b, semiring=semiring)) == loop
             esc = _bits(esc_column_spgemm(a, b, semiring=semiring))
@@ -210,30 +222,16 @@ class TestMinMaxFolds:
 
 
 class TestConfigPlumbing:
-    def test_resolve_precedence(self):
-        cfg = PBConfig(column_backend="loop")
-        assert resolve_column_backend(cfg, None) == "loop"
-        # An explicit kwarg beats config.
-        assert resolve_column_backend(cfg, "panel") == "panel"
-
-    def test_resolve_defaults(self):
-        assert resolve_column_backend(None, None) == "panel"
-
-    def test_resolve_rejects_bad_values(self):
-        with pytest.raises(ConfigError):
-            resolve_column_backend(None, "vector")
-
     def test_pbconfig_validates_column_fields(self):
-        with pytest.raises(ConfigError):
-            PBConfig(column_backend="bogus")
+        # PBConfig has no column-kernel field: the panel is the one
+        # execution strategy.
+        with pytest.raises(TypeError):
+            PBConfig(column_backend="loop")
 
     def test_config_reaches_kernel_through_multiply(self):
         a, b = CASES["er"]
-        loop = repro.multiply(a, b, algorithm="hash",
-                              config=PBConfig(column_backend="loop"))
-        pan = repro.multiply(a, b, algorithm="hash",
-                             config=PBConfig(column_backend="panel"))
-        assert _bits(loop) == _bits(pan)
+        pan = repro.multiply(a, b, algorithm="hash", config=PBConfig(nbins=4))
+        assert _bits(pan) == _bits(hash_spgemm_loop(a, b))
 
     def test_registry_metadata(self):
         from repro.kernels.dispatch import algorithm_metadata
@@ -241,7 +239,9 @@ class TestConfigPlumbing:
         meta = algorithm_metadata()
         for name in KERNELS:
             assert meta[name]["supports_config"]
-        assert COLUMN_BACKENDS == ("panel", "loop")
+            # The registry and the public names run the one panel kernel.
+            assert ALGORITHMS[name].func is panel_spgemm
+            assert KERNELS[name] is panel_spgemm
 
 
 class TestSegmentReduce:

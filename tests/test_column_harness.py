@@ -1,11 +1,12 @@
 """Differential harness: every SpGEMM path equals numpy PB bit for bit.
 
-heap, hash, hashvec and spa each run under three strategies — the
-``loop`` accumulators, the default ``panel`` (compiled whenever an
-engine exists) and ``panel`` inside ``jit.disabled()`` (the numpy
-panel) — and, with ``esc_column`` and compiled PB, must equal the numpy
-PB pipeline bit for bit on the block-core ``problems`` shapes (k >> n,
-n >> k, extents of 0 and 1) and all five semirings.  Every path folds
+The loop references of heap, hash, hashvec and spa
+(``hash_spgemm_loop`` and so on), the one panel kernel the four run
+(compiled whenever an engine exists), the panel inside
+``jit.disabled()`` (the numpy panel), ``esc_column`` and compiled PB
+must equal the numpy PB pipeline bit for bit on the block-core
+``problems`` shapes (k >> n, n >> k, extents of 0 and 1) and all five
+semirings.  Every path folds
 duplicates with the one ⊕ fold (:meth:`repro.semiring.Semiring.fold`:
 a sequential left fold from the run head, NaN stored canonically), so
 nothing may differ, not even the rounding of a sum, the sign of a zero
@@ -27,21 +28,22 @@ import repro
 from repro.core import pb_spgemm
 from repro.kernels import (
     esc_column_spgemm,
-    hash_spgemm,
-    hashvec_spgemm,
-    heap_spgemm,
+    hash_spgemm_loop,
+    hashvec_spgemm_loop,
+    heap_spgemm_loop,
     jit,
-    spa_spgemm,
+    panel_spgemm,
+    spa_spgemm_loop,
 )
 from repro.semiring import available_semirings
 
 from tests.test_block_core import problems
 
-KERNELS = {
-    "heap": heap_spgemm,
-    "hash": hash_spgemm,
-    "hashvec": hashvec_spgemm,
-    "spa": spa_spgemm,
+LOOPS = {
+    "heap": heap_spgemm_loop,
+    "hash": hash_spgemm_loop,
+    "hashvec": hashvec_spgemm_loop,
+    "spa": spa_spgemm_loop,
 }
 
 POOLS = {
@@ -70,13 +72,12 @@ def _assert_every_path_equals_numpy_pb(a, b, sr):
             ref = _bits(pb_spgemm(a, b, sr))
         assert _bits(pb_spgemm(a, b, sr)) == ref, "compiled pb"
         assert _bits(esc_column_spgemm(a, b, semiring=sr)) == ref, "esc_column"
-        for name, kernel in KERNELS.items():
-            loop = kernel(a, b, semiring=sr, column_backend="loop")
-            assert _bits(loop) == ref, f"{name} loop"
-            assert _bits(kernel(a, b, semiring=sr)) == ref, f"{name} panel"
-            with jit.disabled():
-                numpy_panel = kernel(a, b, semiring=sr, column_backend="panel")
-            assert _bits(numpy_panel) == ref, f"{name} numpy panel"
+        assert _bits(panel_spgemm(a, b, semiring=sr)) == ref, "panel"
+        with jit.disabled():
+            numpy_panel = panel_spgemm(a, b, semiring=sr)
+        assert _bits(numpy_panel) == ref, "numpy panel"
+        for name, loop in LOOPS.items():
+            assert _bits(loop(a, b, semiring=sr)) == ref, f"{name} loop"
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])

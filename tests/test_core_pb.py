@@ -48,7 +48,7 @@ class TestPBConfig:
             dict(local_bin_bytes=8),
             dict(pipeline="pipelined"),
             dict(bin_mapping="hash"),
-            dict(column_backend="jit_panel"),
+            dict(memory_budget=0),
             dict(executor="threads"),
             dict(shards=0),
             dict(tile_rows=0),

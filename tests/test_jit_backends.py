@@ -30,10 +30,9 @@ from repro.core.binning import distribute_packed, plan_bins
 from repro.core.config import PBConfig
 from repro.core.pb_spgemm import pb_spgemm, pb_spgemm_detailed
 from repro.core.symbolic import symbolic_phase
-from repro.errors import ConfigError
 from repro.generators import erdos_renyi
 from repro.kernels import jit as jit_tier
-from repro.kernels.hash_spgemm import hash_spgemm
+from repro.kernels.hash_spgemm import hash_spgemm, hash_spgemm_loop
 from repro.kernels.jit import _cc
 from repro.kernels.jit._avail import probe
 from repro.kernels.outer_expand import expand_arena
@@ -142,7 +141,7 @@ class TestProbe:
         assert st["available"] is False and st["engine"] == "none"
         assert "cc engine build failed" in st["cc_reason"]
         assert jit_tier.blocker(repro.get_semiring("plus_times")) == "no_engine"
-        assert _bitwise_equal(hash_spgemm(a.to_csc(), b, column_backend="loop"), c1)
+        assert _bitwise_equal(hash_spgemm_loop(a.to_csc(), b), c1)
         assert res.pipeline == "numpy:no_engine"
 
 
@@ -203,7 +202,7 @@ class TestBitIdentity:
         # The product holds row or column ids past 16 bits.
         last_row = int(np.flatnonzero(np.diff(c1.indptr)).max())
         assert max(last_row, int(c1.indices.max())) >= 1 << 16
-        assert _bitwise_equal(hash_spgemm(a, b, semiring=semiring, column_backend="loop"), c1)
+        assert _bitwise_equal(hash_spgemm_loop(a, b, semiring=semiring), c1)
         with jit_tier.disabled():
             assert _bitwise_equal(hash_spgemm(a, b, semiring=semiring), c1)
             assert _bitwise_equal(pb_spgemm(a, b, semiring), c1)
@@ -342,7 +341,7 @@ class TestAbsentDegradation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             c1 = repro.multiply(a, b, algorithm="hash")
-        c0 = hash_spgemm(a.to_csc(), b, column_backend="loop")
+        c0 = hash_spgemm_loop(a.to_csc(), b)
         assert _bitwise_equal(c0, c1)
 
     @pytest.mark.parallel
@@ -428,20 +427,19 @@ class TestWarmup:
 
 class TestConfig:
     def test_backend_validation(self):
-        with pytest.raises(ConfigError):
-            PBConfig(column_backend="jit_panel")
-        # The numpy PB pipeline has no per-phase backend to pick.
-        for field in ("sort_backend", "distribute_backend", "expand_backend"):
+        # Neither the numpy PB pipeline nor the column kernels have a
+        # backend to pick.
+        for field in (
+            "sort_backend", "distribute_backend", "expand_backend", "column_backend"
+        ):
             with pytest.raises(TypeError):
                 PBConfig(**{field: "radix"})
 
     def test_dispatch_metadata_flags(self):
-        """No option names the compiled tier: the column backend is
-        ``panel`` or ``loop``, and the registry lists no backends."""
+        """No option names the compiled tier: the registry lists no
+        backends."""
         from repro.kernels.dispatch import algorithm_metadata
 
-        with pytest.raises(ConfigError):
-            PBConfig(column_backend="panel_jit")
         meta = algorithm_metadata()
         for name in ("heap", "hash", "hashvec", "spa", "esc_column"):
             assert "column_backends" not in meta[name]
@@ -519,7 +517,7 @@ class TestPlannerPricing:
         )
         assert cfg.tile_rows == 64
         assert cfg.nbins is None
-        assert cfg.column_backend == "panel"
+        assert cfg == PBConfig(tile_rows=64)
 
     def test_calibrate_measures_jit_rate(self, monkeypatch):
         """The column rate is timed on ``hash_spgemm`` as it runs by
@@ -543,7 +541,7 @@ class TestPlannerPricing:
         monkeypatch.setattr(hash_mod, "hash_spgemm", spy)
         prof = calibrate(quick=True, measure_pool=False)
         assert prof.panel_flop_ns + prof.panel_out_ns > 0.0
-        assert calls and all("column_backend" not in kw for kw in calls)
+        assert calls
 
 
 # ---------------------------------------------------------------------------
@@ -574,13 +572,12 @@ class TestCLI:
         a, _ = _mats(scale=7, ef=4)
         path = tmp_path / "a.mtx"
         write_matrix_market(a, path)
-        rc = main(
-            ["matrix", "multiply", str(path), "--algorithm", "hash", "--column-backend", "panel"]
-        )
+        rc = main(["matrix", "multiply", str(path), "--algorithm", "hash"])
         assert rc == 0
         assert "C = A*B" in capsys.readouterr().out
+        # The column kernels have no backend flag.
         with pytest.raises(SystemExit):
             main(
                 ["matrix", "multiply", str(path), "--algorithm", "hash",
-                 "--column-backend", "panel_jit"]
+                 "--column-backend", "panel"]
             )

@@ -601,22 +601,6 @@ def test_preset_planning_measures_nothing(monkeypatch):
                 )
 
 
-def test_loop_backend_excludes_panel_candidates(operands):
-    """The profile measures the panel, never the loop ablation, so a
-    config pinning ``column_backend="loop"`` drops the four panel
-    kernels instead of pricing the loop at the panel rate."""
-    a, b = operands
-    cache = PlanCache()
-    default = plan(a, b, profile=default_profile(), cache=cache)
-    cfg = PBConfig(column_backend="loop")
-    p = plan(a, b, config=cfg, profile=default_profile(), cache=cache)
-    # The pin keys its own plan: the default plan never answers it.
-    assert p.source == "model" and p.cache_key != default.cache_key
-    names = {c.algorithm for c in p.candidates}
-    assert not names & {"heap", "hash", "hashvec", "spa"}
-    assert {"pb", "esc_column"} <= names
-
-
 def test_sharded_sweep_fits_usable_cpus(monkeypatch):
     """Unpinned shard counts stop at the usable CPUs, plus the count
     ``resolve_shards("auto")`` needs to meet a memory budget."""
