@@ -1,9 +1,11 @@
 """Executable-phase wall-clock shares of PB-SpGEMM (Table III's shape).
 
-Times the *real* Python pipeline per phase (symbolic / expand /
-sort+compress / convert).  Single-core interpreted timings — the point
-is the phase *shares* and their scaling with flop, mirroring Table
-III's O(flop) expand/sort/compress and O(k) symbolic.
+Times the real pipeline per phase (symbolic / expand / sort+compress /
+convert) on one thread: the compiled pipeline when the engine builds,
+else the numpy one; the table title names the one that ran
+(``PBResult.pipeline``).  The point is the phase *shares* and their
+scaling with flop, mirroring Table III's O(flop) expand/sort/compress
+and O(k) symbolic.
 """
 
 import repro
@@ -15,13 +17,16 @@ from conftest import run_once
 
 
 def _build():
-    t = ResultTable(
-        "PB-SpGEMM executable phase times (pure Python, 1 core)",
-        ["workload", "flop", "symbolic_ms", "expand_ms", "sort_compress_ms", "convert_ms"],
-    )
+    runs = []
     for scale, ef in ((11, 4), (12, 8), (13, 8)):
         a = repro.erdos_renyi(1 << scale, ef, seed=scale)
-        res = pb_spgemm_detailed(a.to_csc(), a.to_csr())
+        runs.append((scale, ef, pb_spgemm_detailed(a.to_csc(), a.to_csr())))
+    pipelines = ", ".join(sorted({res.pipeline for _, _, res in runs}))
+    t = ResultTable(
+        f"PB-SpGEMM executable phase times ({pipelines} pipeline, 1 thread)",
+        ["workload", "flop", "symbolic_ms", "expand_ms", "sort_compress_ms", "convert_ms"],
+    )
+    for scale, ef, res in runs:
         ps = res.phase_seconds
         t.add(
             workload=f"ER s{scale} ef{ef}",

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, FormatError, ShapeError
-from .kernels.dispatch import ALGORITHMS, get_algorithm
+from .kernels.dispatch import get_algorithm
 from .semiring import PLUS_TIMES, Semiring, get_semiring
 
 
@@ -83,8 +83,8 @@ def multiply(
         A :class:`~repro.semiring.Semiring` or a registered name such
         as ``"min_plus"``.
     config:
-        Optional :class:`~repro.core.PBConfig`.  Applies to any
-        config-aware algorithm: ``"pb"`` consumes the full pipeline
+        Optional :class:`~repro.core.PBConfig`.  Every algorithm
+        accepts it: ``"pb"`` consumes the full pipeline
         tuning; the column kernels (heap / hash / hashvec / spa, all
         the one panel kernel) and ``esc_column`` accept it and have
         nothing to read.  With ``"auto"`` it
@@ -159,19 +159,11 @@ def multiply(
 
     if chosen_plan is not None:
         info = get_algorithm(chosen_plan.algorithm)
-        if info.supports_config and chosen_plan.config is not None:
+        if chosen_plan.config is not None:
             kwargs.setdefault("config", chosen_plan.config)
     else:
         info = get_algorithm(algorithm)
         if config is not None:
-            if not info.supports_config:
-                raise ConfigError(
-                    f"config= (PBConfig) does not apply to "
-                    f"algorithm={algorithm!r}; config-aware algorithms: "
-                    + ", ".join(sorted(n for n, i in ALGORITHMS.items()
-                                       if i.supports_config))
-                    + ", or 'auto'"
-                )
             kwargs["config"] = config
     if session is not None and info.supports_session:
         kwargs["session"] = session

@@ -1,10 +1,11 @@
 """``planner`` suite: auto-tuning regret against a measured oracle.
 
 Measures how close :mod:`repro.planner` gets to an oracle that already
-timed every registered algorithm, on an ER / R-MAT / surrogate sweep
+timed every distinct registered kernel, on an ER / R-MAT / surrogate sweep
 (C = A*A); see DESIGN.md §10:
 
-* **oracle** — every registered algorithm timed, fastest wins;
+* **oracle** — every distinct registered kernel timed (the panel once,
+  as ``hash``), fastest wins;
 * **model regret** — ``plan()`` with a fresh cache and a quick machine
   calibration; regret = time(pick) / oracle time (the full-run bar
   keys on the mean);
@@ -23,7 +24,7 @@ import time
 import numpy as np
 
 from ...generators import erdos_renyi, rmat, surrogate
-from ...kernels.dispatch import ALGORITHMS
+from ...kernels.dispatch import ALGORITHMS, distinct_algorithms
 from ...planner import PlanCache, calibrate, plan
 from ...semiring import PLUS_TIMES
 from ..registry import AcceptanceCheck, Suite, register_suite
@@ -51,11 +52,11 @@ def _workloads(quick: bool):
 def _bench_workload(b_csr, profile, reps: int) -> dict:
     a_csc = b_csr.to_csc()
 
-    # Oracle: measure every registered algorithm on this input.
+    # Oracle: measure every distinct registered kernel on this input.
     times = {}
-    for name, info in sorted(ALGORITHMS.items()):
+    for name in distinct_algorithms():
         times[name] = best_of(
-            lambda f=info.func: f(a_csc, b_csr, semiring=PLUS_TIMES), reps
+            lambda f=ALGORITHMS[name].func: f(a_csc, b_csr, semiring=PLUS_TIMES), reps
         )
     oracle_algorithm = min(times, key=times.get)
     oracle_s = times[oracle_algorithm]

@@ -27,12 +27,16 @@ class AlgorithmInfo:
     the first operand in the ER model (Table II's "No of Accesses: A"
     column, with "d" meaning degree-many reads).
 
-    The ``supports_*`` flags are capability metadata the planner
-    (:mod:`repro.planner`) and the session front door consume instead of
-    hard-coding algorithm names: whether the kernel accepts a
-    ``config=`` PBConfig, whether it can run on the process-pool
-    executor, and whether it accepts a ``session=``
+    The planner (:mod:`repro.planner`) and the session front door
+    consume the rest instead of hard-coding algorithm names: ``family``
+    is the calibrated kernel family that prices the algorithm (a
+    :data:`~repro.planner.calibrate.FAMILIES` entry); ``same_kernel_as``
+    names the entry whose kernel this one runs, if another's, so the
+    kernel is priced and listed once (see :func:`distinct_algorithms`);
+    and the ``supports_*`` flags say whether it can run on the
+    process-pool executor and whether it accepts a ``session=``
     :class:`repro.session.Session` whose warm resources it runs on.
+    Every registered algorithm accepts ``config=`` (a PBConfig).
     """
 
     name: str
@@ -43,7 +47,8 @@ class AlgorithmInfo:
     reads_a: str  # "1" or "d"
     reads_chat: int  # accesses of the expanded matrix (0, or 2 for ESC)
     description: str
-    supports_config: bool = False  # accepts config=PBConfig
+    family: str
+    same_kernel_as: str | None = None
     supports_process: bool = False  # can run on the process-pool executor
     supports_session: bool = False  # accepts session= (a warm Session)
 
@@ -74,32 +79,32 @@ def _registry() -> dict[str, AlgorithmInfo]:
         AlgorithmInfo(
             "heap", panel_spgemm, "column", "accumulator", "heap", "d", 0,
             "Column SpGEMM, per-column heap merge (Azad et al. 2016)",
-            supports_config=True,
+            "panel", same_kernel_as="hash",
         ),
         AlgorithmInfo(
             "hash", panel_spgemm, "column", "accumulator", "hash", "d", 0,
             "Column SpGEMM, per-column hash table (Nagasaka et al. 2019)",
-            supports_config=True,
+            "panel",
         ),
         AlgorithmInfo(
             "hashvec", panel_spgemm, "column", "accumulator", "hash", "d", 0,
             "Column SpGEMM, batched open-addressing probing (HashVec)",
-            supports_config=True,
+            "panel", same_kernel_as="hash",
         ),
         AlgorithmInfo(
             "spa", panel_spgemm, "column", "accumulator", "spa", "d", 0,
             "Column SpGEMM, dense sparse-accumulator (Gilbert et al. 1992)",
-            supports_config=True,
+            "panel", same_kernel_as="hash",
         ),
         AlgorithmInfo(
             "esc_column", esc_column_spgemm, "column", "esc", "sort", "d", 2,
             "Column-wise expand-sort-compress (Dalton et al. 2015)",
-            supports_config=True,
+            "esc",
         ),
         AlgorithmInfo(
             "pb", _pb, "outer", "esc", "sort", "1", 2,
             "PB-SpGEMM: outer product + propagation blocking (this paper)",
-            supports_config=True,
+            "pb",
             supports_process=True,
             supports_session=True,
         ),
@@ -110,7 +115,7 @@ def _registry() -> dict[str, AlgorithmInfo]:
             "tiled", _tiled, "outer", "esc", "sort", "1", 2,
             "Tiled out-of-core PB-SpGEMM: 2D panel grid, bounded peak "
             "memory, spill-to-disk staging (repro.core.tiled)",
-            supports_config=True,
+            "pb",
             supports_process=True,
             supports_session=True,
         ),
@@ -121,7 +126,7 @@ def _registry() -> dict[str, AlgorithmInfo]:
             "Multi-process sharded tiled PB-SpGEMM: tile-row shards, "
             "shared-memory panel broadcast, streamed assembly "
             "(repro.core.sharded)",
-            supports_config=True,
+            "pb",
             supports_session=True,
         ),
     ]
@@ -156,6 +161,14 @@ def get_algorithm(name: str) -> AlgorithmInfo:
         ) from None
 
 
+def distinct_algorithms() -> tuple[str, ...]:
+    """One registered name per distinct kernel, sorted: the names
+    without ``same_kernel_as`` (the four column algorithms run one panel
+    kernel, listed as ``hash``).  The planner prices, and the bench
+    suites time, exactly these."""
+    return tuple(n for n in sorted(ALGORITHMS) if ALGORITHMS[n].same_kernel_as is None)
+
+
 def algorithm_metadata() -> dict[str, dict]:
     """Per-algorithm capability metadata (what the planner consumes).
 
@@ -168,7 +181,6 @@ def algorithm_metadata() -> dict[str, dict]:
             "input_access": info.input_access,
             "output_formation": info.output_formation,
             "accumulator": info.accumulator,
-            "supports_config": info.supports_config,
             "supports_process": info.supports_process,
             "supports_session": info.supports_session,
             "description": info.description,
@@ -209,7 +221,7 @@ def spgemm(
     if hasattr(algorithm, "algorithm") and hasattr(algorithm, "config"):
         plan = algorithm
         info = get_algorithm(plan.algorithm)
-        if info.supports_config and plan.config is not None:
+        if plan.config is not None:
             kwargs.setdefault("config", plan.config)
         return info.func(a_csc, b_csr, semiring=get_semiring(semiring), **kwargs)
     info = get_algorithm(algorithm)

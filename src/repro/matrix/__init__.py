@@ -12,6 +12,10 @@ plus conversions (:mod:`repro.matrix.convert`), structural/statistical
 queries used by the cost model (:mod:`repro.matrix.stats`), elementwise
 and structural operations (:mod:`repro.matrix.ops`), MatrixMarket I/O
 (:mod:`repro.matrix.io`) and a dense reference (:mod:`repro.matrix.dense`).
+
+CSR and CSC are the row- and column-major orientations of one
+compressed layout (:mod:`repro.matrix.compressed`), so their methods,
+conversions and slices are each written once for both.
 """
 
 from .coo import COOMatrix

@@ -1,15 +1,28 @@
-"""Conversions between COO, CSR and CSC.
+"""Conversions between COO and the compressed formats.
 
-All conversions are vectorized; the COO→compressed paths coalesce
-duplicates by summation (the SpGEMM merge semantics) and establish the
+CSR and CSC are two orientations of one compressed layout
+(:class:`~repro.matrix.compressed.CompressedMatrix`), so each conversion
+is written once for both: COO → compressed (:func:`coo_to_compressed`),
+compressed → COO (:func:`compressed_to_coo`) and the flip between the
+orientations (:func:`flip`, a stable counting transpose).  The public
+``coo_to_csr``, ``coo_to_csc``, ``csr_to_coo``, ``csc_to_coo``,
+``csr_to_csc`` and ``csc_to_csr`` are bindings of these three.
+
+All conversions are vectorized; the COO→compressed path coalesces
+duplicates by summation (the SpGEMM merge semantics) and establishes the
 canonical strictly-increasing-within-segment ordering.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import base
+from .coo import COOMatrix
+from .csc import CSCMatrix
+from .csr import CSRMatrix
 
 
 def _compress_pointer(sorted_major: np.ndarray, ndim: int) -> np.ndarray:
@@ -35,42 +48,22 @@ def _narrow_sort_key(indices: np.ndarray, ndim: int) -> np.ndarray:
     return indices
 
 
-def coo_to_csr(coo):
-    """COO → canonical CSR (row-major sort, duplicates summed)."""
-    from .csr import CSRMatrix
-
-    c = coo.coalesce()
-    indptr = _compress_pointer(c.rows, coo.shape[0])
-    return CSRMatrix(coo.shape, indptr, c.cols, c.vals, validate=False)
-
-
-def coo_to_csc(coo):
-    """COO → canonical CSC (column-major sort, duplicates summed)."""
-    from .csc import CSCMatrix
-
-    t = coo.transpose().coalesce()  # sorts by (col, row) of the original
-    indptr = _compress_pointer(t.rows, coo.shape[1])
-    return CSCMatrix(coo.shape, indptr, t.cols, t.vals, validate=False)
+def coo_to_compressed(coo, cls):
+    """COO → canonical ``cls`` (:class:`CSRMatrix` or :class:`CSCMatrix`):
+    entries sorted by (major, minor) index, duplicates summed."""
+    c = (coo.transpose() if cls.major else coo).coalesce()
+    indptr = _compress_pointer(c.rows, coo.shape[cls.major])
+    return cls(coo.shape, indptr, c.cols, c.vals, validate=False)
 
 
-def csr_to_coo(csr):
-    """CSR → COO by expanding the row pointer (entries stay canonical)."""
-    from .coo import COOMatrix
-
-    rows = np.repeat(
-        np.arange(csr.shape[0], dtype=base.INDEX_DTYPE), np.diff(csr.indptr)
+def compressed_to_coo(mat):
+    """CSR/CSC → COO by expanding the pointer (entries keep the
+    matrix's major-axis order)."""
+    major = np.repeat(
+        np.arange(mat.shape[mat.major], dtype=base.INDEX_DTYPE), np.diff(mat.indptr)
     )
-    return COOMatrix(csr.shape, rows, csr.indices, csr.data, validate=False)
-
-
-def csc_to_coo(csc):
-    """CSC → COO by expanding the column pointer (column-major order)."""
-    from .coo import COOMatrix
-
-    cols = np.repeat(
-        np.arange(csc.shape[1], dtype=base.INDEX_DTYPE), np.diff(csc.indptr)
-    )
-    return COOMatrix(csc.shape, csc.indices, cols, csc.data, validate=False)
+    rows, cols = (mat.indices, major) if mat.major else (major, mat.indices)
+    return COOMatrix(mat.shape, rows, cols, mat.data, validate=False)
 
 
 def _transpose(ptr, idx, data, nminor: int):
@@ -98,23 +91,18 @@ def _transpose(ptr, idx, data, nminor: int):
     return _compress_pointer(idx, nminor), major[order], data[order]
 
 
-def csr_to_csc(csr):
-    """CSR → CSC by a stable counting transpose (Gustavson's two-pass
-    histogram transpose: count entries per column, prefix-sum into a
-    pointer, then place entries); see :func:`_transpose`."""
-    from .csc import CSCMatrix
-
-    indptr, rows, data = _transpose(
-        csr.indptr, csr.indices, csr.data, csr.shape[1]
+def flip(mat):
+    """CSR → CSC or CSC → CSR, the same matrix in the other orientation,
+    by a stable counting transpose (Gustavson's two-pass histogram
+    transpose: count entries per minor index, prefix-sum into a pointer,
+    then place entries); see :func:`_transpose`."""
+    indptr, major, data = _transpose(
+        mat.indptr, mat.indices, mat.data, mat.shape[1 - mat.major]
     )
-    return CSCMatrix(csr.shape, indptr, rows, data, validate=False)
+    return mat.flipped(mat.shape, indptr, major, data, validate=False)
 
 
-def csc_to_csr(csc):
-    """CSC → CSR; mirror of :func:`csr_to_csc`."""
-    from .csr import CSRMatrix
-
-    indptr, cols, data = _transpose(
-        csc.indptr, csc.indices, csc.data, csc.shape[0]
-    )
-    return CSRMatrix(csc.shape, indptr, cols, data, validate=False)
+coo_to_csr = partial(coo_to_compressed, cls=CSRMatrix)
+coo_to_csc = partial(coo_to_compressed, cls=CSCMatrix)
+csr_to_coo = csc_to_coo = compressed_to_coo
+csr_to_csc = csc_to_csr = flip

@@ -1,161 +1,30 @@
 """Compressed Sparse Column (CSC) matrix.
 
-CSC is the column-major mirror of CSR: ``indptr[j]:indptr[j+1]``
-delimits column ``j``'s row indices and values.  PB-SpGEMM takes its
-first operand A in CSC so that ``A(:, k)`` — one column — streams
-contiguously during the outer product (paper Alg. 2).
-
-Canonical form: within each column, row indices strictly increase.
+The column-major orientation of :class:`~repro.matrix.compressed.CompressedMatrix`:
+``indptr[j]:indptr[j+1]`` delimits column ``j``'s row indices and
+values.  PB-SpGEMM takes its first operand A in CSC so that
+``A(:, k)`` — one column — streams contiguously during the outer
+product (paper Alg. 2).  Everything but the column-named accessors
+lives on the base class.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..errors import FormatError, ShapeError
-from . import base
+from .compressed import CompressedMatrix
+from .csr import CSRMatrix
 
 
-class CSCMatrix:
+class CSCMatrix(CompressedMatrix):
     """Canonical CSC sparse matrix over float64 values / int64 indices."""
 
-    __slots__ = ("shape", "indptr", "indices", "data")
+    __slots__ = ()
+    major = 1
+    flipped = CSRMatrix
 
-    def __init__(self, shape, indptr, indices, data, *, validate: bool = True):
-        self.shape = base.check_shape(shape)
-        self.indptr = base.as_index_array(indptr, "indptr")
-        self.indices = base.as_index_array(indices, "indices")
-        self.data = base.as_value_array(data, "data", len(self.indices))
-        if validate:
-            self._validate()
+    #: Per-column nonzero counts, i.e. ``nnz(A(:, k))`` for every k.
+    col_nnz = CompressedMatrix.segment_nnz
+    #: Row indices and values of column ``j`` (views, not copies).
+    col = CompressedMatrix.segment
 
-    def _validate(self) -> None:
-        base.check_indptr(self.indptr, self.shape[1], len(self.indices), "indptr")
-        base.check_indices_in_range(self.indices, self.shape[0], "indices")
-        if not base.segments_sorted(self.indices, self.indptr):
-            raise FormatError(
-                "CSC columns must have strictly increasing row indices "
-                "(canonical form); use CSCMatrix.from_coo to canonicalize"
-            )
 
-    # -- construction ----------------------------------------------------
-    @classmethod
-    def empty(cls, shape) -> "CSCMatrix":
-        _, n = base.check_shape(shape)
-        return cls(shape, np.zeros(n + 1, dtype=base.INDEX_DTYPE), [], [], validate=False)
-
-    @classmethod
-    def from_coo(cls, coo) -> "CSCMatrix":
-        from .convert import coo_to_csc
-
-        return coo_to_csc(coo)
-
-    @classmethod
-    def from_arrays(cls, shape, rows, cols, vals) -> "CSCMatrix":
-        from .coo import COOMatrix
-
-        return cls.from_coo(COOMatrix(shape, rows, cols, vals))
-
-    @classmethod
-    def identity(cls, n: int, value: float = 1.0) -> "CSCMatrix":
-        idx = np.arange(n, dtype=base.INDEX_DTYPE)
-        return cls(
-            (n, n),
-            np.arange(n + 1, dtype=base.INDEX_DTYPE),
-            idx,
-            np.full(n, value, dtype=base.VALUE_DTYPE),
-            validate=False,
-        )
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "CSCMatrix":
-        from .dense import from_dense
-
-        return from_dense(dense, "csc")
-
-    @classmethod
-    def from_scipy(cls, mat) -> "CSCMatrix":
-        csc = mat.tocsc()
-        csc.sum_duplicates()
-        csc.sort_indices()
-        return cls(csc.shape, csc.indptr, csc.indices, csc.data)
-
-    # -- queries ------------------------------------------------------------
-    @property
-    def nnz(self) -> int:
-        return len(self.data)
-
-    def col_nnz(self) -> np.ndarray:
-        """Per-column nonzero counts, i.e. ``nnz(A(:, k))`` for every k."""
-        return np.diff(self.indptr)
-
-    def col(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row indices and values of column ``j`` (views, not copies)."""
-        if not 0 <= j < self.shape[1]:
-            raise ShapeError(f"column {j} out of range for shape {self.shape}")
-        lo, hi = self.indptr[j], self.indptr[j + 1]
-        return self.indices[lo:hi], self.data[lo:hi]
-
-    def mean_degree(self) -> float:
-        """Average nonzeros per column — d(A) in the paper's notation."""
-        return self.nnz / self.shape[1] if self.shape[1] else 0.0
-
-    def memory_bytes(self, index_bytes: int = 4, value_bytes: int = 8) -> int:
-        return (
-            (self.shape[1] + 1) * index_bytes
-            + self.nnz * index_bytes
-            + self.nnz * value_bytes
-        )
-
-    # -- conversions ----------------------------------------------------------
-    def to_coo(self):
-        from .convert import csc_to_coo
-
-        return csc_to_coo(self)
-
-    def to_csr(self):
-        from .convert import csc_to_csr
-
-        return csc_to_csr(self)
-
-    def to_csc(self) -> "CSCMatrix":
-        """Identity conversion (symmetry with the other formats)."""
-        return self
-
-    def to_dense(self) -> np.ndarray:
-        from .dense import to_dense
-
-        return to_dense(self)
-
-    def to_scipy(self):
-        import scipy.sparse as sp
-
-        return sp.csc_matrix((self.data, self.indices, self.indptr), shape=self.shape)
-
-    def transpose(self):
-        """Transpose: reinterprets the same arrays as CSR of Aᵀ (zero copy)."""
-        from .csr import CSRMatrix
-
-        return CSRMatrix(
-            (self.shape[1], self.shape[0]), self.indptr, self.indices, self.data, validate=False
-        )
-
-    def copy(self) -> "CSCMatrix":
-        return CSCMatrix(
-            self.shape, self.indptr.copy(), self.indices.copy(), self.data.copy(), validate=False
-        )
-
-    def __matmul__(self, other):
-        """``a @ b`` — delegates to :func:`repro.multiply`, which
-        accepts any COO/CSR/CSC operand (the product is CSR)."""
-        from .coo import COOMatrix
-        from .csr import CSRMatrix
-
-        if isinstance(other, (CSRMatrix, CSCMatrix, COOMatrix)):
-            from ..api import multiply
-
-            return multiply(self, other)
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CSCMatrix(shape={self.shape}, nnz={self.nnz})"
+CSRMatrix.flipped = CSCMatrix

@@ -1,175 +1,36 @@
 """Compressed Sparse Row (CSR) matrix.
 
-CSR stores, for each row, a contiguous slice of column indices and
-values; ``indptr[i]:indptr[i+1]`` delimits row ``i``.  PB-SpGEMM takes
-its second operand B in CSR so that ``B(k, :)`` — one row — streams
-contiguously during the outer product (paper Alg. 2), and emits the
-output C in CSR.
-
-Instances are **canonical**: within each row, column indices strictly
-increase (sorted, duplicate-free).  All constructors enforce or
-establish this.
+The row-major orientation of :class:`~repro.matrix.compressed.CompressedMatrix`:
+``indptr[i]:indptr[i+1]`` delimits row ``i``'s column indices and
+values.  PB-SpGEMM takes its second operand B in CSR so that
+``B(k, :)`` — one row — streams contiguously during the outer product
+(paper Alg. 2), and emits the output C in CSR.  Everything but the
+row-named accessors and the reference SpMV lives on the base class.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import FormatError, ShapeError
+from ..errors import ShapeError
 from . import base
+from .compressed import CompressedMatrix
 
 
-class CSRMatrix:
+class CSRMatrix(CompressedMatrix):
     """Canonical CSR sparse matrix over float64 values / int64 indices."""
 
-    __slots__ = ("shape", "indptr", "indices", "data")
+    __slots__ = ()
+    major = 0  # ``flipped`` (CSCMatrix) is set by .csc
 
-    def __init__(self, shape, indptr, indices, data, *, validate: bool = True):
-        self.shape = base.check_shape(shape)
-        self.indptr = base.as_index_array(indptr, "indptr")
-        self.indices = base.as_index_array(indices, "indices")
-        self.data = base.as_value_array(data, "data", len(self.indices))
-        if validate:
-            self._validate()
-
-    def _validate(self) -> None:
-        base.check_indptr(self.indptr, self.shape[0], len(self.indices), "indptr")
-        base.check_indices_in_range(self.indices, self.shape[1], "indices")
-        if not base.segments_sorted(self.indices, self.indptr):
-            raise FormatError(
-                "CSR rows must have strictly increasing column indices "
-                "(canonical form); use CSRMatrix.from_coo to canonicalize"
-            )
-
-    # -- construction ------------------------------------------------------
-    @classmethod
-    def empty(cls, shape) -> "CSRMatrix":
-        m, _ = base.check_shape(shape)
-        return cls(shape, np.zeros(m + 1, dtype=base.INDEX_DTYPE), [], [], validate=False)
-
-    @classmethod
-    def from_coo(cls, coo) -> "CSRMatrix":
-        from .convert import coo_to_csr
-
-        return coo_to_csr(coo)
-
-    @classmethod
-    def from_arrays(cls, shape, rows, cols, vals) -> "CSRMatrix":
-        """Build from coordinate triples (coalescing duplicates by sum)."""
-        from .coo import COOMatrix
-
-        return cls.from_coo(COOMatrix(shape, rows, cols, vals))
-
-    @classmethod
-    def identity(cls, n: int, value: float = 1.0) -> "CSRMatrix":
-        idx = np.arange(n, dtype=base.INDEX_DTYPE)
-        return cls(
-            (n, n),
-            np.arange(n + 1, dtype=base.INDEX_DTYPE),
-            idx,
-            np.full(n, value, dtype=base.VALUE_DTYPE),
-            validate=False,
-        )
-
-    @classmethod
-    def from_dense(cls, dense: np.ndarray) -> "CSRMatrix":
-        from .dense import from_dense
-
-        return from_dense(dense, "csr")
-
-    @classmethod
-    def from_scipy(cls, mat) -> "CSRMatrix":
-        """Adopt a ``scipy.sparse`` matrix (any format)."""
-        csr = mat.tocsr()
-        csr.sum_duplicates()
-        csr.sort_indices()
-        return cls(csr.shape, csr.indptr, csr.indices, csr.data)
-
-    # -- queries -------------------------------------------------------------
-    @property
-    def nnz(self) -> int:
-        return len(self.data)
-
-    def row_nnz(self) -> np.ndarray:
-        """Per-row nonzero counts, i.e. ``nnz(B(i, :))`` for every i."""
-        return np.diff(self.indptr)
-
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Column indices and values of row ``i`` (views, not copies)."""
-        if not 0 <= i < self.shape[0]:
-            raise ShapeError(f"row {i} out of range for shape {self.shape}")
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.indices[lo:hi], self.data[lo:hi]
+    #: Per-row nonzero counts, i.e. ``nnz(B(i, :))`` for every i.
+    row_nnz = CompressedMatrix.segment_nnz
+    #: Column indices and values of row ``i`` (views, not copies).
+    row = CompressedMatrix.segment
 
     def density(self) -> float:
         m, n = self.shape
         return self.nnz / (m * n) if m and n else 0.0
-
-    def mean_degree(self) -> float:
-        """Average nonzeros per row — d(A) in the paper's notation."""
-        return self.nnz / self.shape[0] if self.shape[0] else 0.0
-
-    def memory_bytes(self, index_bytes: int = 4, value_bytes: int = 8) -> int:
-        """CSR footprint: indptr + indices + data under given widths."""
-        return (
-            (self.shape[0] + 1) * index_bytes
-            + self.nnz * index_bytes
-            + self.nnz * value_bytes
-        )
-
-    # -- conversions -----------------------------------------------------------
-    def to_coo(self):
-        from .convert import csr_to_coo
-
-        return csr_to_coo(self)
-
-    def to_csc(self):
-        from .convert import csr_to_csc
-
-        return csr_to_csc(self)
-
-    def to_csr(self) -> "CSRMatrix":
-        """Identity conversion (symmetry with the other formats)."""
-        return self
-
-    def to_dense(self) -> np.ndarray:
-        from .dense import to_dense
-
-        return to_dense(self)
-
-    def to_scipy(self):
-        import scipy.sparse as sp
-
-        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=self.shape)
-
-    def transpose(self):
-        """Transpose: reinterprets the same arrays as CSC of Aᵀ (zero copy)."""
-        from .csc import CSCMatrix
-
-        return CSCMatrix(
-            (self.shape[1], self.shape[0]), self.indptr, self.indices, self.data, validate=False
-        )
-
-    def copy(self) -> "CSRMatrix":
-        return CSRMatrix(
-            self.shape, self.indptr.copy(), self.indices.copy(), self.data.copy(), validate=False
-        )
-
-    # -- algebra ---------------------------------------------------------------
-    def __matmul__(self, other) -> "CSRMatrix":
-        """``a @ b`` — sparse·sparse delegates to :func:`repro.multiply`
-        (default algorithm, any COO/CSR/CSC operand); sparse·dense is
-        the reference SpMV/SpMM."""
-        from .coo import COOMatrix
-        from .csc import CSCMatrix
-
-        if isinstance(other, (CSRMatrix, CSCMatrix, COOMatrix)):
-            from ..api import multiply
-
-            return multiply(self, other)
-        if isinstance(other, np.ndarray):
-            return self.dot_dense(other)
-        return NotImplemented
 
     def dot_dense(self, x: np.ndarray) -> np.ndarray:
         """CSR · dense vector/matrix (reference SpMV / SpMM)."""
@@ -184,6 +45,3 @@ class CSRMatrix:
         rows = np.repeat(np.arange(self.shape[0]), self.row_nnz())
         np.add.at(out, rows, expanded)
         return out
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"CSRMatrix(shape={self.shape}, nnz={self.nnz})"

@@ -11,8 +11,8 @@ import numpy as np
 
 from ..errors import ShapeError
 from . import base
+from .compressed import AXES, CompressedMatrix
 from .coo import COOMatrix
-from .csc import CSCMatrix
 from .csr import CSRMatrix
 
 
@@ -20,10 +20,9 @@ def transpose(mat):
     """Transpose of any repro sparse matrix, in that matrix's own format."""
     if isinstance(mat, COOMatrix):
         return mat.transpose()
-    if isinstance(mat, CSRMatrix):
-        return mat.to_csc().transpose()  # CSR out
-    if isinstance(mat, CSCMatrix):
-        return mat.to_csr().transpose()  # CSC out
+    if isinstance(mat, CompressedMatrix):
+        # Flip to the other orientation, then reread it transposed.
+        return (mat.to_csr() if mat.major else mat.to_csc()).transpose()
     raise TypeError(f"unsupported matrix type {type(mat).__name__}")
 
 
@@ -115,48 +114,33 @@ def tril(mat, k: int = 0) -> CSRMatrix:
     ).to_csr()
 
 
-def row_slice(csr: CSRMatrix, start: int, stop: int) -> CSRMatrix:
-    """Rows ``start:stop`` as a new CSR matrix of reduced height.
+def major_slice(mat, start: int, stop: int):
+    """Major segments ``start:stop`` — rows of a CSR, columns of a CSC —
+    as a new matrix of the same format, reduced along that axis.
 
-    This is the A-partitioning primitive of the partitioned (NUMA)
-    PB-SpGEMM variant in paper Sec. V-D and of the tiled engine's row
-    panels (:mod:`repro.core.tiled`).  Cheap: CSR stores a row's
-    entries contiguously, so ``indices`` / ``data`` of the slice are
-    *views* into the parent arrays — only the small rebased ``indptr``
-    is allocated.  Callers must not mutate the result in place.
+    This is the A-partitioning primitive (row panels of a CSR) of the
+    partitioned (NUMA) PB-SpGEMM variant in paper Sec. V-D and of the
+    tiled engine, and its B-partitioning primitive (column panels of a
+    CSC; :mod:`repro.core.tiled`).  Cheap: a segment's entries are
+    contiguous, so ``indices`` / ``data`` of the slice are *views* into
+    the parent arrays — only the small rebased ``indptr`` is allocated.
+    Callers must not mutate the result in place.
     """
-    if not (0 <= start <= stop <= csr.shape[0]):
+    major = mat.major
+    if not (0 <= start <= stop <= mat.shape[major]):
         raise ShapeError(
-            f"row slice [{start}, {stop}) out of range for shape {csr.shape}"
+            f"{AXES[major]} slice [{start}, {stop}) out of range for shape {mat.shape}"
         )
-    lo, hi = csr.indptr[start], csr.indptr[stop]
-    return CSRMatrix(
-        (stop - start, csr.shape[1]),
-        csr.indptr[start : stop + 1] - lo,
-        csr.indices[lo:hi],
-        csr.data[lo:hi],
+    lo, hi = mat.indptr[start], mat.indptr[stop]
+    shape = list(mat.shape)
+    shape[major] = stop - start
+    return type(mat)(
+        shape,
+        mat.indptr[start : stop + 1] - lo,
+        mat.indices[lo:hi],
+        mat.data[lo:hi],
         validate=False,
     )
 
 
-def col_slice(csc: CSCMatrix, start: int, stop: int) -> CSCMatrix:
-    """Columns ``start:stop`` as a new CSC matrix of reduced width.
-
-    The B-partitioning primitive of the tiled engine's column panels
-    (:mod:`repro.core.tiled`): the exact mirror of :func:`row_slice`.
-    CSC stores a column's entries contiguously, so ``indices`` /
-    ``data`` come back as views and only the rebased ``indptr`` is
-    allocated.  Callers must not mutate the result in place.
-    """
-    if not (0 <= start <= stop <= csc.shape[1]):
-        raise ShapeError(
-            f"col slice [{start}, {stop}) out of range for shape {csc.shape}"
-        )
-    lo, hi = csc.indptr[start], csc.indptr[stop]
-    return CSCMatrix(
-        (csc.shape[0], stop - start),
-        csc.indptr[start : stop + 1] - lo,
-        csc.indices[lo:hi],
-        csc.data[lo:hi],
-        validate=False,
-    )
+row_slice = col_slice = major_slice

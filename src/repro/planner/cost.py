@@ -1,9 +1,10 @@
 """Candidate ranking: sketch × profile → scored algorithm choices.
 
-Every registered algorithm (``kernels.dispatch`` — heap / hash /
-hashvec / spa / esc_column / pb / tiled / sharded) is priced from the
-measured costs of the kernel family that runs it
-(:class:`~repro.planner.calibrate.MachineProfile`, DESIGN.md §10)::
+Every distinct registered kernel (``kernels.dispatch`` — hash, the one
+panel kernel that heap / hashvec / spa also name; esc_column; pb;
+tiled; sharded) is priced from the measured costs of the kernel family
+that runs it (``AlgorithmInfo.family``;
+:class:`~repro.planner.calibrate.MachineProfile`, DESIGN.md §10)::
 
     seconds = flop · t_flop + nnz(C) · t_out
 
@@ -29,26 +30,13 @@ import numpy as np
 from ..core.blocks import CSR_ENTRY_BYTES, TILE_WORKING_BYTES_PER_FLOP
 from ..core.config import PBConfig
 from ..core.tiled import monolithic_peak_bytes, tiled_peak_bytes
-from ..kernels.dispatch import ALGORITHMS
+from ..kernels.dispatch import ALGORITHMS, distinct_algorithms
 from ..matrix.csc import CSCMatrix
 from ..matrix.csr import CSRMatrix
 from ..matrix.stats import flops_per_row
 from ..parallel import threads
 from .calibrate import MachineProfile
 from .sketch import Sketch, deepen
-
-#: The kernel family (a :data:`~repro.planner.calibrate.FAMILIES`
-#: entry) each registered algorithm runs.
-FAMILY = {
-    "pb": "pb",
-    "tiled": "pb",
-    "sharded": "pb",
-    "heap": "panel",
-    "hash": "panel",
-    "hashvec": "panel",
-    "spa": "panel",
-    "esc_column": "esc",
-}
 
 #: Grid dimensions swept when pricing ``algorithm="tiled"``.
 TILE_GRID_SWEEP = (1, 2, 4, 8, 16, 32)
@@ -305,7 +293,9 @@ def rank(
     warm_pool: bool = False,
     threads_ok: bool = False,
 ) -> list[CandidateScore]:
-    """Price every registered algorithm; cheapest first.
+    """Price every distinct registered kernel
+    (:func:`~repro.kernels.dispatch.distinct_algorithms`); cheapest
+    first.
 
     ``process_ok`` says whether a process pool is actually an option
     for this call (config asks for it *and* the platform supports it);
@@ -325,9 +315,9 @@ def rank(
     budget = cfg.memory_budget
     pb_threads = threads.thread_count(want_threads, sk.flop) if threads_ok else 1
     scored: list[CandidateScore] = []
-    for name, info in sorted(ALGORITHMS.items()):
-        family = FAMILY[name]
-        seconds = profile.kernel_seconds(family, sk.flop, sk.nnz_c)
+    for name in distinct_algorithms():
+        info = ALGORITHMS[name]
+        seconds = profile.kernel_seconds(info.family, sk.flop, sk.nnz_c)
         if name == "sharded":
             # Feasibility gate: the sharded executor needs POSIX shared
             # memory, and a config that asked for the (mutually
@@ -351,7 +341,7 @@ def rank(
             seconds, overrides, peak = _tune_tiled(
                 a_csc, b_csr, sk, seconds, cfg, profile
             )
-        elif family == "panel":
+        elif info.family == "panel":
             peak = _panel_peak_bytes(sk)
         else:  # pb and esc_column expand the whole tuple stream
             peak = monolithic_peak_bytes(sk.flop, sk.nnz_a, sk.nnz_b, sk.nnz_c)

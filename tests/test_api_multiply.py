@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 import repro
 from repro.core import PBConfig
-from repro.errors import ConfigError, FormatError, ShapeError
+from repro.errors import FormatError, ShapeError
 from repro.kernels import scipy_spgemm_oracle
 from repro.matrix import COOMatrix, CSCMatrix, CSRMatrix
 from repro.matrix.ops import allclose
@@ -120,20 +120,6 @@ class TestRouting:
         cfg = PBConfig(nbins=4)
         assert allclose(repro.multiply(a, b, algorithm="hash", config=cfg),
                         reference)
-
-    def test_config_rejected_for_config_blind_algorithm(self, pair, monkeypatch):
-        # Every registered algorithm is config-aware today; stub in a
-        # config-blind one to keep the guard covered.
-        from repro.kernels import dispatch
-
-        a, b = pair
-        dummy = dispatch.AlgorithmInfo(
-            "dummy", lambda a, b, semiring: None, "column", "accumulator",
-            "hash", "d", 0, "test-only config-blind stub",
-        )
-        monkeypatch.setitem(dispatch.ALGORITHMS, "dummy", dummy)
-        with pytest.raises(ConfigError, match="does not apply"):
-            repro.multiply(a, b, algorithm="dummy", config=PBConfig(nbins=4))
 
     def test_string_semiring(self, pair):
         a, b = pair

@@ -234,14 +234,13 @@ class TestConfigPlumbing:
         assert _bits(pan) == _bits(hash_spgemm_loop(a, b))
 
     def test_registry_metadata(self):
-        from repro.kernels.dispatch import algorithm_metadata
-
-        meta = algorithm_metadata()
         for name in KERNELS:
-            assert meta[name]["supports_config"]
-            # The registry and the public names run the one panel kernel.
+            # The registry and the public names run the one panel kernel,
+            # which the planner prices and lists once, as ``hash``.
             assert ALGORITHMS[name].func is panel_spgemm
             assert KERNELS[name] is panel_spgemm
+            assert ALGORITHMS[name].family == "panel"
+            assert ALGORITHMS[name].same_kernel_as == (None if name == "hash" else "hash")
 
 
 class TestSegmentReduce:

@@ -279,3 +279,191 @@ class TestCompiledTranspose:
         assert jit.transpose_jit(ptr, idx.astype(np.int32), np.zeros(2), 4) is None
         assert jit.transpose_jit(ptr, idx, np.zeros(2, np.float32), 4) is None
         assert jit.transpose_jit(ptr[:2], idx, np.zeros(2), 4) is None  # nnz mismatch
+
+
+ORIENTATIONS = [CSRMatrix, CSCMatrix]
+SHAPES = [(9, 13), (0, 5), (5, 0)]
+
+
+def _dense(rng, shape):
+    """A dense reference with an empty row and an empty column (when
+    the shape has room for them)."""
+    m, n = shape
+    dense = rng.normal(size=shape) * (rng.random(shape) < 0.35)
+    if m > 2 and n > 2:
+        dense[1, :] = 0.0
+        dense[:, 2] = 0.0
+    return dense
+
+
+def _segments(dense, cls):
+    """``dense`` indexed by the major axis of ``cls``: rows for CSR,
+    columns for CSC."""
+    return dense if cls.major == 0 else dense.T
+
+
+def _assert_arrays(a, b):
+    assert type(a) is type(b)
+    assert a.shape == b.shape
+    assert a.indptr.tobytes() == b.indptr.tobytes()
+    assert a.indices.tobytes() == b.indices.tobytes()
+    assert a.data.tobytes() == b.data.tobytes()
+
+
+@pytest.fixture(params=[(cls, shape, transposed) for cls in ORIENTATIONS
+                        for shape in SHAPES for transposed in (False, True)],
+                ids=lambda p: f"{p[0].__name__}-{p[1][0]}x{p[1][1]}"
+                              + ("-T" if p[2] else ""))
+def oriented(request, rng):
+    """(matrix, its dense reference): each orientation, built directly
+    and read as the transpose of the other orientation."""
+    cls, shape, transposed = request.param
+    dense = _dense(rng, shape)
+    if transposed:
+        other = CSCMatrix if cls is CSRMatrix else CSRMatrix
+        mat = other.from_dense(dense.T).transpose()
+    else:
+        mat = cls.from_dense(dense)
+    assert type(mat) is cls
+    return mat, dense
+
+
+class TestOrientations:
+    """Every operation of the shared compressed base through both
+    orientations, on a matrix and on the transpose of the other
+    orientation, including 0xn and mx0 shapes."""
+
+    def test_orientation_is_class_data(self):
+        assert (CSRMatrix.major, CSCMatrix.major) == (0, 1)
+        assert CSRMatrix.flipped is CSCMatrix and CSCMatrix.flipped is CSRMatrix
+        csr, csc = CSRMatrix.identity(3), CSCMatrix.identity(3)
+        assert not isinstance(csc, CSRMatrix)
+        assert not isinstance(csr, CSCMatrix)
+
+    def test_segment_accessor(self, oriented):
+        mat, dense = oriented
+        access = mat.row if mat.major == 0 else mat.col
+        for k, line in enumerate(_segments(dense, type(mat))):
+            idx, vals = access(k)
+            assert idx.tolist() == np.flatnonzero(line).tolist()
+            assert vals.tobytes() == line[line != 0].tobytes()
+        nmajor = mat.shape[mat.major]
+        name = "row" if mat.major == 0 else "column"
+        with pytest.raises(ShapeError, match=f"{name} {nmajor} out of range"):
+            access(nmajor)
+        with pytest.raises(ShapeError):
+            access(-1)
+
+    def test_segment_nnz(self, oriented):
+        mat, dense = oriented
+        counts = mat.row_nnz() if mat.major == 0 else mat.col_nnz()
+        assert counts.tolist() == (_segments(dense, type(mat)) != 0).sum(axis=1).tolist()
+
+    def test_slice(self, oriented):
+        from repro.matrix import col_slice, row_slice
+
+        mat, dense = oriented
+        cut = row_slice if mat.major == 0 else col_slice
+        nmajor = mat.shape[mat.major]
+        for lo, hi in [(0, nmajor), (nmajor // 3, nmajor // 3 + 2), (nmajor, nmajor)]:
+            hi = min(hi, nmajor)
+            s = cut(mat, lo, hi)
+            assert type(s) is type(mat)
+            want = dense[lo:hi] if mat.major == 0 else dense[:, lo:hi]
+            assert s.shape == want.shape
+            np.testing.assert_array_equal(s.to_dense(), want)
+            s._validate()
+        with pytest.raises(ShapeError, match="slice"):
+            cut(mat, 0, nmajor + 1)
+        with pytest.raises(ShapeError):
+            cut(mat, -1, 0)
+
+    def test_memory_bytes_and_mean_degree(self, oriented):
+        mat, dense = oriented
+        nmajor, nnz = mat.shape[mat.major], int((dense != 0).sum())
+        assert mat.nnz == nnz
+        assert mat.memory_bytes() == (nmajor + 1) * 4 + nnz * 4 + nnz * 8
+        assert mat.memory_bytes(8, 4) == (nmajor + 1) * 8 + nnz * 8 + nnz * 4
+        assert mat.mean_degree() == (nnz / nmajor if nmajor else 0.0)
+
+    def test_to_coo(self, oriented):
+        mat, dense = oriented
+        coo = mat.to_coo()
+        assert coo.shape == dense.shape
+        np.testing.assert_array_equal(coo.to_dense(), dense)
+        # Entries come out in the matrix's major-axis order.
+        major = coo.rows if mat.major == 0 else coo.cols
+        assert np.all(np.diff(major) >= 0)
+        np.testing.assert_array_equal(mat.to_dense(), dense)
+
+    def test_from_scipy(self, oriented):
+        import scipy.sparse as sp
+
+        mat, dense = oriented
+        cls = type(mat)
+        for fmt in ("coo", "csr", "csc"):
+            got = cls.from_scipy(sp.coo_matrix(dense).asformat(fmt))
+            _assert_arrays(got, cls.from_dense(dense))
+        assert type(mat.to_scipy()).__name__ == f"{('csr', 'csc')[mat.major]}_matrix"
+        np.testing.assert_array_equal(mat.to_scipy().toarray(), dense)
+
+    def test_flip(self, oriented):
+        mat, dense = oriented
+        other = type(mat).flipped
+        flipped = mat.to_csc() if mat.major == 0 else mat.to_csr()
+        _assert_arrays(flipped, other.from_dense(dense))
+        back = flipped.to_csr() if mat.major == 0 else flipped.to_csc()
+        _assert_arrays(back, type(mat).from_dense(dense))
+        # The same-orientation conversion is the identity.
+        assert (mat.to_csr() if mat.major == 0 else mat.to_csc()) is mat
+        # Transpose reinterprets the arrays as the other orientation.
+        t = mat.transpose()
+        assert type(t) is other and t.indices is mat.indices
+        np.testing.assert_array_equal(t.to_dense(), dense.T)
+
+    def test_copy_is_deep_and_same_orientation(self, oriented):
+        mat, _ = oriented
+        dup = mat.copy()
+        _assert_arrays(dup, mat)
+        assert dup.indptr is not mat.indptr and dup.data is not mat.data
+
+    def test_empty_and_identity(self, oriented):
+        mat, _ = oriented
+        cls = type(mat)
+        empty = cls.empty(mat.shape)
+        assert type(empty) is cls and empty.nnz == 0
+        assert len(empty.indptr) == mat.shape[cls.major] + 1
+        np.testing.assert_array_equal(cls.identity(4).to_dense(), np.eye(4))
+
+    @pytest.mark.parametrize("cls", ORIENTATIONS)
+    def test_validation_errors(self, cls):
+        major, minor = ("row", "column") if cls.major == 0 else ("column", "row")
+        fmt = cls.__name__[:3]
+        with pytest.raises(FormatError, match=f"{fmt} {major}s must have strictly "
+                                              f"increasing {minor} indices"):
+            cls((3, 3), [0, 2, 2, 2], [2, 0], [1.0, 1.0])  # unsorted
+        with pytest.raises(FormatError):
+            cls((3, 3), [0, 2, 2, 2], [1, 1], [1.0, 1.0])  # duplicate
+        with pytest.raises(FormatError):
+            cls((3, 3), [0, 1, 1, 1], [3], [1.0])  # minor index out of range
+        with pytest.raises(FormatError):
+            cls((3, 3), [0, 1, 1], [0], [1.0])  # indptr too short
+        # Validation reads the shape along the matrix's own axes.
+        shape = (2, 4) if cls.major == 0 else (4, 2)
+        cls(shape, [0, 1, 2], [3, 0], [1.0, 2.0])
+        with pytest.raises(FormatError):
+            cls(shape[::-1], [0, 1, 2], [3, 0], [1.0, 2.0])
+
+    @pytest.mark.parametrize("cls", ORIENTATIONS)
+    def test_flip_is_patchable_per_class(self, cls, monkeypatch):
+        # Tracing wraps CSRMatrix.to_csc and CSCMatrix.to_csr on their
+        # own classes; a patch must reach that orientation only.
+        name = "to_csc" if cls is CSRMatrix else "to_csr"
+        calls = []
+        real = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self: calls.append(1) or real(self))
+        mat = cls.identity(3)
+        getattr(mat.transpose(), name)()  # the other orientation: identity
+        assert calls == []
+        getattr(mat, name)()
+        assert calls == [1]

@@ -28,7 +28,12 @@ from repro.core.pb_spgemm import pb_spgemm_detailed
 from repro.core.symbolic import symbolic_phase
 from repro.errors import ConfigError, DispatchError, ReproError
 from repro.generators import erdos_renyi, rmat
-from repro.kernels.dispatch import algorithm_metadata, get_algorithm
+from repro.kernels.dispatch import (
+    ALGORITHMS,
+    algorithm_metadata,
+    distinct_algorithms,
+    get_algorithm,
+)
 from repro.matrix.coo import COOMatrix
 from repro.matrix.csr import CSRMatrix
 from repro.planner import (
@@ -47,7 +52,7 @@ from repro.planner.calibrate import (
     PROFILE_FILENAME,
     _fit_costs,
 )
-from repro.planner.cost import FAMILY, rank
+from repro.planner.cost import rank
 from repro.planner.sketch import deepen
 from repro.planner.cache import PLANS_FILENAME
 from repro.semiring import available_semirings
@@ -124,10 +129,25 @@ def test_stale_cache_record_with_removed_backend_overrides(operands, tmp_path):
 def test_plan_records_all_candidates_with_reasons(operands):
     a, b = operands
     p = plan(a, b, profile=default_profile(), cache=PlanCache())
-    assert {c.algorithm for c in p.candidates} == set(repro.available_algorithms())
+    # One candidate per distinct kernel: the panel is listed once, as hash.
+    assert {c.algorithm for c in p.candidates} == set(distinct_algorithms())
     winner, losers = p.candidates[0], p.candidates[1:]
     assert winner.algorithm == p.algorithm and winner.reason is None
     assert all(c.reason for c in losers)  # every loser says why
+
+
+def test_rank_prices_each_distinct_kernel_once(operands):
+    a, b = operands
+    sk = deepen(sketch(a, b), a, b)
+    names = [c.algorithm for c in rank(a, b, sk, default_profile())]
+    assert len(names) == len(set(names))
+    assert set(names) == {"pb", "hash", "tiled", "esc_column"} | (
+        {"sharded"} & set(names)
+    )
+    # heap, hashvec and spa run the hash entry's panel kernel.
+    assert {n for n, i in ALGORITHMS.items() if i.same_kernel_as} == {
+        "heap", "hashvec", "spa"
+    }
 
 
 def test_empty_matrix_plans_without_sampling():
@@ -270,9 +290,9 @@ def test_algorithm_metadata_exposes_planner_fields():
     meta = algorithm_metadata()
     assert set(meta) == set(repro.available_algorithms())
     for name, m in meta.items():
-        assert {"supports_config", "supports_process", "supports_session"} <= set(m)
+        assert {"supports_process", "supports_session"} <= set(m)
+        assert "supports_config" not in m  # every algorithm accepts config=
     assert meta["pb"]["supports_process"] is True
-    assert meta["pb"]["supports_config"] is True
     assert meta["heap"]["supports_process"] is False
 
 
@@ -487,9 +507,8 @@ def test_calibrated_profile_prices_ranking(operands):
     prof = calibrate(quick=True, measure_pool=False)
     sk = deepen(sketch(a, b), a, b)
     by_name = {c.algorithm: c for c in rank(a, b, sk, prof)}
-    for name, family in FAMILY.items():
-        if name in ("tiled", "sharded"):
-            continue
+    for name in ("pb", "hash", "esc_column"):
+        family = ALGORITHMS[name].family
         assert by_name[name].predicted_seconds == pytest.approx(
             prof.kernel_seconds(family, sk.flop, sk.nnz_c)
         ), name
