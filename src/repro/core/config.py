@@ -84,9 +84,10 @@ class PBConfig:
     executor:
         Where the numpy pipeline runs when the compiled one cannot (no
         compiler, ``modulo`` mapping, non-float64 values, a custom
-        semiring): ``"serial"`` (default) — in this process;
-        ``"process"`` — expand and per-bin sort/compress on a process
-        pool with shared-memory array transport
+        semiring): ``"serial"`` (default) — in this process, through
+        the compiled pipeline's expand → sort → compress → row-pointer
+        body; ``"process"`` — expand and per-bin sort/compress on a
+        process pool with shared-memory array transport
         (:mod:`repro.parallel`).  A multiply the compiled pipeline can
         run never uses the pool: it runs in process on ``nthreads``
         threads under either value.  Results are bit-identical.  The

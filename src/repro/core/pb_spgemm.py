@@ -16,8 +16,11 @@ Phases (matching the paper's structure and instrumentation points):
    ascending disjoint row ranges, so the compressed bins in bin order
    *are* row-major order; a per-row count builds the pointer.
 
-Two implementations run these phases and give bit-identical products
-(:attr:`PBResult.pipeline` says which one ran):
+Two kernel tiers run these phases through one body (:func:`_run_bins`)
+with one segment contract — expand returns ``(packed_keys, vals,
+bin_starts)``, the sort orders each bin in place, the compress folds
+every bin to ``(row_counts, indices, data)`` — and give bit-identical
+products (:attr:`PBResult.pipeline` says which tier ran).
 
 * **compiled** (the default whenever the cc engine of
   :mod:`repro.kernels.jit` builds): one pass counts each bin's tuples,
@@ -30,12 +33,14 @@ Two implementations run these phases and give bit-identical products
   ``PBConfig.nthreads`` threads (:mod:`repro.parallel.threads`):
   flop-balanced column chunks expand into their own cursor ranges of
   every bin, and contiguous bin ranges sort and compress in place.
-* **numpy**: expand into one flop-sized arena, one fused pack +
-  counting distribute, then per bin a radix sort, a compress and a key
-  unpack, and one concatenation.  It is the bit-identical reference
-  and runs for ``modulo`` mapping, custom semirings, non-float64
-  values, and wherever the engine is missing — serially, or on a
-  process engine's workers under ``executor="process"``.
+* **numpy**: the arena expand and one fused pack + counting distribute
+  build the same binned stream, a Python loop radix-sorts each bin in
+  place, and one vectorized pass folds every bin at once.  It is the
+  bit-identical reference and runs for ``modulo`` mapping, custom
+  semirings, non-float64 values, and wherever the engine is missing.
+
+Under ``executor="process"`` the numpy pipeline runs on a process
+engine's workers instead (:func:`_run_engine`).
 
 The function returns just the CSR product; :func:`pb_spgemm_detailed`
 additionally returns per-phase measurements (bin occupancy, radix
@@ -55,11 +60,13 @@ from ..matrix.csc import CSCMatrix
 from ..matrix.csr import CSRMatrix
 from ..semiring import PLUS_TIMES, Semiring, get_semiring
 from ..kernels import jit as _jit
-from ..kernels.compress import compress_keyed
+from ..kernels.compress import _compress_segments, compress_keyed
 from ..kernels.outer_expand import DEFAULT_CHUNK_FLOPS, expand_arena
-from ..kernels.radix import sort_tuples
+from ..kernels.radix import _sort_segments, sort_tuples
 from ..parallel.executor import engine_scope, semiring_token
 from ..parallel.threads import ThreadTeam, thread_count
+# unpack_keys is unused here but stays importable: the e2e benchmark
+# traces it under this module's name.
 from .binning import (
     BinLayout,
     distribute_packed,
@@ -101,25 +108,6 @@ class PBResult:
     #: Kernel pipeline that ran: ``"compiled"``, or ``"numpy:<reason>"``
     #: naming why the compiled one could not (see :func:`compiled_blocker`).
     pipeline: str = "numpy:no_engine"
-
-
-def _sort_and_compress_bin(
-    layout: BinLayout,
-    binid: int,
-    keys: np.ndarray,
-    vals: np.ndarray,
-    semiring: Semiring,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Sort one bin's already-packed tuples by key and merge duplicates.
-
-    Keys arrive packed from the fused distribute
-    (:func:`repro.core.binning.distribute_packed`), so the sort phase
-    starts immediately on the narrow key array.
-    """
-    skeys, svals, passes = sort_tuples(keys, vals, key_bits=layout.key_bits)
-    ckeys, cvals = compress_keyed(skeys, svals, semiring)
-    crows, ccols = unpack_keys(layout, ckeys, binid)
-    return crows, ccols, cvals, passes
 
 
 def pb_spgemm_detailed(
@@ -229,20 +217,20 @@ def _pb_run(
         c = CSRMatrix.empty((m, n))
         tuples_per_bin = np.zeros(layout.nbins, dtype=np.int64)
         passes = 0
-    elif pipeline == "compiled":
-        nthreads = thread_count(cfg.nthreads, sym.flop)
+    elif engine is not None:
+        c, tuples_per_bin, passes = _run_engine(
+            a_csc, b_csr, sr, cfg, sym, layout, engine, phase_seconds
+        )
+        executor_used = "process"
+    else:
+        compiled = pipeline == "compiled"
+        nthreads = thread_count(cfg.nthreads, sym.flop) if compiled else 1
         with ThreadTeam(nthreads) as team:
-            c, tuples_per_bin, passes = _run_compiled(
-                a_csc, b_csr, sr, cfg, sym, layout, phase_seconds, team
+            c, tuples_per_bin, passes = _run_bins(
+                a_csc, b_csr, sr, cfg, sym, layout, phase_seconds, team, compiled
             )
         if nthreads > 1:
             executor_used = "threads"
-    else:
-        c, tuples_per_bin, passes = _run_numpy(
-            a_csc, b_csr, sr, cfg, sym, layout, engine, phase_seconds
-        )
-        if engine is not None:
-            executor_used = "process"
 
     nnz_c = c.nnz
     return PBResult(
@@ -261,40 +249,48 @@ def _pb_run(
     )
 
 
-def _run_compiled(a_csc, b_csr, sr, cfg, sym, layout, phase_seconds, team):
-    """Expand into bins, sort each bin, compress straight into CSR, on
-    the threads of ``team``.
+def _run_bins(a_csc, b_csr, sr, cfg, sym, layout, phase_seconds, team, compiled):
+    """Alg. 2 on either kernel tier: expand into bins, sort each bin in
+    place, fold every bin straight to row counts, columns and values,
+    and build the row pointer with one cumsum.
 
-    Goes through the three kernel entry points (``expand_arena``,
-    ``sort_tuples``, ``compress_keyed``) in their compiled forms, each
-    called once from this thread, so per-kernel tracing sees the same
-    names on both pipelines.  With more than one thread, the per-thread
-    busy seconds of expand and of sort + compress (which deal the same
-    bin ranges) land in ``expand_workers`` / ``sort_compress_workers``.
+    The compiled tier calls the compiled forms of ``expand_arena``,
+    ``sort_tuples`` and ``compress_keyed`` once each, on the threads of
+    ``team`` (with more than one thread, the per-thread busy seconds
+    land in ``expand_workers`` / ``sort_compress_workers``).  The numpy
+    tier builds the same binned stream with the arena expand and
+    :func:`distribute_packed`, then runs the numpy segment forms.
     """
     m, n = a_csc.shape[0], b_csr.shape[1]
     t_phase = time.perf_counter()
-    local_tuples = cfg.local_bin_bytes // TUPLE_BYTES if cfg.use_local_bins else 0
-    keys, vals, bin_starts = expand_arena(
-        a_csc,
-        b_csr,
-        semiring=sr,
-        per_k=sym.flops_per_k,
-        layout=layout,
-        local_tuples=local_tuples,
-        team=team,
-    )
+    if compiled:
+        local_tuples = cfg.local_bin_bytes // TUPLE_BYTES if cfg.use_local_bins else 0
+        keys, vals, bin_starts = expand_arena(
+            a_csc,
+            b_csr,
+            semiring=sr,
+            per_k=sym.flops_per_k,
+            layout=layout,
+            local_tuples=local_tuples,
+            team=team,
+        )
+        sort, compress = sort_tuples, compress_keyed
+    else:
+        stream = expand_arena(a_csc, b_csr, semiring=sr, per_k=sym.flops_per_k)
+        keys, vals, bin_starts = distribute_packed(layout, *stream)
+        del stream
+        sort, compress = _sort_segments, _compress_segments
     phase_seconds["expand"] = time.perf_counter() - t_phase
     expand_workers = team.take_seconds()
 
     t_phase = time.perf_counter()
-    keys, vals, passes = sort_tuples(
+    keys, vals, passes = sort(
         keys, vals, key_bits=layout.key_bits, segments=bin_starts, team=team
     )
-    row_counts, c_cols, c_vals = compress_keyed(
+    row_counts, c_cols, c_vals = compress(
         keys, vals, sr, layout=layout, segments=bin_starts, team=team
     )
-    del keys
+    del keys, vals
     phase_seconds["sort_compress"] = time.perf_counter() - t_phase
     sc_workers = team.take_seconds()
 
@@ -309,69 +305,39 @@ def _run_compiled(a_csc, b_csr, sr, cfg, sym, layout, phase_seconds, team):
     return c, np.diff(bin_starts), passes
 
 
-def _run_numpy(a_csc, b_csr, sr, cfg, sym, layout, engine, phase_seconds):
-    """The numpy pipeline, serial or on a process engine's workers."""
+def _run_engine(a_csc, b_csr, sr, cfg, sym, layout, engine, phase_seconds):
+    """The numpy pipeline on a process engine's workers: they expand
+    into a shared arena and sort, compress and unpack groups of bins
+    (placed as they are submitted under ``cfg.pipeline == "auto"``);
+    the parent distributes, then concatenates the groups in bin order.
+    """
     m, n = a_csc.shape[0], b_csr.shape[1]
-    sr_token = None if engine is None else semiring_token(sr)
-    # Pipelined bin processing needs a process engine; "auto" turns it
-    # on whenever one runs, "barrier" keeps the phase-barriered ablation.
-    use_pipeline = engine is not None and cfg.pipeline == "auto"
-
-    expand_worker_seconds: list[float] | None = None
-    sc_worker_seconds: list[float] | None = None
+    sr_token = semiring_token(sr)
+    use_pipeline = cfg.pipeline == "auto"
     try:
-        # ---- Phase 2: expand + propagation blocking ------------------------
-        # The expanded stream is written at flop-prefix offsets into one
-        # flop-sized arena (the symbolic phase knows the exact size) —
-        # in shared memory under the process executor, in a private
-        # allocation serially — so the stream is bit-identical no matter
-        # how chunks are grouped.  The fused distribute packs keys over
-        # the whole stream and bucket-places (key, value) pairs, handing
-        # the sort phase already-packed keys.
         t_phase = time.perf_counter()
-        if engine is not None:
-            rows, cols, vals, expand_worker_seconds = engine.expand(
-                a_csc, b_csr, sym.flops_per_k, sr_token, DEFAULT_CHUNK_FLOPS
-            )
-        else:
-            rows, cols, vals = expand_arena(
-                a_csc,
-                b_csr,
-                chunk_flops=DEFAULT_CHUNK_FLOPS,
-                semiring=sr,
-                per_k=sym.flops_per_k,
-            )
-
+        rows, cols, vals, expand_worker_seconds = engine.expand(
+            a_csc, b_csr, sym.flops_per_k, sr_token, DEFAULT_CHUNK_FLOPS
+        )
         if use_pipeline:
-            # Pipelined: compute only the placement *plan* here; the
-            # gather itself interleaves with sort-task submission below,
-            # so "expand" ends at the plan and "sort_compress" covers
-            # the overlapped placement + sorting.
+            # Only the placement *plan* here; the gather interleaves
+            # with the sort-task submission, so "expand" ends at the
+            # plan and "sort_compress" covers placement + sorting.
             keys, order, bin_starts = distribute_plan(layout, rows, cols)
         else:
             b_keys, b_vals, bin_starts = distribute_packed(layout, rows, cols, vals)
-        tuples_per_bin = np.diff(bin_starts)
         phase_seconds["expand"] = time.perf_counter() - t_phase
-
         if use_pipeline:
-            # ``vals`` stays alive: it is the expand arena's shm view,
-            # read group by group during the pipelined placement.
             del rows, cols
         else:
             del rows, cols, vals
-            if engine is not None:
-                engine.free_arenas()  # binned copies are private; drop the shm views
+            engine.free_arenas()  # binned copies are private; drop the shm views
 
-        # ---- Phases 3+4: per-bin sort and compress -------------------------
         t_phase = time.perf_counter()
-        out_rows: list[np.ndarray] = []
-        out_cols: list[np.ndarray] = []
-        out_vals: list[np.ndarray] = []
-        passes = 0
         if use_pipeline:
-            # Placement gathers interleave with sort-task submission;
-            # the expand arena returns to the pool (after_place) while
-            # workers are already sorting early bin groups.
+            # ``vals`` is the expand arena's shm view, read group by
+            # group during the placement; after_place returns the arena
+            # to the pool while workers already sort early groups.
             groups, passes, sc_worker_seconds = engine.pipelined_sort_compress(
                 layout,
                 keys,
@@ -381,60 +347,30 @@ def _run_numpy(a_csc, b_csr, sr, cfg, sym, layout, engine, phase_seconds):
                 sr_token,
                 after_place=engine.free_expand_arena,
             )
-            del vals, keys, order
-            for crows, ccols, cvals in groups:
-                out_rows.append(crows)
-                out_cols.append(ccols)
-                out_vals.append(cvals)
-        elif engine is not None:
+            del keys, vals, order
+        else:
             groups, passes, sc_worker_seconds = engine.sort_compress(
                 layout, bin_starts, b_keys, b_vals, sr_token
             )
-            for crows, ccols, cvals in groups:
-                out_rows.append(crows)
-                out_cols.append(ccols)
-                out_vals.append(cvals)
-        else:
-            for b in range(layout.nbins):
-                lo, hi = int(bin_starts[b]), int(bin_starts[b + 1])
-                if lo == hi:
-                    continue
-                crows, ccols, cvals, p = _sort_and_compress_bin(
-                    layout, b, b_keys[lo:hi], b_vals[lo:hi], sr
-                )
-                passes = max(passes, p)
-                out_rows.append(crows)
-                out_cols.append(ccols)
-                out_vals.append(cvals)
         phase_seconds["sort_compress"] = time.perf_counter() - t_phase
     finally:
-        if engine is not None:
-            # Arenas always die with the multiply; the pool outlives it
-            # (engine_scope closes a private one after the whole call).
-            engine.free_arenas()
+        # Arenas always die with the multiply; the pool outlives it
+        # (engine_scope closes a private one after the whole call).
+        engine.free_arenas()
 
-    # ---- Phase 5: CSR conversion -------------------------------------------
     t_phase = time.perf_counter()
-    c_rows = np.concatenate(out_rows) if out_rows else np.empty(0, dtype=INDEX_DTYPE)
-    c_cols = np.concatenate(out_cols) if out_cols else np.empty(0, dtype=INDEX_DTYPE)
-    c_vals = np.concatenate(out_vals) if out_vals else np.empty(0)
-    if layout.mapping in ("range", "variable"):
-        # Bins cover ascending disjoint row ranges: already row-major.
-        rows_sorted, cols_sorted, vals_sorted = c_rows, c_cols, c_vals
-    else:
+    c_rows, c_cols, c_vals = (np.concatenate(part) for part in zip(*groups))
+    if layout.mapping == "modulo":
+        # Modulo bins interleave rows; the other mappings are row-major.
         order = np.lexsort((c_cols, c_rows))
-        rows_sorted, cols_sorted, vals_sorted = c_rows[order], c_cols[order], c_vals[order]
-    counts = np.bincount(rows_sorted, minlength=m) if len(rows_sorted) else np.zeros(m, dtype=np.int64)
+        c_rows, c_cols, c_vals = c_rows[order], c_cols[order], c_vals[order]
     indptr = np.zeros(m + 1, dtype=INDEX_DTYPE)
-    np.cumsum(counts, out=indptr[1:])
-    c = CSRMatrix((m, n), indptr, cols_sorted, vals_sorted, validate=False)
+    np.cumsum(np.bincount(c_rows, minlength=m), out=indptr[1:])
+    c = CSRMatrix((m, n), indptr, c_cols, c_vals, validate=False)
     phase_seconds["convert"] = time.perf_counter() - t_phase
-    if expand_worker_seconds is not None:
-        phase_seconds["expand_workers"] = expand_worker_seconds
-    if sc_worker_seconds is not None:
-        phase_seconds["sort_compress_workers"] = sc_worker_seconds
-
-    return c, tuples_per_bin, passes
+    phase_seconds["expand_workers"] = expand_worker_seconds
+    phase_seconds["sort_compress_workers"] = sc_worker_seconds
+    return c, np.diff(bin_starts), passes
 
 
 def pb_spgemm(

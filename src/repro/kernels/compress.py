@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..matrix.base import INDEX_DTYPE
 from ..semiring import PLUS_TIMES, Semiring, get_semiring
 
 __all__ = ["compress_sorted", "compress_keyed"]
@@ -38,7 +39,8 @@ def compress_keyed(
     folds every bin straight into CSR arrays and returns
     ``(row_counts, indices, data)`` with the same fold, on the threads
     of ``team`` when one is given; it consumes ``values``.  The caller
-    must have checked the engine is available.
+    must have checked the engine is available; without one, PB's numpy
+    tier runs the same contract through :func:`_compress_segments`.
     """
     sr = get_semiring(semiring)
     if layout is not None:
@@ -57,6 +59,33 @@ def compress_keyed(
     run_start[0] = True
     np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
     return np.compress(run_start, keys), sr.fold(run_start, values)
+
+
+def _compress_segments(keys, values, semiring, layout, segments, team=None):
+    """The numpy form of ``compress_keyed(..., layout=, segments=)``:
+    one vectorized fold over every sorted bin, returning ``(row_counts,
+    indices, data)`` in row-major order (``team`` is not used).  Each
+    bin's first key starts a run, since packed keys are bin-local.
+    """
+    n = len(keys)
+    run_start = np.ones(n, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+    heads = segments[:-1]
+    run_start[heads[heads < n]] = True
+    data = semiring.fold(run_start, values)
+    head_pos = np.flatnonzero(run_start)
+    ckeys = keys.take(head_pos)
+    if layout.mapping == "modulo":
+        order = np.argsort(ckeys)  # distinct global keys: their order is row-major
+        ckeys, data = ckeys[order], data[order]
+        first_row = 0
+    else:
+        first_row = np.repeat(layout.row_starts(), np.diff(np.searchsorted(head_pos, segments)))
+    col_mask = np.asarray((1 << layout.col_bits) - 1, dtype=keys.dtype)
+    indices = (ckeys & col_mask).astype(INDEX_DTYPE)
+    rows = (ckeys >> np.asarray(layout.col_bits, dtype=keys.dtype)).astype(INDEX_DTYPE)
+    rows += first_row
+    return np.bincount(rows, minlength=layout.nrows), indices, data
 
 
 def compress_sorted(

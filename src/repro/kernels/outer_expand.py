@@ -159,11 +159,12 @@ def expand_arena(
     the compiled kernel of :func:`repro.kernels.jit.pb_expand_jit` runs
     instead and expands straight into the global bins — through local
     bins of ``local_tuples`` tuples each, or directly when that is 0 —
-    returning ``(packed_keys, vals, bin_starts)``: the stream the
-    numpy expand + :func:`repro.core.binning.distribute_packed` would
-    build, on the threads of ``team`` (a
-    :class:`~repro.parallel.threads.ThreadTeam`) when one is given.
-    The caller must have checked the engine is available.
+    returning ``(packed_keys, vals, bin_starts)``, on the threads of
+    ``team`` (a :class:`~repro.parallel.threads.ThreadTeam`) when one
+    is given.  The caller must have checked the engine is available.
+    The numpy tier builds the identical binned stream from this
+    function's arena form followed by
+    :func:`repro.core.binning.distribute_packed`.
 
     The symbolic phase knows every column's exact tuple count, so each
     chunk owns a fixed ``[o_lo, o_hi)`` slice of the output stream;

@@ -153,7 +153,7 @@ def radix_sort_pairs(
         shift = digit_bits * p
         remaining = key_bits - shift
         digit_dtype = np.uint8 if min(digit_bits, remaining) <= 8 else np.uint16
-        digit = (src_k >> shift if shift else src_k).astype(digit_dtype)
+        digit = (src_k >> shift if shift else src_k).astype(digit_dtype, copy=False)
         # numpy's stable sort on a narrow integer dtype IS the counting
         # pass: bincount + cumsum + stable scatter in C.
         perm = np.argsort(digit, kind="stable")
@@ -213,9 +213,10 @@ def sort_tuples(
     :func:`repro.kernels.jit.pb_sort_bins_jit` — segment ranges split
     over the threads of ``team`` when one is given — and the input
     arrays are returned.  The caller must have checked the engine is
-    available.
+    available; without one, PB's numpy tier runs the same segment
+    contract through :func:`_sort_segments`.
 
-    Both forms return the identical stable result: sorted keys,
+    Every form returns the identical stable result: sorted keys,
     permuted values, and the byte pass count charged by the cost model.
     """
     if len(keys) != len(values):
@@ -227,3 +228,16 @@ def sort_tuples(
             key_bits = np.asarray(keys).dtype.itemsize * 8
         return keys, values, pb_sort_bins_jit(keys, values, segments, key_bits, team)
     return radix_sort_pairs(keys, values, key_bits=key_bits)
+
+
+def _sort_segments(keys, values, key_bits, segments, team=None):
+    """The numpy form of ``sort_tuples(..., segments=)``: each segment
+    sorted in place by :func:`radix_sort_pairs`, one call per segment
+    (a bin fits in cache; the whole stream at once does not).  ``team``
+    is accepted for the same signature and not used."""
+    for lo, hi in zip(segments[:-1].tolist(), segments[1:].tolist()):
+        if hi - lo > 1:
+            keys[lo:hi], values[lo:hi], _ = radix_sort_pairs(
+                keys[lo:hi], values[lo:hi], key_bits=key_bits
+            )
+    return keys, values, passes_for_bits(key_bits)

@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import FormatError, ShapeError
 from . import base
-from .compressed import AXES, CompressedMatrix
+from .compressed import AXES, FORMATS, CompressedMatrix
 from .coo import COOMatrix
 from .csr import CSRMatrix
 
@@ -143,4 +143,18 @@ def major_slice(mat, start: int, stop: int):
     )
 
 
-row_slice = col_slice = major_slice
+def _axis_slice(mat, start: int, stop: int, axis: int):
+    if not (isinstance(mat, CompressedMatrix) and mat.major == axis):
+        name = FORMATS[axis].upper()
+        raise FormatError(f"{AXES[axis]} slice needs a {name} matrix, got {type(mat).__name__}")
+    return major_slice(mat, start, stop)
+
+
+def row_slice(mat, start: int, stop: int):
+    """Rows ``start:stop`` of a CSR; any other format raises :class:`FormatError`."""
+    return _axis_slice(mat, start, stop, 0)
+
+
+def col_slice(mat, start: int, stop: int):
+    """Columns ``start:stop`` of a CSC; any other format raises :class:`FormatError`."""
+    return _axis_slice(mat, start, stop, 1)

@@ -154,7 +154,9 @@ def _sort_compress_task(payload):
     result pickle small even with thousands of bins.
     """
     specs, layout, sr_token, bins = payload
-    from ..core.pb_spgemm import _sort_and_compress_bin
+    from ..core.binning import unpack_keys
+    from ..kernels.compress import compress_keyed
+    from ..kernels.radix import sort_tuples
 
     t0 = time.perf_counter()
     out_rows, out_cols, out_vals = [], [], []
@@ -163,9 +165,9 @@ def _sort_compress_task(payload):
         sr = get_semiring(sr_token)
         keys, vals = arr["bin_keys"], arr["bin_vals"]
         for binid, lo, hi in bins:
-            crows, ccols, cvals, p = _sort_and_compress_bin(
-                layout, binid, keys[lo:hi], vals[lo:hi], sr
-            )
+            skeys, svals, p = sort_tuples(keys[lo:hi], vals[lo:hi], key_bits=layout.key_bits)
+            ckeys, cvals = compress_keyed(skeys, svals, sr)
+            crows, ccols = unpack_keys(layout, ckeys, binid)
             passes = max(passes, p)
             out_rows.append(crows)
             out_cols.append(ccols)

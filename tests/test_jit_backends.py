@@ -26,7 +26,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 import repro
-from repro.core.binning import distribute_packed, plan_bins
+from repro.core.binning import (
+    VariableBinLayout,
+    balanced_bin_edges,
+    distribute_packed,
+    plan_bins,
+)
 from repro.core.config import PBConfig
 from repro.core.pb_spgemm import pb_spgemm, pb_spgemm_detailed
 from repro.core.symbolic import symbolic_phase
@@ -36,9 +41,12 @@ from repro.kernels.hash_spgemm import hash_spgemm, hash_spgemm_loop
 from repro.kernels.jit import _cc
 from repro.kernels.jit._avail import probe
 from repro.kernels.outer_expand import expand_arena
-from repro.kernels.compress import compress_keyed
-from repro.kernels.radix import radix_sort_pairs, sort_tuples
-from repro.semiring import available_semirings
+from repro.kernels.compress import _compress_segments, compress_keyed
+from repro.kernels.radix import _sort_segments, radix_sort_pairs, sort_tuples
+from repro.kernels.reference import dense_spgemm_reference
+from repro.matrix.coo import COOMatrix
+from repro.matrix.stats import flops_per_row
+from repro.semiring import available_semirings, get_semiring
 
 from tests.test_block_core import problems
 
@@ -306,6 +314,146 @@ class TestBitIdentity:
         c0 = repro.multiply(a, b, config=PBConfig())
         c1 = repro.multiply(a, b, config=cfg)
         assert _bitwise_equal(c0, c1)
+
+
+# ---------------------------------------------------------------------------
+# tier differential: each PB phase, numpy form against compiled form
+# ---------------------------------------------------------------------------
+
+_NEG_NAN = np.copysign(np.nan, -1.0)
+
+
+def _special_operands(m, k, n, seed=0):
+    """A (CSC) and B (CSR) whose values include ±0 and NaNs of both
+    signs; k is small, so the product merges many tuples per entry.
+    A's last quarter of rows is empty, so range bins there are too."""
+    rng = np.random.default_rng(seed)
+
+    def draw(shape, row_hi, nnz):
+        vals = rng.standard_normal(nnz)
+        pick = rng.random(nnz) < 0.3
+        vals[pick] = rng.choice(np.array([0.0, -0.0, np.nan, _NEG_NAN]), int(pick.sum()))
+        rows, cols = rng.integers(0, row_hi, nnz), rng.integers(0, shape[1], nnz)
+        return COOMatrix(shape, rows, cols, vals)
+
+    return draw((m, k), 3 * m // 4, 3 * m).to_csc(), draw((k, n), k, 4 * n).to_csr()
+
+
+def _layout(a_csc, b_csr, nbins, mapping, pack_keys):
+    m, n = a_csc.shape[0], b_csr.shape[1]
+    if mapping == "balanced":
+        edges = balanced_bin_edges(flops_per_row(a_csc, b_csr), nbins)
+        return VariableBinLayout(m, n, edges, pack_keys=pack_keys)
+    return plan_bins(m, n, nbins, -(-m // nbins), PBConfig(pack_keys=pack_keys))
+
+
+def _same_bytes(x, y) -> bool:
+    return x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+class TestTierDifferential:
+    """The numpy tier's segment forms against the compiled kernels, one
+    phase at a time, on the same input, compared byte for byte: the
+    binned expand (arena expand + distribute), the in-place segment sort
+    and the binned compress straight to row counts, columns and values."""
+
+    @pytest.fixture(autouse=True)
+    def _need_engine(self):
+        if not jit_tier.jit_available():
+            pytest.skip("no JIT engine on this machine")
+
+    @pytest.mark.parametrize("pack_keys", [True, False], ids=["u32", "u64"])
+    @pytest.mark.parametrize("mapping", ["range", "balanced"])
+    @pytest.mark.parametrize("nbins", [1, 1024, 4096, 8192])
+    def test_phases(self, nbins, mapping, pack_keys):
+        a, b = _special_operands(8192, 40, 96)
+        layout = _layout(a, b, nbins, mapping, pack_keys)
+        assert layout.key_dtype == (np.uint32 if pack_keys else np.uint64)
+        per_k = (a.col_nnz() * b.row_nnz()).astype(np.int64)
+        for name in sorted(available_semirings()):
+            sr = get_semiring(name)
+            rows, cols, vals = expand_arena(a, b, semiring=sr, per_k=per_k)
+            k0, v0, s0 = distribute_packed(layout, rows, cols, vals)
+            k1, v1, s1 = expand_arena(a, b, semiring=sr, per_k=per_k, layout=layout)
+            assert np.array_equal(s0, s1)
+            assert _same_bytes(k0, k1) and _same_bytes(v0, v1)
+            if mapping == "range" and nbins > 1:
+                assert np.diff(s0).min() == 0  # empty bins are covered
+
+            k0, v0, p0 = _sort_segments(k0, v0, layout.key_bits, s0)
+            k1, v1, p1 = sort_tuples(k1, v1, key_bits=layout.key_bits, segments=s1)
+            assert p0 == p1
+            assert _same_bytes(k0, k1) and _same_bytes(v0, v1)
+
+            with np.errstate(invalid="ignore"):
+                rc0, i0, d0 = _compress_segments(k0, v0, sr, layout, s0)
+            rc1, i1, d1 = compress_keyed(k1, v1, sr, layout=layout, segments=s1)
+            assert np.array_equal(rc0, rc1) and rc0.sum() == len(i0)
+            assert _same_bytes(i0, i1) and _same_bytes(d0, d1)
+            assert len(i0) < len(k0)  # the fold merged duplicates
+
+    def test_all_empty_and_single_tuple_bins(self):
+        """Segments with no tuples, or one, around a populated one."""
+        layout = plan_bins(8, 4, 4, 2)
+        keys = np.array([5, 3, 3, 1, 6], dtype=layout.key_dtype)
+        vals = np.array([1.0, -0.0, 0.0, np.nan, 2.0])
+        starts = np.array([0, 0, 1, 4, 5], dtype=np.int64)
+        sr = get_semiring("plus_times")
+        k0, v0, _ = _sort_segments(keys.copy(), vals.copy(), layout.key_bits, starts)
+        k1, v1, _ = sort_tuples(keys.copy(), vals.copy(), key_bits=layout.key_bits, segments=starts)
+        assert _same_bytes(k0, k1) and _same_bytes(v0, v1)
+        out0 = _compress_segments(k0, v0, sr, layout, starts)
+        out1 = compress_keyed(k1, v1, sr, layout=layout, segments=starts)
+        for x, y in zip(out0, out1):
+            assert _same_bytes(np.asarray(x, dtype=y.dtype), y)
+        empty = np.zeros(5, dtype=np.int64)
+        rc, idx, data = _compress_segments(
+            np.empty(0, dtype=layout.key_dtype), np.empty(0), sr, layout, empty
+        )
+        assert not rc.any() and len(idx) == len(data) == 0
+
+
+def _equal_with_nans(c, ref) -> bool:
+    """Same structure, and the same values with any NaN matching a NaN
+    (the reference does not canonicalize NaN payloads)."""
+    d, r = np.asarray(c.data), np.asarray(ref.data)
+    nan = np.isnan(d)
+    return bool(
+        np.array_equal(c.indptr, ref.indptr)
+        and np.array_equal(c.indices, ref.indices)
+        and np.array_equal(nan, np.isnan(r))
+        and d[~nan].tobytes() == r[~nan].tobytes()
+    )
+
+
+class TestNumpyOnlyTier:
+    """The cases only the numpy tier runs, against the dense oracle."""
+
+    @pytest.mark.parametrize("nbins", [1, 7])
+    @pytest.mark.parametrize("semiring", sorted(available_semirings()))
+    def test_modulo_bins(self, semiring, nbins):
+        """Modulo bins interleave rows (and never pack keys): the binned
+        compress must still return row-major output."""
+        a, b = _special_operands(300, 12, 40, seed=2)
+        cfg = PBConfig(bin_mapping="modulo", nbins=nbins, pack_keys=False)
+        with np.errstate(invalid="ignore"):
+            res = pb_spgemm_detailed(a, b, semiring, cfg)
+            ref = dense_spgemm_reference(a, b, semiring)
+        assert res.pipeline == "numpy:mapping"
+        assert _equal_with_nans(res.c, ref)
+
+    def test_non_float64_semiring(self):
+        from repro.semiring import PLUS_TIMES, Semiring
+
+        single = Semiring(
+            "plus_times32", np.add, PLUS_TIMES.multiply, 0.0, np.dtype(np.float32)
+        )
+        a, b = _special_operands(300, 12, 40, seed=3)
+        with np.errstate(invalid="ignore"):
+            res = pb_spgemm_detailed(a, b, single)
+            ref = dense_spgemm_reference(a, b, single)
+        assert res.pipeline == "numpy:dtype"
+        assert _equal_with_nans(res.c, ref)
 
 
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import ShapeError
+from repro.errors import FormatError, ShapeError
 from repro.matrix import COOMatrix, CSRMatrix
 from repro.matrix.ops import (
     add,
@@ -142,3 +142,16 @@ class TestStructural:
         s = col_slice(m, 3, 3)
         assert s.shape == (10, 0)
         assert s.nnz == 0
+
+    def test_col_slice_of_csr_raises(self, rng):
+        # A CSR's major segments are rows: col_slice must not cut them.
+        m = random_coo(rng, 16, 16, 60).to_csr()
+        with pytest.raises(FormatError, match="CSC"):
+            col_slice(m, 0, 8)
+
+    def test_row_slice_of_csc_raises(self, rng):
+        m = random_coo(rng, 16, 16, 60).to_csc()
+        with pytest.raises(FormatError, match="CSR"):
+            row_slice(m, 0, 8)
+        with pytest.raises(FormatError):
+            row_slice(m.to_coo(), 0, 8)
